@@ -170,3 +170,26 @@ func TestFailSafeAudit(t *testing.T) {
 		t.Fatalf("fail-safe verdict not audited: %+v", evs)
 	}
 }
+
+// TestIndexProbesNotCarriedAcrossPasses: a pass the index has no bucket for
+// scores no entries, whatever the previous query scored. The detector
+// observes the probe count after every pass in map-iteration order, so a
+// stale count would make the dna.index_probes total differ between
+// identical runs.
+func TestIndexProbesNotCarriedAcrossPasses(t *testing.T) {
+	db := &Database{}
+	db.Add(VDC{CVE: "CVE-0", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
+		"GVN": MakeDelta([]string{"a→b→c"}, nil),
+	}}}})
+	ix := db.Index(1)
+	var sc matchScratch
+	none := func(string, string, uint32, matchSide) {}
+	ix.query("GVN", MakeDelta([]string{"a→b→c"}, nil), 0.5, 1, &sc, none)
+	if sc.probes == 0 {
+		t.Fatal("fixture broken: the GVN query scored no entry")
+	}
+	ix.query("LICM", MakeDelta([]string{"a→b→c"}, nil), 0.5, 1, &sc, none)
+	if sc.probes != 0 {
+		t.Fatalf("query on a pass with no bucket reported %d probes, want 0", sc.probes)
+	}
+}

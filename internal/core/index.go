@@ -146,6 +146,11 @@ func (sc *matchScratch) ensure(n int) {
 // with the matched delta and the side it was shared on (NoChain/sideNone
 // under degenerate thresholds, which need no shared chain).
 func (ix *MatchIndex) query(pass string, d Delta, ratio float64, thr int, sc *matchScratch, emit func(cve, vdcFunc string, chain uint32, side matchSide)) {
+	// Reset before the early return: callers read sc.probes after every
+	// query, and a pass with no bucket must report 0, not the previous
+	// pass's count (callers visit passes in map order, so a stale count
+	// would make the dna.index_probes total vary from run to run).
+	sc.probes = 0
 	pp := ix.byPass[pass]
 	if pp == nil {
 		return
@@ -154,7 +159,6 @@ func (ix *MatchIndex) query(pass string, d Delta, ratio float64, thr int, sc *ma
 	sc.matchedIDs = sc.matchedIDs[:0]
 	sc.sides = sc.sides[:0]
 	sc.chains = sc.chains[:0]
-	sc.probes = 0
 	if thr <= 0 && ratio <= 0 {
 		// Degenerate thresholds accept any pair of non-empty sides without
 		// needing a shared chain; scan the pass bucket directly.

@@ -75,12 +75,22 @@ func TestAsyncQueueSaturationFallsBackToSync(t *testing.T) {
 	// with a blocked worker so Submit rejects and the engine compiles
 	// inline.
 	gate := make(chan struct{})
+	started := make(chan struct{})
 	q := jitqueue.New(1, 1, nil)
 	defer q.Close()
-	q.Submit(jitqueue.Job{Owner: "blocker", Run: func() { <-gate }})
-	q.Submit(jitqueue.Job{Owner: "filler", Run: func() {}})
+	defer close(gate) // runs before Close, so the worker can always exit
+	if !q.Submit(jitqueue.Job{Owner: "blocker", Run: func() { close(started); <-gate }}) {
+		t.Fatal("blocker was rejected by an empty queue")
+	}
+	// The filler must take the one buffer slot while the worker is parked in
+	// the blocker. Submitted earlier it would be rejected, the engine's own
+	// job would queue behind the blocker, and Run's Drain would wait on a
+	// gate this test only opens afterwards.
+	<-started
+	if !q.Submit(jitqueue.Job{Owner: "filler", Run: func() {}}) {
+		t.Fatal("filler was rejected although the worker had dequeued the blocker")
+	}
 	e := runHot(t, Config{IonThreshold: 5, Queue: q})
-	close(gate)
 	if e.Stats().NrJIT != 1 {
 		t.Errorf("saturated queue should fall back to a synchronous compile: %+v", e.Stats())
 	}

@@ -58,8 +58,9 @@ type VM struct {
 	// without OSR support.
 	OSR OSRHook
 
-	steps int64
-	rng   uint64
+	steps       int64
+	nativeSteps int64 // the share of steps charged through AddSteps
+	rng         uint64
 
 	// framePool recycles locals/stack slices across activations; argStack
 	// is a LIFO arena for call arguments (calls nest strictly).
@@ -86,12 +87,19 @@ func New(prog *bytecode.Program, arena *heap.Arena, out io.Writer) *VM {
 // Steps returns the number of bytecode instructions executed so far.
 func (vm *VM) Steps() int64 { return vm.steps }
 
-// ResetSteps clears the step counter (the budget applies per run).
-func (vm *VM) ResetSteps() { vm.steps = 0 }
+// NativeSteps returns the part of Steps charged through AddSteps: LIR ops
+// executed by native code, not bytecode instructions interpreted here.
+func (vm *VM) NativeSteps() int64 { return vm.nativeSteps }
+
+// ResetSteps clears the step counters (the budget applies per run).
+func (vm *VM) ResetSteps() { vm.steps, vm.nativeSteps = 0, 0 }
 
 // AddSteps charges externally-executed work (native LIR ops) against the
 // shared step budget.
-func (vm *VM) AddSteps(n int64) { vm.steps += n }
+func (vm *VM) AddSteps(n int64) {
+	vm.steps += n
+	vm.nativeSteps += n
+}
 
 // Run executes the top-level code of the program.
 func (vm *VM) Run() (value.Value, error) {

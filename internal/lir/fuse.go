@@ -2,9 +2,9 @@
 // collapses hot multi-op patterns — compare+branch, const+arith immediate
 // forms, the canonical `i = i + 1; cmp; branch-back` loop tail, and
 // boundscheck+load/store — into single fused ops the native tier dispatches
-// through a per-kind handler table (internal/native/threaded.go).
+// through one switch (internal/native/threaded.go).
 //
-// The contract is bit-identical replay: every fused handler performs the
+// The contract is bit-identical replay: every fused op's case performs the
 // constituent ops' register reads, writes, heap effects and step charges in
 // the original order, so results, Result.Steps, bail points and crash
 // points are indistinguishable from executing Ops one by one. Fusion never
@@ -32,12 +32,12 @@ import (
 type FKind uint8
 
 // FInvalid is the zero FKind; it never appears in a well-formed fused
-// stream (the executor's handler for it reports a corrupt-code error).
+// stream (the executor's default case reports a corrupt-code error).
 const FInvalid FKind = 0
 
 // PassThrough returns the fused pass-through kind of k. Pass-through kinds
 // occupy 1..KindCount so the mapping is total by construction; the
-// exhaustiveness guard verifies every one has a handler.
+// exhaustiveness guard verifies every one has a case.
 func PassThrough(k Kind) FKind { return FKind(k) + 1 }
 
 // Superinstructions. Field packing is documented per kind in terms of the

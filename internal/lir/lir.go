@@ -86,7 +86,7 @@ const (
 	KRetUndef // return undefined
 
 	// KindCount is one past the last Kind. Exhaustiveness guards (the
-	// unfused executor probe, the fused handler table, the fuser's
+	// unfused executor probe, the fused switch probe, the fuser's
 	// pass-through table) iterate 0..KindCount-1.
 	KindCount
 )

@@ -204,3 +204,33 @@ func TestJumpTargetsInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestLowerIsDeterministic: the same source must compile to the same LIR
+// every time. A loop header carrying several variables is the sensitive
+// shape: the order in which mirbuild completes its pending φs decides
+// instruction numbering and so the lowered stream.
+func TestLowerIsDeterministic(t *testing.T) {
+	src := `function f(n) {
+		var a = 0; var b = 1; var c = 2; var d = 3; var e = 4; var i = 0;
+		while (i < n) {
+			var t = a;
+			if (t > c) { a = b + c; b = c + d; } else { c = d + t; d = e + i; }
+			e = t + a;
+			i = i + 1;
+		}
+		return a + b + c + d + e;
+	}`
+	var want string
+	for i := 0; i < 20; i++ {
+		code, err := Lower(buildMIR(t, src, "f", nil, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := code.String()
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("build %d lowered differently:\n%s\nfirst build:\n%s", i, got, want)
+		}
+	}
+}

@@ -3,11 +3,9 @@
 package mc
 
 import (
-	"math"
 	"runtime"
 	"unsafe"
 
-	"github.com/jitbull/jitbull/internal/bytecode"
 	"github.com/jitbull/jitbull/internal/lir"
 	"github.com/jitbull/jitbull/internal/native"
 	"github.com/jitbull/jitbull/internal/value"
@@ -92,8 +90,8 @@ func (u *Unit) ExecOSR(entryIdx int, locals []value.Value, h native.Hooks, maxOp
 // fused-style entry budget check, re-enters generated code, and services
 // exits. Delegate exits hand the activation to the reference loop at the
 // recorded pc (always semantics-preserving); runtime exits execute the
-// single op at the recorded pc with reference semantics and re-enter at
-// the next op.
+// single op at the recorded pc through native.RuntimeOp — the function the
+// reference loop itself calls — and re-enter at the next op.
 func (u *Unit) run(code *lir.Code, regs []float64, tags []native.Tag, h native.Hooks, maxOps int64, pool *native.Pool, pc int, steps int64) (native.Result, native.Status, error) {
 	defer runtime.KeepAlive(u.mem)
 	arena := h.Arena()
@@ -168,16 +166,16 @@ func (u *Unit) run(code *lir.Code, regs []float64, tags []native.Tag, h native.H
 				if charged {
 					steps++
 				}
-				res, status, err, done := u.hostOp(code, &ops[pc], regs, tags, h, pool, steps, checks)
+				status, err, deopt, done := native.RuntimeOp(code, &ops[pc], regs, tags, h, pool)
 				if done {
 					if !charged {
 						// Hybrid op whose step sits in a downstream flush
 						// we will never reach: a terminal outcome (crash,
 						// bail, deopt) still owes the op's own step,
 						// exactly as the reference loop charges it.
-						res.Steps++
+						steps++
 					}
-					return res, status, err
+					return native.Result{Deopt: deopt, Steps: steps, Checks: checks}, status, err
 				}
 				pc++
 				if pc >= len(ops) {
@@ -195,142 +193,4 @@ func (u *Unit) run(code *lir.Code, regs []float64, tags []native.Tag, h native.H
 			return dres, dst, derr
 		}
 	}
-}
-
-// hostOp executes one runtime op with semantics copied line-for-line from
-// the reference loop (native.execSwitch). done=true carries a terminal
-// outcome (bail, crash, error, deopt); done=false means fall through to
-// the next op.
-func (u *Unit) hostOp(code *lir.Code, op *lir.Op, regs []float64, tags []native.Tag, h native.Hooks, pool *native.Pool, steps, checks int64) (native.Result, native.Status, error, bool) {
-	arena := h.Arena()
-	fail := func(status native.Status, err error) (native.Result, native.Status, error, bool) {
-		return native.Result{Steps: steps, Checks: checks}, status, err, true
-	}
-	switch op.Kind {
-	case lir.KMod:
-		// Reached only via the inline fast path's slow exit; value.Mod is
-		// the single definition of the semantics either way.
-		regs[op.Dst] = value.Mod(regs[op.A], regs[op.B])
-	case lir.KPow:
-		regs[op.Dst] = math.Pow(regs[op.A], regs[op.B])
-	case lir.KMath:
-		regs[op.Dst] = native.MathFunc(bytecode.Builtin(op.Aux), regs[op.A], regs[op.B], h)
-	case lir.KElemsRaw:
-		hnd := int64(math.Trunc(regs[op.A]))
-		elems, ok := arena.Elems(int32(hnd))
-		if !ok || regs[op.A] != math.Trunc(regs[op.A]) {
-			_, crash := arena.RawLoad(int(hnd))
-			if crash != nil {
-				return fail(native.StatusOK, crash)
-			}
-			regs[op.Dst] = math.Trunc(regs[op.A])
-			break
-		}
-		regs[op.Dst] = float64(elems)
-	case lir.KSetLen:
-		n := regs[op.B]
-		if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
-			return fail(native.StatusBail, nil)
-		}
-		if err := arena.SetLength(int32(regs[op.A]), int(n)); err != nil {
-			return fail(native.StatusOK, err)
-		}
-	case lir.KPush:
-		n, err := arena.Push(int32(regs[op.A]), regs[op.B])
-		if err != nil {
-			return fail(native.StatusOK, err)
-		}
-		regs[op.Dst] = float64(n)
-	case lir.KPop:
-		v, ok := arena.Pop(int32(regs[op.A]))
-		if !ok {
-			return fail(native.StatusBail, nil)
-		}
-		regs[op.Dst] = v
-	case lir.KNewArr:
-		n := regs[op.A]
-		if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
-			return fail(native.StatusBail, nil)
-		}
-		hnd, err := arena.Alloc(int(n))
-		if err != nil {
-			return fail(native.StatusOK, err)
-		}
-		regs[op.Dst] = float64(hnd)
-	case lir.KLoadGlobal:
-		v := h.GlobalGet(int(op.Aux))
-		switch v.Type() {
-		case value.Number:
-			regs[op.Dst], tags[op.Dst] = v.AsNumber(), native.TagNumber
-		case value.Boolean:
-			regs[op.Dst], tags[op.Dst] = v.AsNumber(), native.TagBoolean
-		case value.Array:
-			regs[op.Dst], tags[op.Dst] = float64(v.Handle()), native.TagObject
-		default:
-			regs[op.Dst], tags[op.Dst] = math.NaN(), native.TagOther
-		}
-	case lir.KStoreGlobalNum:
-		h.GlobalSet(int(op.Aux), value.Num(regs[op.A]))
-	case lir.KStoreGlobalObj:
-		h.GlobalSet(int(op.Aux), value.ArrayRef(int32(regs[op.A])))
-	case lir.KCall:
-		argRegs := code.ArgLists[op.A]
-		mark, callArgs := pool.AllocArgs(len(argRegs))
-		for i, ar := range argRegs {
-			if op.C&(1<<i) != 0 {
-				callArgs[i] = value.ArrayRef(int32(regs[ar]))
-			} else {
-				callArgs[i] = value.Num(regs[ar])
-			}
-		}
-		res, err := h.CallFunction(int(op.Aux), callArgs)
-		pool.ReleaseArgs(mark)
-		if err != nil {
-			return fail(native.StatusOK, err)
-		}
-		if op.B == 1 { // expect object
-			if !res.IsArray() {
-				return fail(native.StatusBail, nil)
-			}
-			regs[op.Dst], tags[op.Dst] = float64(res.Handle()), native.TagObject
-		} else {
-			switch res.Type() {
-			case value.Number, value.Boolean:
-				regs[op.Dst], tags[op.Dst] = res.ToNumber(), native.TagNumber
-			case value.Undefined:
-				regs[op.Dst], tags[op.Dst] = math.NaN(), native.TagNumber
-			default:
-				return fail(native.StatusBail, nil)
-			}
-		}
-	case lir.KCallSpec:
-		argRegs := code.ArgLists[op.A]
-		mark, callArgs := pool.AllocArgs(len(argRegs))
-		for i, ar := range argRegs {
-			if op.C&(1<<i) != 0 {
-				callArgs[i] = value.ArrayRef(int32(regs[ar]))
-			} else {
-				callArgs[i] = value.Num(regs[ar])
-			}
-		}
-		cres, err := h.CallFunction(int(op.Aux), callArgs)
-		pool.ReleaseArgs(mark)
-		if err != nil {
-			return fail(native.StatusOK, err)
-		}
-		if cres.Type() == value.Number {
-			regs[op.Dst], tags[op.Dst] = cres.AsNumber(), native.TagNumber
-			break
-		}
-		if op.Target < 0 || int(op.Target) >= len(code.DeoptExits) {
-			return fail(native.StatusBail, nil) // orphan guard; treat as bail
-		}
-		return native.Result{Deopt: native.BuildDeopt(code, op.Target, regs, cres), Steps: steps, Checks: checks},
-			native.StatusDeopt, nil, true
-	default:
-		// Non-runtime kinds never reach here (the lowering compiles them
-		// inline); delegate-equivalent hard stop to keep this total.
-		return fail(native.StatusBail, nil)
-	}
-	return native.Result{}, native.StatusOK, nil, false
 }

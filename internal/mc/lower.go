@@ -547,7 +547,7 @@ func (lo *lowerer) emitCmp(op *lir.Op) {
 
 // slowPath returns the jcc-emitter hybrid ops use for their guard exits:
 // every failure route lands on this op's runtime-exit stub, so the slow
-// path is the reference implementation in the run loop's hostOp.
+// path is native.RuntimeOp, called by the run loop.
 func (lo *lowerer) slowPath(pc int32) func(Cond) {
 	return func(cc Cond) { lo.toStub(cc, pc, exitRuntime) }
 }

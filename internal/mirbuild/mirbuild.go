@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"github.com/jitbull/jitbull/internal/ast"
 	"github.com/jitbull/jitbull/internal/bytecode"
@@ -450,8 +451,18 @@ func (b *builder) sealBlock(blk *mir.Block) {
 		return
 	}
 	b.sealed[blk] = true
-	for name, phi := range b.incomplete[blk] {
-		b.addPhiOperands(name, phi)
+	// Completing a φ can create and remove other φs, so the order decides
+	// instruction numbering and which trivial φs survive: complete in name
+	// order, not map order, or the same source compiles differently from
+	// run to run.
+	pending := b.incomplete[blk]
+	names := make([]string, 0, len(pending))
+	for name := range pending {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b.addPhiOperands(name, pending[name])
 	}
 	delete(b.incomplete, blk)
 }

@@ -5,11 +5,12 @@
 // unmapped access, an op it does not compile — it exits with the current
 // LIR pc and step count and Resume finishes the activation in the unfused
 // reference loop over the same register file. Because the reference loop
-// IS the semantics, every delegated path is correct by construction.
+// IS the semantics, every delegated path is correct by construction. The
+// ops a lower tier services itself between re-entries go through
+// RuntimeOp (native.go), the same function the reference loop calls.
 package native
 
 import (
-	"github.com/jitbull/jitbull/internal/bytecode"
 	"github.com/jitbull/jitbull/internal/heap"
 	"github.com/jitbull/jitbull/internal/lir"
 	"github.com/jitbull/jitbull/internal/value"
@@ -30,46 +31,12 @@ func BoxParams(code *lir.Code, args []value.Value, regs []float64, tags []Tag) {
 	boxParams(code, args, regs, tags)
 }
 
-// BuildDeopt exposes deopt-frame reconstruction for a lower tier's
-// KCallSpec guard exits.
-func BuildDeopt(code *lir.Code, exitIdx int32, regs []float64, result value.Value) *DeoptState {
-	return buildDeopt(code, exitIdx, regs, result)
-}
-
-// MathFunc exposes the KMath builtin dispatch (including the hook-backed
-// deterministic RNG).
-func MathFunc(b bytecode.Builtin, a, c float64, h Hooks) float64 {
-	return mathFunc(b, a, c, h)
-}
-
 // GetRegs leases a register file of n slots from the pool (contents are
 // NOT zeroed, same as every internal lease).
 func (p *Pool) GetRegs(n int) ([]float64, []Tag) { return p.getRegs(n) }
 
 // PutRegs returns a leased register file.
 func (p *Pool) PutRegs(f []float64, t []Tag) { p.putRegs(f, t) }
-
-// AllocArgs reserves n slots in the pool's LIFO call-argument arena,
-// returning the release mark and the slice to fill. With a nil pool the
-// mark is -1 and the slice is freshly allocated (ReleaseArgs ignores -1),
-// mirroring the executors' own KCall paths.
-func (p *Pool) AllocArgs(n int) (int, []value.Value) {
-	if p == nil {
-		return -1, make([]value.Value, n)
-	}
-	base := len(p.args)
-	for i := 0; i < n; i++ {
-		p.args = append(p.args, value.Value{})
-	}
-	return base, p.args[base : base+n]
-}
-
-// ReleaseArgs pops an AllocArgs reservation.
-func (p *Pool) ReleaseArgs(mark int) {
-	if p != nil && mark >= 0 {
-		p.args = p.args[:mark]
-	}
-}
 
 // MaterializeOSR populates a register file for an OSR entry exactly as
 // ExecOSR does: zero the (recycled, unzeroed) frame, strictly materialize

@@ -8,18 +8,42 @@ import (
 	"github.com/jitbull/jitbull/internal/value"
 )
 
-// TestEveryKindWired is the exhaustiveness guard: adding a lir.Kind
-// without wiring the unfused executor, the fused handler table, and the
+// TestEveryKindWired is the exhaustiveness guard: adding a lir.Kind or
+// lir.FKind without wiring the unfused executor, the fused switch, and the
 // fuser's pass-through table must fail here, not silently execute as a
-// nop or an unknown-op error in production.
+// nop or an invalid-op error in production.
 func TestEveryKindWired(t *testing.T) {
-	// 1. The fused handler table has a real handler for every pass-through
-	// kind and every superinstruction (the table defaults every slot to the
-	// invalid handler, so wiredHandlers is the ground truth).
-	for fk := lir.FKind(0); fk < lir.FKindCount; fk++ {
-		if !wiredHandlers[fk] {
-			t.Errorf("fused handler table: no handler wired for %v (FKind %d)", fk, fk)
+	// 1. The fused switch has a case for every pass-through kind and every
+	// superinstruction: a hand-built one-op stream per FKind (targets point
+	// at the FEnd terminator, so jumps leave instead of spinning) must never
+	// reach the invalid-op default. Pass-through runtime kinds execute their
+	// source op, so the source stream carries the matching Kind.
+	probe := func(fk lir.FKind) error {
+		src := lir.Op{Kind: lir.KNop}
+		if fk >= 1 && fk <= lir.FKind(lir.KindCount) {
+			src.Kind = lir.Kind(fk - 1)
 		}
+		code := &lir.Code{
+			Name: "probe", NumRegs: 4,
+			Ops:      []lir.Op{src},
+			ArgLists: [][]int32{{}},
+			Fused: &lir.FusedCode{
+				Ops:   []lir.FOp{{Kind: fk, C: 1, Target: 1}, {Kind: lir.FEnd}},
+				SrcPC: []int32{0, 1},
+				Cost:  []int32{0, 0},
+			},
+		}
+		_, _, err := Exec(code, nil, newStub(), 0, nil)
+		return err
+	}
+	for fk := lir.FInvalid + 1; fk < lir.FKindCount; fk++ {
+		if err := probe(fk); err != nil && strings.Contains(err.Error(), "invalid fused op") {
+			t.Errorf("fused switch: no case for %v (FKind %d): %v", fk, fk, err)
+		}
+	}
+	// The probe can see the default arm: FInvalid must land there.
+	if err := probe(lir.FInvalid); err == nil || !strings.Contains(err.Error(), "invalid fused op") {
+		t.Errorf("FInvalid executed without the invalid-op error: %v", err)
 	}
 
 	// 2. The fuser translates every kind (pass-through at minimum): a
@@ -50,16 +74,19 @@ func TestEveryKindWired(t *testing.T) {
 			}
 			// maxOps 4 stops the KJump self-loop via the budget.
 			_, _, err := run(code, nil, h, 4, nil)
-			if err != nil && strings.Contains(err.Error(), "unknown") {
+			if err != nil && (strings.Contains(err.Error(), "unknown") ||
+				strings.Contains(err.Error(), "invalid fused op") ||
+				strings.Contains(err.Error(), "not a runtime op")) {
 				t.Errorf("kind %v (fused=%v): executor rejected it: %v", k, fused, err)
 			}
 		}
 	}
 }
 
-// TestHandlerTagWritesMatch spot-checks that pass-through handlers carry
-// type tags exactly like the switch loop for the tag-writing kinds.
-func TestHandlerTagWritesMatch(t *testing.T) {
+// TestFusedTagFlowMatches spot-checks that the fused switch carries type
+// tags exactly like the unfused loop across the tag-writing kinds (the
+// runtime-op parity table in internal/mc pins each kind's own tag write).
+func TestFusedTagFlowMatches(t *testing.T) {
 	h := newStub()
 	arr, _ := h.arena.Alloc(3)
 	h.globals[2] = value.ArrayRef(arr)

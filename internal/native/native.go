@@ -122,23 +122,6 @@ type Pool struct {
 	floats [][]float64
 	tags   [][]Tag
 	args   []value.Value
-	fsts   []*fstate // recycled fused-executor frames (a stack: calls nest)
-}
-
-func (p *Pool) getFstate() *fstate {
-	if p != nil && len(p.fsts) > 0 {
-		st := p.fsts[len(p.fsts)-1]
-		p.fsts = p.fsts[:len(p.fsts)-1]
-		return st
-	}
-	return &fstate{}
-}
-
-func (p *Pool) putFstate(st *fstate) {
-	if p != nil && len(p.fsts) < 64 {
-		*st = fstate{}
-		p.fsts = append(p.fsts, st)
-	}
 }
 
 func (p *Pool) getRegs(n int) ([]float64, []Tag) {
@@ -185,9 +168,9 @@ func ExecWith(code *lir.Code, args []value.Value, h Hooks, maxOps int64, pool *P
 
 // Exec runs code with the given arguments. maxOps bounds the number of LIR
 // ops executed (0 means a large default). pool may be nil. When the code
-// carries a fused form (lir.Code.Fused) execution dispatches through the
-// direct-threaded handler table; results, Steps accounting, bail and crash
-// behavior are bit-identical either way.
+// carries a fused form (lir.Code.Fused) execution runs the fused stream
+// (execFusedFrom); results, Steps accounting, bail and crash behavior are
+// bit-identical either way.
 func Exec(code *lir.Code, args []value.Value, h Hooks, maxOps int64, pool *Pool) (Result, Status, error) {
 	if maxOps <= 0 {
 		maxOps = 1 << 40
@@ -196,7 +179,7 @@ func Exec(code *lir.Code, args []value.Value, h Hooks, maxOps int64, pool *Pool)
 	defer pool.putRegs(regs, tags)
 	boxParams(code, args, regs, tags)
 	if code.Fused != nil {
-		return execFused(code, regs, tags, h, maxOps, pool)
+		return execFusedFrom(code, regs, tags, h, maxOps, pool, 0)
 	}
 	return execSwitch(code, regs, tags, h, maxOps, pool, 0, 0)
 }
@@ -247,12 +230,20 @@ func execSwitch(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps int6
 	steps := steps0
 	defer func() { res.Steps = steps }()
 
-	for pc := pc0; pc < len(code.Ops); pc++ {
+	// Keep the dispatch loop's live set small. Both slices are passed whole
+	// to RuntimeOp below, so with cap == len each carries no separate
+	// capacity; with the op stream hoisted, that is what lets the register
+	// allocator keep pc and the budget in registers (it spilled them
+	// otherwise: +13% ns/step on the bench stage kernels).
+	regs, tags = regs[:len(regs):len(regs)], tags[:len(tags):len(tags)]
+	ops := code.Ops
+	n := len(ops)
+	for pc := pc0; pc < n; pc++ {
 		steps++
 		if steps > maxOps {
 			return Result{}, StatusOK, &BudgetError{Fn: code.Name}
 		}
-		op := &code.Ops[pc]
+		op := &ops[pc]
 		switch op.Kind {
 		case lir.KNop:
 		case lir.KOSRPoint:
@@ -349,25 +340,6 @@ func execSwitch(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps int6
 				return Result{}, StatusBail, nil
 			}
 			regs[op.Dst] = float64(elems)
-		case lir.KElemsRaw:
-			// Type-confused path (unbox guard eliminated): the raw bits are
-			// consumed as an object reference. For a genuine array the bits
-			// *are* the reference, so well-typed callers are unaffected;
-			// for an attacker-supplied number this is a wild pointer
-			// dereference — a segfault.
-			h := int64(math.Trunc(regs[op.A]))
-			elems, ok := arena.Elems(int32(h))
-			if !ok || regs[op.A] != math.Trunc(regs[op.A]) {
-				_, crash := arena.RawLoad(int(h))
-				if crash != nil {
-					return Result{}, StatusOK, crash
-				}
-				// The forged reference happens to alias mapped memory:
-				// consume it as an elements address (still corruptible).
-				regs[op.Dst] = math.Trunc(regs[op.A])
-				break
-			}
-			regs[op.Dst] = float64(elems)
 		case lir.KInitLen:
 			v, crash := arena.LengthAt(int(regs[op.A]))
 			if crash != nil {
@@ -391,36 +363,6 @@ func execSwitch(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps int6
 			if crash := arena.RawStore(addr, regs[op.C]); crash != nil {
 				return Result{}, StatusOK, crash
 			}
-		case lir.KSetLen:
-			n := regs[op.B]
-			if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
-				return Result{}, StatusBail, nil
-			}
-			if err := arena.SetLength(int32(regs[op.A]), int(n)); err != nil {
-				return Result{}, StatusOK, err
-			}
-		case lir.KPush:
-			n, err := arena.Push(int32(regs[op.A]), regs[op.B])
-			if err != nil {
-				return Result{}, StatusOK, err
-			}
-			regs[op.Dst] = float64(n)
-		case lir.KPop:
-			v, ok := arena.Pop(int32(regs[op.A]))
-			if !ok {
-				return Result{}, StatusBail, nil
-			}
-			regs[op.Dst] = v
-		case lir.KNewArr:
-			n := regs[op.A]
-			if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
-				return Result{}, StatusBail, nil
-			}
-			hnd, err := arena.Alloc(int(n))
-			if err != nil {
-				return Result{}, StatusOK, err
-			}
-			regs[op.Dst] = float64(hnd)
 		case lir.KAddrOf:
 			elems, ok := arena.Elems(int32(regs[op.A]))
 			if !ok {
@@ -429,103 +371,12 @@ func execSwitch(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps int6
 			regs[op.Dst] = float64(elems)
 		case lir.KCodeBase:
 			regs[op.Dst] = float64(arena.CodeBase())
-		case lir.KLoadGlobal:
-			v := h.GlobalGet(int(op.Aux))
-			switch v.Type() {
-			case value.Number:
-				regs[op.Dst], tags[op.Dst] = v.AsNumber(), TagNumber
-			case value.Boolean:
-				regs[op.Dst], tags[op.Dst] = v.AsNumber(), TagBoolean
-			case value.Array:
-				regs[op.Dst], tags[op.Dst] = float64(v.Handle()), TagObject
-			default:
-				regs[op.Dst], tags[op.Dst] = math.NaN(), TagOther
+		case lir.KElemsRaw, lir.KSetLen, lir.KPush, lir.KPop, lir.KNewArr,
+			lir.KLoadGlobal, lir.KStoreGlobalNum, lir.KStoreGlobalObj,
+			lir.KCall, lir.KCallSpec:
+			if status, err, deopt, done := RuntimeOp(code, op, regs, tags, h, pool); done {
+				return Result{Deopt: deopt}, status, err
 			}
-		case lir.KStoreGlobalNum:
-			h.GlobalSet(int(op.Aux), value.Num(regs[op.A]))
-		case lir.KStoreGlobalObj:
-			h.GlobalSet(int(op.Aux), value.ArrayRef(int32(regs[op.A])))
-		case lir.KCall:
-			argRegs := code.ArgLists[op.A]
-			var callArgs []value.Value
-			base := -1
-			if pool != nil {
-				base = len(pool.args)
-				for range argRegs {
-					pool.args = append(pool.args, value.Value{})
-				}
-				callArgs = pool.args[base : base+len(argRegs)]
-			} else {
-				callArgs = make([]value.Value, len(argRegs))
-			}
-			for i, ar := range argRegs {
-				if op.C&(1<<i) != 0 {
-					callArgs[i] = value.ArrayRef(int32(regs[ar]))
-				} else {
-					callArgs[i] = value.Num(regs[ar])
-				}
-			}
-			res, err := h.CallFunction(int(op.Aux), callArgs)
-			if base >= 0 {
-				pool.args = pool.args[:base]
-			}
-			if err != nil {
-				return Result{}, StatusOK, err
-			}
-			if op.B == 1 { // expect object
-				if !res.IsArray() {
-					return Result{}, StatusBail, nil
-				}
-				regs[op.Dst], tags[op.Dst] = float64(res.Handle()), TagObject
-			} else {
-				switch res.Type() {
-				case value.Number, value.Boolean:
-					regs[op.Dst], tags[op.Dst] = res.ToNumber(), TagNumber
-				case value.Undefined:
-					regs[op.Dst], tags[op.Dst] = math.NaN(), TagNumber
-				default:
-					return Result{}, StatusBail, nil
-				}
-			}
-		case lir.KCallSpec:
-			// KCall with a strict return-type guard: exactly a Number is
-			// accepted (where KCall silently coerces booleans/undefined).
-			// Anything else deoptimizes: the interpreter frame is rebuilt
-			// from the deopt exit's frame map and the raw callee result.
-			argRegs := code.ArgLists[op.A]
-			var callArgs []value.Value
-			base := -1
-			if pool != nil {
-				base = len(pool.args)
-				for range argRegs {
-					pool.args = append(pool.args, value.Value{})
-				}
-				callArgs = pool.args[base : base+len(argRegs)]
-			} else {
-				callArgs = make([]value.Value, len(argRegs))
-			}
-			for i, ar := range argRegs {
-				if op.C&(1<<i) != 0 {
-					callArgs[i] = value.ArrayRef(int32(regs[ar]))
-				} else {
-					callArgs[i] = value.Num(regs[ar])
-				}
-			}
-			cres, err := h.CallFunction(int(op.Aux), callArgs)
-			if base >= 0 {
-				pool.args = pool.args[:base]
-			}
-			if err != nil {
-				return Result{}, StatusOK, err
-			}
-			if cres.Type() == value.Number {
-				regs[op.Dst], tags[op.Dst] = cres.AsNumber(), TagNumber
-				break
-			}
-			if op.Target < 0 || int(op.Target) >= len(code.DeoptExits) {
-				return Result{}, StatusBail, nil // orphan guard; treat as bail
-			}
-			return Result{Deopt: buildDeopt(code, op.Target, regs, cres)}, StatusDeopt, nil
 		case lir.KRetNum:
 			return Result{Kind: ResNum, Val: regs[op.A]}, StatusOK, nil
 		case lir.KRetObj:
@@ -537,6 +388,153 @@ func execSwitch(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps int6
 		}
 	}
 	return Result{Kind: ResUndef}, StatusOK, nil
+}
+
+// RuntimeOp is the single definition of the runtime ops: the kinds that
+// call back through Hooks or change the arena's layout, plus KMod, KPow
+// and KMath, which the machine-code tier compiles inline with a slow exit.
+// All three executors — execSwitch, the fused loop (on the pass-through
+// op's source op) and the machine-code tier's runtime exits — call it, so
+// call marshalling, the global tag rules and the deopt-frame build exist
+// once. The caller charges the op's step and fills Result.Steps/Checks.
+// done=true ends the activation with status/err (deopt is set exactly when
+// status is StatusDeopt); done=false falls through to the next op.
+func RuntimeOp(code *lir.Code, op *lir.Op, regs []float64, tags []Tag, h Hooks, pool *Pool) (status Status, err error, deopt *DeoptState, done bool) {
+	switch op.Kind {
+	case lir.KMod:
+		regs[op.Dst] = value.Mod(regs[op.A], regs[op.B])
+	case lir.KPow:
+		regs[op.Dst] = math.Pow(regs[op.A], regs[op.B])
+	case lir.KMath:
+		regs[op.Dst] = mathFunc(bytecode.Builtin(op.Aux), regs[op.A], regs[op.B], h)
+	case lir.KElemsRaw:
+		// Type-confused path (unbox guard eliminated): the raw bits are
+		// consumed as an object reference. For a genuine array the bits
+		// *are* the reference, so well-typed callers are unaffected;
+		// for an attacker-supplied number this is a wild pointer
+		// dereference — a segfault.
+		arena := h.Arena()
+		hnd := int64(math.Trunc(regs[op.A]))
+		elems, ok := arena.Elems(int32(hnd))
+		if !ok || regs[op.A] != math.Trunc(regs[op.A]) {
+			if _, crash := arena.RawLoad(int(hnd)); crash != nil {
+				return StatusOK, crash, nil, true
+			}
+			// The forged reference happens to alias mapped memory:
+			// consume it as an elements address (still corruptible).
+			regs[op.Dst] = math.Trunc(regs[op.A])
+			break
+		}
+		regs[op.Dst] = float64(elems)
+	case lir.KSetLen:
+		n := regs[op.B]
+		if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
+			return StatusBail, nil, nil, true
+		}
+		if err := h.Arena().SetLength(int32(regs[op.A]), int(n)); err != nil {
+			return StatusOK, err, nil, true
+		}
+	case lir.KPush:
+		n, err := h.Arena().Push(int32(regs[op.A]), regs[op.B])
+		if err != nil {
+			return StatusOK, err, nil, true
+		}
+		regs[op.Dst] = float64(n)
+	case lir.KPop:
+		v, ok := h.Arena().Pop(int32(regs[op.A]))
+		if !ok {
+			return StatusBail, nil, nil, true
+		}
+		regs[op.Dst] = v
+	case lir.KNewArr:
+		n := regs[op.A]
+		if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
+			return StatusBail, nil, nil, true
+		}
+		hnd, err := h.Arena().Alloc(int(n))
+		if err != nil {
+			return StatusOK, err, nil, true
+		}
+		regs[op.Dst] = float64(hnd)
+	case lir.KLoadGlobal:
+		v := h.GlobalGet(int(op.Aux))
+		switch v.Type() {
+		case value.Number:
+			regs[op.Dst], tags[op.Dst] = v.AsNumber(), TagNumber
+		case value.Boolean:
+			regs[op.Dst], tags[op.Dst] = v.AsNumber(), TagBoolean
+		case value.Array:
+			regs[op.Dst], tags[op.Dst] = float64(v.Handle()), TagObject
+		default:
+			regs[op.Dst], tags[op.Dst] = math.NaN(), TagOther
+		}
+	case lir.KStoreGlobalNum:
+		h.GlobalSet(int(op.Aux), value.Num(regs[op.A]))
+	case lir.KStoreGlobalObj:
+		h.GlobalSet(int(op.Aux), value.ArrayRef(int32(regs[op.A])))
+	case lir.KCall, lir.KCallSpec:
+		// Arguments are marshalled into the pool's LIFO argument arena
+		// (calls nest strictly); a nil pool allocates per call.
+		argRegs := code.ArgLists[op.A]
+		var callArgs []value.Value
+		base := -1
+		if pool != nil {
+			base = len(pool.args)
+			for range argRegs {
+				pool.args = append(pool.args, value.Value{})
+			}
+			callArgs = pool.args[base : base+len(argRegs)]
+		} else {
+			callArgs = make([]value.Value, len(argRegs))
+		}
+		for i, ar := range argRegs {
+			if op.C&(1<<i) != 0 {
+				callArgs[i] = value.ArrayRef(int32(regs[ar]))
+			} else {
+				callArgs[i] = value.Num(regs[ar])
+			}
+		}
+		res, err := h.CallFunction(int(op.Aux), callArgs)
+		if base >= 0 {
+			pool.args = pool.args[:base]
+		}
+		if err != nil {
+			return StatusOK, err, nil, true
+		}
+		switch {
+		case op.Kind == lir.KCallSpec:
+			// Strict return-type guard: exactly a Number is accepted
+			// (where KCall silently coerces booleans/undefined). Anything
+			// else deoptimizes: the interpreter frame is rebuilt from the
+			// deopt exit's frame map and the raw callee result.
+			if res.Type() == value.Number {
+				regs[op.Dst], tags[op.Dst] = res.AsNumber(), TagNumber
+				break
+			}
+			if op.Target < 0 || int(op.Target) >= len(code.DeoptExits) {
+				return StatusBail, nil, nil, true // orphan guard; treat as bail
+			}
+			return StatusDeopt, nil, buildDeopt(code, op.Target, regs, res), true
+		case op.B == 1: // expect object
+			if !res.IsArray() {
+				return StatusBail, nil, nil, true
+			}
+			regs[op.Dst], tags[op.Dst] = float64(res.Handle()), TagObject
+		default:
+			switch res.Type() {
+			case value.Number, value.Boolean:
+				regs[op.Dst], tags[op.Dst] = res.ToNumber(), TagNumber
+			case value.Undefined:
+				regs[op.Dst], tags[op.Dst] = math.NaN(), TagNumber
+			default:
+				return StatusBail, nil, nil, true
+			}
+		}
+	default:
+		// A bug-only state: every executor routes exactly the kinds above.
+		return StatusOK, fmt.Errorf("native: %s is not a runtime op", op.Kind), nil, true
+	}
+	return StatusOK, nil, nil, false
 }
 
 // buildDeopt boxes the interpreter locals for deopt exit exitIdx from the

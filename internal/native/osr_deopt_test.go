@@ -368,10 +368,10 @@ func TestDeoptBudgetSweep(t *testing.T) {
 	}
 }
 
-// TestOSRPointChargesNoStep pins the marker's zero-step contract in all
-// three dispatch mechanisms — the unfused switch, the fused fast path, and
-// pure table dispatch — since Steps parity between tiers (and between code
-// compiled with and without OSR support) depends on it.
+// TestOSRPointChargesNoStep pins the marker's zero-step contract in both
+// Go executors — the unfused switch and the fused switch — since Steps
+// parity between tiers (and between code compiled with and without OSR
+// support) depends on it.
 func TestOSRPointChargesNoStep(t *testing.T) {
 	code := &lir.Code{
 		Name: "marker", NumParams: 0, NumRegs: 2,
@@ -390,11 +390,7 @@ func TestOSRPointChargesNoStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _, err := execTableOnly(code, nil, newStub(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]Result{"unfused": ru, "fused": rf, "table": rt} {
+	for name, r := range map[string]Result{"unfused": ru, "fused": rf} {
 		if r.Steps != 2 || r.Val != 9 {
 			t.Errorf("%s: steps=%d val=%v, want 2 steps (const+ret) and 9", name, r.Steps, r.Val)
 		}

@@ -1,27 +1,21 @@
-// The fused, direct-threaded executor: every lir.FOp is dispatched through
-// a per-kind handler table — an indirect call with the pc advance baked
-// into the handler's return value — instead of the monolithic switch in
-// execSwitch. Superinstruction handlers replay their constituent source
-// ops' reads, writes and step charges in original order, so execution is
-// bit-identical to the unfused loop, including register aliasing, bail
-// points, crash points and Result.Steps.
+// The fused executor: every lir.FOp is dispatched by one constant-case
+// switch (a jump table) in execFusedFrom — the only dispatch form of this
+// tier. Superinstruction cases replay their constituent source ops' reads,
+// writes and step charges in original order, so execution is bit-identical
+// to the unfused loop, including register aliasing, bail points, crash
+// points and Result.Steps. Pure register ops are spelled out inline; the
+// runtime ops (Hooks callbacks, arena layout changes) are pass-through
+// kinds whose case hands the *source* op to RuntimeOp, the one definition
+// all executors share.
 //
-// Go has no computed goto and an indirect call through a func table costs
-// more than a jump-table switch, so the dispatch loop carries a fast path:
-// a constant-case switch over the hot kinds that calls the same named
-// handler functions directly (inlinable), with the handler table as the
-// complete general mechanism behind it. The exhaustiveness guard holds the
-// table — not the fast path — to completeness, so a new kind is always
-// executable before it is fast.
-//
-// The step budget is amortized to one check per basic block: handlers
-// charge steps without comparing against the budget, and only function
-// entry and taken jumps/branches check — against the precomputed
-// worst-case straight-line cost to the next check point (FusedCode.Cost).
-// When the budget might be exceeded before the next check, the executor
-// delegates the rest of the run to execSwitch over the same register file
-// at the equivalent source pc, so budget exhaustion fires on exactly the
-// op (and step count) the unfused executor would fail on.
+// The step budget is amortized to one check per basic block: cases charge
+// steps without comparing against the budget, and only function entry and
+// taken jumps/branches check — against the precomputed worst-case
+// straight-line cost to the next check point (FusedCode.Cost). When the
+// budget might be exceeded before the next check, the executor delegates
+// the rest of the run to execSwitch over the same register file at the
+// equivalent source pc, so budget exhaustion fires on exactly the op (and
+// step count) the unfused executor would fail on.
 package native
 
 import (
@@ -29,48 +23,12 @@ import (
 	"math"
 
 	"github.com/jitbull/jitbull/internal/bytecode"
-	"github.com/jitbull/jitbull/internal/heap"
 	"github.com/jitbull/jitbull/internal/lir"
 	"github.com/jitbull/jitbull/internal/value"
 )
 
-// fstate is the mutable state of one fused execution frame.
-type fstate struct {
-	code   *lir.Code
-	f      *lir.FusedCode
-	regs   []float64
-	tags   []Tag
-	h      Hooks
-	arena  *heap.Arena
-	pool   *Pool
-	maxOps int64
-	steps  int64
-	checks int64
-
-	// Exit state, read after the dispatch loop terminates (pc < 0).
-	res      Result
-	status   Status
-	err      error
-	delegate int32 // source pc to resume unfused at; -1 = none
-}
-
-// fhandler executes one fused op and returns the next fused pc (-1 exits
-// the dispatch loop).
-type fhandler func(st *fstate, op *lir.FOp, pc int32) int32
-
-// handlerTab maps every FKind to its handler. Populated in init. The table
-// is sized 256 so indexing by the uint8 kind needs no bounds check in the
-// dispatch loop; entries at and above FKindCount alias the invalid-op
-// handler.
-var handlerTab [256]fhandler
-
-// wiredHandlers records which FKinds received a real handler in init —
-// the exhaustiveness guard's ground truth (the table itself defaults every
-// slot to the invalid handler, so non-nil-ness proves nothing).
-var wiredHandlers [lir.FKindCount]bool
-
-// Constant pass-through kinds for the dispatch fast path: case values must
-// be constants to compile into a jump table, and lir.PassThrough is a
+// Constant pass-through kinds for the dispatch switch: case values must be
+// constants to compile into a jump table, and lir.PassThrough is a
 // function. TestFastPathConstants pins each to lir.PassThrough of its kind.
 const (
 	fpConst       = lir.FKind(lir.KConst) + 1
@@ -98,6 +56,8 @@ const (
 	fpStoreGNum   = lir.FKind(lir.KStoreGlobalNum) + 1
 	fpStoreGObj   = lir.FKind(lir.KStoreGlobalObj) + 1
 	fpCall        = lir.FKind(lir.KCall) + 1
+	fpCallSpec    = lir.FKind(lir.KCallSpec) + 1
+	fpOSRPoint    = lir.FKind(lir.KOSRPoint) + 1
 	fpMod         = lir.FKind(lir.KMod) + 1
 	fpPow         = lir.FKind(lir.KPow) + 1
 	fpBitAnd      = lir.FKind(lir.KBitAnd) + 1
@@ -120,56 +80,16 @@ const (
 
 func truthyF(v float64) bool { return v != 0 && v == v }
 
-// jumpTo performs the amortized budget check at a taken control transfer:
-// when the worst-case straight-line cost from the target could exceed the
-// budget, execution is delegated to the unfused reference loop.
-func (st *fstate) jumpTo(t int32) int32 {
-	st.checks++
-	if st.steps+int64(st.f.Cost[t]) > st.maxOps {
-		st.delegate = st.f.SrcPC[t]
-		return -1
-	}
-	return t
-}
-
-func (st *fstate) bail() int32 {
-	st.status = StatusBail
-	return -1
-}
-
-func (st *fstate) fail(err error) int32 {
-	st.err = err
-	return -1
-}
-
-// execFused runs the fused stream over an already-boxed register file.
-//
-// The dispatch loop keeps the hot interpreter state — steps, checks, pc —
-// in locals so the compiler can register-allocate it, exactly like the
-// unfused switch loop does; going through st (which escapes into the
-// handler table's indirect calls) would cost a load+store per op and eat
-// the entire fusion win on low-fusion code. Hot kinds are therefore
-// spelled out inline in a constant-case switch (a jump table); each case
-// is a verbatim copy of its named table handler, operating on the locals
-// instead of st. TestTableDispatchMatchesFastPath holds the two in
-// lockstep. Everything else flushes the locals into st, dispatches
-// through the handler table — the complete general mechanism — and
-// reloads.
-func execFused(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps int64, pool *Pool) (Result, Status, error) {
-	return execFusedFrom(code, regs, tags, h, maxOps, pool, 0)
-}
-
-// execFusedFrom is execFused starting at fused op pc0: 0 for a normal call,
-// an OSR entry's fused index for a mid-loop transfer (ExecOSR).
+// execFusedFrom runs the fused stream over an already-boxed register file,
+// starting at fused op pc0: 0 for a normal call, an OSR entry's fused index
+// for a mid-loop transfer (ExecOSR). The dispatch loop keeps the hot state
+// — steps, checks, pc and the exit state — in locals so the compiler can
+// register-allocate it, exactly like the unfused switch loop does.
 func execFusedFrom(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps int64, pool *Pool, pc0 int32) (Result, Status, error) {
 	f := code.Fused
 	ops := f.Ops
 	cost := f.Cost
 	arena := h.Arena()
-	// The fstate exists only for the handler table; the fast path keeps
-	// everything — including the exit state — in locals, so short native
-	// activations that never touch a rare kind never pay for the frame.
-	var st *fstate
 	var res Result
 	var status Status
 	var errv error
@@ -374,73 +294,6 @@ func execFusedFrom(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps i
 			steps++
 			regs[op.Dst] = mathFunc(bytecode.Builtin(op.Aux), regs[op.A], regs[op.B], h)
 			pc++
-		case fpElemsRaw:
-			steps++
-			hd := int64(math.Trunc(regs[op.A]))
-			elems, ok := arena.Elems(int32(hd))
-			if !ok || regs[op.A] != math.Trunc(regs[op.A]) {
-				_, crash := arena.RawLoad(int(hd))
-				if crash != nil {
-					errv = crash
-					pc = -1
-					break
-				}
-				regs[op.Dst] = math.Trunc(regs[op.A])
-				pc++
-				break
-			}
-			regs[op.Dst] = float64(elems)
-			pc++
-		case fpSetLen:
-			steps++
-			n := regs[op.B]
-			if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
-				status = StatusBail
-				pc = -1
-				break
-			}
-			if err := arena.SetLength(int32(regs[op.A]), int(n)); err != nil {
-				errv = err
-				pc = -1
-				break
-			}
-			pc++
-		case fpPush:
-			steps++
-			n, err := arena.Push(int32(regs[op.A]), regs[op.B])
-			if err != nil {
-				errv = err
-				pc = -1
-				break
-			}
-			regs[op.Dst] = float64(n)
-			pc++
-		case fpPop:
-			steps++
-			v, ok := arena.Pop(int32(regs[op.A]))
-			if !ok {
-				status = StatusBail
-				pc = -1
-				break
-			}
-			regs[op.Dst] = v
-			pc++
-		case fpNewArr:
-			steps++
-			n := regs[op.A]
-			if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
-				status = StatusBail
-				pc = -1
-				break
-			}
-			hnd, err := arena.Alloc(int(n))
-			if err != nil {
-				errv = err
-				pc = -1
-				break
-			}
-			regs[op.Dst] = float64(hnd)
-			pc++
 		case fpAddrOf:
 			steps++
 			elems, ok := arena.Elems(int32(regs[op.A]))
@@ -460,79 +313,22 @@ func execFusedFrom(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps i
 			regs[op.Dst] = regs[op.A]
 			tags[op.Dst] = tags[op.A]
 			pc++
-		case fpLoadGlobal:
-			steps++
-			v := h.GlobalGet(int(op.Aux))
-			switch v.Type() {
-			case value.Number:
-				regs[op.Dst], tags[op.Dst] = v.AsNumber(), TagNumber
-			case value.Boolean:
-				regs[op.Dst], tags[op.Dst] = v.AsNumber(), TagBoolean
-			case value.Array:
-				regs[op.Dst], tags[op.Dst] = float64(v.Handle()), TagObject
-			default:
-				regs[op.Dst], tags[op.Dst] = math.NaN(), TagOther
-			}
+		case fpOSRPoint:
+			// Loop-header OSR marker: a nop charging no step (its NSteps is 0
+			// in the fused stream too), keeping Result.Steps bit-identical to
+			// code compiled without OSR support.
 			pc++
-		case fpStoreGNum:
+		case fpElemsRaw, fpSetLen, fpPush, fpPop, fpNewArr,
+			fpLoadGlobal, fpStoreGNum, fpStoreGObj, fpCall, fpCallSpec:
+			// Pass-through runtime op: execute the source op itself.
 			steps++
-			h.GlobalSet(int(op.Aux), value.Num(regs[op.A]))
-			pc++
-		case fpStoreGObj:
-			steps++
-			h.GlobalSet(int(op.Aux), value.ArrayRef(int32(regs[op.A])))
-			pc++
-		case fpCall:
-			steps++
-			argRegs := code.ArgLists[op.A]
-			var callArgs []value.Value
-			base := -1
-			if pool != nil {
-				base = len(pool.args)
-				for range argRegs {
-					pool.args = append(pool.args, value.Value{})
-				}
-				callArgs = pool.args[base : base+len(argRegs)]
-			} else {
-				callArgs = make([]value.Value, len(argRegs))
-			}
-			for i, ar := range argRegs {
-				if op.C&(1<<i) != 0 {
-					callArgs[i] = value.ArrayRef(int32(regs[ar]))
-				} else {
-					callArgs[i] = value.Num(regs[ar])
-				}
-			}
-			cres, cerr := h.CallFunction(int(op.Aux), callArgs)
-			if base >= 0 {
-				pool.args = pool.args[:base]
-			}
-			if cerr != nil {
-				errv = cerr
+			rstatus, rerr, deopt, done := RuntimeOp(code, &code.Ops[f.SrcPC[pc]], regs, tags, h, pool)
+			if done {
+				res.Deopt, status, errv = deopt, rstatus, rerr
 				pc = -1
 				break
 			}
-			if op.B == 1 { // expect object
-				if !cres.IsArray() {
-					status = StatusBail
-					pc = -1
-					break
-				}
-				regs[op.Dst], tags[op.Dst] = float64(cres.Handle()), TagObject
-				pc++
-				break
-			}
-			switch cres.Type() {
-			case value.Number, value.Boolean:
-				regs[op.Dst], tags[op.Dst] = cres.ToNumber(), TagNumber
-				pc++
-			case value.Undefined:
-				regs[op.Dst], tags[op.Dst] = math.NaN(), TagNumber
-				pc++
-			default:
-				status = StatusBail
-				pc = -1
-			}
+			pc++
 		case lir.FAddImm:
 			steps += 2
 			regs[op.C] = op.Imm
@@ -811,24 +607,13 @@ func execFusedFrom(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps i
 			} else {
 				pc = t
 			}
+		case lir.FEnd:
+			res = Result{Kind: ResUndef}
+			pc = -1
 		default:
-			if st == nil {
-				st = pool.getFstate()
-				*st = fstate{
-					code: code, f: f, regs: regs, tags: tags, h: h,
-					arena: arena, pool: pool, maxOps: maxOps, delegate: -1,
-				}
-			}
-			st.steps, st.checks = steps, checks
-			pc = handlerTab[op.Kind](st, op, pc)
-			steps, checks = st.steps, st.checks
-			if pc < 0 {
-				res, status, errv, delegate = st.res, st.status, st.err, st.delegate
-			}
+			errv = fmt.Errorf("native: invalid fused op at %d in %s", pc, code.Name)
+			pc = -1
 		}
-	}
-	if st != nil {
-		pool.putFstate(st)
 	}
 	if delegate >= 0 {
 		dres, dstatus, derr := execSwitch(code, regs, tags, h, maxOps, pool, int(delegate), steps)
@@ -838,636 +623,6 @@ func execFusedFrom(code *lir.Code, regs []float64, tags []Tag, h Hooks, maxOps i
 	res.Steps = steps
 	res.Checks = checks
 	return res, status, errv
-}
-
-// ---- pass-through handlers (one source op each) ----
-
-func hInvalid(st *fstate, op *lir.FOp, pc int32) int32 {
-	return st.fail(fmt.Errorf("native: invalid fused op at %d in %s", pc, st.code.Name))
-}
-
-func hNop(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	return pc + 1
-}
-
-func hConst(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = op.Imm
-	return pc + 1
-}
-
-func hMove(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = st.regs[op.A]
-	return pc + 1
-}
-
-func hMoveTag(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = st.regs[op.A]
-	st.tags[op.Dst] = st.tags[op.A]
-	return pc + 1
-}
-
-func hAdd(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = st.regs[op.A] + st.regs[op.B]
-	return pc + 1
-}
-
-func hSub(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = st.regs[op.A] - st.regs[op.B]
-	return pc + 1
-}
-
-func hMul(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = st.regs[op.A] * st.regs[op.B]
-	return pc + 1
-}
-
-func hDiv(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = st.regs[op.A] / st.regs[op.B]
-	return pc + 1
-}
-
-func hMod(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = value.Mod(st.regs[op.A], st.regs[op.B])
-	return pc + 1
-}
-
-func hPow(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = math.Pow(st.regs[op.A], st.regs[op.B])
-	return pc + 1
-}
-
-func hBitAnd(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = float64(value.ToInt32(st.regs[op.A]) & value.ToInt32(st.regs[op.B]))
-	return pc + 1
-}
-
-func hBitOr(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = float64(value.ToInt32(st.regs[op.A]) | value.ToInt32(st.regs[op.B]))
-	return pc + 1
-}
-
-func hBitXor(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = float64(value.ToInt32(st.regs[op.A]) ^ value.ToInt32(st.regs[op.B]))
-	return pc + 1
-}
-
-func hShl(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = float64(value.ToInt32(st.regs[op.A]) << (value.ToUint32(st.regs[op.B]) & 31))
-	return pc + 1
-}
-
-func hShr(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = float64(value.ToInt32(st.regs[op.A]) >> (value.ToUint32(st.regs[op.B]) & 31))
-	return pc + 1
-}
-
-func hUshr(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = float64(value.ToUint32(st.regs[op.A]) >> (value.ToUint32(st.regs[op.B]) & 31))
-	return pc + 1
-}
-
-func hNeg(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = -st.regs[op.A]
-	return pc + 1
-}
-
-func hNot(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	if truthyF(st.regs[op.A]) {
-		st.regs[op.Dst] = 0
-	} else {
-		st.regs[op.Dst] = 1
-	}
-	return pc + 1
-}
-
-func hCmp(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = cmpEval(op.Aux, st.regs[op.A], st.regs[op.B])
-	return pc + 1
-}
-
-func hMath(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = mathFunc(bytecode.Builtin(op.Aux), st.regs[op.A], st.regs[op.B], st.h)
-	return pc + 1
-}
-
-func hJump(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	return st.jumpTo(op.Target)
-}
-
-func hBranchFalse(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	if !truthyF(st.regs[op.A]) {
-		return st.jumpTo(op.Target)
-	}
-	return pc + 1
-}
-
-// hGuard serves both KUnbox and KGuardType (identical semantics).
-func hGuard(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	tag := st.tags[op.A]
-	if op.Aux == 1 {
-		if tag != TagObject {
-			return st.bail()
-		}
-	} else {
-		if tag != TagNumber && tag != TagBoolean {
-			return st.bail()
-		}
-	}
-	st.regs[op.Dst] = st.regs[op.A]
-	st.tags[op.Dst] = tag
-	return pc + 1
-}
-
-func hElemsHandle(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	elems, ok := st.arena.Elems(int32(st.regs[op.A]))
-	if !ok {
-		return st.bail()
-	}
-	st.regs[op.Dst] = float64(elems)
-	return pc + 1
-}
-
-func hElemsRaw(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	h := int64(math.Trunc(st.regs[op.A]))
-	elems, ok := st.arena.Elems(int32(h))
-	if !ok || st.regs[op.A] != math.Trunc(st.regs[op.A]) {
-		_, crash := st.arena.RawLoad(int(h))
-		if crash != nil {
-			return st.fail(crash)
-		}
-		st.regs[op.Dst] = math.Trunc(st.regs[op.A])
-		return pc + 1
-	}
-	st.regs[op.Dst] = float64(elems)
-	return pc + 1
-}
-
-func hInitLen(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	v, crash := st.arena.LengthAt(int(st.regs[op.A]))
-	if crash != nil {
-		return st.fail(crash)
-	}
-	st.regs[op.Dst] = v
-	return pc + 1
-}
-
-func hBoundsCheck(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	idx, length := st.regs[op.A], st.regs[op.B]
-	if !(idx >= 0 && idx < length && idx == math.Trunc(idx)) {
-		return st.bail()
-	}
-	return pc + 1
-}
-
-func hLoadElem(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	addr := int(st.regs[op.A]) + int(st.regs[op.B]) + int(op.Aux)
-	v, crash := st.arena.RawLoad(addr)
-	if crash != nil {
-		return st.fail(crash)
-	}
-	st.regs[op.Dst] = v
-	return pc + 1
-}
-
-func hStoreElem(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	addr := int(st.regs[op.A]) + int(st.regs[op.B]) + int(op.Aux)
-	if crash := st.arena.RawStore(addr, st.regs[op.C]); crash != nil {
-		return st.fail(crash)
-	}
-	return pc + 1
-}
-
-func hSetLen(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	n := st.regs[op.B]
-	if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
-		return st.bail()
-	}
-	if err := st.arena.SetLength(int32(st.regs[op.A]), int(n)); err != nil {
-		return st.fail(err)
-	}
-	return pc + 1
-}
-
-func hPush(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	n, err := st.arena.Push(int32(st.regs[op.A]), st.regs[op.B])
-	if err != nil {
-		return st.fail(err)
-	}
-	st.regs[op.Dst] = float64(n)
-	return pc + 1
-}
-
-func hPop(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	v, ok := st.arena.Pop(int32(st.regs[op.A]))
-	if !ok {
-		return st.bail()
-	}
-	st.regs[op.Dst] = v
-	return pc + 1
-}
-
-func hNewArr(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	n := st.regs[op.A]
-	if n < 0 || n != math.Trunc(n) || n > float64(math.MaxInt32) {
-		return st.bail()
-	}
-	hnd, err := st.arena.Alloc(int(n))
-	if err != nil {
-		return st.fail(err)
-	}
-	st.regs[op.Dst] = float64(hnd)
-	return pc + 1
-}
-
-func hAddrOf(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	elems, ok := st.arena.Elems(int32(st.regs[op.A]))
-	if !ok {
-		return st.bail()
-	}
-	st.regs[op.Dst] = float64(elems)
-	return pc + 1
-}
-
-func hCodeBase(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.regs[op.Dst] = float64(st.arena.CodeBase())
-	return pc + 1
-}
-
-func hLoadGlobal(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	v := st.h.GlobalGet(int(op.Aux))
-	switch v.Type() {
-	case value.Number:
-		st.regs[op.Dst], st.tags[op.Dst] = v.AsNumber(), TagNumber
-	case value.Boolean:
-		st.regs[op.Dst], st.tags[op.Dst] = v.AsNumber(), TagBoolean
-	case value.Array:
-		st.regs[op.Dst], st.tags[op.Dst] = float64(v.Handle()), TagObject
-	default:
-		st.regs[op.Dst], st.tags[op.Dst] = math.NaN(), TagOther
-	}
-	return pc + 1
-}
-
-func hStoreGlobalNum(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.h.GlobalSet(int(op.Aux), value.Num(st.regs[op.A]))
-	return pc + 1
-}
-
-func hStoreGlobalObj(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.h.GlobalSet(int(op.Aux), value.ArrayRef(int32(st.regs[op.A])))
-	return pc + 1
-}
-
-func hCall(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	argRegs := st.code.ArgLists[op.A]
-	var callArgs []value.Value
-	base := -1
-	if st.pool != nil {
-		base = len(st.pool.args)
-		for range argRegs {
-			st.pool.args = append(st.pool.args, value.Value{})
-		}
-		callArgs = st.pool.args[base : base+len(argRegs)]
-	} else {
-		callArgs = make([]value.Value, len(argRegs))
-	}
-	for i, ar := range argRegs {
-		if op.C&(1<<i) != 0 {
-			callArgs[i] = value.ArrayRef(int32(st.regs[ar]))
-		} else {
-			callArgs[i] = value.Num(st.regs[ar])
-		}
-	}
-	res, err := st.h.CallFunction(int(op.Aux), callArgs)
-	if base >= 0 {
-		st.pool.args = st.pool.args[:base]
-	}
-	if err != nil {
-		return st.fail(err)
-	}
-	if op.B == 1 { // expect object
-		if !res.IsArray() {
-			return st.bail()
-		}
-		st.regs[op.Dst], st.tags[op.Dst] = float64(res.Handle()), TagObject
-		return pc + 1
-	}
-	switch res.Type() {
-	case value.Number, value.Boolean:
-		st.regs[op.Dst], st.tags[op.Dst] = res.ToNumber(), TagNumber
-	case value.Undefined:
-		st.regs[op.Dst], st.tags[op.Dst] = math.NaN(), TagNumber
-	default:
-		return st.bail()
-	}
-	return pc + 1
-}
-
-// hOSRPoint: the loop-header OSR marker is a runtime nop charging no step
-// (its NSteps is 0 in the fused stream too), keeping Result.Steps
-// bit-identical to code compiled without OSR support.
-func hOSRPoint(st *fstate, op *lir.FOp, pc int32) int32 {
-	return pc + 1
-}
-
-// hCallSpec is hCall with a strict return-type guard: exactly a Number is
-// accepted; anything else deoptimizes with the interpreter frame rebuilt
-// from the deopt exit's frame map (op.Target indexes Code.DeoptExits).
-func hCallSpec(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	argRegs := st.code.ArgLists[op.A]
-	var callArgs []value.Value
-	base := -1
-	if st.pool != nil {
-		base = len(st.pool.args)
-		for range argRegs {
-			st.pool.args = append(st.pool.args, value.Value{})
-		}
-		callArgs = st.pool.args[base : base+len(argRegs)]
-	} else {
-		callArgs = make([]value.Value, len(argRegs))
-	}
-	for i, ar := range argRegs {
-		if op.C&(1<<i) != 0 {
-			callArgs[i] = value.ArrayRef(int32(st.regs[ar]))
-		} else {
-			callArgs[i] = value.Num(st.regs[ar])
-		}
-	}
-	res, err := st.h.CallFunction(int(op.Aux), callArgs)
-	if base >= 0 {
-		st.pool.args = st.pool.args[:base]
-	}
-	if err != nil {
-		return st.fail(err)
-	}
-	if res.Type() == value.Number {
-		st.regs[op.Dst], st.tags[op.Dst] = res.AsNumber(), TagNumber
-		return pc + 1
-	}
-	if op.Target < 0 || int(op.Target) >= len(st.code.DeoptExits) {
-		return st.bail() // orphan guard; treat as bail
-	}
-	st.res = Result{Deopt: buildDeopt(st.code, op.Target, st.regs, res)}
-	st.status = StatusDeopt
-	return -1
-}
-
-func hRetNum(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.res = Result{Kind: ResNum, Val: st.regs[op.A]}
-	return -1
-}
-
-func hRetObj(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.res = Result{Kind: ResObject, Val: st.regs[op.A]}
-	return -1
-}
-
-func hRetUndef(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	st.res = Result{Kind: ResUndef}
-	return -1
-}
-
-// ---- superinstruction handlers ----
-//
-// Each replays its constituents' writes and step charges in source order;
-// register reads always go through the live register file so aliasing with
-// earlier constituent writes resolves exactly as in the unfused sequence.
-
-func hAddImm(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 2
-	regs := st.regs
-	regs[op.C] = op.Imm
-	regs[op.Dst] = regs[op.A] + regs[op.B]
-	return pc + 1
-}
-
-func hSubImm(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 2
-	regs := st.regs
-	regs[op.C] = op.Imm
-	regs[op.Dst] = regs[op.A] - regs[op.B]
-	return pc + 1
-}
-
-func hMulImm(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 2
-	regs := st.regs
-	regs[op.C] = op.Imm
-	regs[op.Dst] = regs[op.A] * regs[op.B]
-	return pc + 1
-}
-
-func hCmpImm(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 2
-	regs := st.regs
-	regs[op.C] = op.Imm
-	regs[op.Dst] = cmpEval(op.Aux, regs[op.A], regs[op.B])
-	return pc + 1
-}
-
-func hCmpBranch(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 2
-	regs := st.regs
-	r := cmpEval(op.Aux, regs[op.A], regs[op.B])
-	regs[op.Dst] = r
-	if r == 0 {
-		return st.jumpTo(op.Target)
-	}
-	return pc + 1
-}
-
-func hCmpImmBranch(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 3
-	regs := st.regs
-	regs[op.C] = op.Imm
-	r := cmpEval(op.Aux, regs[op.A], regs[op.B])
-	regs[op.Dst] = r
-	if r == 0 {
-		return st.jumpTo(op.Target)
-	}
-	return pc + 1
-}
-
-func hIncCmpBranch(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 3
-	regs := st.regs
-	regs[op.D] = regs[op.A] + regs[op.B]
-	l, r := regs[op.D], regs[op.E]
-	if op.Aux2&1 != 0 {
-		l, r = r, l
-	}
-	v := cmpEval(op.Aux, l, r)
-	regs[op.Dst] = v
-	if v == 0 {
-		return st.jumpTo(op.Target)
-	}
-	return pc + 1
-}
-
-func hAddImmCmpBranch(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 4
-	regs := st.regs
-	regs[op.C] = op.Imm
-	regs[op.D] = regs[op.A] + regs[op.B]
-	l, r := regs[op.D], regs[op.E]
-	if op.Aux2&1 != 0 {
-		l, r = r, l
-	}
-	v := cmpEval(op.Aux, l, r)
-	regs[op.Dst] = v
-	if v == 0 {
-		return st.jumpTo(op.Target)
-	}
-	return pc + 1
-}
-
-func hBoundsLoad(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	regs := st.regs
-	idx, length := regs[op.A], regs[op.B]
-	if !(idx >= 0 && idx < length && idx == math.Trunc(idx)) {
-		return st.bail()
-	}
-	st.steps++
-	addr := int(regs[op.C]) + int(regs[op.D]) + int(op.Aux)
-	v, crash := st.arena.RawLoad(addr)
-	if crash != nil {
-		return st.fail(crash)
-	}
-	regs[op.Dst] = v
-	return pc + 1
-}
-
-func hBoundsStore(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	regs := st.regs
-	idx, length := regs[op.A], regs[op.B]
-	if !(idx >= 0 && idx < length && idx == math.Trunc(idx)) {
-		return st.bail()
-	}
-	st.steps++
-	addr := int(regs[op.C]) + int(regs[op.D]) + int(op.Aux)
-	if crash := st.arena.RawStore(addr, regs[op.E]); crash != nil {
-		return st.fail(crash)
-	}
-	return pc + 1
-}
-
-func hLenBoundsLoad(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	regs := st.regs
-	length, crash := st.arena.LengthAt(int(regs[op.D]))
-	if crash != nil {
-		return st.fail(crash)
-	}
-	regs[op.C] = length
-	st.steps++
-	idx := regs[op.A]
-	if !(idx >= 0 && idx < regs[op.C] && idx == math.Trunc(idx)) {
-		return st.bail()
-	}
-	st.steps++
-	addr := int(regs[op.D]) + int(regs[op.A]) + int(op.Aux)
-	v, crash := st.arena.RawLoad(addr)
-	if crash != nil {
-		return st.fail(crash)
-	}
-	regs[op.Dst] = v
-	return pc + 1
-}
-
-func hLenBoundsStore(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps++
-	regs := st.regs
-	length, crash := st.arena.LengthAt(int(regs[op.D]))
-	if crash != nil {
-		return st.fail(crash)
-	}
-	regs[op.C] = length
-	st.steps++
-	idx := regs[op.A]
-	if !(idx >= 0 && idx < regs[op.C] && idx == math.Trunc(idx)) {
-		return st.bail()
-	}
-	st.steps++
-	addr := int(regs[op.D]) + int(regs[op.A]) + int(op.Aux)
-	if crash := st.arena.RawStore(addr, regs[op.E]); crash != nil {
-		return st.fail(crash)
-	}
-	return pc + 1
-}
-
-func hMove2(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 2
-	regs := st.regs
-	regs[op.Dst] = regs[op.A]
-	regs[op.C] = regs[op.D]
-	return pc + 1
-}
-
-func hMoveN(st *fstate, op *lir.FOp, pc int32) int32 {
-	k := op.Aux2
-	st.steps += int64(k)
-	regs := st.regs
-	pairs := st.f.MovePairs[op.Aux : op.Aux+k*2]
-	for i := 0; i < len(pairs); i += 2 {
-		regs[pairs[i]] = regs[pairs[i+1]]
-	}
-	return pc + 1
-}
-
-func hMoveNJump(st *fstate, op *lir.FOp, pc int32) int32 {
-	k := op.Aux2
-	st.steps += int64(k) + 1
-	regs := st.regs
-	pairs := st.f.MovePairs[op.Aux : op.Aux+k*2]
-	for i := 0; i < len(pairs); i += 2 {
-		regs[pairs[i]] = regs[pairs[i+1]]
-	}
-	return st.jumpTo(op.Target)
 }
 
 // runArithChain replays an FArithN run. Every constituent is pure and
@@ -1518,151 +673,6 @@ func runArithChain(f *lir.FusedCode, regs []float64, op *lir.FOp) {
 			regs[a.Dst] = cmpEval(a.Aux, regs[a.A], regs[a.B])
 		}
 	}
-}
-
-func hAdd2(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += 2
-	regs := st.regs
-	regs[op.Dst] = regs[op.A] + regs[op.B]
-	regs[op.C] = regs[op.D] + regs[op.E]
-	return pc + 1
-}
-
-func hAddMoveNJump(st *fstate, op *lir.FOp, pc int32) int32 {
-	m := op.Aux2
-	st.steps += int64(m) + 2
-	regs := st.regs
-	regs[op.Dst] = regs[op.A] + regs[op.B]
-	pairs := st.f.MovePairs[op.Aux : op.Aux+m*2]
-	for i := 0; i < len(pairs); i += 2 {
-		regs[pairs[i]] = regs[pairs[i+1]]
-	}
-	return st.jumpTo(op.Target)
-}
-
-func hAdd2MoveNJump(st *fstate, op *lir.FOp, pc int32) int32 {
-	m := op.Aux2
-	st.steps += int64(m) + 3
-	regs := st.regs
-	regs[op.Dst] = regs[op.A] + regs[op.B]
-	regs[op.C] = regs[op.D] + regs[op.E]
-	pairs := st.f.MovePairs[op.Aux : op.Aux+m*2]
-	for i := 0; i < len(pairs); i += 2 {
-		regs[pairs[i]] = regs[pairs[i+1]]
-	}
-	return st.jumpTo(op.Target)
-}
-
-func hArithN(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += int64(op.Aux2)
-	runArithChain(st.f, st.regs, op)
-	return pc + 1
-}
-
-func hArithNJump(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.steps += int64(op.Aux2) + 1
-	runArithChain(st.f, st.regs, op)
-	return st.jumpTo(op.Target)
-}
-
-func hCmpBranchJump(st *fstate, op *lir.FOp, pc int32) int32 {
-	r := cmpEval(op.Aux, st.regs[op.A], st.regs[op.B])
-	st.regs[op.Dst] = r
-	if r == 0 {
-		st.steps += 2
-		return st.jumpTo(op.Target)
-	}
-	st.steps += 3
-	return st.jumpTo(op.C)
-}
-
-func hEnd(st *fstate, op *lir.FOp, pc int32) int32 {
-	st.res = Result{Kind: ResUndef}
-	return -1
-}
-
-func init() {
-	for i := range handlerTab {
-		handlerTab[i] = hInvalid
-	}
-	wiredHandlers[lir.FInvalid] = true // deliberately the invalid handler
-	pt := func(k lir.Kind, h fhandler) {
-		handlerTab[lir.PassThrough(k)] = h
-		wiredHandlers[lir.PassThrough(k)] = true
-	}
-	sup := func(k lir.FKind, h fhandler) {
-		handlerTab[k] = h
-		wiredHandlers[k] = true
-	}
-
-	pt(lir.KNop, hNop)
-	pt(lir.KConst, hConst)
-	pt(lir.KMove, hMove)
-	pt(lir.KMoveTag, hMoveTag)
-	pt(lir.KAdd, hAdd)
-	pt(lir.KSub, hSub)
-	pt(lir.KMul, hMul)
-	pt(lir.KDiv, hDiv)
-	pt(lir.KMod, hMod)
-	pt(lir.KPow, hPow)
-	pt(lir.KBitAnd, hBitAnd)
-	pt(lir.KBitOr, hBitOr)
-	pt(lir.KBitXor, hBitXor)
-	pt(lir.KShl, hShl)
-	pt(lir.KShr, hShr)
-	pt(lir.KUshr, hUshr)
-	pt(lir.KNeg, hNeg)
-	pt(lir.KNot, hNot)
-	pt(lir.KCmp, hCmp)
-	pt(lir.KMath, hMath)
-	pt(lir.KJump, hJump)
-	pt(lir.KBranchFalse, hBranchFalse)
-	pt(lir.KUnbox, hGuard)
-	pt(lir.KGuardType, hGuard)
-	pt(lir.KElemsHandle, hElemsHandle)
-	pt(lir.KElemsRaw, hElemsRaw)
-	pt(lir.KInitLen, hInitLen)
-	pt(lir.KBoundsCheck, hBoundsCheck)
-	pt(lir.KLoadElem, hLoadElem)
-	pt(lir.KStoreElem, hStoreElem)
-	pt(lir.KSetLen, hSetLen)
-	pt(lir.KPush, hPush)
-	pt(lir.KPop, hPop)
-	pt(lir.KNewArr, hNewArr)
-	pt(lir.KAddrOf, hAddrOf)
-	pt(lir.KCodeBase, hCodeBase)
-	pt(lir.KLoadGlobal, hLoadGlobal)
-	pt(lir.KStoreGlobalNum, hStoreGlobalNum)
-	pt(lir.KStoreGlobalObj, hStoreGlobalObj)
-	pt(lir.KCall, hCall)
-	pt(lir.KCallSpec, hCallSpec)
-	pt(lir.KOSRPoint, hOSRPoint)
-	pt(lir.KRetNum, hRetNum)
-	pt(lir.KRetObj, hRetObj)
-	pt(lir.KRetUndef, hRetUndef)
-
-	sup(lir.FAddImm, hAddImm)
-	sup(lir.FSubImm, hSubImm)
-	sup(lir.FMulImm, hMulImm)
-	sup(lir.FCmpImm, hCmpImm)
-	sup(lir.FCmpBranch, hCmpBranch)
-	sup(lir.FCmpImmBranch, hCmpImmBranch)
-	sup(lir.FIncCmpBranch, hIncCmpBranch)
-	sup(lir.FAddImmCmpBranch, hAddImmCmpBranch)
-	sup(lir.FBoundsLoad, hBoundsLoad)
-	sup(lir.FBoundsStore, hBoundsStore)
-	sup(lir.FLenBoundsLoad, hLenBoundsLoad)
-	sup(lir.FLenBoundsStore, hLenBoundsStore)
-	sup(lir.FMove2, hMove2)
-	sup(lir.FMoveN, hMoveN)
-	sup(lir.FMoveNJump, hMoveNJump)
-	sup(lir.FAdd2, hAdd2)
-	sup(lir.FAddMoveNJump, hAddMoveNJump)
-	sup(lir.FAdd2MoveNJump, hAdd2MoveNJump)
-	sup(lir.FArithN, hArithN)
-	sup(lir.FArithNJump, hArithNJump)
-	sup(lir.FCmpBranchJump, hCmpBranchJump)
-	sup(lir.FEnd, hEnd)
 }
 
 // cmpEval evaluates a KCmp: Aux is the mir.CompareKind (1 <, 2 <=, 3 >,

@@ -466,65 +466,6 @@ func TestFusedMoveAndArithChains(t *testing.T) {
 	}
 }
 
-// execTableOnly mirrors execFused but dispatches every op through the
-// handler table, bypassing the fast-path switch. It exists so the manually
-// inlined switch cases can be held bit-identical to their table handlers.
-func execTableOnly(code *lir.Code, args []value.Value, h Hooks, maxOps int64) (Result, Status, error) {
-	if maxOps <= 0 {
-		maxOps = 1 << 40
-	}
-	regs := make([]float64, code.NumRegs)
-	tags := make([]Tag, code.NumRegs)
-	boxParams(code, args, regs, tags)
-	f := code.Fused
-	st := &fstate{
-		code: code, f: f, regs: regs, tags: tags, h: h,
-		arena: h.Arena(), maxOps: maxOps, delegate: -1,
-	}
-	pc := int32(0)
-	st.checks = 1
-	if int64(f.Cost[0]) > maxOps {
-		st.delegate = 0
-		pc = -1
-	}
-	for pc >= 0 {
-		op := &f.Ops[pc]
-		pc = handlerTab[op.Kind](st, op, pc)
-	}
-	if st.delegate >= 0 {
-		res, status, err := execSwitch(code, regs, tags, h, maxOps, nil, int(st.delegate), st.steps)
-		res.Checks += st.checks
-		return res, status, err
-	}
-	st.res.Steps = st.steps
-	st.res.Checks = st.checks
-	return st.res, st.status, st.err
-}
-
-// TestTableDispatchMatchesFastPath is the drift guard for the manually
-// inlined fast-path cases in execFused: pure table dispatch must agree
-// with Exec bit-for-bit — results, Steps AND Checks — across both loop
-// shapes and every budget cut-off.
-func TestTableDispatchMatchesFastPath(t *testing.T) {
-	for _, mk := range []func() *lir.Code{loopCode, whileCode, shuffleCode, moveChainCode} {
-		code := mk()
-		code.Fused = lir.Fuse(code)
-		args := []value.Value{value.Num(9)}
-		full, _, err := Exec(code, args, newStub(), 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for max := int64(0); max <= full.Steps+2; max++ {
-			rf, sf, ef := Exec(code, args, newStub(), max, nil)
-			rt, stt, et := execTableOnly(code, args, newStub(), max)
-			if rf != rt || sf != stt || !errEq(ef, et) {
-				t.Fatalf("%s maxOps=%d: fast path (%+v,%v,%v) table (%+v,%v,%v)",
-					code.Name, max, rf, sf, ef, rt, stt, et)
-			}
-		}
-	}
-}
-
 // TestFastPathConstants pins the fast-path case constants to the canonical
 // pass-through mapping.
 func TestFastPathConstants(t *testing.T) {
@@ -540,6 +481,7 @@ func TestFastPathConstants(t *testing.T) {
 		fpNop: lir.KNop, fpMoveTag: lir.KMoveTag,
 		fpLoadGlobal: lir.KLoadGlobal, fpStoreGNum: lir.KStoreGlobalNum,
 		fpStoreGObj: lir.KStoreGlobalObj, fpCall: lir.KCall,
+		fpCallSpec: lir.KCallSpec, fpOSRPoint: lir.KOSRPoint,
 		fpMod: lir.KMod, fpPow: lir.KPow, fpBitAnd: lir.KBitAnd,
 		fpBitOr: lir.KBitOr, fpBitXor: lir.KBitXor, fpShl: lir.KShl,
 		fpShr: lir.KShr, fpUshr: lir.KUshr, fpNeg: lir.KNeg,
