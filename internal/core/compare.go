@@ -109,8 +109,10 @@ type Detector struct {
 	// chain).
 	Audit *obs.AuditLog
 	// Metrics, when set, receives the "dna.delta_chains" histogram (per-pass
-	// Δ chain-set sizes of candidate DNAs) and "dna.index_probes" (entries
-	// scored per match-index query).
+	// Δ chain-set sizes of candidate DNAs), "dna.index_probes" (entries
+	// scored per match-index query) and "dna.pair_cands" (size of the Δ
+	// pairing search, gone chains × new chains after the maxPairCands
+	// truncation, per non-empty Δ — the super-linear term of extraction).
 	Metrics *obs.Registry
 
 	seen      map[MatchKey]struct{}
@@ -119,6 +121,21 @@ type Detector struct {
 	last      *verdictPayload // most recent Decide verdict (see cachepolicy.go)
 	deltaHist *obs.Histogram
 	probeHist *obs.Histogram
+	pairHist  *obs.Histogram
+}
+
+// pairCandBuckets bound "dna.pair_cands": ×16 per bucket up to
+// maxPairCands² (obs.SizeBuckets stops two orders of magnitude short).
+var pairCandBuckets = []int64{1, 16, 256, 4096, 65536, maxPairCands * maxPairCands}
+
+// resolveHists binds the detector's histograms on first use (Metrics is a
+// public field set after construction). Nil histograms discard.
+func (d *Detector) resolveHists() {
+	if d.Metrics != nil && d.deltaHist == nil {
+		d.deltaHist = d.Metrics.Histogram("dna.delta_chains", obs.SizeBuckets)
+		d.probeHist = d.Metrics.Histogram("dna.index_probes", obs.SizeBuckets)
+		d.pairHist = d.Metrics.Histogram("dna.pair_cands", pairCandBuckets)
+	}
 }
 
 // NewDetector creates a detector over db with the paper's default
@@ -159,6 +176,7 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 			return engine.CompileDecision{NoJIT: true}
 		}
 	}
+	d.resolveHists()
 	dna := DNA{FuncName: fnName, Passes: map[string]Delta{}}
 	de := newDeltaExtractor()
 	observe := func(_ int, passName string, before, after *mir.Snapshot) {
@@ -168,6 +186,7 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 		delta := de.delta(before, after)
 		if !delta.Empty() {
 			dna.Passes[passName] = delta
+			d.pairHist.Observe(int64(de.pairCands))
 		}
 	}
 	finish := func() engine.CompileDecision {
@@ -187,10 +206,7 @@ func (d *Detector) Decide(dna *DNA) engine.CompileDecision {
 	if d.DB.FailSafe() {
 		return engine.CompileDecision{NoJIT: true}
 	}
-	if d.Metrics != nil && d.deltaHist == nil {
-		d.deltaHist = d.Metrics.Histogram("dna.delta_chains", obs.SizeBuckets)
-		d.probeHist = d.Metrics.Histogram("dna.index_probes", obs.SizeBuckets)
-	}
+	d.resolveHists()
 	idx := d.DB.Index(d.Thr)
 	found := d.found[:0]
 	for passName, fdelta := range dna.Passes {

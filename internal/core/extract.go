@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +17,10 @@ const (
 	maxChainLen  = 48
 	maxPairCands = 512
 )
+
+// The pairing scorer (lcsMasks/lcsScore) holds one chain in one machine
+// word, a bit per token: this fails to compile if maxChainLen outgrows it.
+const _ = uint(64 - maxChainLen)
 
 // chainSep joins opcode names into a chain string.
 const chainSep = "→"
@@ -76,10 +81,15 @@ type deltaExtractor struct {
 	// diff scratch.
 	p, q             []uint32
 	usedQ            []bool
-	lcsPrev, lcsCur  []int32
+	tokMask          []uint64 // lcsMasks scratch, indexed by token ID; all zero between uses
 	dp               []int16
 	maskA, maskB     []bool
 	removedB, addedB []uint32
+
+	// pairCands is len(p)·len(q) of the most recent diffChainSets, after
+	// the maxPairCands truncation: the size of the pairing search the
+	// detector reports as "dna.pair_cands".
+	pairCands int
 }
 
 func (de *deltaExtractor) delta(before, after *mir.Snapshot) Delta {
@@ -359,26 +369,48 @@ func (de *deltaExtractor) diffChainSets(pre, post []uint32) (removed, added []ui
 		q = q[:maxPairCands]
 	}
 
+	de.pairCands = len(p) * len(q)
+
+	// Pair each gone chain with the new chain it shares the longest common
+	// subsequence with (first best in string order), exactly as the
+	// reference does, but scoring each distinct chain once: p and q carry
+	// multiplicities, equal IDs score and align identically, and under the
+	// strict > only the first of a run of duplicates can win. Duplicate q
+	// entries are still left unused (and so emitted whole) as the reference
+	// leaves them.
 	de.usedQ = grow(de.usedQ, len(q))
 	for qi := range de.usedQ {
 		de.usedQ[qi] = false
 	}
-	for _, pc := range p {
+	for pi, pc := range p {
+		if pi > 0 && pc == p[pi-1] {
+			continue
+		}
 		pt := cs[pc].toks
+		masks := de.lcsMasks(pt)
 		bestScore, bestIdx := 0, -1
 		for qi, qc := range q {
-			score := de.lcsLen(pt, cs[qc].toks)
-			if score > bestScore {
+			if bestScore == len(pt) {
+				break // a full-length match cannot be beaten
+			}
+			if qi > 0 && qc == q[qi-1] {
+				continue
+			}
+			qt := cs[qc].toks
+			if len(qt) <= bestScore {
+				continue // LCS ≤ len(qt): cannot be strictly better
+			}
+			if score := lcsScore(masks, qt); score > bestScore {
 				bestScore, bestIdx = score, qi
 			}
 		}
+		de.clearLCSMasks(pt)
 		if bestIdx < 0 {
 			rem = append(rem, pc)
 			continue
 		}
 		de.usedQ[bestIdx] = true
-		qt := cs[q[bestIdx]].toks
-		rem, add = de.alignDiff(pt, qt, rem, add)
+		rem, add = de.alignDiff(pt, cs[q[bestIdx]].toks, rem, add)
 	}
 	for qi, qc := range q {
 		if !de.usedQ[qi] {
@@ -407,32 +439,54 @@ func copyIDSet(ids []uint32) []uint32 {
 	return out
 }
 
-// lcsLen is the longest-common-subsequence length of two token sequences.
-func (de *deltaExtractor) lcsLen(a, b []uint32) int {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	de.lcsPrev = grow(de.lcsPrev, len(b)+1)
-	de.lcsCur = grow(de.lcsCur, len(b)+1)
-	prev, cur := de.lcsPrev, de.lcsCur
-	for j := range prev {
-		prev[j] = 0
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = 0
-		for j := 1; j <= len(b); j++ {
-			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-			} else if prev[j] >= cur[j-1] {
-				cur[j] = prev[j]
-			} else {
-				cur[j] = cur[j-1]
-			}
+// lcsMasks prepares chain a (at most 64 tokens — chainsOf caps chains at
+// maxChainLen) for lcsScore: the returned table maps a token ID to the set
+// of positions it occupies in a, one bit per position. The table is shared
+// scratch; clearLCSMasks(a) must run before the next lcsMasks.
+func (de *deltaExtractor) lcsMasks(a []uint32) []uint64 {
+	n := 0
+	for _, t := range a {
+		if int(t) >= n {
+			n = int(t) + 1
 		}
-		prev, cur = cur, prev
 	}
-	de.lcsPrev, de.lcsCur = prev, cur
-	return int(prev[len(b)])
+	if n > len(de.tokMask) {
+		de.tokMask = grow(de.tokMask, n) // zero either way: fresh, or never written past len
+	}
+	for i, t := range a {
+		de.tokMask[t] |= 1 << uint(i)
+	}
+	return de.tokMask
+}
+
+// clearLCSMasks undoes lcsMasks(a), restoring the all-zero table.
+func (de *deltaExtractor) clearLCSMasks(a []uint32) {
+	for _, t := range a {
+		de.tokMask[t] = 0
+	}
+}
+
+// lcsScore is the longest-common-subsequence length of b and the chain
+// masks was built from, by the word-parallel recurrence of Allison–Dix in
+// Hyyrö's form. Bit i of v encodes the difference of two vertically
+// adjacent cells of the classic DP column, v_i = 1 − (L[i+1][j] − L[i][j]);
+// consuming one token of b updates the whole column with one add, one
+// subtract and one or (the carry chain of the add is what moves a match
+// to the first free row), and the zeros of the final column sum to
+// L[len a][len b]. The result is the same integer the cell-by-cell DP
+// computes — this is a different evaluation order, not an approximation.
+// Positions past len(a) never match, so their bits stay set and do not
+// count.
+func lcsScore(masks []uint64, b []uint32) int {
+	v := ^uint64(0)
+	for _, t := range b {
+		if int(t) >= len(masks) {
+			continue // token absent from a
+		}
+		u := v & masks[t]
+		v = (v + u) | (v - u)
+	}
+	return bits.OnesCount64(^v)
 }
 
 // alignDiff aligns two chains on their LCS and appends the removed runs of

@@ -407,6 +407,11 @@ type Engine struct {
 	hInstallLag *obs.Histogram // compile.install_lag_ns: enqueue → safe-point install
 	hOSREntry   *obs.Histogram // osr.entry_ns: one entered OSR activation
 
+	// mcPagesLive is mc.pages_live: bytes of executable mapping currently
+	// held by units this registry's engines installed. It falls when a
+	// retired unit is finalized, not when the artifact is discarded.
+	mcPagesLive *obs.Gauge
+
 	// blockChecks mirrors the fused executor's amortized budget checks
 	// into native.block_budget_checks; resolved once so the per-call hot
 	// path pays a single atomic add.
@@ -463,6 +468,7 @@ func NewFromProgram(prog *bytecode.Program, astProg *ast.Program, cfg Config) (*
 	e.hQueueWait = e.histReg().Histogram("jit.queue_wait_ns", obs.LatencyBucketsNs)
 	e.hInstallLag = e.histReg().Histogram("compile.install_lag_ns", obs.LatencyBucketsNs)
 	e.hOSREntry = e.histReg().Histogram("osr.entry_ns", obs.LatencyBucketsNs)
+	e.mcPagesLive = e.histReg().Gauge("mc.pages_live")
 	if cfg.Faults != nil && cfg.Faults.Trace == nil {
 		// Injected faults show up inline in the engine's compile trace.
 		cfg.Faults.Trace = cfg.Tracer

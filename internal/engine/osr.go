@@ -174,8 +174,10 @@ func (e *Engine) OnBackEdge(fn *bytecode.Function, targetPC int, locals []value.
 func (e *Engine) discardArtifact(st *fnState) {
 	st.code = nil
 	// The machine-code unit is compiled from the discarded code; drop it
-	// with the artifact (the W^X mapping itself is retired by GC, never
-	// unmapped, so a racing stale pointer can't execute unmapped memory).
+	// with the artifact. Only the reference goes here: an activation of the
+	// discarded code may still be on the stack (a deopt storm discards from
+	// inside one), so the W^X mapping is unmapped by the unit's finalizer
+	// once nothing can reach it, never eagerly.
 	st.mcu, st.mcTried = nil, false
 	st.osrCooldown = nil
 	st.deopts = 0

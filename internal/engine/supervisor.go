@@ -499,6 +499,7 @@ func (e *Engine) attachMC(st *fnState) {
 			}
 			return
 		}
+		unit.Track(e.mcPagesLive)
 		st.mcu = unit
 	}()
 	if cerr != nil {

@@ -93,7 +93,9 @@ func (u *Unit) ExecOSR(entryIdx int, locals []value.Value, h native.Hooks, maxOp
 // single op at the recorded pc through native.RuntimeOp — the function the
 // reference loop itself calls — and re-enter at the next op.
 func (u *Unit) run(code *lir.Code, regs []float64, tags []native.Tag, h native.Hooks, maxOps int64, pool *native.Pool, pc int, steps int64) (native.Result, native.Status, error) {
-	defer runtime.KeepAlive(u.mem)
+	// The unit, not just its bytes: the finalizer that unmaps the code is
+	// registered on u, so u must outlive every activation.
+	defer runtime.KeepAlive(u)
 	arena := h.Arena()
 	ops := code.Ops
 	checks := int64(1)

@@ -5,10 +5,12 @@ package mc
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"syscall"
 	"unsafe"
 
 	"github.com/jitbull/jitbull/internal/lir"
+	"github.com/jitbull/jitbull/internal/obs"
 )
 
 // Supported reports whether this build can execute machine code. The
@@ -19,14 +21,17 @@ func Supported() bool { return true }
 // Unit is installed, executable machine code for one function. The
 // mapping is never writable and executable at the same time: Install maps
 // RW, copies, then flips to RX (strict W^X), and the unit is immutable
-// afterwards. Units are retired by dropping the reference — the mapping
-// is intentionally not unmapped on artifact discard, so a stale pointer
-// can never execute unmapped memory; Release exists for tests.
+// afterwards. Units are retired by dropping the reference: the mapping is
+// unmapped by a finalizer once the unit is unreachable, and every
+// activation keeps its unit reachable (see run), so pages go only when no
+// pointer that could still execute them exists. Release unmaps early for
+// callers that own the only reference.
 type Unit struct {
 	prog *Program
 	mem  []byte
 	base uintptr
 	prot []string
+	live *obs.Gauge // mapped bytes accounted by Track; nil-safe
 }
 
 // Install copies prog into a fresh page-aligned mapping with a strict
@@ -48,12 +53,23 @@ func Install(prog *Program) (*Unit, error) {
 		_ = syscall.Munmap(mem)
 		return nil, fmt.Errorf("mc: mprotect: %w", err)
 	}
-	return &Unit{
+	u := &Unit{
 		prog: prog,
 		mem:  mem,
 		base: uintptr(unsafe.Pointer(unsafe.SliceData(mem))),
 		prot: []string{"mmap:rw-", "mprotect:r-x"},
-	}, nil
+	}
+	runtime.SetFinalizer(u, (*Unit).unmap)
+	return u, nil
+}
+
+// Track adds the unit's mapped bytes to g now and subtracts them when the
+// mapping goes (finalizer or Release), so g reads the bytes currently
+// mapped on behalf of whoever shares it. Call at most once, before the
+// unit is shared.
+func (u *Unit) Track(g *obs.Gauge) {
+	u.live = g
+	g.Add(int64(len(u.mem)))
 }
 
 // Compile lowers and installs code in one step — the engine's entry point.
@@ -79,10 +95,24 @@ func (u *Unit) MappedLen() int { return len(u.mem) }
 // Program returns the lowered program backing this unit.
 func (u *Unit) Program() *Program { return u.prog }
 
-// Release unmaps the unit. Only for tests — the engine retires units by
-// dropping the reference.
+// Release unmaps the unit now instead of at finalization. The caller must
+// hold the only reference and have no activation running: nothing guards
+// the pages after this returns. The engine never calls it — it retires
+// units by dropping the reference.
 func (u *Unit) Release() error {
+	runtime.SetFinalizer(u, nil)
+	return u.unmap()
+}
+
+// unmap is the one place a mapping is returned to the OS: the finalizer
+// Install registers, or Release (which cancels the finalizer first, so it
+// runs at most once per mapping; a second Release is a no-op).
+func (u *Unit) unmap() error {
 	mem := u.mem
+	if mem == nil {
+		return nil
+	}
 	u.mem, u.base = nil, 0
+	u.live.Add(-int64(len(mem)))
 	return syscall.Munmap(mem)
 }

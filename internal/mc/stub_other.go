@@ -5,6 +5,7 @@ package mc
 import (
 	"github.com/jitbull/jitbull/internal/lir"
 	"github.com/jitbull/jitbull/internal/native"
+	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/value"
 )
 
@@ -37,6 +38,9 @@ func (u *Unit) ExecOSR(entryIdx int, locals []value.Value, h native.Hooks, maxOp
 
 // Transitions is unreachable.
 func (u *Unit) Transitions() []string { return nil }
+
+// Track is unreachable.
+func (u *Unit) Track(g *obs.Gauge) {}
 
 // Release is unreachable.
 func (u *Unit) Release() error { return nil }

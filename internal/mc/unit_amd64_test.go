@@ -10,10 +10,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"github.com/jitbull/jitbull/internal/lir"
 	"github.com/jitbull/jitbull/internal/native"
+	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/value"
 )
 
@@ -115,6 +117,88 @@ func protAt(t *testing.T, addr uint64) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// retCode is a two-op function returning imm.
+func retCode(imm float64) *lir.Code {
+	return &lir.Code{
+		Name: "ret", NumRegs: 2,
+		Ops: []lir.Op{
+			{Kind: lir.KConst, Dst: 1, Imm: imm},
+			{Kind: lir.KRetNum, A: 1},
+		},
+	}
+}
+
+// TestUnitLifetime pins who unmaps a unit and when: the finalizer once the
+// unit is unreachable, or Release — never both, never while the unit is
+// reachable — with a tracked gauge following the mapped bytes exactly.
+func TestUnitLifetime(t *testing.T) {
+	var live obs.Gauge
+	settle := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for live.Value() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("tracked bytes = %d after repeated GC, want %d", live.Value(), want)
+			}
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	kept, err := Compile(retCode(7))
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	kept.Track(&live)
+	keptLen := int64(kept.MappedLen())
+
+	// Dropped units are unmapped by the finalizer; the kept one is not.
+	var bases []uintptr
+	for i := 0; i < 32; i++ {
+		u, err := Compile(retCode(float64(i)))
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		u.Track(&live)
+		bases = append(bases, u.Base())
+	}
+	if live.Value() <= keptLen {
+		t.Fatalf("tracked bytes = %d with 33 units mapped", live.Value())
+	}
+	settle(keptLen)
+	if runtime.GOOS == "linux" {
+		for _, base := range bases {
+			// The runtime may reuse the address, but nothing maps executable
+			// pages after the loop.
+			if prot, ok := protAt(t, uint64(base)); ok && prot == "r-xp" {
+				t.Fatalf("dropped unit at %#x is still mapped r-x", base)
+			}
+		}
+	}
+	if res, status, err := kept.Exec(nil, newStub(), 0, nil); err != nil || status != native.StatusOK || res.Val != 7 {
+		t.Fatalf("kept unit after collection: res=%+v status=%v err=%v", res, status, err)
+	}
+
+	// Release unmaps now and cancels the finalizer: the bytes are
+	// subtracted once, and a second Release has nothing left to do.
+	if err := kept.Release(); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	if live.Value() != 0 {
+		t.Fatalf("tracked bytes = %d after Release, want 0", live.Value())
+	}
+	if err := kept.Release(); err != nil {
+		t.Fatalf("second release: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if live.Value() != 0 {
+		t.Fatalf("tracked bytes = %d after Release and GC: unmapped twice", live.Value())
+	}
 }
 
 // TestLowerRejectsUnknownKind pins the no-partial-lowering rule.
