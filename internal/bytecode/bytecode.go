@@ -257,6 +257,11 @@ type Function struct {
 	// excludes it — the executable content is unchanged by its presence).
 	OSRSites  []OSRSite
 	SpecSites []SpecSite
+
+	// MaxStack bounds the operand-stack depth of any activation (see
+	// ComputeMaxStack; the compiler fills it in). It is derived from Code,
+	// so CanonicalHash excludes it too.
+	MaxStack int
 }
 
 // OSRSiteAt returns the OSR site whose header is pc, if any.

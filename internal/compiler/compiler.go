@@ -105,6 +105,11 @@ func CompileProgram(prog *ast.Program) (*bytecode.Program, error) {
 	if len(c.errs) > 0 {
 		return nil, errors.Join(c.errs...)
 	}
+	for _, fn := range c.prog.Funcs {
+		if err := fn.ComputeMaxStack(); err != nil {
+			return nil, fmt.Errorf("compile: internal error: %w", err)
+		}
+	}
 	return c.prog, nil
 }
 

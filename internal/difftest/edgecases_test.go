@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -51,4 +52,21 @@ print(probe);
 			}
 		})
 	}
+
+	// Unbounded recursion is a Go recursion through the dispatcher in every
+	// tier. It must end as the same catchable runtime error everywhere —
+	// with `result` never assigned — not as Go's fatal stack overflow.
+	t.Run("unbounded-recursion", func(t *testing.T) {
+		const src = `function f(n){return f(n+1)+1;} var result=f(0);`
+		configs := Matrix(Options{JITBULL: true, Variants: true, CheckIR: true, Async: true, Fusion: true, MC: true, OSR: true})
+		obs, divs := Diff(src, configs)
+		if len(divs) > 0 {
+			t.Errorf("%s\nprogram:\n%s", Report("unbounded-recursion", divs), src)
+		}
+		for i, o := range obs {
+			if o.ErrKind != "runtime" || !strings.Contains(o.ErrMsg, "maximum call depth exceeded") || o.ResultG != "undefined" {
+				t.Errorf("%s: kind %q, error %q, result %q", configs[i].Name, o.ErrKind, o.ErrMsg, o.ResultG)
+			}
+		}
+	})
 }

@@ -584,7 +584,7 @@ func (e *Engine) Random() float64 { return e.VM.Random() }
 // engine's final state matches what a synchronous engine reaches after
 // the same warmup triggers.
 func (e *Engine) Run() (value.Value, error) {
-	v, err := e.VM.Exec(e.Prog.Main(), nil)
+	v, err := e.VM.Run()
 	e.Drain()
 	return v, err
 }
@@ -600,9 +600,20 @@ func (e *Engine) Global(name string) value.Value {
 	return value.Undef()
 }
 
-// CallFunction implements the dispatcher: every nanojs call funnels
-// through here, where tiering decisions are made.
+// CallFunction implements the dispatcher: every nanojs call, from
+// whichever tier, funnels through here. That makes it the one place the
+// call-depth limit is charged; dispatch makes the tiering decisions.
 func (e *Engine) CallFunction(idx int, args []value.Value) (value.Value, error) {
+	if err := e.VM.EnterCall(); err != nil {
+		return value.Undef(), err
+	}
+	v, err := e.dispatch(idx, args)
+	e.VM.LeaveCall()
+	return v, err
+}
+
+// dispatch runs one call of function idx in the tier it has earned.
+func (e *Engine) dispatch(idx int, args []value.Value) (value.Value, error) {
 	if idx < 0 || idx >= len(e.fns) {
 		return value.Undef(), &interp.RuntimeError{Msg: fmt.Sprintf("unknown function index %d", idx)}
 	}

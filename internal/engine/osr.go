@@ -246,19 +246,10 @@ func (e *Engine) handleDeopt(st *fnState, d *native.DeoptState) (value.Value, bo
 		return value.Undef(), false, nil
 	}
 
-	locals := d.Locals
-	if len(locals) < st.fn.NumLocals {
-		// Slots past the frame map are dead here (regalloc proved it for
-		// entry; the exit's map covers every slot its resume point can
-		// read) — pad with undefined like a fresh frame.
-		padded := make([]value.Value, st.fn.NumLocals)
-		copy(padded, locals)
-		for i := len(d.Locals); i < len(padded); i++ {
-			padded[i] = value.Undef()
-		}
-		locals = padded
-	}
-	v, err := e.VM.ExecFrom(st.fn, locals, site.ResumePC, false)
+	// Slots past the frame map are dead here (regalloc proved it for entry;
+	// the exit's map covers every slot its resume point can read): ExecFrom
+	// leaves them undefined, like a fresh frame.
+	v, err := e.VM.ExecFrom(st.fn, d.Locals, site.ResumePC, false)
 	return v, true, err
 }
 

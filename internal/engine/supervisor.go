@@ -543,12 +543,17 @@ func (e *Engine) execNative(st *fnState, args []value.Value) (res native.Result,
 		// route through ExecWith so guard bailouts show up in the trace.
 		return native.ExecWith(st.code, args, e, budget, &e.pool, nil, e.tracer)
 	}
+	mark := e.VM.Mark()
 	defer func() {
 		if r := recover(); r != nil {
 			f, ok := faults.FromPanic(r)
 			if !ok {
 				panic(r)
 			}
+			// Injected dispatch panics fire before the first op runs, but the
+			// recovery does not rely on it: whatever the call had nested by
+			// then, its stack windows and call depth are given back.
+			e.VM.Unwind(mark)
 			e.recordCompileError(&CompileError{
 				Func:     st.fn.Name,
 				Stage:    StageNative,

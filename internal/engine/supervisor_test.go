@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/faults"
+	"github.com/jitbull/jitbull/internal/interp"
 	"github.com/jitbull/jitbull/internal/jitqueue"
 	"github.com/jitbull/jitbull/internal/mir"
 	"github.com/jitbull/jitbull/internal/passes"
@@ -279,6 +280,9 @@ func TestNativeFaultContainment(t *testing.T) {
 			}
 			if kind == faults.KindPanic && e.Stats().CompilePanics == 0 {
 				t.Error("recovered dispatch panic not counted")
+			}
+			if got := e.VM.Mark(); got != (interp.StackMark{}) {
+				t.Errorf("value stack and call depth not unwound after contained faults: %+v", got)
 			}
 		})
 	}

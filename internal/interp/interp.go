@@ -45,6 +45,18 @@ type Dispatcher interface {
 // err) and the interpreter frame must be abandoned.
 type OSRHook func(fn *bytecode.Function, targetPC int, locals []value.Value) (value.Value, bool, error)
 
+// MaxCallDepth is how many nanojs calls may be active at once. Every call
+// is a Go recursion through the Dispatcher, so unbounded script recursion
+// would otherwise end in Go's unrecoverable stack overflow long before the
+// step budget; the limit turns it into an ordinary RuntimeError. It is far
+// above what any corpus program reaches (the deepest, the Splay analogue,
+// nests 42 calls) and far below what the Go stack holds.
+const MaxCallDepth = 10000
+
+// stackChunk is the size, in values, of one chunk of the value stack (32 KB
+// at 32 bytes a value): a few dozen to a hundred activations.
+const stackChunk = 1024
+
 // VM executes bytecode functions. It is not safe for concurrent use.
 type VM struct {
 	Prog     *bytecode.Program
@@ -62,10 +74,25 @@ type VM struct {
 	nativeSteps int64 // the share of steps charged through AddSteps
 	rng         uint64
 
-	// framePool recycles locals/stack slices across activations; argStack
-	// is a LIFO arena for call arguments (calls nest strictly).
-	framePool [][]value.Value
-	argStack  []value.Value
+	// The value stack. An activation's locals and operand stack are one
+	// window of fn.NumLocals+fn.MaxStack values, carved off the current
+	// chunk at top and given back when the activation ends; calls nest
+	// strictly, so windows are LIFO. A window that does not fit opens the
+	// next chunk instead of growing this one — live windows are slices into
+	// their chunk and must not move. Chunks are kept for reuse and die with
+	// the VM.
+	chunks [][]value.Value
+	cur    StackMark
+}
+
+// StackMark is a position of the value stack plus the call depth there.
+// Activations that return (normally or with an error) restore the mark
+// they started from themselves; code that recovers a panic which unwound
+// through nanojs activations hands the mark it took beforehand to Unwind.
+type StackMark struct {
+	chunk int // index into chunks of the chunk windows are carved from
+	top   int // first free value of that chunk
+	depth int // active nanojs calls, bounded by MaxCallDepth
 }
 
 // New creates a VM for prog over arena, writing print output to out (or
@@ -79,6 +106,7 @@ func New(prog *bytecode.Program, arena *heap.Arena, out io.Writer) *VM {
 		Out:      out,
 		MaxSteps: 2_000_000_000,
 		rng:      0x9E3779B97F4A7C15, // fixed seed: runs are deterministic
+		chunks:   [][]value.Value{make([]value.Value, stackChunk)},
 	}
 	vm.Dispatch = vm
 	return vm
@@ -101,8 +129,11 @@ func (vm *VM) AddSteps(n int64) {
 	vm.nativeSteps += n
 }
 
-// Run executes the top-level code of the program.
+// Run executes the top-level code of the program. As the outermost
+// activation it also gives the value stack and the call depth back when a
+// panic unwinds through it, so whoever recovers finds the VM as it was.
 func (vm *VM) Run() (value.Value, error) {
+	defer vm.Unwind(vm.Mark())
 	return vm.Exec(vm.Prog.Main(), nil)
 }
 
@@ -111,8 +142,35 @@ func (vm *VM) CallFunction(idx int, args []value.Value) (value.Value, error) {
 	if idx < 0 || idx >= len(vm.Prog.Funcs) {
 		return value.Undef(), &RuntimeError{Msg: fmt.Sprintf("call to unknown function index %d", idx)}
 	}
-	return vm.Exec(vm.Prog.Funcs[idx], args)
+	if err := vm.EnterCall(); err != nil {
+		return value.Undef(), err
+	}
+	v, err := vm.Exec(vm.Prog.Funcs[idx], args)
+	vm.LeaveCall()
+	return v, err
 }
+
+// EnterCall charges one nanojs call against MaxCallDepth. A Dispatcher
+// brackets each call it routes — whichever tier then runs it — with
+// EnterCall and LeaveCall, so the limit and its error are the same in
+// every tier.
+func (vm *VM) EnterCall() error {
+	if vm.cur.depth >= MaxCallDepth {
+		return &RuntimeError{Msg: "maximum call depth exceeded"}
+	}
+	vm.cur.depth++
+	return nil
+}
+
+// LeaveCall ends the call EnterCall admitted.
+func (vm *VM) LeaveCall() { vm.cur.depth-- }
+
+// Mark returns the current value-stack position and call depth.
+func (vm *VM) Mark() StackMark { return vm.cur }
+
+// Unwind drops every activation and call entered since m was taken. Only
+// code that recovers a panic needs it.
+func (vm *VM) Unwind(m StackMark) { vm.cur = m }
 
 // Random returns the next value of the deterministic script RNG
 // (xorshift64*), in [0, 1).
@@ -125,66 +183,76 @@ func (vm *VM) Random() float64 {
 	return float64(x*0x2545F4914F6CDD1D>>11) / float64(1<<53)
 }
 
-// getFrame returns a zeroed slice of length n from the frame pool.
-func (vm *VM) getFrame(n int) []value.Value {
-	if len(vm.framePool) > 0 {
-		f := vm.framePool[len(vm.framePool)-1]
-		vm.framePool = vm.framePool[:len(vm.framePool)-1]
-		if cap(f) >= n {
-			f = f[:n]
-			for i := range f {
-				f[i] = value.Value{}
-			}
-			return f
-		}
+// window carves the activation window of fn off the value stack.
+func (vm *VM) window(fn *bytecode.Function) []value.Value {
+	n := fn.NumLocals + fn.MaxStack
+	f := &vm.cur
+	if f.top+n > len(vm.chunks[f.chunk]) {
+		vm.nextChunk(n)
 	}
-	if n < 16 {
-		return make([]value.Value, n, 16)
-	}
-	return make([]value.Value, n)
+	win := vm.chunks[f.chunk][f.top : f.top+n : f.top+n]
+	f.top += n
+	return win
 }
 
-func (vm *VM) putFrame(f []value.Value) {
-	if cap(f) > 0 && len(vm.framePool) < 64 {
-		vm.framePool = append(vm.framePool, f[:0])
+// nextChunk moves the stack top to the start of the following chunk,
+// making sure that chunk can hold a window of n values.
+func (vm *VM) nextChunk(n int) {
+	f := &vm.cur
+	f.chunk++
+	f.top = 0
+	if n < stackChunk {
+		n = stackChunk
+	}
+	switch {
+	case f.chunk == len(vm.chunks):
+		vm.chunks = append(vm.chunks, make([]value.Value, n))
+	case len(vm.chunks[f.chunk]) < n:
+		// Nothing above the stack top is live, so the chunk can be replaced.
+		vm.chunks[f.chunk] = make([]value.Value, n)
 	}
 }
 
-// Exec interprets one function activation.
+// Exec interprets one function activation from the top. Arguments beyond
+// the function's parameters are dropped, missing ones are undefined.
 func (vm *VM) Exec(fn *bytecode.Function, args []value.Value) (value.Value, error) {
-	locals := vm.getFrame(fn.NumLocals)
-	defer vm.putFrame(locals)
-	n := len(args)
-	if n > fn.NumParams {
-		n = fn.NumParams
+	if len(args) > fn.NumParams {
+		args = args[:fn.NumParams]
 	}
-	copy(locals, args[:n])
-	return vm.run(fn, locals, 0, true)
+	return vm.ExecFrom(fn, args, 0, true)
 }
 
-// ExecFrom resumes interpreting fn at pc0 over caller-owned locals — the
+// ExecFrom interprets an activation of fn from pc0 with the given leading
+// locals; the rest are undefined, as in a fresh frame. Besides Exec, the
 // engine uses it to continue an activation after a deoptimization rebuilt
-// the frame. The locals slice is not pooled (the caller owns it) and must
-// be at least fn.NumLocals long. allowOSR=false prevents a deopted loop
-// from immediately OSR-ing back into the code it just deopted from.
+// its locals; allowOSR=false then prevents the deopted loop from
+// immediately OSR-ing back into the code it just left. locals may alias
+// the caller's window (the interpreter passes the top of its operand stack
+// as arguments): they are copied into the new window before anything runs.
 func (vm *VM) ExecFrom(fn *bytecode.Function, locals []value.Value, pc0 int, allowOSR bool) (value.Value, error) {
-	return vm.run(fn, locals, pc0, allowOSR)
+	saved := vm.cur
+	win := vm.window(fn)
+	n := copy(win[:fn.NumLocals], locals)
+	clear(win[n:fn.NumLocals])
+	v, err := vm.run(fn, win, pc0, allowOSR)
+	vm.cur = saved
+	return v, err
 }
 
-// run is the interpreter loop over an established frame.
-func (vm *VM) run(fn *bytecode.Function, locals []value.Value, pc0 int, allowOSR bool) (value.Value, error) {
-	stack := vm.getFrame(0)
-	defer func() { vm.putFrame(stack) }()
-
-	push := func(v value.Value) { stack = append(stack, v) }
-	pop := func() value.Value {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v
-	}
-
+// run is the interpreter loop. stack is the activation's window: the
+// locals are stack[:fn.NumLocals] and the operand stack grows from there,
+// sp being the first free slot. fn.MaxStack bounds the operand depth (the
+// compiler proved it), so slots are indexed, never appended.
+//
+// The arithmetic, relational and equality opcodes test for two Numbers
+// first and then write the result over the left operand in place — the
+// common case never builds or copies a 32-byte Value; everything else
+// takes the coercing path.
+func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int, allowOSR bool) (value.Value, error) {
 	code := fn.Code
-	for pc := pc0; pc < len(code); pc++ {
+	nl := fn.NumLocals
+	sp := nl
+	for pc := pc0; uint(pc) < uint(len(code)); pc++ {
 		vm.steps++
 		if vm.steps > vm.MaxSteps {
 			return value.Undef(), fmt.Errorf("%w after %d steps in %s", ErrBudget, vm.steps, fn.Name)
@@ -193,118 +261,188 @@ func (vm *VM) run(fn *bytecode.Function, locals []value.Value, pc0 int, allowOSR
 		switch in.Op {
 		case bytecode.OpNop:
 		case bytecode.OpConst:
-			push(fn.Consts[in.A])
+			stack[sp] = fn.Consts[in.A]
+			sp++
 		case bytecode.OpUndef:
-			push(value.Undef())
+			stack[sp] = value.Undef()
+			sp++
 		case bytecode.OpNull:
-			push(value.NullV())
+			stack[sp] = value.NullV()
+			sp++
 		case bytecode.OpTrue:
-			push(value.Bool(true))
+			stack[sp] = value.Bool(true)
+			sp++
 		case bytecode.OpFalse:
-			push(value.Bool(false))
+			stack[sp] = value.Bool(false)
+			sp++
 		case bytecode.OpPop:
-			pop()
+			sp--
 		case bytecode.OpDup:
-			push(stack[len(stack)-1])
+			stack[sp] = stack[sp-1]
+			sp++
 		case bytecode.OpDup2:
-			a, b := stack[len(stack)-2], stack[len(stack)-1]
-			push(a)
-			push(b)
+			stack[sp], stack[sp+1] = stack[sp-2], stack[sp-1]
+			sp += 2
 		case bytecode.OpLoadLocal:
-			push(locals[in.A])
+			stack[sp] = stack[in.A]
+			sp++
 		case bytecode.OpStoreLocal:
-			locals[in.A] = pop()
+			sp--
+			stack[in.A] = stack[sp]
 		case bytecode.OpLoadGlobal:
-			push(vm.Globals[in.A])
+			stack[sp] = vm.Globals[in.A]
+			sp++
 		case bytecode.OpStoreGlobal:
-			vm.Globals[in.A] = pop()
+			sp--
+			vm.Globals[in.A] = stack[sp]
 
 		case bytecode.OpAdd:
-			y, x := pop(), pop()
-			if x.IsString() || y.IsString() {
-				push(value.Str(x.ToString() + y.ToString()))
-			} else {
-				push(value.Num(x.ToNumber() + y.ToNumber()))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			switch {
+			case x.IsNumber() && y.IsNumber():
+				x.SetNum(x.AsNumber() + y.AsNumber())
+			case x.IsString() || y.IsString():
+				*x = value.Str(x.ToString() + y.ToString())
+			default:
+				*x = value.Num(x.ToNumber() + y.ToNumber())
 			}
 		case bytecode.OpSub:
-			y, x := pop(), pop()
-			push(value.Num(x.ToNumber() - y.ToNumber()))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetNum(x.AsNumber() - y.AsNumber())
+			} else {
+				*x = value.Num(x.ToNumber() - y.ToNumber())
+			}
 		case bytecode.OpMul:
-			y, x := pop(), pop()
-			push(value.Num(x.ToNumber() * y.ToNumber()))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetNum(x.AsNumber() * y.AsNumber())
+			} else {
+				*x = value.Num(x.ToNumber() * y.ToNumber())
+			}
 		case bytecode.OpDiv:
-			y, x := pop(), pop()
-			push(value.Num(x.ToNumber() / y.ToNumber()))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetNum(x.AsNumber() / y.AsNumber())
+			} else {
+				*x = value.Num(x.ToNumber() / y.ToNumber())
+			}
 		case bytecode.OpMod:
-			y, x := pop(), pop()
-			push(value.Num(value.Mod(x.ToNumber(), y.ToNumber())))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetNum(value.Mod(x.AsNumber(), y.AsNumber()))
+			} else {
+				*x = value.Num(value.Mod(x.ToNumber(), y.ToNumber()))
+			}
 		case bytecode.OpPow:
-			y, x := pop(), pop()
-			push(value.Num(math.Pow(x.ToNumber(), y.ToNumber())))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			*x = value.Num(math.Pow(x.ToNumber(), y.ToNumber()))
 		case bytecode.OpBitAnd:
-			y, x := pop(), pop()
-			push(value.Num(float64(value.ToInt32(x.ToNumber()) & value.ToInt32(y.ToNumber()))))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			*x = value.Num(float64(value.ToInt32(x.ToNumber()) & value.ToInt32(y.ToNumber())))
 		case bytecode.OpBitOr:
-			y, x := pop(), pop()
-			push(value.Num(float64(value.ToInt32(x.ToNumber()) | value.ToInt32(y.ToNumber()))))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			*x = value.Num(float64(value.ToInt32(x.ToNumber()) | value.ToInt32(y.ToNumber())))
 		case bytecode.OpBitXor:
-			y, x := pop(), pop()
-			push(value.Num(float64(value.ToInt32(x.ToNumber()) ^ value.ToInt32(y.ToNumber()))))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			*x = value.Num(float64(value.ToInt32(x.ToNumber()) ^ value.ToInt32(y.ToNumber())))
 		case bytecode.OpShl:
-			y, x := pop(), pop()
-			push(value.Num(float64(value.ToInt32(x.ToNumber()) << (value.ToUint32(y.ToNumber()) & 31))))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			*x = value.Num(float64(value.ToInt32(x.ToNumber()) << (value.ToUint32(y.ToNumber()) & 31)))
 		case bytecode.OpShr:
-			y, x := pop(), pop()
-			push(value.Num(float64(value.ToInt32(x.ToNumber()) >> (value.ToUint32(y.ToNumber()) & 31))))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			*x = value.Num(float64(value.ToInt32(x.ToNumber()) >> (value.ToUint32(y.ToNumber()) & 31)))
 		case bytecode.OpUshr:
-			y, x := pop(), pop()
-			push(value.Num(float64(value.ToUint32(x.ToNumber()) >> (value.ToUint32(y.ToNumber()) & 31))))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			*x = value.Num(float64(value.ToUint32(x.ToNumber()) >> (value.ToUint32(y.ToNumber()) & 31)))
 
 		case bytecode.OpNeg:
-			push(value.Num(-pop().ToNumber()))
+			x := &stack[sp-1]
+			*x = value.Num(-x.ToNumber())
 		case bytecode.OpNot:
-			push(value.Bool(!pop().ToBool()))
+			x := &stack[sp-1]
+			*x = value.Bool(!x.ToBool())
 		case bytecode.OpBitNot:
-			push(value.Num(float64(^value.ToInt32(pop().ToNumber()))))
+			x := &stack[sp-1]
+			*x = value.Num(float64(^value.ToInt32(x.ToNumber())))
 		case bytecode.OpTypeof:
-			v := pop()
-			if v.Type() == value.Null {
-				push(value.Str("object")) // JS quirk preserved
+			x := &stack[sp-1]
+			if x.Type() == value.Null {
+				*x = value.Str("object") // JS quirk preserved
 			} else {
-				push(value.Str(v.Type().String()))
+				*x = value.Str(x.Type().String())
 			}
 
-		case bytecode.OpEq:
-			y, x := pop(), pop()
-			push(value.Bool(value.LooseEquals(x, y)))
-		case bytecode.OpNe:
-			y, x := pop(), pop()
-			push(value.Bool(!value.LooseEquals(x, y)))
-		case bytecode.OpStrictEq:
-			y, x := pop(), pop()
-			push(value.Bool(value.StrictEquals(x, y)))
-		case bytecode.OpStrictNe:
-			y, x := pop(), pop()
-			push(value.Bool(!value.StrictEquals(x, y)))
+		// Two numbers are equal, loosely or strictly, when IEEE says so (NaN
+		// equals nothing), and ordered the same way: a comparison with NaN is
+		// false, which is what the relational operators want.
+		case bytecode.OpEq, bytecode.OpStrictEq:
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetBool(x.AsNumber() == y.AsNumber())
+			} else {
+				*x = value.Bool(equals(in.Op, x, y))
+			}
+		case bytecode.OpNe, bytecode.OpStrictNe:
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetBool(x.AsNumber() != y.AsNumber())
+			} else {
+				*x = value.Bool(!equals(in.Op, x, y))
+			}
 		case bytecode.OpLt:
-			y, x := pop(), pop()
-			push(compare(x, y, func(a, b float64) bool { return a < b }, func(a, b string) bool { return a < b }))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetBool(x.AsNumber() < y.AsNumber())
+			} else {
+				*x = value.Bool(compare(in.Op, x, y))
+			}
 		case bytecode.OpLe:
-			y, x := pop(), pop()
-			push(compare(x, y, func(a, b float64) bool { return a <= b }, func(a, b string) bool { return a <= b }))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetBool(x.AsNumber() <= y.AsNumber())
+			} else {
+				*x = value.Bool(compare(in.Op, x, y))
+			}
 		case bytecode.OpGt:
-			y, x := pop(), pop()
-			push(compare(x, y, func(a, b float64) bool { return a > b }, func(a, b string) bool { return a > b }))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetBool(x.AsNumber() > y.AsNumber())
+			} else {
+				*x = value.Bool(compare(in.Op, x, y))
+			}
 		case bytecode.OpGe:
-			y, x := pop(), pop()
-			push(compare(x, y, func(a, b float64) bool { return a >= b }, func(a, b string) bool { return a >= b }))
+			x, y := &stack[sp-2], &stack[sp-1]
+			sp--
+			if x.IsNumber() && y.IsNumber() {
+				x.SetBool(x.AsNumber() >= y.AsNumber())
+			} else {
+				*x = value.Bool(compare(in.Op, x, y))
+			}
 
 		case bytecode.OpJump:
 			target := int(in.A)
-			if target <= pc && allowOSR && vm.OSR != nil && len(stack) == 0 {
+			if target <= pc && allowOSR && vm.OSR != nil && sp == nl {
 				// Loop back edge at a statement boundary: offer the engine an
 				// on-stack replacement into native code.
-				res, done, err := vm.OSR(fn, target, locals)
+				res, done, err := vm.OSR(fn, target, stack[:nl:nl])
 				if err != nil {
 					return value.Undef(), err
 				}
@@ -314,44 +452,45 @@ func (vm *VM) run(fn *bytecode.Function, locals []value.Value, pc0 int, allowOSR
 			}
 			pc = target - 1
 		case bytecode.OpJumpIfFalse:
-			if !pop().ToBool() {
+			sp--
+			if !stack[sp].ToBool() {
 				pc = int(in.A) - 1
 			}
 		case bytecode.OpJumpIfTrue:
-			if pop().ToBool() {
+			sp--
+			if stack[sp].ToBool() {
 				pc = int(in.A) - 1
 			}
 
 		case bytecode.OpCall:
+			// The arguments are handed over where they lie, on top of this
+			// window; the callee's window starts above it.
 			argc := int(in.B)
-			base := len(vm.argStack)
-			vm.argStack = append(vm.argStack, stack[len(stack)-argc:]...)
-			stack = stack[:len(stack)-argc]
-			res, err := vm.Dispatch.CallFunction(int(in.A), vm.argStack[base:base+argc])
-			vm.argStack = vm.argStack[:base]
+			res, err := vm.Dispatch.CallFunction(int(in.A), stack[sp-argc:sp:sp])
 			if err != nil {
 				return value.Undef(), err
 			}
-			push(res)
+			sp -= argc
+			stack[sp] = res
+			sp++
 		case bytecode.OpCallBuiltin:
 			argc := int(in.B)
-			base := len(vm.argStack)
-			vm.argStack = append(vm.argStack, stack[len(stack)-argc:]...)
-			stack = stack[:len(stack)-argc]
-			res, err := vm.CallBuiltin(bytecode.Builtin(in.A), vm.argStack[base:base+argc])
-			vm.argStack = vm.argStack[:base]
+			res, err := vm.CallBuiltin(bytecode.Builtin(in.A), stack[sp-argc:sp:sp])
 			if err != nil {
 				return value.Undef(), err
 			}
-			push(res)
+			sp -= argc
+			stack[sp] = res
+			sp++
 
 		case bytecode.OpReturn:
-			return pop(), nil
+			return stack[sp-1], nil
 		case bytecode.OpReturnUndef:
 			return value.Undef(), nil
 
 		case bytecode.OpNewArray:
-			n := pop().ToNumber()
+			x := &stack[sp-1]
+			n := x.ToNumber()
 			idx, ok := value.ToArrayIndex(n)
 			if !ok {
 				return value.Undef(), &RuntimeError{Msg: fmt.Sprintf("invalid array length %v", n)}
@@ -360,28 +499,32 @@ func (vm *VM) run(fn *bytecode.Function, locals []value.Value, pc0 int, allowOSR
 			if err != nil {
 				return value.Undef(), &RuntimeError{Msg: err.Error()}
 			}
-			push(value.ArrayRef(h))
+			*x = value.ArrayRef(h)
 		case bytecode.OpArrayLit:
 			n := int(in.A)
 			h, err := vm.Arena.Alloc(n)
 			if err != nil {
 				return value.Undef(), &RuntimeError{Msg: err.Error()}
 			}
+			sp -= n
 			for i := n - 1; i >= 0; i-- {
-				if crash := vm.Arena.Set(h, i, pop().ToNumber()); crash != nil {
+				if crash := vm.Arena.Set(h, i, stack[sp+i].ToNumber()); crash != nil {
 					return value.Undef(), crash
 				}
 			}
-			push(value.ArrayRef(h))
+			stack[sp] = value.ArrayRef(h)
+			sp++
 		case bytecode.OpGetElem:
-			idxV, arr := pop(), pop()
+			arr, idxV := &stack[sp-2], &stack[sp-1]
+			sp--
 			v, err := vm.getElem(arr, idxV)
 			if err != nil {
 				return value.Undef(), err
 			}
-			push(v)
+			*arr = v
 		case bytecode.OpSetElem:
-			v, idxV, arr := pop(), pop(), pop()
+			arr, idxV, v := &stack[sp-3], &stack[sp-2], &stack[sp-1]
+			sp -= 2
 			if !arr.IsArray() {
 				return value.Undef(), &RuntimeError{Msg: "cannot index non-array value " + arr.ToString()}
 			}
@@ -390,31 +533,32 @@ func (vm *VM) run(fn *bytecode.Function, locals []value.Value, pc0 int, allowOSR
 					return value.Undef(), crash
 				}
 			}
-			push(v)
+			*arr = *v
 		case bytecode.OpGetLength:
-			arr := pop()
+			arr := &stack[sp-1]
 			switch {
 			case arr.IsArray():
 				n, _ := vm.Arena.Length(arr.Handle())
-				push(value.Num(float64(n)))
+				*arr = value.Num(float64(n))
 			case arr.IsString():
-				push(value.Num(float64(len(arr.AsString()))))
+				*arr = value.Num(float64(len(arr.AsString())))
 			default:
 				return value.Undef(), &RuntimeError{Msg: "cannot read length of " + arr.ToString()}
 			}
 		case bytecode.OpSetLength:
-			v, arr := pop(), pop()
+			arr, v := &stack[sp-2], &stack[sp-1]
+			sp--
 			if !arr.IsArray() {
 				return value.Undef(), &RuntimeError{Msg: "cannot set length of " + arr.ToString()}
 			}
 			n, ok := value.ToArrayIndex(v.ToNumber())
 			if !ok {
-				return value.Undef(), &RuntimeError{Msg: fmt.Sprintf("invalid array length %v", v)}
+				return value.Undef(), &RuntimeError{Msg: fmt.Sprintf("invalid array length %v", *v)}
 			}
 			if err := vm.Arena.SetLength(arr.Handle(), n); err != nil {
 				return value.Undef(), &RuntimeError{Msg: err.Error()}
 			}
-			push(v)
+			*arr = *v
 
 		default:
 			return value.Undef(), &RuntimeError{Msg: fmt.Sprintf("unknown opcode %s", in.Op)}
@@ -423,7 +567,7 @@ func (vm *VM) run(fn *bytecode.Function, locals []value.Value, pc0 int, allowOSR
 	return value.Undef(), nil
 }
 
-func (vm *VM) getElem(arr, idxV value.Value) (value.Value, error) {
+func (vm *VM) getElem(arr, idxV *value.Value) (value.Value, error) {
 	switch {
 	case arr.IsArray():
 		idx, ok := value.ToArrayIndex(idxV.ToNumber())
@@ -450,15 +594,43 @@ func (vm *VM) getElem(arr, idxV value.Value) (value.Value, error) {
 	}
 }
 
-func compare(x, y value.Value, numCmp func(a, b float64) bool, strCmp func(a, b string) bool) value.Value {
+// equals is the coercing path of the equality operators: loose for == and
+// !=, strict for === and !==.
+func equals(op bytecode.Op, x, y *value.Value) bool {
+	if op == bytecode.OpEq || op == bytecode.OpNe {
+		return value.LooseEquals(*x, *y)
+	}
+	return value.StrictEquals(*x, *y)
+}
+
+// compare is the coercing path of the relational operators: two strings
+// compare lexicographically, anything else numerically, and NaN compares
+// false with everything (IEEE comparison already says so).
+func compare(op bytecode.Op, x, y *value.Value) bool {
 	if x.IsString() && y.IsString() {
-		return value.Bool(strCmp(x.AsString(), y.AsString()))
+		a, b := x.AsString(), y.AsString()
+		switch op {
+		case bytecode.OpLt:
+			return a < b
+		case bytecode.OpLe:
+			return a <= b
+		case bytecode.OpGt:
+			return a > b
+		default:
+			return a >= b
+		}
 	}
 	a, b := x.ToNumber(), y.ToNumber()
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return value.Bool(false)
+	switch op {
+	case bytecode.OpLt:
+		return a < b
+	case bytecode.OpLe:
+		return a <= b
+	case bytecode.OpGt:
+		return a > b
+	default:
+		return a >= b
 	}
-	return value.Bool(numCmp(a, b))
 }
 
 // CallBuiltin executes a builtin. It is exported so the native tier can

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -475,5 +476,132 @@ func TestNegativeZeroSemantics(t *testing.T) {
 	src := "var nz = -0; var result = (1 / nz == -1 / 0) ? 1 : 0;"
 	if got := runNum(t, src); got != 1 {
 		t.Errorf("negative zero = %v", got)
+	}
+}
+
+// TestOperandStackIsExactlyMaxStack shows that the window really is the
+// checking build TestOperandDepthBoundHolds (internal/difftest) relies on:
+// with the bound one slot short, the deepest push panics instead of
+// spilling into whatever lies above the window.
+func TestOperandStackIsExactlyMaxStack(t *testing.T) {
+	prog, err := compiler.Compile("var result = 1 + (2 + (3 + 4));")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prog.Main().MaxStack; got != 4 {
+		t.Fatalf("MaxStack = %d, want 4", got)
+	}
+	prog.Main().MaxStack--
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a push past MaxStack must panic")
+		}
+	}()
+	New(prog, heap.New(0), nil).Run()
+}
+
+func TestCallDepthLimit(t *testing.T) {
+	prog, err := compiler.Compile(`
+function f(n) { return f(n + 1) + 1; }
+function ok(n) { return n * 2; }
+var result = f(0);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := New(prog, heap.New(0), nil)
+	_, err = vm.Run()
+	var re *RuntimeError
+	if !errors.As(err, &re) || re.Msg != "maximum call depth exceeded" {
+		t.Fatalf("unbounded recursion: %v, want the call-depth RuntimeError", err)
+	}
+	// Every activation gave its window and its depth back on the way out.
+	if vm.Mark() != (StackMark{}) {
+		t.Fatalf("after the error the VM is at %+v, want the empty stack", vm.Mark())
+	}
+	if v, err := vm.CallFunction(prog.FuncByName["ok"], []value.Value{value.Num(21)}); err != nil || v.AsNumber() != 42 {
+		t.Fatalf("the VM must stay usable: ok(21) = %v, %v", v, err)
+	}
+}
+
+// TestValueStackSpansChunks nests activations across many chunks of the
+// value stack, with a frame wider than a whole chunk in the middle, and
+// checks that callers' locals survive their callees.
+func TestValueStackSpansChunks(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("function wide(n) {\n")
+	for i := 0; i < stackChunk+50; i++ {
+		fmt.Fprintf(&src, "  var v%d = n + %d;\n", i, i)
+	}
+	fmt.Fprintf(&src, "  return down(20) + v0 + v%d;\n}\n", stackChunk+49)
+	src.WriteString(`
+function down(n) { var keep = n * 3; if (n == 0) { return 0; } var r = down(n - 1); return r + keep - n * 3 + 1; }
+function mid(n) { var keep = n; var r = down(n) + wide(n); return r + keep - n; }
+var result = mid(2000);`)
+	// down(k) = k; wide(n) = 20 + n + n + stackChunk+49.
+	if got, want := runNum(t, src.String()), float64(2000+20+2000+2000+stackChunk+49); got != want {
+		t.Errorf("result = %v, want %v", got, want)
+	}
+}
+
+func TestExecFromResumesWithShortLocals(t *testing.T) {
+	prog, err := compiler.Compile(`
+function f(a) { var b; var c; return a + (b === undefined ? 10 : 0) + (c === undefined ? 100 : 0); }
+function dirty(x) { var p = 7; var q = 8; return p + q + x; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := New(prog, heap.New(0), nil)
+	// Leave numbers where f's window will be carved.
+	if _, err := vm.CallFunction(prog.FuncByName["dirty"], []value.Value{value.Num(1)}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := vm.ExecFrom(prog.Funcs[prog.FuncByName["f"]], []value.Value{value.Num(5)}, 0, false)
+	if err != nil || v.AsNumber() != 115 {
+		t.Fatalf("ExecFrom with one of three locals = %v, %v, want 115", v, err)
+	}
+}
+
+// panicAtDepth forwards calls to the VM until the third nested one, then
+// panics — a stand-in for a bug anywhere below the dispatcher.
+type panicAtDepth struct {
+	vm    *VM
+	depth int
+}
+
+func (d *panicAtDepth) CallFunction(idx int, args []value.Value) (value.Value, error) {
+	if d.depth++; d.depth == 3 {
+		panic("boom")
+	}
+	return d.vm.CallFunction(idx, args)
+}
+
+func TestRunRestoresStackWhenAPanicUnwindsThroughIt(t *testing.T) {
+	prog, err := compiler.Compile(`
+function a(n) { var x = n + 1; return b(x) + x; }
+function b(n) { var y = n * 2; return c(y) + y; }
+function c(n) { return n; }
+var result = a(1);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := New(prog, heap.New(0), nil)
+	vm.Dispatch = &panicAtDepth{vm: vm}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the dispatcher's panic must propagate out of Run")
+			}
+		}()
+		vm.Run()
+	}()
+	if vm.Mark() != (StackMark{}) {
+		t.Fatalf("after the recovered panic the VM is at %+v, want the empty stack", vm.Mark())
+	}
+	vm.Dispatch = vm
+	if _, err := vm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := vm.Globals[0].AsNumber(); got != 4+4+2 {
+		t.Fatalf("rerun after the panic: result = %v, want 10", got)
 	}
 }

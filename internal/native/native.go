@@ -115,34 +115,72 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("native op budget exhausted in %s", e.Fn)
 }
 
-// Pool recycles native frames (register files) and call-argument space
-// across executions. Calls nest strictly, so the argument area is a LIFO
-// arena. A nil Pool falls back to per-call allocation.
+// Pool holds the register files and call-argument space of native
+// activations. Calls nest strictly, so both are LIFO: a register file is a
+// window carved off the top of a chunked register stack and given back
+// when its activation ends — whatever sizes a call chain alternates
+// between, a steady state allocates nothing — and the argument area is an
+// arena. A window that does not fit opens the next chunk rather than
+// growing this one, because live windows are slices into their chunk. The
+// zero Pool is ready to use; a nil Pool falls back to per-call allocation.
 type Pool struct {
-	floats [][]float64
-	tags   [][]Tag
+	chunks []regChunk
+	cur    int // the chunk windows are carved from
 	args   []value.Value
 }
 
-func (p *Pool) getRegs(n int) ([]float64, []Tag) {
-	if p != nil {
-		for len(p.floats) > 0 {
-			f := p.floats[len(p.floats)-1]
-			t := p.tags[len(p.tags)-1]
-			p.floats = p.floats[:len(p.floats)-1]
-			p.tags = p.tags[:len(p.tags)-1]
-			if cap(f) >= n && cap(t) >= n {
-				return f[:n], t[:n]
-			}
-		}
-	}
-	return make([]float64, n), make([]Tag, n)
+// regChunk is one fixed block of the register stack; top is its first free
+// register.
+type regChunk struct {
+	floats []float64
+	tags   []Tag
+	top    int
 }
 
-func (p *Pool) putRegs(f []float64, t []Tag) {
-	if p != nil && len(p.floats) < 64 {
-		p.floats = append(p.floats, f[:0])
-		p.tags = append(p.tags, t[:0])
+// regChunkRegs is the size of one register-stack chunk in registers (9 KB).
+const regChunkRegs = 1024
+
+// getRegs leases a register file of n registers. Contents are not zeroed.
+func (p *Pool) getRegs(n int) ([]float64, []Tag) {
+	if p == nil {
+		return make([]float64, n), make([]Tag, n)
+	}
+	if len(p.chunks) == 0 || p.chunks[p.cur].top+n > len(p.chunks[p.cur].floats) {
+		p.nextChunk(n)
+	}
+	c := &p.chunks[p.cur]
+	lo := c.top
+	c.top += n
+	return c.floats[lo:c.top:c.top], c.tags[lo:c.top:c.top]
+}
+
+// nextChunk makes the chunk after the current one (the first, in an empty
+// pool) the current one, sized to hold a window of n registers.
+func (p *Pool) nextChunk(n int) {
+	if len(p.chunks) > 0 {
+		p.cur++
+	}
+	if n < regChunkRegs {
+		n = regChunkRegs
+	}
+	switch {
+	case p.cur == len(p.chunks):
+		p.chunks = append(p.chunks, regChunk{floats: make([]float64, n), tags: make([]Tag, n)})
+	case len(p.chunks[p.cur].floats) < n:
+		// Nothing above the stack top is live, so the chunk can be replaced.
+		p.chunks[p.cur] = regChunk{floats: make([]float64, n), tags: make([]Tag, n)}
+	}
+}
+
+// putRegs gives back the most recently leased register file.
+func (p *Pool) putRegs(f []float64, _ []Tag) {
+	if p == nil {
+		return
+	}
+	c := &p.chunks[p.cur]
+	c.top -= len(f)
+	if c.top == 0 && p.cur > 0 {
+		p.cur--
 	}
 }
 

@@ -319,9 +319,92 @@ func TestPoolReuse(t *testing.T) {
 	var p Pool
 	f1, t1 := p.getRegs(8)
 	p.putRegs(f1, t1)
-	f2, _ := p.getRegs(4)
-	if cap(f2) < 8 {
-		t.Fatal("pool did not reuse the larger frame")
+	f2, t2 := p.getRegs(4)
+	if &f2[0] != &f1[0] || &t2[0] != &t1[0] {
+		t.Fatal("pool did not hand the released registers out again")
+	}
+	if len(f2) != 4 || cap(f2) != 4 || len(t2) != 4 {
+		t.Fatalf("window is %d/%d registers, %d tags, want exactly 4", len(f2), cap(f2), len(t2))
+	}
+}
+
+// TestPoolChunks leases more registers than one chunk holds, including a
+// file larger than a whole chunk, and checks that live files never overlap
+// and that everything unwinds to the first chunk.
+func TestPoolChunks(t *testing.T) {
+	var p Pool
+	type lease struct {
+		f []float64
+		t []Tag
+	}
+	var live []lease
+	for i, n := range []int{600, 600, 3 * regChunkRegs, 5, 0, 700} {
+		f, tg := p.getRegs(n)
+		if len(f) != n || len(tg) != n {
+			t.Fatalf("lease %d: got %d registers, %d tags, want %d", i, len(f), len(tg), n)
+		}
+		for j := range f {
+			f[j], tg[j] = float64(i), Tag(i)
+		}
+		live = append(live, lease{f, tg})
+	}
+	for i, l := range live {
+		for j := range l.f {
+			if l.f[j] != float64(i) || l.t[j] != Tag(i) {
+				t.Fatalf("lease %d was overwritten at register %d", i, j)
+			}
+		}
+	}
+	for i := len(live) - 1; i >= 0; i-- {
+		p.putRegs(live[i].f, live[i].t)
+	}
+	if p.cur != 0 || p.chunks[0].top != 0 {
+		t.Fatalf("after releasing everything: chunk %d, top %d", p.cur, p.chunks[0].top)
+	}
+}
+
+// TestPoolAlternatingFramesDoNotAllocate drives a call loop over a chain
+// that alternates small and large frames a hundred calls deep, entered at
+// a small frame and at a large one in turn. The former pool of whole
+// frames popped and dropped every entry smaller than the request and kept
+// 64 at most, so it allocated on every pass over such a chain; windows of
+// one register stack never allocate once the chunks exist.
+func TestPoolAlternatingFramesDoNotAllocate(t *testing.T) {
+	// fn i calls fn i+1; even indices have 4 registers, odd ones 200.
+	const depth = 100
+	codes := make([]*lir.Code, depth)
+	for i := range codes {
+		c := &lir.Code{Name: "chain", NumParams: 1, NumRegs: 4, ArgLists: [][]int32{{1}}}
+		if i%2 == 1 {
+			c.NumRegs = 200
+		}
+		c.Ops = []lir.Op{{Kind: lir.KUnbox, Dst: 1, A: 0}}
+		if i+1 < depth {
+			c.Ops = append(c.Ops, lir.Op{Kind: lir.KCall, Dst: 1, A: 0, Aux: int32(i + 1)})
+		}
+		c.Ops = append(c.Ops, lir.Op{Kind: lir.KRetNum, A: 1})
+		codes[i] = c
+	}
+	h := newStub()
+	pool := &Pool{}
+	h.callFn = func(idx int, args []value.Value) (value.Value, error) {
+		res, _, err := Exec(codes[idx], args, h, 0, pool)
+		return res.Value(), err
+	}
+	args := []value.Value{value.Num(7)}
+	loop := func() {
+		for _, entry := range []int{0, 1} {
+			v, err := h.callFn(entry, args)
+			if err != nil || v.AsNumber() != 7 {
+				t.Fatalf("chain from fn %d = %v, %v", entry, v, err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, loop); allocs != 0 {
+		t.Fatalf("alternating small/large call loop allocates %v times per run, want 0", allocs)
+	}
+	if pool.cur != 0 || pool.chunks[0].top != 0 {
+		t.Fatalf("register stack not unwound: chunk %d, top %d", pool.cur, pool.chunks[0].top)
 	}
 }
 

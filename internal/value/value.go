@@ -47,12 +47,18 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a nanojs runtime value.
+// Value is a nanojs runtime value. The field order is the layout: the two
+// sub-word fields share the last word, so a Value is 32 bytes (typ first
+// would pad it to 40), which is what every interpreter stack slot, local
+// and global costs to copy. The string header stays inline — boxing
+// strings behind a pointer would shrink the slot to 16 bytes but turn
+// every string-producing op into an allocation and every AsString into a
+// load.
 type Value struct {
-	typ Type
 	num float64 // Number payload; Boolean stores 0/1; Array stores nothing
-	ref int32   // Array handle
 	str string  // String payload
+	ref int32   // Array handle
+	typ Type
 }
 
 // Layout reports Value's size and the byte offsets of the typ, num and
@@ -89,6 +95,22 @@ func Str(s string) Value { return Value{typ: String, str: s} }
 
 // ArrayRef makes an array value from a heap handle.
 func ArrayRef(h int32) Value { return Value{typ: Array, ref: h} }
+
+// SetNum turns a Number or Boolean into the number f in place. It writes
+// the type byte and the payload only — no pointer-carrying field, so no
+// write barrier — which is what lets the interpreter update a stack slot
+// without rewriting all 32 bytes. The receiver must not be a String: its
+// payload would stay reachable behind the new type.
+func (v *Value) SetNum(f float64) { v.typ, v.num = Number, f }
+
+// SetBool is SetNum for a boolean result (the four relational and four
+// equality operators over two numbers).
+func (v *Value) SetBool(b bool) {
+	v.typ, v.num = Boolean, 0
+	if b {
+		v.num = 1
+	}
+}
 
 // Type returns the value's type tag.
 func (v Value) Type() Type { return v.typ }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestZeroValueIsUndefined(t *testing.T) {
@@ -216,5 +217,40 @@ func TestTypeStrings(t *testing.T) {
 		if got := typ.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", typ, got, want)
 		}
+	}
+}
+
+// TestValueLayout pins what the interpreter's cost and the machine-code
+// tier's inline global window both depend on: a Value is at most 32 bytes,
+// and Layout reports the fields where they really are.
+func TestValueLayout(t *testing.T) {
+	var v Value
+	if got := unsafe.Sizeof(v); got > 32 {
+		t.Errorf("Value is %d bytes, want <= 32 (field order: num, str, ref, typ)", got)
+	}
+	size, typ, num, ref := Layout()
+	if size != unsafe.Sizeof(v) || typ != unsafe.Offsetof(v.typ) || num != unsafe.Offsetof(v.num) || ref != unsafe.Offsetof(v.ref) {
+		t.Errorf("Layout() = size %d typ %d num %d ref %d, struct has size %d typ %d num %d ref %d",
+			size, typ, num, ref, unsafe.Sizeof(v), unsafe.Offsetof(v.typ), unsafe.Offsetof(v.num), unsafe.Offsetof(v.ref))
+	}
+}
+
+func TestSetNumAndSetBoolInPlace(t *testing.T) {
+	v := Num(3)
+	v.SetNum(4.5)
+	if !StrictEquals(v, Num(4.5)) {
+		t.Errorf("SetNum: %v", v)
+	}
+	v.SetBool(true)
+	if !StrictEquals(v, Bool(true)) || v.ToString() != "true" {
+		t.Errorf("SetBool(true): %v", v)
+	}
+	v.SetBool(false)
+	if !StrictEquals(v, Bool(false)) || v.ToBool() {
+		t.Errorf("SetBool(false): %v", v)
+	}
+	v.SetNum(math.NaN())
+	if !v.IsNumber() || !math.IsNaN(v.AsNumber()) {
+		t.Errorf("SetNum(NaN): %v", v)
 	}
 }
