@@ -286,6 +286,8 @@ func cmdRun(args []string) error {
 			sink.Counter("native.tier.switch").Value())
 		fmt.Fprintf(os.Stderr, "machine code: mc.pages_live=%d bytes mapped r-x (retired units are unmapped at GC)\n",
 			sink.Gauge("mc.pages_live").Value())
+		fmt.Fprintf(os.Stderr, "machine code: mc.direct_calls=%d mc.call_unwinds=%d (calls that stayed in generated code; of those, callees Go had to finish)\n",
+			sink.Counter("mc.direct_calls").Value(), sink.Counter("mc.call_unwinds").Value())
 		if jitReg != nil {
 			fmt.Fprintf(os.Stderr, "jit queue/cache: cache.hits=%d cache.misses=%d jit.queue_depth_hwm=%d jit.queue_enqueued=%d\n",
 				jitReg.Counter("cache.hits").Value(), jitReg.Counter("cache.misses").Value(),

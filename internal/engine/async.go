@@ -364,6 +364,7 @@ func (e *Engine) enqueueCompile(st *fnState, req *compileRequest) bool {
 		return false
 	}
 	st.inflight = true
+	e.publishCall(st)
 	e.m.asyncCompiles.Inc()
 	// Give a worker a scheduling slot right away. On GOMAXPROCS=1 the
 	// owner would otherwise spin in the interpreter until the runtime's
@@ -444,6 +445,7 @@ func (e *Engine) outcomeFromCache(req *compileRequest, cc *cachedCompile) *compi
 // queue attached.
 func (e *Engine) applyOutcome(st *fnState, o *compileOutcome) {
 	st.inflight = false
+	e.publishCall(st)
 	if o.jitEligible {
 		st.jitEligible = true
 	}

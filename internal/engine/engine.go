@@ -314,6 +314,7 @@ func (t tier) String() string {
 }
 
 type fnState struct {
+	idx  int // position in Engine.fns: the call-table slot
 	fd   *ast.FuncDecl
 	fn   *bytecode.Function
 	tier tier
@@ -330,7 +331,8 @@ type fnState struct {
 	// mcu is the machine-code unit attached to code (nil when the tier is
 	// off, unsupported, or the attach was quarantined); mcTried latches
 	// one attach attempt per installed artifact. Both always track code:
-	// install resets them, discard clears them.
+	// install resets them, discard clears them. Whoever writes mcu (or
+	// inflight) calls publishCall, so the call table follows.
 	mcu            *mc.Unit
 	mcTried        bool
 	jitEligible    bool // mirbuild succeeded at least once
@@ -382,6 +384,10 @@ type Engine struct {
 	fns    []*fnState
 	policy Policy
 	pool   native.Pool
+	// mcEnv is what generated code sees of this engine: the arena and
+	// global views, and the call table direct native→native calls go
+	// through (see publishCall). Nil when the machine-code tier is off.
+	mcEnv *mc.Env
 
 	// compileMu serializes compilation attempts of this engine across
 	// background workers: the policy (core.Detector) and its DNA scratch
@@ -411,6 +417,13 @@ type Engine struct {
 	// held by units this registry's engines installed. It falls when a
 	// retired unit is finalized, not when the artifact is discarded.
 	mcPagesLive *obs.Gauge
+	// mc.direct_calls and mc.call_unwinds: calls generated code made
+	// without leaving machine code, and those of them whose callee came
+	// back with something other than a return. Generated code counts in the
+	// environment; chargeNative moves what it has not reported yet (the
+	// difference to directSeen, unwindsSeen) into the registry.
+	mcDirectCalls, mcCallUnwinds *obs.Counter
+	directSeen, unwindsSeen      int64
 
 	// blockChecks mirrors the fused executor's amortized budget checks
 	// into native.block_budget_checks; resolved once so the per-call hot
@@ -424,7 +437,7 @@ type Engine struct {
 }
 
 var _ interp.Dispatcher = (*Engine)(nil)
-var _ native.Hooks = (*Engine)(nil)
+var _ mc.Host = (*Engine)(nil)
 
 // New parses, compiles and prepares src for execution.
 func New(src string, cfg Config) (*Engine, error) {
@@ -469,6 +482,8 @@ func NewFromProgram(prog *bytecode.Program, astProg *ast.Program, cfg Config) (*
 	e.hInstallLag = e.histReg().Histogram("compile.install_lag_ns", obs.LatencyBucketsNs)
 	e.hOSREntry = e.histReg().Histogram("osr.entry_ns", obs.LatencyBucketsNs)
 	e.mcPagesLive = e.histReg().Gauge("mc.pages_live")
+	e.mcDirectCalls = e.histReg().Counter("mc.direct_calls")
+	e.mcCallUnwinds = e.histReg().Counter("mc.call_unwinds")
 	if cfg.Faults != nil && cfg.Faults.Trace == nil {
 		// Injected faults show up inline in the engine's compile trace.
 		cfg.Faults.Trace = cfg.Tracer
@@ -486,10 +501,13 @@ func NewFromProgram(prog *bytecode.Program, astProg *ast.Program, cfg Config) (*
 	}
 	e.fns = make([]*fnState, len(prog.Funcs))
 	for i, fn := range prog.Funcs {
-		st := &fnState{fn: fn, fd: byName[fn.Name]}
+		st := &fnState{idx: i, fn: fn, fd: byName[fn.Name]}
 		st.paramTypes = make([]value.Type, fn.NumParams)
 		st.paramBad = make([]bool, fn.NumParams)
 		e.fns[i] = st
+	}
+	if e.mcActive() {
+		e.mcEnv = mc.NewEnv(e, &e.pool, vm, len(e.fns))
 	}
 	return e, nil
 }
@@ -571,10 +589,13 @@ func (e *Engine) GlobalGet(slot int) value.Value { return e.VM.Globals[slot] }
 func (e *Engine) GlobalSet(slot int, v value.Value) { e.VM.Globals[slot] = v }
 
 // Globals exposes the global-slot backing array to the machine-code tier's
-// inline KLoadGlobal / KStoreGlobalNum fast paths (the optional hooks
-// capability; see mc's globalWindow). Semantics are defined by GlobalGet /
-// GlobalSet — the window is only a faster route to the same slots.
+// inline KLoadGlobal / KStoreGlobalNum fast paths (mc.Host). Semantics are
+// defined by GlobalGet / GlobalSet — the window is only a faster route to
+// the same slots.
 func (e *Engine) Globals() []value.Value { return e.VM.Globals }
+
+// MCEnv implements mc.Host.
+func (e *Engine) MCEnv() *mc.Env { return e.mcEnv }
 
 // Random implements native.Hooks.
 func (e *Engine) Random() float64 { return e.VM.Random() }
@@ -600,9 +621,13 @@ func (e *Engine) Global(name string) value.Value {
 	return value.Undef()
 }
 
-// CallFunction implements the dispatcher: every nanojs call, from
-// whichever tier, funnels through here. That makes it the one place the
-// call-depth limit is charged; dispatch makes the tiering decisions.
+// CallFunction implements the dispatcher: every nanojs call that Go routes,
+// from whichever tier, funnels through here, charged against the call-depth
+// limit; dispatch makes the tiering decisions. The one call that does not
+// come through is a direct call between two machine-code units (mc's
+// emitCall): its inline guards are dispatch's checks, it charges the depth
+// itself, and whatever it cannot finish in generated code ends in
+// ReturnDirect.
 func (e *Engine) CallFunction(idx int, args []value.Value) (value.Value, error) {
 	if err := e.VM.EnterCall(); err != nil {
 		return value.Undef(), err
@@ -666,43 +691,54 @@ func (e *Engine) dispatch(idx int, args []value.Value) (value.Value, error) {
 
 	if st.code != nil {
 		res, status, err := e.execNative(st, args)
-		e.VM.AddSteps(res.Steps)
-		if res.Checks > 0 {
-			e.blockChecks.Add(res.Checks)
-		}
-		if err != nil {
-			return value.Undef(), err
-		}
-		if status == native.StatusOK {
-			e.observeReturn(st, res.Value())
-			return res.Value(), nil
-		}
-		if status == native.StatusDeopt {
-			// A speculation guard failed mid-function: the activation has
-			// already performed side effects, so it must resume from the
-			// reconstructed frame — never re-run from the top like a bailout.
-			v, done, derr := e.handleDeopt(st, res.Deopt)
-			if !done {
-				return value.Undef(), &interp.RuntimeError{Msg: "deopt exit without a resume site"}
-			}
-			if derr == nil {
-				e.observeReturn(st, v)
-			}
-			return v, derr
-		}
-		// Bailout: fall back to the interpreter for this call.
-		e.m.bailouts.Inc()
-		st.bailouts++
-		e.tracer.Instant(obs.CatEngine, "bailout",
-			obs.S("fn", st.fn.Name), obs.I("bailouts", int64(st.bailouts)))
-		e.journey(st, obs.StageBailout, "bailouts=%d", st.bailouts)
-		if st.bailouts >= maxBailoutsBeforeBlacklist {
-			e.discardArtifact(st)
-			e.demote(st)
-			e.quarantine(st, "bailout storm: blacklisted after repeated guard failures")
-		}
+		return e.returned(st, args, res, status, err)
 	}
+	return e.interpret(st, args)
+}
 
+// returned is the post-call half of dispatch: what the engine does with a
+// native activation of st, called with args, once it has ended in res,
+// status and err. Both routes into native code end here — execNative's
+// return in dispatch, and ReturnDirect for an activation that generated
+// code called itself.
+func (e *Engine) returned(st *fnState, args []value.Value, res native.Result, status native.Status, err error) (value.Value, error) {
+	e.chargeNative(res)
+	if err != nil {
+		return value.Undef(), err
+	}
+	switch status {
+	case native.StatusOK:
+		e.observeReturn(st, res.Value())
+		return res.Value(), nil
+	case native.StatusDeopt:
+		// A speculation guard failed mid-function: the activation has
+		// already performed side effects, so it must resume from the
+		// reconstructed frame — never re-run from the top like a bailout.
+		v, done, derr := e.handleDeopt(st, res.Deopt)
+		if !done {
+			return value.Undef(), &interp.RuntimeError{Msg: "deopt exit without a resume site"}
+		}
+		if derr == nil {
+			e.observeReturn(st, v)
+		}
+		return v, derr
+	}
+	// Bailout: fall back to the interpreter for this call.
+	e.m.bailouts.Inc()
+	st.bailouts++
+	e.tracer.Instant(obs.CatEngine, "bailout",
+		obs.S("fn", st.fn.Name), obs.I("bailouts", int64(st.bailouts)))
+	e.journey(st, obs.StageBailout, "bailouts=%d", st.bailouts)
+	if st.bailouts >= maxBailoutsBeforeBlacklist {
+		e.discardArtifact(st)
+		e.demote(st)
+		e.quarantine(st, "bailout storm: blacklisted after repeated guard failures")
+	}
+	return e.interpret(st, args)
+}
+
+// interpret runs one call of st in the interpreter.
+func (e *Engine) interpret(st *fnState, args []value.Value) (value.Value, error) {
 	v, err := e.VM.Exec(st.fn, args)
 	if err == nil {
 		e.observeReturn(st, v)
@@ -711,6 +747,35 @@ func (e *Engine) dispatch(idx int, args []value.Value) (value.Value, error) {
 		}
 	}
 	return v, err
+}
+
+// ReturnDirect implements mc.Host: the rest of a call that generated code
+// made directly (its inline guards stood in for the first half of dispatch,
+// its commit for EnterCall) and whose callee did not simply return.
+func (e *Engine) ReturnDirect(idx int, args []value.Value, res native.Result, status native.Status, err error) (value.Value, error) {
+	st := e.fns[idx]
+	e.traceBail(st, res, status, err)
+	v, err := e.returned(st, args, res, status, err)
+	e.VM.LeaveCall()
+	return v, err
+}
+
+// chargeNative books what a native activation reports when it ends: its
+// steps against the shared budget, its amortized budget checks, and the
+// direct calls generated code has counted since the last time.
+func (e *Engine) chargeNative(res native.Result) {
+	e.VM.AddSteps(res.Steps)
+	if res.Checks > 0 {
+		e.blockChecks.Add(res.Checks)
+	}
+	if e.mcEnv != nil {
+		// No direct call, no unwind: one comparison covers both.
+		if direct, unwinds := e.mcEnv.Calls(); direct != e.directSeen {
+			e.mcDirectCalls.Add(direct - e.directSeen)
+			e.mcCallUnwinds.Add(unwinds - e.unwindsSeen)
+			e.directSeen, e.unwindsSeen = direct, unwinds
+		}
+	}
 }
 
 // journey records one tier-journey waypoint for st, formatting the cause

@@ -100,13 +100,16 @@ func (e *Engine) OnBackEdge(fn *bytecode.Function, targetPC int, locals []value.
 		return value.Undef(), false, nil
 	}
 
+	budget, err := e.nativeBudget(st)
+	if err != nil {
+		return value.Undef(), true, err
+	}
+
 	sp := e.tracer.Begin(obs.CatEngine, "osr.enter")
 	start := time.Now()
-	budget := e.VM.MaxSteps - e.VM.Steps()
 	var (
 		res     native.Result
 		status  native.Status
-		err     error
 		entered bool
 	)
 	if st.mcu != nil {
@@ -130,10 +133,7 @@ func (e *Engine) OnBackEdge(fn *bytecode.Function, targetPC int, locals []value.
 	e.m.osrEntries.Inc()
 	e.hOSREntry.ObserveEx(int64(time.Since(start)), sp.ID())
 	e.journey(st, obs.StageOSREntry, "ordinal=%d", site.Ordinal)
-	e.VM.AddSteps(res.Steps)
-	if res.Checks > 0 {
-		e.blockChecks.Add(res.Checks)
-	}
+	e.chargeNative(res)
 	switch {
 	case err != nil:
 		sp.End(obs.S("fn", fn.Name), obs.S("result", "error"))
@@ -179,6 +179,7 @@ func (e *Engine) discardArtifact(st *fnState) {
 	// inside one), so the W^X mapping is unmapped by the unit's finalizer
 	// once nothing can reach it, never eagerly.
 	st.mcu, st.mcTried = nil, false
+	e.publishCall(st)
 	st.osrCooldown = nil
 	st.deopts = 0
 }

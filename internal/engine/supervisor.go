@@ -513,6 +513,48 @@ func (e *Engine) attachMC(st *fnState) {
 		})
 		e.journey(st, obs.StageQuarantined, "mc tier: %s", cerr.Err.Error())
 	}
+	e.publishCall(st)
+}
+
+// publishCall brings st's call-table slot in line with its state; everyone
+// who writes st.mcu or st.inflight calls it. Generated code may call a
+// function directly only while a dispatch of it would go straight to its
+// unit: there is a unit, no background compilation is in flight (dispatch
+// installs a finished one before it runs the call), and no fault injector
+// is configured (it is consulted on every native dispatch). Otherwise the
+// slot is empty and the call comes through CallFunction.
+func (e *Engine) publishCall(st *fnState) {
+	if e.mcEnv == nil {
+		return
+	}
+	unit := st.mcu
+	if st.inflight || e.cfg.Faults != nil {
+		unit = nil
+	}
+	e.mcEnv.Publish(st.idx, unit, &st.calls)
+}
+
+// nativeBudget is what is left of the step budget for a native activation
+// of st about to start. Every executor reads a budget of zero or less as
+// "no limit", so with nothing left the activation must not start: the
+// error is the one an executor reports when it runs out. execNative and
+// OnBackEdge ask here; a direct call's inline guard is the same test (it
+// wants the callee's entry block covered, which is at least one step) and
+// comes to execNative when it fails.
+func (e *Engine) nativeBudget(st *fnState) (int64, error) {
+	if left := e.VM.MaxSteps - e.VM.Steps(); left > 0 {
+		return left, nil
+	}
+	return 0, &native.BudgetError{Fn: st.code.Name}
+}
+
+// traceBail records a guard bailout of a native activation of st in the
+// compile trace, so deoptimization storms are visible inline.
+func (e *Engine) traceBail(st *fnState, res native.Result, status native.Status, err error) {
+	if status == native.StatusBail && err == nil {
+		e.tracer.Instant(obs.CatEngine, "native.bail",
+			obs.S("fn", st.fn.Name), obs.I("steps", res.Steps))
+	}
 }
 
 // execNative dispatches one call into the function's top native tier —
@@ -523,14 +565,14 @@ func (e *Engine) attachMC(st *fnState) {
 // with identical semantics. Non-injected panics are genuine engine bugs
 // and propagate.
 func (e *Engine) execNative(st *fnState, args []value.Value) (res native.Result, status native.Status, err error) {
-	budget := e.VM.MaxSteps - e.VM.Steps()
+	budget, err := e.nativeBudget(st)
+	if err != nil {
+		return native.Result{}, native.StatusOK, err
+	}
 	if e.cfg.Faults == nil {
 		if st.mcu != nil {
 			res, status, err = st.mcu.Exec(args, e, budget, &e.pool)
-			if status == native.StatusBail && err == nil {
-				e.tracer.Instant(obs.CatEngine, "native.bail",
-					obs.S("fn", st.fn.Name), obs.I("steps", res.Steps))
-			}
+			e.traceBail(st, res, status, err)
 			return res, status, err
 		}
 		if !e.tracer.Enabled() {
@@ -572,10 +614,7 @@ func (e *Engine) execNative(st *fnState, args []value.Value) (res native.Result,
 			err = ferr
 		} else {
 			res, status, err = st.mcu.Exec(args, e, budget, &e.pool)
-			if status == native.StatusBail && err == nil {
-				e.tracer.Instant(obs.CatEngine, "native.bail",
-					obs.S("fn", st.fn.Name), obs.I("steps", res.Steps))
-			}
+			e.traceBail(st, res, status, err)
 		}
 	} else {
 		res, status, err = native.ExecWith(st.code, args, e, budget, &e.pool, e.cfg.Faults, e.tracer)

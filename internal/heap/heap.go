@@ -41,9 +41,12 @@ const (
 	minFreeCells = headerCells + 1
 )
 
-// codeSentinel is the expected value of code-pointer cell i. Values are
-// exactly representable in float64, so any overwrite is detectable.
-func codeSentinel(i int) float64 { return 1e15 + float64(i)*7 }
+// CodeSentinel is the expected value of code-pointer cell i. Values are
+// exactly representable in float64, so any overwrite is detectable. It is
+// exported for the machine-code tier, whose direct calls test the callee's
+// cell inline (CodePointerOK's comparison, with the sentinel as an
+// immediate).
+func CodeSentinel(i int) float64 { return 1e15 + float64(i)*7 }
 
 // ErrOOM is returned when the arena cannot satisfy an allocation.
 var ErrOOM = errors.New("arena out of memory")
@@ -87,7 +90,7 @@ func New(heapCells int) *Arena {
 		codeBase: heapCells,
 	}
 	for i := 0; i < CodeRegionCells; i++ {
-		a.cells[a.codeBase+i] = codeSentinel(i)
+		a.cells[a.codeBase+i] = CodeSentinel(i)
 	}
 	return a
 }
@@ -103,7 +106,7 @@ func (a *Arena) Reset() {
 	a.handles = a.handles[:0]
 	a.crash = nil
 	for i := 0; i < CodeRegionCells; i++ {
-		a.cells[a.codeBase+i] = codeSentinel(i)
+		a.cells[a.codeBase+i] = CodeSentinel(i)
 	}
 }
 
@@ -140,7 +143,7 @@ const HeaderCells = headerCells
 // code-pointer cell, or -1 if the code region is intact.
 func (a *Arena) CodeIntegrityViolation() int {
 	for i := 0; i < CodeRegionCells; i++ {
-		if a.cells[a.codeBase+i] != codeSentinel(i) {
+		if a.cells[a.codeBase+i] != CodeSentinel(i) {
 			return i
 		}
 	}
@@ -153,7 +156,7 @@ func (a *Arena) CodePointerOK(fn int) bool {
 	if fn < 0 || fn >= CodeRegionCells {
 		return true
 	}
-	return a.cells[a.codeBase+fn] == codeSentinel(fn)
+	return a.cells[a.codeBase+fn] == CodeSentinel(fn)
 }
 
 // mapped reports whether addr is inside a mapped region (heap below top, or

@@ -172,6 +172,16 @@ func (vm *VM) Mark() StackMark { return vm.cur }
 // code that recovers a panic needs it.
 func (vm *VM) Unwind(m StackMark) { vm.cur = m }
 
+// Cells returns the addresses of the counters a lower tier keeps up to date
+// in place when one native activation calls another without coming back
+// through the Dispatcher: the step counter and its native share (what
+// AddSteps charges), the budget they are held against, and the call depth
+// (what EnterCall and LeaveCall charge, bounded by MaxCallDepth). The
+// addresses are stable for the life of the VM.
+func (vm *VM) Cells() (steps, nativeSteps, maxSteps *int64, depth *int) {
+	return &vm.steps, &vm.nativeSteps, &vm.MaxSteps, &vm.cur.depth
+}
+
 // Random returns the next value of the deterministic script RNG
 // (xorshift64*), in [0, 1).
 func (vm *VM) Random() float64 {

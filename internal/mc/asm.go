@@ -17,9 +17,10 @@ type Reg uint8
 
 // General-purpose registers. The lowering's convention: RBX holds the
 // float register file base, R12 the arena cells base, R13 the tag file
-// base, R15 the step counter, RDI the exit-frame base; RAX/RCX/RDX/RSI
-// and R8-R11 are scratch. R14 (the Go runtime's g register) and RSP/RBP
-// are never touched by generated code.
+// base, R15 the step counter, RDI the activation record, RSI the
+// per-engine environment; RAX/RCX/RDX and R8-R11 are scratch. R14 (the Go
+// runtime's g register) and RBP are never touched by generated code, RSP
+// only by the CALL/RET pairs of direct calls.
 const (
 	RAX Reg = iota
 	RCX
@@ -65,6 +66,7 @@ const (
 	CondAE Cond = 0x3 // above or equal (CF=0)
 	CondE  Cond = 0x4 // equal (ZF=1)
 	CondNE Cond = 0x5 // not equal (ZF=0)
+	CondBE Cond = 0x6 // below or equal (CF=1 or ZF=1)
 	CondA  Cond = 0x7 // above (CF=0 and ZF=0)
 	CondS  Cond = 0x8 // sign (SF=1)
 	CondP  Cond = 0xa // parity (PF=1, ucomisd unordered)
@@ -445,6 +447,30 @@ func (a *Asm) AddMemImm(base Reg, disp int32, imm int32) {
 	}
 }
 
+// AddMemReg encodes add qword [base+disp], src (REX.W 01 /r) — a direct
+// call folding its callee's steps and checks into the caller's counters.
+func (a *Asm) AddMemReg(base Reg, disp int32, src Reg) {
+	a.rex(true, uint8(src), 0, uint8(base))
+	a.byte(0x01)
+	a.modrmMem(uint8(src), base, disp)
+}
+
+// CmpMemImm encodes cmp qword [base+disp], imm (REX.W 83/81 /7) — the
+// direct-call guards against table length, arity, call depth and frame
+// slots.
+func (a *Asm) CmpMemImm(base Reg, disp int32, imm int32) {
+	a.rex(true, 0, 0, uint8(base))
+	if imm >= -128 && imm <= 127 {
+		a.byte(0x83)
+		a.modrmMem(7, base, disp)
+		a.byte(byte(imm))
+	} else {
+		a.byte(0x81)
+		a.modrmMem(7, base, disp)
+		a.imm32(imm)
+	}
+}
+
 // AddRegReg encodes add dst, src (REX.W 01 /r).
 func (a *Asm) AddRegReg(dst, src Reg) {
 	a.rex(true, uint8(src), 0, uint8(dst))
@@ -613,8 +639,8 @@ func (a *Asm) JmpFwd() int {
 	return off
 }
 
-// CallReg encodes call src (FF /2) — the trampoline side of the
-// calling convention; generated code itself never calls.
+// CallReg encodes call src (FF /2) — a direct call into another unit's
+// entry, resolved through the environment's call table.
 func (a *Asm) CallReg(src Reg) {
 	a.rexIf(0, 0, uint8(src))
 	a.byte(0xff)

@@ -55,6 +55,11 @@ func TestGoldenEncodings(t *testing.T) {
 		{"sub rax,0x2", func(a *Asm) { a.SubRegImm(RAX, 2) }, "4883e802"},
 		{"cmp rax,0x12c", func(a *Asm) { a.CmpRegImm(RAX, 300) }, "4881f82c010000"},
 		{"add qword [rdi+0x10],0x1", func(a *Asm) { a.AddMemImm(RDI, 16, 1) }, "4883471001"},
+		{"add qword [rax],r15", func(a *Asm) { a.AddMemReg(RAX, 0, R15) }, "4c0138"},
+		{"add qword [rdi+0x10],rax", func(a *Asm) { a.AddMemReg(RDI, 16, RAX) }, "48014710"},
+		{"cmp qword [rsi+0x40],0x5", func(a *Asm) { a.CmpMemImm(RSI, 64, 5) }, "48837e4005"},
+		{"cmp qword [r9],0x2710", func(a *Asm) { a.CmpMemImm(R9, 0, 10000) }, "49813910270000"},
+		{"cmp qword [rdx+0x130],0x2", func(a *Asm) { a.CmpMemImm(RDX, 304, 2) }, "4883ba3001000002"},
 		{"add rax,rcx", func(a *Asm) { a.AddRegReg(RAX, RCX) }, "4801c8"},
 		{"sub rcx,[rdi+0x28]", func(a *Asm) { a.SubRegMem(RCX, RDI, 40) }, "482b4f28"},
 		{"cmp rax,[rdi+0x18]", func(a *Asm) { a.CmpRegMem(RAX, RDI, 24) }, "483b4718"},
@@ -83,6 +88,7 @@ func TestGoldenEncodings(t *testing.T) {
 		{"jae rel32", func(a *Asm) { a.JccFwd(CondAE) }, "0f8300000000"},
 		{"jmp rel32", func(a *Asm) { a.JmpFwd() }, "e900000000"},
 		{"call rax", func(a *Asm) { a.CallReg(RAX) }, "ffd0"},
+		{"call r8", func(a *Asm) { a.CallReg(R8) }, "41ffd0"},
 		{"ret", func(a *Asm) { a.Ret() }, "c3"},
 	}
 	for _, tc := range cases {

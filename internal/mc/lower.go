@@ -3,7 +3,8 @@
 // Execution model: the canonical register file stays in memory — the same
 // pooled []float64 / []Tag the threaded and unfused executors run over —
 // and generated code addresses it off RBX (floats) and R13 (tags), with
-// the arena cells off R12 and the exit frame off RDI. That choice IS the
+// the arena cells off R12, the activation record off RDI and the
+// per-engine environment off RSI. That choice IS the
 // deopt/OSR bridge contract: at any exit the register file is already the
 // complete activation state, so delegation to the reference executor, OSR
 // materialization and deopt reconstruction need zero flush code and cannot
@@ -16,12 +17,13 @@
 // exits with a delegate record and the reference loop finishes the
 // activation, tripping the budget at the bit-identical op.
 //
-// Ops whose semantics live in Go (calls, allocation, math builtins)
-// compile to a runtime-exit: the run loop executes that single op with
-// reference semantics and re-enters at the next op's offset. Hot ops with
-// a cheap common case — modulo, global loads/number-stores, raw element
-// counts — compile to an inline fast path whose guards exit to the same
-// runtime handler, so both routes produce identical bits.
+// Ops whose semantics live in Go (allocation, math builtins) compile to a
+// runtime-exit: the run loop executes that single op with reference
+// semantics and re-enters at the next op's offset. Hot ops with a cheap
+// common case — modulo, global loads/number-stores, raw element counts,
+// calls into a function that has machine code of its own — compile to an
+// inline fast path whose guards exit to the same runtime handler, so both
+// routes produce identical bits.
 // Guard failures and unmapped accesses compile to a delegate-exit *before*
 // any side effect, so the reference loop re-executes the op and produces
 // the identical bailout or crash.
@@ -32,6 +34,7 @@ import (
 	"math"
 
 	"github.com/jitbull/jitbull/internal/heap"
+	"github.com/jitbull/jitbull/internal/interp"
 	"github.com/jitbull/jitbull/internal/lir"
 	"github.com/jitbull/jitbull/internal/native"
 	"github.com/jitbull/jitbull/internal/value"
@@ -43,35 +46,114 @@ var ErrUnsupported = errors.New("mc: unsupported code shape")
 
 // Exit kinds generated code reports in RAX (see exec_amd64.go's run loop).
 const (
-	exitRet      = 1 // frame.exitpc is a KRet* op: build the Result in Go
-	exitDelegate = 2 // resume the reference loop at frame.exitpc
-	exitRuntime  = 3 // execute the op at frame.exitpc in Go, re-enter after
+	exitRet      = 1 // the KRet* op left result kind and payload in the record
+	exitDelegate = 2 // resume the reference loop at record.exitpc
+	exitRuntime  = 3 // execute the op at record.exitpc in Go, re-enter after
+	// A direct call (emitCall) came back with something other than exitRet:
+	// the caller, suspended in the call op at record.exitpc, returns this
+	// kind in turn, so the whole chain unwinds to the trampoline by plain
+	// RETs and Go finishes it from the records, innermost first.
+	exitUnwind = 4
+	// A direct call returned a result the inline check does not take (it
+	// wants coercion, a bailout or a deopt): the callee is done and
+	// accounted for, its result sits in the caller's record, and Go applies
+	// native.FinishCall to the call op at record.exitpc.
+	exitCallRet = 5
 )
 
-// Frame field offsets, shared with the exec trampoline (enter_amd64.s)
-// and the mcframe struct (exec_amd64.go, which asserts them with
-// unsafe.Offsetof).
+// Activation-record field offsets (off RDI), shared with the trampoline
+// (enter_amd64.s) and the mcact struct (exec_amd64.go); TestFrameOffsets
+// asserts them with unsafe.Offsetof. A record holds no pointer: generated
+// code creates the record of a direct callee itself, and generated code
+// never writes a Go pointer.
 const (
-	fExitPC    = 0  // exit operand: LIR pc
-	fSteps     = 8  // step counter (R15), loaded/stored by the trampoline
-	fChecks    = 16 // block-check counter, bumped in memory at taken jumps
-	fMaxOps    = 24 // step budget
-	fTop       = 32 // arena allocation top (refreshed before every entry)
-	fCodeBase  = 40 // arena code-region base
-	fCodeLen   = 48 // arena code-region length (cells beyond codeBase)
-	fHandleLen = 56 // live handle count (refreshed before every entry)
-	fRegs      = 64 // &regs[0] (RBX)
-	fTags      = 72 // &tags[0] (R13)
-	fCells     = 80 // &cells[0] (R12)
-	fHandles   = 88 // &handles[0] (refreshed before every entry)
+	fExitPC  = 0  // exit operand: LIR pc
+	fSteps   = 8  // step counter (R15) while the activation is not running
+	fChecks  = 16 // block-check counter, bumped in memory at taken jumps
+	fMaxOps  = 24 // step budget
+	fKind    = 32 // exit kind of a direct callee its caller unwound from
+	fResKind = 40 // native.ResultKind of the return value (exitRet, exitCallRet)
+	fResVal  = 48 // its payload
+	fRegsOff = 56 // direct callee: its window's offset in the register-stack chunk
+
+	frameSize = 64
+)
+
+// frameDepth is the number of activation records in an environment's frame
+// stack, and with it the deepest chain of direct calls: one more takes the
+// slow path through Go, whose next entry into generated code starts a new
+// machine stack budget. The trampoline reserves 8 bytes of goroutine stack
+// per record for the nested return addresses (enterStack).
+const (
+	frameDepth = 64
+	enterStack = 8 * (frameDepth + 1)
+)
+
+// Environment field offsets (off RSI): what generated code needs of the
+// engine it runs in, filled once per engine (mcenv in exec_amd64.go) apart
+// from the few fields the run loop refreshes before every entry.
+const (
+	eTop       = 0  // arena allocation top (refreshed)
+	eCodeBase  = 8  // arena code-region base
+	eCodeLen   = 16 // arena code-region length (cells beyond codeBase)
+	eHandleLen = 24 // live handle count (refreshed)
+	eCells     = 32 // &cells[0] (R12)
+	eHandles   = 40 // &handles[0] (refreshed)
 
 	// Global-slot window: hooks that expose their backing []value.Value
 	// (the engine) let generated code service KLoadGlobal / KStoreGlobalNum
 	// inline; hooks that don't leave the length 0 and every global op takes
 	// the runtime-exit slow path through GlobalGet/GlobalSet.
-	fGlobalsLen = 96  // number of exposed global slots
-	fGlobals    = 104 // &globals[0] (value.Value layout via value.Layout)
+	eGlobalsLen = 48 // number of exposed global slots
+	eGlobals    = 56 // &globals[0] (value.Value layout via value.Layout)
+
+	// Direct calls. Hooks without an environment leave the table length 0
+	// and every call takes the runtime-exit slow path through CallFunction.
+	eTableLen = 64  // call-table entries
+	eTable    = 72  // &table[0] (callSlot layout: the c* offsets)
+	eNFrames  = 80  // records of the frame stack in use
+	eSteps    = 88  // *int64: the VM's step counter
+	eNatSteps = 96  // *int64: its native share
+	eMaxSteps = 104 // *int64: the budget both are held against
+	eDepth    = 112 // *int: the VM's call depth
+	ePoolTop  = 120 // *int: first free register of the pool's chunk (refreshed)
+	eChunkLen = 128 // size of that chunk in registers (refreshed)
+	eDirect   = 136 // counter: direct calls made
+	eUnwinds  = 144 // counter: direct calls that came back with a non-return exit
 )
+
+// Call-table slot field offsets: one slot per function of the program,
+// indexed by a call op's Aux.
+const (
+	cEntry     = 0  // entry address; 0 while the function may not be called directly
+	cNumRegs   = 8  // the callee's register window
+	cNumParams = 16 // its parameter count
+	cCost0     = 24 // its entry block's straight-line cost (Program.Cost[0])
+	cCalls     = 32 // *int: the engine's call counter for the function
+
+	slotSize = 40
+)
+
+// Host is the engine side of an Env: the hooks generated code's slow paths
+// call, plus what direct calls need of the engine.
+type Host interface {
+	native.Hooks
+	// Globals is the backing array behind GlobalGet / GlobalSet (the global
+	// window of the inline global ops).
+	Globals() []value.Value
+	// MCEnv returns the environment the host built with NewEnv (nil when it
+	// runs without one).
+	MCEnv() *Env
+	// ReturnDirect is the post-call half of the dispatch of function fn for
+	// an activation generated code called directly and Go had to finish:
+	// res, status and err are how the activation ended, exactly what the
+	// host's own native dispatch would have seen, and the returned value or
+	// error is what CallFunction would have returned — steps charged,
+	// bailout re-run in the interpreter, deopt resumed, call depth given
+	// back. args are the call's boxed arguments when status is StatusBail
+	// (the re-run needs them), nil otherwise.
+	ReturnDirect(fn int, args []value.Value, res native.Result, status native.Status, err error) (value.Value, error)
+}
 
 // maxExactInt mirrors value.Mod's int-fast-path magnitude bound (2^53).
 const maxExactInt = 9007199254740992
@@ -96,7 +178,8 @@ type Program struct {
 	// HostStep[pc] tells the run loop whether to charge the op's step when
 	// servicing a runtime exit at pc. True for every RT op (their step is
 	// never in the compiled pending count). For hybrid ops — inline fast
-	// path with a runtime slow exit (KMod, the global ops, KElemsRaw) —
+	// path with a runtime slow exit (KMod, the global ops, KElemsRaw, the
+	// call ops) —
 	// the op's step is baked into the flush the fall-through path reaches,
 	// so the host charges it only when the slow-path re-entry skips that
 	// flush: next op is a block leader (the flush sits before its entry
@@ -119,7 +202,7 @@ type lowerer struct {
 	off  []int32
 	rt   []bool
 	// hybrid marks ops compiled as an inline fast path with a runtime-exit
-	// slow path (KMod, the global ops, KElemsRaw): their step is in the
+	// slow path (KMod, the global ops, KElemsRaw, calls): their step is in the
 	// compiled pending count, so the host charges it only when the slow
 	// re-entry skips the downstream flush.
 	hybrid []bool
@@ -245,7 +328,7 @@ func (lo *lowerer) toStub(cc Cond, pc int32, kind uint8) {
 func (lo *lowerer) emitStubs() {
 	// Deterministic order: by pc then kind. The map is small; scan pcs.
 	for pc := int32(0); pc <= int32(len(lo.code.Ops)); pc++ {
-		for _, kind := range []uint8{exitDelegate, exitRuntime} {
+		for _, kind := range []uint8{exitDelegate, exitRuntime, exitUnwind, exitCallRet} {
 			k := stubKey{pc, kind}
 			sites, ok := lo.stubs[k]
 			if !ok {
@@ -254,6 +337,23 @@ func (lo *lowerer) emitStubs() {
 			at := lo.a.Len()
 			for _, s := range sites {
 				lo.a.Patch32(s, at)
+			}
+			switch kind {
+			case exitUnwind:
+				// RDI is still the callee's record, R15 its step count and
+				// RAX its exit kind: park both in the record for Go, step
+				// back to the caller's record and counter, and pass the
+				// unwind on.
+				lo.a.MovMemReg(RDI, fSteps, R15)
+				lo.a.MovMemReg(RDI, fKind, RAX)
+				lo.a.SubRegImm(RDI, frameSize)
+				lo.a.MovRegMem(R15, RDI, fSteps)
+				lo.a.AddMemImm(RSI, eUnwinds, 1)
+			case exitCallRet:
+				// The callee's result kind (RCX) and payload (RDX) move into
+				// the caller's record, free until its own return.
+				lo.a.MovMemReg(RDI, fResKind, RCX)
+				lo.a.MovMemReg(RDI, fResVal, RDX)
 			}
 			lo.exit(pc, int32(kind))
 		}
@@ -277,11 +377,11 @@ func (lo *lowerer) runtimeOp(pc int32) {
 // the reference loop (which reproduces the exact CrashError) when
 // unmapped. Clobbers RCX.
 func (lo *lowerer) mappedCheck(pc int32) {
-	lo.a.CmpRegMem(RAX, RDI, fTop)
+	lo.a.CmpRegMem(RAX, RSI, eTop)
 	okJmp := lo.a.JccFwd(CondB) // unsigned below top: mapped heap
 	lo.a.MovRegReg(RCX, RAX)
-	lo.a.SubRegMem(RCX, RDI, fCodeBase)
-	lo.a.CmpRegMem(RCX, RDI, fCodeLen)
+	lo.a.SubRegMem(RCX, RSI, eCodeBase)
+	lo.a.CmpRegMem(RCX, RSI, eCodeLen)
 	lo.toStub(CondAE, pc, exitDelegate) // outside the code region too
 	lo.a.Patch32(okJmp, lo.a.Len())
 }
@@ -424,9 +524,9 @@ func (lo *lowerer) emitOp(pc int32, op *lir.Op) {
 		// int32(regs[a]) via the 32-bit cvttsd2si (Go's exact conversion),
 		// zero-extended so one unsigned compare covers h<0 and h>=len.
 		a.Cvttsd2siRegMem(RCX, RBX, slot(op.A), false)
-		a.CmpRegMem(RCX, RDI, fHandleLen)
+		a.CmpRegMem(RCX, RSI, eHandleLen)
 		lo.toStub(CondAE, pc, exitDelegate)
-		a.MovRegMem(RDX, RDI, fHandles)
+		a.MovRegMem(RDX, RSI, eHandles)
 		a.MovRegMemIdx(RAX, RDX, RCX, 8, 0)
 		a.AddRegImm(RAX, heap.HeaderCells)
 		a.Cvtsi2sdXmmReg(X0, RAX, true)
@@ -469,12 +569,30 @@ func (lo *lowerer) emitOp(pc int32, op *lir.Op) {
 		a.MovsdMemIdxXmm(R12, RAX, 8, 0, X0)
 		lo.pend++
 	case lir.KCodeBase:
-		a.Cvtsi2sdXmmMem(X0, RDI, fCodeBase)
+		a.Cvtsi2sdXmmMem(X0, RSI, eCodeBase)
 		a.MovsdMemXmm(RBX, slot(op.Dst), X0)
 		lo.pend++
 	case lir.KRetNum, lir.KRetObj, lir.KRetUndef:
+		// The result goes into the record, where a direct caller's inline
+		// return sequence and the run loop both read it.
 		lo.flush(1)
-		lo.exit(pc, exitRet)
+		kind := native.ResUndef
+		switch op.Kind {
+		case lir.KRetNum:
+			kind = native.ResNum
+		case lir.KRetObj:
+			kind = native.ResObject
+		}
+		if kind == native.ResUndef {
+			a.XorRegReg32(RCX, RCX)
+		} else {
+			a.MovRegMem(RCX, RBX, slot(op.A))
+		}
+		a.MovMemReg(RDI, fResVal, RCX)
+		a.MovRegImm32(RAX, int32(kind))
+		a.MovMemReg(RDI, fResKind, RAX)
+		a.MovRegImm32(RAX, exitRet)
+		a.Ret()
 	case lir.KLoadGlobal:
 		lo.emitLoadGlobal(pc, op)
 		lo.pend++
@@ -484,8 +602,10 @@ func (lo *lowerer) emitOp(pc int32, op *lir.Op) {
 	case lir.KElemsRaw:
 		lo.emitElemsRaw(pc, op)
 		lo.pend++
+	case lir.KCall, lir.KCallSpec:
+		lo.emitCall(pc, op)
 	case lir.KMath, lir.KPow, lir.KSetLen, lir.KPush,
-		lir.KPop, lir.KNewArr, lir.KStoreGlobalObj, lir.KCall, lir.KCallSpec:
+		lir.KPop, lir.KNewArr, lir.KStoreGlobalObj:
 		lo.runtimeOp(pc)
 	default:
 		// Unreachable: Lower pre-screens kinds. Emit a delegate so even a
@@ -574,10 +694,10 @@ func (lo *lowerer) emitLoadGlobal(pc int32, op *lir.Op) {
 	toSlow := lo.slowPath(pc)
 
 	a.MovRegImm32(RAX, op.Aux)
-	a.CmpRegMem(RAX, RDI, fGlobalsLen)
+	a.CmpRegMem(RAX, RSI, eGlobalsLen)
 	toSlow(CondAE) // slot outside the window (or no window at all)
 	disp := op.Aux * valSize
-	a.MovRegMem(RDX, RDI, fGlobals)
+	a.MovRegMem(RDX, RSI, eGlobals)
 	a.MovzxRegMem8(RAX, RDX, disp+valTyp)
 	// Each arm stores the payload and leaves the native tag in RAX for the
 	// shared tag store at the join.
@@ -625,10 +745,10 @@ func (lo *lowerer) emitStoreGlobalNum(pc int32, op *lir.Op) {
 	toSlow := lo.slowPath(pc)
 
 	a.MovRegImm32(RAX, op.Aux)
-	a.CmpRegMem(RAX, RDI, fGlobalsLen)
+	a.CmpRegMem(RAX, RSI, eGlobalsLen)
 	toSlow(CondAE)
 	disp := op.Aux * valSize
-	a.MovRegMem(RDX, RDI, fGlobals)
+	a.MovRegMem(RDX, RSI, eGlobals)
 	a.MovRegImm32(RAX, int32(value.Number))
 	a.MovMem8Reg(RDX, disp+valTyp, RAX)
 	a.MovRegMem(RCX, RBX, slot(op.A))
@@ -655,13 +775,168 @@ func (lo *lowerer) emitElemsRaw(pc int32, op *lir.Op) {
 	toSlow(CondNE)           // not integral (or beyond int64)
 	toSlow(CondP)            // NaN
 	a.MovsxdRegReg(RCX, RAX) // Go's int32(hnd) wrap, sign-extended
-	a.CmpRegMem(RCX, RDI, fHandleLen)
+	a.CmpRegMem(RCX, RSI, eHandleLen)
 	toSlow(CondAE) // invalid handle (negative is huge unsigned)
-	a.MovRegMem(RDX, RDI, fHandles)
+	a.MovRegMem(RDX, RSI, eHandles)
 	a.MovRegMemIdx(RAX, RDX, RCX, 8, 0)
 	a.AddRegImm(RAX, heap.HeaderCells)
 	a.Cvtsi2sdXmmReg(X0, RAX, true)
 	a.MovsdMemXmm(RBX, slot(op.Dst), X0)
+}
+
+// emitCall inlines KCall / KCallSpec for a callee that has machine code of
+// its own: a direct native→native call that never leaves generated code.
+// The callee is resolved through the environment's call table (the code
+// stays position-independent and knows nothing about its callee but the
+// index), and the sequence makes, before its first side effect, every check
+// the Go path — RuntimeOp → CallFunction → dispatch → execNative →
+// Unit.run — makes; a failed check is the op's runtime exit, so Go does the
+// whole call exactly as it would have:
+//
+//   - the index is inside the table (hooks without an environment: length 0);
+//   - the slot has an entry: the engine publishes one only while the
+//     function has a unit, no compilation of it is in flight (dispatch
+//     installs a finished one at the call boundary) and no fault injector
+//     wants to see the dispatch;
+//   - arity: the site passes exactly the callee's parameters (BoxParams
+//     fills missing ones and drops surplus ones in Go);
+//   - call depth below interp.MaxCallDepth (EnterCall raises the error);
+//   - the callee's arena code pointer is intact (dispatch raises
+//     HijackError — the control-flow-hijack oracle);
+//   - the remaining step budget covers the callee's entry block (execNative
+//     reports exhaustion, Unit.run delegates a block that cannot finish);
+//   - the callee's window fits the pool's current chunk behind the
+//     caller's, and the frame stack has a free record (Go opens the next
+//     chunk, and its next entry into generated code starts a new machine
+//     stack budget).
+//
+// The commit charges what dispatch charges (depth, the function's call
+// counter), carves the window, fills the callee's record, copies the
+// arguments with the tags boxing would have produced, and calls. On exitRet
+// the return sequence does the rest of dispatch (steps into the VM's
+// counters, checks into the caller's, depth and window back) and stores a
+// result FinishCall would store unchanged: a Number for a number call, an
+// array for an object call. Any other result is exitCallRet; any other exit
+// of the callee is exitUnwind.
+func (lo *lowerer) emitCall(pc int32, op *lir.Op) {
+	a := &lo.a
+	args := lo.code.ArgLists[op.A]
+	lo.flush(0)
+	lo.hybrid[pc] = true
+	toSlow := lo.slowPath(pc)
+	n := int32(lo.code.NumRegs) // the callee's window starts behind ours
+	sl := op.Aux * slotSize
+
+	a.CmpMemImm(RSI, eTableLen, op.Aux)
+	toSlow(CondBE)
+	a.MovRegMem(RDX, RSI, eTable)
+	a.MovRegMem(R8, RDX, sl+cEntry)
+	a.TestRegReg(R8, R8)
+	toSlow(CondE)
+	a.CmpMemImm(RDX, sl+cNumParams, int32(len(args)))
+	toSlow(CondNE)
+	a.MovRegMem(R9, RSI, eDepth)
+	a.CmpMemImm(R9, 0, interp.MaxCallDepth)
+	toSlow(CondGE)
+	if op.Aux < heap.CodeRegionCells {
+		a.MovRegMem(RAX, RSI, eCodeBase)
+		a.MovRegMemIdx(RAX, R12, RAX, 8, op.Aux*8)
+		a.MovRegImm64(RCX, math.Float64bits(heap.CodeSentinel(int(op.Aux))))
+		a.CmpRegReg(RAX, RCX)
+		toSlow(CondNE)
+	}
+	a.MovRegMem(R10, RSI, eMaxSteps) // R10 = MaxSteps − steps: the callee's budget
+	a.MovRegMem(R10, R10, 0)
+	a.MovRegMem(RAX, RSI, eSteps)
+	a.SubRegMem(R10, RAX, 0)
+	a.CmpRegMem(R10, RDX, sl+cCost0)
+	toSlow(CondL)
+	a.MovRegMem(RCX, RSI, ePoolTop) // R11 = window offset, RAX = new top
+	a.MovRegMem(R11, RCX, 0)
+	a.MovRegMem(RAX, RDX, sl+cNumRegs)
+	a.AddRegReg(RAX, R11)
+	a.CmpRegMem(RAX, RSI, eChunkLen)
+	toSlow(CondA)
+	a.CmpMemImm(RSI, eNFrames, frameDepth)
+	toSlow(CondAE)
+
+	// Commit.
+	a.MovMemReg(RCX, 0, RAX)
+	a.AddMemImm(R9, 0, 1)
+	a.MovRegMem(RAX, RDX, sl+cCalls)
+	a.AddMemImm(RAX, 0, 1)
+	a.AddMemImm(RSI, eNFrames, 1)
+	a.AddMemImm(RSI, eDirect, 1)
+	a.MovMemReg(RDI, fSteps, R15)
+	a.MovMemReg(RDI, frameSize+fMaxOps, R10)
+	a.MovMemReg(RDI, frameSize+fRegsOff, R11)
+	a.MovRegImm32(RAX, 1) // the entry check just made
+	a.MovMemReg(RDI, frameSize+fChecks, RAX)
+	tag := native.TagOther // no argument has it: the first one loads RCX
+	for i, ar := range args {
+		dst, want := n+int32(i), native.TagNumber
+		if op.C&(1<<i) != 0 {
+			want = native.TagObject
+			lo.copyHandle(dst, ar)
+		} else {
+			a.MovRegMem(RAX, RBX, slot(ar))
+			a.MovMemReg(RBX, slot(dst), RAX)
+		}
+		if tag != want {
+			tag = want
+			a.MovRegImm32(RCX, int32(tag))
+		}
+		a.MovMem8Reg(R13, dst, RCX)
+	}
+	a.AddRegImm(RBX, slot(n))
+	a.AddRegImm(R13, n)
+	a.AddRegImm(RDI, frameSize)
+	a.XorRegReg32(R15, R15)
+	a.CallReg(R8)
+
+	// Return: RDI, RBX, R13 and R15 are the callee's.
+	a.CmpRegImm(RAX, exitRet)
+	lo.toStub(CondNE, pc, exitUnwind)
+	a.MovRegMem(RAX, RSI, eSteps)
+	a.AddMemReg(RAX, 0, R15)
+	a.MovRegMem(RAX, RSI, eNatSteps)
+	a.AddMemReg(RAX, 0, R15)
+	a.MovRegMem(RAX, RDI, fChecks)
+	a.MovRegMem(RCX, RDI, fResKind)
+	a.MovRegMem(RDX, RDI, fResVal)
+	a.MovRegMem(R8, RDI, fRegsOff)
+	a.SubRegImm(RDI, frameSize)
+	a.SubRegImm(RBX, slot(n))
+	a.SubRegImm(R13, n)
+	a.AddMemReg(RDI, fChecks, RAX)
+	a.MovRegMem(R15, RDI, fSteps)
+	a.MovRegMem(RAX, RSI, eDepth)
+	a.AddMemImm(RAX, 0, -1)
+	a.MovRegMem(RAX, RSI, ePoolTop)
+	a.MovMemReg(RAX, 0, R8)
+	a.AddMemImm(RSI, eNFrames, -1)
+	want, tag := native.ResNum, native.TagNumber
+	if op.Kind == lir.KCall && op.B == 1 {
+		want, tag = native.ResObject, native.TagObject
+	}
+	a.CmpRegImm(RCX, int32(want))
+	lo.toStub(CondNE, pc, exitCallRet)
+	a.MovMemReg(RBX, slot(op.Dst), RDX)
+	if want == native.ResObject {
+		lo.copyHandle(op.Dst, op.Dst)
+	}
+	a.MovRegImm32(RAX, int32(tag))
+	a.MovMem8Reg(R13, op.Dst, RAX)
+	lo.pend++
+}
+
+// copyHandle stores float64(int32(regs[src])) in regs[dst]: what an array
+// handle becomes on its way through a boxed value (value.ArrayRef takes the
+// int32, the unboxing side converts it back), with Go's exact conversions.
+func (lo *lowerer) copyHandle(dst, src int32) {
+	lo.a.Cvttsd2siRegMem(RAX, RBX, slot(src), false)
+	lo.a.Cvtsi2sdXmmReg(X0, RAX, false)
+	lo.a.MovsdMemXmm(RBX, slot(dst), X0)
 }
 
 // emitMod inlines value.Mod's int fast path under exactly its condition —

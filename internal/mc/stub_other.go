@@ -3,6 +3,7 @@
 package mc
 
 import (
+	"github.com/jitbull/jitbull/internal/interp"
 	"github.com/jitbull/jitbull/internal/lir"
 	"github.com/jitbull/jitbull/internal/native"
 	"github.com/jitbull/jitbull/internal/obs"
@@ -18,6 +19,23 @@ func Supported() bool { return false }
 // no value of this type is ever created (Install always fails), so the
 // methods are unreachable.
 type Unit struct{}
+
+// Env exists for the same reason: with no unit to publish, an engine on an
+// unsupported platform never builds one.
+type Env struct{}
+
+// NewEnv is unreachable (the engine builds an environment only where the
+// tier is supported).
+func NewEnv(host Host, pool *native.Pool, vm *interp.VM, nfuncs int) *Env { return nil }
+
+// Publish is unreachable.
+func (env *Env) Publish(fn int, u *Unit, calls *int) {}
+
+// Published is unreachable.
+func (env *Env) Published(fn int) bool { return false }
+
+// Calls is unreachable.
+func (env *Env) Calls() (direct, unwinds int64) { return 0, 0 }
 
 // Install refuses on unsupported platforms; the engine degrades to the
 // threaded tier silently.

@@ -19,34 +19,90 @@ import (
 	"github.com/jitbull/jitbull/internal/value"
 )
 
-// TestFrameOffsets pins the mcframe layout against the f* displacement
-// constants baked into the lowering and the assembly trampoline. A drift
-// here means generated code reads the wrong field.
+// TestFrameOffsets pins the three layouts generated code addresses — the
+// activation record (RDI), the environment (RSI) and the call-table slot —
+// against the displacement constants baked into the lowering and the
+// assembly trampoline. A drift here means generated code reads the wrong
+// field.
 func TestFrameOffsets(t *testing.T) {
-	var f mcframe
+	var (
+		f mcact
+		e mcenv
+		c callSlot
+	)
 	checks := []struct {
 		name string
 		got  uintptr
 		want int32
 	}{
-		{"exitpc", unsafe.Offsetof(f.exitpc), fExitPC},
-		{"steps", unsafe.Offsetof(f.steps), fSteps},
-		{"checks", unsafe.Offsetof(f.checks), fChecks},
-		{"maxOps", unsafe.Offsetof(f.maxOps), fMaxOps},
-		{"top", unsafe.Offsetof(f.top), fTop},
-		{"codeBase", unsafe.Offsetof(f.codeBase), fCodeBase},
-		{"codeLen", unsafe.Offsetof(f.codeLen), fCodeLen},
-		{"handleLen", unsafe.Offsetof(f.handleLen), fHandleLen},
-		{"regs", unsafe.Offsetof(f.regs), fRegs},
-		{"tags", unsafe.Offsetof(f.tags), fTags},
-		{"cells", unsafe.Offsetof(f.cells), fCells},
-		{"handles", unsafe.Offsetof(f.handles), fHandles},
-		{"globalsLen", unsafe.Offsetof(f.globalsLen), fGlobalsLen},
-		{"globals", unsafe.Offsetof(f.globals), fGlobals},
+		{"mcact.exitpc", unsafe.Offsetof(f.exitpc), fExitPC},
+		{"mcact.steps", unsafe.Offsetof(f.steps), fSteps},
+		{"mcact.checks", unsafe.Offsetof(f.checks), fChecks},
+		{"mcact.maxOps", unsafe.Offsetof(f.maxOps), fMaxOps},
+		{"mcact.kind", unsafe.Offsetof(f.kind), fKind},
+		{"mcact.resKind", unsafe.Offsetof(f.resKind), fResKind},
+		{"mcact.resVal", unsafe.Offsetof(f.resVal), fResVal},
+		{"mcact.regsOff", unsafe.Offsetof(f.regsOff), fRegsOff},
+		{"sizeof mcact", unsafe.Sizeof(f), frameSize},
+
+		{"mcenv.top", unsafe.Offsetof(e.top), eTop},
+		{"mcenv.codeBase", unsafe.Offsetof(e.codeBase), eCodeBase},
+		{"mcenv.codeLen", unsafe.Offsetof(e.codeLen), eCodeLen},
+		{"mcenv.handleLen", unsafe.Offsetof(e.handleLen), eHandleLen},
+		{"mcenv.cells", unsafe.Offsetof(e.cells), eCells},
+		{"mcenv.handles", unsafe.Offsetof(e.handles), eHandles},
+		{"mcenv.globalsLen", unsafe.Offsetof(e.globalsLen), eGlobalsLen},
+		{"mcenv.globals", unsafe.Offsetof(e.globals), eGlobals},
+		{"mcenv.tableLen", unsafe.Offsetof(e.tableLen), eTableLen},
+		{"mcenv.table", unsafe.Offsetof(e.table), eTable},
+		{"mcenv.nframes", unsafe.Offsetof(e.nframes), eNFrames},
+		{"mcenv.steps", unsafe.Offsetof(e.steps), eSteps},
+		{"mcenv.natSteps", unsafe.Offsetof(e.natSteps), eNatSteps},
+		{"mcenv.maxSteps", unsafe.Offsetof(e.maxSteps), eMaxSteps},
+		{"mcenv.depth", unsafe.Offsetof(e.depth), eDepth},
+		{"mcenv.poolTop", unsafe.Offsetof(e.poolTop), ePoolTop},
+		{"mcenv.chunkLen", unsafe.Offsetof(e.chunkLen), eChunkLen},
+		{"mcenv.direct", unsafe.Offsetof(e.direct), eDirect},
+		{"mcenv.unwinds", unsafe.Offsetof(e.unwinds), eUnwinds},
+
+		{"callSlot.entry", unsafe.Offsetof(c.entry), cEntry},
+		{"callSlot.numRegs", unsafe.Offsetof(c.numRegs), cNumRegs},
+		{"callSlot.numParams", unsafe.Offsetof(c.numParams), cNumParams},
+		{"callSlot.cost0", unsafe.Offsetof(c.cost0), cCost0},
+		{"callSlot.calls", unsafe.Offsetof(c.calls), cCalls},
+		{"sizeof callSlot", unsafe.Sizeof(c), slotSize},
+
+		// The frame stack is contiguous behind the environment block: a
+		// direct callee's record is its caller's plus frameSize.
+		{"Env.mcenv", unsafe.Offsetof(Env{}.mcenv), 0},
+		{"sizeof Env.frames", unsafe.Sizeof(Env{}.frames), frameDepth * frameSize},
 	}
 	for _, c := range checks {
 		if int32(c.got) != c.want {
-			t.Errorf("mcframe.%s at offset %d, lowering uses %d", c.name, c.got, c.want)
+			t.Errorf("%s is %d, lowering uses %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestEnterStack pins the literals of the trampoline against the constants
+// they stand for: the frame enter reserves for nested return addresses, the
+// two record/environment fields it reads by displacement, and the argument
+// frame.
+func TestEnterStack(t *testing.T) {
+	src, err := os.ReadFile("enter_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("TEXT ·enter(SB), 0, $%d-44", enterStack),
+		fmt.Sprintf("ADJSP $-%d", enterStack),
+		fmt.Sprintf("ADJSP $%d", enterStack),
+		fmt.Sprintf("MOVQ %d(SI), R12", eCells),
+		fmt.Sprintf("MOVQ %d(DI), R15", fSteps),
+		fmt.Sprintf("MOVQ R15, %d(DI)", fSteps),
+	} {
+		if !strings.Contains(string(src), want) {
+			t.Errorf("enter_amd64.s does not contain %q", want)
 		}
 	}
 }

@@ -38,6 +38,29 @@ func (p *Pool) GetRegs(n int) ([]float64, []Tag) { return p.getRegs(n) }
 // PutRegs returns a leased register file.
 func (p *Pool) PutRegs(f []float64, t []Tag) { p.putRegs(f, t) }
 
+// Top exposes the register stack's allocation point to a lower tier whose
+// generated code carves a callee's window itself: the address of the
+// current chunk's first free register index, and the chunk's size. Both
+// hold until the next lease or release made through the pool's methods
+// (a lease may open another chunk), so they are re-read before every entry
+// into generated code. A pool that has never leased a window has no chunk
+// yet: nil, 0.
+func (p *Pool) Top() (top *int, size int) {
+	if len(p.chunks) == 0 {
+		return nil, 0
+	}
+	c := &p.chunks[p.cur]
+	return &c.top, len(c.floats)
+}
+
+// Window returns the n registers at offset off of the current chunk as a
+// leased window: one that generated code carved by advancing the top, and
+// that PutRegs gives back like any other.
+func (p *Pool) Window(off, n int) ([]float64, []Tag) {
+	c := &p.chunks[p.cur]
+	return c.floats[off : off+n : off+n], c.tags[off : off+n : off+n]
+}
+
 // MaterializeOSR populates a register file for an OSR entry exactly as
 // ExecOSR does: zero the (recycled, unzeroed) frame, strictly materialize
 // the frame-map slots (a number slot accepts exactly a Number, a boolean

@@ -511,66 +511,91 @@ func RuntimeOp(code *lir.Code, op *lir.Op, regs []float64, tags []Tag, h Hooks, 
 	case lir.KStoreGlobalObj:
 		h.GlobalSet(int(op.Aux), value.ArrayRef(int32(regs[op.A])))
 	case lir.KCall, lir.KCallSpec:
-		// Arguments are marshalled into the pool's LIFO argument arena
-		// (calls nest strictly); a nil pool allocates per call.
-		argRegs := code.ArgLists[op.A]
-		var callArgs []value.Value
-		base := -1
-		if pool != nil {
-			base = len(pool.args)
-			for range argRegs {
-				pool.args = append(pool.args, value.Value{})
-			}
-			callArgs = pool.args[base : base+len(argRegs)]
-		} else {
-			callArgs = make([]value.Value, len(argRegs))
-		}
-		for i, ar := range argRegs {
-			if op.C&(1<<i) != 0 {
-				callArgs[i] = value.ArrayRef(int32(regs[ar]))
-			} else {
-				callArgs[i] = value.Num(regs[ar])
-			}
-		}
+		callArgs, mark := pool.CallArgs(code, op, regs)
 		res, err := h.CallFunction(int(op.Aux), callArgs)
-		if base >= 0 {
-			pool.args = pool.args[:base]
-		}
-		if err != nil {
-			return StatusOK, err, nil, true
-		}
-		switch {
-		case op.Kind == lir.KCallSpec:
-			// Strict return-type guard: exactly a Number is accepted
-			// (where KCall silently coerces booleans/undefined). Anything
-			// else deoptimizes: the interpreter frame is rebuilt from the
-			// deopt exit's frame map and the raw callee result.
-			if res.Type() == value.Number {
-				regs[op.Dst], tags[op.Dst] = res.AsNumber(), TagNumber
-				break
-			}
-			if op.Target < 0 || int(op.Target) >= len(code.DeoptExits) {
-				return StatusBail, nil, nil, true // orphan guard; treat as bail
-			}
-			return StatusDeopt, nil, buildDeopt(code, op.Target, regs, res), true
-		case op.B == 1: // expect object
-			if !res.IsArray() {
-				return StatusBail, nil, nil, true
-			}
-			regs[op.Dst], tags[op.Dst] = float64(res.Handle()), TagObject
-		default:
-			switch res.Type() {
-			case value.Number, value.Boolean:
-				regs[op.Dst], tags[op.Dst] = res.ToNumber(), TagNumber
-			case value.Undefined:
-				regs[op.Dst], tags[op.Dst] = math.NaN(), TagNumber
-			default:
-				return StatusBail, nil, nil, true
-			}
-		}
+		pool.ReleaseArgs(mark)
+		return FinishCall(code, op, regs, tags, res, err)
 	default:
 		// A bug-only state: every executor routes exactly the kinds above.
 		return StatusOK, fmt.Errorf("native: %s is not a runtime op", op.Kind), nil, true
+	}
+	return StatusOK, nil, nil, false
+}
+
+// CallArgs boxes the arguments of the call op — a Number, or an array
+// reference where op.C marks the argument as an object — into the pool's
+// LIFO argument arena (calls nest strictly); a nil pool allocates per call.
+// The caller hands mark to ReleaseArgs once the call is over.
+func (p *Pool) CallArgs(code *lir.Code, op *lir.Op, regs []float64) (args []value.Value, mark int) {
+	argRegs := code.ArgLists[op.A]
+	mark = -1
+	if p != nil {
+		mark = len(p.args)
+		for range argRegs {
+			p.args = append(p.args, value.Value{})
+		}
+		args = p.args[mark : mark+len(argRegs)]
+	} else {
+		args = make([]value.Value, len(argRegs))
+	}
+	for i, ar := range argRegs {
+		if op.C&(1<<i) != 0 {
+			args[i] = value.ArrayRef(int32(regs[ar]))
+		} else {
+			args[i] = value.Num(regs[ar])
+		}
+	}
+	return args, mark
+}
+
+// ReleaseArgs gives back the argument space CallArgs leased at mark.
+func (p *Pool) ReleaseArgs(mark int) {
+	if mark >= 0 {
+		p.args = p.args[:mark]
+	}
+}
+
+// FinishCall is the second half of a call op, the only definition of what
+// a caller accepts from its callee: given what the call produced, it
+// stores the result in op.Dst or ends the caller's activation. KCall
+// coerces booleans and undefined to numbers (or, expecting an object,
+// takes exactly an array) and bails on anything else; KCallSpec accepts
+// exactly a Number and deoptimizes otherwise. RuntimeOp calls it after
+// Hooks.CallFunction; the machine-code tier calls it for a direct call
+// that its inline result check would not take, or whose callee Go had to
+// finish. The return values are RuntimeOp's.
+func FinishCall(code *lir.Code, op *lir.Op, regs []float64, tags []Tag, res value.Value, err error) (Status, error, *DeoptState, bool) {
+	if err != nil {
+		return StatusOK, err, nil, true
+	}
+	switch {
+	case op.Kind == lir.KCallSpec:
+		// Strict return-type guard: exactly a Number is accepted (where
+		// KCall silently coerces booleans/undefined). Anything else
+		// deoptimizes: the interpreter frame is rebuilt from the deopt
+		// exit's frame map and the raw callee result.
+		if res.Type() == value.Number {
+			regs[op.Dst], tags[op.Dst] = res.AsNumber(), TagNumber
+			break
+		}
+		if op.Target < 0 || int(op.Target) >= len(code.DeoptExits) {
+			return StatusBail, nil, nil, true // orphan guard; treat as bail
+		}
+		return StatusDeopt, nil, buildDeopt(code, op.Target, regs, res), true
+	case op.B == 1: // expect object
+		if !res.IsArray() {
+			return StatusBail, nil, nil, true
+		}
+		regs[op.Dst], tags[op.Dst] = float64(res.Handle()), TagObject
+	default:
+		switch res.Type() {
+		case value.Number, value.Boolean:
+			regs[op.Dst], tags[op.Dst] = res.ToNumber(), TagNumber
+		case value.Undefined:
+			regs[op.Dst], tags[op.Dst] = math.NaN(), TagNumber
+		default:
+			return StatusBail, nil, nil, true
+		}
 	}
 	return StatusOK, nil, nil, false
 }
