@@ -11,13 +11,18 @@ package jitbull
 // paper-formatted text tables.
 
 import (
-	"strings"
+	"fmt"
+	"strconv"
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/experiments"
+	"github.com/jitbull/jitbull/internal/mir"
+	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/octane"
+	"github.com/jitbull/jitbull/internal/passes"
+	"github.com/jitbull/jitbull/internal/vulndb"
 )
 
 const benchIonThreshold = 100
@@ -41,11 +46,11 @@ func benchRun(b *testing.B, src string, cfg engine.Config, db *core.Database) {
 // (including Microbench1/2) under NoJIT, JIT, and JITBULL with 0, 1 and 4
 // VDCs installed.
 func BenchmarkFig5ExecutionTimes(b *testing.B) {
-	db1, bugs1, err := experiments.BuildDB(1, benchIonThreshold)
+	db1, bugs1, err := vulndb.BuildDB(1, benchIonThreshold)
 	if err != nil {
 		b.Fatal(err)
 	}
-	db4, bugs4, err := experiments.BuildDB(4, benchIonThreshold)
+	db4, bugs4, err := vulndb.BuildDB(4, benchIonThreshold)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func BenchmarkFig6Scalability(b *testing.B) {
 		}
 		src := bench.Source(2)
 		for n := 1; n <= 8; n++ {
-			db, bugs, err := experiments.BuildDB(n, benchIonThreshold)
+			db, bugs, err := vulndb.BuildDB(n, benchIonThreshold)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -149,55 +154,236 @@ func BenchmarkSecurityMatrix(b *testing.B) {
 }
 
 // ---- Core micro-benchmarks (hot-path costs; see DESIGN.md) ----
+//
+// The "ref" sub-benchmarks run the retained string-based reference
+// implementation over the same fixture.
 
-// coreBenchGroup runs every experiments.CoreBenchmarks entry under the
-// given top-level group as sub-benchmarks ("/ref" entries are the retained
-// pre-optimization implementation, the speedup baseline).
-func coreBenchGroup(b *testing.B, prefix string) {
-	b.Helper()
-	for _, cb := range experiments.CoreBenchmarks() {
-		if name, ok := strings.CutPrefix(cb.Name, prefix); ok {
-			if name == "" {
-				name = "fast"
-			}
-			b.Run(strings.TrimPrefix(name, "/"), cb.Bench)
+// benchSnapshotPair builds a representative before/after pair: a load loop
+// body with nChecks bounds checks, of which the "after" side keeps only
+// one in four (what range analysis + bounds-check elimination do to hot
+// array code).
+func benchSnapshotPair(nChecks int) (before, after *mir.Snapshot) {
+	build := func(keepEvery int) *mir.Snapshot {
+		s := &mir.Snapshot{FuncName: "bench"}
+		add := func(id int, op string, operands ...int) {
+			s.Instrs = append(s.Instrs, mir.SnapInstr{ID: id, Opcode: op, Operands: operands})
 		}
-	}
-}
-
-// obsBenchGroup is coreBenchGroup over the observability set.
-func obsBenchGroup(b *testing.B, prefix string) {
-	b.Helper()
-	for _, cb := range experiments.ObsBenchmarks() {
-		if name, ok := strings.CutPrefix(cb.Name, prefix); ok {
-			if name == "" {
-				name = "fast"
+		add(1, "parameter#0")
+		add(2, "unbox", 1)
+		add(3, "elements", 2)
+		add(4, "initializedlength", 3)
+		id := 10
+		for i := 0; i < nChecks; i++ {
+			add(id, "constant("+strconv.Itoa(i)+")")
+			if keepEvery == 1 || i%keepEvery == 0 {
+				add(id+1, "boundscheck", id, 4)
+				add(id+2, "loadelement", 3, id+1)
+			} else {
+				add(id+2, "loadelement", 3, id)
 			}
-			b.Run(strings.TrimPrefix(name, "/"), cb.Bench)
+			add(id+3, "add", id+2, 2)
+			id += 4
 		}
+		add(id, "return", id-1)
+		return s
 	}
+	return build(1), build(4)
 }
-
-// BenchmarkObsSpan measures a trace span begin/end pair, disabled (the
-// nil-tracer cost every compile pays) and recording into a ring.
-func BenchmarkObsSpan(b *testing.B) { obsBenchGroup(b, "Span") }
-
-// BenchmarkObsCompileOctane measures a compile-heavy corpus run with
-// observability off, traced, and with the full stack attached.
-func BenchmarkObsCompileOctane(b *testing.B) { obsBenchGroup(b, "CompileOctane") }
 
 // BenchmarkExtractDelta measures one Δ extraction (Algorithm 1) over a
 // representative before/after snapshot pair.
-func BenchmarkExtractDelta(b *testing.B) { coreBenchGroup(b, "ExtractDelta") }
+func BenchmarkExtractDelta(b *testing.B) {
+	before, after := benchSnapshotPair(24)
+	b.Run("fast", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.ExtractDelta(before, after)
+		}
+	})
+	b.Run("ref", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.RefExtractDelta(before, after)
+		}
+	})
+}
+
+// benchChainSets builds two interned chain sets of size n with ~50%
+// overlap, the regime CompareChains sees when a candidate is near a VDC.
+func benchChainSets(n int) (a, b []uint32) {
+	mk := func(tag string, lo, hi int) []string {
+		var out []string
+		for i := lo; i < hi; i++ {
+			out = append(out, fmt.Sprintf("boundscheck→constant(%d)→%s→unbox→parameter#0", i, tag))
+		}
+		return out
+	}
+	shared := mk("shared", 0, n/2)
+	return core.InternChains(append(mk("a", 0, n-n/2), shared...)),
+		core.InternChains(append(mk("b", 0, n-n/2), shared...))
+}
 
 // BenchmarkCompareChains measures one COMPARECHAINS call over two 64-chain
 // sets with 50% overlap.
-func BenchmarkCompareChains(b *testing.B) { coreBenchGroup(b, "CompareChains") }
+func BenchmarkCompareChains(b *testing.B) {
+	x, y := benchChainSets(64)
+	b.Run("fast", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.CompareChains(x, y, core.DefaultRatio, core.DefaultThr)
+		}
+	})
+	b.Run("ref", func(b *testing.B) {
+		xs, ys := core.ChainStrings(x), core.ChainStrings(y)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			core.RefCompareChains(xs, ys, core.DefaultRatio, core.DefaultThr)
+		}
+	})
+}
 
-// BenchmarkDetectorFinish measures the detector's finish step (DNA vs
-// whole database) across every function of a corpus program, with 0, 1 and
-// 4 VDC fingerprints installed.
-func BenchmarkDetectorFinish(b *testing.B) { coreBenchGroup(b, "DetectorFinish") }
+// capturedCompile is one compilation's observer feed.
+type capturedCompile struct {
+	fn    string
+	steps []snapStep
+}
+
+type snapStep struct {
+	idx           int
+	pass          string
+	before, after *mir.Snapshot
+}
+
+// snapCapture is an engine.Policy that records the snapshot feed without
+// deciding anything.
+type snapCapture struct {
+	funcs []capturedCompile
+}
+
+func (sc *snapCapture) Active() bool { return true }
+
+func (sc *snapCapture) BeginCompile(fnName string) (passes.Observer, func() engine.CompileDecision) {
+	cc := capturedCompile{fn: fnName}
+	obs := func(idx int, pass string, before, after *mir.Snapshot) {
+		cc.steps = append(cc.steps, snapStep{idx: idx, pass: pass, before: before, after: after})
+	}
+	finish := func() engine.CompileDecision {
+		sc.funcs = append(sc.funcs, cc)
+		return engine.CompileDecision{}
+	}
+	return obs, finish
+}
+
+// replay drives one recorded compilation through any policy.
+func (cc *capturedCompile) replay(p engine.Policy) engine.CompileDecision {
+	obs, finish := p.BeginCompile(cc.fn)
+	for _, st := range cc.steps {
+		obs(st.idx, st.pass, st.before, st.after)
+	}
+	return finish()
+}
+
+// detectorFeed captures the per-pass snapshot feed of every function the
+// TypeScript benchmark (the paper's worst-case corpus program) gets
+// JIT-compiled. Replaying the feed through a policy reproduces exactly the
+// per-compilation work JITBULL adds to the engine: Δ extraction per pass,
+// then the finish-step database comparison.
+func detectorFeed() ([]capturedCompile, error) {
+	bench, err := octane.ByName("TypeScript")
+	if err != nil {
+		return nil, err
+	}
+	e, err := engine.New(bench.Source(1), engine.Config{IonThreshold: benchIonThreshold})
+	if err != nil {
+		return nil, err
+	}
+	capt := &snapCapture{}
+	e.SetPolicy(capt)
+	if _, err := e.Run(); err != nil {
+		return nil, err
+	}
+	if len(capt.funcs) == 0 {
+		return nil, fmt.Errorf("fixture captured no compilations")
+	}
+	return capt.funcs, nil
+}
+
+// BenchmarkDetectorFinish measures the detector's per-compilation work
+// (DNA vs whole database) across every function of a corpus program, with
+// 0, 1 and 4 VDC fingerprints installed.
+func BenchmarkDetectorFinish(b *testing.B) {
+	funcs, err := detectorFeed()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dbs := map[int]*core.Database{0: {}}
+	for _, n := range []int{1, 4} {
+		if dbs[n], _, err = vulndb.BuildDB(n, benchIonThreshold); err != nil {
+			b.Fatal(err)
+		}
+	}
+	replayAll := func(det engine.Policy, reset func()) func(b *testing.B) {
+		return func(b *testing.B) {
+			funcs[0].replay(det) // build the index outside the timing loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range funcs {
+					funcs[j].replay(det)
+				}
+				reset()
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 4} {
+		b.Run(fmt.Sprintf("%dVDC", n), replayAll(core.NewDetector(dbs[n]), func() {}))
+	}
+	ref := core.NewReferenceDetector(dbs[4])
+	b.Run("ref4VDC", replayAll(ref, ref.Reset)) // the reference appends duplicate matches
+}
+
+// BenchmarkObsCompileOctane measures one compile-heavy corpus program per
+// iteration on a fresh engine: observability off, with a ring tracer, with
+// the full stack (tracer + shared registry + audit log), and with the
+// flight recorder armed (ring sink + watchdog + journal) but idle.
+func BenchmarkObsCompileOctane(b *testing.B) {
+	bench, err := octane.ByName("Richards")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := bench.Source(1)
+	run := func(mk func(b *testing.B) engine.Config) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchRun(b, src, mk(b), nil)
+			}
+		}
+	}
+	b.Run("off", run(func(*testing.B) engine.Config {
+		return engine.Config{IonThreshold: benchIonThreshold}
+	}))
+	b.Run("traced", run(func(*testing.B) engine.Config {
+		return engine.Config{IonThreshold: benchIonThreshold, Tracer: obs.NewTracer(obs.NewRing(0))}
+	}))
+	full := func() engine.Config {
+		return engine.Config{
+			IonThreshold: benchIonThreshold,
+			Tracer:       obs.NewTracer(obs.NewRing(0)),
+			Metrics:      obs.NewRegistry(),
+			Audit:        obs.NewAuditLog(nil),
+		}
+	}
+	b.Run("full", run(func(*testing.B) engine.Config { return full() }))
+	b.Run("flight-idle", run(func(b *testing.B) engine.Config {
+		cfg := full()
+		cfg.Tracer = obs.NewTracer(obs.NewFlightRecorder(b.TempDir(), obs.FlightOptions{MinSamples: 1 << 30}))
+		cfg.Watchdog = obs.NewWatchdog(obs.WatchdogOptions{})
+		cfg.Journal = obs.NewJournal(0)
+		return cfg
+	}))
+}
 
 // ---- Ablations (design choices called out in DESIGN.md) ----
 
@@ -210,7 +396,7 @@ func BenchmarkAblationDNAExtraction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db1, bugs1, err := experiments.BuildDB(1, benchIonThreshold)
+	db1, bugs1, err := vulndb.BuildDB(1, benchIonThreshold)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -232,7 +418,7 @@ func BenchmarkAblationDNAExtraction(b *testing.B) {
 // false-positive rate on the corpus, quantifying the
 // sensitivity/precision trade-off behind the defaults.
 func BenchmarkAblationThresholdRatio(b *testing.B) {
-	db, bugs, err := experiments.BuildDB(4, benchIonThreshold)
+	db, bugs, err := vulndb.BuildDB(4, benchIonThreshold)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,497 +1,51 @@
-// Command jitbull-bench regenerates every table and figure of the paper's
-// evaluation. With no flags it runs everything.
+// Command jitbull-bench regenerates the tables and figures of the paper's
+// evaluation as text, in the paper's shapes. With no flags it prints all
+// of them.
 //
 //	jitbull-bench -table1 -table2 -window    # static tables
 //	jitbull-bench -security                  # §VI-B detection matrix
 //	jitbull-bench -fig4                      # false-positive rates
 //	jitbull-bench -fig5 -scale 5 -repeats 3  # execution times
 //	jitbull-bench -fig6                      # scalability #1..#8
-//	jitbull-bench -core                      # hot-path micro-benchmarks
+//	jitbull-bench -ablation                  # comparator Thr/Ratio sweep
 //
-// Corpus experiments fan out across -workers engines. -core writes its
-// measurements (including the retained reference implementation as the
-// pre-optimization baseline) to -benchout as JSON.
+// Corpus experiments fan out across -workers engines. Nothing here gates
+// or records: timings that are compared against anything come from bench/
+// (bash bench/run.sh), which checks every output and measures each
+// contrast inside one process.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"runtime"
-	"strings"
-	"testing"
 
 	"github.com/jitbull/jitbull/internal/experiments"
 )
 
-// benchMeta is the provenance header stamped into every BENCH_*.json file:
-// which revision produced the numbers and under what configuration, so a
-// committed baseline is never compared against measurements from a
-// different tree or scale.
-type benchMeta struct {
-	Git       string `json:"git"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	Scale     int    `json:"scale"`
-	Repeats   int    `json:"repeats"`
-	Threshold int    `json:"threshold"`
-}
-
-// benchFile is the on-disk shape of every BENCH_*.json: a meta header plus
-// the benchmark-specific payload. Readers of older headerless files (a
-// bare array or report object) must keep accepting both shapes — see
-// obsGate.
-type benchFile struct {
-	Meta    benchMeta `json:"meta"`
-	Results any       `json:"results"`
-}
-
-// gitDescribe resolves the working tree's revision; "unknown" when git is
-// unavailable (e.g. running from an exported tarball).
-func gitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty", "--tags").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-// writeBench stamps the provenance header and writes path.
-func writeBench(path string, results any, cfg experiments.Config) error {
-	f := benchFile{
-		Meta: benchMeta{
-			Git:       gitDescribe(),
-			GoVersion: runtime.Version(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			Scale:     cfg.Scale,
-			Repeats:   cfg.Repeats,
-			Threshold: cfg.IonThreshold,
-		},
-		Results: results,
-	}
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%s)\n", path, f.Meta.Git)
-	return nil
-}
-
 func main() {
 	var (
-		table1    = flag.Bool("table1", false, "print the Table I vulnerability survey")
-		table2    = flag.Bool("table2", false, "print the execution environment (Table II)")
-		window    = flag.Bool("window", false, "print the vulnerability-window analysis (§III-C/§VI-D)")
-		security  = flag.Bool("security", false, "run the §VI-B security matrix")
-		fig4      = flag.Bool("fig4", false, "run the Figure 4 false-positive experiment")
-		fig5      = flag.Bool("fig5", false, "run the Figure 5 execution-time experiment")
-		fig6      = flag.Bool("fig6", false, "run the Figure 6 scalability experiment")
-		ablation  = flag.Bool("ablation", false, "sweep the comparator's Thr/Ratio settings")
-		coreB     = flag.Bool("core", false, "run the core hot-path micro-benchmarks")
-		obsB      = flag.Bool("obs", false, "run the observability micro-benchmarks")
-		jitqB     = flag.Bool("jitqueue", false, "run the off-thread-compilation / shared-cache benchmark with its regression gates")
-		nativeB   = flag.Bool("native", false, "run the superinstruction-tier benchmark with its regression gates")
-		osrB      = flag.Bool("osr", false, "run the loop-header OSR tier-up benchmark with its regression gates")
-		warmB     = flag.Bool("warmstart", false, "run the persistent-store warm-start benchmark with its regression gates")
-		mcB       = flag.Bool("mc", false, "run the machine-code-tier benchmark with its regression gates")
-		benchout  = flag.String("benchout", "BENCH_core.json", "output file for -core results")
-		obsout    = flag.String("obsout", "BENCH_obs.json", "output file for -obs results")
-		jitqout   = flag.String("jitqueueout", "BENCH_jitqueue.json", "output file for -jitqueue results")
-		nativeout = flag.String("nativeout", "BENCH_native.json", "output file for -native results")
-		osrout    = flag.String("osrout", "BENCH_osr.json", "output file for -osr results")
-		warmout   = flag.String("warmstartout", "BENCH_warmstart.json", "output file for -warmstart results")
-		mcout     = flag.String("mcout", "BENCH_mc.json", "output file for -mc results")
-		corebase  = flag.String("corebase", "BENCH_core.json", "recorded core baseline the -obs regression gate compares against ('' disables the gate)")
-		scale     = flag.Int("scale", 4, "benchmark iteration scale for timing experiments")
-		repeats   = flag.Int("repeats", 3, "timing repetitions (minimum reported)")
-		thr       = flag.Int("threshold", 100, "Ion compilation threshold for benchmark runs")
-		workers   = flag.Int("workers", 1, "worker pool size for corpus experiments (0 = GOMAXPROCS)")
+		table1   = flag.Bool("table1", false, "print the Table I vulnerability survey")
+		table2   = flag.Bool("table2", false, "print the execution environment (Table II)")
+		window   = flag.Bool("window", false, "print the vulnerability-window analysis (§III-C/§VI-D)")
+		security = flag.Bool("security", false, "run the §VI-B security matrix")
+		fig4     = flag.Bool("fig4", false, "run the Figure 4 false-positive experiment")
+		fig5     = flag.Bool("fig5", false, "run the Figure 5 execution-time experiment")
+		fig6     = flag.Bool("fig6", false, "run the Figure 6 scalability experiment")
+		ablation = flag.Bool("ablation", false, "sweep the comparator's Thr/Ratio settings")
+		scale    = flag.Int("scale", 4, "benchmark iteration scale for timing experiments")
+		repeats  = flag.Int("repeats", 3, "timing repetitions (minimum reported)")
+		thr      = flag.Int("threshold", 100, "Ion compilation threshold for benchmark runs")
+		workers  = flag.Int("workers", 1, "worker pool size for corpus experiments (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	all := !(*table1 || *table2 || *window || *security || *fig4 || *fig5 || *fig6 || *ablation || *coreB || *obsB || *jitqB || *nativeB || *osrB || *warmB || *mcB)
+	all := !(*table1 || *table2 || *window || *security || *fig4 || *fig5 || *fig6 || *ablation)
 	cfg := experiments.Config{IonThreshold: *thr, Repeats: *repeats, Scale: *scale, Workers: *workers}
 
 	if err := run(all, *table1, *table2, *window, *security, *fig4, *fig5, *fig6, *ablation, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "jitbull-bench:", err)
 		os.Exit(1)
 	}
-	if *coreB {
-		if err := runCore(*benchout, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "jitbull-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *obsB {
-		if err := runObs(*obsout, *corebase, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "jitbull-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *jitqB {
-		if err := runJitQueue(*jitqout, *corebase, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "jitbull-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *nativeB {
-		if err := runNative(*nativeout, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "jitbull-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *osrB {
-		if err := runOSR(*osrout, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "jitbull-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *warmB {
-		if err := runWarmStart(*warmout, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "jitbull-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *mcB {
-		if err := runMC(*mcout, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "jitbull-bench:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// mcGateKernelSpeedup is the primary -mc regression gate: real machine
-// code must beat the fused threaded dispatch loop by this geomean factor
-// at the executor boundary, on the same kernels the fused tier itself is
-// gated on. Anything lower means the tier is not paying for its W^X pages.
-const mcGateKernelSpeedup = 2.0
-
-// mcGateOctaneSpeedup is the engine-level -mc gate: whole-run wall clock
-// on the octane-analogue corpus (interpreter warm-up, compile pipeline and
-// hook traffic included) must still improve by this geomean factor.
-const mcGateOctaneSpeedup = 1.4
-
-// runMC runs the machine-code-tier benchmark, writes BENCH_mc.json, and
-// enforces its gates: kernel geomean mc-vs-fused speedup >= 2.0x, engine
-// octane geomean >= 1.4x, bit-identical behavior (value, result global,
-// output, VM steps, policy verdicts) between the mc and NoMC cells, and a
-// divergence-free generated-program sweep. On platforms without the tier
-// the report records Supported=false and the gates do not apply.
-func runMC(path string, cfg experiments.Config) error {
-	rep, err := experiments.MCBench(cfg)
-	if err != nil {
-		return fmt.Errorf("mc bench: %w", err)
-	}
-	fmt.Print(experiments.RenderMC(rep))
-	if err := writeBench(path, rep, cfg); err != nil {
-		return err
-	}
-	if !rep.Supported {
-		fmt.Printf("mc gate: tier unsupported on %s; gates skipped\n", rep.Arch)
-		return nil
-	}
-	if !rep.Identical {
-		return fmt.Errorf("mc gate: mc/nomc behavior diverged: %s", rep.Mismatch)
-	}
-	if rep.SweepDiverged > 0 {
-		return fmt.Errorf("mc gate: %d/%d generated programs diverged (%s)",
-			rep.SweepDiverged, rep.SweepPrograms, rep.SweepFirstDiver)
-	}
-	if rep.KernelMismatch != "" {
-		return fmt.Errorf("mc gate: kernel behavior diverged: %s", rep.KernelMismatch)
-	}
-	if rep.KernelGeomean < mcGateKernelSpeedup {
-		return fmt.Errorf("mc gate: kernel geomean machine-code speedup %.2fx below the %.1fx budget",
-			rep.KernelGeomean, mcGateKernelSpeedup)
-	}
-	if rep.GeomeanSpeedup < mcGateOctaneSpeedup {
-		return fmt.Errorf("mc gate: octane geomean speedup %.2fx below the %.1fx budget",
-			rep.GeomeanSpeedup, mcGateOctaneSpeedup)
-	}
-	return nil
-}
-
-// warmStartGateSpeedup is the -warmstart regression gate: replaying a
-// compile-heavy program's artifacts and verdicts from the persistent
-// store must beat recompiling them by this factor.
-const warmStartGateSpeedup = 5.0
-
-// runWarmStart runs the persistent-store warm-start benchmark, writes
-// BENCH_warmstart.json, and enforces its gates: zero pipeline executions
-// in the warm process (checked inside the bench) and a >= 5x warm-hit
-// speedup over a cold compile.
-func runWarmStart(path string, cfg experiments.Config) error {
-	dir, err := os.MkdirTemp("", "jitbull-warmstart-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	rep, err := experiments.WarmStartBench(dir, cfg)
-	if err != nil {
-		return fmt.Errorf("warmstart bench: %w", err)
-	}
-	fmt.Print(experiments.RenderWarmStart(rep))
-	if err := writeBench(path, rep, cfg); err != nil {
-		return err
-	}
-	if rep.WarmCompiles != 0 {
-		return fmt.Errorf("warmstart gate: warm process ran %d pipeline(s), want 0", rep.WarmCompiles)
-	}
-	if rep.Speedup < warmStartGateSpeedup {
-		return fmt.Errorf("warmstart gate: warm start only %.1fx faster than a cold boot (budget %.0fx)",
-			rep.Speedup, warmStartGateSpeedup)
-	}
-	return nil
-}
-
-// osrGateSpeedup is the -osr regression gate: on the single-long-call
-// corpus, the OSR cell (back-edge compile + mid-loop entry) must beat the
-// call-boundary-only cell by this geomean factor. The corpus is exactly
-// the workload call-boundary installs cannot serve — a single call that
-// never returns to an install point — so anything near 1.0x means the
-// transfer machinery is not paying for itself.
-const osrGateSpeedup = 1.2
-
-// runOSR runs the OSR tier-up benchmark, writes BENCH_osr.json, and
-// enforces its gates: geomean osr-vs-boundary speedup >= 1.2x, at least
-// one mid-loop entry per bench, zero entries in the boundary cell, and
-// identical semantics (value, result global, output, errors) across the
-// cells.
-func runOSR(path string, cfg experiments.Config) error {
-	rep, err := experiments.OSRBench(cfg)
-	if err != nil {
-		return fmt.Errorf("osr bench: %w", err)
-	}
-	fmt.Print(experiments.RenderOSR(rep))
-	if err := writeBench(path, rep, cfg); err != nil {
-		return err
-	}
-	if !rep.Identical {
-		return fmt.Errorf("osr gate: boundary/osr behavior diverged: %s", rep.Mismatch)
-	}
-	if len(rep.NeverEntered) > 0 {
-		return fmt.Errorf("osr gate: bench(es) never entered mid-loop: %v", rep.NeverEntered)
-	}
-	if rep.GeomeanSpeedup < osrGateSpeedup {
-		return fmt.Errorf("osr gate: geomean mid-loop tier-up speedup %.2fx below the %.1fx budget",
-			rep.GeomeanSpeedup, osrGateSpeedup)
-	}
-	return nil
-}
-
-// nativeGateSpeedup is the -native regression gate: the fused dispatch
-// loop must beat the unfused reference by this geomean factor on the
-// octane-analogue kernel corpus, measured at the native.Exec boundary.
-// (Whole-engine wall clock is reported alongside but not gated: it is
-// dominated by hook calls and interpreter warm-up, which fusion must not
-// change.)
-const nativeGateSpeedup = 1.5
-
-// runNative runs the superinstruction-tier benchmark, writes
-// BENCH_native.json, and enforces its gates: kernel geomean
-// fused-vs-unfused speedup >= 1.5x, bit-identical behavior (value, result
-// global, output, VM steps, policy verdicts) on every engine-level
-// benchmark and every kernel, and a divergence-free generated-program
-// sweep.
-func runNative(path string, cfg experiments.Config) error {
-	rep, err := experiments.NativeBench(cfg)
-	if err != nil {
-		return fmt.Errorf("native bench: %w", err)
-	}
-	fmt.Print(experiments.RenderNative(rep))
-	if err := writeBench(path, rep, cfg); err != nil {
-		return err
-	}
-	if !rep.Identical {
-		return fmt.Errorf("native gate: fused/unfused behavior diverged: %s", rep.Mismatch)
-	}
-	if rep.SweepDiverged > 0 {
-		return fmt.Errorf("native gate: %d/%d generated programs diverged (%s)",
-			rep.SweepDiverged, rep.SweepPrograms, rep.SweepFirstDiver)
-	}
-	if rep.KernelMismatch != "" {
-		return fmt.Errorf("native gate: kernel behavior diverged: %s", rep.KernelMismatch)
-	}
-	if rep.KernelGeomean < nativeGateSpeedup {
-		return fmt.Errorf("native gate: kernel geomean fused speedup %.2fx below the %.1fx budget",
-			rep.KernelGeomean, nativeGateSpeedup)
-	}
-	return nil
-}
-
-// runJitQueue runs the off-thread-compilation / shared-cache benchmark,
-// writes BENCH_jitqueue.json, and enforces its regression gates: the warm
-// fleet re-run must eliminate >= 90% of pipeline executions, a cached hit
-// must beat a cold compile >= 5x, policy verdicts must be identical in
-// every mode, and (via the obs gate) the untraced sync compile path must
-// stay within 5% of the recorded BENCH_core.json baseline.
-func runJitQueue(path, corebase string, cfg experiments.Config) error {
-	rep, err := experiments.JitQueueBench(cfg)
-	if err != nil {
-		return fmt.Errorf("jitqueue bench: %w", err)
-	}
-	fmt.Print(experiments.RenderJitQueue(rep))
-	if err := writeBench(path, rep, cfg); err != nil {
-		return err
-	}
-	if !rep.VerdictsIdentical {
-		return fmt.Errorf("jitqueue gate: policy verdicts diverged across modes: %s", rep.VerdictMismatch)
-	}
-	if rep.PipelineEliminatedPct < 90 {
-		return fmt.Errorf("jitqueue gate: warm fleet re-run eliminated only %.1f%% of pipeline executions (budget 90%%)",
-			rep.PipelineEliminatedPct)
-	}
-	if rep.CachedSpeedup < 5 {
-		return fmt.Errorf("jitqueue gate: cached hit only %.1fx faster than a cold compile (budget 5x)", rep.CachedSpeedup)
-	}
-	if rep.StallEliminatedPct < 90 {
-		return fmt.Errorf("jitqueue gate: async kept %.1f%% of compile stalls on the execution thread (budget: move >= 90%% off-thread)",
-			100-rep.StallEliminatedPct)
-	}
-	if rep.NumCPU > 1 && len(rep.Modes) > 1 && rep.Modes[1].Speedup < 1 {
-		// Timing, so advisory: flag it loudly without failing CI on noise.
-		fmt.Printf("jitqueue: WARNING: async mode was not faster than sync (%.2fx)\n", rep.Modes[1].Speedup)
-	}
-	if corebase == "" {
-		return nil
-	}
-	return obsGate(corebase)
-}
-
-// coreResult is one BENCH_core.json record.
-type coreResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// runCore measures every experiments.CoreBenchmarks entry via
-// testing.Benchmark and writes the results to path as JSON.
-func runCore(path string, cfg experiments.Config) error {
-	var results []coreResult
-	for _, cb := range experiments.CoreBenchmarks() {
-		r := testing.Benchmark(cb.Bench)
-		res := coreResult{
-			Name:        cb.Name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		fmt.Printf("%-24s %12.1f ns/op %10d B/op %8d allocs/op\n",
-			res.Name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-		results = append(results, res)
-	}
-	fmt.Println()
-	return writeBench(path, results, cfg)
-}
-
-// obsGateBench is the BENCH_core.json entry the -obs regression gate
-// re-measures: the detector finish step rides the fully instrumented
-// compile path, so a disabled-probe slowdown shows up here first.
-const obsGateBench = "DetectorFinish/4VDC"
-
-// obsGateTolerance is the accepted slowdown of the disabled-probe path
-// relative to the recorded baseline (5%).
-const obsGateTolerance = 1.05
-
-// runObs measures every experiments.ObsBenchmarks entry, writes the
-// results to path, and — when corebase names a readable BENCH_core.json —
-// re-measures the gate benchmark and fails if the disabled-probe compile
-// path regressed beyond the tolerance.
-func runObs(path, corebase string, cfg experiments.Config) error {
-	var results []coreResult
-	for _, cb := range experiments.ObsBenchmarks() {
-		r := testing.Benchmark(cb.Bench)
-		res := coreResult{
-			Name:        cb.Name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		fmt.Printf("%-24s %12.1f ns/op %10d B/op %8d allocs/op\n",
-			res.Name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-		results = append(results, res)
-	}
-	byName := map[string]coreResult{}
-	for _, r := range results {
-		byName[r.Name] = r
-	}
-	if off, traced := byName["CompileOctane/off"], byName["CompileOctane/traced"]; off.NsPerOp > 0 {
-		fmt.Printf("\ntracing overhead on the compile-heavy run: %.1f%% (off %.0f ns/op, traced %.0f ns/op)\n",
-			100*(traced.NsPerOp/off.NsPerOp-1), off.NsPerOp, traced.NsPerOp)
-	}
-	if err := writeBench(path, results, cfg); err != nil {
-		return err
-	}
-	if corebase == "" {
-		return nil
-	}
-	return obsGate(corebase)
-}
-
-// obsGate re-measures the gate benchmark (best of 3) against the recorded
-// baseline. The compile-path probes compile to one nil check each when
-// observability is off; this is the regression budget for that claim.
-func obsGate(corebase string) error {
-	data, err := os.ReadFile(corebase)
-	if err != nil {
-		return fmt.Errorf("obs gate: read baseline: %w", err)
-	}
-	// Accept both baseline shapes: the current {meta, results} wrapper and
-	// the pre-header bare array.
-	var baseline []coreResult
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		var wrapped struct {
-			Results []coreResult `json:"results"`
-		}
-		if werr := json.Unmarshal(data, &wrapped); werr != nil || wrapped.Results == nil {
-			return fmt.Errorf("obs gate: parse baseline: %w", err)
-		}
-		baseline = wrapped.Results
-	}
-	var base *coreResult
-	for i := range baseline {
-		if baseline[i].Name == obsGateBench {
-			base = &baseline[i]
-			break
-		}
-	}
-	if base == nil {
-		return fmt.Errorf("obs gate: baseline %s lacks %q", corebase, obsGateBench)
-	}
-	var bench func(b *testing.B)
-	for _, cb := range experiments.CoreBenchmarks() {
-		if cb.Name == obsGateBench {
-			bench = cb.Bench
-			break
-		}
-	}
-	if bench == nil {
-		return fmt.Errorf("obs gate: core benchmark %q not found", obsGateBench)
-	}
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		r := testing.Benchmark(bench)
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	ratio := best / base.NsPerOp
-	fmt.Printf("obs gate: %s %.1f ns/op vs baseline %.1f ns/op (%.2fx, budget %.2fx)\n",
-		obsGateBench, best, base.NsPerOp, ratio, obsGateTolerance)
-	if ratio > obsGateTolerance {
-		return fmt.Errorf("obs gate: disabled-probe compile path regressed %.1f%% over %s (budget 5%%)",
-			100*(ratio-1), corebase)
-	}
-	return nil
 }
 
 func run(all, table1, table2, window, security, fig4, fig5, fig6, ablation bool, cfg experiments.Config) error {

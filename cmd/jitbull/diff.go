@@ -11,8 +11,9 @@ import (
 
 // cmdDiff runs the differential-execution oracle: one script (or a range of
 // generated programs) under the full configuration matrix, reporting any
-// divergence from the interpreter and optionally shrinking the offending
-// program to a minimal reproducer.
+// divergence from the interpreter — and, for the NoMC/NoFuse executor
+// cells, any step-count or verdict divergence from their twin — and
+// optionally shrinking the offending program to a minimal reproducer.
 func cmdDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	seed := fs.Int64("seed", -1, "run the generated program with this seed")
@@ -30,6 +31,8 @@ func cmdDiff(args []string) error {
 		JITBULL:  *withJitbull,
 		Variants: *variants,
 		CheckIR:  *checkIR,
+		Fusion:   true,
+		MC:       true,
 	})
 
 	type prog struct {

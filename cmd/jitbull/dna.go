@@ -1,9 +1,8 @@
-// Command dna extracts and inspects JIT DNA.
-//
-//	dna extract [-bugs CVE,...] [-threshold N] script.js   # print DNA as JSON
-//	dna diff a.json b.json                                  # compare two dumps
-//	dna passes                                              # list pipeline passes
 package main
+
+// `jitbull dna`: extract and inspect JIT DNA (extract, diff, passes) and
+// check a DNA database's integrity (verify, in store.go beside the other
+// offline integrity tools).
 
 import (
 	"encoding/json"
@@ -11,59 +10,50 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"github.com/jitbull/jitbull"
 	"github.com/jitbull/jitbull/internal/core"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "dna:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
+// cmdDNA dispatches the dna subcommands.
+func cmdDNA(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: dna extract|diff|passes ...")
+		return fmt.Errorf("dna: missing subcommand (extract, diff, passes, verify)")
 	}
 	switch args[0] {
 	case "extract":
-		return cmdExtract(args[1:])
+		return cmdDNAExtract(args[1:])
 	case "diff":
-		return cmdDiff(args[1:])
+		return cmdDNADiff(args[1:])
 	case "passes":
 		for i, name := range jitbull.PassNames() {
 			fmt.Printf("%2d  %s\n", i+1, name)
 		}
 		return nil
+	case "verify":
+		return cmdDNAVerify(args[1:])
 	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
+		return fmt.Errorf("dna: unknown subcommand %q", args[0])
 	}
 }
 
-func cmdExtract(args []string) error {
-	fs := flag.NewFlagSet("extract", flag.ContinueOnError)
+// cmdDNAExtract compiles a script hot and prints the DNA of every JITed
+// function as JSON.
+func cmdDNAExtract(args []string) error {
+	fs := flag.NewFlagSet("dna extract", flag.ContinueOnError)
 	bugsFlag := fs.String("bugs", "", "comma-separated CVE ids to activate during compilation")
 	threshold := fs.Int("threshold", 0, "Ion compilation threshold")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("extract: one script expected")
+		return fmt.Errorf("dna extract: one script expected")
 	}
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	bugs := jitbull.BugSet{}
-	for _, c := range strings.Split(*bugsFlag, ",") {
-		if c = strings.TrimSpace(c); c != "" {
-			bugs[c] = true
-		}
-	}
-	vdc, err := jitbull.Fingerprint("(extract)", string(src), bugs, *threshold)
+	vdc, err := jitbull.Fingerprint("(extract)", string(src), parseBugs(*bugsFlag), *threshold)
 	if err != nil {
 		return err
 	}
@@ -75,15 +65,17 @@ func cmdExtract(args []string) error {
 	return nil
 }
 
-func cmdDiff(args []string) error {
+// cmdDNADiff compares two extract dumps function by function and prints
+// one MATCH line per pass at which the detector would call them similar.
+func cmdDNADiff(args []string) error {
 	if len(args) != 2 {
-		return fmt.Errorf("diff: two DNA dump files expected")
+		return fmt.Errorf("dna diff: two DNA dump files expected")
 	}
-	a, err := loadDump(args[0])
+	a, err := loadDNADump(args[0])
 	if err != nil {
 		return err
 	}
-	b, err := loadDump(args[1])
+	b, err := loadDNADump(args[1])
 	if err != nil {
 		return err
 	}
@@ -107,7 +99,7 @@ func cmdDiff(args []string) error {
 	return nil
 }
 
-func loadDump(path string) ([]core.DNA, error) {
+func loadDNADump(path string) ([]core.DNA, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -75,6 +75,9 @@ func usage() {
   jitbull chaos [-runs N] [-seed N] [-rules N] [-points p,...] [-osr]
                 [-out reproducers.json] [-replay reproducers.json] [-trace dir]
   jitbull audit [-verdict v] [-func name] [-cve CVE] [-json] audit.jsonl
+  jitbull dna extract [-bugs CVE,...] [-threshold N] script.js
+  jitbull dna diff a.json b.json
+  jitbull dna passes
   jitbull dna verify db.json
   jitbull store verify [-quarantine] dir
   jitbull store chaos [-runs N] [-seed N] [-out reproducers.json] [-dir scratch]

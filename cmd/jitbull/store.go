@@ -17,19 +17,6 @@ import (
 	"github.com/jitbull/jitbull/internal/store"
 )
 
-// cmdDNA dispatches the dna subcommands.
-func cmdDNA(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("dna: missing subcommand (verify)")
-	}
-	switch args[0] {
-	case "verify":
-		return cmdDNAVerify(args[1:])
-	default:
-		return fmt.Errorf("dna: unknown subcommand %q", args[0])
-	}
-}
-
 // cmdDNAVerify loads a DNA database through the full envelope discipline
 // (format, version, crc32c) plus structural validation, and reports what
 // it found. Any failure — unreadable, corrupt, version-skewed, or

@@ -13,7 +13,6 @@ import (
 
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
-	"github.com/jitbull/jitbull/internal/experiments"
 	"github.com/jitbull/jitbull/internal/octane"
 	"github.com/jitbull/jitbull/internal/passes"
 	"github.com/jitbull/jitbull/internal/progen"
@@ -76,7 +75,7 @@ func checkRunEquivalence(t *testing.T, name, src string, cfg engine.Config, db *
 
 func TestDecisionEquivalenceOctane(t *testing.T) {
 	for _, n := range []int{1, 4} {
-		db, bugs, err := experiments.BuildDB(n, 100)
+		db, bugs, err := vulndb.BuildDB(n, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +87,7 @@ func TestDecisionEquivalenceOctane(t *testing.T) {
 }
 
 func TestDecisionEquivalenceVulnDemonstrators(t *testing.T) {
-	db, bugs, err := experiments.BuildDB(4, 300)
+	db, bugs, err := vulndb.BuildDB(4, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func TestDecisionEquivalenceVulnDemonstrators(t *testing.T) {
 }
 
 func TestDecisionEquivalenceGenerated(t *testing.T) {
-	db, bugs, err := experiments.BuildDB(4, 100)
+	db, bugs, err := vulndb.BuildDB(4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

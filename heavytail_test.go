@@ -15,17 +15,17 @@ import (
 
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
-	"github.com/jitbull/jitbull/internal/experiments"
 	"github.com/jitbull/jitbull/internal/mir"
 	"github.com/jitbull/jitbull/internal/passes"
 	"github.com/jitbull/jitbull/internal/progen"
+	"github.com/jitbull/jitbull/internal/vulndb"
 )
 
 // heavyTailProgram returns the program, engine configuration and database
 // of compile_storm's progen-1044 (all 8 bugs active, DB #8).
 func heavyTailProgram(tb testing.TB) (string, engine.Config, *core.Database) {
 	tb.Helper()
-	db, bugs, err := experiments.BuildDB(8, benchIonThreshold)
+	db, bugs, err := vulndb.BuildDB(8, benchIonThreshold)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -14,9 +14,9 @@ import (
 )
 
 // On-disk format of the VDC DNA database: a versioned envelope whose
-// payload (the legacy v1 {"vdcs": ...} JSON) is covered by a CRC-32C
-// checksum, so truncation and bit rot are detected instead of silently
-// loading a wrong — and therefore wrongly-permissive — match index.
+// payload (the {"vdcs": ...} JSON) is covered by a CRC-32C checksum, so
+// truncation and bit rot are detected instead of silently loading a wrong
+// — and therefore wrongly-permissive — match index.
 const (
 	dbFormat  = "jitbull-dna"
 	dbVersion = 2
@@ -121,10 +121,11 @@ func (db *Database) SaveWith(path string, inj *faults.Injector) (err error) {
 	return nil
 }
 
-// LoadDatabase reads a database written by Save. It accepts the v2
-// checksummed envelope and the legacy v1 plain-JSON form (which has no
-// checksum and is only recognized by its "vdcs" key — arbitrary JSON does
-// not silently load as an empty database). Untrustworthy files return a
+// LoadDatabase reads a database written by Save. It accepts one layout,
+// the checksummed envelope: the file is the go/no-go policy, so nothing
+// in it is trusted before the checksum holds. A bare {"vdcs": ...} object
+// — an envelope with its wrapper stripped, or a hand-edited policy — is
+// rejected like any other foreign JSON. Untrustworthy files return a
 // *CorruptError; structurally-invalid databases (duplicate VDC names,
 // dangling chain IDs) are rejected by Validate.
 func LoadDatabase(path string) (*Database, error) { return LoadDatabaseWith(path, nil) }
@@ -154,18 +155,7 @@ func LoadDatabaseWith(path string, inj *faults.Injector) (db *Database, err erro
 		return nil, &CorruptError{Path: path, Reason: "not a JSON object (torn or truncated write?)", Err: err}
 	}
 	if _, versioned := probe["format"]; !versioned {
-		// Legacy v1: a bare {"vdcs": ...} database. No checksum to verify.
-		if _, ok := probe["vdcs"]; !ok {
-			return nil, &CorruptError{Path: path, Reason: `unrecognized layout: neither a v2 envelope nor a legacy "vdcs" database`}
-		}
-		db := &Database{}
-		if err := json.Unmarshal(data, db); err != nil {
-			return nil, &CorruptError{Path: path, Reason: "legacy database does not parse", Err: err}
-		}
-		if err := db.Validate(); err != nil {
-			return nil, fmt.Errorf("invalid DNA database %s: %w", path, err)
-		}
-		return db, nil
+		return nil, &CorruptError{Path: path, Reason: `missing envelope: no "format" key, so no checksum covers the content`}
 	}
 
 	var env dbEnvelope

@@ -1,18 +1,20 @@
 package core
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzLoadDatabase throws arbitrary bytes — seeded with a valid v2
-// envelope, its truncations, a mutated checksum, a legacy v1 database,
-// and garbage JSON — at the envelope parser and holds it to the
-// persistence contract: it never panics, and it either returns a
-// database that passes Validate or an error (corruption surfaces as
-// *CorruptError, structural invalidity as a Validate error). A fuzz
-// input that loads cleanly must also survive a save/load round trip.
+// envelope, its truncations, a mutated checksum, two bare {"vdcs": ...}
+// objects (the pre-envelope layout, which must not load), and garbage
+// JSON — at the envelope parser and holds it to the persistence contract:
+// it never panics, and it either returns a database that passes Validate
+// or an error (corruption surfaces as *CorruptError, structural
+// invalidity as a Validate error). Only a checksummed envelope loads, and
+// an input that loads must also survive a save/load round trip.
 func FuzzLoadDatabase(f *testing.F) {
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-FUZZ-1", DNAs: []DNA{{FuncName: "f"}}})
@@ -26,15 +28,15 @@ func FuzzLoadDatabase(f *testing.F) {
 		f.Fatalf("read seed: %v", err)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])               // truncation mid-envelope
-	f.Add(valid[:len(valid)-2])               // truncation at the tail
-	mutated := append([]byte(nil), valid...)  // checksum mismatch
+	f.Add(valid[:len(valid)/2])              // truncation mid-envelope
+	f.Add(valid[:len(valid)-2])              // truncation at the tail
+	mutated := append([]byte(nil), valid...) // checksum mismatch
 	mutated[len(mutated)/2] ^= 0x20
 	f.Add(mutated)
-	f.Add([]byte(`{"vdcs": []}`))                                           // legacy v1
-	f.Add([]byte(`{"vdcs": [{"cve":"C","dnas":[{"func":"f"}]}]}`))          // legacy v1 with content
-	f.Add([]byte(`{"format":"jitbull-dna","version":99,"payload":{}}`))     // version skew
-	f.Add([]byte(`{"format":"other","version":2,"payload":{}}`))            // foreign format
+	f.Add([]byte(`{"vdcs": []}`))                                             // no envelope: must not load
+	f.Add([]byte(`{"vdcs": [{"cve":"C","dnas":[{"func":"f"}]}]}`))            // no envelope, with content
+	f.Add([]byte(`{"format":"jitbull-dna","version":99,"payload":{}}`))       // version skew
+	f.Add([]byte(`{"format":"other","version":2,"payload":{}}`))              // foreign format
 	f.Add([]byte(`{"format":"jitbull-dna","version":2,"crc32c":"00000000"}`)) // missing payload
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`[1,2,3]`))
@@ -54,6 +56,10 @@ func FuzzLoadDatabase(f *testing.F) {
 		}
 		if db == nil {
 			t.Fatal("nil database with nil error")
+		}
+		var env dbEnvelope
+		if json.Unmarshal(data, &env) != nil || env.Format != dbFormat || env.CRC32C == "" {
+			t.Fatalf("LoadDatabase accepted a file without the checksummed envelope: %q", data)
 		}
 		if verr := db.Validate(); verr != nil {
 			t.Fatalf("LoadDatabase accepted an invalid database: %v", verr)

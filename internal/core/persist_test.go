@@ -87,23 +87,24 @@ func TestLoadBitFlippedPayloadIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestLoadLegacyV1Layout: a bare {"vdcs": ...} object — the layout before
+// the envelope, and what a v2 file looks like with its envelope stripped
+// — carries no checksum and must not load.
 func TestLoadLegacyV1Layout(t *testing.T) {
-	// Pre-envelope databases are a bare {"vdcs": ...} object.
-	db := sampleDB()
 	path := filepath.Join(t.TempDir(), "legacy.json")
-	payload, err := json.MarshalIndent(db, "", "  ")
+	payload, err := json.MarshalIndent(sampleDB(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDatabase(path)
-	if err != nil {
-		t.Fatalf("legacy layout rejected: %v", err)
+	_, err = LoadDatabase(path)
+	if !IsCorrupt(err) || !strings.Contains(err.Error(), "missing envelope") {
+		t.Fatalf("unchecksummed database: err = %v, want a CorruptError naming the missing envelope", err)
 	}
-	if !reflect.DeepEqual(db.VDCs, loaded.VDCs) {
-		t.Fatal("legacy round-trip mismatch")
+	if db, _ := LoadDatabaseFailSafe(path); db == nil || !db.FailSafe() {
+		t.Fatal("protection path did not fail safe on an unchecksummed database")
 	}
 }
 

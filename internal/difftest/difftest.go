@@ -5,11 +5,18 @@
 // policy, per-pass ablations, and source-transformed variants — and asserts
 // that every configuration observes the same behavior.
 //
-// The observation model deliberately captures only *semantics*: the
-// top-level result value, the `result` global every corpus program
+// Against the interpreter the observation model captures only *semantics*:
+// the top-level result value, the `result` global every corpus program
 // maintains, printed output, and the error/crash/hijack outcome. Tier and
 // bailout statistics differ across configurations by design and are carried
 // for diagnostics only.
+//
+// Two cells that differ only in which executor runs the compiled code
+// (machine code, the fused switch, the unfused switch) owe each other
+// more: the same number of VM steps and the same policy verdicts. Such a
+// cell names the other as its twin (Config.Twin) and Diff compares those
+// two fields against the twin, on top of the semantic fields against the
+// interpreter.
 package difftest
 
 import (
@@ -21,11 +28,11 @@ import (
 
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
-	"github.com/jitbull/jitbull/internal/experiments"
 	"github.com/jitbull/jitbull/internal/interp"
 	"github.com/jitbull/jitbull/internal/jitqueue"
 	"github.com/jitbull/jitbull/internal/passes"
 	"github.com/jitbull/jitbull/internal/variants"
+	"github.com/jitbull/jitbull/internal/vulndb"
 )
 
 // Observation is the externally visible behavior of one engine run.
@@ -39,9 +46,18 @@ type Observation struct {
 	Hijacked bool
 	Crashed  bool
 
-	// Diagnostics, not compared.
+	// Steps is VM.Steps() after the run. It is compared, together with the
+	// verdict triple of Stats, against the cell's twin only: tiers charge
+	// steps differently by design, executors of one tier may not.
+	Steps int64
+	// Stats is diagnostics, except NrJIT/NrDisJIT/NrNoJIT (see Steps).
 	Stats    engine.Stats
 	IRFaults []string // CheckIR verifier rejections (offending pass named)
+}
+
+// verdicts renders the policy-verdict triple the twin comparison checks.
+func (o Observation) verdicts() string {
+	return fmt.Sprintf("jit=%d disjit=%d nojit=%d", o.Stats.NrJIT, o.Stats.NrDisJIT, o.Stats.NrNoJIT)
 }
 
 // Config is one cell of the execution matrix.
@@ -65,6 +81,13 @@ type Config struct {
 	// test installs artifacts and replays verdicts from the cache instead
 	// of compiling. Warm cells must still diverge in nothing.
 	Prewarm bool
+	// Twin names the cell that differs from this one only in the executor
+	// that runs compiled code (NoMC, NoFuse). Same thresholds, same
+	// pipeline and same policy mean the same functions compile at the same
+	// moments, so the two must agree on Steps and on every verdict; Diff
+	// checks that when the twin is part of the matrix. Async and cached
+	// cells have no twin: install timing legitimately moves steps.
+	Twin string
 }
 
 // Options bounds a Matrix.
@@ -159,7 +182,7 @@ func DangerousPasses() []string {
 // jitbullDB lazily builds the 4-VDC database once per process; extraction
 // replays four exploit demonstrators and is too slow to repeat per run.
 var jitbullDB = sync.OnceValues(func() (*core.Database, error) {
-	db, _, err := experiments.BuildDB(4, 100)
+	db, _, err := vulndb.BuildDB(4, 100)
 	return db, err
 })
 
@@ -248,9 +271,9 @@ func Matrix(o Options) []Config {
 	if o.Fusion {
 		nofuse := base
 		nofuse.NoFuse = true
-		cfgs = append(cfgs, Config{Name: "jit+nofuse", Engine: nofuse})
+		cfgs = append(cfgs, Config{Name: "jit+nofuse", Engine: nofuse, Twin: "jit"})
 		if o.JITBULL {
-			cfgs = append(cfgs, Config{Name: "jit+nofuse+jitbull", Engine: nofuse, Policy: jitbullPolicy})
+			cfgs = append(cfgs, Config{Name: "jit+nofuse+jitbull", Engine: nofuse, Policy: jitbullPolicy, Twin: "jit+jitbull"})
 		}
 		if cache != nil {
 			nfCached := nofuse
@@ -288,18 +311,18 @@ func Matrix(o Options) []Config {
 	if o.MC {
 		nomc := base
 		nomc.NoMC = true
-		cfgs = append(cfgs, Config{Name: "jit+nomc", Engine: nomc})
+		cfgs = append(cfgs, Config{Name: "jit+nomc", Engine: nomc, Twin: "jit"})
 		nomcNofuse := nomc
 		nomcNofuse.NoFuse = true
-		cfgs = append(cfgs, Config{Name: "jit+nomc+nofuse", Engine: nomcNofuse})
+		cfgs = append(cfgs, Config{Name: "jit+nomc+nofuse", Engine: nomcNofuse, Twin: "jit"})
 		if o.JITBULL {
-			cfgs = append(cfgs, Config{Name: "jit+nomc+jitbull", Engine: nomc, Policy: jitbullPolicy})
+			cfgs = append(cfgs, Config{Name: "jit+nomc+jitbull", Engine: nomc, Policy: jitbullPolicy, Twin: "jit+jitbull"})
 		}
 		if o.OSR {
 			nomcBoth := nomc
 			nomcBoth.OSR = true
 			nomcBoth.Speculate = true
-			cfgs = append(cfgs, Config{Name: "jit+nomc+osr+deopt", Engine: nomcBoth})
+			cfgs = append(cfgs, Config{Name: "jit+nomc+osr+deopt", Engine: nomcBoth, Twin: "jit+osr+deopt"})
 		}
 		if cache != nil {
 			nomcCached := nomc
@@ -357,6 +380,7 @@ func Observe(src string, c Config) Observation {
 	obs.Output = out.String()
 	obs.Hijacked = e.Hijacked() != nil
 	obs.Crashed = e.Arena().Crashed() != nil
+	obs.Steps = e.VM.Steps()
 	obs.Stats = e.Stats()
 	if runErr != nil {
 		obs.ErrMsg = runErr.Error()
@@ -375,10 +399,11 @@ func Observe(src string, c Config) Observation {
 }
 
 // Divergence is one observed disagreement between a configuration and the
-// reference configuration.
+// configuration it is held to: the reference for the semantic fields, the
+// twin for steps and verdicts.
 type Divergence struct {
 	Config string // diverging configuration
-	Ref    string // reference configuration
+	Ref    string // configuration it was compared against
 	Field  string // which observation field disagreed
 	Got    string // value under Config
 	Want   string // value under Ref
@@ -416,21 +441,48 @@ func compare(c Config, obs, ref Observation, refName string) []Divergence {
 	return divs
 }
 
+// compareTwin returns the steps/verdicts divergences of obs against its
+// twin's observation. Runs that end in an error are held to the same
+// standard: the executors charge steps identically up to a runtime error
+// and exhaust the step budget at the same count.
+func compareTwin(c Config, obs, twin Observation) []Divergence {
+	var divs []Divergence
+	if obs.Steps != twin.Steps {
+		divs = append(divs, Divergence{Config: c.Name, Ref: c.Twin, Field: "steps",
+			Got: fmt.Sprint(obs.Steps), Want: fmt.Sprint(twin.Steps)})
+	}
+	if got, want := obs.verdicts(), twin.verdicts(); got != want {
+		divs = append(divs, Divergence{Config: c.Name, Ref: c.Twin, Field: "verdicts", Got: got, Want: want})
+	}
+	return divs
+}
+
 // Diff runs src under every configuration (configs[0] is the reference) and
 // returns the per-config observations plus all divergences.
 func Diff(src string, configs []Config) ([]Observation, []Divergence) {
-	if len(configs) == 0 {
-		return nil, nil
-	}
 	obs := make([]Observation, len(configs))
 	for i, c := range configs {
 		obs[i] = Observe(src, c)
 	}
+	return obs, divergences(configs, obs)
+}
+
+// divergences judges one observation per configuration: every cell
+// against configs[0] on the semantic fields, and every cell whose twin is
+// in configs against that twin on steps and verdicts.
+func divergences(configs []Config, obs []Observation) []Divergence {
+	byName := make(map[string]int, len(configs))
+	for i, c := range configs {
+		byName[c.Name] = i
+	}
 	var divs []Divergence
 	for i := 1; i < len(configs); i++ {
 		divs = append(divs, compare(configs[i], obs[i], obs[0], configs[0].Name)...)
+		if t, ok := byName[configs[i].Twin]; ok {
+			divs = append(divs, compareTwin(configs[i], obs[i], obs[t])...)
+		}
 	}
-	return obs, divs
+	return divs
 }
 
 // Report renders a divergence list (one per line) with a program label.

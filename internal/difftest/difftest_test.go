@@ -102,6 +102,44 @@ func TestSeededDivergenceDetected(t *testing.T) {
 	}
 }
 
+// TestSeededTwinDivergenceDetected proves the twin comparison fires, and
+// only where a twin is named: identical observations except for Steps give
+// exactly one steps divergence of the cell against its twin, except for
+// the verdict triple exactly one verdicts divergence, and a cell without
+// a twin (install timing legitimately moves both) gives none.
+func TestSeededTwinDivergenceDetected(t *testing.T) {
+	configs := []Config{{Name: "interp"}, {Name: "jit"}, {Name: "jit+nomc", Twin: "jit"}, {Name: "jit+async"}}
+	same := Observation{Result: "7", Steps: 1000}
+	same.Stats.NrJIT, same.Stats.NrDisJIT, same.Stats.NrNoJIT = 5, 1, 0
+	moreSteps := same
+	moreSteps.Steps++
+	otherVerdict := same
+	otherVerdict.Stats.NrDisJIT, otherVerdict.Stats.NrNoJIT = 0, 1
+
+	for _, tc := range []struct {
+		field string
+		obs   Observation
+		want  Divergence
+	}{
+		{"steps", moreSteps, Divergence{Config: "jit+nomc", Ref: "jit", Field: "steps", Got: "1001", Want: "1000"}},
+		{"verdicts", otherVerdict, Divergence{Config: "jit+nomc", Ref: "jit", Field: "verdicts",
+			Got: "jit=5 disjit=0 nojit=1", Want: "jit=5 disjit=1 nojit=0"}},
+	} {
+		divs := divergences(configs, []Observation{same, same, tc.obs, same})
+		if len(divs) != 1 || divs[0] != tc.want {
+			t.Errorf("%s differs in the twinned cell: got %v, want exactly %v", tc.field, divs, tc.want)
+		}
+		if divs := divergences(configs, []Observation{same, same, same, tc.obs}); len(divs) != 0 {
+			t.Errorf("%s differs in a cell without a twin: got %v, want none", tc.field, divs)
+		}
+	}
+	// A twin that is not part of the matrix (a hand-picked subset) is not
+	// an error and not a comparison.
+	if divs := divergences([]Config{configs[0], configs[2]}, []Observation{same, moreSteps}); len(divs) != 0 {
+		t.Errorf("twin absent from the matrix: got %v, want none", divs)
+	}
+}
+
 // buggyConfigs is a minimal interp-vs-buggy-JIT matrix: the JIT compiles
 // with the CVE-2019-9813 range-widening bug active.
 func buggyConfigs() []Config {

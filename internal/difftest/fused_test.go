@@ -18,9 +18,11 @@ func fusedOptions() Options {
 
 // TestMatrixFused is the fusion acceptance oracle: 80 generated programs
 // across fused and unfused cells — plain, under the JITBULL policy, and
-// through the shared code cache — with zero divergences. Result values,
-// output, error kinds and messages must be bit-identical whichever
-// executor ran the hot code.
+// through the shared code cache — with zero divergences. Every cell is
+// compared with interp on result value, `result` global, output, error
+// kind and message, hijack and crash; jit+nofuse is also compared with
+// its twin jit, and jit+nofuse+jitbull with jit+jitbull, on VM step count
+// and policy verdicts. jit+nofuse+cached has no twin.
 func TestMatrixFused(t *testing.T) {
 	configs := Matrix(fusedOptions())
 	var names []string

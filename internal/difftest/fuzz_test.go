@@ -12,10 +12,11 @@ import (
 )
 
 // fuzzConfigs is a reduced matrix for fuzzing: interpreter reference,
-// baseline, full JIT, and JIT with per-pass verification, under a small
-// step budget so looping inputs terminate quickly.
+// baseline, full JIT, JIT with per-pass verification, and the executor
+// twins of the JIT cell (held to its step count), under a small step
+// budget so looping inputs terminate quickly.
 func fuzzConfigs() []Config {
-	return Matrix(Options{MaxSteps: 2_000_000, Ablate: []string{}, CheckIR: true})
+	return Matrix(Options{MaxSteps: 2_000_000, Ablate: []string{}, CheckIR: true, Fusion: true, MC: true})
 }
 
 // seedCorpus feeds the generated and hand-written corpora to a fuzz target.

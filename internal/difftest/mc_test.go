@@ -21,9 +21,13 @@ func mcOptions() Options {
 // TestMatrixMC is the machine-code-tier acceptance oracle: 80 generated
 // programs across mc and threaded cells — plain, under the JITBULL
 // policy, with OSR/deopt transitions, and through the shared code cache —
-// with zero divergences. Result values, output, error kinds, step counts
-// and policy verdicts must be bit-identical whichever executor ran the
-// hot code.
+// with zero divergences. Every cell is compared with interp on result
+// value, `result` global, output, error kind and message, hijack and
+// crash. The cells that differ from a default-executor cell only in NoMC/
+// NoFuse are also compared with that twin on VM step count and policy
+// verdicts: jit+nomc and jit+nomc+nofuse with jit, jit+nomc+jitbull with
+// jit+jitbull, jit+nomc+osr+deopt with jit+osr+deopt. The cached cell has
+// no twin: a warm hit installs earlier than a compile does.
 func TestMatrixMC(t *testing.T) {
 	configs := Matrix(mcOptions())
 	var names []string

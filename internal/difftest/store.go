@@ -59,7 +59,6 @@ func (o WarmStartOptions) withDefaults() WarmStartOptions {
 // WarmStartRun is one process's full observation.
 type WarmStartRun struct {
 	Obs   Observation
-	Steps int64 // interpreter steps of the run (bit-identity check)
 	Audit []obs.AuditEvent
 	Stats engine.Stats
 }
@@ -137,7 +136,7 @@ func runStoreProcess(src string, base engine.Config, tier *store.Store, o WarmSt
 			run.Obs.ErrKind = "runtime"
 		}
 	}
-	run.Steps = e.VM.Steps()
+	run.Obs.Steps = e.VM.Steps()
 	run.Audit = audit.Events()
 	run.Stats = e.Stats()
 	return run, nil
@@ -214,14 +213,14 @@ func StoreWarmStart(src, dir string, o WarmStartOptions) (WarmStartResult, error
 		return res, err
 	}
 
-	// Bit-identity: semantics, step count, audit verdict sequence.
+	// Bit-identity: semantics, then — the warm process is the cold one's
+	// twin, it differs only in where its artifacts came from — step count
+	// and verdict counters, then the audit verdict sequence.
 	cellName := "store+warm"
-	for _, d := range compare(Config{Name: cellName}, res.Warm.Obs, res.Cold.Obs, "store+cold") {
+	warm := Config{Name: cellName, Twin: "store+cold"}
+	for _, d := range append(compare(warm, res.Warm.Obs, res.Cold.Obs, warm.Twin),
+		compareTwin(warm, res.Warm.Obs, res.Cold.Obs)...) {
 		res.Divergences = append(res.Divergences, d.String())
-	}
-	if res.Warm.Steps != res.Cold.Steps {
-		res.Divergences = append(res.Divergences,
-			fmt.Sprintf("%s: steps = %d, want %d (tier behavior differed)", cellName, res.Warm.Steps, res.Cold.Steps))
 	}
 	if len(res.Warm.Audit) != len(res.Cold.Audit) {
 		res.Divergences = append(res.Divergences,
@@ -235,13 +234,7 @@ func StoreWarmStart(src, dir string, o WarmStartOptions) (WarmStartResult, error
 			}
 		}
 	}
-	// Verdict counters must replay exactly.
 	ws, cs := res.Warm.Stats, res.Cold.Stats
-	if ws.NrJIT != cs.NrJIT || ws.NrDisJIT != cs.NrDisJIT || ws.NrNoJIT != cs.NrNoJIT {
-		res.Divergences = append(res.Divergences,
-			fmt.Sprintf("%s: verdict counters (%d,%d,%d), want (%d,%d,%d)", cellName,
-				ws.NrJIT, ws.NrDisJIT, ws.NrNoJIT, cs.NrJIT, cs.NrDisJIT, cs.NrNoJIT))
-	}
 	// 100% pipeline elimination: the warm process never compiles, and
 	// everything the cold process compiled arrives through the tier.
 	if cs.Compiles == 0 {

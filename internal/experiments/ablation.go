@@ -61,7 +61,7 @@ func ThresholdAblation(cfg Config) ([]AblationRow, error) {
 		}
 		arms = append(arms, armed{v: v, db: db, variant: renamed})
 	}
-	db4, bugs4, err := BuildDB(4, cfg.IonThreshold)
+	db4, bugs4, err := vulndb.BuildDB(4, cfg.IonThreshold)
 	if err != nil {
 		return nil, err
 	}

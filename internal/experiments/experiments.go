@@ -2,7 +2,11 @@
 // evaluation (§VI): the §VI-B security matrix, Figure 4 (false-positive
 // rates), Figure 5 (execution times for NoJIT / JIT / JITBULL with 0, 1
 // and 4 VDCs), Figure 6 (scalability from 1 to 8 VDCs), plus the Table I
-// survey and the §III-C vulnerability-window statistics.
+// survey and the §III-C vulnerability-window statistics. It is the library
+// behind cmd/jitbull-bench and nothing else: what it times is printed in
+// the paper's table shapes for reading side by side with the paper.
+// Timings that gate or compare anything come from bench/ (checked outputs,
+// one schema, contrast cells measured in one process).
 //
 // See EXPERIMENTS.md for paper-vs-measured results.
 package experiments
@@ -17,7 +21,6 @@ import (
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/octane"
-	"github.com/jitbull/jitbull/internal/passes"
 	"github.com/jitbull/jitbull/internal/variants"
 	"github.com/jitbull/jitbull/internal/vulndb"
 )
@@ -35,9 +38,9 @@ type Config struct {
 	// multi-second real Octane runs do.
 	Scale int
 	// Workers is the size of the worker pool the corpus experiments
-	// (FalsePositives, Performance) fan their independent engine runs
-	// across. Zero or negative selects GOMAXPROCS. Timing comparisons
-	// should use Workers=1 to avoid cross-run scheduler noise.
+	// (FalsePositives, Performance, Scalability) fan their independent
+	// engine runs across. Zero or negative selects GOMAXPROCS. Timing
+	// comparisons should use Workers=1 to avoid cross-run scheduler noise.
 	Workers int
 }
 
@@ -53,30 +56,6 @@ func (c Config) withDefaults() Config {
 		c.Scale = 1
 	}
 	return c
-}
-
-// dbBugs returns the bug set matching a database: during a vulnerability
-// window the engine *has* the unpatched bugs whose VDCs are installed.
-func dbBugs(cves []string) passes.BugSet {
-	bugs := passes.BugSet{}
-	for _, c := range cves {
-		bugs[c] = true
-	}
-	return bugs
-}
-
-// BuildDB fingerprints the first n implemented vulnerabilities
-// (CVE-2019-17026 first, as the paper's #1 case).
-func BuildDB(n int, thr int) (*core.Database, passes.BugSet, error) {
-	all := vulndb.All()
-	if n > len(all) {
-		n = len(all)
-	}
-	db, err := vulndb.BuildDatabase(all[:n], thr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return db, dbBugs(db.CVEs()), nil
 }
 
 // ---- §VI-B security matrix ----
@@ -162,7 +141,7 @@ type FPRow struct {
 // dangerous.
 func FalsePositives(dbSize int, cfg Config) ([]FPRow, error) {
 	cfg = cfg.withDefaults()
-	db, bugs, err := BuildDB(dbSize, cfg.IonThreshold)
+	db, bugs, err := vulndb.BuildDB(dbSize, cfg.IonThreshold)
 	if err != nil {
 		return nil, err
 	}
@@ -218,29 +197,6 @@ func Overhead(t, base time.Duration) float64 {
 	return 100 * (float64(t)/float64(base) - 1)
 }
 
-// timeRun measures the best-of-Repeats wall time for one configuration.
-func timeRun(src string, cfgE engine.Config, db *core.Database, repeats int) (time.Duration, error) {
-	best := time.Duration(0)
-	for i := 0; i < repeats; i++ {
-		e, err := engine.New(src, cfgE)
-		if err != nil {
-			return 0, err
-		}
-		if db != nil {
-			e.SetPolicy(core.NewDetector(db))
-		}
-		start := time.Now()
-		if _, err := e.Run(); err != nil {
-			return 0, err
-		}
-		d := time.Since(start)
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
 // Performance reproduces Figure 5 over the given benchmarks (nil means the
 // whole corpus including the two micro-benchmarks).
 func Performance(benches []octane.Benchmark, cfg Config) ([]PerfRow, error) {
@@ -248,11 +204,11 @@ func Performance(benches []octane.Benchmark, cfg Config) ([]PerfRow, error) {
 	if benches == nil {
 		benches = octane.All()
 	}
-	db1, bugs1, err := BuildDB(1, cfg.IonThreshold)
+	db1, bugs1, err := vulndb.BuildDB(1, cfg.IonThreshold)
 	if err != nil {
 		return nil, err
 	}
-	db4, bugs4, err := BuildDB(4, cfg.IonThreshold)
+	db4, bugs4, err := vulndb.BuildDB(4, cfg.IonThreshold)
 	if err != nil {
 		return nil, err
 	}
@@ -313,33 +269,43 @@ func Scalability(benches []octane.Benchmark, maxVDCs int, cfg Config) ([]ScaleRo
 	if maxVDCs <= 0 || maxVDCs > len(vulndb.All()) {
 		maxVDCs = len(vulndb.All())
 	}
-	type dbCfg struct {
-		db   *core.Database
-		bugs passes.BugSet
-	}
-	dbs := make([]dbCfg, maxVDCs)
+	// Per benchmark: the JIT cell, then #1..#maxVDCs.
+	protected := make([]RunSpec, maxVDCs)
 	for n := 1; n <= maxVDCs; n++ {
-		db, bugs, err := BuildDB(n, cfg.IonThreshold)
+		db, bugs, err := vulndb.BuildDB(n, cfg.IonThreshold)
 		if err != nil {
 			return nil, err
 		}
-		dbs[n-1] = dbCfg{db: db, bugs: bugs}
-	}
-	var rows []ScaleRow
-	for _, b := range benches {
-		row := ScaleRow{Benchmark: b.Name, Times: make([]time.Duration, maxVDCs)}
-		var err error
-		if row.JIT, err = timeRun(b.Source(cfg.Scale), engine.Config{IonThreshold: cfg.IonThreshold}, nil, cfg.Repeats); err != nil {
-			return nil, err
+		protected[n-1] = RunSpec{
+			Name:    fmt.Sprintf("#%d", n),
+			Engine:  engine.Config{IonThreshold: cfg.IonThreshold, Bugs: bugs},
+			DB:      db,
+			Repeats: cfg.Repeats,
 		}
-		for n := 1; n <= maxVDCs; n++ {
-			t, err := timeRun(b.Source(cfg.Scale),
-				engine.Config{IonThreshold: cfg.IonThreshold, Bugs: dbs[n-1].bugs},
-				dbs[n-1].db, cfg.Repeats)
-			if err != nil {
-				return nil, fmt.Errorf("%s #%d: %w", b.Name, n, err)
+	}
+	perBench := 1 + maxVDCs
+	specs := make([]RunSpec, 0, perBench*len(benches))
+	for _, b := range benches {
+		src := b.Source(cfg.Scale)
+		specs = append(specs, RunSpec{Name: b.Name + " JIT", Source: src,
+			Engine: engine.Config{IonThreshold: cfg.IonThreshold}, Repeats: cfg.Repeats})
+		for _, spec := range protected {
+			spec.Name, spec.Source = b.Name+" "+spec.Name, src
+			specs = append(specs, spec)
+		}
+	}
+	outcomes := RunParallel(specs, cfg.Workers)
+	var rows []ScaleRow
+	for i, b := range benches {
+		group := outcomes[i*perBench : (i+1)*perBench]
+		row := ScaleRow{Benchmark: b.Name, JIT: group[0].Elapsed, Times: make([]time.Duration, maxVDCs)}
+		for j, oc := range group {
+			if oc.Err != nil {
+				return nil, fmt.Errorf("%s: %w", oc.Name, oc.Err)
 			}
-			row.Times[n-1] = t
+			if j > 0 {
+				row.Times[j-1] = oc.Elapsed
+			}
 		}
 		rows = append(rows, row)
 	}

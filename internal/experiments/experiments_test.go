@@ -8,6 +8,7 @@ import (
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/octane"
+	"github.com/jitbull/jitbull/internal/vulndb"
 )
 
 var fastCfg = Config{IonThreshold: 40, Repeats: 1}
@@ -92,7 +93,7 @@ func runShape(t *testing.T, src string, cfg engine.Config, db *core.Database) sh
 
 func TestPerformanceShapeMatchesFig5(t *testing.T) {
 	const thr = 40
-	db4, bugs4, err := BuildDB(4, thr)
+	db4, bugs4, err := vulndb.BuildDB(4, thr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestScalabilityShapeMatchesFig6(t *testing.T) {
 	const thr = 40
 	benches := pick(t, "Splay", "TypeScript")
 	for n := 1; n <= 8; n++ {
-		db, bugs, err := BuildDB(n, thr)
+		db, bugs, err := vulndb.BuildDB(n, thr)
 		if err != nil {
 			t.Fatal(err)
 		}

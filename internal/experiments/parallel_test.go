@@ -8,10 +8,11 @@ import (
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/octane"
+	"github.com/jitbull/jitbull/internal/vulndb"
 )
 
 func TestRunParallelMatchesSerial(t *testing.T) {
-	db, bugs, err := BuildDB(4, 40)
+	db, bugs, err := vulndb.BuildDB(4, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -23,6 +24,39 @@ func TestNilTracerIsInert(t *testing.T) {
 	sp.End(I("x", 1))
 	sp.EndErr(nil)
 	tr.Instant(CatEngine, "bailout", S("fn", "f"))
+}
+
+// TestDisabledProbesDoNotAllocate: a probe that is off costs the compile
+// path one nil check, which holds only while its variadic arguments stay
+// on the caller's stack. A probe that starts boxing them allocates on
+// every call whether or not anyone listens — the regression a timing
+// budget on the compile path was too noisy to see.
+func TestDisabledProbesDoNotAllocate(t *testing.T) {
+	var (
+		tr     *Tracer
+		j      *Journal
+		w      *Watchdog
+		fr     *FlightRecorder
+		failed = errors.New("verify failed")
+		idle   = NewFlightRecorder(t.TempDir(), FlightOptions{MinSamples: 1 << 30})
+		span   = Event{Kind: KindSpan, Cat: CatPass, Name: "GVN", Dur: 1000}
+	)
+	for _, probe := range []struct {
+		name string
+		call func()
+	}{
+		{"Tracer.Begin+Span.End", func() { tr.Begin(CatPass, "GVN").End(I("index", 1), S("fn", "hot")) }},
+		{"Span.EndErr", func() { tr.Begin(CatCompile, "compile").EndErr(failed) }},
+		{"Tracer.Instant", func() { tr.Instant(CatEngine, "bailout", S("fn", "hot"), I("pc", 7)) }},
+		{"Journal.Record", func() { j.Record("hot", StageDeopt, "ion", "exit=3") }},
+		{"Watchdog.Signal", func() { w.Signal(Signal{Kind: SigCompile, Func: "hot", Value: 1000}) }},
+		{"FlightRecorder.Record/nil", func() { fr.Record(span) }},
+		{"FlightRecorder.Record/idle", func() { idle.Record(span) }},
+	} {
+		if n := testing.AllocsPerRun(100, probe.call); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", probe.name, n)
+		}
+	}
 }
 
 func TestTracerRecordsSpansAndInstants(t *testing.T) {
