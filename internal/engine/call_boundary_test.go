@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -579,6 +580,15 @@ for (var r = 0; r < 60; r++) { result = (result + outer(400)) % 1000003; }`
 		}
 		e.VM.Dispatch = dispatchFunc(func(idx int, args []value.Value) (value.Value, error) {
 			check()
+			// The script runs for a few milliseconds; on a loaded box the
+			// workers may not get a CPU in that time. Wait for what is in
+			// flight, so the installs (and the storm behind them) happen
+			// while there is still a run to have them in.
+			for _, st := range e.fns {
+				for st.inflight && st.pending.Load() == nil {
+					runtime.Gosched()
+				}
+			}
 			v, err := e.CallFunction(idx, args)
 			check()
 			return v, err

@@ -159,7 +159,7 @@ type Config struct {
 	// input/output instruction counts), DNA extraction, the go/no-go
 	// decision, lowering, register allocation, native install, bailouts and
 	// injected faults. Nil disables tracing at the cost of one nil check
-	// per site (benchmarked in BENCH_obs.json).
+	// per site (benchmarked by internal/obs BenchmarkSpan/disabled).
 	Tracer *obs.Tracer
 	// Metrics, when set, is a shared registry the engine's counters and
 	// histograms are mirrored into. Several engines may share one registry

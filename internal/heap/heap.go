@@ -27,6 +27,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Default sizes. DefaultHeapCells bounds script data; CodeRegionCells bounds
@@ -70,13 +71,21 @@ type freeBlock struct {
 
 // Arena is the shared heap. It is not safe for concurrent use; each Runtime
 // owns one.
+//
+// The address space is fixed at creation — heap [0, codeBase), code region
+// [codeBase, Size()) — but only what a script allocates is backed by memory:
+// cells is a prefix of the heap that grows with the bump pointer, and every
+// heap cell beyond it holds zero by construction (nothing non-zero is ever
+// stored there without extending it first). Building an arena therefore
+// costs the same for any heapCells.
 type Arena struct {
-	cells    []float64
-	top      int // bump pointer; [0, top) is mapped heap
-	codeBase int // [codeBase, len(cells)) is the mapped code region
+	cells    []float64 // heap cells [0, len(cells)); top <= len(cells) <= codeBase
+	top      int       // bump pointer; [0, top) is mapped heap
+	codeBase int       // [codeBase, codeBase+CodeRegionCells) is the mapped code region
 	free     []freeBlock
 	handles  []int // handle -> header offset
 	crash    *CrashError
+	code     [CodeRegionCells]float64
 }
 
 // New creates an arena with heapCells of heap plus the code region. If
@@ -85,29 +94,11 @@ func New(heapCells int) *Arena {
 	if heapCells <= 0 {
 		heapCells = DefaultHeapCells
 	}
-	a := &Arena{
-		cells:    make([]float64, heapCells+CodeRegionCells),
-		codeBase: heapCells,
-	}
-	for i := 0; i < CodeRegionCells; i++ {
-		a.cells[a.codeBase+i] = CodeSentinel(i)
+	a := &Arena{codeBase: heapCells}
+	for i := range a.code {
+		a.code[i] = CodeSentinel(i)
 	}
 	return a
-}
-
-// Reset returns the arena to its freshly-created state, keeping the backing
-// storage.
-func (a *Arena) Reset() {
-	for i := 0; i < a.top; i++ {
-		a.cells[i] = 0
-	}
-	a.top = 0
-	a.free = a.free[:0]
-	a.handles = a.handles[:0]
-	a.crash = nil
-	for i := 0; i < CodeRegionCells; i++ {
-		a.cells[a.codeBase+i] = CodeSentinel(i)
-	}
 }
 
 // Crashed returns the recorded segfault, if any.
@@ -117,21 +108,28 @@ func (a *Arena) Crashed() *CrashError { return a.crash }
 func (a *Arena) CodeBase() int { return a.codeBase }
 
 // Size returns the total number of addressable cells.
-func (a *Arena) Size() int { return len(a.cells) }
+func (a *Arena) Size() int { return a.codeBase + CodeRegionCells }
 
 // Top returns the current allocation top (exclusive end of mapped heap).
 func (a *Arena) Top() int { return a.top }
 
-// Cells exposes the raw cell array for the machine-code tier, which
-// compiles RawLoad/RawStore-equivalent accesses (including the memory-map
-// check) inline instead of calling through this package. The slice header
-// is stable for the arena's lifetime — cells never reallocates.
+// Cells exposes the backing of the mapped heap for the machine-code tier,
+// which compiles RawLoad/RawStore-equivalent accesses to addresses below
+// Top() inline instead of calling through this package. It always covers
+// [0, Top()). Like Handles, the backing array moves when a method extends it
+// (an allocation, or a store a corrupted header sent past it), so callers
+// must re-read this after any call that is not a plain read.
 func (a *Arena) Cells() []float64 { return a.cells }
 
+// Code exposes the code-pointer cells (addresses CodeBase()+i) for the
+// machine-code tier's inline code-pointer guard. Unlike Cells, it never
+// moves.
+func (a *Arena) Code() *[CodeRegionCells]float64 { return &a.code }
+
 // Handles exposes the handle table for the machine-code tier's inline
-// KElemsHandle/KAddrOf lowering. Unlike Cells, the backing array moves
-// when allocation appends, so callers must re-read this after any
-// operation that can allocate.
+// KElemsHandle/KAddrOf lowering. The backing array moves when allocation
+// appends, so callers must re-read this after any operation that can
+// allocate.
 func (a *Arena) Handles() []int { return a.handles }
 
 // HeaderCells is the per-array header size (length, capacity) — the
@@ -142,8 +140,8 @@ const HeaderCells = headerCells
 // CodeIntegrityViolation returns the index of the first corrupted
 // code-pointer cell, or -1 if the code region is intact.
 func (a *Arena) CodeIntegrityViolation() int {
-	for i := 0; i < CodeRegionCells; i++ {
-		if a.cells[a.codeBase+i] != CodeSentinel(i) {
+	for i := range a.code {
+		if a.code[i] != CodeSentinel(i) {
 			return i
 		}
 	}
@@ -156,13 +154,95 @@ func (a *Arena) CodePointerOK(fn int) bool {
 	if fn < 0 || fn >= CodeRegionCells {
 		return true
 	}
-	return a.cells[a.codeBase+fn] == CodeSentinel(fn)
+	return a.code[fn] == CodeSentinel(fn)
+}
+
+// load, store and move are the only code that touches the backing
+// arrays. They address the whole address space without consulting the
+// memory map, which is what every method below did by indexing one eager
+// array: offsets derived from length and capacity cells are trusted, and a
+// script that corrupted those cells reaches wherever they point. An address
+// in the unbacked part of the heap reads zero and absorbs a store (the
+// backing is extended to hold it); an address in the code region hits the
+// code-pointer cells; an address outside [0, Size()) is a Go index panic,
+// as it always was.
+
+func (a *Arena) load(addr int) float64 {
+	if uint(addr) < uint(len(a.cells)) {
+		return a.cells[addr]
+	}
+	return a.loadUnbacked(addr)
+}
+
+func (a *Arena) loadUnbacked(addr int) float64 {
+	if addr < 0 || addr >= a.codeBase {
+		return a.code[addr-a.codeBase] // the index is out of range exactly when addr is outside [0, Size())
+	}
+	return 0
+}
+
+func (a *Arena) store(addr int, v float64) {
+	if uint(addr) < uint(len(a.cells)) {
+		a.cells[addr] = v
+		return
+	}
+	a.storeUnbacked(addr, v)
+}
+
+// Kept out of line so that store itself inlines into the element paths.
+//
+//go:noinline
+func (a *Arena) storeUnbacked(addr int, v float64) {
+	if addr < 0 || addr >= a.codeBase {
+		a.code[addr-a.codeBase] = v
+		return
+	}
+	if math.Float64bits(v) != 0 {
+		a.back(addr + 1)
+		a.cells[addr] = v
+	}
+}
+
+// move copies the n cells at src to dst, with copy's semantics: ranges may
+// overlap, and a range that leaves the address space (or a negative n) is
+// a panic.
+func (a *Arena) move(dst, src, n int) {
+	lo, hi := min(src, dst), max(src, dst)
+	if n < 0 || lo < 0 || n > a.Size()-hi {
+		panic(fmt.Sprintf("heap: move of %d cells from %d to %d leaves the address space", n, src, dst))
+	}
+	if hi+n <= len(a.cells) {
+		copy(a.cells[dst:dst+n], a.cells[src:src+n])
+		return
+	}
+	buf := make([]float64, n)
+	for i := range buf {
+		buf[i] = a.load(src + i)
+	}
+	for i, v := range buf {
+		a.store(dst+i, v)
+	}
+}
+
+// minBackedCells is the first extension of the backing: one 4 KiB page of
+// cells.
+const minBackedCells = 512
+
+// back extends the backing to hold at least n (<= codeBase) cells, at least
+// doubling it so that a script's allocations cost amortized O(1) copies.
+func (a *Arena) back(n int) {
+	if n <= len(a.cells) {
+		return
+	}
+	cells := make([]float64, min(max(n, 2*len(a.cells), minBackedCells), a.codeBase))
+	copy(cells, a.cells)
+	a.cells = cells
 }
 
 // mapped reports whether addr is inside a mapped region (heap below top, or
 // the code region).
 func (a *Arena) mapped(addr int) bool {
-	return (addr >= 0 && addr < a.top) || (addr >= a.codeBase && addr < len(a.cells))
+	return (addr >= 0 && addr < a.top) || (addr >= a.codeBase && addr < a.Size())
 }
 
 // RawLoad reads a cell with no bounds discipline beyond the memory map, as
@@ -172,7 +252,7 @@ func (a *Arena) RawLoad(addr int) (float64, *CrashError) {
 	if !a.mapped(addr) {
 		return 0, a.fault(addr, "read")
 	}
-	return a.cells[addr], nil
+	return a.load(addr), nil
 }
 
 // RawStore writes a cell with no bounds discipline beyond the memory map.
@@ -181,7 +261,7 @@ func (a *Arena) RawStore(addr int, v float64) *CrashError {
 	if !a.mapped(addr) {
 		return a.fault(addr, "write")
 	}
-	a.cells[addr] = v
+	a.store(addr, v)
 	return nil
 }
 
@@ -203,10 +283,10 @@ func (a *Arena) Alloc(n int) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	a.cells[off] = float64(n)
-	a.cells[off+1] = float64(n)
+	a.store(off, float64(n))
+	a.store(off+1, float64(n))
 	for i := 0; i < n; i++ {
-		a.cells[off+headerCells+i] = 0
+		a.store(off+headerCells+i, 0)
 	}
 	h := int32(len(a.handles))
 	a.handles = append(a.handles, off)
@@ -232,6 +312,7 @@ func (a *Arena) allocBlock(need int) (int, error) {
 	}
 	off := a.top
 	a.top += need
+	a.back(a.top)
 	return off, nil
 }
 
@@ -244,7 +325,7 @@ func (a *Arena) freeRange(off, size int) {
 		return
 	}
 	for i := 0; i < size; i++ {
-		a.cells[off+i] = 0
+		a.store(off+i, 0)
 	}
 	// Insert sorted by offset.
 	pos := len(a.free)
@@ -297,7 +378,7 @@ func (a *Arena) Length(h int32) (int, bool) {
 	if !a.validHandle(h) {
 		return 0, false
 	}
-	return int(a.cells[a.handles[h]]), true
+	return int(a.load(a.handles[h])), true
 }
 
 // Capacity returns the capacity header of array h.
@@ -305,7 +386,7 @@ func (a *Arena) Capacity(h int32) (int, bool) {
 	if !a.validHandle(h) {
 		return 0, false
 	}
-	return int(a.cells[a.handles[h]+1]), true
+	return int(a.load(a.handles[h] + 1)), true
 }
 
 // LengthAt loads the length cell relative to an elements pointer, as the
@@ -324,7 +405,7 @@ func (a *Arena) Get(h int32, idx int) (float64, bool, *CrashError) {
 		return 0, false, nil
 	}
 	off := a.handles[h]
-	length := int(a.cells[off])
+	length := int(a.load(off))
 	if idx < 0 || idx >= length {
 		return 0, false, nil
 	}
@@ -342,14 +423,14 @@ func (a *Arena) Set(h int32, idx int, v float64) *CrashError {
 		return nil
 	}
 	off := a.handles[h]
-	length := int(a.cells[off])
-	capacity := int(a.cells[off+1])
+	length := int(a.load(off))
+	capacity := int(a.load(off + 1))
 	switch {
 	case idx < length:
 		return a.RawStore(off+headerCells+idx, v)
 	case idx < capacity:
-		a.cells[off+headerCells+idx] = v
-		a.cells[off] = float64(idx + 1)
+		a.store(off+headerCells+idx, v)
+		a.store(off, float64(idx+1))
 		return nil
 	default:
 		if err := a.grow(h, idx+1); err != nil {
@@ -358,8 +439,8 @@ func (a *Arena) Set(h int32, idx int, v float64) *CrashError {
 			return a.fault(a.top, "grow")
 		}
 		off = a.handles[h]
-		a.cells[off+headerCells+idx] = v
-		a.cells[off] = float64(idx + 1)
+		a.store(off+headerCells+idx, v)
+		a.store(off, float64(idx+1))
 		return nil
 	}
 }
@@ -367,8 +448,8 @@ func (a *Arena) Set(h int32, idx int, v float64) *CrashError {
 // grow reallocates array h to capacity at least need, moving its payload.
 func (a *Arena) grow(h int32, need int) error {
 	off := a.handles[h]
-	length := int(a.cells[off])
-	capacity := int(a.cells[off+1])
+	length := int(a.load(off))
+	capacity := int(a.load(off + 1))
 	newCap := capacity * 2
 	if newCap < need {
 		newCap = need
@@ -384,11 +465,11 @@ func (a *Arena) grow(h int32, need int) error {
 	if copyN > capacity {
 		copyN = capacity
 	}
-	a.cells[newOff] = float64(length)
-	a.cells[newOff+1] = float64(newCap)
-	copy(a.cells[newOff+headerCells:newOff+headerCells+copyN], a.cells[off+headerCells:off+headerCells+copyN])
+	a.store(newOff, float64(length))
+	a.store(newOff+1, float64(newCap))
+	a.move(newOff+headerCells, off+headerCells, copyN)
 	for i := copyN; i < newCap; i++ {
-		a.cells[newOff+headerCells+i] = 0
+		a.store(newOff+headerCells+i, 0)
 	}
 	a.handles[h] = newOff
 	a.freeRange(off, headerCells+capacity)
@@ -407,8 +488,8 @@ func (a *Arena) SetLength(h int32, n int) error {
 		return fmt.Errorf("invalid array length %d", n)
 	}
 	off := a.handles[h]
-	length := int(a.cells[off])
-	capacity := int(a.cells[off+1])
+	length := int(a.load(off))
+	capacity := int(a.load(off + 1))
 	switch {
 	case n == length:
 		return nil
@@ -416,21 +497,21 @@ func (a *Arena) SetLength(h int32, n int) error {
 		tail := capacity - n
 		if tail >= minFreeCells {
 			a.freeRange(off+headerCells+n, tail)
-			a.cells[off+1] = float64(n)
+			a.store(off+1, float64(n))
 		}
-		a.cells[off] = float64(n)
+		a.store(off, float64(n))
 		return nil
 	case n <= capacity:
 		for i := length; i < n; i++ {
-			a.cells[off+headerCells+i] = 0
+			a.store(off+headerCells+i, 0)
 		}
-		a.cells[off] = float64(n)
+		a.store(off, float64(n))
 		return nil
 	default:
 		if err := a.grow(h, n); err != nil {
 			return err
 		}
-		a.cells[a.handles[h]] = float64(n)
+		a.store(a.handles[h], float64(n))
 		return nil
 	}
 }
@@ -441,16 +522,16 @@ func (a *Arena) Push(h int32, v float64) (int, error) {
 		return 0, fmt.Errorf("push on invalid handle %d", h)
 	}
 	off := a.handles[h]
-	length := int(a.cells[off])
-	capacity := int(a.cells[off+1])
+	length := int(a.load(off))
+	capacity := int(a.load(off + 1))
 	if length >= capacity {
 		if err := a.grow(h, length+1); err != nil {
 			return 0, err
 		}
 		off = a.handles[h]
 	}
-	a.cells[off+headerCells+length] = v
-	a.cells[off] = float64(length + 1)
+	a.store(off+headerCells+length, v)
+	a.store(off, float64(length+1))
 	return length + 1, nil
 }
 
@@ -461,12 +542,12 @@ func (a *Arena) Pop(h int32) (float64, bool) {
 		return 0, false
 	}
 	off := a.handles[h]
-	length := int(a.cells[off])
+	length := int(a.load(off))
 	if length <= 0 {
 		return 0, false
 	}
-	v := a.cells[off+headerCells+length-1]
-	a.cells[off] = float64(length - 1)
+	v := a.load(off + headerCells + length - 1)
+	a.store(off, float64(length-1))
 	return v, true
 }
 

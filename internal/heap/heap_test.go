@@ -293,17 +293,6 @@ func TestOOM(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	a := New(256)
-	h, _ := a.Alloc(4)
-	a.RawStore(a.CodeBase()+1, 0) // corrupt code region
-	_ = h
-	a.Reset()
-	if a.Top() != 0 || a.HandleCount() != 0 || a.CodeIntegrityViolation() != -1 {
-		t.Fatal("Reset must restore a pristine arena")
-	}
-}
-
 func TestFirstFitReusesFreedBlocks(t *testing.T) {
 	a := New(1 << 10)
 	h1, _ := a.Alloc(20)
@@ -358,4 +347,152 @@ func TestPropertyLengthNeverNegative(t *testing.T) {
 	if err := a.SetLength(h, -1); err == nil {
 		t.Error("negative length must be rejected")
 	}
+}
+
+// corruptHeader allocates three adjacent four-element arrays in a 64 Ki
+// arena and overwrites the middle one's header through the first one's
+// elements pointer, as a JITed store with an eliminated bounds check would:
+// the addresses its length and capacity now describe lie far past the
+// allocation top, where no memory backs the heap.
+func corruptHeader(t *testing.T, length, capacity float64) (a *Arena, h int32, elems int) {
+	t.Helper()
+	a = New(1 << 16)
+	h0, _ := a.Alloc(4)
+	h, _ = a.Alloc(4)
+	if _, err := a.Alloc(4); err != nil {
+		t.Fatal(err)
+	}
+	e0, _ := a.Elems(h0)
+	if c := a.RawStore(e0+4, length); c != nil {
+		t.Fatal(c)
+	}
+	if c := a.RawStore(e0+5, capacity); c != nil {
+		t.Fatal(c)
+	}
+	elems, _ = a.Elems(h)
+	return a, h, elems
+}
+
+// The arms that index the heap with offsets read from length/capacity cells
+// and no memory-map check: Set's idx<capacity arm, Push's and Pop's element
+// access, SetLength's zeroing of [length, n), freeRange's zeroing of a
+// reclaimed tail, and grow's copy of the old payload. With a corrupted
+// header they reach past the top: a silent access to cells every
+// top-advancing path re-initialises before they can be read — never a Go
+// panic or a recorded crash — and, aimed at the code region, a hijack.
+func TestCorruptedHeaderReachesPastTheTop(t *testing.T) {
+	const far = 40000
+	unmapped := func(t *testing.T, a *Arena, addr int) {
+		t.Helper()
+		if a.Crashed() != nil {
+			t.Fatalf("recorded a crash: %v", a.Crashed())
+		}
+		if addr < a.Top() || addr >= a.CodeBase() {
+			t.Fatalf("address %d is mapped (top %d)", addr, a.Top())
+		}
+	}
+	t.Run("Set/idx<capacity", func(t *testing.T) {
+		a, h, elems := corruptHeader(t, 3, 50000)
+		if crash := a.Set(h, far, 7); crash != nil {
+			t.Fatal(crash)
+		}
+		if n, _ := a.Length(h); n != far+1 {
+			t.Fatalf("length = %d, want %d", n, far+1)
+		}
+		unmapped(t, a, elems+far)
+		// The cell is re-initialised by the allocation that maps it.
+		big, err := a.Alloc(50000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := a.Elems(big)
+		if v, present, crash := a.Get(big, elems+far-e); v != 0 || !present || crash != nil {
+			t.Fatalf("stale cell read back: %v %v %v", v, present, crash)
+		}
+	})
+	t.Run("Set/idx<capacity/code-region", func(t *testing.T) {
+		a, h, elems := corruptHeader(t, 3, 1<<17)
+		if crash := a.Set(h, a.CodeBase()+9-elems, 7); crash != nil {
+			t.Fatal(crash)
+		}
+		if a.Crashed() != nil || a.CodePointerOK(9) || a.CodeIntegrityViolation() != 9 {
+			t.Fatalf("crashed=%v ok(9)=%v violation=%d, want a silent overwrite of code pointer 9",
+				a.Crashed(), a.CodePointerOK(9), a.CodeIntegrityViolation())
+		}
+	})
+	t.Run("Push+Pop", func(t *testing.T) {
+		a, h, elems := corruptHeader(t, far, 50000)
+		if n, err := a.Push(h, 7); n != far+1 || err != nil {
+			t.Fatalf("Push = %d, %v", n, err)
+		}
+		unmapped(t, a, elems+far)
+		if v, ok := a.Pop(h); v != 7 || !ok {
+			t.Fatalf("Pop = %v, %v, want the value Push left there", v, ok)
+		}
+		if v, ok := a.Pop(h); v != 0 || !ok {
+			t.Fatalf("Pop = %v, %v, want 0 from a cell nothing wrote", v, ok)
+		}
+		unmapped(t, a, elems+far-1)
+	})
+	t.Run("SetLength/n<=capacity", func(t *testing.T) {
+		a, h, elems := corruptHeader(t, 3, 50000)
+		if err := a.SetLength(h, far); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := a.Length(h); n != far {
+			t.Fatalf("length = %d", n)
+		}
+		unmapped(t, a, elems+far-1)
+	})
+	t.Run("SetLength/shrink", func(t *testing.T) {
+		a, h, elems := corruptHeader(t, 4, 50000)
+		top := a.Top()
+		if err := a.SetLength(h, 2); err != nil {
+			t.Fatal(err)
+		}
+		// The "tail" [elems+2, elems+50000) is now a free block that runs
+		// past the top and over the neighbour; first fit hands it out.
+		if a.FreeBlocks() != 1 || a.Top() != top {
+			t.Fatalf("free blocks = %d, top %d -> %d", a.FreeBlocks(), top, a.Top())
+		}
+		h2, err := a.Alloc(far)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e2, _ := a.Elems(h2); e2 != elems+2+2 || a.Top() != top {
+			t.Fatalf("alloc at %d (top %d), want %d inside the bogus block", e2, a.Top(), elems+4)
+		}
+		if n, _ := a.Length(h2); n != far {
+			t.Fatalf("length = %d", n)
+		}
+		unmapped(t, a, elems+far)
+	})
+	t.Run("grow/copy", func(t *testing.T) {
+		// Room below: a free block large enough for the reallocation, so grow
+		// is served first-fit and its source range [elems, elems+20000) —
+		// length and capacity both corrupted — runs past the top.
+		a := New(1 << 16)
+		h0, _ := a.Alloc(45000)
+		h, _ := a.Alloc(4)
+		a.Set(h, 1, 11)
+		if err := a.SetLength(h0, 0); err != nil {
+			t.Fatal(err)
+		}
+		elems, _ := a.Elems(h)
+		a.RawStore(elems-2, 20000)
+		a.RawStore(elems-1, 20000)
+		top := a.Top()
+		if n, err := a.Push(h, 7); n != 20001 || err != nil {
+			t.Fatalf("Push = %d, %v", n, err)
+		}
+		if e, _ := a.Elems(h); e >= elems || a.Top() != top {
+			t.Fatalf("moved to %d (top %d -> %d), want first fit below %d", e, top, a.Top(), elems)
+		}
+		for idx, want := range map[int]float64{1: 11, 6: 0, 19999: 0, 20000: 7} {
+			if v, present, crash := a.Get(h, idx); v != want || !present || crash != nil {
+				t.Fatalf("Get(%d) = %v %v %v, want %v", idx, v, present, crash, want)
+			}
+		}
+		unmapped(t, a, elems+19999)
+	})
 }

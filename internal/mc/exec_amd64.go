@@ -43,7 +43,7 @@ func (f *mcact) result() native.Result {
 type mcenv struct {
 	top       int64
 	codeBase  int64
-	codeLen   int64
+	code      unsafe.Pointer
 	handleLen int64
 	cells     unsafe.Pointer
 	handles   unsafe.Pointer
@@ -117,14 +117,14 @@ func NewEnv(host Host, pool *native.Pool, vm *interp.VM, nfuncs int) *Env {
 	return env
 }
 
-// bind fills the arena and global-window views, which are stable for the
-// life of both: cells never reallocates, and the global slot count is fixed
-// at compile time (runtime ops mutate slots in place).
+// bind fills the views that are stable for the life of the arena and the
+// globals: the code region never moves, and the global slot count is fixed
+// at compile time (runtime ops mutate slots in place). The heap views — top,
+// cells, handles — move when Go allocates; finish refreshes them before
+// every entry.
 func (me *mcenv) bind(arena *heap.Arena, globals []value.Value) {
-	cells := arena.Cells()
 	me.codeBase = int64(arena.CodeBase())
-	me.codeLen = int64(len(cells)) - me.codeBase
-	me.cells = unsafe.Pointer(unsafe.SliceData(cells))
+	me.code = unsafe.Pointer(arena.Code())
 	if len(globals) > 0 {
 		me.globalsLen = int64(len(globals))
 		me.globals = unsafe.Pointer(unsafe.SliceData(globals))
@@ -311,11 +311,16 @@ func (x *runner) finish(me *mcenv, a *activation, kind int32) (native.Result, na
 	ops := code.Ops
 	for {
 		if kind == enterCode {
-			// Refresh the volatile state: the handle table's backing array
-			// moves when a runtime op allocates, the mapped-heap top
-			// advances, and a lease may have opened another pool chunk.
+			// Refresh the volatile state: the backing arrays of the heap
+			// cells and of the handle table move when a runtime op
+			// allocates, the mapped-heap top advances, and a lease may have
+			// opened another pool chunk. Generated code cannot allocate:
+			// whatever it reads through R12 (loaded from me.cells by enter)
+			// stays put until it exits to Go, and everything resumed after
+			// Go ran comes back through here.
 			handles := x.arena.Handles()
 			me.top = int64(x.arena.Top())
+			me.cells = unsafe.Pointer(unsafe.SliceData(x.arena.Cells()))
 			me.handleLen = int64(len(handles))
 			me.handles = unsafe.Pointer(unsafe.SliceData(handles))
 			if x.env != nil {

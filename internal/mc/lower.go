@@ -95,9 +95,9 @@ const (
 const (
 	eTop       = 0  // arena allocation top (refreshed)
 	eCodeBase  = 8  // arena code-region base
-	eCodeLen   = 16 // arena code-region length (cells beyond codeBase)
+	eCode      = 16 // &code[0]: the arena's code-pointer cells (addresses from codeBase)
 	eHandleLen = 24 // live handle count (refreshed)
-	eCells     = 32 // &cells[0] (R12)
+	eCells     = 32 // &cells[0] (R12; refreshed): the heap cells below top
 	eHandles   = 40 // &handles[0] (refreshed)
 
 	// Global-slot window: hooks that expose their backing []value.Value
@@ -372,18 +372,14 @@ func (lo *lowerer) runtimeOp(pc int32) {
 	lo.exit(pc, exitRuntime)
 }
 
-// mappedCheck emits the arena memory-map test on the address in RAX —
-// (uint64)addr < top || (uint64)(addr-codeBase) < codeLen — delegating to
-// the reference loop (which reproduces the exact CrashError) when
-// unmapped. Clobbers RCX.
+// mappedCheck emits the test that the address in RAX is mapped heap —
+// (uint64)addr < top, the only cells R12 addresses — delegating to the
+// reference loop otherwise: it performs the access when the address is in
+// the code region (which the arena backs separately) and reproduces the
+// exact CrashError when it is unmapped.
 func (lo *lowerer) mappedCheck(pc int32) {
 	lo.a.CmpRegMem(RAX, RSI, eTop)
-	okJmp := lo.a.JccFwd(CondB) // unsigned below top: mapped heap
-	lo.a.MovRegReg(RCX, RAX)
-	lo.a.SubRegMem(RCX, RSI, eCodeBase)
-	lo.a.CmpRegMem(RCX, RSI, eCodeLen)
-	lo.toStub(CondAE, pc, exitDelegate) // outside the code region too
-	lo.a.Patch32(okJmp, lo.a.Len())
+	lo.toStub(CondAE, pc, exitDelegate)
 }
 
 // jumpTo emits the taken-jump sequence: charge the pending steps, bump
@@ -839,8 +835,8 @@ func (lo *lowerer) emitCall(pc int32, op *lir.Op) {
 	a.CmpMemImm(R9, 0, interp.MaxCallDepth)
 	toSlow(CondGE)
 	if op.Aux < heap.CodeRegionCells {
-		a.MovRegMem(RAX, RSI, eCodeBase)
-		a.MovRegMemIdx(RAX, R12, RAX, 8, op.Aux*8)
+		a.MovRegMem(RAX, RSI, eCode)
+		a.MovRegMem(RAX, RAX, op.Aux*8)
 		a.MovRegImm64(RCX, math.Float64bits(heap.CodeSentinel(int(op.Aux))))
 		a.CmpRegReg(RAX, RCX)
 		toSlow(CondNE)

@@ -47,7 +47,7 @@ func TestFrameOffsets(t *testing.T) {
 
 		{"mcenv.top", unsafe.Offsetof(e.top), eTop},
 		{"mcenv.codeBase", unsafe.Offsetof(e.codeBase), eCodeBase},
-		{"mcenv.codeLen", unsafe.Offsetof(e.codeLen), eCodeLen},
+		{"mcenv.code", unsafe.Offsetof(e.code), eCode},
 		{"mcenv.handleLen", unsafe.Offsetof(e.handleLen), eHandleLen},
 		{"mcenv.cells", unsafe.Offsetof(e.cells), eCells},
 		{"mcenv.handles", unsafe.Offsetof(e.handles), eHandles},

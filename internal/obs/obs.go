@@ -95,7 +95,7 @@ type Sink interface {
 
 // Tracer stamps and routes events into a Sink. A nil *Tracer is the
 // disabled tracer: every method is a no-op costing one nil check, which
-// is the production fast path (benchmarked in BENCH_obs.json).
+// is the production fast path (benchmarked by BenchmarkSpan/disabled).
 type Tracer struct {
 	sink  Sink
 	epoch time.Time
