@@ -367,21 +367,18 @@ func BenchmarkObsCompileOctane(b *testing.B) {
 	b.Run("traced", run(func(*testing.B) engine.Config {
 		return engine.Config{IonThreshold: benchIonThreshold, Tracer: obs.NewTracer(obs.NewRing(0))}
 	}))
-	full := func() engine.Config {
+	full := func(views ...obs.Sink) engine.Config {
 		return engine.Config{
 			IonThreshold: benchIonThreshold,
-			Tracer:       obs.NewTracer(obs.NewRing(0)),
+			Tracer:       obs.NewTracer(append(obs.MultiSink{obs.NewAuditLog(nil)}, views...)),
 			Metrics:      obs.NewRegistry(),
-			Audit:        obs.NewAuditLog(nil),
 		}
 	}
-	b.Run("full", run(func(*testing.B) engine.Config { return full() }))
+	b.Run("full", run(func(*testing.B) engine.Config { return full(obs.NewRing(0)) }))
 	b.Run("flight-idle", run(func(b *testing.B) engine.Config {
-		cfg := full()
-		cfg.Tracer = obs.NewTracer(obs.NewFlightRecorder(b.TempDir(), obs.FlightOptions{MinSamples: 1 << 30}))
-		cfg.Watchdog = obs.NewWatchdog(obs.WatchdogOptions{})
-		cfg.Journal = obs.NewJournal(0)
-		return cfg
+		return full(obs.NewJournal(0),
+			obs.NewFlightRecorder(b.TempDir(), obs.FlightOptions{MinSamples: 1 << 30}),
+			obs.NewWatchdog(obs.WatchdogOptions{}))
 	}))
 }
 

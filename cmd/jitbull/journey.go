@@ -102,7 +102,7 @@ func journeyRun(src string, threshold int, osr, speculate, async bool) (*jitbull
 		IonThreshold: threshold,
 		OSR:          osr,
 		Speculate:    speculate,
-		Journal:      journal,
+		Tracer:       jitbull.NewTracer(journal),
 	}
 	if async {
 		queue := jitbull.NewQueue(0, 0, nil)

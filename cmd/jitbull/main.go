@@ -179,55 +179,53 @@ func cmdRun(args []string) error {
 		codeCache = jitbull.NewCodeCache(jitReg)
 		cfg.Cache = codeCache
 	}
-	var ring *jitbull.Ring
-	var flight *jitbull.FlightRecorder
-	var sinks jitbull.MultiSink
+	// One event stream, and a view of it per flag. The watchdog goes last:
+	// the anomaly it states then follows its cause in every other view.
+	var (
+		sinks   jitbull.MultiSink
+		ring    *jitbull.Ring
+		journal *jitbull.Journal
+		audit   *jitbull.AuditLog
+		flight  *jitbull.FlightRecorder
+		wdog    *jitbull.Watchdog
+	)
 	if *tracePath != "" {
 		ring = jitbull.NewRing(0)
 		sinks = append(sinks, ring)
+	}
+	if *journeyPath != "" {
+		journal = jitbull.NewJournal(0)
+		sinks = append(sinks, journal)
+	}
+	var auditFile *os.File
+	switch {
+	case *auditPath == "-":
+		audit = jitbull.NewAuditLog(os.Stderr)
+	case *auditPath != "":
+		f, err := os.Create(*auditPath)
+		if err != nil {
+			return err
+		}
+		auditFile = f
+		audit = jitbull.NewAuditLog(f)
+	case *watchdogFlag:
+		// Anomalies should be served at /audit.json even without -audit.
+		audit = jitbull.NewAuditLog(nil)
+	}
+	if audit != nil {
+		sinks = append(sinks, audit)
 	}
 	if *flightDir != "" {
 		flight = jitbull.NewFlightRecorder(*flightDir, jitbull.FlightOptions{})
 		sinks = append(sinks, flight)
 	}
-	switch len(sinks) {
-	case 0:
-	case 1:
-		cfg.Tracer = jitbull.NewTracer(sinks[0])
-	default:
-		cfg.Tracer = jitbull.NewTracer(sinks)
-	}
-	var journal *jitbull.Journal
-	if *journeyPath != "" {
-		journal = jitbull.NewJournal(0)
-		cfg.Journal = journal
-	}
-	var auditFile *os.File
-	if *auditPath != "" {
-		w := os.Stderr
-		if *auditPath != "-" {
-			f, err := os.Create(*auditPath)
-			if err != nil {
-				return err
-			}
-			auditFile = f
-			w = f
-		}
-		cfg.Audit = jitbull.NewAuditLog(w)
-	}
-	var wdog *jitbull.Watchdog
 	if *watchdogFlag {
-		if cfg.Audit == nil {
-			// Anomaly audit events should land beside the engine's policy
-			// verdicts (and be served at /audit.json) even without -audit.
-			cfg.Audit = jitbull.NewAuditLog(nil)
-		}
-		wdog = jitbull.NewWatchdog(jitbull.WatchdogOptions{
-			Audit:   cfg.Audit,
-			Flight:  flight,
-			Metrics: jitReg,
-		})
-		cfg.Watchdog = wdog
+		wdog = jitbull.NewWatchdog(jitbull.WatchdogOptions{Metrics: jitReg})
+		sinks = append(sinks, wdog)
+	}
+	if len(sinks) > 0 {
+		cfg.Tracer = jitbull.NewTracer(sinks)
+		wdog.SetTracer(cfg.Tracer)
 	}
 	eng, err := jitbull.New(src, cfg)
 	if err != nil {
@@ -236,7 +234,7 @@ func cmdRun(args []string) error {
 	if *metricsAddr != "" {
 		srv, addr, err := jitbull.StartOpsServer(*metricsAddr, jitbull.OpsState{
 			Reg:      eng.MetricsSink(),
-			Audit:    eng.Audit(),
+			Audit:    audit,
 			Watchdog: wdog,
 			Journal:  journal,
 			Flight:   flight,
@@ -254,13 +252,12 @@ func cmdRun(args []string) error {
 			fmt.Fprintf(os.Stderr, "jitbull: DNA database unusable (%v)\njitbull: failing safe: JIT disabled for every function\n", err)
 		}
 		det = jitbull.Protect(eng, db)
+		det.Audit = audit
 	}
 	if *storeDir != "" {
-		st, err := jitbull.OpenStoreWith(*storeDir, jitbull.StoreOptions{
-			Metrics:  eng.MetricsSink(),
-			Audit:    eng.Audit(),
-			Watchdog: wdog,
-			Tracer:   cfg.Tracer,
+		st, err := jitbull.OpenStore(*storeDir, jitbull.StoreOptions{
+			Metrics: eng.MetricsSink(),
+			Tracer:  cfg.Tracer,
 		})
 		if err != nil {
 			return err
@@ -363,7 +360,7 @@ func cmdRun(args []string) error {
 		if err := auditFile.Close(); err != nil {
 			return fmt.Errorf("run: close audit log: %w", err)
 		}
-		if err := eng.Audit().WriteErr(); err != nil {
+		if err := audit.WriteErr(); err != nil {
 			return fmt.Errorf("run: audit log stream: %w", err)
 		}
 	}

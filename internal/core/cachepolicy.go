@@ -72,7 +72,7 @@ func (d *Detector) ReplayVerdict(fnName string, payload any) engine.CompileDecis
 		return engine.CompileDecision{}
 	}
 	if len(p.found) == 0 {
-		d.Audit.Record(obs.AuditEvent{Func: fnName, Verdict: obs.VerdictGo})
+		d.Audit.Append(obs.AuditEvent{Func: fnName, Verdict: obs.VerdictGo})
 		return engine.CompileDecision{}
 	}
 	if d.seen == nil {
@@ -96,7 +96,7 @@ func (d *Detector) ReplayVerdict(fnName string, payload any) engine.CompileDecis
 				ChainID: m.ChainID, Side: m.Side, Chain: m.Chain(),
 			}
 		}
-		d.Audit.Record(obs.AuditEvent{
+		d.Audit.Append(obs.AuditEvent{
 			Func:           fnName,
 			Verdict:        verdict,
 			DisabledPasses: p.names,

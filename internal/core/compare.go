@@ -168,7 +168,7 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 		// The real database could not be trusted: no DNA to compare
 		// against, so take no snapshots and veto every compilation.
 		return nil, func() engine.CompileDecision {
-			d.Audit.Record(obs.AuditEvent{
+			d.Audit.Append(obs.AuditEvent{
 				Func:    fnName,
 				Verdict: obs.VerdictNoJIT,
 				Reason:  "fail-safe database: vetoing every compilation",
@@ -223,7 +223,7 @@ func (d *Detector) Decide(dna *DNA) engine.CompileDecision {
 	d.found = found[:0]
 	if len(found) == 0 {
 		d.last = &verdictPayload{}
-		d.Audit.Record(obs.AuditEvent{Func: dna.FuncName, Verdict: obs.VerdictGo})
+		d.Audit.Append(obs.AuditEvent{Func: dna.FuncName, Verdict: obs.VerdictGo})
 		return engine.CompileDecision{}
 	}
 	// dna.Passes iteration is randomized; order deterministically before
@@ -279,7 +279,7 @@ func (d *Detector) Decide(dna *DNA) engine.CompileDecision {
 				ChainID: m.ChainID, Side: m.Side, Chain: m.Chain(),
 			}
 		}
-		d.Audit.Record(obs.AuditEvent{
+		d.Audit.Append(obs.AuditEvent{
 			Func:           dna.FuncName,
 			Verdict:        verdict,
 			DisabledPasses: names,

@@ -99,7 +99,7 @@ func WatchdogChaos(o WatchdogChaosOptions) WatchdogChaosResult {
 		seededWdog := obs.NewWatchdog(obs.WatchdogOptions{Detectors: []obs.Detector{}})
 		seededWdog.SetSeedProbe(faults.WatchdogProbe(inj))
 		seededCfg := Config{Name: "jit+watchdog-seeded", Engine: base}
-		seededCfg.Engine.Watchdog = seededWdog
+		seededCfg.Engine.Tracer = obs.NewTracer(seededWdog)
 		panicked := ""
 		func() {
 			defer func() {
@@ -133,7 +133,7 @@ func WatchdogChaos(o WatchdogChaosOptions) WatchdogChaosResult {
 		// program must produce zero anomalies and stay ready.
 		cleanWdog := obs.NewWatchdog(obs.WatchdogOptions{})
 		cleanCfg := Config{Name: "jit+watchdog-clean", Engine: base}
-		cleanCfg.Engine.Watchdog = cleanWdog
+		cleanCfg.Engine.Tracer = obs.NewTracer(cleanWdog)
 		Observe(src, cleanCfg)
 		if an := cleanWdog.Anomalies(); len(an) != 0 {
 			fail("false positive on a clean run: %+v", an)

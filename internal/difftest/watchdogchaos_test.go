@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -45,15 +46,18 @@ var result = 0; for (var r = 0; r < 24; r++) { result = (result + hot(600)) % 10
 
 // TestSeededAnomalyEndToEnd is the acceptance scenario: one run seeded
 // with a deopt storm, a corrupt store record, and a saturated compile
-// queue must produce per-episode flight-recorder dumps, watchdog audit
-// events with 1:1 accounting, a /healthz ready→degraded→ready
-// transition, and a tier-journey timeline for the storming function.
+// queue must produce per-episode flight-recorder dumps that hold their
+// cause, watchdog audit events with 1:1 accounting, a /healthz
+// ready→degraded→ready transition, and a tier-journey timeline for the
+// storming function — every one of them a view of the one tracer.
 func TestSeededAnomalyEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	audit := obs.NewAuditLog(nil)
 	flight := obs.NewFlightRecorder(t.TempDir(), obs.FlightOptions{RingCapacity: 512})
-	wdog := obs.NewWatchdog(obs.WatchdogOptions{Metrics: reg, Audit: audit, Flight: flight, RecoverAfter: 8})
+	wdog := obs.NewWatchdog(obs.WatchdogOptions{Metrics: reg, RecoverAfter: 8})
 	journal := obs.NewJournal(0)
+	tracer := obs.NewTracer(obs.MultiSink{journal, audit, flight, wdog})
+	wdog.SetTracer(tracer)
 	mux := obs.NewOpsMux(obs.OpsState{Reg: reg, Audit: audit, Watchdog: wdog, Journal: journal, Flight: flight})
 	healthz := func() (int, string) {
 		rec := httptest.NewRecorder()
@@ -78,10 +82,7 @@ func TestSeededAnomalyEndToEnd(t *testing.T) {
 		OSR:               true,
 		Speculate:         true,
 		Metrics:           reg,
-		Audit:             audit,
-		Watchdog:          wdog,
-		Journal:           journal,
-		Tracer:            obs.NewTracer(flight),
+		Tracer:            tracer,
 		Queue:             queue,
 	})
 	if err != nil {
@@ -92,11 +93,10 @@ func TestSeededAnomalyEndToEnd(t *testing.T) {
 	}
 
 	// Store corruption: a bit-flip on read must quarantine the record and
-	// signal the watchdog.
+	// say so on the same stream.
 	st, err := store.Open(t.TempDir(), store.Options{
-		Metrics:  reg,
-		Audit:    audit,
-		Watchdog: wdog,
+		Metrics: reg,
+		Tracer:  tracer,
 		Faults: faults.NewInjector(1, faults.Rule{
 			Point: faults.PointStoreGet, Kind: faults.KindBitFlip,
 		}),
@@ -136,7 +136,7 @@ func TestSeededAnomalyEndToEnd(t *testing.T) {
 	// flight episode, and every episode's dump file exists on disk.
 	anomalyAudits := 0
 	for _, ev := range audit.Events() {
-		if ev.Verdict == obs.VerdictAnomaly {
+		if ev.Verdict == "anomaly" {
 			anomalyAudits++
 		}
 	}
@@ -166,13 +166,36 @@ func TestSeededAnomalyEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Episodes carry their cause: the facts that tripped a detector are in
+	// the dump it triggered, not in some other sink's file.
+	dumped := func(reason string) string {
+		for _, ep := range eps {
+			if ep.Reason == reason {
+				data, err := os.ReadFile(ep.Path)
+				if err != nil {
+					t.Fatalf("episode %s: %v", reason, err)
+				}
+				return string(data)
+			}
+		}
+		return ""
+	}
+	if n := strings.Count(dumped("deopt-storm"), `{"name":"deopt","cat":"engine","ph":"i"`); n < 8 {
+		t.Errorf("deopt-storm dump holds %d deopt event(s), want the 8 that made the storm", n)
+	} else if !strings.Contains(dumped("deopt-storm"), `"fn":"hot"`) {
+		t.Errorf("deopt-storm dump does not name the storming function")
+	}
+	if !strings.Contains(dumped("store-corruption"), `{"name":"store-corrupt","cat":"store","ph":"i"`) {
+		t.Errorf("store-corruption dump does not hold the store-corrupt event")
+	}
+
 	// /healthz degraded with the last anomaly named, then ready again
 	// after RecoverAfter consecutive clean signals.
 	if code, body := healthz(); code != 503 || !strings.Contains(body, "degraded") {
 		t.Fatalf("post-anomaly /healthz: code=%d body=%q", code, body)
 	}
 	for i := 0; i < 8; i++ {
-		wdog.Signal(obs.Signal{Kind: obs.SigCompile, Value: 1000})
+		wdog.Record(obs.Event{Kind: obs.KindSpan, Name: obs.FactCompile, Dur: 1000})
 	}
 	if code, body := healthz(); code != 200 || body != "ready\n" {
 		t.Fatalf("post-recovery /healthz: code=%d body=%q", code, body)

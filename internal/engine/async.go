@@ -18,8 +18,8 @@
 // Concurrency contract: an Engine remains single-owner — CallFunction,
 // Run, Drain and Stats mutation all happen on the goroutine that owns the
 // engine. Background workers only ever touch (a) the immutable request
-// snapshot, (b) the engine's atomic counters and locked observability
-// sinks, (c) the policy, serialized by compileMu, and (d) the per-function
+// snapshot, (b) the engine's atomic counters and its tracer (whose sinks
+// lock), (c) the policy, serialized by compileMu, and (d) the per-function
 // outcome mailbox. Stats() reads atomics and is safe to call from any
 // goroutine at any time.
 package engine
@@ -95,7 +95,6 @@ type compileOutcome struct {
 	disabled    map[string]bool // final disabled-pass set (nil = unchanged)
 	noJIT       bool            // policy scenario 3 verdict
 	grew        bool            // policy scenario 2: disabled set grew
-	decided     bool            // the policy produced a verdict for this attempt
 	payload     any             // policy verdict record for the cache
 	fromCache   bool
 }
@@ -313,11 +312,10 @@ func sortedSet(set map[string]bool) []string {
 // backlog).
 func (e *Engine) enqueueCompile(st *fnState, req *compileRequest) bool {
 	req.async = true
-	e.tracer.Instant(obs.CatCompile, "compile.enqueue",
-		obs.S("fn", req.fnName), obs.I("queue_depth", e.cfg.Queue.Depth()))
-	req.waitSpan = e.tracer.Begin(obs.CatCompile, "compile.queue_wait")
+	e.tracer.Instant(obs.CatCompile, obs.FactEnqueue, req.fnName,
+		obs.I("queue_depth", e.cfg.Queue.Depth()), st.tierArg())
+	req.waitSpan = e.tracer.Begin(obs.CatCompile, obs.FactQueueWait, req.fnName)
 	req.enqueuedAt = time.Now()
-	e.journey(st, obs.StageEnqueued, "queue depth=%d", e.cfg.Queue.Depth())
 	e.inflight.Add(1)
 	ok := e.cfg.Queue.Submit(jitqueue.Job{
 		Owner: req.fnName,
@@ -333,33 +331,20 @@ func (e *Engine) enqueueCompile(st *fnState, req *compileRequest) bool {
 				Func: req.fnName, Stage: StageQueue, Err: errEscapedPanic, Panicked: true,
 			}}
 			defer func() { st.pending.Store(o) }()
-			req.waitSpan.End(obs.S("fn", req.fnName))
+			req.waitSpan.End()
 			e.hQueueWait.ObserveEx(int64(time.Since(req.enqueuedAt)), req.waitSpan.ID())
 			if e.testQueueJobHook != nil {
 				e.testQueueJobHook()
 			}
-			sp := e.tracer.Begin(obs.CatCompile, "compile")
-			start := time.Now()
-			o = e.compileAttempt(req)
-			dur := int64(time.Since(start))
-			e.hCompile.ObserveEx(dur, sp.ID())
-			e.watchdog.Signal(obs.Signal{Kind: obs.SigCompile, Func: req.fnName, Value: dur})
-			e.maybeCachePut(o)
-			// Journal via the immutable request only: a worker must not read
-			// owner-mutated fnState (st.tier), per the concurrency contract.
-			if o.cerr != nil {
-				e.journal.Record(req.fnName, obs.StageCompiled, "", "fail: stage="+o.cerr.Stage)
-				sp.End(obs.S("fn", req.fnName), obs.S("result", "fail"), obs.S("stage", o.cerr.Stage), obs.S("source", "queue"))
-			} else {
-				e.journal.Record(req.fnName, obs.StageCompiled, "", "ok: queue")
-				sp.End(obs.S("fn", req.fnName), obs.S("result", "ok"), obs.S("source", "queue"))
-			}
+			// Stated through the immutable request only: a worker must not
+			// read owner-mutated fnState (st.tier), per the concurrency
+			// contract.
+			o = e.compileTraced(req, "queue", obs.Arg{})
 		},
 	})
 	if !ok {
 		e.inflight.Done()
-		req.waitSpan.End(obs.S("fn", req.fnName), obs.S("result", "rejected"))
-		e.watchdog.Signal(obs.Signal{Kind: obs.SigQueueSaturated, Func: req.fnName, Cause: "inline fallback"})
+		req.waitSpan.End(obs.S("result", "rejected"))
 		req.async = false
 		return false
 	}
@@ -411,16 +396,19 @@ func (e *Engine) outcomeFromCache(req *compileRequest, cc *cachedCompile) *compi
 		jitEligible: cc.jitEligible,
 		noJIT:       cc.noJIT,
 		grew:        cc.grew,
-		decided:     e.policy != nil && e.policy.Active(),
 	}
-	if cp, ok := e.policy.(CachingPolicy); ok && cc.payload != nil {
-		// Replay mutates the policy's match accounting (Detector.seen /
-		// Matches / audit), and a queued compile of another function may
-		// concurrently be inside BeginCompile/Decide on a worker — so the
-		// replay takes compileMu like every other policy touch.
-		e.compileMu.Lock()
-		cp.ReplayVerdict(req.fnName, cc.payload)
-		e.compileMu.Unlock()
+	if e.policy != nil && e.policy.Active() {
+		dsp := e.tracer.Begin(obs.CatPolicy, obs.FactDecide, req.fnName)
+		if cp, ok := e.policy.(CachingPolicy); ok && cc.payload != nil {
+			// Replay mutates the policy's match accounting (Detector.seen /
+			// Matches / audit), and a queued compile of another function may
+			// concurrently be inside BeginCompile/Decide on a worker — so the
+			// replay takes compileMu like every other policy touch.
+			e.compileMu.Lock()
+			cp.ReplayVerdict(req.fnName, cc.payload)
+			e.compileMu.Unlock()
+		}
+		dsp.End(obs.S("verdict", verdictName(cc.noJIT, cc.grew)), obs.S("source", "cache"))
 	}
 	if len(cc.disabled) > 0 {
 		m := make(map[string]bool, len(cc.disabled))
@@ -467,16 +455,6 @@ func (e *Engine) applyOutcome(st *fnState, o *compileOutcome) {
 			e.m.nrNoJIT.Inc()
 		}
 	}
-	if o.decided {
-		verdict := string(obs.VerdictGo)
-		switch {
-		case o.noJIT:
-			verdict = string(obs.VerdictNoJIT)
-		case o.grew:
-			verdict = string(obs.VerdictDisablePass)
-		}
-		e.watchdog.Signal(obs.Signal{Kind: obs.SigVerdict, Func: st.fn.Name, Cause: verdict})
-	}
 	if o.cerr != nil {
 		e.failCompile(st, o.cerr)
 		return
@@ -508,39 +486,40 @@ func (e *Engine) applyOutcome(st *fnState, o *compileOutcome) {
 	default:
 		e.m.tierSwitch.Inc()
 	}
-	e.journey(st, obs.StageTier, "top=%s", topTierName(st))
+	e.tracer.Instant(obs.CatEngine, obs.FactTier, st.fn.Name, obs.S("top", topTierName(st)), st.tierArg())
 	if wasQuarantined {
 		// A quarantined function compiled cleanly on retry: requalify.
 		st.quar = qNone
 		st.attempts = 0
 		e.m.requalified.Inc()
-		e.audit.Record(obs.AuditEvent{
-			Func:    st.fn.Name,
-			Verdict: obs.VerdictRequalify,
-			Reason:  "clean recompile after quarantine",
-		})
-		e.journey(st, obs.StageRequalified, "clean recompile after quarantine")
+		e.tracer.Instant(obs.CatEngine, obs.FactRequalified, st.fn.Name,
+			obs.S("reason", "clean recompile after quarantine"), st.tierArg())
 	}
-	if o.fromCache || o.req.async {
-		source := "queue"
-		if o.fromCache {
-			source = "cache"
-		} else {
-			e.m.asyncInstalls.Inc()
-			// Install lag: warmup trigger → safe-point install, the window
-			// the function kept executing in baseline. Exemplar-linked to
-			// the queue-wait span, whose trace covers the same window.
-			e.hInstallLag.ObserveEx(int64(time.Since(o.req.enqueuedAt)), o.req.waitSpan.ID())
-		}
-		e.tracer.Instant(obs.CatCompile, "compile.install",
-			obs.S("fn", st.fn.Name), obs.S("source", source),
-			obs.I("ops", int64(len(o.code.Ops))), obs.I("regs", int64(o.code.NumRegs)))
-		e.journey(st, obs.StageInstalled, "source=%s ops=%d", source, len(o.code.Ops))
-	} else {
-		e.tracer.Instant(obs.CatCompile, "native.install",
-			obs.S("fn", st.fn.Name), obs.I("ops", int64(len(o.code.Ops))), obs.I("regs", int64(o.code.NumRegs)))
-		e.journey(st, obs.StageInstalled, "source=inline ops=%d", len(o.code.Ops))
+	source := "inline"
+	switch {
+	case o.fromCache:
+		source = "cache"
+	case o.req.async:
+		source = "queue"
+		e.m.asyncInstalls.Inc()
+		// Install lag: warmup trigger → safe-point install, the window
+		// the function kept executing in baseline. Exemplar-linked to
+		// the queue-wait span, whose trace covers the same window.
+		e.hInstallLag.ObserveEx(int64(time.Since(o.req.enqueuedAt)), o.req.waitSpan.ID())
 	}
+	e.tracer.Instant(obs.CatCompile, obs.FactInstall, st.fn.Name, obs.S("source", source),
+		obs.I("ops", int64(len(o.code.Ops))), obs.I("regs", int64(o.code.NumRegs)), st.tierArg())
+}
+
+// verdictName is the "verdict" argument of FactDecide.
+func verdictName(noJIT, disabled bool) string {
+	switch {
+	case noJIT:
+		return string(obs.VerdictNoJIT)
+	case disabled:
+		return string(obs.VerdictDisablePass)
+	}
+	return string(obs.VerdictGo)
 }
 
 // Drain waits for every in-flight background compilation of this engine

@@ -311,9 +311,10 @@ func TestCallBoundary(t *testing.T) {
 				cfg.NoMC, cfg.Tracer = true, obs.NewTracer(ringWithout)
 				without := runBoundary(t, tc.src, cfg, nil)
 				sameBoundary(t, "mc vs NoMC", with, without)
-				// A guard bailout shows in the trace wherever the callee ran.
-				if a, b := countEvents(ringWith, "native.bail"), countEvents(ringWithout, "native.bail"); a != b || (tc.bailouts && a == 0) {
-					t.Errorf("native.bail instants: mc %d, NoMC %d", a, b)
+				// A guard bailout is stated once wherever the callee ran, and
+				// as often as the counter says.
+				if a, b := countEvents(ringWith, obs.FactBailout), countEvents(ringWithout, obs.FactBailout); a != b || a != with.stats.Bailouts {
+					t.Errorf("bailout facts: mc %d, NoMC %d, Stats.Bailouts %d", a, b, with.stats.Bailouts)
 				}
 
 				if tc.errLike == "" && with.err != "" {

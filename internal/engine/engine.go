@@ -150,37 +150,25 @@ type Config struct {
 	// to the interpreter — with full frame reconstruction — when the
 	// assumption fails. Off by default; semantically invisible.
 	Speculate bool
-	// OSRThreshold is the back-edge count that triggers compilation and
-	// entry for a loop-hot function (0 = IonThreshold).
-	OSRThreshold int
 
-	// Tracer, when set, records the compile lifecycle as structured span
-	// events: warmup trigger, mirbuild, every optimization pass (with
-	// input/output instruction counts), DNA extraction, the go/no-go
-	// decision, lowering, register allocation, native install, bailouts and
-	// injected faults. Nil disables tracing at the cost of one nil check
-	// per site (benchmarked by internal/obs BenchmarkSpan/disabled).
+	// Tracer, when set, is the engine's one event stream: every lifecycle
+	// fact (obs.Facts: first call, warm, trigger, cache hit or miss,
+	// enqueue, compile, verdict, tier, install, OSR entry, deopt, bailout,
+	// quarantine, requalification, permanent demotion, compile error) is
+	// stated on it once, beside the compile-pipeline spans (mirbuild, every
+	// optimization pass with input/output instruction counts, DNA
+	// extraction, lowering, register allocation) and injected faults. What
+	// becomes of them is the sink's business: obs.Ring, Journal, AuditLog,
+	// Watchdog and FlightRecorder are each a view of this stream, composed
+	// with obs.MultiSink. Facts land on tier transitions, never per call.
+	// Nil disables the stream at the cost of one nil check per site
+	// (benchmarked by internal/obs BenchmarkSpan/disabled).
 	Tracer *obs.Tracer
 	// Metrics, when set, is a shared registry the engine's counters and
 	// histograms are mirrored into. Several engines may share one registry
 	// (RunParallel does): the handles are atomics, so the shared view
 	// aggregates without races while each engine's Stats() stays private.
 	Metrics *obs.Registry
-	// Audit, when set, receives one structured event per compilation
-	// supervisor transition (compile errors, quarantine, requalification,
-	// permanent demotion). Policy go/no-go verdicts are recorded by the
-	// policy itself (core.Detector) into the same log.
-	Audit *obs.AuditLog
-	// Journal, when set, records the per-function tier-journey event
-	// stream: interp → warm → enqueued → compiled → installed → OSR-entry
-	// → deopt → requalified → quarantined → cache/store hit, each with
-	// cause, tier, and monotonic timestamp. Waypoints land only on tier
-	// transitions — never per call — so the hot path pays nil checks.
-	Journal *obs.Journal
-	// Watchdog, when set, receives anomaly signals (deopts, quarantines,
-	// cache hits/misses, verdicts, queue saturation, hot interpreter-
-	// pinned functions) at the same hook points that feed metrics.
-	Watchdog *obs.Watchdog
 
 	// Queue, when set, moves Ion compilation off-thread: the warmup
 	// trigger snapshots the compilation inputs, enqueues a supervised job
@@ -302,7 +290,7 @@ const (
 	tierIon
 )
 
-// String names the tier for the journey journal and reports.
+// String names the tier for the "tier" argument of lifecycle facts.
 func (t tier) String() string {
 	switch t {
 	case tierBaseline:
@@ -354,8 +342,8 @@ type fnState struct {
 	pending  atomic.Pointer[compileOutcome]
 
 	// noJITPinned marks a function permanently interpreter-only because of
-	// a policy NoJIT verdict (not unsupported source): the perf-divergence
-	// watchdog signal fires for these when they keep getting hot.
+	// a policy NoJIT verdict (not unsupported source): FactHotInterp is
+	// stated for these when they keep getting hot.
 	noJITPinned bool
 
 	// OSR/deopt state (see osr.go). backEdges counts interpreter back
@@ -400,9 +388,6 @@ type Engine struct {
 	reg      *obs.Registry // private registry backing Stats()
 	m        engineMetrics
 	tracer   *obs.Tracer
-	audit    *obs.AuditLog
-	journal  *obs.Journal
-	watchdog *obs.Watchdog
 	hijacked *HijackError
 
 	// Exemplar-linked latency histograms, resolved once at construction so
@@ -461,9 +446,6 @@ func NewFromProgram(prog *bytecode.Program, astProg *ast.Program, cfg Config) (*
 	if cfg.IonThreshold <= 0 {
 		cfg.IonThreshold = DefaultIonThreshold
 	}
-	if cfg.OSRThreshold <= 0 {
-		cfg.OSRThreshold = cfg.IonThreshold
-	}
 	arena := heap.New(cfg.HeapCells)
 	vm := interp.New(prog, arena, cfg.Out)
 	if cfg.MaxSteps > 0 {
@@ -473,9 +455,6 @@ func NewFromProgram(prog *bytecode.Program, astProg *ast.Program, cfg Config) (*
 	e.reg = obs.NewRegistry()
 	e.m = newEngineMetrics(e.reg, cfg.Metrics)
 	e.tracer = cfg.Tracer
-	e.audit = cfg.Audit
-	e.journal = cfg.Journal
-	e.watchdog = cfg.Watchdog
 	e.blockChecks = e.histReg().Counter("native.block_budget_checks")
 	e.hCompile = e.histReg().Histogram("compile.ns", obs.LatencyBucketsNs)
 	e.hQueueWait = e.histReg().Histogram("jit.queue_wait_ns", obs.LatencyBucketsNs)
@@ -556,9 +535,6 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 // the engine counters plus compile-path histograms when no shared
 // Config.Metrics registry was provided.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
-
-// Audit returns the engine's audit log (nil when auditing is disabled).
-func (e *Engine) Audit() *obs.AuditLog { return e.audit }
 
 // MetricsSink returns the registry compile-path instrumentation (pass
 // latencies, DNA histograms) records into: the shared Config.Metrics when
@@ -656,13 +632,13 @@ func (e *Engine) dispatch(idx int, args []value.Value) (value.Value, error) {
 
 	st.calls++
 	if st.calls == 1 {
-		e.journal.Record(st.fn.Name, obs.StageInterp, "interp", "first call")
+		e.tracer.Instant(obs.CatEngine, obs.FactInterp, st.fn.Name, st.tierArg())
 	}
 	// A policy-pinned (NoJIT) function that keeps getting hot is a real
-	// performance cost of the go/no-go verdict: tell the watchdog once,
-	// at double the Ion threshold (the == keeps this a single signal).
+	// performance cost of the go/no-go verdict: say so once, at double
+	// the Ion threshold (the == keeps this a single fact).
 	if st.noJITPinned && st.calls == 2*e.cfg.IonThreshold {
-		e.watchdog.Signal(obs.Signal{Kind: obs.SigHotInterp, Func: st.fn.Name, Value: int64(st.calls)})
+		e.tracer.Instant(obs.CatEngine, obs.FactHotInterp, st.fn.Name, obs.I("calls", int64(st.calls)))
 	}
 	// Safe point: a finished background compilation is installed here, on
 	// the owner goroutine, before any tiering decision or dispatch. The
@@ -686,7 +662,7 @@ func (e *Engine) dispatch(idx int, args []value.Value) (value.Value, error) {
 	}
 	if st.tier == tierInterp && st.calls >= e.cfg.BaselineThreshold {
 		st.tier = tierBaseline
-		e.journey(st, obs.StageWarm, "calls=%d", st.calls)
+		e.tracer.Instant(obs.CatEngine, obs.FactWarm, st.fn.Name, obs.I("calls", int64(st.calls)), st.tierArg())
 	}
 
 	if st.code != nil {
@@ -724,18 +700,31 @@ func (e *Engine) returned(st *fnState, args []value.Value, res native.Result, st
 		return v, derr
 	}
 	// Bailout: fall back to the interpreter for this call.
-	e.m.bailouts.Inc()
-	st.bailouts++
-	e.tracer.Instant(obs.CatEngine, "bailout",
-		obs.S("fn", st.fn.Name), obs.I("bailouts", int64(st.bailouts)))
-	e.journey(st, obs.StageBailout, "bailouts=%d", st.bailouts)
-	if st.bailouts >= maxBailoutsBeforeBlacklist {
-		e.discardArtifact(st)
-		e.demote(st)
-		e.quarantine(st, "bailout storm: blacklisted after repeated guard failures")
-	}
+	e.bailed(st, res)
 	return e.interpret(st, args)
 }
+
+// bailed books one guard bailout of a native activation of st — the one
+// place a bailout is stated, whichever route ran the activation (dispatch,
+// a direct call, an OSR entry) — and reports whether it was one too many:
+// the artifact is then gone and the function quarantined.
+func (e *Engine) bailed(st *fnState, res native.Result) (blacklisted bool) {
+	e.m.bailouts.Inc()
+	st.bailouts++
+	e.tracer.Instant(obs.CatEngine, obs.FactBailout, st.fn.Name,
+		obs.I("steps", res.Steps), obs.I("bailouts", int64(st.bailouts)), st.tierArg())
+	if st.bailouts < maxBailoutsBeforeBlacklist {
+		return false
+	}
+	e.discardArtifact(st)
+	e.demote(st)
+	e.quarantine(st, "bailout storm: blacklisted after repeated guard failures")
+	return true
+}
+
+// tierArg is the "tier" argument of a lifecycle fact: the tier st is in as
+// the fact is stated, which the journal shows beside the waypoint.
+func (st *fnState) tierArg() obs.Arg { return obs.S("tier", st.tier.String()) }
 
 // interpret runs one call of st in the interpreter.
 func (e *Engine) interpret(st *fnState, args []value.Value) (value.Value, error) {
@@ -754,7 +743,6 @@ func (e *Engine) interpret(st *fnState, args []value.Value) (value.Value, error)
 // its commit for EnterCall) and whose callee did not simply return.
 func (e *Engine) ReturnDirect(idx int, args []value.Value, res native.Result, status native.Status, err error) (value.Value, error) {
 	st := e.fns[idx]
-	e.traceBail(st, res, status, err)
 	v, err := e.returned(st, args, res, status, err)
 	e.VM.LeaveCall()
 	return v, err
@@ -776,20 +764,6 @@ func (e *Engine) chargeNative(res native.Result) {
 			e.directSeen, e.unwindsSeen = direct, unwinds
 		}
 	}
-}
-
-// journey records one tier-journey waypoint for st, formatting the cause
-// lazily so a disabled journal pays only the nil check (plus the
-// varargs boxing at the rare transition sites that use it).
-func (e *Engine) journey(st *fnState, stage, format string, args ...any) {
-	if e.journal == nil {
-		return
-	}
-	cause := format
-	if len(args) > 0 {
-		cause = fmt.Sprintf(format, args...)
-	}
-	e.journal.Record(st.fn.Name, stage, st.tier.String(), cause)
 }
 
 // profile records argument type feedback for a not-yet-compiled function.
@@ -836,47 +810,45 @@ func (e *Engine) observeReturn(st *fnState, v value.Value) {
 // of §V with identical verdict accounting; every failure is typed,
 // attributed, and degraded per failCompile.
 func (e *Engine) compile(idx int, st *fnState) {
-	e.tracer.Instant(obs.CatEngine, "compile.trigger",
-		obs.S("fn", st.fn.Name), obs.I("calls", int64(st.calls)))
+	e.tracer.Instant(obs.CatEngine, obs.FactTrigger, st.fn.Name, obs.I("calls", int64(st.calls)))
 	req := e.newCompileRequest(idx, st)
 
 	if req.cacheable {
 		if v, ok, fromTier := e.cfg.Cache.GetTiered(req.key); ok {
 			e.m.cacheHits.Inc()
-			e.watchdog.Signal(obs.Signal{Kind: obs.SigCacheHit, Func: req.fnName})
+			hit := obs.FactCacheHit
 			if fromTier {
-				e.journey(st, obs.StageStoreHit, "promoted from persistent store")
-			} else {
-				e.journey(st, obs.StageCacheHit, "shared cache hit")
+				hit = obs.FactStoreHit
 			}
+			e.tracer.Instant(obs.CatEngine, hit, st.fn.Name, st.tierArg())
 			e.applyOutcome(st, e.outcomeFromCache(req, v.(*cachedCompile)))
 			return
 		}
 		e.m.cacheMisses.Inc()
-		e.watchdog.Signal(obs.Signal{Kind: obs.SigCacheMiss, Func: req.fnName})
+		e.tracer.Instant(obs.CatEngine, obs.FactCacheMiss, st.fn.Name)
 	}
 	if e.cfg.Queue != nil && e.enqueueCompile(st, req) {
 		return
 	}
+	e.applyOutcome(st, e.compileTraced(req, "inline", st.tierArg()))
+}
 
-	sp := e.tracer.Begin(obs.CatCompile, "compile")
+// compileTraced is compileAttempt inside the span that states it: one
+// FactCompile per attempt, from whichever goroutine ran it. tier is the
+// owner's to pass (a worker must not read fnState, so it passes the zero
+// Arg, which takes no slot).
+func (e *Engine) compileTraced(req *compileRequest, source string, tier obs.Arg) *compileOutcome {
+	sp := e.tracer.Begin(obs.CatCompile, obs.FactCompile, req.fnName)
 	start := time.Now()
 	o := e.compileAttempt(req)
-	dur := int64(time.Since(start))
-	e.hCompile.ObserveEx(dur, sp.ID())
-	e.watchdog.Signal(obs.Signal{Kind: obs.SigCompile, Func: req.fnName, Value: dur})
+	e.hCompile.ObserveEx(int64(time.Since(start)), sp.ID())
 	e.maybeCachePut(o)
+	result, stage := "ok", obs.Arg{}
 	if o.cerr != nil {
-		e.journey(st, obs.StageCompiled, "fail: stage=%s", o.cerr.Stage)
-	} else {
-		e.journey(st, obs.StageCompiled, "ok: inline")
+		result, stage = "fail", obs.S("stage", o.cerr.Stage)
 	}
-	e.applyOutcome(st, o)
-	if o.cerr != nil {
-		sp.End(obs.S("fn", st.fn.Name), obs.S("result", "fail"), obs.S("stage", o.cerr.Stage), obs.S("source", "inline"))
-		return
-	}
-	sp.End(obs.S("fn", st.fn.Name), obs.S("result", "ok"), obs.S("source", "inline"))
+	sp.End(obs.S("result", result), stage, obs.S("source", source), tier)
+	return o
 }
 
 // RunScript is a convenience: build an engine for src, run it, and return

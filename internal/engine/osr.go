@@ -58,7 +58,7 @@ func (e *Engine) OnBackEdge(fn *bytecode.Function, targetPC int, locals []value.
 	}
 
 	st.backEdges++
-	if st.code == nil && !st.inflight && st.backEdges >= e.cfg.OSRThreshold && e.mayCompile(st) {
+	if st.code == nil && !st.inflight && st.backEdges >= e.cfg.IonThreshold && e.mayCompile(st) {
 		e.compile(idx, st)
 	}
 	if st.code == nil {
@@ -105,7 +105,7 @@ func (e *Engine) OnBackEdge(fn *bytecode.Function, targetPC int, locals []value.
 		return value.Undef(), true, err
 	}
 
-	sp := e.tracer.Begin(obs.CatEngine, "osr.enter")
+	sp := e.tracer.Begin(obs.CatEngine, obs.FactOSREnter, fn.Name)
 	start := time.Now()
 	var (
 		res     native.Result
@@ -125,37 +125,33 @@ func (e *Engine) OnBackEdge(fn *bytecode.Function, targetPC int, locals []value.
 		// frame map's static kind). Cool this entry down: the types that
 		// block it now will block it on every later iteration.
 		e.coolDown(st, site.Ordinal)
-		sp.End(obs.S("fn", fn.Name), obs.S("result", "declined"))
+		sp.End(obs.S("result", "declined"))
 		return value.Undef(), false, nil
 	}
 	// The transfer happened: registers were materialized and native code
 	// ran, however the activation ends (return, deopt, bailout, error).
 	e.m.osrEntries.Inc()
 	e.hOSREntry.ObserveEx(int64(time.Since(start)), sp.ID())
-	e.journey(st, obs.StageOSREntry, "ordinal=%d", site.Ordinal)
 	e.chargeNative(res)
+	result := "ok"
 	switch {
 	case err != nil:
-		sp.End(obs.S("fn", fn.Name), obs.S("result", "error"))
+		result = "error"
+	case status == native.StatusDeopt:
+		result = "deopt"
+	case status == native.StatusBail:
+		result = "bail"
+	}
+	sp.End(obs.S("result", result), obs.I("ordinal", int64(site.Ordinal)), obs.I("steps", res.Steps), st.tierArg())
+	switch {
+	case err != nil:
 		return value.Undef(), true, err
 	case status == native.StatusOK:
-		sp.End(obs.S("fn", fn.Name), obs.S("result", "ok"),
-			obs.I("ordinal", int64(site.Ordinal)), obs.I("steps", res.Steps))
 		return res.Value(), true, nil
 	case status == native.StatusDeopt:
-		sp.End(obs.S("fn", fn.Name), obs.S("result", "deopt"))
 		return e.handleDeopt(st, res.Deopt)
 	default: // StatusBail
-		sp.End(obs.S("fn", fn.Name), obs.S("result", "bail"))
-		e.m.bailouts.Inc()
-		st.bailouts++
-		e.tracer.Instant(obs.CatEngine, "bailout",
-			obs.S("fn", st.fn.Name), obs.I("bailouts", int64(st.bailouts)))
-		if st.bailouts >= maxBailoutsBeforeBlacklist {
-			e.discardArtifact(st)
-			e.demote(st)
-			e.quarantine(st, "bailout storm: blacklisted after repeated guard failures")
-		} else {
+		if !e.bailed(st, res) {
 			// The guard that bailed sits inside the loop; without a cooldown
 			// every later iteration would re-enter and re-bail.
 			e.coolDown(st, site.Ordinal)
@@ -202,10 +198,8 @@ func (e *Engine) coolDown(st *fnState, ordinal int) {
 func (e *Engine) handleDeopt(st *fnState, d *native.DeoptState) (value.Value, bool, error) {
 	e.m.deoptExits.Inc()
 	st.deopts++
-	e.tracer.Instant(obs.CatEngine, "deopt.exit",
-		obs.S("fn", st.fn.Name), obs.I("exit", int64(d.Exit)), obs.I("deopts", int64(st.deopts)))
-	e.journey(st, obs.StageDeopt, "exit=%d deopts=%d", d.Exit, st.deopts)
-	e.watchdog.Signal(obs.Signal{Kind: obs.SigDeopt, Func: st.fn.Name, Value: int64(st.deopts), Cause: "speculation guard failed"})
+	e.tracer.Instant(obs.CatEngine, obs.FactDeopt, st.fn.Name,
+		obs.I("exit", int64(d.Exit)), obs.I("deopts", int64(st.deopts)), st.tierArg())
 
 	// Resolve the resume point before any storm handling can discard the
 	// artifact the exit index refers into.
@@ -230,13 +224,8 @@ func (e *Engine) handleDeopt(st *fnState, d *native.DeoptState) (value.Value, bo
 		}
 		st.disabledPasses["TypeSpeculation"] = true
 		e.m.loopsRequalified.Inc()
-		e.audit.Record(obs.AuditEvent{
-			Func:    st.fn.Name,
-			Verdict: obs.VerdictRequalify,
-			Stage:   StageDeopt,
-			Reason:  "deopt storm: requalified with TypeSpeculation disabled",
-		})
-		e.journey(st, obs.StageRequalified, "deopt storm: TypeSpeculation disabled")
+		e.tracer.Instant(obs.CatEngine, obs.FactRequalified, st.fn.Name, obs.S("stage", StageDeopt),
+			obs.S("reason", "deopt storm: requalified with TypeSpeculation disabled"), st.tierArg())
 	}
 	if !ok {
 		// No resume site for the exit's ordinal: a frame-map bug, not a

@@ -144,7 +144,7 @@ print(result);
 `
 	audit := obs.NewAuditLog(nil)
 	e := osrAgainstInterp(t, src, Config{
-		IonThreshold: 10, BaselineThreshold: 4, OSR: true, Speculate: true, Audit: audit,
+		IonThreshold: 10, BaselineThreshold: 4, OSR: true, Speculate: true, Tracer: obs.NewTracer(audit),
 	})
 	st := e.Stats()
 	if st.DeoptExits < maxDeoptsBeforeRequalify {
@@ -154,8 +154,8 @@ print(result);
 		t.Fatalf("deopt storm did not requalify the function: %+v", st)
 	}
 	requalified := false
-	for _, ev := range e.Audit().Events() {
-		if ev.Verdict == obs.VerdictRequalify && ev.Stage == StageDeopt {
+	for _, ev := range audit.Events() {
+		if ev.Verdict == "requalify" && ev.Stage == StageDeopt {
 			requalified = true
 		}
 	}

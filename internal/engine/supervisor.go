@@ -137,17 +137,13 @@ func (e *Engine) mayCompile(st *fnState) bool {
 
 // quarantine parks the function on the interpreter with exponential
 // backoff, escalating to permanent after maxCompileAttempts round-trips.
-// reason attributes the transition in the audit log.
+// reason attributes the transition.
 func (e *Engine) quarantine(st *fnState, reason string) {
 	st.attempts++
 	if st.attempts >= e.maxCompileAttempts() {
 		st.quar = qPermanent
-		e.audit.Record(obs.AuditEvent{
-			Func:    st.fn.Name,
-			Verdict: obs.VerdictPermanent,
-			Reason:  fmt.Sprintf("quarantine attempts exhausted (%d): %s", st.attempts, reason),
-		})
-		e.journey(st, obs.StagePermanent, "quarantine attempts exhausted (%d)", st.attempts)
+		e.tracer.Instant(obs.CatEngine, obs.FactPermanent, st.fn.Name,
+			obs.S("reason", fmt.Sprintf("quarantine attempts exhausted (%d): %s", st.attempts, reason)), st.tierArg())
 		return
 	}
 	if st.backoff == 0 {
@@ -159,13 +155,7 @@ func (e *Engine) quarantine(st *fnState, reason string) {
 	st.retryAt = st.calls + st.backoff
 	st.cleanRuns = 0
 	e.m.quarantined.Inc()
-	e.audit.Record(obs.AuditEvent{
-		Func:    st.fn.Name,
-		Verdict: obs.VerdictQuarantine,
-		Reason:  reason,
-	})
-	e.journey(st, obs.StageQuarantined, "%s", reason)
-	e.watchdog.Signal(obs.Signal{Kind: obs.SigQuarantine, Func: st.fn.Name, Cause: reason})
+	e.tracer.Instant(obs.CatEngine, obs.FactQuarantined, st.fn.Name, obs.S("reason", reason), st.tierArg())
 }
 
 // demote drops the function's tier to match its remaining execution modes
@@ -179,8 +169,8 @@ func (e *Engine) demote(st *fnState) {
 	}
 }
 
-// recordCompileError updates the failure counters and surfaces the error
-// through Config.OnCompileError.
+// recordCompileError updates the failure counters, states the error, and
+// surfaces it through Config.OnCompileError.
 func (e *Engine) recordCompileError(cerr *CompileError) {
 	e.m.compileErrors.Inc()
 	if cerr.Panicked {
@@ -192,12 +182,8 @@ func (e *Engine) recordCompileError(cerr *CompileError) {
 	if cerr.Budget {
 		e.m.compileBudgets.Inc()
 	}
-	e.audit.Record(obs.AuditEvent{
-		Func:    cerr.Func,
-		Verdict: obs.VerdictCompileError,
-		Stage:   cerr.Stage,
-		Reason:  cerr.Err.Error(),
-	})
+	e.tracer.Instant(obs.CatEngine, obs.FactCompileError, cerr.Func,
+		obs.S("stage", cerr.Stage), obs.S("reason", cerr.Err.Error()))
 	if e.cfg.OnCompileError != nil {
 		e.cfg.OnCompileError(cerr.Func, cerr)
 	}
@@ -254,13 +240,8 @@ func (e *Engine) failCompile(st *fnState, cerr *CompileError) {
 		if errors.Is(cerr.Err, ErrPolicyNoJIT) {
 			st.noJITPinned = true
 		}
-		e.audit.Record(obs.AuditEvent{
-			Func:    st.fn.Name,
-			Verdict: obs.VerdictPermanent,
-			Stage:   cerr.Stage,
-			Reason:  cerr.Err.Error(),
-		})
-		e.journey(st, obs.StagePermanent, "%s", cerr.Err.Error())
+		e.tracer.Instant(obs.CatEngine, obs.FactPermanent, st.fn.Name,
+			obs.S("stage", cerr.Stage), obs.S("reason", cerr.Err.Error()), st.tierArg())
 		return
 	}
 	e.quarantine(st, cerr.Error())
@@ -333,25 +314,23 @@ func (e *Engine) compileAttempt(req *compileRequest) (o *compileOutcome) {
 
 	if finish != nil {
 		stage = StagePolicy
-		o.decided = true
-		dsp := e.tracer.Begin(obs.CatPolicy, "decide")
+		dsp := e.tracer.Begin(obs.CatPolicy, obs.FactDecide, req.fnName)
 		decision := finish()
 		if req.cacheable {
 			if cp, ok := e.policy.(CachingPolicy); ok {
 				o.payload = cp.TakeVerdictPayload()
 			}
 		}
+		dsp.End(obs.S("verdict", verdictName(decision.NoJIT, len(decision.DisabledPasses) > 0)),
+			obs.I("disabled", int64(len(decision.DisabledPasses))))
 		if decision.NoJIT {
 			// Scenario 3: a matched pass is mandatory — OptimizeMIR returns
 			// FAILURE with Recompile=false.
-			dsp.End(obs.S("fn", req.fnName), obs.S("verdict", "nojit"))
 			o.noJIT = true
 			o.cerr = newCompileError(req.fnName, StagePolicy, ErrPolicyNoJIT)
 			return o
 		}
 		if len(decision.DisabledPasses) > 0 {
-			dsp.End(obs.S("fn", req.fnName), obs.S("verdict", "disable-pass"),
-				obs.I("disabled", int64(len(decision.DisabledPasses))))
 			// Scenario 2: FAILURE with Recompile=true — retry with the
 			// dangerous passes disabled.
 			if req.disabled == nil {
@@ -388,8 +367,6 @@ func (e *Engine) compileAttempt(req *compileRequest) (o *compileOutcome) {
 				}
 				g = g2
 			}
-		} else {
-			dsp.End(obs.S("fn", req.fnName), obs.S("verdict", "go"))
 		}
 	}
 
@@ -446,8 +423,8 @@ func topTierName(st *fnState) string {
 // the Ion artifact is already installed and correct, so a fault here —
 // injected at mc.emit/mc.install or genuine — must never fail the
 // function. The attach is quarantined (recorded as an mc-stage
-// CompileError plus a quarantine verdict on the audit log) and the
-// function degrades to the threaded tier. mc.ErrUnsupported is legitimate
+// CompileError plus a quarantined fact with stage=mc) and the function
+// degrades to the threaded tier. mc.ErrUnsupported is legitimate
 // tiering, not a failure: silent fallback.
 func (e *Engine) attachMC(st *fnState) {
 	if st.mcTried || st.code == nil || !e.mcActive() {
@@ -505,13 +482,8 @@ func (e *Engine) attachMC(st *fnState) {
 	if cerr != nil {
 		st.mcu = nil
 		e.recordCompileError(cerr)
-		e.audit.Record(obs.AuditEvent{
-			Func:    st.fn.Name,
-			Verdict: obs.VerdictQuarantine,
-			Stage:   StageMC,
-			Reason:  "machine-code tier quarantined for this artifact: " + cerr.Err.Error(),
-		})
-		e.journey(st, obs.StageQuarantined, "mc tier: %s", cerr.Err.Error())
+		e.tracer.Instant(obs.CatEngine, obs.FactQuarantined, st.fn.Name, obs.S("stage", StageMC),
+			obs.S("reason", "machine-code tier quarantined for this artifact: "+cerr.Err.Error()), st.tierArg())
 	}
 	e.publishCall(st)
 }
@@ -548,15 +520,6 @@ func (e *Engine) nativeBudget(st *fnState) (int64, error) {
 	return 0, &native.BudgetError{Fn: st.code.Name}
 }
 
-// traceBail records a guard bailout of a native activation of st in the
-// compile trace, so deoptimization storms are visible inline.
-func (e *Engine) traceBail(st *fnState, res native.Result, status native.Status, err error) {
-	if status == native.StatusBail && err == nil {
-		e.tracer.Instant(obs.CatEngine, "native.bail",
-			obs.S("fn", st.fn.Name), obs.I("steps", res.Steps))
-	}
-}
-
 // execNative dispatches one call into the function's top native tier —
 // machine code when a unit is attached, else the threaded/unfused
 // executor — with fault containment: an injected dispatch failure (error
@@ -570,20 +533,13 @@ func (e *Engine) execNative(st *fnState, args []value.Value) (res native.Result,
 		return native.Result{}, native.StatusOK, err
 	}
 	if e.cfg.Faults == nil {
+		// Only injected faults are contained here (genuine panics propagate
+		// either way), so without an injector skip the recovery frame — this
+		// is the per-call hot path of every production dispatch.
 		if st.mcu != nil {
-			res, status, err = st.mcu.Exec(args, e, budget, &e.pool)
-			e.traceBail(st, res, status, err)
-			return res, status, err
+			return st.mcu.Exec(args, e, budget, &e.pool)
 		}
-		if !e.tracer.Enabled() {
-			// Only injected faults are contained here (genuine panics propagate
-			// either way), so without an injector skip the recovery frame — this
-			// is the per-call hot path of every production dispatch.
-			return native.Exec(st.code, args, e, budget, &e.pool)
-		}
-		// No injector means no injected panics: still no recovery frame, but
-		// route through ExecWith so guard bailouts show up in the trace.
-		return native.ExecWith(st.code, args, e, budget, &e.pool, nil, e.tracer)
+		return native.Exec(st.code, args, e, budget, &e.pool)
 	}
 	mark := e.VM.Mark()
 	defer func() {
@@ -614,10 +570,9 @@ func (e *Engine) execNative(st *fnState, args []value.Value) (res native.Result,
 			err = ferr
 		} else {
 			res, status, err = st.mcu.Exec(args, e, budget, &e.pool)
-			e.traceBail(st, res, status, err)
 		}
 	} else {
-		res, status, err = native.ExecWith(st.code, args, e, budget, &e.pool, e.cfg.Faults, e.tracer)
+		res, status, err = native.ExecWith(st.code, args, e, budget, &e.pool, e.cfg.Faults)
 	}
 	if err != nil && faults.IsInjected(err) {
 		e.recordCompileError(newCompileError(st.fn.Name, StageNative, err))

@@ -22,11 +22,13 @@ func (tracePolicy) BeginCompile(string) (passes.Observer, func() CompileDecision
 }
 
 // TestTraceGoldenCompileSequence pins the event order of one successful
-// traced compilation: trigger instant, mirbuild span, one (pass span,
-// dna.extract span) pair per pipeline pass, the policy decide span, lir,
-// regalloc, native.fuse, the native.install instant, and finally the
-// enclosing compile span (spans are recorded at End, so the compile span
-// closes the sequence).
+// traced compilation, lifecycle facts included: the function's first call
+// and its crossing of the baseline threshold, the trigger instant, mirbuild
+// span, one (pass span, dna.extract span) pair per pipeline pass, the
+// policy decide span, lir, regalloc, native.fuse, then the compile span
+// (spans are recorded at End, and the span is the pipeline attempt on
+// every route — inline, queue — so it closes before the outcome is
+// applied), the tier instant and the native.install instant.
 func TestTraceGoldenCompileSequence(t *testing.T) {
 	ring := obs.NewRing(0)
 	cfg := jitCfg()
@@ -44,11 +46,11 @@ func TestTraceGoldenCompileSequence(t *testing.T) {
 		t.Fatal("traced run recorded no events")
 	}
 
-	want := []string{"compile.trigger", "mirbuild"}
+	want := []string{"interp", "warm", "compile.trigger", "mirbuild"}
 	for _, pn := range passes.PassNames() {
 		want = append(want, pn, "dna.extract")
 	}
-	want = append(want, "decide", "lir", "regalloc", "native.fuse", "native.install", "compile")
+	want = append(want, "decide", "lir", "regalloc", "native.fuse", "compile", "tier", "native.install")
 
 	if len(events) < len(want) {
 		t.Fatalf("recorded %d events, want at least %d", len(events), len(want))
@@ -81,7 +83,7 @@ func TestTraceGoldenCompileSequence(t *testing.T) {
 	for i := range want {
 		ev := events[i]
 		switch ev.Name {
-		case "compile.trigger", "native.install":
+		case "interp", "warm", "compile.trigger", "tier", "native.install":
 			if ev.Kind != obs.KindInstant {
 				t.Errorf("%s: kind = %v, want instant", ev.Name, ev.Kind)
 			}
@@ -112,13 +114,19 @@ func TestTraceGoldenCompileSequence(t *testing.T) {
 			}
 		}
 	}
-	if res, ok := argStr(events[len(want)-1], "result"); !ok || res != "ok" {
+	compile := events[len(want)-3]
+	if res, ok := argStr(compile, "result"); !ok || res != "ok" {
 		t.Errorf("compile span result = %q, want \"ok\"", res)
+	}
+	// Every event of the sequence is about the one function.
+	for i := range want {
+		if events[i].Func != "work" {
+			t.Errorf("%s: func = %q, want \"work\"", events[i].Name, events[i].Func)
+		}
 	}
 
 	// Spans must nest inside the enclosing compile span's interval.
-	compile := events[len(want)-1]
-	for i := 1; i < len(want)-1; i++ {
+	for i := 1; i < len(want)-3; i++ {
 		ev := events[i]
 		if ev.Kind != obs.KindSpan {
 			continue

@@ -371,7 +371,7 @@ func (in *Injector) roll(p Point, detail string) (Fault, bool) {
 		in.fires[ri]++
 		f := Fault{Point: p, Detail: detail, Kind: r.Kind, Hit: hit, Rule: ri}
 		in.fired = append(in.fired, f)
-		in.Trace.Instant(obs.CatFault, "fault.injected",
+		in.Trace.Instant(obs.CatFault, "fault.injected", "",
 			obs.S("point", string(p)), obs.S("kind", string(r.Kind)),
 			obs.S("detail", detail), obs.I("seed", in.seed))
 		return f, true
@@ -451,7 +451,7 @@ func (c *CompileCtx) Span(cat, name string) obs.Span {
 	if c == nil {
 		return obs.Span{}
 	}
-	return c.Trace.Begin(cat, name)
+	return c.Trace.Begin(cat, name, c.Func)
 }
 
 // Step charges cost compile steps and evaluates one hit of the injection

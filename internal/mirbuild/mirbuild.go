@@ -97,7 +97,7 @@ func Build(prog *bytecode.Program, fd *ast.FuncDecl, opts Options) (*mir.Graph, 
 		sp.EndErr(err)
 		return nil, err
 	}
-	sp.End(obs.S("fn", fd.Name), obs.I("instrs", int64(b.g.InstrCount())))
+	sp.End(obs.I("instrs", int64(b.g.InstrCount())))
 	return b.g, nil
 }
 

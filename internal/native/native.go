@@ -14,7 +14,6 @@ import (
 	"github.com/jitbull/jitbull/internal/faults"
 	"github.com/jitbull/jitbull/internal/heap"
 	"github.com/jitbull/jitbull/internal/lir"
-	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/value"
 )
 
@@ -184,24 +183,16 @@ func (p *Pool) putRegs(f []float64, _ []Tag) {
 	}
 }
 
-// ExecWith is Exec with a fault-injection point at the dispatch boundary
-// and optional tracing: the injector (may be nil) is evaluated before the
-// first op executes, so an injected dispatch failure is always
-// side-effect-free and the caller can degrade it to an interpreter
-// re-execution. A KindPanic fault panics from this frame — containment is
-// the caller's supervisor's job. tr (may be nil) receives one
-// "native.bail" instant per guard bailout, so deoptimization storms are
-// visible inline in a compile trace.
-func ExecWith(code *lir.Code, args []value.Value, h Hooks, maxOps int64, pool *Pool, inj *faults.Injector, tr *obs.Tracer) (Result, Status, error) {
+// ExecWith is Exec with a fault-injection point at the dispatch boundary:
+// the injector (may be nil) is evaluated before the first op executes, so
+// an injected dispatch failure is always side-effect-free and the caller
+// can degrade it to an interpreter re-execution. A KindPanic fault panics
+// from this frame — containment is the caller's supervisor's job.
+func ExecWith(code *lir.Code, args []value.Value, h Hooks, maxOps int64, pool *Pool, inj *faults.Injector) (Result, Status, error) {
 	if err := inj.Check(faults.PointNative, code.Name); err != nil {
 		return Result{}, StatusBail, err
 	}
-	res, status, err := Exec(code, args, h, maxOps, pool)
-	if status == StatusBail && err == nil {
-		tr.Instant(obs.CatEngine, "native.bail",
-			obs.S("fn", code.Name), obs.I("steps", res.Steps))
-	}
-	return res, status, err
+	return Exec(code, args, h, maxOps, pool)
 }
 
 // Exec runs code with the given arguments. maxOps bounds the number of LIR

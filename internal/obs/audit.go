@@ -14,18 +14,14 @@ import (
 // Verdict classifies one audit event.
 type Verdict string
 
-// Audit verdicts. The first three are JITBULL go/no-go decisions (one per
-// policy-observed compilation); the rest are compilation-supervisor
-// transitions.
+// The JITBULL go/no-go decisions, one per policy-observed compilation,
+// appended by core.Detector with their match attribution. Every other
+// verdict in a log is a lifecycle fact's Fact.Verdict (facts.go):
+// compile-error, quarantine, requalify, permanent, anomaly.
 const (
-	VerdictGo           Verdict = "go"            // compile proceeds unmodified
-	VerdictDisablePass  Verdict = "disable-pass"  // matched passes disabled, recompile
-	VerdictNoJIT        Verdict = "nojit"         // matched pass mandatory: JIT denied
-	VerdictCompileError Verdict = "compile-error" // supervised compile failure
-	VerdictQuarantine   Verdict = "quarantine"    // failed function parked with backoff
-	VerdictRequalify    Verdict = "requalify"     // quarantined function re-promoted
-	VerdictPermanent    Verdict = "permanent"     // function pinned to the interpreter
-	VerdictAnomaly      Verdict = "anomaly"       // watchdog detector fired
+	VerdictGo          Verdict = "go"           // compile proceeds unmodified
+	VerdictDisablePass Verdict = "disable-pass" // matched passes disabled, recompile
+	VerdictNoJIT       Verdict = "nojit"        // matched pass mandatory: JIT denied
 )
 
 // AuditMatch is one DNA similarity behind a verdict, with full
@@ -72,33 +68,48 @@ func (ev AuditEvent) String() string {
 	return sb.String()
 }
 
-// AuditLog collects audit events in memory and, when constructed over a
-// writer, streams each event as one JSON line (JSONL). A nil *AuditLog is
-// the disabled log: Record is a no-op costing one nil check.
+// AuditLog is the view that keeps decisions: the policy verdicts
+// core.Detector appends, and of the stream the facts that are supervisor
+// transitions or anomalies (Fact.Verdict). It retains the newest
+// DefaultRingCapacity events in memory and, when constructed over a
+// writer, streams every event as one JSON line (JSONL) — the file is
+// complete whatever the ring has dropped. A nil *AuditLog is the disabled
+// log: both entry points cost one nil check.
 type AuditLog struct {
 	mu     sync.Mutex
 	w      io.Writer
-	events []AuditEvent
-	seq    uint64
+	events ring[AuditEvent]
 	werr   error
 }
 
 // NewAuditLog returns a log. w may be nil for in-memory-only operation.
-func NewAuditLog(w io.Writer) *AuditLog { return &AuditLog{w: w} }
+func NewAuditLog(w io.Writer) *AuditLog {
+	return &AuditLog{w: w, events: ring[AuditEvent]{max: DefaultRingCapacity}}
+}
 
-// Record stamps (sequence, wall time) and stores/streams the event.
-func (l *AuditLog) Record(ev AuditEvent) {
+// Record implements Sink: a fact with a verdict becomes one audit event,
+// its stage and reason taken from the arguments of those names.
+func (l *AuditLog) Record(ev Event) {
+	if l == nil {
+		return
+	}
+	if v := factByName[ev.Name].Verdict; v != "" {
+		l.Append(AuditEvent{Func: ev.Func, Verdict: v, Stage: ev.Str("stage"), Reason: ev.Str("reason")})
+	}
+}
+
+// Append stamps (sequence, wall time) and stores/streams the event.
+func (l *AuditLog) Append(ev AuditEvent) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.seq++
-	ev.Seq = l.seq
+	ev.Seq = uint64(l.events.total) + 1
 	if ev.TimeUnixNs == 0 {
 		ev.TimeUnixNs = time.Now().UnixNano()
 	}
-	l.events = append(l.events, ev)
+	l.events.push(ev)
 	if l.w != nil && l.werr == nil {
 		data, err := json.Marshal(ev)
 		if err == nil {
@@ -109,26 +120,35 @@ func (l *AuditLog) Record(ev AuditEvent) {
 	}
 }
 
-// Events returns a copy of every recorded event, in order.
+// Events returns a copy of the retained events, in order.
 func (l *AuditLog) Events() []AuditEvent {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]AuditEvent, len(l.events))
-	copy(out, l.events)
-	return out
+	return l.events.items()
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of retained events.
 func (l *AuditLog) Len() int {
 	if l == nil {
 		return 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return len(l.events.buf)
+}
+
+// Dropped returns how many of the oldest events the in-memory ring has
+// overwritten.
+func (l *AuditLog) Dropped() int64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.events.dropped()
 }
 
 // WriteErr returns the first error encountered streaming JSONL, if any.

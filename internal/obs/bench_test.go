@@ -21,7 +21,7 @@ func BenchmarkSpan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sp := tr.Begin(CatPass, "GVN")
+				sp := tr.Begin(CatPass, "GVN", "hot")
 				sp.End(I("index", 1))
 			}
 		}
@@ -38,36 +38,27 @@ func BenchmarkInstantDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Instant(CatEngine, "bailout", S("fn", "hot"))
+		tr.Instant(CatEngine, FactBailout, "hot", I("steps", 9))
 	}
 }
 
-func BenchmarkJournalRecord(b *testing.B) {
-	record := func(j *Journal) func(b *testing.B) {
+// BenchmarkViewRecord measures what one fact costs in each selective view:
+// a finished compile, which the journal keeps, the watchdog counts (and no
+// detector minds) and the audit log lets pass.
+func BenchmarkViewRecord(b *testing.B) {
+	compiled := fact(FactCompile, "hot", S("result", "ok"), S("source", "inline"), S("tier", "baseline"))
+	record := func(s Sink) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j.Record("hot", StageDeopt, "ion", "exit=3")
+				s.Record(compiled)
 			}
 		}
 	}
-	b.Run("enabled", record(NewJournal(0)))
-	b.Run("disabled", record(nil))
-}
-
-func BenchmarkWatchdogSignal(b *testing.B) {
-	signal := func(w *Watchdog) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.Signal(Signal{Kind: SigCompile, Func: "hot", Value: 1000})
-			}
-		}
-	}
-	b.Run("clean", signal(NewWatchdog(WatchdogOptions{})))
-	b.Run("disabled", signal(nil))
+	b.Run("journal", record(NewJournal(0)))
+	b.Run("watchdog-clean", record(NewWatchdog(WatchdogOptions{})))
+	b.Run("audit-pass", record(NewAuditLog(nil)))
 }
 
 func BenchmarkCounter(b *testing.B) {
@@ -104,7 +95,7 @@ func BenchmarkAuditRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		log.Record(ev)
+		log.Append(ev)
 	}
 }
 
@@ -130,7 +121,7 @@ func BenchmarkChromeExport(b *testing.B) {
 	ring := NewRing(n)
 	tr := NewTracer(ring)
 	for i := 0; i < n/2; i++ {
-		sp := tr.Begin(CatPass, "GVN")
+		sp := tr.Begin(CatPass, "GVN", "hot")
 		sp.End(I("index", int64(i)), I("instrs_in", 70), I("instrs_out", 60))
 	}
 	events := ring.Events()

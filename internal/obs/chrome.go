@@ -50,8 +50,8 @@ func toChrome(ev Event) chromeEvent {
 		ce.Scope = "t"
 		ce.Dur = 0
 	}
-	if ev.NArgs > 0 || ev.ID != 0 {
-		ce.Args = make(map[string]any, ev.NArgs+1)
+	if ev.NArgs > 0 || ev.ID != 0 || ev.Func != "" {
+		ce.Args = make(map[string]any, ev.NArgs+2)
 		for i := 0; i < ev.NArgs; i++ {
 			a := ev.Args[i]
 			if a.IsStr {
@@ -59,6 +59,9 @@ func toChrome(ev Event) chromeEvent {
 			} else {
 				ce.Args[a.Key] = a.Val
 			}
+		}
+		if ev.Func != "" {
+			ce.Args["fn"] = ev.Func
 		}
 		// Surface the span ID so histogram exemplars (which store span
 		// IDs) can be located inside a dumped trace by text search.

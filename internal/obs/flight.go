@@ -9,22 +9,21 @@ import (
 	"sync"
 )
 
-// FlightRecorder is a tail-sampling trace sink: it keeps a bounded ring
-// of the most recent events and writes a full Chrome-trace dump only
-// when an anomalous episode is declared — so steady-state runs cost one
-// ring write per event and zero disk, while the trace context *leading
-// up to* an anomaly is preserved in full.
+// FlightRecorder is the tail-sampling view: it keeps a bounded ring of the
+// most recent events and writes a full Chrome-trace dump only when an
+// anomalous episode is declared — so steady-state runs cost one ring write
+// per event and zero disk, while the stream *leading up to* an anomaly,
+// cause included, is preserved in full.
 //
-// Episodes come from two places:
+// Four kinds of event on the stream declare an episode:
 //
-//   - Internal triggers: a compile span whose duration exceeds the
-//     rolling p99 of recent compiles (after a minimum sample count,
-//     with a cooldown so one slow phase produces one dump, not one per
-//     compile), and any CatFault "fault.injected" instant.
-//   - External triggers: TriggerEpisode, called by the anomaly watchdog
-//     (deopt storm, quarantine, store corruption, queue saturation).
-//     External triggers are never debounced — every declared episode
-//     produces exactly one dump, which the chaos campaign counts 1:1
+//   - a compile span whose duration exceeds the rolling p99 of recent
+//     compiles (after a minimum sample count, with a cooldown so one slow
+//     phase produces one dump, not one per compile);
+//   - any CatFault "fault.injected" instant;
+//   - a quarantine (context for the spike detector, anomalous or not);
+//   - a watchdog anomaly. Neither it nor a quarantine is debounced — every
+//     one produces exactly one dump, which the chaos campaign counts 1:1
 //     against seeded causes.
 //
 // Disk use is bounded by MaxDumps and MaxBytes: oldest dumps are
@@ -32,20 +31,15 @@ import (
 // nil-is-off convention.
 type FlightRecorder struct {
 	mu   sync.Mutex
-	ring []Event
-	next int
-	wrap bool
+	ring ring[Event]
 
 	dir      string
 	maxDumps int
 	maxBytes int64
 
-	// rolling compile-duration window for the p99 trigger
-	durs       []int64
-	durNext    int
-	durWrap    bool
+	durs       ring[int64] // recent compile durations, for the p99 trigger
 	minSamples int
-	cooldown   int // compile samples remaining before another auto episode
+	cooldown   int // compile samples remaining before another p99 episode
 
 	seq      uint64
 	episodes []Episode
@@ -86,11 +80,11 @@ func NewFlightRecorder(dir string, opts FlightOptions) *FlightRecorder {
 		opts.MinSamples = 64
 	}
 	f := &FlightRecorder{
-		ring:       make([]Event, opts.RingCapacity),
+		ring:       ring[Event]{max: opts.RingCapacity},
 		dir:        dir,
 		maxDumps:   opts.MaxDumps,
 		maxBytes:   opts.MaxBytes,
-		durs:       make([]int64, 512),
+		durs:       ring[int64]{max: 512},
 		minSamples: opts.MinSamples,
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -99,24 +93,23 @@ func NewFlightRecorder(dir string, opts FlightOptions) *FlightRecorder {
 	return f
 }
 
-// Record implements Sink: retain the event, then evaluate the internal
-// triggers. Safe on a nil recorder.
+// Record implements Sink: retain the event, then declare the episode it
+// calls for, if any. Safe on a nil recorder.
 func (f *FlightRecorder) Record(ev Event) {
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
-	f.ring[f.next] = ev
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.wrap = true
-	}
+	f.ring.push(ev)
 	switch {
-	case ev.Kind == KindSpan && ev.Cat == CatCompile && ev.Name == "compile":
+	case ev.Name == FactCompile && ev.Kind == KindSpan:
 		f.observeCompileLocked(ev)
-	case ev.Kind == KindInstant && ev.Cat == CatFault:
+	case ev.Cat == CatFault && ev.Kind == KindInstant:
 		f.episodeLocked("fault-injected", ev.Name)
+	case ev.Name == FactQuarantined:
+		f.episodeLocked("quarantine", ev.Func+": "+ev.Str("reason"))
+	case ev.Name == FactAnomaly:
+		f.episodeLocked(ev.Str("stage"), ev.Str("reason"))
 	}
 	f.mu.Unlock()
 }
@@ -124,53 +117,28 @@ func (f *FlightRecorder) Record(ev Event) {
 // observeCompileLocked maintains the rolling window and fires the p99
 // trigger. Called with f.mu held.
 func (f *FlightRecorder) observeCompileLocked(ev Event) {
-	n := f.durNext
-	if f.durWrap {
-		n = len(f.durs)
-	}
 	if f.cooldown > 0 {
 		f.cooldown--
 	}
-	if n >= f.minSamples && f.cooldown == 0 && ev.Dur > f.p99Locked(n) {
-		f.episodeLocked("compile-p99", fmt.Sprintf("%s dur=%dns span=%d", ev.Name, ev.Dur, ev.ID))
-		f.cooldown = f.minSamples
+	if n := len(f.durs.buf); n >= f.minSamples && f.cooldown == 0 {
+		// Compiles are rare enough that the copy+sort is negligible next to
+		// the compile itself.
+		w := f.durs.items()
+		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
+		if ev.Dur > w[(n-1)*99/100] {
+			f.episodeLocked("compile-p99", fmt.Sprintf("%s dur=%dns span=%d", ev.Name, ev.Dur, ev.ID))
+			f.cooldown = f.minSamples
+		}
 	}
-	f.durs[f.durNext] = ev.Dur
-	f.durNext++
-	if f.durNext == len(f.durs) {
-		f.durNext = 0
-		f.durWrap = true
-	}
-}
-
-// p99Locked computes the window's 99th percentile over its first n
-// filled slots. Called with f.mu held; compiles are rare enough that
-// the copy+sort is negligible next to the compile itself.
-func (f *FlightRecorder) p99Locked(n int) int64 {
-	w := make([]int64, n)
-	copy(w, f.durs[:n])
-	sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
-	return w[(n-1)*99/100]
-}
-
-// TriggerEpisode declares an external anomaly episode and dumps the
-// current ring. Returns the dump path ("" on a nil recorder or failed
-// write). Never debounced: one call, one episode.
-func (f *FlightRecorder) TriggerEpisode(reason, detail string) string {
-	if f == nil {
-		return ""
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.episodeLocked(reason, detail)
+	f.durs.push(ev.Dur)
 }
 
 // episodeLocked records an episode and dumps the ring to disk. Called
 // with f.mu held.
-func (f *FlightRecorder) episodeLocked(reason, detail string) string {
+func (f *FlightRecorder) episodeLocked(reason, detail string) {
 	f.seq++
 	ep := Episode{Seq: f.seq, Reason: reason, Detail: detail}
-	evs := f.eventsLocked()
+	evs := f.ring.items()
 	ep.Events = len(evs)
 	path := filepath.Join(f.dir, fmt.Sprintf("ep%04d-%s.trace.json", f.seq, sanitizeReason(reason)))
 	if err := SaveChromeTrace(path, evs); err != nil {
@@ -183,20 +151,6 @@ func (f *FlightRecorder) episodeLocked(reason, detail string) string {
 		f.episodes = f.episodes[len(f.episodes)-4096:]
 	}
 	f.enforceBoundsLocked()
-	return ep.Path
-}
-
-// eventsLocked returns the retained ring contents in recording order.
-func (f *FlightRecorder) eventsLocked() []Event {
-	if !f.wrap {
-		out := make([]Event, f.next)
-		copy(out, f.ring[:f.next])
-		return out
-	}
-	out := make([]Event, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	out = append(out, f.ring[:f.next]...)
-	return out
 }
 
 // enforceBoundsLocked deletes oldest dump files until both the count
@@ -265,17 +219,4 @@ func sanitizeReason(s string) string {
 		return "episode"
 	}
 	return b.String()
-}
-
-// MultiSink fans one event stream out to several sinks — e.g. a Ring
-// for always-on tail export plus a FlightRecorder for episode dumps.
-type MultiSink []Sink
-
-// Record implements Sink.
-func (m MultiSink) Record(ev Event) {
-	for _, s := range m {
-		if s != nil {
-			s.Record(ev)
-		}
-	}
 }

@@ -7,73 +7,31 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
-// Tier-journey stages. Each one is a waypoint in a function's life under
-// the tiering engine; the ordered stream of stages for one function is
-// its "journey" — the after-the-fact answer to "why is this function in
-// this tier, and what happened to it along the way?".
-const (
-	StageInterp      = "interp"      // first execution in the interpreter
-	StageWarm        = "warm"        // crossed the baseline threshold
-	StageEnqueued    = "enqueued"    // compile request handed to the jitqueue
-	StageCompiled    = "compiled"    // pipeline produced an artifact (or failed)
-	StageInstalled   = "installed"   // artifact installed at a safe point
-	StageTier        = "tier"        // top-tier attribution: which executor serves the artifact
-	StageOSREntry    = "osr-entry"   // mid-loop transfer onto compiled code
-	StageDeopt       = "deopt"       // guard failure, back to a lower tier
-	StageRequalified = "requalified" // quarantine/storm lifted, eligible again
-	StageQuarantined = "quarantined" // supervisor quarantined the function
-	StagePermanent   = "permanent"   // permanently pinned to the interpreter
-	StageCacheHit    = "cache-hit"   // artifact served from the in-memory cache
-	StageStoreHit    = "store-hit"   // artifact served from the persistent store
-	StageBailout     = "bailout"     // runtime bailout during JIT execution
-)
-
-// JourneyEvent is one recorded waypoint. TS is nanoseconds since the
-// journal's epoch, monotonic.
+// JourneyEvent is one recorded waypoint in a function's life under the
+// tiering engine; the ordered stream of them for one function is its
+// "journey" — the after-the-fact answer to "why is this function in this
+// tier, and what happened to it along the way?". TS is nanoseconds since
+// the tracer's epoch, monotonic.
 type JourneyEvent struct {
 	Seq   uint64 `json:"seq"`
 	TS    int64  `json:"ts_ns"`
 	Func  string `json:"func"`
 	Stage string `json:"stage"`
 	Tier  string `json:"tier,omitempty"`  // tier after this event
-	Cause string `json:"cause,omitempty"` // free-form cause/detail
+	Cause string `json:"cause,omitempty"` // the event's other arguments
 }
 
-// funcJourney is one function's bounded event history: a drop-oldest
-// ring so a deopt-storming function cannot grow the journal unboundedly.
-type funcJourney struct {
-	evs     []JourneyEvent // ring storage, cap = Journal cap
-	next    int            // next write slot
-	wrapped bool
-	dropped int64
-}
-
-func (f *funcJourney) ordered() []JourneyEvent {
-	if !f.wrapped {
-		out := make([]JourneyEvent, len(f.evs))
-		copy(out, f.evs)
-		return out
-	}
-	out := make([]JourneyEvent, 0, len(f.evs))
-	out = append(out, f.evs[f.next:]...)
-	out = append(out, f.evs[:f.next]...)
-	return out
-}
-
-// Journal records per-function tier-journey events. A nil *Journal is
-// the disabled journal: Record costs one nil check, matching the
-// package's nil-is-off convention. All methods are safe for concurrent
-// use; recording takes one mutex (journey waypoints are rare events —
-// tier transitions, not per-call work).
+// Journal is the view that keeps each function's journey: of the stream
+// it retains the facts that are waypoints (Fact.Stage), per function, in
+// a drop-oldest ring so a deopt-storming function cannot grow it without
+// bound. A nil *Journal is the disabled journal, matching the package's
+// nil-is-off convention. All methods are safe for concurrent use.
 type Journal struct {
 	mu    sync.Mutex
-	epoch time.Time
-	funcs map[string]*funcJourney
+	funcs map[string]*ring[JourneyEvent]
 	capPF int
-	seq   uint64
 	total int64
 }
 
@@ -86,32 +44,53 @@ func NewJournal(capPerFunc int) *Journal {
 	if capPerFunc <= 0 {
 		capPerFunc = DefaultJourneyCap
 	}
-	return &Journal{epoch: time.Now(), funcs: map[string]*funcJourney{}, capPF: capPerFunc}
+	return &Journal{funcs: map[string]*ring[JourneyEvent]{}, capPF: capPerFunc}
 }
 
-// Record appends one waypoint for fn. Safe on a nil journal.
-func (j *Journal) Record(fn, stage, tier, cause string) {
-	if j == nil {
+// Record implements Sink. A span is a waypoint at its end; an OSR entry
+// the frame map refused is none.
+func (j *Journal) Record(ev Event) {
+	if j == nil || ev.Func == "" {
 		return
 	}
+	stage := factByName[ev.Name].Stage
+	if stage == "" || (ev.Name == FactOSREnter && ev.Str("result") == "declined") {
+		return
+	}
+	je := JourneyEvent{TS: ev.TS + ev.Dur, Func: ev.Func, Stage: stage, Tier: ev.Str("tier"), Cause: cause(ev)}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	f := j.funcs[fn]
+	f := j.funcs[ev.Func]
 	if f == nil {
-		f = &funcJourney{}
-		j.funcs[fn] = f
+		f = &ring[JourneyEvent]{max: j.capPF}
+		j.funcs[ev.Func] = f
 	}
-	j.seq++
 	j.total++
-	ev := JourneyEvent{Seq: j.seq, TS: int64(time.Since(j.epoch)), Func: fn, Stage: stage, Tier: tier, Cause: cause}
-	if len(f.evs) < j.capPF {
-		f.evs = append(f.evs, ev)
-		return
+	je.Seq = uint64(j.total)
+	f.push(je)
+}
+
+// cause renders a waypoint's arguments, the tier apart, as "k=v k=v"; a
+// reason is free text and stands without its key.
+func cause(ev Event) string {
+	var b strings.Builder
+	for _, a := range ev.Args[:ev.NArgs] {
+		if a.Key == "tier" {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		switch {
+		case a.Key == "reason":
+			b.WriteString(a.Str)
+		case a.IsStr:
+			b.WriteString(a.Key + "=" + a.Str)
+		default:
+			fmt.Fprintf(&b, "%s=%d", a.Key, a.Val)
+		}
 	}
-	f.evs[f.next] = ev
-	f.next = (f.next + 1) % len(f.evs)
-	f.wrapped = true
-	f.dropped++
+	return b.String()
 }
 
 // Total returns the number of events ever recorded.
@@ -150,7 +129,7 @@ func (j *Journal) Events(fn string) []JourneyEvent {
 	if f == nil {
 		return nil
 	}
-	return f.ordered()
+	return f.items()
 }
 
 // Dropped returns how many of fn's oldest events were evicted by the
@@ -162,7 +141,7 @@ func (j *Journal) Dropped(fn string) int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if f := j.funcs[fn]; f != nil {
-		return f.dropped
+		return f.dropped()
 	}
 	return 0
 }
@@ -182,7 +161,7 @@ func (j *Journal) WriteJSON(w io.Writer) error {
 	j.mu.Lock()
 	out := journeyJSON{Funcs: make(map[string][]JourneyEvent, len(j.funcs)), Total: j.total}
 	for fn, f := range j.funcs {
-		out.Funcs[fn] = f.ordered()
+		out.Funcs[fn] = f.items()
 	}
 	j.mu.Unlock()
 	enc := json.NewEncoder(w)
@@ -198,17 +177,9 @@ func DecodeJourney(r io.Reader) (*Journal, error) {
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("decode journey: %w", err)
 	}
-	j := &Journal{epoch: time.Now(), funcs: make(map[string]*funcJourney, len(in.Funcs)), capPF: DefaultJourneyCap, total: in.Total}
+	j := &Journal{funcs: make(map[string]*ring[JourneyEvent], len(in.Funcs)), capPF: DefaultJourneyCap, total: in.Total}
 	for fn, evs := range in.Funcs {
-		if len(evs) > j.capPF {
-			j.capPF = len(evs)
-		}
-		j.funcs[fn] = &funcJourney{evs: evs}
-		for _, ev := range evs {
-			if ev.Seq > j.seq {
-				j.seq = ev.Seq
-			}
-		}
+		j.funcs[fn] = &ring[JourneyEvent]{buf: evs, max: max(len(evs), j.capPF), total: int64(len(evs))}
 	}
 	return j, nil
 }

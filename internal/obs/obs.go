@@ -6,18 +6,21 @@
 // instrumented compile path pays exactly one predictable nil check when
 // observability is disabled — no interface dispatch, no allocation.
 //
-// The three sub-layers:
+// The two sub-layers:
 //
-//   - Tracer (this file, ring.go, chrome.go): span events for the compile
-//     lifecycle (mirbuild → each optimization pass → DNA extraction →
-//     go/no-go decision → lir → regalloc → native install), recorded into
-//     a Sink (typically a Ring) and exportable as Chrome trace_event JSON
-//     that opens directly in chrome://tracing or Perfetto.
+//   - The event stream (this file, facts.go): the Tracer stamps every
+//     lifecycle fact the engine and the store state (facts.go lists them)
+//     and every compile-pipeline span (mirbuild → each optimization pass →
+//     DNA extraction → lir → regalloc) and routes it into a Sink. Every
+//     consumer is a Sink that keeps the facts it renders: Ring (the whole
+//     stream, exportable as Chrome trace_event JSON), Journal (per-function
+//     tier journeys), AuditLog (supervisor transitions, beside the policy
+//     verdicts core.Detector appends), Watchdog (anomaly detectors, whose
+//     findings re-enter the stream as anomaly facts) and FlightRecorder
+//     (episode dumps). MultiSink composes them.
 //   - Registry (metrics.go): named atomic counters, gauges, and
 //     fixed-bucket histograms with JSON and expvar-style text encoders,
 //     servable over HTTP next to net/http/pprof (server.go).
-//   - AuditLog (audit.go): every JITBULL go/no-go verdict and supervisor
-//     transition as a structured, JSONL-persistable event.
 package obs
 
 import (
@@ -53,6 +56,7 @@ const (
 	CatEngine  = "engine"  // tiering, dispatch, bailouts
 	CatFault   = "fault"   // fault-injection framework events
 	CatStore   = "store"   // persistent artifact store I/O
+	CatAnomaly = "anomaly" // watchdog findings
 )
 
 // MaxArgs is the fixed per-event argument capacity. Events carry their
@@ -79,12 +83,33 @@ func S(key, v string) Arg { return Arg{Key: key, Str: v, IsStr: true} }
 type Event struct {
 	Kind  Kind
 	Cat   string
-	Name  string
+	Name  string // a fact name (facts.go) or a pipeline stage or pass name
+	Func  string // the function, or store key, the event is about ("" = none)
 	ID    uint64 // span ID (0 for instants and pre-ID traces)
 	TS    int64  // start time, ns since tracer epoch
 	Dur   int64  // span duration in ns (0 for instants)
 	NArgs int
 	Args  [MaxArgs]Arg
+}
+
+// Str returns the string argument named key ("" when absent).
+func (ev Event) Str(key string) string {
+	for _, a := range ev.Args[:ev.NArgs] {
+		if a.Key == key && a.IsStr {
+			return a.Str
+		}
+	}
+	return ""
+}
+
+// Int returns the integer argument named key (0 when absent).
+func (ev Event) Int(key string) int64 {
+	for _, a := range ev.Args[:ev.NArgs] {
+		if a.Key == key && !a.IsStr {
+			return a.Val
+		}
+	}
+	return 0
 }
 
 // Sink receives recorded events. Implementations must be safe for
@@ -100,7 +125,6 @@ type Tracer struct {
 	sink  Sink
 	epoch time.Time
 	seq   atomic.Uint64 // span ID sequence; IDs are unique per tracer
-	drops atomic.Int64  // events discarded because the sink was nil
 }
 
 // NewTracer returns a tracer recording into sink with its epoch at now.
@@ -108,20 +132,15 @@ func NewTracer(sink Sink) *Tracer {
 	return &Tracer{sink: sink, epoch: time.Now()}
 }
 
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil && t.sink != nil }
-
 // now returns nanoseconds since the epoch. time.Since reads the monotonic
 // clock, so successive calls never go backwards.
 func (t *Tracer) now() int64 { return int64(time.Since(t.epoch)) }
 
 // record stamps nothing (the caller did) and routes the event.
 func (t *Tracer) record(ev Event) {
-	if t.sink == nil {
-		t.drops.Add(1)
-		return
+	if t.sink != nil {
+		t.sink.Record(ev)
 	}
-	t.sink.Record(ev)
 }
 
 // Span is an in-flight span handle, returned by value so the disabled
@@ -130,16 +149,18 @@ type Span struct {
 	t     *Tracer
 	cat   string
 	name  string
+	fn    string
 	id    uint64
 	start int64
 }
 
-// Begin opens a span. On a nil tracer it returns the inert zero Span.
-func (t *Tracer) Begin(cat, name string) Span {
+// Begin opens a span about fn ("" when it is about no function). On a nil
+// tracer it returns the inert zero Span.
+func (t *Tracer) Begin(cat, name, fn string) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, cat: cat, name: name, id: t.seq.Add(1), start: t.now()}
+	return Span{t: t, cat: cat, name: name, fn: fn, id: t.seq.Add(1), start: t.now()}
 }
 
 // Active reports whether the span will record on End.
@@ -156,15 +177,24 @@ func (s Span) End(args ...Arg) {
 	if s.t == nil {
 		return
 	}
-	ev := Event{Kind: KindSpan, Cat: s.cat, Name: s.name, ID: s.id, TS: s.start, Dur: s.t.now() - s.start}
+	ev := Event{Kind: KindSpan, Cat: s.cat, Name: s.name, Func: s.fn, ID: s.id, TS: s.start, Dur: s.t.now() - s.start}
+	ev.setArgs(args)
+	s.t.record(ev)
+}
+
+// setArgs stores up to MaxArgs annotations (extras are dropped). The zero
+// Arg takes no slot: a call site passes it where it has nothing to say.
+func (ev *Event) setArgs(args []Arg) {
 	for _, a := range args {
+		if a.Key == "" {
+			continue
+		}
 		if ev.NArgs == MaxArgs {
 			break
 		}
 		ev.Args[ev.NArgs] = a
 		ev.NArgs++
 	}
-	s.t.record(ev)
 }
 
 // EndErr closes the span annotated with an error outcome.
@@ -179,18 +209,13 @@ func (s Span) EndErr(err error) {
 	s.End()
 }
 
-// Instant records a point-in-time event. Safe on a nil tracer.
-func (t *Tracer) Instant(cat, name string, args ...Arg) {
+// Instant records a point-in-time event about fn ("" when it is about no
+// function). Safe on a nil tracer.
+func (t *Tracer) Instant(cat, name, fn string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	ev := Event{Kind: KindInstant, Cat: cat, Name: name, TS: t.now()}
-	for _, a := range args {
-		if ev.NArgs == MaxArgs {
-			break
-		}
-		ev.Args[ev.NArgs] = a
-		ev.NArgs++
-	}
+	ev := Event{Kind: KindInstant, Cat: cat, Name: name, Func: fn, TS: t.now()}
+	ev.setArgs(args)
 	t.record(ev)
 }

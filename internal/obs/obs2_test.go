@@ -8,10 +8,19 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// fact builds one instant event the way a Tracer would, for tests that
+// feed a view directly.
+func fact(name, fn string, args ...Arg) Event {
+	ev := Event{Kind: KindInstant, Cat: CatEngine, Name: name, Func: fn}
+	ev.setArgs(args)
+	return ev
+}
 
 // --- Ring under concurrent writers -----------------------------------------
 
@@ -112,7 +121,7 @@ func TestChromeExportTruncatedRing(t *testing.T) {
 func TestChromeExportOverMaxArgsSpan(t *testing.T) {
 	ring := NewRing(4)
 	tr := NewTracer(ring)
-	sp := tr.Begin(CatCompile, "compile")
+	sp := tr.Begin(CatCompile, "compile", "hot")
 	sp.End(
 		I("a", 1), I("b", 2), I("c", 3), I("d", 4),
 		I("overflow1", 5), S("overflow2", "dropped"),
@@ -137,7 +146,7 @@ func TestChromeExportOverMaxArgsSpan(t *testing.T) {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	args := out.TraceEvents[0].Args
-	for _, k := range []string{"a", "b", "c", "d", "span_id"} {
+	for _, k := range []string{"a", "b", "c", "d", "span_id", "fn"} {
 		if _, ok := args[k]; !ok {
 			t.Fatalf("exported args missing %q: %v", k, args)
 		}
@@ -230,12 +239,16 @@ func TestWritePromFormat(t *testing.T) {
 
 func TestJournalRecordWrapRenderRoundTrip(t *testing.T) {
 	j := NewJournal(4)
-	j.Record("hot", StageInterp, "interp", "first call")
-	j.Record("hot", StageWarm, "baseline", "calls=4")
-	j.Record("hot", StageCompiled, "baseline", "ok: inline")
-	j.Record("hot", StageInstalled, "ion", "source=inline ops=9")
-	j.Record("hot", StageDeopt, "ion", "exit=0 deopts=1") // evicts the oldest
-	j.Record("cold", StageInterp, "interp", "first call")
+	tr := NewTracer(j)
+	tr.Instant(CatEngine, FactInterp, "hot", S("tier", "interp"))
+	tr.Instant(CatEngine, FactWarm, "hot", I("calls", 4), S("tier", "baseline"))
+	tr.Begin(CatCompile, FactCompile, "hot").End(S("result", "ok"), S("source", "inline"), S("tier", "baseline"))
+	tr.Instant(CatEngine, FactTrigger, "hot", I("calls", 10))    // not a waypoint
+	tr.Begin(CatCompile, "mirbuild", "hot").End(I("instrs", 42)) // not a fact
+	tr.Begin(CatEngine, FactOSREnter, "hot").End(S("result", "declined"))
+	tr.Instant(CatCompile, FactInstall, "hot", S("source", "inline"), I("ops", 9), S("tier", "ion"))
+	tr.Instant(CatEngine, FactDeopt, "hot", I("exit", 0), I("deopts", 1), S("tier", "ion")) // evicts the oldest
+	tr.Instant(CatEngine, FactInterp, "cold", S("tier", "interp"))
 
 	if got := j.Total(); got != 6 {
 		t.Fatalf("Total = %d, want 6", got)
@@ -247,8 +260,11 @@ func TestJournalRecordWrapRenderRoundTrip(t *testing.T) {
 	if len(evs) != 4 {
 		t.Fatalf("retained %d events, want 4 (cap)", len(evs))
 	}
-	if evs[0].Stage != StageWarm || evs[3].Stage != StageDeopt {
-		t.Fatalf("wrong retained window: first=%s last=%s", evs[0].Stage, evs[3].Stage)
+	if evs[0].Stage != "warm" || evs[1].Stage != "compiled" || evs[2].Stage != "installed" || evs[3].Stage != "deopt" {
+		t.Fatalf("wrong retained window: %+v", evs)
+	}
+	if evs[1].Tier != "baseline" || evs[1].Cause != "result=ok source=inline" {
+		t.Fatalf("compiled waypoint = %+v, want the span's tier and its other arguments as the cause", evs[1])
 	}
 	if j.Dropped("hot") != 1 {
 		t.Fatalf("Dropped = %d, want 1", j.Dropped("hot"))
@@ -293,7 +309,7 @@ func TestJournalRecordWrapRenderRoundTrip(t *testing.T) {
 
 func TestJournalNilAndDisabled(t *testing.T) {
 	var j *Journal
-	j.Record("f", StageInterp, "interp", "x") // must not panic
+	j.Record(fact(FactInterp, "f")) // must not panic
 	if j.Total() != 0 || j.Funcs() != nil || j.Events("f") != nil || j.Dropped("f") != 0 {
 		t.Fatalf("nil journal is not inert")
 	}
@@ -355,13 +371,14 @@ func TestFlightRecorderExternalTriggerAndBounds(t *testing.T) {
 	f := flightFor(t, FlightOptions{MaxDumps: 2, RingCapacity: 8})
 	f.Record(Event{Kind: KindInstant, Cat: CatEngine, Name: "context"})
 	for i := 0; i < 4; i++ {
-		if p := f.TriggerEpisode("deopt-storm", fmt.Sprintf("burst %d", i)); p == "" {
-			t.Fatalf("external trigger %d produced no dump: %v", i, f.Err())
-		}
+		f.Record(fact(FactAnomaly, "hot", S("stage", "deopt-storm"), S("reason", fmt.Sprintf("burst %d", i))))
 	}
 	eps := f.Episodes()
 	if len(eps) != 4 {
-		t.Fatalf("external triggers must never be debounced: got %d episodes", len(eps))
+		t.Fatalf("anomalies must never be debounced: got %d episodes", len(eps))
+	}
+	if eps[3].Reason != "deopt-storm" || eps[3].Detail != "burst 3" || eps[3].Events != 5 {
+		t.Fatalf("episode = %+v, want the anomaly's detector and reason over the 5 events so far", eps[3])
 	}
 	onDisk := 0
 	for _, ep := range eps {
@@ -388,7 +405,7 @@ func TestFlightRecorderExternalTriggerAndBounds(t *testing.T) {
 func TestFlightRecorderNil(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(Event{Kind: KindInstant, Cat: CatFault})
-	if f.TriggerEpisode("x", "y") != "" || f.Episodes() != nil || f.Err() != nil {
+	if f.Episodes() != nil || f.Err() != nil {
 		t.Fatalf("nil flight recorder is not inert")
 	}
 }
@@ -398,13 +415,16 @@ func TestFlightRecorderNil(t *testing.T) {
 func TestWatchdogIntrinsicAnomaliesAndHealthRecovery(t *testing.T) {
 	reg := NewRegistry()
 	audit := NewAuditLog(nil)
-	w := NewWatchdog(WatchdogOptions{Metrics: reg, Audit: audit, RecoverAfter: 3})
+	w := NewWatchdog(WatchdogOptions{Metrics: reg, RecoverAfter: 3})
+	tr := NewTracer(MultiSink{audit, w})
+	w.SetTracer(tr)
 
 	if st, _ := w.Health(); st != HealthReady {
 		t.Fatalf("initial health = %s", st)
 	}
-	w.Signal(Signal{Kind: SigQueueSaturated, Func: "hot", Cause: "inline fallback"})
-	w.Signal(Signal{Kind: SigStoreCorrupt, Func: "abcd", Cause: "checksum mismatch"})
+	tr.Begin(CatCompile, FactQueueWait, "cold").End() // picked up by a worker: not a signal
+	tr.Begin(CatCompile, FactQueueWait, "hot").End(S("result", "rejected"))
+	tr.Instant(CatStore, FactStoreCorrupt, "abcd", S("stage", "store"), S("reason", "checksum mismatch"))
 
 	an := w.Anomalies()
 	if len(an) != 2 || an[0].Detector != "queue-saturation" || an[1].Detector != "store-corruption" {
@@ -416,25 +436,25 @@ func TestWatchdogIntrinsicAnomaliesAndHealthRecovery(t *testing.T) {
 	if got := reg.Gauge("watchdog.healthy").Value(); got != 0 {
 		t.Fatalf("watchdog.healthy gauge = %d, want 0", got)
 	}
-	// Each intrinsic anomaly produced exactly one audit event.
-	anomalyEvents := 0
+	// Each intrinsic anomaly came back round the stream as exactly one
+	// audit event, after its cause.
+	var verdicts []string
 	for _, ev := range audit.Events() {
-		if ev.Verdict == VerdictAnomaly {
-			anomalyEvents++
-		}
+		verdicts = append(verdicts, string(ev.Verdict)+" "+ev.Func+" "+ev.Stage)
 	}
-	if anomalyEvents != 2 {
-		t.Fatalf("audit has %d anomaly events, want 2 (1:1 accounting)", anomalyEvents)
+	want := []string{"anomaly hot queue-saturation", "quarantine abcd store", "anomaly abcd store-corruption"}
+	if !reflect.DeepEqual(verdicts, want) {
+		t.Fatalf("audit = %v, want %v (1:1 accounting)", verdicts, want)
 	}
 
 	// Recovery after RecoverAfter consecutive clean signals.
 	for i := 0; i < 2; i++ {
-		w.Signal(Signal{Kind: SigCompile, Value: 1000})
+		w.Record(fact(FactCompile, "f"))
 		if st, _ := w.Health(); st != HealthDegraded {
 			t.Fatalf("recovered after only %d clean signals", i+1)
 		}
 	}
-	w.Signal(Signal{Kind: SigCompile, Value: 1000})
+	w.Record(fact(FactCompile, "f"))
 	if st, _ := w.Health(); st != HealthReady {
 		t.Fatalf("did not recover after RecoverAfter clean signals")
 	}
@@ -446,21 +466,21 @@ func TestWatchdogIntrinsicAnomaliesAndHealthRecovery(t *testing.T) {
 func TestWatchdogDeoptStormDetector(t *testing.T) {
 	w := NewWatchdog(WatchdogOptions{Detectors: []Detector{NewDeoptStormDetector(4)}})
 	for i := 0; i < 3; i++ {
-		w.Signal(Signal{Kind: SigDeopt, Func: "hot"})
+		w.Record(fact(FactDeopt, "hot"))
 	}
 	if n := len(w.Anomalies()); n != 0 {
 		t.Fatalf("fired after %d deopts (threshold 4): %d anomalies", 3, n)
 	}
-	w.Signal(Signal{Kind: SigDeopt, Func: "hot"})
+	w.Record(fact(FactDeopt, "hot"))
 	an := w.Anomalies()
 	if len(an) != 1 || an[0].Detector != "deopt-storm" || an[0].Func != "hot" {
 		t.Fatalf("anomalies = %+v", an)
 	}
 	// Per-function counting: another function's deopts start from zero,
 	// and the fired function's counter reset.
-	w.Signal(Signal{Kind: SigDeopt, Func: "other"})
+	w.Record(fact(FactDeopt, "other"))
 	for i := 0; i < 3; i++ {
-		w.Signal(Signal{Kind: SigDeopt, Func: "hot"})
+		w.Record(fact(FactDeopt, "hot"))
 	}
 	if n := len(w.Anomalies()); n != 1 {
 		t.Fatalf("storm counter did not reset: %d anomalies", n)
@@ -469,8 +489,10 @@ func TestWatchdogDeoptStormDetector(t *testing.T) {
 
 func TestWatchdogQuarantineSpikeTriggersFlightEpisode(t *testing.T) {
 	f := flightFor(t, FlightOptions{RingCapacity: 8})
-	w := NewWatchdog(WatchdogOptions{Flight: f, Detectors: []Detector{NewQuarantineSpikeDetector(2, 100)}})
-	w.Signal(Signal{Kind: SigQuarantine, Func: "a", Cause: "storm"})
+	w := NewWatchdog(WatchdogOptions{Detectors: []Detector{NewQuarantineSpikeDetector(2, 100)}})
+	tr := NewTracer(MultiSink{f, w})
+	w.SetTracer(tr)
+	tr.Instant(CatEngine, FactQuarantined, "a", S("reason", "storm"))
 	// First quarantine: below the spike → episode context, no anomaly.
 	if n := len(w.Anomalies()); n != 0 {
 		t.Fatalf("spike fired on a single quarantine")
@@ -478,7 +500,7 @@ func TestWatchdogQuarantineSpikeTriggersFlightEpisode(t *testing.T) {
 	if n := len(f.Episodes()); n != 1 {
 		t.Fatalf("quarantine did not trigger a context episode: %d", n)
 	}
-	w.Signal(Signal{Kind: SigQuarantine, Func: "b", Cause: "storm"})
+	tr.Instant(CatEngine, FactQuarantined, "b", S("reason", "storm"))
 	an := w.Anomalies()
 	if len(an) != 1 || an[0].Detector != "quarantine-spike" {
 		t.Fatalf("anomalies = %+v", an)
@@ -497,18 +519,19 @@ func TestWatchdogSeedProbe(t *testing.T) {
 		if strings.HasPrefix(detail, "deopt:") {
 			return errors.New("seeded fault")
 		}
-		if strings.HasPrefix(detail, "quarantine:") {
+		if strings.HasPrefix(detail, "quarantined:") {
 			panic("seeded panic")
 		}
 		return nil
 	})
-	w.Signal(Signal{Kind: SigCompile, Func: "f"})    // clean
-	w.Signal(Signal{Kind: SigDeopt, Func: "f"})      // seeded error
-	w.Signal(Signal{Kind: SigQuarantine, Func: "g"}) // seeded panic, contained
+	w.Record(fact(FactCompile, "f"))     // clean
+	w.Record(fact(FactWarm, "f"))        // not watched: no signal, no probe
+	w.Record(fact(FactDeopt, "f"))       // seeded error
+	w.Record(fact(FactQuarantined, "g")) // seeded panic, contained
 	if len(probed) != 3 {
 		t.Fatalf("probe ran %d times, want once per signal", len(probed))
 	}
-	if probed[1] != "deopt:f" || probed[2] != "quarantine:g" {
+	if probed[1] != "deopt:f" || probed[2] != "quarantined:g" {
 		t.Fatalf("probe details = %v", probed)
 	}
 	an := w.Anomalies()
@@ -527,7 +550,8 @@ func TestWatchdogSeedProbe(t *testing.T) {
 
 func TestWatchdogNil(t *testing.T) {
 	var w *Watchdog
-	w.Signal(Signal{Kind: SigDeopt})
+	w.Record(fact(FactDeopt, "f"))
+	w.SetTracer(NewTracer(nil))
 	w.SetSeedProbe(func(string) error { return nil })
 	if st, why := w.Health(); st != HealthReady || why != "" {
 		t.Fatalf("nil watchdog health = %s %q", st, why)
@@ -544,9 +568,11 @@ func TestOpsServerEndpoints(t *testing.T) {
 	reg.Counter("store.hits").Add(5)
 	audit := NewAuditLog(nil)
 	j := NewJournal(0)
-	j.Record("hot", StageInterp, "interp", "first call")
 	f := NewFlightRecorder(t.TempDir(), FlightOptions{RingCapacity: 8})
-	w := NewWatchdog(WatchdogOptions{Metrics: reg, Audit: audit, Flight: f})
+	w := NewWatchdog(WatchdogOptions{Metrics: reg})
+	tr := NewTracer(MultiSink{j, audit, f, w})
+	w.SetTracer(tr)
+	tr.Instant(CatEngine, FactInterp, "hot", S("tier", "interp"))
 	mux := NewOpsMux(OpsState{Reg: reg, Audit: audit, Watchdog: w, Journal: j, Flight: f})
 
 	get := func(path string) (int, string, string) {
@@ -564,7 +590,7 @@ func TestOpsServerEndpoints(t *testing.T) {
 		t.Fatalf("/healthz ready: code=%d body=%q", code, body)
 	}
 
-	w.Signal(Signal{Kind: SigStoreCorrupt, Func: "k", Cause: "bad checksum"})
+	tr.Instant(CatStore, FactStoreCorrupt, "k", S("stage", "store"), S("reason", "bad checksum"))
 	if code, body, _ := get("/healthz"); code != 503 || !strings.Contains(body, "degraded") ||
 		!strings.Contains(body, "store-corruption") {
 		t.Fatalf("/healthz degraded: code=%d body=%q", code, body)

@@ -14,42 +14,46 @@ import (
 
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
-	sp := tr.Begin(CatPass, "GVN")
+	sp := tr.Begin(CatPass, "GVN", "f")
 	if sp.Active() {
 		t.Fatal("nil tracer span reports active")
 	}
 	sp.End(I("x", 1))
 	sp.EndErr(nil)
-	tr.Instant(CatEngine, "bailout", S("fn", "f"))
+	tr.Instant(CatEngine, FactBailout, "f", I("steps", 9))
 }
 
-// TestDisabledProbesDoNotAllocate: a probe that is off costs the compile
-// path one nil check, which holds only while its variadic arguments stay
-// on the caller's stack. A probe that starts boxing them allocates on
-// every call whether or not anyone listens — the regression a timing
-// budget on the compile path was too noisy to see.
+// TestDisabledProbesDoNotAllocate: a probe that is off costs the engine
+// one nil check, which holds only while its variadic arguments stay on the
+// caller's stack. A probe that starts boxing them allocates on every call
+// whether or not anyone listens — the regression a timing budget on the
+// compile path was too noisy to see. The engine has one probe shape, a
+// fact stated on a possibly nil tracer; the views are behind it and are
+// held to the same when they are nil or have nothing to render.
 func TestDisabledProbesDoNotAllocate(t *testing.T) {
 	var (
 		tr     *Tracer
 		j      *Journal
+		a      *AuditLog
 		w      *Watchdog
 		fr     *FlightRecorder
 		failed = errors.New("verify failed")
 		idle   = NewFlightRecorder(t.TempDir(), FlightOptions{MinSamples: 1 << 30})
-		span   = Event{Kind: KindSpan, Cat: CatPass, Name: "GVN", Dur: 1000}
+		span   = Event{Kind: KindSpan, Cat: CatPass, Name: "GVN", Func: "hot", Dur: 1000}
+		deopt  = Event{Kind: KindInstant, Cat: CatEngine, Name: FactDeopt, Func: "hot"}
+		tier   = S("tier", "ion")
 	)
 	for _, probe := range []struct {
 		name string
 		call func()
 	}{
-		{"Tracer.Begin+Span.End", func() { tr.Begin(CatPass, "GVN").End(I("index", 1), S("fn", "hot")) }},
-		{"Span.EndErr", func() { tr.Begin(CatCompile, "compile").EndErr(failed) }},
-		{"Tracer.Instant", func() { tr.Instant(CatEngine, "bailout", S("fn", "hot"), I("pc", 7)) }},
-		{"Journal.Record", func() { j.Record("hot", StageDeopt, "ion", "exit=3") }},
-		{"Watchdog.Signal", func() { w.Signal(Signal{Kind: SigCompile, Func: "hot", Value: 1000}) }},
+		{"Tracer.Begin+Span.End", func() { tr.Begin(CatPass, "GVN", "hot").End(I("index", 1), I("instrs_in", 70)) }},
+		{"Span.End/fact", func() { tr.Begin(CatCompile, FactCompile, "hot").End(S("result", "ok"), S("source", "inline"), tier) }},
+		{"Span.EndErr", func() { tr.Begin(CatCompile, "mirbuild", "hot").EndErr(failed) }},
+		{"Tracer.Instant", func() { tr.Instant(CatEngine, FactDeopt, "hot", I("exit", 3), I("deopts", 1), tier) }},
+		{"Journal.Record/nil", func() { j.Record(deopt) }},
+		{"AuditLog.Record/nil", func() { a.Record(deopt) }},
+		{"Watchdog.Record/nil", func() { w.Record(deopt) }},
 		{"FlightRecorder.Record/nil", func() { fr.Record(span) }},
 		{"FlightRecorder.Record/idle", func() { idle.Record(span) }},
 	} {
@@ -62,10 +66,10 @@ func TestDisabledProbesDoNotAllocate(t *testing.T) {
 func TestTracerRecordsSpansAndInstants(t *testing.T) {
 	ring := NewRing(16)
 	tr := NewTracer(ring)
-	sp := tr.Begin(CatCompile, "mirbuild")
+	sp := tr.Begin(CatCompile, "mirbuild", "hot")
 	time.Sleep(time.Millisecond)
 	sp.End(I("instrs", 42))
-	tr.Instant(CatEngine, "compile.trigger", S("fn", "hot"), I("calls", 1500))
+	tr.Instant(CatEngine, FactTrigger, "hot", I("calls", 1500), Arg{})
 
 	evs := ring.Events()
 	if len(evs) != 2 {
@@ -80,8 +84,11 @@ func TestTracerRecordsSpansAndInstants(t *testing.T) {
 	if evs[0].NArgs != 1 || evs[0].Args[0].Key != "instrs" || evs[0].Args[0].Val != 42 {
 		t.Fatalf("span args wrong: %+v", evs[0])
 	}
-	if evs[1].Kind != KindInstant || evs[1].NArgs != 2 {
-		t.Fatalf("instant event wrong: %+v", evs[1])
+	if evs[1].Kind != KindInstant || evs[1].NArgs != 1 || evs[1].Int("calls") != 1500 {
+		t.Fatalf("instant event wrong (the zero Arg takes no slot): %+v", evs[1])
+	}
+	if evs[0].Func != "hot" || evs[1].Func != "hot" {
+		t.Fatalf("events lost their subject: %+v", evs)
 	}
 }
 
@@ -89,7 +96,7 @@ func TestRingWrapsKeepingNewest(t *testing.T) {
 	ring := NewRing(4)
 	tr := NewTracer(ring)
 	for i := 0; i < 10; i++ {
-		tr.Instant(CatEngine, "e", I("i", int64(i)))
+		tr.Instant(CatEngine, "e", "", I("i", int64(i)))
 	}
 	evs := ring.Events()
 	if len(evs) != 4 || ring.Len() != 4 {
@@ -111,14 +118,14 @@ func TestChromeExportValidJSONMonotonic(t *testing.T) {
 	ring := NewRing(128)
 	tr := NewTracer(ring)
 	for i := 0; i < 19; i++ {
-		sp := tr.Begin(CatPass, "P")
+		sp := tr.Begin(CatPass, "P", "")
 		sp.End(I("i", int64(i)))
-		tr.Instant(CatFault, "fault", S("kind", "panic"))
+		tr.Instant(CatFault, "fault", "", S("kind", "panic"))
 	}
 	// Nested pair: the outer span is recorded at End, i.e. AFTER the inner
 	// one despite beginning first — the exporter must re-sort by begin time.
-	outer := tr.Begin(CatCompile, "outer")
-	inner := tr.Begin(CatPass, "inner")
+	outer := tr.Begin(CatCompile, "outer", "")
+	inner := tr.Begin(CatPass, "inner", "")
 	inner.End()
 	outer.End()
 	var buf bytes.Buffer
@@ -265,10 +272,11 @@ func TestRegistryConcurrentAggregation(t *testing.T) {
 func TestAuditLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAuditLog(&buf)
-	l.Record(AuditEvent{Func: "f", Verdict: VerdictNoJIT, Matches: []AuditMatch{
+	l.Append(AuditEvent{Func: "f", Verdict: VerdictNoJIT, Matches: []AuditMatch{
 		{CVE: "CVE-2019-9813", VDCFunc: "poc", Pass: "RangeAnalysis", ChainID: 12, Side: "removed", Chain: "a→b"},
 	}})
-	l.Record(AuditEvent{Func: "g", Verdict: VerdictQuarantine, Stage: "passes", Reason: "injected fault"})
+	l.Record(fact(FactQuarantined, "g", S("stage", "passes"), S("reason", "injected fault")))
+	l.Record(fact(FactWarm, "g")) // not a decision: no audit line
 	if l.Len() != 2 {
 		t.Fatalf("len = %d", l.Len())
 	}
@@ -286,7 +294,7 @@ func TestAuditLogRoundTrip(t *testing.T) {
 	if len(back) != 2 || back[0].Matches[0].CVE != "CVE-2019-9813" || back[0].Matches[0].ChainID != 12 {
 		t.Fatalf("JSONL round trip lost data: %+v", back)
 	}
-	if back[1].Verdict != VerdictQuarantine || back[1].Reason != "injected fault" {
+	if back[1].Verdict != "quarantine" || back[1].Stage != "passes" || back[1].Reason != "injected fault" {
 		t.Fatalf("supervisor event lost: %+v", back[1])
 	}
 	if err := l.WriteErr(); err != nil {
@@ -296,8 +304,9 @@ func TestAuditLogRoundTrip(t *testing.T) {
 
 func TestNilAuditLog(t *testing.T) {
 	var l *AuditLog
-	l.Record(AuditEvent{Func: "f"})
-	if l.Len() != 0 || l.Events() != nil || l.WriteErr() != nil {
+	l.Append(AuditEvent{Func: "f"})
+	l.Record(fact(FactQuarantined, "f"))
+	if l.Len() != 0 || l.Events() != nil || l.WriteErr() != nil || l.Dropped() != 0 {
 		t.Fatal("nil audit log not inert")
 	}
 }
@@ -306,7 +315,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("engine.compiles").Add(9)
 	audit := NewAuditLog(nil)
-	audit.Record(AuditEvent{Func: "f", Verdict: VerdictGo})
+	audit.Append(AuditEvent{Func: "f", Verdict: VerdictGo})
 	srv, addr, err := StartDebugServer("127.0.0.1:0", reg, audit)
 	if err != nil {
 		t.Fatal(err)

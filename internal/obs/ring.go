@@ -6,16 +6,47 @@ import "sync"
 // events (a full octane program compiles tens of functions × ~50 events).
 const DefaultRingCapacity = 1 << 16
 
-// Ring is a fixed-capacity in-memory Sink: the newest events win, the
-// oldest are overwritten. Recording is O(1) and allocation-free after the
-// buffer fills; a long-running engine can keep a ring attached forever
-// and export the tail on demand.
+// ring is the package's one bounded buffer: the newest max values win, the
+// oldest are overwritten and counted. It grows by appending until it holds
+// max values and allocates nothing after that. It has no lock; each view
+// that retains through it (Ring, Journal, AuditLog, FlightRecorder) holds
+// its own.
+type ring[T any] struct {
+	buf   []T
+	max   int
+	next  int // the slot the next push overwrites, once len(buf) == max
+	total int64
+}
+
+func (r *ring[T]) push(v T) {
+	r.total++
+	if len(r.buf) < r.max {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	r.next++
+	if r.next == r.max {
+		r.next = 0
+	}
+}
+
+// items returns a copy of the retained values, oldest first.
+func (r *ring[T]) items() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
+}
+
+// dropped returns how many values were overwritten.
+func (r *ring[T]) dropped() int64 { return r.total - int64(len(r.buf)) }
+
+// Ring is the view that keeps the whole stream: a fixed-capacity in-memory
+// Sink a long-running engine can keep attached forever, exporting the tail
+// on demand (see WriteChromeTrace).
 type Ring struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	wrapped bool
-	total   int64
+	mu sync.Mutex
+	r  ring[Event]
 }
 
 // NewRing returns a ring holding up to capacity events (<= 0 selects
@@ -24,19 +55,13 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
-	return &Ring{buf: make([]Event, capacity)}
+	return &Ring{r: ring[Event]{max: capacity}}
 }
 
 // Record implements Sink.
 func (r *Ring) Record(ev Event) {
 	r.mu.Lock()
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-	r.total++
+	r.r.push(ev)
 	r.mu.Unlock()
 }
 
@@ -44,25 +69,14 @@ func (r *Ring) Record(ev Event) {
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.wrapped {
-		out := make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return r.r.items()
 }
 
 // Len returns how many events are currently retained.
 func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.wrapped {
-		return len(r.buf)
-	}
-	return r.next
+	return len(r.r.buf)
 }
 
 // Total returns how many events were ever recorded (including ones the
@@ -70,15 +84,27 @@ func (r *Ring) Len() int {
 func (r *Ring) Total() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.r.total
 }
 
 // Dropped returns how many events were overwritten.
 func (r *Ring) Dropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.wrapped {
-		return 0
+	return r.r.dropped()
+}
+
+// MultiSink fans the stream out to several views. Order matters in one
+// respect: a Watchdog goes last, so that the anomaly it emits follows its
+// cause in every other view (the audit line after the quarantine it
+// flags, the episode dump with the deopt that tripped it already in).
+type MultiSink []Sink
+
+// Record implements Sink.
+func (m MultiSink) Record(ev Event) {
+	for _, s := range m {
+		if s != nil {
+			s.Record(ev)
+		}
 	}
-	return r.total - int64(len(r.buf))
 }

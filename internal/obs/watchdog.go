@@ -7,57 +7,6 @@ import (
 	"sync"
 )
 
-// SignalKind classifies one runtime observation fed to the watchdog.
-type SignalKind uint8
-
-// Watchdog signal kinds. The engine, jitqueue, and store emit these at
-// the same hook points that feed metrics; the watchdog turns streams of
-// them into discrete anomalies.
-const (
-	SigCompile        SignalKind = iota // one finished compilation (Value = duration ns)
-	SigVerdict                          // one policy verdict (Cause = go|disable-pass|nojit)
-	SigDeopt                            // one guard-failure deopt exit
-	SigQuarantine                       // supervisor quarantined a function
-	SigCacheHit                         // code/verdict cache hit
-	SigCacheMiss                        // code/verdict cache miss
-	SigQueueSaturated                   // jitqueue rejected a compile (inline fallback)
-	SigStoreCorrupt                     // persistent store quarantined a corrupt record
-	SigHotInterp                        // policy-pinned (nojit) function still getting hot
-)
-
-// String names the kind for reports.
-func (k SignalKind) String() string {
-	switch k {
-	case SigCompile:
-		return "compile"
-	case SigVerdict:
-		return "verdict"
-	case SigDeopt:
-		return "deopt"
-	case SigQuarantine:
-		return "quarantine"
-	case SigCacheHit:
-		return "cache-hit"
-	case SigCacheMiss:
-		return "cache-miss"
-	case SigQueueSaturated:
-		return "queue-saturated"
-	case SigStoreCorrupt:
-		return "store-corrupt"
-	case SigHotInterp:
-		return "hot-interp"
-	}
-	return "unknown"
-}
-
-// Signal is one observation.
-type Signal struct {
-	Kind  SignalKind
-	Func  string // subject function (may be "")
-	Value int64  // kind-specific magnitude (duration ns, call count, ...)
-	Cause string // kind-specific detail
-}
-
 // Anomaly is one detector verdict: something is wrong, attributed.
 type Anomaly struct {
 	Detector string `json:"detector"`
@@ -70,7 +19,7 @@ type Anomaly struct {
 // every signal; returning ok=true declares one anomaly.
 type Detector interface {
 	Name() string
-	Observe(sig Signal) (Anomaly, bool)
+	Observe(ev Event) (Anomaly, bool)
 }
 
 // Health states for the /healthz readiness endpoint.
@@ -79,29 +28,29 @@ const (
 	HealthDegraded = "degraded"
 )
 
-// Watchdog turns runtime signals into anomalies: each signal is offered
-// to every detector; a firing detector emits an audit event (verdict
-// "anomaly"), bumps watchdog metrics, triggers a flight-recorder
-// episode, and degrades the health state. Health recovers to ready
-// after RecoverAfter consecutive anomaly-free signals — a deterministic
-// policy, so tests and the chaos campaign can pin the ready→degraded→
-// ready transition without clocks.
+// Watchdog is the view that turns the stream into anomalies. Its signals
+// are the facts marked Fact.Watch; each is offered to every detector, and
+// a firing detector bumps the watchdog metrics, degrades the health state
+// and states a FactAnomaly on the stream it was attached to — which is how
+// the audit log gets its "anomaly" line and the flight recorder its
+// episode. Health recovers to ready after RecoverAfter consecutive
+// anomaly-free signals — a deterministic policy, so tests and the chaos
+// campaign can pin the ready→degraded→ready transition without clocks.
 //
-// Two signal kinds are treated as intrinsic anomalies rather than
-// detector input: SigQueueSaturated and SigStoreCorrupt each declare
-// one anomaly per signal (the event itself is the anomaly — a rejected
-// compile or a corrupt record needs no statistics), giving the chaos
-// campaign 1:1 accounting against seeded causes.
+// Two signals are intrinsic anomalies rather than detector input: a
+// rejected queue wait and a corrupt store record each declare one anomaly
+// per signal (the event itself is the anomaly — a rejected compile or a
+// corrupt record needs no statistics), giving the chaos campaign 1:1
+// accounting against seeded causes.
 //
-// A nil *Watchdog is inert: Signal costs one nil check.
+// A nil *Watchdog is inert: Record costs one nil check.
 type Watchdog struct {
 	mu        sync.Mutex
 	detectors []Detector
-	audit     *AuditLog
-	flight    *FlightRecorder
+	tr        *Tracer
 	reg       *Registry
 
-	// SeedProbe, when set, is consulted once per signal; a non-nil error
+	// seedProbe, when set, is consulted once per signal; a non-nil error
 	// (or a panic, which is contained) synthesizes one "seeded" anomaly.
 	// The chaos campaign wires this to a faults.Injector rule on the
 	// watchdog fault point to prove 1:1 anomaly accounting.
@@ -119,11 +68,9 @@ type Watchdog struct {
 
 // WatchdogOptions configure a Watchdog. All fields optional.
 type WatchdogOptions struct {
-	Audit        *AuditLog       // anomaly audit destination
-	Flight       *FlightRecorder // episode dumps per anomaly
-	Metrics      *Registry       // watchdog.* counters and health gauge
-	Detectors    []Detector      // nil selects DefaultDetectors()
-	RecoverAfter int             // clean signals before ready again; default 64
+	Metrics      *Registry  // watchdog.* counters and health gauge
+	Detectors    []Detector // nil selects DefaultDetectors()
+	RecoverAfter int        // clean signals before ready again; default 64
 }
 
 // NewWatchdog builds a watchdog.
@@ -138,8 +85,6 @@ func NewWatchdog(opts WatchdogOptions) *Watchdog {
 	}
 	w := &Watchdog{
 		detectors:    dets,
-		audit:        opts.Audit,
-		flight:       opts.Flight,
 		reg:          opts.Metrics,
 		health:       HealthReady,
 		recoverAfter: ra,
@@ -149,7 +94,19 @@ func NewWatchdog(opts WatchdogOptions) *Watchdog {
 	return w
 }
 
-// SetSeedProbe installs the fault-seeding probe (see SeedProbe above).
+// SetTracer names the stream anomalies are stated on: the tracer whose
+// sink this watchdog is part of. Without one, anomalies still count and
+// still move Health, but reach no other view.
+func (w *Watchdog) SetTracer(tr *Tracer) {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	w.tr = tr
+	w.mu.Unlock()
+}
+
+// SetSeedProbe installs the fault-seeding probe (see seedProbe above).
 func (w *Watchdog) SetSeedProbe(probe func(detail string) error) {
 	if w == nil {
 		return
@@ -159,13 +116,27 @@ func (w *Watchdog) SetSeedProbe(probe func(detail string) error) {
 	w.mu.Unlock()
 }
 
-// Signal offers one observation to the watchdog. Safe on a nil
-// watchdog and for concurrent use (engine owner + queue workers +
-// store all emit).
-func (w *Watchdog) Signal(sig Signal) {
-	if w == nil {
+// Record implements Sink: a watched fact is one signal. Safe on a nil
+// watchdog and for concurrent use (engine owner, queue workers and store
+// all emit). Anomalies are stated after the lock is released, and
+// FactAnomaly is not itself watched, so the event coming back round the
+// MultiSink ends here.
+func (w *Watchdog) Record(ev Event) {
+	if w == nil || !factByName[ev.Name].Watch {
 		return
 	}
+	if ev.Name == FactQueueWait && ev.Str("result") != "rejected" {
+		return // a wait that ended in a worker picking the job up
+	}
+	fired, tr := w.observe(ev)
+	for _, a := range fired {
+		tr.Instant(CatAnomaly, FactAnomaly, a.Func, S("stage", a.Detector), S("reason", a.Reason))
+	}
+}
+
+// observe runs one signal past the seed probe and the detectors under the
+// lock and returns what fired.
+func (w *Watchdog) observe(ev Event) ([]Anomaly, *Tracer) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.signals++
@@ -177,26 +148,22 @@ func (w *Watchdog) Signal(sig Signal) {
 	// panic containment so an injected panic kind cannot escape into the
 	// engine's hot path.
 	if w.seedProbe != nil {
-		if err := w.probeSeed(sig); err != nil {
-			fired = append(fired, Anomaly{Detector: "seeded", Func: sig.Func, Reason: err.Error()})
+		if err := w.probeSeed(ev); err != nil {
+			fired = append(fired, Anomaly{Detector: "seeded", Func: ev.Func, Reason: err.Error()})
 			w.reg.Counter("watchdog.seeded").Inc()
 		}
 	}
 
 	// Intrinsic anomalies: the signal itself is the finding.
-	switch sig.Kind {
-	case SigQueueSaturated:
-		fired = append(fired, Anomaly{Detector: "queue-saturation", Func: sig.Func, Reason: "compile queue saturated: " + sig.Cause})
-	case SigStoreCorrupt:
-		fired = append(fired, Anomaly{Detector: "store-corruption", Func: sig.Func, Reason: "store record corrupt: " + sig.Cause})
-	case SigQuarantine:
-		// Every quarantine is episode-worthy context (tail sampling), but
-		// only the spike detector decides whether it is anomalous.
-		w.flight.TriggerEpisode("quarantine", sig.Func+": "+sig.Cause)
+	switch ev.Name {
+	case FactQueueWait:
+		fired = append(fired, Anomaly{Detector: "queue-saturation", Func: ev.Func, Reason: "compile queue saturated: inline fallback"})
+	case FactStoreCorrupt:
+		fired = append(fired, Anomaly{Detector: "store-corruption", Func: ev.Func, Reason: "store record corrupt: " + ev.Str("reason")})
 	}
 
 	for _, d := range w.detectors {
-		if a, ok := d.Observe(sig); ok {
+		if a, ok := d.Observe(ev); ok {
 			fired = append(fired, a)
 		}
 	}
@@ -207,7 +174,7 @@ func (w *Watchdog) Signal(sig Signal) {
 			w.health = HealthReady
 			w.reg.Gauge("watchdog.healthy").Set(1)
 		}
-		return
+		return nil, nil
 	}
 	w.cleanStreak = 0
 	w.health = HealthDegraded
@@ -218,27 +185,21 @@ func (w *Watchdog) Signal(sig Signal) {
 		w.lastWhy = a.Detector + ": " + a.Reason
 		w.reg.Counter("watchdog.anomalies").Inc()
 		w.reg.Counter("watchdog.fired." + a.Detector).Inc()
-		w.audit.Record(AuditEvent{
-			Func:    a.Func,
-			Verdict: VerdictAnomaly,
-			Stage:   a.Detector,
-			Reason:  a.Reason,
-		})
-		w.flight.TriggerEpisode(a.Detector, a.Reason)
 	}
 	if len(w.anomalies) > 4096 {
 		w.anomalies = w.anomalies[len(w.anomalies)-4096:]
 	}
+	return fired, w.tr
 }
 
 // probeSeed runs the seed probe with panic containment.
-func (w *Watchdog) probeSeed(sig Signal) (err error) {
+func (w *Watchdog) probeSeed(ev Event) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("seeded panic: %v", r)
 		}
 	}()
-	return w.seedProbe(sig.Kind.String() + ":" + sig.Func)
+	return w.seedProbe(ev.Name + ":" + ev.Func)
 }
 
 // Health returns the current readiness state and the last anomaly line.
@@ -320,19 +281,19 @@ func NewDeoptStormDetector(threshold int) Detector {
 
 func (d *deoptStormDetector) Name() string { return "deopt-storm" }
 
-func (d *deoptStormDetector) Observe(sig Signal) (Anomaly, bool) {
-	if sig.Kind != SigDeopt {
+func (d *deoptStormDetector) Observe(ev Event) (Anomaly, bool) {
+	if ev.Name != FactDeopt {
 		return Anomaly{}, false
 	}
-	d.perFunc[sig.Func]++
-	if d.perFunc[sig.Func] < d.threshold {
+	d.perFunc[ev.Func]++
+	if d.perFunc[ev.Func] < d.threshold {
 		return Anomaly{}, false
 	}
-	d.perFunc[sig.Func] = 0
+	d.perFunc[ev.Func] = 0
 	return Anomaly{
 		Detector: d.Name(),
-		Func:     sig.Func,
-		Reason:   fmt.Sprintf("%d deopt exits (%s)", d.threshold, sig.Cause),
+		Func:     ev.Func,
+		Reason:   fmt.Sprintf("%d deopt exits (speculation guard failed)", d.threshold),
 	}, true
 }
 
@@ -360,9 +321,9 @@ func NewQuarantineSpikeDetector(spike, window int) Detector {
 
 func (d *quarantineSpikeDetector) Name() string { return "quarantine-spike" }
 
-func (d *quarantineSpikeDetector) Observe(sig Signal) (Anomaly, bool) {
+func (d *quarantineSpikeDetector) Observe(ev Event) (Anomaly, bool) {
 	d.seen++
-	if sig.Kind != SigQuarantine {
+	if ev.Name != FactQuarantined {
 		return Anomaly{}, false
 	}
 	d.marks = append(d.marks, d.seen)
@@ -376,7 +337,7 @@ func (d *quarantineSpikeDetector) Observe(sig Signal) (Anomaly, bool) {
 	d.marks = d.marks[:0]
 	return Anomaly{
 		Detector: d.Name(),
-		Func:     sig.Func,
+		Func:     ev.Func,
 		Reason:   fmt.Sprintf("%d quarantines within %d signals", n, d.window),
 	}, true
 }
@@ -451,11 +412,11 @@ func NewCacheMissRegressionDetector(window int, delta float64) Detector {
 
 func (d *cacheMissRegressionDetector) Name() string { return "cache-miss-regression" }
 
-func (d *cacheMissRegressionDetector) Observe(sig Signal) (Anomaly, bool) {
-	if sig.Kind != SigCacheHit && sig.Kind != SigCacheMiss {
+func (d *cacheMissRegressionDetector) Observe(ev Event) (Anomaly, bool) {
+	if ev.Name != FactCacheHit && ev.Name != FactStoreHit && ev.Name != FactCacheMiss {
 		return Anomaly{}, false
 	}
-	wr, lr, fired := d.st.observe(sig.Kind == SigCacheMiss)
+	wr, lr, fired := d.st.observe(ev.Name == FactCacheMiss)
 	if !fired {
 		return Anomaly{}, false
 	}
@@ -485,11 +446,11 @@ func NewVerdictRateShiftDetector(window int, delta float64) Detector {
 
 func (d *verdictRateShiftDetector) Name() string { return "verdict-rate-shift" }
 
-func (d *verdictRateShiftDetector) Observe(sig Signal) (Anomaly, bool) {
-	if sig.Kind != SigVerdict {
+func (d *verdictRateShiftDetector) Observe(ev Event) (Anomaly, bool) {
+	if ev.Name != FactDecide {
 		return Anomaly{}, false
 	}
-	wr, lr, fired := d.st.observe(sig.Cause != string(VerdictGo))
+	wr, lr, fired := d.st.observe(ev.Str("verdict") != string(VerdictGo))
 	if !fired {
 		return Anomaly{}, false
 	}
@@ -502,8 +463,8 @@ func (d *verdictRateShiftDetector) Observe(sig Signal) (Anomaly, bool) {
 // perfDivergenceDetector fires once per function that the policy pinned
 // to the interpreter (nojit) yet keeps getting hot — the "JITBULL's
 // verdict is costing real performance" case the paper's go/no-go
-// trade-off creates. The engine emits SigHotInterp at call-count
-// milestones for pinned functions; the detector dedups per function.
+// trade-off creates. The engine states FactHotInterp at a call-count
+// milestone of a pinned function; the detector dedups per function.
 type perfDivergenceDetector struct {
 	flagged map[string]bool
 }
@@ -515,14 +476,14 @@ func NewPerfDivergenceDetector() Detector {
 
 func (d *perfDivergenceDetector) Name() string { return "perf-divergence" }
 
-func (d *perfDivergenceDetector) Observe(sig Signal) (Anomaly, bool) {
-	if sig.Kind != SigHotInterp || d.flagged[sig.Func] {
+func (d *perfDivergenceDetector) Observe(ev Event) (Anomaly, bool) {
+	if ev.Name != FactHotInterp || d.flagged[ev.Func] {
 		return Anomaly{}, false
 	}
-	d.flagged[sig.Func] = true
+	d.flagged[ev.Func] = true
 	return Anomaly{
 		Detector: d.Name(),
-		Func:     sig.Func,
-		Reason:   fmt.Sprintf("policy-pinned function still hot after %d calls", sig.Value),
+		Func:     ev.Func,
+		Reason:   fmt.Sprintf("policy-pinned function still hot after %d calls", ev.Int("calls")),
 	}, true
 }

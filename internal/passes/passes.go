@@ -213,7 +213,7 @@ func RunWith(g *mir.Graph, o RunOptions) error {
 			if !p.Disableable() {
 				return fmt.Errorf("pass %s is mandatory and cannot be disabled", p.Name())
 			}
-			o.Faults.Tracer().Instant(obs.CatPass, "pass.skipped",
+			o.Faults.Tracer().Instant(obs.CatPass, "pass.skipped", g.Name,
 				obs.S("pass", p.Name()), obs.I("index", int64(i)))
 			if o.Observer != nil {
 				o.Observer(i, p.Name(), nil, nil)

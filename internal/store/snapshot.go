@@ -19,7 +19,6 @@ import (
 
 	"github.com/jitbull/jitbull/internal/faults"
 	"github.com/jitbull/jitbull/internal/jitqueue"
-	"github.com/jitbull/jitbull/internal/obs"
 )
 
 const (
@@ -210,13 +209,7 @@ func (s *Store) quarantineBundleRecord(bundle string, idx int, rec manifestRecor
 	evidence, _ := json.Marshal(rec)
 	dst := filepath.Join(s.quar, fmt.Sprintf("bundle-record-%d.%d.json", idx, s.qseq.Add(1)))
 	writeAtomic(dst, evidence)
-	s.mQuarantined.Inc()
-	s.opts.Audit.Record(obs.AuditEvent{
-		Func:    rec.Key,
-		Verdict: obs.VerdictQuarantine,
-		Stage:   "store",
-		Reason:  fmt.Sprintf("bundle %s record %d quarantined to %s: %s", bundle, idx, dst, reason),
-	})
+	s.corrupt(rec.Key, fmt.Sprintf("bundle %s record %d quarantined to %s: %s", bundle, idx, dst, reason))
 }
 
 // containManifestPanic converts an injected panic unwinding a manifest

@@ -18,8 +18,8 @@
 // every failure — unreadable file, torn envelope, checksum mismatch,
 // version skew, key mismatch, injected disk fault — degrades to a miss.
 // Records that exist but cannot be trusted are quarantined (renamed into
-// a sidecar directory, preserving the evidence) with a metric and an
-// audit event per degradation; transient I/O errors are retried with
+// a sidecar directory, preserving the evidence) with a metric and a fact
+// on Options.Tracer per degradation; transient I/O errors are retried with
 // bounded backoff before giving up. A store failure can cost time, never
 // correctness: the verdict either replays bit-identically or is decided
 // cold.
@@ -100,9 +100,6 @@ func IsCorrupt(err error) bool {
 type Options struct {
 	// Metrics receives the store.* counters (nil discards).
 	Metrics *obs.Registry
-	// Audit receives one event per degradation: quarantined record,
-	// dropped put, fault-induced miss (nil discards).
-	Audit *obs.AuditLog
 	// Faults is the chaos injector for the disk boundary (nil = no
 	// injection). Give the injector to the store ONLY — an injector on the
 	// engine's compile path vetoes cache keys entirely.
@@ -111,12 +108,13 @@ type Options struct {
 	Retries int
 	// Sleep is the backoff sleeper, injectable for tests (nil = time.Sleep).
 	Sleep func(time.Duration)
-	// Watchdog, when non-nil, receives one SigStoreCorrupt signal per
-	// quarantined record — the anomaly watchdog's view of disk rot.
-	Watchdog *obs.Watchdog
-	// Tracer records one span per Get/Put (nil = no tracing); the span
-	// IDs seed the store.{get,put}_ns histogram exemplars so an outlier
-	// bucket can be followed back to the retained trace event.
+	// Tracer is the event stream the store states its facts on (nil = none):
+	// one span per Get/Put, whose IDs seed the store.{get,put}_ns histogram
+	// exemplars so an outlier bucket can be followed back to the retained
+	// trace event; one FactStoreCorrupt per quarantined record — the audit
+	// log's and the anomaly watchdog's view of disk rot; one
+	// FactCompileError per dropped put, failed read or injected fault. Give
+	// it the engine's tracer and the same views render both.
 	Tracer *obs.Tracer
 }
 
@@ -198,15 +196,15 @@ func (s *Store) recordPath(k jitqueue.Key) string {
 
 // accountFault gives one injected fault the 1:1 accounting the chaos
 // campaign matches against the injector's own fired list: a metric tick
-// and an audit event naming point, kind and detail.
+// and an error fact naming point, kind and detail.
 func (s *Store) accountFault(f faults.Fault) {
 	s.mFaults.Inc()
-	s.opts.Audit.Record(obs.AuditEvent{
-		Func:    f.Detail,
-		Verdict: obs.VerdictCompileError,
-		Stage:   string(f.Point),
-		Reason:  "injected disk fault: " + f.String(),
-	})
+	s.failed(f.Detail, f.Point, "injected disk fault: "+f.String())
+}
+
+// failed states one degradation that cost a read or a write but no record.
+func (s *Store) failed(key string, at faults.Point, reason string) {
+	s.opts.Tracer.Instant(obs.CatStore, obs.FactCompileError, key, obs.S("stage", string(at)), obs.S("reason", reason))
 }
 
 // checkFault evaluates one hit of a store fault point with panic
@@ -315,11 +313,11 @@ func writeAtomic(path string, data []byte) error {
 // transient EIO is absorbed by the bounded retry loop.
 func (s *Store) Put(k jitqueue.Key, data []byte) {
 	key := keyHex(k)
-	sp := s.opts.Tracer.Begin(obs.CatStore, "store.put")
+	sp := s.opts.Tracer.Begin(obs.CatStore, obs.FactStorePut, key)
 	start := time.Now()
 	defer func() {
 		s.hPut.ObserveEx(int64(time.Since(start)), sp.ID())
-		sp.End(obs.S("key", key))
+		sp.End()
 	}()
 	env, err := encodeRecord(key, data)
 	if err != nil {
@@ -385,12 +383,7 @@ func (s *Store) Put(k jitqueue.Key, data []byte) {
 // dropPut accounts one lost write: the value stays memory-only.
 func (s *Store) dropPut(key, reason string) {
 	s.mPutDrops.Inc()
-	s.opts.Audit.Record(obs.AuditEvent{
-		Func:    key,
-		Verdict: obs.VerdictCompileError,
-		Stage:   string(faults.PointStorePut),
-		Reason:  "store put dropped: " + reason,
-	})
+	s.failed(key, faults.PointStorePut, "store put dropped: "+reason)
 }
 
 // Get implements jitqueue.SecondTier: fetch and verify one record.
@@ -402,11 +395,11 @@ func (s *Store) dropPut(key, reason string) {
 func (s *Store) Get(k jitqueue.Key) ([]byte, bool) {
 	key := keyHex(k)
 	path := s.recordPath(k)
-	sp := s.opts.Tracer.Begin(obs.CatStore, "store.get")
+	sp := s.opts.Tracer.Begin(obs.CatStore, obs.FactStoreGet, key)
 	start := time.Now()
 	defer func() {
 		s.hGet.ObserveEx(int64(time.Since(start)), sp.ID())
-		sp.End(obs.S("key", key))
+		sp.End()
 	}()
 
 	for attempt := 0; ; attempt++ {
@@ -437,12 +430,7 @@ func (s *Store) Get(k jitqueue.Key) ([]byte, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
-			s.opts.Audit.Record(obs.AuditEvent{
-				Func:    key,
-				Verdict: obs.VerdictCompileError,
-				Stage:   string(faults.PointStoreGet),
-				Reason:  "store read failed: " + err.Error(),
-			})
+			s.failed(key, faults.PointStoreGet, "store read failed: "+err.Error())
 		}
 		s.mMisses.Inc()
 		return nil, false
@@ -489,14 +477,13 @@ func (s *Store) quarantine(path, key string, cause error) {
 		os.Remove(path)
 		dst = "(unpreserved: " + err.Error() + ")"
 	}
+	s.corrupt(key, fmt.Sprintf("record quarantined to %s: %v", dst, cause))
+}
+
+// corrupt accounts one untrustworthy record now out of service.
+func (s *Store) corrupt(key, reason string) {
 	s.mQuarantined.Inc()
-	s.opts.Audit.Record(obs.AuditEvent{
-		Func:    key,
-		Verdict: obs.VerdictQuarantine,
-		Stage:   "store",
-		Reason:  fmt.Sprintf("record quarantined to %s: %v", dst, cause),
-	})
-	s.opts.Watchdog.Signal(obs.Signal{Kind: obs.SigStoreCorrupt, Func: key, Cause: cause.Error()})
+	s.opts.Tracer.Instant(obs.CatStore, obs.FactStoreCorrupt, key, obs.S("stage", "store"), obs.S("reason", reason))
 }
 
 // Len reports how many record files the store currently holds (corrupt

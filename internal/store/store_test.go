@@ -30,7 +30,7 @@ func open(t *testing.T, dir string, inj *faults.Injector) (*Store, *obs.Registry
 	audit := obs.NewAuditLog(nil)
 	s, err := Open(dir, Options{
 		Metrics: reg,
-		Audit:   audit,
+		Tracer:  obs.NewTracer(audit),
 		Faults:  inj,
 		Sleep:   func(time.Duration) {},
 	})
@@ -106,7 +106,7 @@ func TestStoreQuarantinesHandCorruptedRecord(t *testing.T) {
 	}
 	found := false
 	for _, ev := range audit.Events() {
-		if ev.Verdict == obs.VerdictQuarantine && strings.Contains(ev.Reason, "quarantined") {
+		if ev.Verdict == "quarantine" && strings.Contains(ev.Reason, "quarantined") {
 			found = true
 		}
 	}

@@ -78,21 +78,28 @@ type (
 	Benchmark = octane.Benchmark
 )
 
-// Observability types (see internal/obs): tracing, metrics, and the
-// policy-decision audit log, all wired through Config.Tracer,
-// Config.Metrics and Config.Audit.
+// Observability types (see internal/obs). Config has two observability
+// fields. Config.Metrics is the counter and histogram registry.
+// Config.Tracer is the one event stream the engine states its lifecycle
+// facts and compile-pipeline spans on; what to keep of it is chosen by the
+// tracer's sink: Ring, Journal, AuditLog, Watchdog and FlightRecorder are
+// each a view of the stream, composed with MultiSink (the Watchdog last,
+// and told the tracer with SetTracer so its anomalies join the stream).
 type (
-	// Tracer records compile-lifecycle spans and instants into a Sink.
-	// A nil *Tracer is the disabled tracer (one nil check per probe).
+	// Tracer stamps lifecycle facts, spans and instants and routes them
+	// into a Sink. A nil *Tracer is the disabled tracer (one nil check per
+	// probe).
 	Tracer = obs.Tracer
 	// TraceEvent is one recorded span or instant.
 	TraceEvent = obs.Event
-	// Ring is a fixed-capacity trace sink keeping the newest events.
+	// Ring is the view that keeps the whole stream, newest events first to
+	// stay; it is what SaveChromeTrace exports.
 	Ring = obs.Ring
 	// Registry is a named-metrics registry (counters, gauges, histograms).
 	Registry = obs.Registry
-	// AuditLog records one structured event per go/no-go verdict and
-	// per compilation-supervisor transition.
+	// AuditLog is the view that keeps decisions: the go/no-go verdicts a
+	// Detector appends to it (set Detector.Audit), and of the stream the
+	// supervisor transitions and watchdog anomalies.
 	AuditLog = obs.AuditLog
 	// AuditEvent is one structured audit record (JSONL on disk).
 	AuditEvent = obs.AuditEvent
@@ -100,42 +107,40 @@ type (
 	Verdict = obs.Verdict
 )
 
-// Observability v2 types (see internal/obs): the tier-journey journal,
-// the tail-sampling flight recorder, and the anomaly watchdog, wired
-// through Config.Journal and Config.Watchdog (and the tracer's sink for
-// the flight recorder).
+// The other views of the stream (see internal/obs): the tier-journey
+// journal, the tail-sampling flight recorder, and the anomaly watchdog.
 type (
-	// Journal records each function's tier journey (interp → warm →
-	// compiled → installed → OSR/deopt/quarantine ...) as a compact,
-	// bounded event stream; a nil *Journal records nothing.
+	// Journal is the view that keeps each function's tier journey (interp
+	// → warm → compiled → installed → OSR/deopt/quarantine ...), bounded
+	// per function; a nil *Journal records nothing.
 	Journal = obs.Journal
 	// JourneyEvent is one step of a function's tier journey.
 	JourneyEvent = obs.JourneyEvent
-	// FlightRecorder is a tail-sampling trace sink: it retains every span
-	// in a ring but dumps a Chrome-trace episode file only around
-	// anomalies (p99 compile outliers, injected faults, watchdog
-	// triggers), under a bounded disk budget.
+	// FlightRecorder is the tail-sampling view: it retains every event in
+	// a ring but dumps a Chrome-trace episode file only around anomalies
+	// (p99 compile outliers, injected faults, quarantines, watchdog
+	// anomalies), under a bounded disk budget.
 	FlightRecorder = obs.FlightRecorder
 	// FlightOptions bounds a FlightRecorder (ring size, dump count/bytes).
 	FlightOptions = obs.FlightOptions
 	// FlightEpisode describes one dumped anomaly episode.
 	FlightEpisode = obs.Episode
-	// Watchdog turns engine/store signals into anomaly verdicts through
-	// pluggable detectors, driving /healthz and the audit log. A nil
-	// *Watchdog ignores every signal.
+	// Watchdog is the view that turns the engine's and the store's facts
+	// into anomalies through pluggable detectors, driving /healthz; each
+	// anomaly is itself a fact on the stream, which is how the audit log
+	// and the flight recorder come by it. A nil *Watchdog ignores every
+	// event.
 	Watchdog = obs.Watchdog
 	// WatchdogOptions configures the watchdog (detectors, registry,
-	// audit log, flight recorder, recovery threshold).
+	// recovery threshold).
 	WatchdogOptions = obs.WatchdogOptions
-	// WatchdogSignal is one observation fed to the watchdog's detectors.
-	WatchdogSignal = obs.Signal
 	// Anomaly is one detector verdict (detector name, function, cause).
 	Anomaly = obs.Anomaly
 	// OpsState bundles what the ops endpoints serve (/metrics.prom,
 	// /healthz, /journey.json, /flight.json, ...).
 	OpsState = obs.OpsState
-	// MultiSink fans trace events out to several sinks (e.g. a Ring for
-	// -trace plus a FlightRecorder).
+	// MultiSink fans the stream out to several views (e.g. a Ring for
+	// -trace, an AuditLog, a FlightRecorder, and a Watchdog last).
 	MultiSink = obs.MultiSink
 	// FaultInjector is the deterministic chaos injector (see
 	// internal/faults), wired through Config.Faults.
@@ -195,23 +200,17 @@ type (
 	// recomputed bit-identically on load) and JITBULL verdicts through the
 	// detector's own verdict codec.
 	CacheCodec = engine.CacheCodec
-	// StoreOptions configures an ArtifactStore (metrics, audit, chaos
-	// injector, retry budget, watchdog, tracer).
+	// StoreOptions configures an ArtifactStore (metrics, tracer, chaos
+	// injector, retry budget).
 	StoreOptions = store.Options
 )
 
 // OpenStore opens (creating if needed) a persistent artifact store rooted
-// at dir. reg and audit may be nil; when set they receive the store.*
-// metrics and a quarantine/degradation audit trail.
-func OpenStore(dir string, reg *Registry, audit *AuditLog) (*ArtifactStore, error) {
-	return store.Open(dir, store.Options{Metrics: reg, Audit: audit})
-}
-
-// OpenStoreWith is OpenStore with the full option surface: chaos
-// injector, retry budget, anomaly watchdog (one SigStoreCorrupt per
-// quarantined record) and tracer (store.get/store.put spans feeding the
-// store.{get,put}_ns histogram exemplars).
-func OpenStoreWith(dir string, opts StoreOptions) (*ArtifactStore, error) {
+// at dir. Give opts.Tracer the engine's tracer: the store states its facts
+// (a quarantined record, a dropped put, its get/put spans feeding the
+// store.{get,put}_ns histogram exemplars) on the same stream, so the same
+// audit log, watchdog and flight recorder render them.
+func OpenStore(dir string, opts StoreOptions) (*ArtifactStore, error) {
 	return store.Open(dir, opts)
 }
 
@@ -235,15 +234,17 @@ func AttachStore(c *CodeCache, st *ArtifactStore, codec *CacheCodec) {
 // NewRing returns a trace ring buffer; capacity <= 0 uses the default (64k).
 func NewRing(capacity int) *Ring { return obs.NewRing(capacity) }
 
-// NewTracer returns a tracer recording into sink.
+// NewTracer returns a tracer routing the stream into sink: one view, or a
+// MultiSink of several.
 func NewTracer(sink obs.Sink) *Tracer { return obs.NewTracer(sink) }
 
 // NewRegistry returns an empty metrics registry (safe for concurrent use,
 // shareable across engines).
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// NewAuditLog returns an audit log; w may be nil for in-memory-only use,
-// or a writer to stream each event as one JSON line.
+// NewAuditLog returns an audit log; w may be nil for in-memory-only use
+// (the newest 64k events), or a writer to stream every event as one JSON
+// line.
 func NewAuditLog(w io.Writer) *AuditLog { return obs.NewAuditLog(w) }
 
 // SaveChromeTrace writes events as a Chrome trace_event JSON file,
@@ -268,13 +269,14 @@ func NewJournal(capPerFunc int) *Journal { return obs.NewJournal(capPerFunc) }
 
 // NewFlightRecorder returns a tail-sampling flight recorder dumping
 // anomaly episodes as Chrome-trace files under dir. Use it as the
-// tracer's sink (alone or in a MultiSink beside a Ring).
+// tracer's sink (alone or in a MultiSink beside the other views).
 func NewFlightRecorder(dir string, opts FlightOptions) *FlightRecorder {
 	return obs.NewFlightRecorder(dir, opts)
 }
 
 // NewWatchdog returns an anomaly watchdog running the default detector
-// set unless opts.Detectors overrides it.
+// set unless opts.Detectors overrides it. Put it last in the tracer's
+// MultiSink and call SetTracer with that tracer.
 func NewWatchdog(opts WatchdogOptions) *Watchdog { return obs.NewWatchdog(opts) }
 
 // StartOpsServer serves the full operating surface — /metrics,
@@ -286,7 +288,7 @@ func StartOpsServer(addr string, s OpsState) (*http.Server, net.Addr, error) {
 }
 
 // WatchdogProbe adapts a fault injector into a Watchdog seed probe
-// (see Watchdog.SetSeedProbe): each watchdog signal evaluates one hit of
+// (see Watchdog.SetSeedProbe): each fact the watchdog counts evaluates one hit of
 // the "watchdog" fault point, letting the chaos campaign seed anomalies
 // with the injector's own 1:1 accounting.
 func WatchdogProbe(in *FaultInjector) func(detail string) error {
@@ -298,11 +300,12 @@ func New(src string, cfg Config) (*Engine, error) { return engine.New(src, cfg) 
 
 // Protect installs a JITBULL detector over db on the engine and returns
 // it. With an empty database the engine runs with zero added overhead.
-// The detector inherits the engine's audit log and metrics sink, so policy
-// verdicts and DNA histograms land beside the compile-path events.
+// The detector inherits the engine's metrics sink, so DNA histograms land
+// beside the compile-path ones; set its Audit field to the AuditLog in the
+// tracer's sink to have the go/no-go verdicts, with their match
+// attribution, logged between the supervisor transitions.
 func Protect(e *Engine, db *Database) *Detector {
 	d := core.NewDetector(db)
-	d.Audit = e.Audit()
 	d.Metrics = e.MetricsSink()
 	e.SetPolicy(d)
 	return d
