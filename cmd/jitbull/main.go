@@ -262,7 +262,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		jitbull.AttachStore(codeCache, st, jitbull.NewCacheCodec(det))
+		jitbull.AttachStore(codeCache, st)
 	}
 	_, runErr := eng.Run()
 	switch {
@@ -311,8 +311,8 @@ func cmdRun(args []string) error {
 			fmt.Fprintf(os.Stderr, "jitbull matches:\n")
 			for _, m := range det.Matches {
 				attr := ""
-				if chain := m.Chain(); chain != "" {
-					attr = fmt.Sprintf(" via %s chain %s", m.Side, chain)
+				if m.Chain != "" {
+					attr = fmt.Sprintf(" via %s chain %s", m.Side, m.Chain)
 				}
 				fmt.Fprintf(os.Stderr, "  %s (VDC fn %s) matched pass %s%s\n", m.CVE, m.VDCFunc, m.Pass, attr)
 			}

@@ -19,8 +19,10 @@ import (
 	"github.com/jitbull/jitbull/internal/vulndb"
 )
 
-// decisionLog wraps a policy and records every CompileDecision it returns
-// to the engine.
+// decisionLog wraps a policy and records the verdict of every
+// CompileDecision it returns to the engine. The evidence is left out: the
+// reference detector attributes no witness chain, and the match sets of
+// the two are compared by key in internal/core's equivalence tests.
 type decisionLog struct {
 	inner     engine.Policy
 	decisions []engine.CompileDecision
@@ -32,7 +34,7 @@ func (d *decisionLog) BeginCompile(fn string) (passes.Observer, func() engine.Co
 	obs, finish := d.inner.BeginCompile(fn)
 	return obs, func() engine.CompileDecision {
 		dec := finish()
-		d.decisions = append(d.decisions, dec)
+		d.decisions = append(d.decisions, engine.CompileDecision{DisabledPasses: dec.DisabledPasses, NoJIT: dec.NoJIT})
 		return dec
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/mir"
+	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/passes"
 	"github.com/jitbull/jitbull/internal/progen"
 	"github.com/jitbull/jitbull/internal/vulndb"
@@ -92,7 +93,7 @@ func TestHeavyTailEquivalence(t *testing.T) {
 	if fastStats != refStats {
 		t.Errorf("stats diverged\nfast %+v\nref  %+v", fastStats, refStats)
 	}
-	fastKeys, refKeys := map[core.MatchKey]bool{}, map[core.MatchKey]bool{}
+	fastKeys, refKeys := map[obs.MatchKey]bool{}, map[obs.MatchKey]bool{}
 	for _, m := range fast.Matches {
 		fastKeys[m.Key()] = true
 	}

@@ -71,8 +71,8 @@ func TestMatchAttributionWitnessChain(t *testing.T) {
 				t.Fatalf("ChainID = %d (%q), want %d (%q)",
 					m.ChainID, ChainString(m.ChainID), want, ChainString(want))
 			}
-			if m.Chain() != ChainString(want) {
-				t.Fatalf("Chain() = %q, want %q", m.Chain(), ChainString(want))
+			if m.Chain != ChainString(want) {
+				t.Fatalf("Chain = %q, want %q", m.Chain, ChainString(want))
 			}
 		})
 	}
@@ -94,7 +94,7 @@ func TestMatchAttributionDegenerateThreshold(t *testing.T) {
 		t.Fatalf("expected one degenerate match, got %+v", det.Matches)
 	}
 	m := det.Matches[0]
-	if m.ChainID != NoChain || m.Side != "" || m.Chain() != "" {
+	if m.ChainID != NoChain || m.Side != "" || m.Chain != "" {
 		t.Fatalf("degenerate match must carry the NoChain sentinel, got %+v", m)
 	}
 }

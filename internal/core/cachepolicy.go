@@ -10,26 +10,19 @@ package core
 // thresholds, so two compilations with equal keys run the identical
 // pipeline over identical MIR and extract identical DNA; Algorithms 1–2
 // are deterministic functions of that DNA and the database, hence the
-// recorded verdict IS the verdict a fresh run would produce. Replay
-// re-records the audit trail and the per-detector match accounting so an
-// engine served from the cache is observationally identical to one that
-// computed the verdict itself.
+// recorded decision IS the decision a fresh run would produce. The engine
+// keeps the engine.CompileDecision that Decide returned next to the
+// artifact and hands it back on a hit; replay books it (audit trail,
+// per-detector match accounting) through the same function the live
+// decision went through, so an engine served from the cache is
+// observationally identical to one that computed the verdict itself.
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/jitbull/jitbull/internal/engine"
-	"github.com/jitbull/jitbull/internal/obs"
 )
-
-// verdictPayload is the opaque record the engine stores next to a cached
-// artifact: the deterministically-sorted matches of one Decide call plus
-// the derived decision. Immutable after capture.
-type verdictPayload struct {
-	found []Match  // sorted as Decide records them; empty = go verdict
-	names []string // sorted matched-pass set
-	noJIT bool
-}
 
 var _ engine.CachingPolicy = (*Detector)(nil)
 
@@ -52,60 +45,23 @@ func (d *Detector) PolicyCacheKey() (string, bool) {
 	return fmt.Sprintf("core.Detector/db=%016x/thr=%d/ratio=%g", d.DB.Fingerprint(), d.Thr, d.Ratio), true
 }
 
-// TakeVerdictPayload implements engine.CachingPolicy.
-func (d *Detector) TakeVerdictPayload() any {
-	p := d.last
-	d.last = nil
-	if p == nil {
-		return nil
-	}
-	return p
-}
-
-// ReplayVerdict implements engine.CachingPolicy: it re-applies a recorded
-// verdict for fnName — deduplicating the matches into this detector's
-// accounting and re-recording the audit event exactly as the live Decide
-// would — and returns the decision.
-func (d *Detector) ReplayVerdict(fnName string, payload any) engine.CompileDecision {
-	p, ok := payload.(*verdictPayload)
-	if !ok || p == nil {
-		return engine.CompileDecision{}
-	}
-	if len(p.found) == 0 {
-		d.Audit.Append(obs.AuditEvent{Func: fnName, Verdict: obs.VerdictGo})
-		return engine.CompileDecision{}
-	}
-	if d.seen == nil {
-		d.seen = map[MatchKey]struct{}{}
-	}
-	for _, m := range p.found {
-		if _, dup := d.seen[m.Key()]; !dup {
-			d.seen[m.Key()] = struct{}{}
-			d.Matches = append(d.Matches, m)
-		}
-	}
-	if d.Audit != nil {
-		verdict := obs.VerdictDisablePass
-		if p.noJIT {
-			verdict = obs.VerdictNoJIT
-		}
-		am := make([]obs.AuditMatch, len(p.found))
-		for i, m := range p.found {
-			am[i] = obs.AuditMatch{
-				CVE: m.CVE, VDCFunc: m.VDCFunc, Pass: m.Pass,
-				ChainID: m.ChainID, Side: m.Side, Chain: m.Chain(),
+// ReplayDecision implements engine.CachingPolicy: it books a decision
+// made for an equal cache key — by this detector, by another engine's, or
+// in a process that has since died — as fnName's, exactly as the live
+// Decide booked it. The witness chains travel as text (Match.Chain) and
+// are interned again here, as Delta.UnmarshalJSON does for a database:
+// the IDs of the process that made the decision mean nothing in this one,
+// and NoChain stays NoChain. A replayed go verdict carries no reason.
+func (d *Detector) ReplayDecision(fnName string, dec engine.CompileDecision) {
+	reason := ""
+	if len(dec.Matches) > 0 {
+		reason = "replayed from shared compilation cache"
+		dec.Matches = slices.Clone(dec.Matches) // the cached value is shared
+		for i := range dec.Matches {
+			if m := &dec.Matches[i]; m.ChainID != NoChain {
+				m.ChainID = InternChain(m.Chain)
 			}
 		}
-		d.Audit.Append(obs.AuditEvent{
-			Func:           fnName,
-			Verdict:        verdict,
-			DisabledPasses: p.names,
-			Matches:        am,
-			Reason:         "replayed from shared compilation cache",
-		})
 	}
-	if p.noJIT {
-		return engine.CompileDecision{NoJIT: true, DisabledPasses: p.names}
-	}
-	return engine.CompileDecision{DisabledPasses: p.names}
+	d.book(fnName, dec, reason)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/jitbull/jitbull/internal/engine"
@@ -48,43 +49,6 @@ func SimilarDeltas(a, b Delta, ratio float64, thr int) bool {
 		CompareChains(a.Added, b.Added, ratio, thr)
 }
 
-// Match records one DNA similarity found during a compilation, with full
-// attribution of which VDC chain witnessed it.
-type Match struct {
-	CVE     string
-	VDCFunc string
-	Pass    string
-	// ChainID is the interned ID of the witness chain — the smallest chain
-	// shared between the candidate DNA and the matched delta on Side — or
-	// NoChain when the match needed no shared chain (degenerate
-	// thresholds). Render it with ChainString.
-	ChainID uint32
-	// Side is "removed" or "added" (which δ side witnessed), or "" when
-	// ChainID is NoChain.
-	Side string
-}
-
-// MatchKey is the identity projection of a Match: the (CVE, VDCFunc,
-// Pass) triple that defines go/no-go decisions. Attribution fields are
-// witnesses, not identity — two detectors are decision-equivalent when
-// their match KEY sets agree.
-type MatchKey struct {
-	CVE     string
-	VDCFunc string
-	Pass    string
-}
-
-// Key projects the match to its identity.
-func (m Match) Key() MatchKey { return MatchKey{CVE: m.CVE, VDCFunc: m.VDCFunc, Pass: m.Pass} }
-
-// Chain renders the witness chain ("" when there is none).
-func (m Match) Chain() string {
-	if m.ChainID == NoChain {
-		return ""
-	}
-	return ChainString(m.ChainID)
-}
-
 // Detector is the Δ comparator plus go/no-go policy. It implements
 // engine.Policy: install it with Engine.SetPolicy. With an empty database
 // Active reports false and the engine skips all snapshotting (zero
@@ -102,7 +66,7 @@ type Detector struct {
 	// suppressed by identity (MatchKey), so the slice stays bounded by the
 	// database size on long runs; call Reset to reuse the detector across
 	// runs.
-	Matches []Match
+	Matches []obs.Match
 
 	// Audit, when set, receives one structured event per go/no-go verdict,
 	// with the full match attribution (CVE, VDC function, pass, witness
@@ -115,10 +79,9 @@ type Detector struct {
 	// truncation, per non-empty Δ — the super-linear term of extraction).
 	Metrics *obs.Registry
 
-	seen      map[MatchKey]struct{}
+	seen      map[obs.MatchKey]struct{}
 	scratch   matchScratch
-	found     []Match
-	last      *verdictPayload // most recent Decide verdict (see cachepolicy.go)
+	found     []obs.Match
 	deltaHist *obs.Histogram
 	probeHist *obs.Histogram
 	pairHist  *obs.Histogram
@@ -168,12 +131,9 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 		// The real database could not be trusted: no DNA to compare
 		// against, so take no snapshots and veto every compilation.
 		return nil, func() engine.CompileDecision {
-			d.Audit.Append(obs.AuditEvent{
-				Func:    fnName,
-				Verdict: obs.VerdictNoJIT,
-				Reason:  "fail-safe database: vetoing every compilation",
-			})
-			return engine.CompileDecision{NoJIT: true}
+			dec := engine.CompileDecision{NoJIT: true}
+			d.book(fnName, dec, "fail-safe database: vetoing every compilation")
+			return dec
 		}
 	}
 	d.resolveHists()
@@ -197,7 +157,7 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 }
 
 // Decide compares one function's DNA against the whole database (the
-// finish step of Algorithm 2) and produces the go/no-go decision. Its
+// finish step of Algorithm 2), books the verdict and returns it. Its
 // verdicts are defined to be identical to ReferenceDetector.Decide's.
 func (d *Detector) Decide(dna *DNA) engine.CompileDecision {
 	if d.DB == nil {
@@ -213,21 +173,31 @@ func (d *Detector) Decide(dna *DNA) engine.CompileDecision {
 		passName := passName
 		d.deltaHist.Observe(int64(len(fdelta.Removed) + len(fdelta.Added)))
 		idx.query(passName, fdelta, d.Ratio, d.Thr, &d.scratch, func(cve, vdcFunc string, chain uint32, side matchSide) {
-			found = append(found, Match{
-				CVE: cve, VDCFunc: vdcFunc, Pass: passName,
-				ChainID: chain, Side: side.String(),
-			})
+			m := obs.Match{CVE: cve, VDCFunc: vdcFunc, Pass: passName, ChainID: chain, Side: side.String()}
+			if chain != NoChain {
+				m.Chain = ChainString(chain)
+			}
+			found = append(found, m)
 		})
 		d.probeHist.Observe(int64(d.scratch.probes))
 	}
 	d.found = found[:0]
+	dec := decisionOf(found)
+	d.book(dna.FuncName, dec, "")
+	return dec
+}
+
+// decisionOf derives the go/no-go decision from the matches of one
+// compilation: every matched pass is disabled, and one that cannot be
+// (scenario 3, §IV-C) denies the JIT for the function. The matches are
+// copied — found is scratch the next compilation reuses — in the order
+// they are booked.
+func decisionOf(found []obs.Match) engine.CompileDecision {
 	if len(found) == 0 {
-		d.last = &verdictPayload{}
-		d.Audit.Append(obs.AuditEvent{Func: dna.FuncName, Verdict: obs.VerdictGo})
 		return engine.CompileDecision{}
 	}
-	// dna.Passes iteration is randomized; order deterministically before
-	// recording (attribution fields break the rare key tie).
+	// dna.Passes iteration is randomized; order deterministically
+	// (attribution fields break the rare key tie).
 	sort.Slice(found, func(i, j int) bool {
 		a, b := found[i], found[j]
 		if a.CVE != b.CVE {
@@ -244,54 +214,39 @@ func (d *Detector) Decide(dna *DNA) engine.CompileDecision {
 		}
 		return a.ChainID < b.ChainID
 	})
-	if d.seen == nil {
-		d.seen = map[MatchKey]struct{}{}
-	}
-	disSet := map[string]bool{}
+	dec := engine.CompileDecision{Matches: append([]obs.Match(nil), found...)}
 	for _, m := range found {
-		disSet[m.Pass] = true
+		if !slices.Contains(dec.DisabledPasses, m.Pass) {
+			dec.DisabledPasses = append(dec.DisabledPasses, m.Pass)
+			dec.NoJIT = dec.NoJIT || !passes.Disableable(m.Pass)
+		}
+	}
+	sort.Strings(dec.DisabledPasses)
+	return dec
+}
+
+// book records one verdict for fnName in the detector's accounting — the
+// only place that does: matches not seen before join Matches, and the
+// audit log gets the event. A decision made by this detector (Decide, the
+// fail-safe veto) and one replayed from the shared cache
+// (ReplayDecision) differ in reason alone.
+func (d *Detector) book(fnName string, dec engine.CompileDecision, reason string) {
+	if d.seen == nil && len(dec.Matches) > 0 {
+		d.seen = map[obs.MatchKey]struct{}{}
+	}
+	for _, m := range dec.Matches {
 		if _, dup := d.seen[m.Key()]; !dup {
 			d.seen[m.Key()] = struct{}{}
 			d.Matches = append(d.Matches, m)
 		}
 	}
-	names := make([]string, 0, len(disSet))
-	noJIT := false
-	for name := range disSet {
-		if !passes.Disableable(name) {
-			noJIT = true
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	// Snapshot the verdict for the shared compilation cache (the found
-	// slice's backing array is reused across compilations, so copy).
-	d.last = &verdictPayload{found: append([]Match(nil), found...), names: names, noJIT: noJIT}
-	if d.Audit != nil {
-		verdict := obs.VerdictDisablePass
-		if noJIT {
-			verdict = obs.VerdictNoJIT
-		}
-		am := make([]obs.AuditMatch, len(found))
-		for i, m := range found {
-			am[i] = obs.AuditMatch{
-				CVE: m.CVE, VDCFunc: m.VDCFunc, Pass: m.Pass,
-				ChainID: m.ChainID, Side: m.Side, Chain: m.Chain(),
-			}
-		}
-		d.Audit.Append(obs.AuditEvent{
-			Func:           dna.FuncName,
-			Verdict:        verdict,
-			DisabledPasses: names,
-			Matches:        am,
-		})
-	}
-	if noJIT {
-		// Scenario 3: a matched pass cannot be disabled — disable the
-		// JIT for this function entirely (conservative approach, §IV-C).
-		return engine.CompileDecision{NoJIT: true, DisabledPasses: names}
-	}
-	return engine.CompileDecision{DisabledPasses: names}
+	d.Audit.Append(obs.AuditEvent{
+		Func:           fnName,
+		Verdict:        dec.Verdict(),
+		DisabledPasses: dec.DisabledPasses,
+		Matches:        dec.Matches,
+		Reason:         reason,
+	})
 }
 
 // Recorder implements engine.Policy in record-only mode: it extracts the

@@ -18,6 +18,7 @@ import (
 
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/mir"
+	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/passes"
 )
 
@@ -386,7 +387,7 @@ type ReferenceDetector struct {
 	Ratio float64
 
 	// Matches accumulates every similarity found, duplicates included.
-	Matches []Match
+	Matches []obs.Match
 
 	refVDCs []refVDC
 }
@@ -460,7 +461,7 @@ func (r *ReferenceDetector) Decide(dna *RefDNA) engine.CompileDecision {
 						disSet[passName] = true
 					}
 					// The reference scan does not attribute witness chains.
-					r.Matches = append(r.Matches, Match{CVE: vdc.cve, VDCFunc: vdna.FuncName, Pass: passName, ChainID: NoChain})
+					r.Matches = append(r.Matches, obs.Match{CVE: vdc.cve, VDCFunc: vdna.FuncName, Pass: passName, ChainID: NoChain})
 				}
 			}
 		}

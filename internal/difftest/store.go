@@ -11,7 +11,6 @@ package difftest
 // Reason text).
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -19,7 +18,6 @@ import (
 
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
-	"github.com/jitbull/jitbull/internal/interp"
 	"github.com/jitbull/jitbull/internal/jitqueue"
 	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/store"
@@ -60,7 +58,6 @@ func (o WarmStartOptions) withDefaults() WarmStartOptions {
 type WarmStartRun struct {
 	Obs   Observation
 	Audit []obs.AuditEvent
-	Stats engine.Stats
 }
 
 // WarmStartResult is the cell's outcome: divergences is empty iff the
@@ -85,61 +82,21 @@ func storeDetector(audit *obs.AuditLog) *core.Detector {
 	return d
 }
 
-// storeCodec builds the cache codec for the cell. With JITBULL on, any
-// fresh detector over the shared database carries the verdict codec; the
-// database pointer is what makes encode/decode sides agree.
-func storeCodec(jitbull bool) *engine.CacheCodec {
-	if !jitbull {
-		return engine.NewCacheCodec(nil)
-	}
-	return engine.NewCacheCodec(storeDetector(nil))
-}
-
-// runStoreProcess is one simulated process: a fresh engine and a fresh
-// in-memory cache over the given persistent tier. It mirrors Observe but
-// additionally captures the step count, audit stream and engine stats
-// the warm-start bit-identity checks need.
-func runStoreProcess(src string, base engine.Config, tier *store.Store, o WarmStartOptions) (WarmStartRun, error) {
-	var run WarmStartRun
-	cache := jitqueue.NewCache(nil)
-	cache.AttachTier(tier, storeCodec(o.JITBULL))
-
-	var out bytes.Buffer
-	cfg := base
-	cfg.Cache = cache
-	cfg.Out = &out
-	e, err := engine.New(src, cfg)
-	if err != nil {
-		return run, err
-	}
+// storeProcess is one simulated process of a store cell: a fresh engine
+// and a fresh in-memory cache over the given persistent tier — with
+// jitbull, a fresh detector too — observed like any other cell. The audit
+// events are the detector's verdicts, in order.
+func storeProcess(src string, base engine.Config, tier *store.Store, jitbull bool) WarmStartRun {
+	c := Config{Name: "store", Engine: base}
+	c.Engine.Cache = jitqueue.NewCache(nil)
+	c.Engine.Cache.AttachTier(tier, engine.NewCacheCodec())
 	audit := obs.NewAuditLog(nil)
-	if o.JITBULL {
-		e.SetPolicy(storeDetector(audit))
+	if jitbull {
+		c.Policy = func() engine.Policy { return storeDetector(audit) }
 	}
-	v, runErr := e.Run()
-	run.Obs.Result = v.ToString()
-	run.Obs.ResultG = e.Global("result").ToString()
-	run.Obs.Output = out.String()
-	run.Obs.Hijacked = e.Hijacked() != nil
-	run.Obs.Crashed = e.Arena().Crashed() != nil
-	run.Obs.Stats = e.Stats()
-	if runErr != nil {
-		run.Obs.ErrMsg = runErr.Error()
-		switch {
-		case engine.IsHijack(runErr):
-			run.Obs.ErrKind = "hijack"
-		case engine.IsCrash(runErr):
-			run.Obs.ErrKind = "crash"
-		case errors.Is(runErr, interp.ErrBudget):
-			run.Obs.ErrKind = "budget"
-		default:
-			run.Obs.ErrKind = "runtime"
-		}
-	}
-	run.Obs.Steps = e.VM.Steps()
+	run := WarmStartRun{Obs: Observe(src, c)}
 	run.Audit = audit.Events()
-	run.Stats = e.Stats()
-	return run, nil
+	return run
 }
 
 // auditIdentity projects one audit event to the fields that must replay
@@ -178,9 +135,8 @@ func StoreWarmStart(src, dir string, o WarmStartOptions) (WarmStartResult, error
 	if err != nil {
 		return res, err
 	}
-	res.Cold, err = runStoreProcess(src, base, coldStore, o)
-	if err != nil {
-		return res, err
+	if res.Cold = storeProcess(src, base, coldStore, o.JITBULL); res.Cold.Obs.SetupErr != "" {
+		return res, errors.New(res.Cold.Obs.SetupErr)
 	}
 
 	// Kill the process: the cold engine, cache and store handle are
@@ -208,10 +164,7 @@ func StoreWarmStart(src, dir string, o WarmStartOptions) (WarmStartResult, error
 	if err != nil {
 		return res, err
 	}
-	res.Warm, err = runStoreProcess(src, base, warmStore, o)
-	if err != nil {
-		return res, err
-	}
+	res.Warm = storeProcess(src, base, warmStore, o.JITBULL)
 
 	// Bit-identity: semantics, then — the warm process is the cold one's
 	// twin, it differs only in where its artifacts came from — step count
@@ -234,7 +187,7 @@ func StoreWarmStart(src, dir string, o WarmStartOptions) (WarmStartResult, error
 			}
 		}
 	}
-	ws, cs := res.Warm.Stats, res.Cold.Stats
+	ws, cs := res.Warm.Obs.Stats, res.Cold.Obs.Stats
 	// 100% pipeline elimination: the warm process never compiles, and
 	// everything the cold process compiled arrives through the tier.
 	if cs.Compiles == 0 {

@@ -20,13 +20,11 @@ package difftest
 //     trustworthy once the quarantine sweep has run.
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/faults"
-	"github.com/jitbull/jitbull/internal/jitqueue"
 	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/progen"
 	"github.com/jitbull/jitbull/internal/store"
@@ -94,37 +92,6 @@ func storeChaosPlan(i int, seed int64) faults.Plan {
 	}}}
 }
 
-// storeChaosProcess runs one simulated process over the given store:
-// fresh engine, fresh memory cache, persistent tier attached.
-func storeChaosProcess(src string, base engine.Config, st *store.Store, jitbull bool) (Observation, error) {
-	cache := jitqueue.NewCache(nil)
-	cache.AttachTier(st, storeCodec(jitbull))
-	var out bytes.Buffer
-	cfg := base
-	cfg.Cache = cache
-	cfg.Out = &out
-	e, err := engine.New(src, cfg)
-	if err != nil {
-		return Observation{SetupErr: err.Error()}, err
-	}
-	if jitbull {
-		e.SetPolicy(storeDetector(nil))
-	}
-	var o Observation
-	v, runErr := e.Run()
-	o.Result = v.ToString()
-	o.ResultG = e.Global("result").ToString()
-	o.Output = out.String()
-	o.Hijacked = e.Hijacked() != nil
-	o.Crashed = e.Arena().Crashed() != nil
-	o.Stats = e.Stats()
-	if runErr != nil {
-		o.ErrMsg = runErr.Error()
-		o.ErrKind = "runtime"
-	}
-	return o, nil
-}
-
 // StoreChaos executes the campaign. Failures carry full (seed, plan,
 // program) reproducers like the compile-path campaign's.
 func StoreChaos(o StoreChaosOptions) ChaosResult {
@@ -184,10 +151,10 @@ func storeChaosOne(seed int64, src string, plan faults.Plan, dir string, o Store
 		diverge("control store: %v", err)
 		return 0, fail
 	}
-	ctlCold, err1 := storeChaosProcess(src, base, ctlStore, jitbull)
-	ctlWarm, err2 := storeChaosProcess(src, base, ctlStore, jitbull)
-	if err1 != nil || err2 != nil {
-		diverge("control run: %v / %v", err1, err2)
+	ctlCold := storeProcess(src, base, ctlStore, jitbull).Obs
+	ctlWarm := storeProcess(src, base, ctlStore, jitbull).Obs
+	if ctlCold.SetupErr != "" || ctlWarm.SetupErr != "" {
+		diverge("control run: %s / %s", ctlCold.SetupErr, ctlWarm.SetupErr)
 		return 0, fail
 	}
 
@@ -210,7 +177,7 @@ func storeChaosOne(seed int64, src string, plan faults.Plan, dir string, o Store
 		if serr != nil {
 			panic(serr)
 		}
-		cold, _ = storeChaosProcess(src, base, st1, jitbull)
+		cold = storeProcess(src, base, st1, jitbull).Obs
 		// Snapshot/Restore leg: when the plan targets the manifest point,
 		// route the restart through a bundle so the point actually fires.
 		// Failures degrade (the warm process just starts colder).
@@ -226,7 +193,7 @@ func storeChaosOne(seed int64, src string, plan faults.Plan, dir string, o Store
 		if serr != nil {
 			panic(serr)
 		}
-		warm, _ = storeChaosProcess(src, base, st2, jitbull)
+		warm = storeProcess(src, base, st2, jitbull).Obs
 	}()
 	fired = inj.FiredCount()
 

@@ -42,23 +42,20 @@ import (
 )
 
 // CachingPolicy is the optional Policy extension the shared cache needs: a
-// policy that can identify its decision inputs and replay a recorded
-// verdict. A policy that does not implement it (e.g. core.Recorder, which
-// must observe every pipeline run) disables caching for its engine.
+// policy that can identify its decision inputs and book a decision it did
+// not just make. A policy that does not implement it (e.g. core.Recorder,
+// which must observe every pipeline run) disables caching for its engine.
 type CachingPolicy interface {
 	Policy
 	// PolicyCacheKey identifies everything the policy's verdict depends on
 	// besides the function's DNA (database identity, thresholds). ok=false
 	// vetoes caching.
 	PolicyCacheKey() (key string, ok bool)
-	// TakeVerdictPayload returns an opaque, immutable record of the verdict
-	// the policy just produced for the current compilation (nil when none),
-	// clearing it. The engine stores it next to the cached artifact.
-	TakeVerdictPayload() any
-	// ReplayVerdict re-applies a recorded verdict on a cache hit for fnName
-	// — re-recording audit events and match accounting exactly as the live
-	// Decide would — and returns the decision.
-	ReplayVerdict(fnName string, payload any) CompileDecision
+	// ReplayDecision books, for fnName, a decision a finish function
+	// returned earlier under an equal cache key — audit events and match
+	// accounting exactly as that finish booked them. The decision may have
+	// crossed a process boundary as JSON on the way.
+	ReplayDecision(fnName string, d CompileDecision)
 }
 
 // errEscapedPanic marks an outcome fabricated because a panic unwound a
@@ -76,10 +73,10 @@ type compileRequest struct {
 	fd     *ast.FuncDecl
 	// opts carries snapshot-backed type closures: async compilation must
 	// not read live VM state from a worker.
-	opts     mirbuild.Options
-	disabled map[string]bool // private copy; grown by the policy recompile
-	async    bool
-	key      jitqueue.Key
+	opts       mirbuild.Options
+	disabled   map[string]bool // private copy of the function's disabled passes
+	async      bool
+	key        jitqueue.Key
 	cacheable  bool
 	waitSpan   obs.Span  // compile.queue_wait: begun at enqueue, ended by the worker
 	enqueuedAt time.Time // queue-wait / install-lag histogram epoch
@@ -92,23 +89,55 @@ type compileOutcome struct {
 	code        *lir.Code
 	cerr        *CompileError
 	jitEligible bool            // mirbuild succeeded
-	disabled    map[string]bool // final disabled-pass set (nil = unchanged)
-	noJIT       bool            // policy scenario 3 verdict
-	grew        bool            // policy scenario 2: disabled set grew
-	payload     any             // policy verdict record for the cache
+	decision    CompileDecision // the policy's verdict (zero: none was asked)
 	fromCache   bool
 }
 
-// cachedCompile is the cache value: the artifact plus the verdict. The
-// artifact is installed by pointer — native execution never mutates
-// lir.Code, so one compilation serves any number of engines and threads.
+// cachedCompile is the cache value: the artifact plus the decision it was
+// compiled under. The artifact is installed by pointer — native execution
+// never mutates lir.Code, so one compilation serves any number of engines
+// and threads.
 type cachedCompile struct {
 	code        *lir.Code // nil for a NoJIT verdict
-	noJIT       bool
-	grew        bool
-	disabled    []string // final disabled-pass set, sorted
+	decision    CompileDecision
 	jitEligible bool
-	payload     any
+}
+
+// disabledAfter is what a decision does to the disabled-pass set its
+// compilation was requested with: the set the function carries from now on
+// (nil: unchanged — a go verdict, or NoJIT, where no code is left to
+// compile) and whether the decision grew it, which is scenario 2's
+// recompile. The requested set is part of the cache key, so the live path
+// and a cache hit compute the same answer from the same inputs.
+func disabledAfter(requested map[string]bool, d CompileDecision) (final map[string]bool, grew bool) {
+	if d.NoJIT || len(d.DisabledPasses) == 0 {
+		return nil, false
+	}
+	final = make(map[string]bool, len(requested)+len(d.DisabledPasses))
+	for name, on := range requested {
+		final[name] = on
+	}
+	for _, name := range d.DisabledPasses {
+		if !final[name] {
+			final[name] = true
+			grew = true
+		}
+	}
+	return final, grew
+}
+
+// decide states FactDecide — the one place that does — around judge, which
+// produces the decision: the policy's finish function on a live compile,
+// the replay of the cached decision on a hit (source "cache").
+func (e *Engine) decide(fnName, source string, judge func() CompileDecision) CompileDecision {
+	sp := e.tracer.Begin(obs.CatPolicy, obs.FactDecide, fnName)
+	d := judge()
+	var src obs.Arg
+	if source != "" {
+		src = obs.S("source", source)
+	}
+	sp.End(obs.S("verdict", string(d.Verdict())), obs.I("disabled", int64(len(d.DisabledPasses))), src)
+	return d
 }
 
 // sizeEstimate approximates the artifact's footprint for cache.bytes.
@@ -367,17 +396,12 @@ func (e *Engine) maybeCachePut(o *compileOutcome) {
 	if !o.req.cacheable || o.fromCache {
 		return
 	}
-	cc := &cachedCompile{
-		grew:        o.grew,
-		disabled:    sortedSet(o.disabled),
-		jitEligible: o.jitEligible,
-		payload:     o.payload,
-	}
+	cc := &cachedCompile{decision: o.decision, jitEligible: o.jitEligible}
 	switch {
 	case o.cerr == nil:
 		cc.code = o.code
-	case o.noJIT:
-		cc.noJIT = true
+	case o.decision.NoJIT:
+		// Deterministic: published without an artifact.
 	default:
 		return // transient failure: let the next engine try fresh
 	}
@@ -385,7 +409,7 @@ func (e *Engine) maybeCachePut(o *compileOutcome) {
 }
 
 // outcomeFromCache turns a cache hit into an applyable outcome: the
-// artifact by pointer, the policy verdict replayed (audit + match
+// artifact by pointer, the policy's decision replayed (audit + match
 // accounting identical to a live decision), and for NoJIT the same typed
 // error the live pipeline produces — so quarantine/permanent semantics
 // are bit-for-bit those of a cold compile.
@@ -394,30 +418,21 @@ func (e *Engine) outcomeFromCache(req *compileRequest, cc *cachedCompile) *compi
 		req:         req,
 		fromCache:   true,
 		jitEligible: cc.jitEligible,
-		noJIT:       cc.noJIT,
-		grew:        cc.grew,
+		decision:    cc.decision,
 	}
-	if e.policy != nil && e.policy.Active() {
-		dsp := e.tracer.Begin(obs.CatPolicy, obs.FactDecide, req.fnName)
-		if cp, ok := e.policy.(CachingPolicy); ok && cc.payload != nil {
+	if cp, ok := e.policy.(CachingPolicy); ok && cp.Active() {
+		e.decide(req.fnName, "cache", func() CompileDecision {
 			// Replay mutates the policy's match accounting (Detector.seen /
 			// Matches / audit), and a queued compile of another function may
 			// concurrently be inside BeginCompile/Decide on a worker — so the
 			// replay takes compileMu like every other policy touch.
 			e.compileMu.Lock()
-			cp.ReplayVerdict(req.fnName, cc.payload)
+			cp.ReplayDecision(req.fnName, cc.decision)
 			e.compileMu.Unlock()
-		}
-		dsp.End(obs.S("verdict", verdictName(cc.noJIT, cc.grew)), obs.S("source", "cache"))
+			return cc.decision
+		})
 	}
-	if len(cc.disabled) > 0 {
-		m := make(map[string]bool, len(cc.disabled))
-		for _, name := range cc.disabled {
-			m[name] = true
-		}
-		o.disabled = m
-	}
-	if cc.noJIT {
+	if cc.decision.NoJIT {
 		o.cerr = newCompileError(req.fnName, StagePolicy, ErrPolicyNoJIT)
 	} else {
 		o.code = cc.code
@@ -437,21 +452,22 @@ func (e *Engine) applyOutcome(st *fnState, o *compileOutcome) {
 	if o.jitEligible {
 		st.jitEligible = true
 	}
-	if o.disabled != nil {
-		st.disabledPasses = o.disabled
-	}
 	// Policy verdict accounting, identical across sync, async and cached
 	// paths (acceptance: the mode may move *when* a verdict lands, never
 	// which verdict or how it is counted).
-	if o.grew || o.noJIT {
+	disabled, grew := disabledAfter(o.req.disabled, o.decision)
+	if disabled != nil {
+		st.disabledPasses = disabled
+	}
+	if grew || o.decision.NoJIT {
 		if !st.counted {
 			st.counted = true
 			e.m.nrJIT.Inc()
 		}
-		if o.grew {
+		if grew {
 			e.m.nrDisJIT.Inc()
 		}
-		if o.noJIT {
+		if o.decision.NoJIT {
 			e.m.nrNoJIT.Inc()
 		}
 	}
@@ -471,12 +487,11 @@ func (e *Engine) applyOutcome(st *fnState, o *compileOutcome) {
 	// deopt count judged the discarded code, not this one.
 	st.osrCooldown = nil
 	st.deopts = 0
-	// A fresh artifact gets a fresh machine-code attach: the unit (or the
-	// quarantined attempt) belonged to the discarded code. This is the
-	// single attach site for every install path — sync, async, cache,
-	// store — so top-tier selection cannot depend on how the artifact
-	// arrived.
-	st.mcu, st.mcTried = nil, false
+	// A fresh artifact gets a fresh machine-code attach: the unit belonged
+	// to the discarded code. This is the single attach site for every
+	// install path — sync, async, cache, store — so top-tier selection
+	// cannot depend on how the artifact arrived.
+	st.mcu = nil
 	e.attachMC(st)
 	switch topTierName(st) {
 	case "mc":
@@ -509,17 +524,6 @@ func (e *Engine) applyOutcome(st *fnState, o *compileOutcome) {
 	}
 	e.tracer.Instant(obs.CatCompile, obs.FactInstall, st.fn.Name, obs.S("source", source),
 		obs.I("ops", int64(len(o.code.Ops))), obs.I("regs", int64(o.code.NumRegs)), st.tierArg())
-}
-
-// verdictName is the "verdict" argument of FactDecide.
-func verdictName(noJIT, disabled bool) string {
-	switch {
-	case noJIT:
-		return string(obs.VerdictNoJIT)
-	case disabled:
-		return string(obs.VerdictDisablePass)
-	}
-	return string(obs.VerdictGo)
 }
 
 // Drain waits for every in-flight background compilation of this engine

@@ -7,6 +7,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -24,8 +25,7 @@ import (
 type stubCachingPolicy struct {
 	verdict  CompileDecision
 	began    int
-	replays  int
-	payloads int
+	replayed []CompileDecision
 }
 
 func (p *stubCachingPolicy) Active() bool { return true }
@@ -37,14 +37,8 @@ func (p *stubCachingPolicy) BeginCompile(fn string) (passes.Observer, func() Com
 
 func (p *stubCachingPolicy) PolicyCacheKey() (string, bool) { return "stub", true }
 
-func (p *stubCachingPolicy) TakeVerdictPayload() any {
-	p.payloads++
-	return &p.verdict
-}
-
-func (p *stubCachingPolicy) ReplayVerdict(fn string, payload any) CompileDecision {
-	p.replays++
-	return *payload.(*CompileDecision)
+func (p *stubCachingPolicy) ReplayDecision(fn string, d CompileDecision) {
+	p.replayed = append(p.replayed, d)
 }
 
 func TestAsyncCompileMatchesSyncVerdicts(t *testing.T) {
@@ -159,7 +153,11 @@ func TestSharedCacheKeyIsRenameMinifyInvariant(t *testing.T) {
 func TestCacheReplaysPolicyVerdict(t *testing.T) {
 	t.Run("disable-pass", func(t *testing.T) {
 		cache := jitqueue.NewCache(nil)
-		colder := &stubCachingPolicy{verdict: CompileDecision{DisabledPasses: []string{"GVN"}}}
+		verdict := CompileDecision{
+			DisabledPasses: []string{"GVN"},
+			Matches:        []obs.Match{{CVE: "CVE-X", VDCFunc: "f", Pass: "GVN", ChainID: 3, Side: "removed", Chain: "a→b"}},
+		}
+		colder := &stubCachingPolicy{verdict: verdict}
 		cold, err := New(hotSrc, Config{IonThreshold: 5, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
@@ -171,11 +169,11 @@ func TestCacheReplaysPolicyVerdict(t *testing.T) {
 		if s := cold.Stats(); s.NrDisJIT != 1 || s.Recompiles != 1 {
 			t.Fatalf("cold stats: %+v", s)
 		}
-		if colder.payloads != 1 {
-			t.Fatalf("payload not captured: %d", colder.payloads)
+		if _, cc := cacheValue(t, cache); !reflect.DeepEqual(cc.decision, verdict) {
+			t.Fatalf("cached decision = %+v, want the one finish returned", cc.decision)
 		}
 
-		warmer := &stubCachingPolicy{verdict: CompileDecision{DisabledPasses: []string{"GVN"}}}
+		warmer := &stubCachingPolicy{verdict: verdict}
 		warm, err := New(hotSrc, Config{IonThreshold: 5, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
@@ -191,8 +189,11 @@ func TestCacheReplaysPolicyVerdict(t *testing.T) {
 		if s.NrDisJIT != 1 || s.NrJIT != 1 {
 			t.Errorf("replayed verdict not counted identically: %+v", s)
 		}
-		if warmer.replays != 1 || warmer.began != 0 {
-			t.Errorf("policy: replays=%d began=%d, want 1/0 (no DNA matching on a hit)", warmer.replays, warmer.began)
+		if len(warmer.replayed) != 1 || warmer.began != 0 {
+			t.Fatalf("policy: replays=%d began=%d, want 1/0 (no DNA matching on a hit)", len(warmer.replayed), warmer.began)
+		}
+		if !reflect.DeepEqual(warmer.replayed[0], verdict) {
+			t.Errorf("replayed decision = %+v, want %+v", warmer.replayed[0], verdict)
 		}
 		if st := warm.fn(t, "hot"); !st.disabledPasses["GVN"] {
 			t.Error("disabled-pass set not restored from the cache")
@@ -302,23 +303,18 @@ func (p *accountingPolicy) BeginCompile(fn string) (passes.Observer, func() Comp
 
 func (p *accountingPolicy) PolicyCacheKey() (string, bool) { return "accounting", true }
 
-func (p *accountingPolicy) TakeVerdictPayload() any { return &CompileDecision{} }
-
-func (p *accountingPolicy) ReplayVerdict(fn string, payload any) CompileDecision {
-	p.seen[fn]++
-	return *payload.(*CompileDecision)
-}
+func (p *accountingPolicy) ReplayDecision(fn string, d CompileDecision) { p.seen[fn]++ }
 
 // TestCacheHitReplaySerializedWithQueuedCompile is the -race regression
 // for the queue+cache mode: while a background worker is inside a queued
 // compile's policy Decide for one function, a cache hit for another
 // function on the owner goroutine must not replay its verdict into the
-// same policy concurrently — ReplayVerdict takes compileMu like every
+// same policy concurrently — ReplayDecision runs under compileMu like every
 // other policy touch.
 func TestCacheHitReplaySerializedWithQueuedCompile(t *testing.T) {
 	cache := jitqueue.NewCache(nil)
 
-	// Warm fb's cache entry (with its verdict payload) synchronously.
+	// Warm fb's cache entry (with its decision) synchronously.
 	cold, err := New(twoFnSrc, Config{IonThreshold: 3, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +338,7 @@ func TestCacheHitReplaySerializedWithQueuedCompile(t *testing.T) {
 	e.SetPolicy(pol)
 	callN(t, e, "fa", 3) // trigger: enqueued, worker enters Decide
 	<-started
-	callN(t, e, "fb", 3) // trigger: cache hit → ReplayVerdict mid-Decide
+	callN(t, e, "fb", 3) // trigger: cache hit → ReplayDecision mid-Decide
 	e.Drain()
 
 	if s := e.Stats(); s.CacheHits != 1 || s.AsyncCompiles != 1 {

@@ -61,13 +61,31 @@ func (e *HijackError) Error() string {
 	return fmt.Sprintf("control-flow hijack: code pointer of %s (fn #%d) overwritten — payload executed", e.FuncName, e.FuncIndex)
 }
 
-// CompileDecision is the JITBULL go/no-go verdict for one compilation.
+// CompileDecision is the JITBULL go/no-go verdict for one compilation,
+// with the evidence behind it. It is plain data, made once by the policy's
+// finish function and never changed after: the shared cache keeps it next
+// to the artifact, the store writes it as JSON, and a cache hit hands the
+// same value back to the policy (CachingPolicy.ReplayDecision).
 type CompileDecision struct {
 	// DisabledPasses lists dangerous passes to disable for this function.
-	DisabledPasses []string
+	DisabledPasses []string `json:"disabled_passes,omitempty"`
 	// NoJIT forces interpreter-only execution (scenario 3 of §V: a matched
 	// pass is mandatory).
-	NoJIT bool
+	NoJIT bool `json:"nojit,omitempty"`
+	// Matches are the DNA similarities the verdict rests on, in the order
+	// the policy books them; empty for a go verdict.
+	Matches []obs.Match `json:"matches,omitempty"`
+}
+
+// Verdict names the decision the way the audit log and FactDecide do.
+func (d CompileDecision) Verdict() obs.Verdict {
+	switch {
+	case d.NoJIT:
+		return obs.VerdictNoJIT
+	case len(d.DisabledPasses) > 0:
+		return obs.VerdictDisablePass
+	}
+	return obs.VerdictGo
 }
 
 // Policy is the JITBULL hook (implemented by internal/core). When Active
@@ -317,12 +335,10 @@ type fnState struct {
 
 	code *lir.Code
 	// mcu is the machine-code unit attached to code (nil when the tier is
-	// off, unsupported, or the attach was quarantined); mcTried latches
-	// one attach attempt per installed artifact. Both always track code:
-	// install resets them, discard clears them. Whoever writes mcu (or
-	// inflight) calls publishCall, so the call table follows.
+	// off, unsupported, or the attach was quarantined). It always tracks
+	// code: install attaches a fresh one, discard clears it. Whoever writes
+	// mcu (or inflight) calls publishCall, so the call table follows.
 	mcu            *mc.Unit
-	mcTried        bool
 	jitEligible    bool // mirbuild succeeded at least once
 	disabledPasses map[string]bool
 	bailouts       int

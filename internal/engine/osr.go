@@ -174,7 +174,7 @@ func (e *Engine) discardArtifact(st *fnState) {
 	// discarded code may still be on the stack (a deopt storm discards from
 	// inside one), so the W^X mapping is unmapped by the unit's finalizer
 	// once nothing can reach it, never eagerly.
-	st.mcu, st.mcTried = nil, false
+	st.mcu = nil
 	e.publishCall(st)
 	st.osrCooldown = nil
 	st.deopts = 0
@@ -255,17 +255,10 @@ func (e *Engine) transitionFault(p faults.Point, stage string, st *fnState) (ref
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			f, ok := faults.FromPanic(r)
-			if !ok {
+			if _, ok := faults.FromPanic(r); !ok {
 				panic(r)
 			}
-			e.recordCompileError(&CompileError{
-				Func:     st.fn.Name,
-				Stage:    stage,
-				Err:      &faults.InjectedError{Fault: f},
-				Panicked: true,
-				Injected: true,
-			})
+			e.recordCompileError(panicToCompileError(st.fn.Name, stage, r))
 			refused = true
 		}
 	}()

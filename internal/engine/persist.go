@@ -2,12 +2,12 @@
 //
 // The shared cache's values (cachedCompile) are pointers into process
 // memory; the persistent second tier (internal/store) needs them as
-// self-contained bytes. Two parts do not survive a process boundary
-// as-is and get special treatment:
+// self-contained bytes. The policy's decision is plain data and travels
+// as the JSON of CompileDecision itself — a match carries its witness
+// chain as text, and the policy interns it again when the decision is
+// replayed in the reading process. One part does not survive a process
+// boundary as-is:
 //
-//   - the policy verdict payload is opaque to the engine and may carry
-//     process-local state (core's interned chain IDs), so it crosses via
-//     the policy's own VerdictCodec;
 //   - the artifact's derived forms — basic-block metadata and the fused
 //     superinstruction stream — are deterministic pure functions of the
 //     op stream (lir.ComputeBlocks, lir.Fuse), so only the plain op
@@ -32,22 +32,12 @@ import (
 	"github.com/jitbull/jitbull/internal/lir"
 )
 
-// VerdictCodec is the optional CachingPolicy extension the persistent
-// second tier needs: a recorded verdict payload must be renderable as
-// self-contained bytes and reconstructible in another process.
-// Implemented by core.Detector (chains travel as strings and are
-// re-interned on decode).
-type VerdictCodec interface {
-	EncodeVerdict(payload any) ([]byte, error)
-	DecodeVerdict(data []byte) (any, error)
-}
-
 // persistVersion is the engine-record layout version inside the store's
 // envelope. Bump on any incompatible change to persistCompile/persistCode;
 // a mismatched record decodes to an error and the cache treats it as a
 // miss (the store's envelope version covers the container, this one the
 // engine payload).
-const persistVersion = 1
+const persistVersion = 2
 
 // persistCode is the on-disk form of one artifact: lir.Code's plain data
 // fields, with the derived Blocks/Fused omitted (recomputed on decode).
@@ -115,35 +105,18 @@ func restoreOps(ops []persistOp) []lir.Op {
 // persistCompile is the on-disk form of one cached compilation.
 type persistCompile struct {
 	V           int             `json:"v"`
-	NoJIT       bool            `json:"nojit,omitempty"`
-	Grew        bool            `json:"grew,omitempty"`
-	Disabled    []string        `json:"disabled,omitempty"`
+	Decision    CompileDecision `json:"decision"`
 	JitEligible bool            `json:"jit_eligible,omitempty"`
 	Fused       bool            `json:"fused,omitempty"`
 	Code        *persistCode    `json:"code,omitempty"`
-	Verdict     json.RawMessage `json:"verdict,omitempty"`
 }
 
-// CacheCodec implements jitqueue.Codec over the engine's cache values.
-// Verdicts may be nil when the fleet runs without a policy; a value
-// carrying a verdict payload is then simply not persisted (ok=false) —
-// never persisted without its verdict, which would silently drop audit
-// and match accounting on replay.
-type CacheCodec struct {
-	Verdicts VerdictCodec
-}
+// CacheCodec implements jitqueue.Codec over the engine's cache values. It
+// needs nothing from the policy: a decision is persisted as it stands.
+type CacheCodec struct{}
 
-// NewCacheCodec builds the codec for a fleet protected by policy p (nil
-// for an unprotected fleet). The policy must be the same one — or one
-// with the same PolicyCacheKey — installed on every engine sharing the
-// cache, which is already the cache-key soundness contract.
-func NewCacheCodec(p Policy) *CacheCodec {
-	c := &CacheCodec{}
-	if vc, ok := p.(VerdictCodec); ok {
-		c.Verdicts = vc
-	}
-	return c
-}
+// NewCacheCodec builds the codec.
+func NewCacheCodec() *CacheCodec { return &CacheCodec{} }
 
 var _ jitqueue.Codec = (*CacheCodec)(nil)
 
@@ -153,23 +126,7 @@ func (c *CacheCodec) Encode(v any) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	p := persistCompile{
-		V:           persistVersion,
-		NoJIT:       cc.noJIT,
-		Grew:        cc.grew,
-		Disabled:    cc.disabled,
-		JitEligible: cc.jitEligible,
-	}
-	if cc.payload != nil {
-		if c == nil || c.Verdicts == nil {
-			return nil, false
-		}
-		enc, err := c.Verdicts.EncodeVerdict(cc.payload)
-		if err != nil {
-			return nil, false
-		}
-		p.Verdict = enc
-	}
+	p := persistCompile{V: persistVersion, Decision: cc.decision, JitEligible: cc.jitEligible}
 	if cc.code != nil {
 		p.Fused = cc.code.Fused != nil
 		p.Code = &persistCode{
@@ -202,30 +159,10 @@ func (c *CacheCodec) Decode(data []byte) (any, error) {
 	if p.V != persistVersion {
 		return nil, fmt.Errorf("cache record version %d (want %d)", p.V, persistVersion)
 	}
-	if p.Code == nil && !p.NoJIT {
+	if p.Code == nil && !p.Decision.NoJIT {
 		return nil, fmt.Errorf("cache record carries neither artifact nor NoJIT verdict")
 	}
-	if len(p.Verdict) > 0 && (c == nil || c.Verdicts == nil) {
-		// A policied record read by an unpolicied fleet: replaying the
-		// artifact without its verdict would silently drop audit and match
-		// accounting. Degrade to a miss. (Key hygiene makes this unreachable
-		// — the policy cache key is part of the jitqueue.Key — but decode
-		// must not depend on it.)
-		return nil, fmt.Errorf("cache record carries a verdict but no verdict codec is attached")
-	}
-	cc := &cachedCompile{
-		noJIT:       p.NoJIT,
-		grew:        p.Grew,
-		disabled:    p.Disabled,
-		jitEligible: p.JitEligible,
-	}
-	if len(p.Verdict) > 0 {
-		payload, err := c.Verdicts.DecodeVerdict(p.Verdict)
-		if err != nil {
-			return nil, fmt.Errorf("cache record verdict: %w", err)
-		}
-		cc.payload = payload
-	}
+	cc := &cachedCompile{decision: p.Decision, jitEligible: p.JitEligible}
 	if p.Code != nil {
 		code := &lir.Code{
 			Name:       p.Code.Name,

@@ -2,13 +2,10 @@ package engine
 
 // CacheCodec round trip: a real compiled artifact must cross the byte
 // boundary and come back execution-equivalent — same ops, same side
-// tables, fused form recomputed, verdict payload re-encoded through the
-// policy's codec. core.Detector's VerdictCodec half is exercised by its
-// own tests and by difftest (core imports engine, so this package uses a
-// stub codec for the payload path).
+// tables, fused form recomputed — and the decision it was compiled under
+// must come back as the value it was.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -16,6 +13,7 @@ import (
 
 	"github.com/jitbull/jitbull/internal/jitqueue"
 	"github.com/jitbull/jitbull/internal/lir"
+	"github.com/jitbull/jitbull/internal/obs"
 )
 
 // cacheValue pulls the single cached compilation out of c.
@@ -45,7 +43,7 @@ func TestCacheCodecRoundTripsRealArtifact(t *testing.T) {
 				t.Fatalf("fused form present=%v under NoFuse=%v", cc.code.Fused != nil, noFuse)
 			}
 
-			codec := NewCacheCodec(nil)
+			codec := NewCacheCodec()
 			data, ok := codec.Encode(cc)
 			if !ok {
 				t.Fatal("Encode refused a plain artifact")
@@ -82,66 +80,60 @@ func TestCacheCodecRoundTripsRealArtifact(t *testing.T) {
 				t.Errorf("fused form present=%v after decode, want %v",
 					got.code.Fused != nil, cc.code.Fused != nil)
 			}
-			// omitempty collapses an empty disabled set to nil — semantically
-			// identical (applyOutcome only materializes non-empty sets).
-			if got.noJIT != cc.noJIT || got.grew != cc.grew || got.jitEligible != cc.jitEligible ||
-				(len(got.disabled)+len(cc.disabled) > 0 && !reflect.DeepEqual(got.disabled, cc.disabled)) {
-				t.Errorf("verdict flags changed: got %+v want %+v", got, cc)
+			if got.jitEligible != cc.jitEligible || !reflect.DeepEqual(got.decision, cc.decision) {
+				t.Errorf("decision changed: got %+v want %+v", got, cc)
 			}
 		})
 	}
 }
 
-// stubVerdictCodec round-trips payloads as JSON strings.
-type stubVerdictCodec struct{}
-
-func (stubVerdictCodec) EncodeVerdict(payload any) ([]byte, error) {
-	s, ok := payload.(string)
-	if !ok {
-		return nil, fmt.Errorf("not a string payload")
-	}
-	return json.Marshal(s)
-}
-
-func (stubVerdictCodec) DecodeVerdict(data []byte) (any, error) {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
+// TestCacheCodecVerdictPayloads: a decision crosses the byte boundary as
+// itself. Each witness chain survives as text (the ID beside it is the
+// writing process's and is interned again by the policy on replay —
+// core's TestReplayDecisionReinternsChains), and a match with no witness
+// chain (NoChain, ^uint32(0) in core) comes back as one: an absent chain
+// is not the chain whose text is "".
 func TestCacheCodecVerdictPayloads(t *testing.T) {
-	with := &CacheCodec{Verdicts: stubVerdictCodec{}}
-	without := NewCacheCodec(nil)
-
-	cc := &cachedCompile{noJIT: true, jitEligible: true, payload: "verdict-bytes"}
-
-	// A payload-bearing value must not be persisted without a verdict codec.
-	if _, ok := without.Encode(cc); ok {
-		t.Fatal("Encode persisted a verdict payload with no codec to carry it")
-	}
-	data, ok := with.Encode(cc)
+	codec := NewCacheCodec()
+	const noChain = ^uint32(0)
+	cc := &cachedCompile{jitEligible: true, decision: CompileDecision{
+		NoJIT:          true,
+		DisabledPasses: []string{"GVN", "RenumberInstructions"},
+		Matches: []obs.Match{
+			{CVE: "CVE-A", VDCFunc: "f", Pass: "GVN", ChainID: 7, Side: "removed", Chain: "boundscheck→add→constant(3)"},
+			{CVE: "CVE-A", VDCFunc: "f", Pass: "GVN", ChainID: 9, Side: "added", Chain: ""},
+			{CVE: "CVE-B", VDCFunc: "g", Pass: "RenumberInstructions", ChainID: noChain},
+		},
+	}}
+	data, ok := codec.Encode(cc)
 	if !ok {
-		t.Fatal("Encode refused a payload with a codec attached")
+		t.Fatal("Encode refused a judged NoJIT record")
 	}
-	back, err := with.Decode(data)
+	back, err := codec.Decode(data)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if got := back.(*cachedCompile); got.payload != "verdict-bytes" || !got.noJIT {
-		t.Errorf("payload round trip: %+v", got)
+	got := back.(*cachedCompile)
+	if got.code != nil || !got.jitEligible || !reflect.DeepEqual(got.decision, cc.decision) {
+		t.Errorf("decision round trip:\n got %+v\nwant %+v", got, cc)
 	}
 
-	// A policied record must not decode on an unpolicied fleet — replaying
-	// the artifact without its verdict would drop audit accounting.
-	if _, err := without.Decode(data); err == nil {
-		t.Error("Decode accepted a verdict-bearing record with no verdict codec")
+	// A go verdict is a decision too: it comes back empty, not absent.
+	goCC := &cachedCompile{jitEligible: true, code: &lir.Code{Ops: []lir.Op{{Kind: lir.KConst}}}}
+	data, ok = codec.Encode(goCC)
+	if !ok {
+		t.Fatal("Encode refused a go-verdict record")
+	}
+	if back, err = codec.Decode(data); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if d := back.(*cachedCompile).decision; d.Verdict() != obs.VerdictGo || len(d.Matches) != 0 {
+		t.Errorf("go verdict round trip: %+v", d)
 	}
 }
 
 func TestCacheCodecRejections(t *testing.T) {
-	codec := NewCacheCodec(nil)
+	codec := NewCacheCodec()
 
 	if _, ok := codec.Encode("not a cachedCompile"); ok {
 		t.Error("Encode accepted a foreign value")
@@ -177,7 +169,13 @@ func TestCacheCodecRejections(t *testing.T) {
 	if _, err := codec.Decode([]byte(`not json`)); err == nil {
 		t.Error("Decode accepted garbage")
 	}
-	if _, err := codec.Decode([]byte(`{"v":1}`)); err == nil {
+	if _, err := codec.Decode([]byte(`{"v":2,"decision":{}}`)); err == nil {
 		t.Error("Decode accepted a record with neither artifact nor NoJIT")
+	}
+	// The parent's layout: verdict flags beside the policy's own bytes.
+	v1 := `{"v":1,"nojit":true,"disabled":["GVN"],"jit_eligible":true,` +
+		`"verdict":{"matches":[{"cve":"CVE-A","vdc_func":"f","pass":"GVN","chain":"a→b","has_chain":true,"side":"removed"}],"names":["GVN"],"nojit":true}}`
+	if _, err := codec.Decode([]byte(v1)); err == nil {
+		t.Error("Decode accepted a version-1 record")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/jitbull/jitbull/internal/faults"
 	"github.com/jitbull/jitbull/internal/lir"
 	"github.com/jitbull/jitbull/internal/mc"
+	"github.com/jitbull/jitbull/internal/mir"
 	"github.com/jitbull/jitbull/internal/mirbuild"
 	"github.com/jitbull/jitbull/internal/native"
 	"github.com/jitbull/jitbull/internal/obs"
@@ -282,90 +283,61 @@ func (e *Engine) compileAttempt(req *compileRequest) (o *compileOutcome) {
 		}
 	}
 
-	stage = StageMIRBuild
 	opts := req.opts
 	opts.Faults = fctx
-	g, err := mirbuild.Build(e.Prog, req.fd, opts)
-	if err != nil {
-		o.cerr = newCompileError(req.fnName, stage, err)
-		return o
-	}
-	o.jitEligible = true
-
-	stage = StagePasses
-	var pobs passes.Observer
+	// pipeline is mirbuild → passes over the given disabled set, observed
+	// by the policy when judged (finish is then set); a nil graph means
+	// o.cerr is set.
 	var finish func() CompileDecision
-	if e.policy != nil && e.policy.Active() {
-		pobs, finish = e.policy.BeginCompile(req.fnName)
+	pipeline := func(disabled map[string]bool, judged bool) *mir.Graph {
+		stage = StageMIRBuild
+		g, err := mirbuild.Build(e.Prog, req.fd, opts)
+		if err != nil {
+			o.cerr = newCompileError(req.fnName, stage, err)
+			return nil
+		}
+		o.jitEligible = true
+		stage = StagePasses
+		var pobs passes.Observer
+		if judged && e.policy != nil && e.policy.Active() {
+			pobs, finish = e.policy.BeginCompile(req.fnName)
+		}
+		if err := passes.RunWith(g, passes.RunOptions{
+			Bugs:     e.cfg.Bugs,
+			Disabled: disabled,
+			Observer: pobs,
+			CheckIR:  e.cfg.CheckIR,
+			Pipeline: e.cfg.Passes,
+			Faults:   fctx,
+			Metrics:  e.histReg(),
+		}); err != nil {
+			o.cerr = newCompileError(req.fnName, stage, err)
+			return nil
+		}
+		return g
 	}
-	if err := passes.RunWith(g, passes.RunOptions{
-		Bugs:     e.cfg.Bugs,
-		Disabled: req.disabled,
-		Observer: pobs,
-		CheckIR:  e.cfg.CheckIR,
-		Pipeline: e.cfg.Passes,
-		Faults:   fctx,
-		Metrics:  e.histReg(),
-	}); err != nil {
-		o.cerr = newCompileError(req.fnName, stage, err)
+
+	g := pipeline(req.disabled, true)
+	if g == nil {
 		return o
 	}
 	e.m.compiles.Inc()
 
 	if finish != nil {
 		stage = StagePolicy
-		dsp := e.tracer.Begin(obs.CatPolicy, obs.FactDecide, req.fnName)
-		decision := finish()
-		if req.cacheable {
-			if cp, ok := e.policy.(CachingPolicy); ok {
-				o.payload = cp.TakeVerdictPayload()
-			}
-		}
-		dsp.End(obs.S("verdict", verdictName(decision.NoJIT, len(decision.DisabledPasses) > 0)),
-			obs.I("disabled", int64(len(decision.DisabledPasses))))
-		if decision.NoJIT {
+		o.decision = e.decide(req.fnName, "", finish)
+		if o.decision.NoJIT {
 			// Scenario 3: a matched pass is mandatory — OptimizeMIR returns
 			// FAILURE with Recompile=false.
-			o.noJIT = true
 			o.cerr = newCompileError(req.fnName, StagePolicy, ErrPolicyNoJIT)
 			return o
 		}
-		if len(decision.DisabledPasses) > 0 {
+		if disabled, grew := disabledAfter(req.disabled, o.decision); grew {
 			// Scenario 2: FAILURE with Recompile=true — retry with the
-			// dangerous passes disabled.
-			if req.disabled == nil {
-				req.disabled = map[string]bool{}
-			}
-			grew := false
-			for _, name := range decision.DisabledPasses {
-				if !req.disabled[name] {
-					req.disabled[name] = true
-					grew = true
-				}
-			}
-			o.disabled = req.disabled
-			if grew {
-				o.grew = true
-				e.m.recompiles.Inc()
-				stage = StageMIRBuild
-				g2, err := mirbuild.Build(e.Prog, req.fd, opts)
-				if err != nil {
-					o.cerr = newCompileError(req.fnName, stage, err)
-					return o
-				}
-				stage = StagePasses
-				if err := passes.RunWith(g2, passes.RunOptions{
-					Bugs:     e.cfg.Bugs,
-					Disabled: req.disabled,
-					CheckIR:  e.cfg.CheckIR,
-					Pipeline: e.cfg.Passes,
-					Faults:   fctx,
-					Metrics:  e.histReg(),
-				}); err != nil {
-					o.cerr = newCompileError(req.fnName, stage, err)
-					return o
-				}
-				g = g2
+			// dangerous passes disabled. The retry is not judged.
+			e.m.recompiles.Inc()
+			if g = pipeline(disabled, false); g == nil {
+				return o
 			}
 		}
 	}
@@ -415,9 +387,9 @@ func topTierName(st *fnState) string {
 
 // attachMC lowers st's freshly installed artifact to machine code and
 // installs it into W^X pages, making mc the function's top tier. It runs
-// once per installed artifact (mcTried latches), on the owner goroutine,
-// for every install path — sync compile, async mailbox, shared cache,
-// persistent store.
+// once per installed artifact (applyOutcome is its caller), on the owner
+// goroutine, for every install path — sync compile, async mailbox, shared
+// cache, persistent store.
 //
 // Failure containment mirrors execNative, with one deliberate difference:
 // the Ion artifact is already installed and correct, so a fault here —
@@ -427,10 +399,9 @@ func topTierName(st *fnState) string {
 // degrades to the threaded tier. mc.ErrUnsupported is legitimate
 // tiering, not a failure: silent fallback.
 func (e *Engine) attachMC(st *fnState) {
-	if st.mcTried || st.code == nil || !e.mcActive() {
+	if st.code == nil || !e.mcActive() {
 		return
 	}
-	st.mcTried = true
 	fctx := &faults.CompileCtx{
 		Inj:   e.cfg.Faults,
 		Meter: &faults.Meter{Limit: e.compileStepBudget()},
@@ -441,17 +412,10 @@ func (e *Engine) attachMC(st *fnState) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				f, ok := faults.FromPanic(r)
-				if !ok {
+				if _, ok := faults.FromPanic(r); !ok {
 					panic(r) // genuine engine bug: propagate
 				}
-				cerr = &CompileError{
-					Func:     st.fn.Name,
-					Stage:    StageMC,
-					Err:      &faults.InjectedError{Fault: f},
-					Panicked: true,
-					Injected: true,
-				}
+				cerr = panicToCompileError(st.fn.Name, StageMC, r)
 			}
 		}()
 		if err := fctx.Step(faults.PointMCEmit, st.fn.Name, 0); err != nil {
@@ -544,21 +508,14 @@ func (e *Engine) execNative(st *fnState, args []value.Value) (res native.Result,
 	mark := e.VM.Mark()
 	defer func() {
 		if r := recover(); r != nil {
-			f, ok := faults.FromPanic(r)
-			if !ok {
+			if _, ok := faults.FromPanic(r); !ok {
 				panic(r)
 			}
 			// Injected dispatch panics fire before the first op runs, but the
 			// recovery does not rely on it: whatever the call had nested by
 			// then, its stack windows and call depth are given back.
 			e.VM.Unwind(mark)
-			e.recordCompileError(&CompileError{
-				Func:     st.fn.Name,
-				Stage:    StageNative,
-				Err:      &faults.InjectedError{Fault: f},
-				Panicked: true,
-				Injected: true,
-			})
+			e.recordCompileError(panicToCompileError(st.fn.Name, StageNative, r))
 			res, status, err = native.Result{}, native.StatusBail, nil
 		}
 	}()

@@ -9,6 +9,7 @@ import (
 
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
+	"github.com/jitbull/jitbull/internal/obs"
 )
 
 // RunSpec describes one engine run for the parallel harness: a program, an
@@ -28,7 +29,7 @@ type RunOutcome struct {
 	Name    string
 	Stats   engine.Stats
 	Elapsed time.Duration // best of Repeats
-	Matches []core.Match  // distinct DNA matches, when a DB was installed
+	Matches []obs.Match   // distinct DNA matches, when a DB was installed
 	Err     error
 }
 

@@ -24,29 +24,48 @@ const (
 	VerdictNoJIT       Verdict = "nojit"        // matched pass mandatory: JIT denied
 )
 
-// AuditMatch is one DNA similarity behind a verdict, with full
-// attribution: the CVE, the VDC function whose DNA matched, the
-// optimization pass, and the interned chain that witnessed the match
-// (both the process-local ID and its portable string rendering).
-type AuditMatch struct {
+// Match is one DNA similarity behind a verdict, with full attribution: the
+// CVE, the VDC function whose DNA matched, the optimization pass, and the
+// chain that witnessed the match. It is the one form a match has — in the
+// policy's decision, in the detector's accounting, in the shared cache, on
+// disk in the store and in an audit line.
+type Match struct {
 	CVE     string `json:"cve"`
 	VDCFunc string `json:"vdc_func"`
 	Pass    string `json:"pass"`
+	// ChainID is the witness chain's ID in the policy's interner: the
+	// smallest chain shared between the candidate DNA and the matched delta
+	// on Side, or core.NoChain when the match needed no shared chain
+	// (degenerate thresholds). It means nothing to another process; Chain
+	// is what travels, and a reader in another process interns it again.
 	ChainID uint32 `json:"chain_id"`
-	Side    string `json:"side,omitempty"`  // "removed" or "added"
+	Side    string `json:"side,omitempty"`  // "removed" or "added"; "" with no witness
 	Chain   string `json:"chain,omitempty"` // "→"-joined chain rendering
 }
 
+// MatchKey is the identity projection of a Match: the (CVE, VDCFunc,
+// Pass) triple that defines go/no-go decisions. Attribution fields are
+// witnesses, not identity — two detectors are decision-equivalent when
+// their match KEY sets agree.
+type MatchKey struct {
+	CVE     string
+	VDCFunc string
+	Pass    string
+}
+
+// Key projects the match to its identity.
+func (m Match) Key() MatchKey { return MatchKey{CVE: m.CVE, VDCFunc: m.VDCFunc, Pass: m.Pass} }
+
 // AuditEvent is one structured audit record.
 type AuditEvent struct {
-	Seq            uint64       `json:"seq"`
-	TimeUnixNs     int64        `json:"time_unix_ns"`
-	Func           string       `json:"func"`
-	Verdict        Verdict      `json:"verdict"`
-	DisabledPasses []string     `json:"disabled_passes,omitempty"`
-	Matches        []AuditMatch `json:"matches,omitempty"`
-	Stage          string       `json:"stage,omitempty"`  // compile stage (supervisor events)
-	Reason         string       `json:"reason,omitempty"` // error text (supervisor events)
+	Seq            uint64   `json:"seq"`
+	TimeUnixNs     int64    `json:"time_unix_ns"`
+	Func           string   `json:"func"`
+	Verdict        Verdict  `json:"verdict"`
+	DisabledPasses []string `json:"disabled_passes,omitempty"`
+	Matches        []Match  `json:"matches,omitempty"`
+	Stage          string   `json:"stage,omitempty"`  // compile stage (supervisor events)
+	Reason         string   `json:"reason,omitempty"` // error text (supervisor events)
 }
 
 // String renders the event as one report line.

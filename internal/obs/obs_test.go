@@ -272,7 +272,7 @@ func TestRegistryConcurrentAggregation(t *testing.T) {
 func TestAuditLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAuditLog(&buf)
-	l.Append(AuditEvent{Func: "f", Verdict: VerdictNoJIT, Matches: []AuditMatch{
+	l.Append(AuditEvent{Func: "f", Verdict: VerdictNoJIT, Matches: []Match{
 		{CVE: "CVE-2019-9813", VDCFunc: "poc", Pass: "RangeAnalysis", ChainID: 12, Side: "removed", Chain: "a→b"},
 	}})
 	l.Record(fact(FactQuarantined, "g", S("stage", "passes"), S("reason", "injected fault")))

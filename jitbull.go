@@ -195,11 +195,6 @@ type (
 	ArtifactStore = store.Store
 	// StoreVerifyReport is the result of an offline integrity scan.
 	StoreVerifyReport = store.VerifyReport
-	// CacheCodec serializes the engine's cached compilations for the
-	// store: artifacts travel as their plain op stream (derived forms are
-	// recomputed bit-identically on load) and JITBULL verdicts through the
-	// detector's own verdict codec.
-	CacheCodec = engine.CacheCodec
 	// StoreOptions configures an ArtifactStore (metrics, tracer, chaos
 	// injector, retry budget).
 	StoreOptions = store.Options
@@ -214,21 +209,15 @@ func OpenStore(dir string, opts StoreOptions) (*ArtifactStore, error) {
 	return store.Open(dir, opts)
 }
 
-// NewCacheCodec builds the store codec for a fleet protected by detector
-// d (nil for an unprotected fleet — verdict-bearing records are then not
-// persisted rather than persisted without their verdicts).
-func NewCacheCodec(d *Detector) *CacheCodec {
-	if d == nil {
-		return engine.NewCacheCodec(nil)
-	}
-	return engine.NewCacheCodec(d)
-}
-
 // AttachStore wires a persistent store under a CodeCache as its second
 // tier: every publish is written through, and a memory miss consults the
-// store before compiling. Call before the engines sharing the cache run.
-func AttachStore(c *CodeCache, st *ArtifactStore, codec *CacheCodec) {
-	c.AttachTier(st, codec)
+// store before compiling. Artifacts travel as their plain op stream
+// (derived forms are recomputed bit-identically on load) and each JITBULL
+// decision as itself, matches included, so a fleet with a detector and one
+// without attach a store the same way. Call before the engines sharing the
+// cache run.
+func AttachStore(c *CodeCache, st *ArtifactStore) {
+	c.AttachTier(st, engine.NewCacheCodec())
 }
 
 // NewRing returns a trace ring buffer; capacity <= 0 uses the default (64k).

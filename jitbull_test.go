@@ -105,6 +105,12 @@ func TestFacadeInventory(t *testing.T) {
 	if _, err := VulnerabilityByID("CVE-0000-1"); err == nil {
 		t.Error("unknown CVE should error")
 	}
+	// A store attaches under a cache with nothing from the detector.
+	st, err := OpenStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	AttachStore(NewCodeCache(nil), st)
 }
 
 func TestMinifyVariantFacade(t *testing.T) {
