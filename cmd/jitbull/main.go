@@ -294,11 +294,12 @@ func cmdRun(args []string) error {
 				jitReg.Gauge("jit.queue_depth_hwm").Value(), jitReg.Counter("jit.queue_enqueued").Value())
 		}
 		if *storeDir != "" {
-			fmt.Fprintf(os.Stderr, "store: hits=%d misses=%d puts=%d put_drops=%d quarantined=%d retries=%d faults_injected=%d tier_hits=%d\n",
+			fmt.Fprintf(os.Stderr, "store: hits=%d misses=%d puts=%d put_drops=%d quarantined=%d retries=%d faults_injected=%d tier_hits=%d tier_encode_drops=%d\n",
 				sink.Counter("store.hits").Value(), sink.Counter("store.misses").Value(),
 				sink.Counter("store.puts").Value(), sink.Counter("store.put_drops").Value(),
 				sink.Counter("store.quarantined").Value(), sink.Counter("store.retries").Value(),
-				sink.Counter("store.faults_injected").Value(), sink.Counter("cache.tier_hits").Value())
+				sink.Counter("store.faults_injected").Value(), sink.Counter("cache.tier_hits").Value(),
+				sink.Counter("cache.tier_encode_drops").Value())
 		}
 		if wdog != nil {
 			fmt.Fprintln(os.Stderr, wdog.Summary())

@@ -101,7 +101,7 @@ func cmdStoreVerify(args []string) error {
 // reproducers compatible with the compile-path campaign's format.
 func cmdStoreChaos(args []string) error {
 	fs := flag.NewFlagSet("store chaos", flag.ContinueOnError)
-	runs := fs.Int("runs", 216, "number of runs (216 = 9 full point-by-kind sweeps)")
+	runs := fs.Int("runs", 208, "number of runs (208 = 13 full point-by-kind sweeps)")
 	seed := fs.Int64("seed", 1, "base seed (run i uses seed+i for program and schedule)")
 	out := fs.String("out", "", "write failure reproducers (JSON) to this file")
 	dir := fs.String("dir", "", "scratch root for the per-run store directories (default: a temp dir, removed afterwards)")

@@ -12,7 +12,7 @@ import (
 // objects (the pre-envelope layout, which must not load), and garbage
 // JSON — at the envelope parser and holds it to the persistence contract:
 // it never panics, and it either returns a database that passes Validate
-// or an error (corruption surfaces as *CorruptError, structural
+// or an error (corruption surfaces as *store.CorruptError, structural
 // invalidity as a Validate error). Only a checksummed envelope loads, and
 // an input that loads must also survive a save/load round trip.
 func FuzzLoadDatabase(f *testing.F) {
@@ -57,8 +57,8 @@ func FuzzLoadDatabase(f *testing.F) {
 		if db == nil {
 			t.Fatal("nil database with nil error")
 		}
-		var env dbEnvelope
-		if json.Unmarshal(data, &env) != nil || env.Format != dbFormat || env.CRC32C == "" {
+		var env struct{ Format, CRC32C string }
+		if json.Unmarshal(data, &env) != nil || env.Format != dbFormat.Name || env.CRC32C == "" {
 			t.Fatalf("LoadDatabase accepted a file without the checksummed envelope: %q", data)
 		}
 		if verr := db.Validate(); verr != nil {

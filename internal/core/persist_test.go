@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/faults"
+	"github.com/jitbull/jitbull/internal/store"
 )
 
 func sampleDB() *Database {
@@ -64,7 +65,7 @@ func TestLoadTruncatedFileIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = LoadDatabase(path)
-	if !IsCorrupt(err) {
+	if !store.IsCorrupt(err) {
 		t.Fatalf("truncated file: err = %v, want CorruptError", err)
 	}
 }
@@ -82,7 +83,7 @@ func TestLoadBitFlippedPayloadIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = LoadDatabase(path)
-	if !IsCorrupt(err) {
+	if !store.IsCorrupt(err) {
 		t.Fatalf("bit-flipped file: err = %v, want CorruptError", err)
 	}
 }
@@ -100,7 +101,7 @@ func TestLoadLegacyV1Layout(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = LoadDatabase(path)
-	if !IsCorrupt(err) || !strings.Contains(err.Error(), "missing envelope") {
+	if !store.IsCorrupt(err) || !strings.Contains(err.Error(), "missing envelope") {
 		t.Fatalf("unchecksummed database: err = %v, want a CorruptError naming the missing envelope", err)
 	}
 	if db, _ := LoadDatabaseFailSafe(path); db == nil || !db.FailSafe() {
@@ -119,7 +120,7 @@ func TestLoadRejectsForeignJSON(t *testing.T) {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadDatabase(path); !IsCorrupt(err) {
+		if _, err := LoadDatabase(path); !store.IsCorrupt(err) {
 			t.Errorf("%s: err = %v, want CorruptError", name, err)
 		}
 	}

@@ -13,7 +13,6 @@ package difftest
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
 
 	"github.com/jitbull/jitbull/internal/core"
@@ -31,10 +30,6 @@ type WarmStartOptions struct {
 	// JITBULL runs both processes under the 4-VDC detector, so verdict
 	// replay (not just artifact reuse) is what the cell proves.
 	JITBULL bool
-	// Snapshot routes the warm process through a Snapshot/Restore bundle
-	// into a second directory instead of reopening the store in place —
-	// the fleet-priming path.
-	Snapshot bool
 	// OSR/Speculate arm the tier-transition machinery, putting OSR entry
 	// and deopt-exit side tables into the persisted artifacts.
 	OSR       bool
@@ -130,8 +125,7 @@ func StoreWarmStart(src, dir string, o WarmStartOptions) (WarmStartResult, error
 		Speculate:         o.Speculate,
 	}
 
-	coldDir := filepath.Join(dir, "cold")
-	coldStore, err := store.Open(coldDir, store.Options{})
+	coldStore, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return res, err
 	}
@@ -141,26 +135,7 @@ func StoreWarmStart(src, dir string, o WarmStartOptions) (WarmStartResult, error
 
 	// Kill the process: the cold engine, cache and store handle are
 	// dropped here. Only the directory survives.
-	warmDir := coldDir
-	if o.Snapshot {
-		// Fleet priming: bundle the store and restore it into a different
-		// directory; the warm process runs over the restored copy.
-		bundle := filepath.Join(dir, "snapshot.json")
-		if err := coldStore.Snapshot(bundle); err != nil {
-			return res, err
-		}
-		warmDir = filepath.Join(dir, "restored")
-		restored, err := store.Open(warmDir, store.Options{})
-		if err != nil {
-			return res, err
-		}
-		if n, err := restored.Restore(bundle); err != nil {
-			return res, err
-		} else if n == 0 {
-			res.Divergences = append(res.Divergences, "snapshot/restore installed 0 records")
-		}
-	}
-	warmStore, err := store.Open(warmDir, store.Options{})
+	warmStore, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return res, err
 	}

@@ -34,8 +34,8 @@ import (
 type StoreChaosOptions struct {
 	// Seed is the base seed; run i uses Seed+i for its program and plan.
 	Seed int64
-	// Runs is the number of runs (default 216 = 9 sweeps of the full
-	// 3-point × 8-kind grid).
+	// Runs is the number of runs (default 208 = 13 sweeps of the full
+	// 2-point × 8-kind grid).
 	Runs int
 	// Dir is the scratch root for the per-run store directories. Each run
 	// uses Dir/run-<i>; the caller owns creation and cleanup of Dir.
@@ -53,7 +53,7 @@ type StoreChaosOptions struct {
 
 func (o StoreChaosOptions) withDefaults() StoreChaosOptions {
 	if o.Runs <= 0 {
-		o.Runs = 216
+		o.Runs = 208
 	}
 	if o.IonThreshold <= 0 {
 		o.IonThreshold = 30
@@ -178,17 +178,6 @@ func storeChaosOne(seed int64, src string, plan faults.Plan, dir string, o Store
 			panic(serr)
 		}
 		cold = storeProcess(src, base, st1, jitbull).Obs
-		// Snapshot/Restore leg: when the plan targets the manifest point,
-		// route the restart through a bundle so the point actually fires.
-		// Failures degrade (the warm process just starts colder).
-		if plan.Rules[0].Point == faults.PointStoreManifest {
-			bundle := dir + "/snapshot.json"
-			if err := st1.Snapshot(bundle); err == nil {
-				if st2, err := store.Open(dir+"/restored", sopts); err == nil {
-					st2.Restore(bundle)
-				}
-			}
-		}
 		st2, serr := store.Open(dir+"/store", sopts)
 		if serr != nil {
 			panic(serr)

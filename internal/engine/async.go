@@ -97,10 +97,13 @@ type compileOutcome struct {
 // compiled under. The artifact is installed by pointer — native execution
 // never mutates lir.Code, so one compilation serves any number of engines
 // and threads.
+//
+// It is also the store's record (persist.go): the fields are exported, and
+// tagged, for encoding/json and nobody else.
 type cachedCompile struct {
-	code        *lir.Code // nil for a NoJIT verdict
-	decision    CompileDecision
-	jitEligible bool
+	Decision    CompileDecision `json:"decision"`
+	JitEligible bool            `json:"jit_eligible,omitempty"`
+	Code        *lir.Code       `json:"code,omitempty"` // nil for a NoJIT verdict
 }
 
 // disabledAfter is what a decision does to the disabled-pass set its
@@ -143,8 +146,8 @@ func (e *Engine) decide(fnName, source string, judge func() CompileDecision) Com
 // sizeEstimate approximates the artifact's footprint for cache.bytes.
 func (c *cachedCompile) sizeEstimate() int64 {
 	s := int64(64)
-	if c.code != nil {
-		s += int64(len(c.code.Ops)) * 32
+	if c.Code != nil {
+		s += int64(len(c.Code.Ops)) * 32
 	}
 	return s
 }
@@ -396,10 +399,10 @@ func (e *Engine) maybeCachePut(o *compileOutcome) {
 	if !o.req.cacheable || o.fromCache {
 		return
 	}
-	cc := &cachedCompile{decision: o.decision, jitEligible: o.jitEligible}
+	cc := &cachedCompile{Decision: o.decision, JitEligible: o.jitEligible}
 	switch {
 	case o.cerr == nil:
-		cc.code = o.code
+		cc.Code = o.code
 	case o.decision.NoJIT:
 		// Deterministic: published without an artifact.
 	default:
@@ -417,8 +420,8 @@ func (e *Engine) outcomeFromCache(req *compileRequest, cc *cachedCompile) *compi
 	o := &compileOutcome{
 		req:         req,
 		fromCache:   true,
-		jitEligible: cc.jitEligible,
-		decision:    cc.decision,
+		jitEligible: cc.JitEligible,
+		decision:    cc.Decision,
 	}
 	if cp, ok := e.policy.(CachingPolicy); ok && cp.Active() {
 		e.decide(req.fnName, "cache", func() CompileDecision {
@@ -427,15 +430,15 @@ func (e *Engine) outcomeFromCache(req *compileRequest, cc *cachedCompile) *compi
 			// concurrently be inside BeginCompile/Decide on a worker — so the
 			// replay takes compileMu like every other policy touch.
 			e.compileMu.Lock()
-			cp.ReplayDecision(req.fnName, cc.decision)
+			cp.ReplayDecision(req.fnName, cc.Decision)
 			e.compileMu.Unlock()
-			return cc.decision
+			return cc.Decision
 		})
 	}
-	if cc.decision.NoJIT {
+	if cc.Decision.NoJIT {
 		o.cerr = newCompileError(req.fnName, StagePolicy, ErrPolicyNoJIT)
 	} else {
-		o.code = cc.code
+		o.code = cc.Code
 	}
 	return o
 }

@@ -169,8 +169,8 @@ func TestCacheReplaysPolicyVerdict(t *testing.T) {
 		if s := cold.Stats(); s.NrDisJIT != 1 || s.Recompiles != 1 {
 			t.Fatalf("cold stats: %+v", s)
 		}
-		if _, cc := cacheValue(t, cache); !reflect.DeepEqual(cc.decision, verdict) {
-			t.Fatalf("cached decision = %+v, want the one finish returned", cc.decision)
+		if _, cc := cacheValue(t, cache); !reflect.DeepEqual(cc.Decision, verdict) {
+			t.Fatalf("cached decision = %+v, want the one finish returned", cc.Decision)
 		}
 
 		warmer := &stubCachingPolicy{verdict: verdict}

@@ -69,16 +69,13 @@ const (
 
 	// Store points gate the persistent artifact/verdict store's disk
 	// boundary (internal/store): PointStorePut is hit once per record
-	// write, PointStoreGet once per record read, PointStoreManifest once
-	// per snapshot/restore manifest operation (detail: record key or
-	// manifest path). They are not part of CompilePoints() — the store
-	// contains its own faults (quarantine + cold-start degradation) and a
-	// compile-path schedule would veto cacheability entirely. Target them
-	// explicitly; they accept the disk kinds (DiskKinds) in addition to
-	// the generic ones.
-	PointStorePut      Point = "store.put"
-	PointStoreGet      Point = "store.get"
-	PointStoreManifest Point = "store.manifest"
+	// write, PointStoreGet once per record read (detail: record key). They
+	// are not part of CompilePoints() — the store contains its own faults
+	// (quarantine + cold-start degradation) and a compile-path schedule
+	// would veto cacheability entirely. Target them explicitly; they accept
+	// the disk kinds (DiskKinds) in addition to the generic ones.
+	PointStorePut Point = "store.put"
+	PointStoreGet Point = "store.get"
 
 	// PointWatchdog seeds the anomaly watchdog (internal/obs): the
 	// watchdog's seed probe consults it once per observed signal (detail:
@@ -95,7 +92,7 @@ const (
 // StorePoints lists the persistent store's injection points — the disk
 // boundary a store chaos campaign sweeps.
 func StorePoints() []Point {
-	return []Point{PointStorePut, PointStoreGet, PointStoreManifest}
+	return []Point{PointStorePut, PointStoreGet}
 }
 
 // CompilePoints lists the points on the per-function compile/dispatch

@@ -25,12 +25,12 @@ type Key [32]byte
 const DefaultCacheMaxBytes = 64 << 20
 
 // Codec translates cache values to and from self-contained bytes for the
-// second tier. Encode reports ok=false for values that must not cross a
-// process boundary (e.g. a verdict payload with no persistent form);
-// Decode errors mean the bytes are from an incompatible producer and the
-// lookup degrades to a miss.
+// second tier. An Encode error keeps the value memory-only and is counted
+// (cache.tier_encode_drops): every process after this one compiles it
+// cold. A Decode error means the bytes are from an incompatible producer;
+// the lookup degrades to a miss (cache.tier_decode_drops).
 type Codec interface {
-	Encode(v any) (data []byte, ok bool)
+	Encode(v any) (data []byte, err error)
 	Decode(data []byte) (v any, err error)
 }
 
@@ -87,13 +87,14 @@ type Cache struct {
 	tier  SecondTier
 	codec Codec
 
-	mHits      *obs.Counter
-	mMisses    *obs.Counter
-	mEvict     *obs.Counter
-	mBytes     *obs.Gauge
-	mSize      *obs.Gauge
-	mTierHits  *obs.Counter
-	mTierDrops *obs.Counter
+	mHits         *obs.Counter
+	mMisses       *obs.Counter
+	mEvict        *obs.Counter
+	mBytes        *obs.Gauge
+	mSize         *obs.Gauge
+	mTierHits     *obs.Counter
+	mTierDrops    *obs.Counter
+	mTierEncDrops *obs.Counter
 }
 
 // NewCache builds an empty cache bounded at DefaultCacheMaxBytes. reg,
@@ -108,15 +109,16 @@ func NewCache(reg *obs.Registry) *Cache {
 // the unbounded-growth consequences).
 func NewCacheLimited(reg *obs.Registry, maxBytes int64) *Cache {
 	return &Cache{
-		m:          make(map[Key]*entry),
-		maxBytes:   maxBytes,
-		mHits:      reg.Counter("cache.hits"),
-		mMisses:    reg.Counter("cache.misses"),
-		mEvict:     reg.Counter("cache.evictions"),
-		mBytes:     reg.Gauge("cache.bytes"),
-		mSize:      reg.Gauge("cache.entries"),
-		mTierHits:  reg.Counter("cache.tier_hits"),
-		mTierDrops: reg.Counter("cache.tier_decode_drops"),
+		m:             make(map[Key]*entry),
+		maxBytes:      maxBytes,
+		mHits:         reg.Counter("cache.hits"),
+		mMisses:       reg.Counter("cache.misses"),
+		mEvict:        reg.Counter("cache.evictions"),
+		mBytes:        reg.Gauge("cache.bytes"),
+		mSize:         reg.Gauge("cache.entries"),
+		mTierHits:     reg.Counter("cache.tier_hits"),
+		mTierDrops:    reg.Counter("cache.tier_decode_drops"),
+		mTierEncDrops: reg.Counter("cache.tier_encode_drops"),
 	}
 }
 
@@ -205,9 +207,12 @@ func (c *Cache) Put(k Key, v any, size int64) {
 		return
 	}
 	if c.tier != nil && c.codec != nil {
-		if data, ok := c.codec.Encode(v); ok {
-			c.tier.Put(k, data)
+		data, err := c.codec.Encode(v)
+		if err != nil {
+			c.mTierEncDrops.Inc()
+			return
 		}
+		c.tier.Put(k, data)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/jitbull/jitbull/internal/obs"
 )
 
 // TestCacheSieveDeterministicEviction pins the eviction order: victims
@@ -89,12 +91,12 @@ func (t *memTier) Put(k Key, data []byte) {
 // unencodable.
 type stringCodec struct{}
 
-func (stringCodec) Encode(v any) ([]byte, bool) {
+func (stringCodec) Encode(v any) ([]byte, error) {
 	s, ok := v.(string)
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("%T is not a string", v)
 	}
-	return []byte(s), true
+	return []byte(s), nil
 }
 
 func (stringCodec) Decode(data []byte) (any, error) {
@@ -116,7 +118,8 @@ func TestCacheWriteThroughAndPromote(t *testing.T) {
 		t.Fatalf("tier puts = %d, want 1", tier.puts)
 	}
 
-	c2 := NewCache(nil) // "restarted process": cold memory, same tier
+	reg := obs.NewRegistry()
+	c2 := NewCache(reg) // "restarted process": cold memory, same tier
 	c2.AttachTier(tier, stringCodec{})
 	v, ok := c2.Get(Key{1})
 	if !ok || v.(string) != "artifact" {
@@ -129,10 +132,14 @@ func TestCacheWriteThroughAndPromote(t *testing.T) {
 	if tier.gets != getsAfterPromote {
 		t.Error("promoted entry still consults the tier")
 	}
-	// Unencodable values stay memory-only.
+	// Unencodable values stay memory-only, and the refusal is counted:
+	// every later process compiles this key cold.
 	c2.Put(Key{2}, 42, 8)
 	if _, ok := tier.m[Key{2}]; ok {
 		t.Error("unencodable value reached the tier")
+	}
+	if n := reg.Counter("cache.tier_encode_drops").Value(); n != 1 {
+		t.Errorf("cache.tier_encode_drops = %d, want 1", n)
 	}
 	// Undecodable tier records degrade to a miss.
 	tier.m[Key{3}] = nil

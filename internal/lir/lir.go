@@ -227,31 +227,32 @@ type DeoptExit struct {
 	Slots      []FrameSlot
 }
 
-// Code is the compiled form of one function.
+// Code is the compiled form of one function. The struct tags are its wire
+// form (wire.go): the plain fields travel, the derived ones do not.
 type Code struct {
-	Name      string
-	FuncIndex int
-	NumParams int
-	NumRegs   int
-	Ops       []Op
-	ArgLists  [][]int32 // call argument register lists
+	Name      string    `json:"name"`
+	FuncIndex int       `json:"func_index"`
+	NumParams int       `json:"num_params"`
+	NumRegs   int       `json:"num_regs"`
+	Ops       []Op      `json:"ops"`
+	ArgLists  [][]int32 `json:"arg_lists"` // call argument register lists
 
 	// OSREntries and DeoptExits are the OSR/deopt side tables, in emission
 	// order. Register references inside them are rewritten by
 	// regalloc.Allocate together with the op stream.
-	OSREntries []OSREntry
-	DeoptExits []DeoptExit
+	OSREntries []OSREntry  `json:"osr_entries"`
+	DeoptExits []DeoptExit `json:"deopt_exits"`
 
 	// Blocks is the basic-block metadata attached by regalloc.Allocate and
 	// consumed by Fuse. Nil until allocation has run; Fuse recomputes it
 	// on demand when absent.
-	Blocks *BlockMeta
+	Blocks *BlockMeta `json:"-"`
 	// Fused is the superinstruction form of Ops, attached by the fuse
 	// compile stage. The native executor dispatches through it when
 	// non-nil; semantics (results, Result.Steps, bail/crash behavior) are
 	// bit-identical to executing Ops directly. Immutable after publish, so
 	// it rides through the shared compilation cache with the Code pointer.
-	Fused *FusedCode
+	Fused *FusedCode `json:"-"`
 }
 
 // String disassembles the code for diagnostics.

@@ -316,7 +316,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	reg.Counter("engine.compiles").Add(9)
 	audit := NewAuditLog(nil)
 	audit.Append(AuditEvent{Func: "f", Verdict: VerdictGo})
-	srv, addr, err := StartDebugServer("127.0.0.1:0", reg, audit)
+	srv, addr, err := StartOpsServer("127.0.0.1:0", OpsState{Reg: reg, Audit: audit})
 	if err != nil {
 		t.Fatal(err)
 	}

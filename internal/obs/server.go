@@ -18,13 +18,6 @@ type OpsState struct {
 	Flight   *FlightRecorder
 }
 
-// NewDebugMux builds the classic debug handler (metrics, audit, pprof).
-// Kept for callers that predate the ops surface; equivalent to
-// NewOpsMux with only Reg and Audit set.
-func NewDebugMux(reg *Registry, audit *AuditLog) *http.ServeMux {
-	return NewOpsMux(OpsState{Reg: reg, Audit: audit})
-}
-
 // NewOpsMux builds the full operational HTTP handler:
 //
 //	/metrics        expvar-style "name value" text
@@ -83,16 +76,10 @@ func NewOpsMux(s OpsState) *http.ServeMux {
 	return mux
 }
 
-// StartDebugServer listens on addr and serves NewDebugMux in a background
-// goroutine, returning the server (for Close) and the bound address
-// (useful with ":0"). The pprof endpoints make any long jitbull run
-// profileable with the stock `go tool pprof` workflow.
-func StartDebugServer(addr string, reg *Registry, audit *AuditLog) (*http.Server, net.Addr, error) {
-	return StartOpsServer(addr, OpsState{Reg: reg, Audit: audit})
-}
-
 // StartOpsServer listens on addr and serves the full operational mux in
-// a background goroutine.
+// a background goroutine, returning the server (for Close) and the bound
+// address (useful with ":0"). The pprof endpoints make any long jitbull
+// run profileable with the stock `go tool pprof` workflow.
 func StartOpsServer(addr string, s OpsState) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

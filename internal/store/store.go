@@ -5,13 +5,13 @@
 // encoded artifact+verdict record, so a fleet restart replays verdicts
 // and installs artifacts without rerunning the pipeline or DNA matching.
 //
-// Durability discipline is the same as the VDC database's persistence
+// Durability discipline is envelope.go's, shared with the VDC database
 // (internal/core/persist.go): every record is a versioned JSON envelope
 // whose payload is covered by a CRC-32C checksum, and every write goes
 // to a temporary file renamed over the final path, so a crash mid-write
-// never leaves a half-record under a valid name. What the envelope adds
-// here is the record's own key, so a renamed, copied or cross-linked
-// file cannot serve bytes for a key it was not written under.
+// never leaves a half-record under a valid name. A record's envelope
+// carries its own key, so a renamed, copied or cross-linked file cannot
+// serve bytes for a key it was not written under.
 //
 // Failure policy is fail-safe degradation, never propagation: the store
 // sits under a cache whose contract is "a miss costs a recompile", so
@@ -27,10 +27,8 @@ package store
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -45,9 +43,6 @@ import (
 )
 
 const (
-	recordFormat  = "jitbull-store"
-	recordVersion = 1
-
 	objectsDir    = "objects"
 	quarantineDir = "quarantine"
 
@@ -56,45 +51,6 @@ const (
 	// retryBase is the backoff unit: attempt n sleeps retryBase << n.
 	retryBase = time.Millisecond
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// envelope is the on-disk layout of one record. CRC32C covers Payload
-// exactly as stored; Key binds the record to the cache key it was
-// written under.
-type envelope struct {
-	Format  string          `json:"format"`
-	Version int             `json:"version"`
-	Key     string          `json:"key"`
-	CRC32C  string          `json:"crc32c"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// CorruptError reports that a record file exists but cannot be trusted.
-// The store's callers never see it (corruption degrades to a miss); it
-// surfaces through Verify for the offline `jitbull store verify` path.
-type CorruptError struct {
-	Path   string
-	Reason string
-	Err    error
-}
-
-// Error implements the error interface.
-func (e *CorruptError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("corrupt store record %s: %s: %v", e.Path, e.Reason, e.Err)
-	}
-	return fmt.Sprintf("corrupt store record %s: %s", e.Path, e.Reason)
-}
-
-// Unwrap exposes the underlying cause.
-func (e *CorruptError) Unwrap() error { return e.Err }
-
-// IsCorrupt reports whether err marks an untrustworthy record.
-func IsCorrupt(err error) bool {
-	var c *CorruptError
-	return errors.As(err, &c)
-}
 
 // Options configures a store.
 type Options struct {
@@ -235,75 +191,6 @@ func (s *Store) checkFault(p faults.Point, detail string) (f faults.Fault, fired
 	return ie.Fault, true
 }
 
-// encode renders the record envelope for (key, payload). The payload
-// must be valid JSON (the cache codec emits JSON); anything else is
-// refused so the envelope itself stays parseable.
-func encodeRecord(key string, payload []byte) ([]byte, error) {
-	if !json.Valid(payload) {
-		return nil, fmt.Errorf("store record payload is not valid JSON")
-	}
-	return []byte(fmt.Sprintf("{\n  \"format\": %q,\n  \"version\": %d,\n  \"key\": %q,\n  \"crc32c\": \"%08x\",\n  \"payload\": %s\n}\n",
-		recordFormat, recordVersion, key, crc32.Checksum(payload, crcTable), payload)), nil
-}
-
-// decodeRecord verifies one envelope against the key it was fetched
-// under, returning the payload or a *CorruptError.
-func decodeRecord(path, wantKey string, data []byte) (json.RawMessage, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, &CorruptError{Path: path, Reason: "envelope does not parse (torn or truncated write?)", Err: err}
-	}
-	if env.Format != recordFormat {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("unknown format %q", env.Format)}
-	}
-	if env.Version != recordVersion {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("unsupported version %d (want %d)", env.Version, recordVersion)}
-	}
-	if wantKey != "" && env.Key != wantKey {
-		return nil, &CorruptError{Path: path,
-			Reason: fmt.Sprintf("key mismatch: record written under %q (renamed or cross-linked file?)", env.Key)}
-	}
-	if len(env.Payload) == 0 {
-		return nil, &CorruptError{Path: path, Reason: "missing payload"}
-	}
-	sum := fmt.Sprintf("%08x", crc32.Checksum(env.Payload, crcTable))
-	if !strings.EqualFold(sum, env.CRC32C) {
-		return nil, &CorruptError{Path: path,
-			Reason: fmt.Sprintf("checksum mismatch: stored crc32c %q, computed %q (bit rot or a tampered file)", env.CRC32C, sum)}
-	}
-	return env.Payload, nil
-}
-
-// writeAtomic writes data to path with the temp-file + rename discipline:
-// a crash at any instruction leaves either the old record or the new one
-// under path, never a prefix.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".jitbull-store-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
-}
-
 // Put implements jitqueue.SecondTier: persist one encoded cache value.
 // Failures never propagate (the memory tier already holds the value);
 // they are accounted and the record simply stays cold for the next
@@ -319,7 +206,7 @@ func (s *Store) Put(k jitqueue.Key, data []byte) {
 		s.hPut.ObserveEx(int64(time.Since(start)), sp.ID())
 		sp.End()
 	}()
-	env, err := encodeRecord(key, data)
+	env, err := recordFormat.Seal(key, data)
 	if err != nil {
 		s.dropPut(key, err.Error())
 		return
@@ -365,7 +252,7 @@ func (s *Store) Put(k jitqueue.Key, data []byte) {
 	}
 
 	for attempt := 0; ; attempt++ {
-		err := writeAtomic(path, env)
+		err := WriteAtomic(path, env)
 		if err == nil {
 			s.mPuts.Inc()
 			return
@@ -435,7 +322,7 @@ func (s *Store) Get(k jitqueue.Key) ([]byte, bool) {
 		s.mMisses.Inc()
 		return nil, false
 	}
-	payload, derr := decodeRecord(path, key, data)
+	payload, derr := recordFormat.Unseal(path, key, data)
 	if derr != nil {
 		s.quarantine(path, key, derr)
 		s.mMisses.Inc()
@@ -477,13 +364,9 @@ func (s *Store) quarantine(path, key string, cause error) {
 		os.Remove(path)
 		dst = "(unpreserved: " + err.Error() + ")"
 	}
-	s.corrupt(key, fmt.Sprintf("record quarantined to %s: %v", dst, cause))
-}
-
-// corrupt accounts one untrustworthy record now out of service.
-func (s *Store) corrupt(key, reason string) {
 	s.mQuarantined.Inc()
-	s.opts.Tracer.Instant(obs.CatStore, obs.FactStoreCorrupt, key, obs.S("stage", "store"), obs.S("reason", reason))
+	s.opts.Tracer.Instant(obs.CatStore, obs.FactStoreCorrupt, key, obs.S("stage", "store"),
+		obs.S("reason", fmt.Sprintf("record quarantined to %s: %v", dst, cause)))
 }
 
 // Len reports how many record files the store currently holds (corrupt
@@ -542,7 +425,7 @@ func (s *Store) Verify(quarantineBad bool) (VerifyReport, error) {
 		if err != nil {
 			derr = err
 		} else {
-			_, derr = decodeRecord(path, key, data)
+			_, derr = recordFormat.Unseal(path, key, data)
 		}
 		if derr == nil {
 			rep.OK++

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/core"
+	"github.com/jitbull/jitbull/internal/store"
 )
 
 // TestCorruptDatabaseFailsSafe is the fail-safe acceptance check: when the
@@ -53,7 +54,7 @@ func TestCorruptDatabaseFailsSafe(t *testing.T) {
 			if loadErr == nil {
 				t.Fatal("corrupted database loaded without an error")
 			}
-			if !core.IsCorrupt(loadErr) {
+			if !store.IsCorrupt(loadErr) {
 				t.Fatalf("corruption not classified: %v", loadErr)
 			}
 			if !loaded.FailSafe() {
@@ -72,5 +73,36 @@ func TestCorruptDatabaseFailsSafe(t *testing.T) {
 				t.Errorf("fail-safe mode must deny JIT outright, not disable passes (NrDisJIT=%d)", protected.Stats.NrDisJIT)
 			}
 		})
+	}
+}
+
+// TestGoldenDatabaseFile pins the database's byte format across the
+// envelope's move into internal/store: core/testdata/golden_db_v2.json
+// was written by Save at the commit before that move, for BuildDB(2, 100).
+// It must load to the same policy identity and be written back byte for
+// byte — a protected browser keeps the file it was handed.
+func TestGoldenDatabaseFile(t *testing.T) {
+	const golden = "../core/testdata/golden_db_v2.json"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.LoadDatabase(golden)
+	if err != nil {
+		t.Fatalf("golden database does not load: %v", err)
+	}
+	built, _, err := BuildDB(2, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Fingerprint() != built.Fingerprint() {
+		t.Errorf("golden fingerprint %016x, BuildDB(2, 100) gives %016x", loaded.Fingerprint(), built.Fingerprint())
+	}
+	out := filepath.Join(t.TempDir(), "db.json")
+	if err := loaded.Save(out); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(out); err != nil || string(got) != string(want) {
+		t.Errorf("Save did not reproduce the golden file byte for byte (err %v, %d bytes, want %d)", err, len(got), len(want))
 	}
 }

@@ -177,12 +177,6 @@ func NewQueue(workers, capacity int, reg *Registry) *Queue {
 // it receives the cache.{hits,misses,evictions,bytes,entries} metrics.
 func NewCodeCache(reg *Registry) *CodeCache { return jitqueue.NewCache(reg) }
 
-// NewCodeCacheLimited is NewCodeCache with an explicit footprint bound in
-// bytes; maxBytes <= 0 removes the bound.
-func NewCodeCacheLimited(reg *Registry, maxBytes int64) *CodeCache {
-	return jitqueue.NewCacheLimited(reg, maxBytes)
-}
-
 // Persistent artifact/verdict store types (see internal/store): an
 // on-disk second tier under the CodeCache. Every record is a checksummed,
 // key-bound, atomically-written envelope; anything that fails
@@ -244,13 +238,6 @@ func SaveChromeTrace(path string, events []TraceEvent) error {
 
 // ReadAuditFile parses a JSONL audit stream written via NewAuditLog.
 func ReadAuditFile(path string) ([]AuditEvent, error) { return obs.ReadAuditFile(path) }
-
-// StartDebugServer serves /metrics, /metrics.json, /audit.json and
-// /debug/pprof/* on addr (e.g. "127.0.0.1:0"); either of reg and audit may
-// be nil. It returns the running server and its bound address.
-func StartDebugServer(addr string, reg *Registry, audit *AuditLog) (*http.Server, net.Addr, error) {
-	return obs.StartDebugServer(addr, reg, audit)
-}
 
 // NewJournal returns a tier-journey journal keeping at most capPerFunc
 // events per function (<= 0 uses the default, 256).

@@ -4,6 +4,7 @@ package jitbull
 // downstream user consume.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,16 @@ func TestFacadeInventory(t *testing.T) {
 		t.Fatal(err)
 	}
 	AttachStore(NewCodeCache(nil), st)
+	// The alias exports the store's whole method set, so that set is
+	// facade surface: a store is its directory (copy it to move it), with
+	// no second on-disk form.
+	var methods []string
+	for typ, i := reflect.TypeOf(st), 0; i < typ.NumMethod(); i++ {
+		methods = append(methods, typ.Method(i).Name)
+	}
+	if got, want := strings.Join(methods, ","), "Dir,Get,Len,Put,QuarantineDir,Verify"; got != want {
+		t.Errorf("ArtifactStore methods = %s, want %s", got, want)
+	}
 }
 
 func TestMinifyVariantFacade(t *testing.T) {
