@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -76,6 +77,106 @@ func BenchmarkNativeCall(b *testing.B) {
 	}
 	b.ReportMetric(float64(call-base)/float64(b.N)/(rows*128), "ns/call")
 	b.ReportMetric(float64(base)/float64(b.N)/(rows*128), "ns/inline-iter")
+}
+
+// topLevelLoop is the calling side of the interpreter→machine-code
+// boundary: top-level code, which never compiles, calling IX (or computing
+// its expression inline) rows×128 times.
+func topLevelLoop(call bool, rows int) string {
+	expr := "(i + 130 * j)"
+	fn := ""
+	if call {
+		expr, fn = "IX(i, j)", "function IX(i, j) { return i + 130 * j; }\n"
+	}
+	return fmt.Sprintf("%svar s = 0;\nfor (var j = 0; j < %d; j++) { for (var i = 0; i < 128; i++) { s = (s + %s) %% 1000003; } }\nvar result = s;\n", fn, rows, expr)
+}
+
+// warmTopLevel runs the top-level loop once in an engine that compiles IX
+// after ionThreshold calls, and returns a function that runs it again.
+func warmTopLevel(tb testing.TB, call bool, rows, ionThreshold int) (*Engine, func()) {
+	tb.Helper()
+	e, err := New(topLevelLoop(call, rows), Config{IonThreshold: ionThreshold, BaselineThreshold: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run := func() {
+		e.VM.ResetSteps()
+		if _, err := e.VM.Run(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	run()
+	return e, run
+}
+
+// ixState is the state of the loop's callee.
+func ixState(e *Engine) *fnState {
+	for _, st := range e.fns {
+		if st.fn.Name == "IX" {
+			return st
+		}
+	}
+	return nil
+}
+
+// BenchmarkInterpToNativeCall reports ns per call of IX from an
+// interpreted loop, into machine code (interp→mc) and into the interpreter
+// (interp→interp: IX never reaches its Ion threshold): each loop minus the
+// same loop with the expression inline. Beside them, ns per call of the
+// compiled IX issued from Go through Engine.CallFunction.
+func BenchmarkInterpToNativeCall(b *testing.B) {
+	const rows = 200
+	e, compiled := warmTopLevel(b, true, rows, 10)
+	st := ixState(e)
+	if st.code == nil || (mc.Supported() && st.mcu == nil) {
+		b.Fatalf("IX was not compiled to the top tier")
+	}
+	_, interpreted := warmTopLevel(b, true, rows, 1<<30)
+	_, inline := warmTopLevel(b, false, rows, 10)
+	args := []value.Value{value.Num(3), value.Num(4)}
+	fromGo := func() {
+		e.VM.ResetSteps()
+		for i := 0; i < rows*128; i++ {
+			if _, err := e.CallFunction(st.idx, args); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var toMC, toInterp, base, goToMC int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		toMC += timeOf(compiled)
+		toInterp += timeOf(interpreted)
+		base += timeOf(inline)
+		goToMC += timeOf(fromGo)
+	}
+	calls := float64(b.N) * rows * 128
+	b.ReportMetric(float64(toMC-base)/calls, "ns/call")
+	b.ReportMetric(float64(toInterp-base)/calls, "ns/interp-call")
+	b.ReportMetric(float64(base)/calls, "ns/inline-iter")
+	b.ReportMetric(float64(goToMC)/calls, "ns/go-call")
+}
+
+// TestInterpToNativeCallDoesNotAllocate: in a steady state, a call the
+// interpreter makes into machine code with number arguments leases, boxes
+// and allocates nothing.
+func TestInterpToNativeCallDoesNotAllocate(t *testing.T) {
+	const rows = 20
+	e, run := warmTopLevel(t, true, rows, 10)
+	st := ixState(e)
+	if st.code == nil || (mc.Supported() && st.mcu == nil) {
+		t.Fatalf("IX was not compiled to the top tier")
+	}
+	calls := st.calls
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("an interpreted loop of calls into machine code allocates %v objects per run", allocs)
+	}
+	if got := st.calls - calls; got != 11*rows*128 {
+		t.Errorf("IX called %d times in 11 runs, want %d", got, 11*rows*128)
+	}
+	if n := e.VM.NativeSteps(); n < rows*128 {
+		t.Errorf("native code ran %d steps of the last run's %d calls", n, rows*128)
+	}
 }
 
 // TestDirectCallLoopDoesNotAllocate: a compiled loop making direct calls

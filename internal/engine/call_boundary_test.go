@@ -9,6 +9,7 @@ import (
 
 	"github.com/jitbull/jitbull/internal/faults"
 	"github.com/jitbull/jitbull/internal/jitqueue"
+	"github.com/jitbull/jitbull/internal/lir"
 	"github.com/jitbull/jitbull/internal/mc"
 	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/octane"
@@ -34,6 +35,12 @@ type boundaryRun struct {
 	hijacked bool
 	direct   int64 // calls that stayed in generated code (not compared)
 	unwinds  int64
+
+	// What the interpreter's calls into installed artifacts found (not
+	// compared): the most records of the frame stack in use, how many
+	// register-stack chunks were current, and how many entries had a
+	// budget left below the callee's entry-block cost.
+	frames, chunks, shortEntries int
 }
 
 func runBoundary(t *testing.T, src string, cfg Config, out io.Writer) boundaryRun {
@@ -48,16 +55,35 @@ func runBoundary(t *testing.T, src string, cfg Config, out io.Writer) boundaryRu
 
 func finishBoundary(e *Engine) boundaryRun {
 	// Every call the top-level script makes must find the call depth at
-	// zero and the register stack empty: whatever the previous call nested,
-	// directly or through Go, has been given back.
+	// zero, the register stack empty and no record of the frame stack in
+	// use: whatever the previous call nested, directly or through Go, has
+	// been given back.
 	_, _, _, depth := e.VM.Cells()
 	nesting, leak := 0, ""
+	var r boundaryRun
+	chunks := map[*int]bool{}
 	e.VM.Dispatch = dispatchFunc(func(idx int, args []value.Value) (value.Value, error) {
+		frames := 0
+		if e.mcEnv != nil {
+			frames = e.mcEnv.Frames()
+		}
+		top, _ := e.pool.Top()
 		if nesting == 0 && leak == "" {
 			if *depth != 0 {
 				leak = fmt.Sprintf("call depth %d before a top-level call", *depth)
-			} else if top, _ := e.pool.Top(); top != nil && *top != 0 {
+			} else if top != nil && *top != 0 {
 				leak = fmt.Sprintf("register stack at %d before a top-level call", *top)
+			} else if frames != 0 {
+				leak = fmt.Sprintf("%d frame-stack records in use before a top-level call", frames)
+			}
+		}
+		if st := e.fns[idx]; st.mcu != nil {
+			r.frames = max(r.frames, frames)
+			if top != nil {
+				chunks[top] = true
+			}
+			if left := e.VM.MaxSteps - e.VM.Steps(); left > 0 && left < entryCost(st.code) {
+				r.shortEntries++
 			}
 		}
 		nesting++
@@ -66,15 +92,14 @@ func finishBoundary(e *Engine) boundaryRun {
 		return v, err
 	})
 	v, runErr := e.Run()
-	r := boundaryRun{
-		result:   v.ToString(),
-		global:   e.Global("result").ToString(),
-		steps:    e.VM.Steps(),
-		native:   e.VM.NativeSteps(),
-		checks:   e.MetricsSink().Counter("native.block_budget_checks").Value(),
-		stats:    e.Stats(),
-		hijacked: e.Hijacked() != nil,
-	}
+	r.result = v.ToString()
+	r.global = e.Global("result").ToString()
+	r.steps = e.VM.Steps()
+	r.native = e.VM.NativeSteps()
+	r.checks = e.MetricsSink().Counter("native.block_budget_checks").Value()
+	r.stats = e.Stats()
+	r.hijacked = e.Hijacked() != nil
+	r.chunks = len(chunks)
 	if runErr != nil {
 		r.err = runErr.Error()
 	}
@@ -85,6 +110,23 @@ func finishBoundary(e *Engine) boundaryRun {
 		r.direct, r.unwinds = e.mcEnv.Calls()
 	}
 	return r
+}
+
+// entryCost is the step charge of code's entry block: its ops up to the
+// first unconditional transfer, what every native executor checks the
+// budget against before the first op runs.
+func entryCost(code *lir.Code) int64 {
+	n := int64(0)
+	for _, op := range code.Ops {
+		if op.Kind != lir.KOSRPoint {
+			n++
+		}
+		switch op.Kind {
+		case lir.KJump, lir.KRetNum, lir.KRetObj, lir.KRetUndef:
+			return n
+		}
+	}
+	return n
 }
 
 // sameBoundary compares two cells; the executor attribution of an install
@@ -116,6 +158,9 @@ type boundaryCase struct {
 	deopts   bool // checked in the Speculate cell
 	storm    bool // so is this: a deopt storm requalified a function
 	errLike  string
+	// The interpreter's calls into machine code must find the frame stack
+	// full (the root record), and must open another register-stack chunk.
+	rootRecord, newChunk bool
 }
 
 var boundaryCases = []boundaryCase{
@@ -294,6 +339,73 @@ for (var r = 0; r < 30; r++) { result = (result + walk(2, r)) % 1000003; }
 for (var r = 0; r < 6; r++) { result = (result + walk(90, r)) % 1000003; }`,
 		direct: true, deopts: true, storm: true,
 	},
+	// The rest enter machine code from the interpreter: what the entry Go
+	// issues does when the callee does not simply return.
+	{
+		// Interpreted and compiled activations alternate (=== keeps it out
+		// of the JIT): every m is entered from Go, the first 64 on the frame
+		// stack and the rest on the root record.
+		name: "alternation-past-the-frame-stack",
+		src: `
+function m(n) { if (n <= 0) { return 0; } return it(n - 1) + 2; }
+function it(n) { if (n === undefined) { return 0; } if (n <= 0) { return 1; } return m(n - 1) + 1; }
+var result = 0;
+for (var r = 0; r < 40; r++) { result = result + m(r % 4); }
+result = result + m(300);`,
+		rootRecord: true,
+	},
+	{
+		// The same with wide activations: the entries fill the register
+		// stack's chunk and lease their windows from the next.
+		name: "alternation-across-a-register-chunk",
+		src: `
+function wide(n, a) {
+  if (n <= 0) { return a; }
+  var b = a + 1; var c = b * 2; var d = c + b; var e = d * 3; var f = e - c; var g = f + d;
+  var h = g * 2; var i = h - e; var j = i + f; var k = j * 2; var l = k - g; var m = l + h;
+  var r = thru(n - 1, a + 1);
+  return (r + b + c + d + e + f + g + h + i + j + k + l + m) % 1000003;
+}
+function thru(n, a) { if (n === undefined) { return 0; } return wide(n, a) + 1; }
+var result = 0;
+for (var t = 0; t < 30; t++) { result = (result + wide(1, t)) % 1000003; }
+result = (result + wide(80, 1)) % 1000003;`,
+		newChunk: true,
+	},
+	{
+		name: "entered-callee-bails",
+		src: `
+var arr = [5, 6, 7];
+function probe(a, i) { return a[i] + 1; }
+var result = 0;
+for (var r = 0; r < 40; r++) { result = result + probe(arr, r % 3); }
+for (var r = 0; r < 5; r++) { var c = probe(arr, r + 10); if (c) { result = result + 1; } result = result + 2; }`,
+		bailouts: true,
+	},
+	{
+		// The speculated callee is interpreted (===), so the call leaves
+		// generated code and its undefined result deopts the entered
+		// activation.
+		name: "entered-callee-deopts",
+		src: `
+function flip(p) { if (p === undefined) { return 0; } if (p < 25) { return p * 2; } return; }
+function loop(n) { var s = 0; var i = 0; while (i < n) { var c = flip(i); if (c) { s = (s + c) % 1000003; } i = i + 1; } return s; }
+var result = 0;
+for (var r = 0; r < 40; r++) { result = (result + loop(20)) % 1000003; }
+for (var r = 0; r < 3; r++) { result = (result + loop(40)) % 1000003; }`,
+		deopts: true,
+	},
+	{
+		// The entered activation's direct callee pushes (a runtime op), so
+		// the chain unwinds to the entry and Go adopts it.
+		name: "entered-callee-unwinds",
+		src: `
+function grow(a, x) { a.push(x); return x + 1; }
+function fill(a, n) { var s = 0; for (var i = 0; i < n; i++) { s = s + grow(a, i); } return s; }
+var result = 0;
+for (var r = 0; r < 40; r++) { var a = [1]; result = (result + fill(a, 5) + a.length) % 1000003; }`,
+		direct: true, unwinds: true,
+	},
 }
 
 func TestCallBoundary(t *testing.T) {
@@ -340,6 +452,12 @@ func TestCallBoundary(t *testing.T) {
 				}
 				if tc.unwinds && with.unwinds == 0 {
 					t.Errorf("no direct callee was finished by Go (%d direct calls)", with.direct)
+				}
+				if tc.rootRecord && with.frames < 64 {
+					t.Errorf("the interpreter's calls found at most %d records in use: the frame stack was never full", with.frames)
+				}
+				if tc.newChunk && with.chunks < 2 {
+					t.Errorf("the interpreter's calls never opened another register-stack chunk")
 				}
 			})
 		}
@@ -388,6 +506,42 @@ for (var r = 0; r < 12; r++) { result = (result + hot(6)) % 1000003; }`
 		if t.Failed() {
 			return
 		}
+	}
+}
+
+// TestCallBoundaryShortEntryBudget: the interpreter calls into machine
+// code with less of the budget left than the callee's entry block costs.
+// The entry must not start generated code that could overrun the budget:
+// it delegates the activation whole, and the reference loop trips at the
+// op the other tiers trip at.
+func TestCallBoundaryShortEntryBudget(t *testing.T) {
+	src := `
+function long(a) { var b = a + 1; var c = b * 2; var d = c + b; var e = d * 3; var f = e - c; var g = f + d; var h = g * 2; return (h + f + g) % 1000003; }
+var result = 0;
+for (var r = 0; r < 30; r++) { result = (result + long(r)) % 1000003; }`
+	cfg := Config{IonThreshold: 10, BaselineThreshold: 4, HeapCells: 1 << 10}
+	full := runBoundary(t, src, cfg, nil)
+	if full.err != "" {
+		t.Fatal(full.err)
+	}
+	short := 0
+	for max := full.steps - 120; max < full.steps; max++ {
+		cfg := cfg
+		cfg.MaxSteps = max
+		with := runBoundary(t, src, cfg, nil)
+		cfg.NoMC = true
+		without := runBoundary(t, src, cfg, nil)
+		sameBoundary(t, fmt.Sprintf("MaxSteps=%d", max), with, without)
+		if with.err == "" {
+			t.Fatalf("MaxSteps=%d of %d: no budget error", max, full.steps)
+		}
+		if t.Failed() {
+			return
+		}
+		short += with.shortEntries
+	}
+	if mc.Supported() && short == 0 {
+		t.Fatal("no call entered machine code with less budget left than its entry block costs")
 	}
 }
 

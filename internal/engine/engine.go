@@ -681,18 +681,33 @@ func (e *Engine) dispatch(idx int, args []value.Value) (value.Value, error) {
 		e.tracer.Instant(obs.CatEngine, obs.FactWarm, st.fn.Name, obs.I("calls", int64(st.calls)), st.tierArg())
 	}
 
-	if st.code != nil {
-		res, status, err := e.execNative(st, args)
-		return e.returned(st, args, res, status, err)
+	if st.code == nil {
+		return e.interpret(st, args)
 	}
-	return e.interpret(st, args)
+	budget, err := e.nativeBudget(st)
+	if err != nil {
+		return value.Undef(), err
+	}
+	var (
+		res    native.Result
+		status native.Status
+	)
+	if st.mcu != nil && e.cfg.Faults == nil {
+		// The hot path of every call Go issues into machine code: straight
+		// to the environment's entry, no hooks interface to assert and no
+		// recovery frame.
+		status, err = e.mcEnv.Call(st.mcu, args, budget, &res)
+	} else {
+		res, status, err = e.execNative(st, args, budget)
+	}
+	return e.returned(st, args, res, status, err)
 }
 
 // returned is the post-call half of dispatch: what the engine does with a
 // native activation of st, called with args, once it has ended in res,
-// status and err. Both routes into native code end here — execNative's
-// return in dispatch, and ReturnDirect for an activation that generated
-// code called itself.
+// status and err. Both routes into native code end here — dispatch's own
+// call, and ReturnDirect for an activation that generated code called
+// itself.
 func (e *Engine) returned(st *fnState, args []value.Value, res native.Result, status native.Status, err error) (value.Value, error) {
 	e.chargeNative(res)
 	if err != nil {

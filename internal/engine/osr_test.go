@@ -22,6 +22,14 @@ func osrAgainstInterp(t *testing.T, src string, cfg Config) *Engine {
 	if want.ToString() != got.ToString() {
 		t.Fatalf("value divergence: interp=%s jit=%s", want.ToString(), got.ToString())
 	}
+	// Every activation the run entered, mid-loop or at a call, gave its
+	// register window and its frame-stack record back.
+	if top, _ := e.pool.Top(); top != nil && *top != 0 {
+		t.Fatalf("register stack at %d after the run", *top)
+	}
+	if e.mcEnv != nil && e.mcEnv.Frames() != 0 {
+		t.Fatalf("%d frame-stack records in use after the run", e.mcEnv.Frames())
+	}
 	return e
 }
 

@@ -473,10 +473,10 @@ func (e *Engine) publishCall(st *fnState) {
 // nativeBudget is what is left of the step budget for a native activation
 // of st about to start. Every executor reads a budget of zero or less as
 // "no limit", so with nothing left the activation must not start: the
-// error is the one an executor reports when it runs out. execNative and
+// error is the one an executor reports when it runs out. dispatch and
 // OnBackEdge ask here; a direct call's inline guard is the same test (it
 // wants the callee's entry block covered, which is at least one step) and
-// comes to execNative when it fails.
+// comes to dispatch when it fails.
 func (e *Engine) nativeBudget(st *fnState) (int64, error) {
 	if left := e.VM.MaxSteps - e.VM.Steps(); left > 0 {
 		return left, nil
@@ -484,25 +484,18 @@ func (e *Engine) nativeBudget(st *fnState) (int64, error) {
 	return 0, &native.BudgetError{Fn: st.code.Name}
 }
 
-// execNative dispatches one call into the function's top native tier —
-// machine code when a unit is attached, else the threaded/unfused
-// executor — with fault containment: an injected dispatch failure (error
-// or panic) is recorded as a typed native-stage CompileError and degraded
-// to a bailout, so the caller falls back to the interpreter for this call
-// with identical semantics. Non-injected panics are genuine engine bugs
-// and propagate.
-func (e *Engine) execNative(st *fnState, args []value.Value) (res native.Result, status native.Status, err error) {
-	budget, err := e.nativeBudget(st)
-	if err != nil {
-		return native.Result{}, native.StatusOK, err
-	}
+// execNative dispatches one call into the function's top native tier with
+// a budget of budget steps, on every route but dispatch's own hot path
+// (machine code without a fault injector): the threaded/unfused executor,
+// and either tier under fault containment — an injected dispatch failure
+// (error or panic) is recorded as a typed native-stage CompileError and
+// degraded to a bailout, so the caller falls back to the interpreter for
+// this call with identical semantics. Non-injected panics are genuine
+// engine bugs and propagate.
+func (e *Engine) execNative(st *fnState, args []value.Value, budget int64) (res native.Result, status native.Status, err error) {
 	if e.cfg.Faults == nil {
 		// Only injected faults are contained here (genuine panics propagate
-		// either way), so without an injector skip the recovery frame — this
-		// is the per-call hot path of every production dispatch.
-		if st.mcu != nil {
-			return st.mcu.Exec(args, e, budget, &e.pool)
-		}
+		// either way), so without an injector skip the recovery frame.
 		return native.Exec(st.code, args, e, budget, &e.pool)
 	}
 	mark := e.VM.Mark()
@@ -521,12 +514,12 @@ func (e *Engine) execNative(st *fnState, args []value.Value) (res native.Result,
 	}()
 	if st.mcu != nil {
 		// The machine-code dispatch path evaluates the same native-point
-		// injection ExecWith performs for the threaded tiers, then runs the
-		// unit; containment below is shared.
+		// injection ExecWith performs for the threaded tiers, then enters
+		// the unit; containment below is shared.
 		if ferr := e.cfg.Faults.Check(faults.PointNative, st.fn.Name); ferr != nil {
 			err = ferr
 		} else {
-			res, status, err = st.mcu.Exec(args, e, budget, &e.pool)
+			status, err = e.mcEnv.Call(st.mcu, args, budget, &res)
 		}
 	} else {
 		res, status, err = native.ExecWith(st.code, args, e, budget, &e.pool, e.cfg.Faults)

@@ -94,8 +94,9 @@ type Env struct {
 	// address the collector cannot see, this keeps its mapping alive.
 	units []*Unit
 	host  Host
-	pool  *native.Pool
-	arena *heap.Arena
+	// x is the run loop of every activation in this environment, built
+	// once: the engine's hooks, its register pool and arena, and env.
+	x runner
 }
 
 // NewEnv builds the environment of the engine behind host, whose native
@@ -107,10 +108,9 @@ func NewEnv(host Host, pool *native.Pool, vm *interp.VM, nfuncs int) *Env {
 		slots: make([]callSlot, nfuncs),
 		units: make([]*Unit, nfuncs),
 		host:  host,
-		pool:  pool,
-		arena: host.Arena(),
 	}
-	env.bind(env.arena, host.Globals())
+	env.x = runner{h: host, pool: pool, arena: host.Arena(), env: env, me: &env.mcenv}
+	env.bind(env.x.arena, host.Globals())
 	env.tableLen = int64(nfuncs)
 	env.table = unsafe.Pointer(unsafe.SliceData(env.slots))
 	env.steps, env.natSteps, env.maxSteps, env.depth = vm.Cells()
@@ -162,6 +162,10 @@ func (env *Env) Published(fn int) bool { return env.slots[fn].entry != 0 }
 // return (the chain unwound to Go).
 func (env *Env) Calls() (direct, unwinds int64) { return env.direct, env.unwinds }
 
+// Frames returns how many records of the frame stack are in use: zero
+// whenever no activation of this environment is running.
+func (env *Env) Frames() int { return int(env.nframes) }
+
 // globalWindow is the optional hooks capability the inline global ops
 // need: direct access to the backing []value.Value behind GlobalGet /
 // GlobalSet. Hooks with an Env (the engine) provide it through Host; test
@@ -179,17 +183,28 @@ type globalWindow interface {
 //go:noescape
 func enter(entry uintptr, f *mcact, env *mcenv, regs *float64, tags *native.Tag) int32
 
+// Call is the Go-issued entry into generated code for the engine that built
+// env: one call of u from the top with args and a budget of maxOps steps,
+// which must be positive (the engine has checked that something is left).
+// Every call the engine dispatches to a unit comes here; Exec and ExecOSR
+// are the same entry for any hooks. The outcome is written to *res in
+// place, field by field — a copy of the 40-byte Result just written would
+// read back across the stores that wrote it — and the status and error are
+// returned.
+func (env *Env) Call(u *Unit, args []value.Value, maxOps int64, res *native.Result) (native.Status, error) {
+	return env.x.call(u, args, maxOps, res)
+}
+
 // Exec runs the unit from the top with the executor-standard frame
 // lifecycle: lease registers, box parameters, run, release.
 func (u *Unit) Exec(args []value.Value, h native.Hooks, maxOps int64, pool *native.Pool) (native.Result, native.Status, error) {
-	code := u.prog.Code
 	if maxOps <= 0 {
 		maxOps = 1 << 40
 	}
-	regs, tags := pool.GetRegs(code.NumRegs)
-	defer pool.PutRegs(regs, tags)
-	native.BoxParams(code, args, regs, tags)
-	return u.run(regs, tags, h, maxOps, pool, 0)
+	var res native.Result
+	x := runnerFor(h, pool)
+	status, err := x.call(u, args, maxOps, &res)
+	return res, status, err
 }
 
 // ExecOSR transfers execution into the unit at OSR entry entryIdx. The
@@ -197,87 +212,109 @@ func (u *Unit) Exec(args []value.Value, h native.Hooks, maxOps int64, pool *nati
 // reference tier uses; entered=false means the transfer was refused and
 // nothing has run.
 func (u *Unit) ExecOSR(entryIdx int, locals []value.Value, h native.Hooks, maxOps int64, pool *native.Pool) (native.Result, native.Status, error, bool) {
-	code := u.prog.Code
 	if maxOps <= 0 {
 		maxOps = 1 << 40
 	}
+	x := runnerFor(h, pool)
+	code := u.prog.Code
 	regs, tags := pool.GetRegs(code.NumRegs)
-	defer pool.PutRegs(regs, tags)
-	pc, ok := native.MaterializeOSR(code, entryIdx, locals, h.Arena(), regs, tags)
+	pc, ok := native.MaterializeOSR(code, entryIdx, locals, x.arena, regs, tags)
 	if !ok {
+		pool.PutRegs(regs, tags)
 		return native.Result{}, native.StatusOK, nil, false
 	}
-	res, st, err := u.run(regs, tags, h, maxOps, pool, int(pc))
-	return res, st, err, true
+	var res native.Result
+	status, err := x.start(u, regs, tags, int(pc), maxOps, &res)
+	pool.PutRegs(regs, tags)
+	return res, status, err, true
 }
 
-// run executes one activation Go entered (a call or an OSR transfer) from
-// op pc: the fused-style entry budget check, an activation record, and the
-// run loop.
-func (u *Unit) run(regs []float64, tags []native.Tag, h native.Hooks, maxOps int64, pool *native.Pool, pc int) (native.Result, native.Status, error) {
+// runnerFor returns the run loop of an activation of h that leases from
+// pool. Hooks that are an engine's, leasing from its pool, run in its
+// environment: generated code puts a direct callee's window right behind
+// its caller's, and the entry has just leased the caller's from pool, on
+// top of the register stack. Any others get an environment of their own,
+// with no call table and a global window only if they expose one.
+func runnerFor(h native.Hooks, pool *native.Pool) runner {
+	if host, ok := h.(Host); ok {
+		if env := host.MCEnv(); env != nil && env.x.pool == pool {
+			return env.x
+		}
+	}
+	var globals []value.Value
+	if gw, ok := h.(globalWindow); ok {
+		globals = gw.Globals()
+	}
+	x := runner{h: h, pool: pool, arena: h.Arena(), me: new(mcenv)}
+	x.me.bind(x.arena, globals)
+	return x
+}
+
+// call runs u from the top with args: it leases the window from the pool,
+// boxes the parameters into it (native.BoxParams: a number or a boolean is
+// its payload and a tag), runs the activation and gives the window back.
+// There is no defer: a panic that unwinds through a
+// native activation leaves more than a window behind (the direct callees'
+// windows, records and call depth), and nothing recovers one to go on with
+// the engine — execNative's fault containment recovers injected panics,
+// which fire before the activation it contains leases anything.
+func (x *runner) call(u *Unit, args []value.Value, maxOps int64, res *native.Result) (native.Status, error) {
+	code := u.prog.Code
+	regs, tags := x.pool.GetRegs(code.NumRegs)
+	native.BoxParams(code, args, regs, tags)
+	status, err := x.start(u, regs, tags, 0, maxOps, res)
+	x.pool.PutRegs(regs, tags)
+	return status, err
+}
+
+// start runs one activation Go enters — a call or an OSR transfer — from op
+// pc over the window regs/tags its caller leased and filled, with a budget
+// of maxOps steps, and writes its outcome to *res: the fused-style entry
+// budget check, the next record of the frame stack (the root record when
+// the stack is full or there is none), and the entry. A return is read
+// straight off the record; every other exit goes on in the run loop.
+func (x *runner) start(u *Unit, regs []float64, tags []native.Tag, pc int, maxOps int64, res *native.Result) (status native.Status, err error) {
 	// Entry check, exactly the fused executor's: if the straight-line cost
 	// from the entry op could exceed the budget, the whole run delegates
 	// and the reference loop trips (or completes) bit-identically.
 	if int64(u.prog.Cost[pc]) > maxOps {
-		dres, dst, derr := native.Resume(u.prog.Code, regs, tags, h, maxOps, pool, pc, 0)
-		dres.Checks++
-		return dres, dst, derr
+		*res, status, err = native.Resume(u.prog.Code, regs, tags, x.h, maxOps, x.pool, pc, 0)
+		res.Checks++
+		return status, err
 	}
-	x := runner{h: h, pool: pool}
-	var root mcact // a frame stack that is full (or missing) leaves the record here
-	a := activation{u: u, f: &root, fi: -1, regs: regs, tags: tags}
-	env := directEnv(h, pool)
-	if env == nil {
-		// Hooks without an environment get one for this run: no call table,
-		// and a global window only if they expose one.
-		var own mcenv
-		var globals []value.Value
-		if gw, ok := h.(globalWindow); ok {
-			globals = gw.Globals()
-		}
-		x.arena = h.Arena()
-		own.bind(x.arena, globals)
-		a.f.exitpc, a.f.checks, a.f.maxOps = int64(pc), 1, maxOps
-		return x.finish(&own, &a, enterCode)
-	}
-	x.env, x.arena = env, env.arena
-	n := env.nframes
-	if n < frameDepth {
-		a.f, a.fi = &env.frames[n], int(n)
+	var root mcact
+	f, fi := &root, -1
+	env := x.env
+	if env != nil && env.nframes < frameDepth {
+		fi = int(env.nframes)
+		f = &env.frames[fi]
 		env.nframes++
 	}
-	a.f.exitpc, a.f.steps, a.f.checks, a.f.maxOps = int64(pc), 0, 1, maxOps
-	res, status, err := x.finish(&env.mcenv, &a, enterCode)
-	// Not deferred: a panic that unwinds through native activations leaves
-	// more than this count behind (the direct callees' windows and call
-	// depth), and nothing recovers one to go on with the engine.
-	env.nframes = n
-	return res, status, err
-}
-
-// directEnv returns the environment an activation of h that leases from
-// pool can make direct calls in: the engine's, provided pool is the
-// environment's — generated code puts a callee's window right behind its
-// caller's, and run's callers have just leased the caller's from pool, on
-// top of the register stack.
-func directEnv(h native.Hooks, pool *native.Pool) *Env {
-	host, ok := h.(Host)
-	if !ok {
-		return nil
+	f.exitpc, f.steps, f.checks, f.maxOps = int64(pc), 0, 1, maxOps
+	if kind := x.resume(u, f, regs, tags); kind == exitRet {
+		// What generated code stored with 8-byte stores, read back the same
+		// way.
+		res.Kind, res.Val, res.Steps, res.Checks, res.Deopt = native.ResultKind(f.resKind), f.resVal, f.steps, f.checks, nil
+	} else {
+		a := activation{u: u, f: f, fi: fi, regs: regs, tags: tags}
+		*res, status, err = x.finish(&a, kind)
 	}
-	if env := host.MCEnv(); env != nil && env.pool == pool {
-		return env
+	// Not deferred: see call.
+	if fi >= 0 {
+		env.nframes = int64(fi)
 	}
-	return nil
+	return status, err
 }
 
 // runner is what the run loop needs besides the activation it is working
-// on: constant for everything one run finishes.
+// on: constant for everything one run finishes (an environment's, for
+// every run in it).
 type runner struct {
 	h     native.Hooks
 	pool  *native.Pool
 	arena *heap.Arena
-	env   *Env // the engine's environment; nil: no direct calls
+	env   *Env   // the engine's environment; nil: no direct calls
+	me    *mcenv // what generated code sees of it (RSI): env's, or the run's own
 }
 
 // activation is the Go view of one activation record: the unit it executes,
@@ -295,44 +332,51 @@ type activation struct {
 // record's pc. Never an exit kind.
 const enterCode = 0
 
-// finish is the host half of the machine-code executor, for generated code
-// running in environment me: starting from the record's exit state (kind, and the pc in the record) it services exits
-// and re-enters generated code until the activation ends. Delegate exits
-// hand the activation to the reference loop at the recorded pc (always
+// resume enters u's generated code at the pc in record f, over the window
+// regs/tags, and returns the exit kind. First it refreshes the volatile
+// state: the backing arrays of the heap cells and of the handle table move
+// when a runtime op allocates, the mapped-heap top advances, and a lease
+// may have opened another pool chunk. Generated code cannot allocate:
+// whatever it reads through R12 (loaded from me.cells by enter) stays put
+// until it exits to Go, and everything resumed after Go ran comes back
+// through here.
+func (x *runner) resume(u *Unit, f *mcact, regs []float64, tags []native.Tag) int32 {
+	me := x.me
+	handles := x.arena.Handles()
+	me.top = int64(x.arena.Top())
+	me.cells = unsafe.Pointer(unsafe.SliceData(x.arena.Cells()))
+	me.handleLen = int64(len(handles))
+	me.handles = unsafe.Pointer(unsafe.SliceData(handles))
+	if x.env != nil {
+		var size int
+		me.poolTop, size = x.pool.Top()
+		me.chunkLen = int64(size)
+	}
+	kind := enter(u.base+uintptr(u.prog.Off[f.exitpc]), f, me, unsafe.SliceData(regs), unsafe.SliceData(tags))
+	// The unit, not just its bytes: the finalizer that unmaps the code is
+	// registered on u, so u must outlive the entry. (The units of direct
+	// callees are held by the environment.)
+	runtime.KeepAlive(u)
+	return kind
+}
+
+// finish is the host half of the machine-code executor: starting from the
+// exit state of a's record (kind, and the pc in the record) it services
+// exits and re-enters generated code until the activation ends. Delegate
+// exits hand the activation to the reference loop at the recorded pc (always
 // semantics-preserving); runtime exits execute the single op at the
 // recorded pc through native.RuntimeOp — the function the reference loop
 // itself calls — and re-enter at the next op. The two call exits finish a
 // direct call the same way: what is left of the op runs in Go, then the
 // activation continues behind it.
-func (x *runner) finish(me *mcenv, a *activation, kind int32) (native.Result, native.Status, error) {
-	u, f := a.u, a.f
-	prog := u.prog
+func (x *runner) finish(a *activation, kind int32) (native.Result, native.Status, error) {
+	f := a.f
+	prog := a.u.prog
 	code := prog.Code
 	ops := code.Ops
 	for {
 		if kind == enterCode {
-			// Refresh the volatile state: the backing arrays of the heap
-			// cells and of the handle table move when a runtime op
-			// allocates, the mapped-heap top advances, and a lease may have
-			// opened another pool chunk. Generated code cannot allocate:
-			// whatever it reads through R12 (loaded from me.cells by enter)
-			// stays put until it exits to Go, and everything resumed after
-			// Go ran comes back through here.
-			handles := x.arena.Handles()
-			me.top = int64(x.arena.Top())
-			me.cells = unsafe.Pointer(unsafe.SliceData(x.arena.Cells()))
-			me.handleLen = int64(len(handles))
-			me.handles = unsafe.Pointer(unsafe.SliceData(handles))
-			if x.env != nil {
-				var size int
-				me.poolTop, size = x.pool.Top()
-				me.chunkLen = int64(size)
-			}
-			kind = enter(u.base+uintptr(prog.Off[f.exitpc]), f, me, unsafe.SliceData(a.regs), unsafe.SliceData(a.tags))
-			// The unit, not just its bytes: the finalizer that unmaps the
-			// code is registered on u, so u must outlive the entry. (The
-			// units of direct callees are held by the environment.)
-			runtime.KeepAlive(u)
+			kind = x.resume(a.u, f, a.regs, a.tags)
 		}
 		pc := int(f.exitpc)
 		switch kind {
@@ -356,7 +400,7 @@ func (x *runner) finish(me *mcenv, a *activation, kind int32) (native.Result, na
 				)
 				switch kind {
 				case exitUnwind:
-					status, err, deopt, done = x.adopt(me, a, op)
+					status, err, deopt, done = x.adopt(a, op)
 				case exitCallRet:
 					status, err, deopt, done = native.FinishCall(code, op, a.regs, a.tags, f.result().Value(), nil)
 				default:
@@ -401,13 +445,13 @@ func (x *runner) finish(me *mcenv, a *activation, kind int32) (native.Result, na
 // come the engine's post-call half of the dispatch, which the inline return
 // sequence would have done, and native.FinishCall on the parent, whose
 // result is what is left of the call op.
-func (x *runner) adopt(me *mcenv, parent *activation, op *lir.Op) (native.Status, error, *native.DeoptState, bool) {
+func (x *runner) adopt(parent *activation, op *lir.Op) (native.Status, error, *native.DeoptState, bool) {
 	env := x.env
 	fn := int(op.Aux)
 	child := activation{u: env.units[fn], fi: parent.fi + 1}
 	child.f = &env.frames[child.fi]
 	child.regs, child.tags = x.pool.Window(int(child.f.regsOff), child.u.prog.Code.NumRegs)
-	res, status, err := x.finish(me, &child, int32(child.f.kind))
+	res, status, err := x.finish(&child, int32(child.f.kind))
 	env.nframes--
 	x.pool.PutRegs(child.regs, child.tags)
 

@@ -785,9 +785,9 @@ func (lo *lowerer) emitElemsRaw(pc int32, op *lir.Op) {
 // The callee is resolved through the environment's call table (the code
 // stays position-independent and knows nothing about its callee but the
 // index), and the sequence makes, before its first side effect, every check
-// the Go path — RuntimeOp → CallFunction → dispatch → execNative →
-// Unit.run — makes; a failed check is the op's runtime exit, so Go does the
-// whole call exactly as it would have:
+// the Go path — RuntimeOp → CallFunction → dispatch → Env.Call — makes; a
+// failed check is the op's runtime exit, so Go does the whole call exactly
+// as it would have:
 //
 //   - the index is inside the table (hooks without an environment: length 0);
 //   - the slot has an entry: the engine publishes one only while the
@@ -799,8 +799,8 @@ func (lo *lowerer) emitElemsRaw(pc int32, op *lir.Op) {
 //   - call depth below interp.MaxCallDepth (EnterCall raises the error);
 //   - the callee's arena code pointer is intact (dispatch raises
 //     HijackError — the control-flow-hijack oracle);
-//   - the remaining step budget covers the callee's entry block (execNative
-//     reports exhaustion, Unit.run delegates a block that cannot finish);
+//   - the remaining step budget covers the callee's entry block (dispatch
+//     reports exhaustion, the entry delegates a block that cannot finish);
 //   - the callee's window fits the pool's current chunk behind the
 //     caller's, and the frame stack has a free record (Go opens the next
 //     chunk, and its next entry into generated code starts a new machine

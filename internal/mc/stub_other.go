@@ -37,6 +37,14 @@ func (env *Env) Published(fn int) bool { return false }
 // Calls is unreachable.
 func (env *Env) Calls() (direct, unwinds int64) { return 0, 0 }
 
+// Frames is unreachable.
+func (env *Env) Frames() int { return 0 }
+
+// Call is unreachable.
+func (env *Env) Call(u *Unit, args []value.Value, maxOps int64, res *native.Result) (native.Status, error) {
+	return native.StatusOK, ErrUnsupported
+}
+
 // Install refuses on unsupported platforms; the engine degrades to the
 // threaded tier silently.
 func Install(prog *Program) (*Unit, error) { return nil, ErrUnsupported }

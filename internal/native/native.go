@@ -226,26 +226,42 @@ func ExecUnfused(code *lir.Code, args []value.Value, h Hooks, maxOps int64, pool
 	return execSwitch(code, regs, tags, h, maxOps, pool, 0, 0)
 }
 
-// boxParams copies the boxed arguments into the frame's registers.
+// boxParams copies the boxed arguments into the frame's registers. A number
+// or a boolean — what nearly every call into compiled code passes — is its
+// payload and a tag, read in place: copying the 32-byte Value out first
+// would load across the separate stores that just wrote its type and
+// payload. Everything else, and a missing argument, goes through boxOther.
 func boxParams(code *lir.Code, args []value.Value, regs []float64, tags []Tag) {
-	for i := 0; i < code.NumParams; i++ {
-		var v value.Value
+	regs, tags = regs[:code.NumParams], tags[:code.NumParams]
+	for i := range regs {
 		if i < len(args) {
-			v = args[i]
+			if t := args[i].Type(); t == value.Number || t == value.Boolean {
+				tag := TagNumber
+				if t == value.Boolean {
+					tag = TagBoolean
+				}
+				regs[i], tags[i] = args[i].AsNumber(), tag
+				continue
+			}
 		}
-		switch v.Type() {
-		case value.Number:
-			regs[i], tags[i] = v.AsNumber(), TagNumber
-		case value.Boolean:
-			regs[i], tags[i] = v.AsNumber(), TagBoolean
-		case value.Array:
-			regs[i], tags[i] = float64(v.Handle()), TagObject
-		case value.Undefined:
-			regs[i], tags[i] = math.NaN(), TagUndefined
-		default:
-			regs[i], tags[i] = math.NaN(), TagOther
-		}
+		regs[i], tags[i] = boxOther(args, i)
 	}
+}
+
+// boxOther is the register and tag of parameter i when its argument is
+// neither a number nor a boolean, or missing (undefined).
+func boxOther(args []value.Value, i int) (float64, Tag) {
+	var v value.Value
+	if i < len(args) {
+		v = args[i]
+	}
+	switch v.Type() {
+	case value.Array:
+		return float64(v.Handle()), TagObject
+	case value.Undefined:
+		return math.NaN(), TagUndefined
+	}
+	return math.NaN(), TagOther
 }
 
 // execSwitch is the unfused reference loop: one budget check and one

@@ -80,6 +80,28 @@ func TestUnboxBailsOnWrongTag(t *testing.T) {
 	}
 }
 
+// TestBoxParams pins what each kind of argument becomes in its parameter
+// register: every executor's entry, the machine-code tier's included,
+// boxes through this one function.
+func TestBoxParams(t *testing.T) {
+	args := []value.Value{value.Num(2.5), value.Bool(true), value.Bool(false), value.ArrayRef(7),
+		value.Undef(), value.NullV(), value.Str("s")}
+	code := &lir.Code{NumParams: len(args) + 1} // the last parameter has no argument
+	regs, tags := make([]float64, code.NumParams), make([]Tag, code.NumParams)
+	BoxParams(code, args, regs, tags)
+	nan := math.NaN()
+	want := []struct {
+		reg float64
+		tag Tag
+	}{{2.5, TagNumber}, {1, TagBoolean}, {0, TagBoolean}, {7, TagObject},
+		{nan, TagUndefined}, {nan, TagOther}, {nan, TagOther}, {nan, TagUndefined}}
+	for i, w := range want {
+		if tags[i] != w.tag || math.IsNaN(regs[i]) != math.IsNaN(w.reg) || (!math.IsNaN(w.reg) && regs[i] != w.reg) {
+			t.Errorf("parameter %d: register %v tag %d, want %v tag %d", i, regs[i], tags[i], w.reg, w.tag)
+		}
+	}
+}
+
 func TestBoundsCheckBailsAndPasses(t *testing.T) {
 	h := newStub()
 	arr, _ := h.arena.Alloc(4)
