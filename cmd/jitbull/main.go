@@ -47,8 +47,6 @@ func run(args []string) error {
 		return cmdDNA(args[1:])
 	case "store":
 		return cmdStore(args[1:])
-	case "journey":
-		return cmdJourney(args[1:])
 	case "vulns":
 		return cmdVulns()
 	case "help", "-h", "--help":
@@ -65,13 +63,11 @@ func usage() {
   jitbull run [-nojit] [-nofuse] [-nomc] [-osr] [-speculate] [-threshold N] [-bugs CVE,...]
               [-db file] [-stats] [-async [-jit-workers N]] [-cache] [-store dir]
               [-trace file] [-audit file] [-metrics] [-metrics-addr addr]
-              [-journey file] [-flight dir] [-watchdog]
-              [-octane name [-scale N]] [script.js]
-  jitbull journey [-fn name] [-json] journey.json
-  jitbull journey [-fn name] [-json] [-threshold N] [-osr] [-speculate] [-async]
-                  (-octane name [-scale N] | script.js)
+              [-explain fn] [-flight dir] [-watchdog]
+              (-octane name [-scale N] | script.js)
   jitbull fingerprint -cve CVE-... [-bugs CVE,...] [-threshold N] -db file script.js
-  jitbull diff [-seed N | -seeds N] [-bugs CVE,...] [-shrink] [-jitbull] script.js
+  jitbull diff [-bugs CVE,...] [-shrink] [-jitbull] [-variants=false] [-checkir=false]
+               (-seed N | -seeds N | script.js)
   jitbull chaos [-runs N] [-seed N] [-rules N] [-points p,...] [-osr]
                 [-out reproducers.json] [-replay reproducers.json] [-trace dir]
   jitbull audit [-verdict v] [-func name] [-cve CVE] [-json] audit.jsonl
@@ -81,7 +77,8 @@ func usage() {
   jitbull dna verify db.json
   jitbull store verify [-quarantine] dir
   jitbull store chaos [-runs N] [-seed N] [-out reproducers.json] [-dir scratch]
-  jitbull vulns`)
+  jitbull vulns
+  jitbull help`)
 }
 
 // benchByName resolves a -octane name case-insensitively.
@@ -116,7 +113,7 @@ func cmdRun(args []string) error {
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of the compile path to this file")
 	auditPath := fs.String("audit", "", "stream the policy-decision audit log (JSONL) to this file ('-' for stderr)")
 	metrics := fs.Bool("metrics", false, "print the metrics registry (JSON) to stderr after the run")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /audit.json and /debug/pprof on this address during the run")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /metrics.json, /metrics.prom, /healthz, /audit.json, /flight.json and /debug/pprof/ on this address during the run")
 	octaneName := fs.String("octane", "", "run a built-in benchmark instead of a script file")
 	scale := fs.Int("scale", 1, "outer-loop scale for -octane")
 	osr := fs.Bool("osr", false, "enable loop-header on-stack replacement: hot loops tier up mid-flight instead of at the next call boundary")
@@ -125,7 +122,7 @@ func cmdRun(args []string) error {
 	jitWorkers := fs.Int("jit-workers", 0, "background compile workers for -async (0 = GOMAXPROCS)")
 	cacheFlag := fs.Bool("cache", false, "enable the shared compilation cache (artifact + JITBULL verdict, keyed by canonical bytecode hash)")
 	storeDir := fs.String("store", "", "persist the compilation cache in this directory (implies -cache): artifacts and verdicts survive restarts")
-	journeyPath := fs.String("journey", "", "record tier-journey waypoints; write them as JSON to this file after the run ('-' renders ASCII timelines to stderr)")
+	explainFn := fs.String("explain", "", "after the run, print this function's lifecycle facts to stderr: tier timeline, compile/decide/OSR durations, and every go/no-go decision with its matches")
 	flightDir := fs.String("flight", "", "arm the tail-sampling flight recorder: anomalous episodes (p99 compile outliers, faults, watchdog anomalies) are dumped as Chrome traces into this directory")
 	watchdogFlag := fs.Bool("watchdog", false, "arm the anomaly watchdog (deopt storms, quarantine spikes, cache-miss regressions, verdict-rate shifts, perf divergence)")
 	if err := fs.Parse(args); err != nil {
@@ -182,20 +179,15 @@ func cmdRun(args []string) error {
 	// One event stream, and a view of it per flag. The watchdog goes last:
 	// the anomaly it states then follows its cause in every other view.
 	var (
-		sinks   jitbull.MultiSink
-		ring    *jitbull.Ring
-		journal *jitbull.Journal
-		audit   *jitbull.AuditLog
-		flight  *jitbull.FlightRecorder
-		wdog    *jitbull.Watchdog
+		sinks  jitbull.MultiSink
+		ring   *jitbull.Ring
+		audit  *jitbull.AuditLog
+		flight *jitbull.FlightRecorder
+		wdog   *jitbull.Watchdog
 	)
-	if *tracePath != "" {
+	if *tracePath != "" || *explainFn != "" {
 		ring = jitbull.NewRing(0)
 		sinks = append(sinks, ring)
-	}
-	if *journeyPath != "" {
-		journal = jitbull.NewJournal(0)
-		sinks = append(sinks, journal)
 	}
 	var auditFile *os.File
 	switch {
@@ -236,13 +228,12 @@ func cmdRun(args []string) error {
 			Reg:      eng.MetricsSink(),
 			Audit:    audit,
 			Watchdog: wdog,
-			Journal:  journal,
 			Flight:   flight,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "jitbull: ops server on http://%s/ (/metrics, /metrics.prom, /healthz, /audit.json, /journey.json, /flight.json, /debug/pprof/)\n", addr)
+		fmt.Fprintf(os.Stderr, "jitbull: ops server on http://%s/ (/metrics, /metrics.json, /metrics.prom, /healthz, /audit.json, /flight.json, /debug/pprof/)\n", addr)
 		defer srv.Close()
 	}
 	var det *jitbull.Detector
@@ -252,7 +243,6 @@ func cmdRun(args []string) error {
 			fmt.Fprintf(os.Stderr, "jitbull: DNA database unusable (%v)\njitbull: failing safe: JIT disabled for every function\n", err)
 		}
 		det = jitbull.Protect(eng, db)
-		det.Audit = audit
 	}
 	if *storeDir != "" {
 		st, err := jitbull.OpenStore(*storeDir, jitbull.StoreOptions{
@@ -304,10 +294,6 @@ func cmdRun(args []string) error {
 		if wdog != nil {
 			fmt.Fprintln(os.Stderr, wdog.Summary())
 		}
-		if journal != nil {
-			fmt.Fprintf(os.Stderr, "journey: %d event(s) across %d function(s)\n",
-				journal.Total(), len(journal.Funcs()))
-		}
 		if det != nil && len(det.Matches) > 0 {
 			fmt.Fprintf(os.Stderr, "jitbull matches:\n")
 			for _, m := range det.Matches {
@@ -333,25 +319,6 @@ func cmdRun(args []string) error {
 		fmt.Fprintf(os.Stderr, "jitbull: flight recorder dumped %d episode(s) to %s\n",
 			len(flight.Episodes()), *flightDir)
 	}
-	if *journeyPath != "" {
-		if *journeyPath == "-" {
-			fmt.Fprint(os.Stderr, journal.RenderAll())
-		} else {
-			f, err := os.Create(*journeyPath)
-			if err != nil {
-				return fmt.Errorf("run: save journey: %w", err)
-			}
-			werr := journal.WriteJSON(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return fmt.Errorf("run: save journey: %w", werr)
-			}
-			fmt.Fprintf(os.Stderr, "jitbull: wrote %d journey event(s) to %s (render with: jitbull journey %s)\n",
-				journal.Total(), *journeyPath, *journeyPath)
-		}
-	}
 	if *metrics {
 		if err := eng.MetricsSink().WriteJSON(os.Stderr); err != nil {
 			return fmt.Errorf("run: write metrics: %w", err)
@@ -365,8 +332,8 @@ func cmdRun(args []string) error {
 			return fmt.Errorf("run: audit log stream: %w", err)
 		}
 	}
-	if runErr != nil && !jitbull.IsHijack(runErr) && !jitbull.IsCrash(runErr) {
-		return nil // script-level errors already reported
+	if *explainFn != "" {
+		return explain(os.Stderr, ring, *explainFn)
 	}
 	return nil
 }

@@ -2,8 +2,8 @@ package core
 
 // Witness-chain attribution tests: a Match must name the chain (and delta
 // side) that connected the candidate DNA to the matched VDC delta, the
-// audit log must carry the verdict with full attribution, and the
-// detector's histograms must observe every query.
+// decision must carry the verdict with full attribution to the audit log,
+// and the detector's histograms must observe every query.
 
 import (
 	"bytes"
@@ -108,21 +108,24 @@ func TestDetectorAuditAndMetrics(t *testing.T) {
 	}}}})
 
 	var buf bytes.Buffer
+	audit := obs.NewAuditLog(&buf)
 	det := NewDetector(db)
-	det.Audit = obs.NewAuditLog(&buf)
 	det.Metrics = obs.NewRegistry()
 
-	// One hit, one miss.
+	// One hit, one miss, each stated as the engine states a decision.
+	tr := obs.NewTracer(audit)
 	o, finish := det.BeginCompile("victim")
 	fakePassRun(o, "GVN", before, after)
-	if dec := finish(); len(dec.DisabledPasses) != 1 {
+	dec := finish()
+	if len(dec.DisabledPasses) != 1 {
 		t.Fatalf("expected a disable-pass decision, got %+v", dec)
 	}
+	tr.Begin(obs.CatPolicy, obs.FactDecide, "victim").EndDecision(dec)
 	o, finish = det.BeginCompile("clean")
 	fakePassRun(o, "GVN", before, before) // empty delta: no DNA recorded
-	finish()
+	tr.Begin(obs.CatPolicy, obs.FactDecide, "clean").EndDecision(finish())
 
-	evs := det.Audit.Events()
+	evs := audit.Events()
 	if len(evs) != 2 {
 		t.Fatalf("expected 2 audit events, got %d: %+v", len(evs), evs)
 	}
@@ -160,14 +163,16 @@ func TestDetectorAuditAndMetrics(t *testing.T) {
 
 func TestFailSafeAudit(t *testing.T) {
 	det := NewDetector(NewFailSafeDatabase())
-	det.Audit = obs.NewAuditLog(nil)
 	_, finish := det.BeginCompile("victim")
-	if dec := finish(); !dec.NoJIT {
+	dec := finish()
+	if !dec.NoJIT {
 		t.Fatalf("fail-safe database must veto, got %+v", dec)
 	}
-	evs := det.Audit.Events()
+	audit := obs.NewAuditLog(nil)
+	obs.NewTracer(audit).Begin(obs.CatPolicy, obs.FactDecide, "victim").EndDecision(dec)
+	evs := audit.Events()
 	if len(evs) != 1 || evs[0].Verdict != obs.VerdictNoJIT || evs[0].Reason == "" {
-		t.Fatalf("fail-safe verdict not audited: %+v", evs)
+		t.Fatalf("fail-safe verdict not audited with its reason: %+v", evs)
 	}
 }
 

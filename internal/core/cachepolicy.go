@@ -12,10 +12,11 @@ package core
 // are deterministic functions of that DNA and the database, hence the
 // recorded decision IS the decision a fresh run would produce. The engine
 // keeps the engine.CompileDecision that Decide returned next to the
-// artifact and hands it back on a hit; replay books it (audit trail,
-// per-detector match accounting) through the same function the live
-// decision went through, so an engine served from the cache is
-// observationally identical to one that computed the verdict itself.
+// artifact and hands it back on a hit; replay books it (per-detector match
+// accounting) through the same function the live decision went through and
+// returns it for the engine to state on its decide fact, so an engine
+// served from the cache is observationally identical to one that computed
+// the verdict itself.
 
 import (
 	"fmt"
@@ -47,15 +48,15 @@ func (d *Detector) PolicyCacheKey() (string, bool) {
 
 // ReplayDecision implements engine.CachingPolicy: it books a decision
 // made for an equal cache key — by this detector, by another engine's, or
-// in a process that has since died — as fnName's, exactly as the live
-// Decide booked it. The witness chains travel as text (Match.Chain) and
-// are interned again here, as Delta.UnmarshalJSON does for a database:
-// the IDs of the process that made the decision mean nothing in this one,
-// and NoChain stays NoChain. A replayed go verdict carries no reason.
-func (d *Detector) ReplayDecision(fnName string, dec engine.CompileDecision) {
-	reason := ""
+// in a process that has since died — exactly as the live Decide booked
+// it, and returns it as this process states it. The witness chains travel
+// as text (Match.Chain) and are interned again here, as
+// Delta.UnmarshalJSON does for a database: the IDs of the process that
+// made the decision mean nothing in this one, and NoChain stays NoChain.
+// A replayed go verdict carries no reason.
+func (d *Detector) ReplayDecision(_ string, dec engine.CompileDecision) engine.CompileDecision {
 	if len(dec.Matches) > 0 {
-		reason = "replayed from shared compilation cache"
+		dec.Reason = "replayed from shared compilation cache"
 		dec.Matches = slices.Clone(dec.Matches) // the cached value is shared
 		for i := range dec.Matches {
 			if m := &dec.Matches[i]; m.ChainID != NoChain {
@@ -63,5 +64,6 @@ func (d *Detector) ReplayDecision(fnName string, dec engine.CompileDecision) {
 			}
 		}
 	}
-	d.book(fnName, dec, reason)
+	d.book(dec)
+	return dec
 }

@@ -109,8 +109,9 @@ func TestFingerprintStableAcrossLoads(t *testing.T) {
 }
 
 // TestReplayDecisionBooksLikeDecide: the decision a live finish returns,
-// replayed into a second detector, leaves the same match accounting and the
-// same audit event — reason aside — because both go through book.
+// replayed into a second detector, leaves the same match accounting —
+// both go through book — and comes back as the same decision, reason
+// aside, for the engine to state.
 func TestReplayDecisionBooksLikeDecide(t *testing.T) {
 	before, after := richSnap(4), richSnap(0)
 	db := &Database{}
@@ -118,7 +119,6 @@ func TestReplayDecisionBooksLikeDecide(t *testing.T) {
 		"GVN": ExtractDelta(before, after),
 	}}}})
 	live := NewDetector(db)
-	live.Audit = obs.NewAuditLog(nil)
 	observe, finish := live.BeginCompile("victim")
 	fakePassRun(observe, "GVN", before, after)
 	dec := finish()
@@ -127,30 +127,24 @@ func TestReplayDecisionBooksLikeDecide(t *testing.T) {
 	}
 
 	replayed := NewDetector(db)
-	replayed.Audit = obs.NewAuditLog(nil)
-	replayed.ReplayDecision("victim", dec)
-	replayed.ReplayDecision("victim", dec) // a second hit books no second match
+	first := replayed.ReplayDecision("victim", dec)
+	second := replayed.ReplayDecision("victim", dec) // a second hit books no second match
 	if !reflect.DeepEqual(replayed.Matches, live.Matches) {
 		t.Errorf("replayed matches %+v, live %+v", replayed.Matches, live.Matches)
 	}
-	le, re := live.Audit.Events(), replayed.Audit.Events()
-	if len(le) != 1 || len(re) != 2 {
-		t.Fatalf("audit events: live %d, replayed %d, want 1 and 2", len(le), len(re))
+	if dec.Reason != "" || first.Reason != "replayed from shared compilation cache" {
+		t.Errorf("reasons: live %q, replayed %q", dec.Reason, first.Reason)
 	}
-	if le[0].Reason != "" || re[0].Reason != "replayed from shared compilation cache" {
-		t.Errorf("reasons: live %q, replayed %q", le[0].Reason, re[0].Reason)
-	}
-	for _, ev := range []*obs.AuditEvent{&le[0], &re[0], &re[1]} {
-		ev.Seq, ev.TimeUnixNs, ev.Reason = 0, 0, ""
-	}
-	if !reflect.DeepEqual(le[0], re[0]) || !reflect.DeepEqual(le[0], re[1]) {
-		t.Errorf("audit events differ beyond the reason:\nlive     %+v\nreplayed %+v", le[0], re[0])
+	for _, r := range []engine.CompileDecision{first, second} {
+		r.Reason = ""
+		if !reflect.DeepEqual(r, dec) {
+			t.Errorf("decisions differ beyond the reason:\nlive     %+v\nreplayed %+v", dec, r)
+		}
 	}
 
-	// A go verdict replays as a go event with no reason.
-	replayed.ReplayDecision("benign", engine.CompileDecision{})
-	if ev := replayed.Audit.Events()[2]; ev.Verdict != obs.VerdictGo || ev.Reason != "" || len(replayed.Matches) != len(live.Matches) {
-		t.Errorf("go replay booked %+v", ev)
+	// A go verdict replays as a go decision with no reason.
+	if got := replayed.ReplayDecision("benign", engine.CompileDecision{}); got.Verdict() != obs.VerdictGo || got.Reason != "" || len(replayed.Matches) != len(live.Matches) {
+		t.Errorf("go replay returned %+v", got)
 	}
 }
 
@@ -171,11 +165,10 @@ func TestReplayDecisionReinternsChains(t *testing.T) {
 		},
 	}
 	d := NewDetector(&Database{})
-	d.Audit = obs.NewAuditLog(nil)
-	d.ReplayDecision("victim", dec)
+	stated := d.ReplayDecision("victim", dec)
 
 	want := InternChain(text)
-	for _, ms := range [][]obs.Match{d.Matches, d.Audit.Events()[0].Matches} {
+	for _, ms := range [][]obs.Match{d.Matches, stated.Matches} {
 		if len(ms) != 2 {
 			t.Fatalf("booked %d matches, want 2", len(ms))
 		}

@@ -68,10 +68,6 @@ type Detector struct {
 	// runs.
 	Matches []obs.Match
 
-	// Audit, when set, receives one structured event per go/no-go verdict,
-	// with the full match attribution (CVE, VDC function, pass, witness
-	// chain).
-	Audit *obs.AuditLog
 	// Metrics, when set, receives the "dna.delta_chains" histogram (per-pass
 	// Δ chain-set sizes of candidate DNAs), "dna.index_probes" (entries
 	// scored per match-index query) and "dna.pair_cands" (size of the Δ
@@ -131,9 +127,7 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 		// The real database could not be trusted: no DNA to compare
 		// against, so take no snapshots and veto every compilation.
 		return nil, func() engine.CompileDecision {
-			dec := engine.CompileDecision{NoJIT: true}
-			d.book(fnName, dec, "fail-safe database: vetoing every compilation")
-			return dec
+			return engine.CompileDecision{NoJIT: true, Reason: "fail-safe database: vetoing every compilation"}
 		}
 	}
 	d.resolveHists()
@@ -183,7 +177,7 @@ func (d *Detector) Decide(dna *DNA) engine.CompileDecision {
 	}
 	d.found = found[:0]
 	dec := decisionOf(found)
-	d.book(dna.FuncName, dec, "")
+	d.book(dec)
 	return dec
 }
 
@@ -225,12 +219,12 @@ func decisionOf(found []obs.Match) engine.CompileDecision {
 	return dec
 }
 
-// book records one verdict for fnName in the detector's accounting — the
-// only place that does: matches not seen before join Matches, and the
-// audit log gets the event. A decision made by this detector (Decide, the
-// fail-safe veto) and one replayed from the shared cache
-// (ReplayDecision) differ in reason alone.
-func (d *Detector) book(fnName string, dec engine.CompileDecision, reason string) {
+// book records one decision's matches in the detector's accounting — the
+// only place that does: matches not seen before join Matches. A decision
+// made by Decide and one replayed from the shared cache (ReplayDecision)
+// go through it alike. Stating the decision is the engine's business (its
+// decide fact).
+func (d *Detector) book(dec engine.CompileDecision) {
 	if d.seen == nil && len(dec.Matches) > 0 {
 		d.seen = map[obs.MatchKey]struct{}{}
 	}
@@ -240,13 +234,6 @@ func (d *Detector) book(fnName string, dec engine.CompileDecision, reason string
 			d.Matches = append(d.Matches, m)
 		}
 	}
-	d.Audit.Append(obs.AuditEvent{
-		Func:           fnName,
-		Verdict:        dec.Verdict(),
-		DisabledPasses: dec.DisabledPasses,
-		Matches:        dec.Matches,
-		Reason:         reason,
-	})
 }
 
 // Recorder implements engine.Policy in record-only mode: it extracts the

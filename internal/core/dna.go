@@ -65,11 +65,6 @@ func MakeDelta(removed, added []string) Delta {
 	return Delta{Removed: InternChains(removed), Added: InternChains(added)}
 }
 
-// Ref renders the delta in the reference (string) representation.
-func (d Delta) Ref() RefDelta {
-	return RefDelta{Removed: ChainStrings(d.Removed), Added: ChainStrings(d.Added)}
-}
-
 // Empty reports whether the pass had no observable effect.
 func (d Delta) Empty() bool { return len(d.Removed) == 0 && len(d.Added) == 0 }
 
@@ -78,15 +73,6 @@ func (d Delta) Empty() bool { return len(d.Removed) == 0 && len(d.Added) == 0 }
 type DNA struct {
 	FuncName string           `json:"func"`
 	Passes   map[string]Delta `json:"passes"`
-}
-
-// Ref renders the DNA in the reference (string) representation.
-func (dna *DNA) Ref() *RefDNA {
-	rd := &RefDNA{FuncName: dna.FuncName, Passes: make(map[string]RefDelta, len(dna.Passes))}
-	for name, d := range dna.Passes {
-		rd.Passes[name] = d.Ref()
-	}
-	return rd
 }
 
 // VDC is the stored fingerprint of one vulnerability demonstrator code:

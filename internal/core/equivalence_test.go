@@ -1,4 +1,4 @@
-package jitbull
+package core_test
 
 // Full-corpus golden-equivalence suite: the interned, index-backed
 // core.Detector must produce exactly the go/no-go decision sequence of

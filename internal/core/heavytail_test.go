@@ -1,4 +1,4 @@
-package jitbull
+package core_test
 
 // Heavy-tail regression: progen seed 1044 in the compile_storm
 // configuration is the benign program whose Δ pairing search is the

@@ -3,7 +3,7 @@ package core
 // The retained reference implementation of Algorithm 1 + Algorithm 2.
 //
 // This file is the original string-based extraction/matching pipeline,
-// kept verbatim: chains are "→"-joined opcode strings, diffing re-splits
+// kept verbatim as a test oracle: chains are "→"-joined opcode strings, diffing re-splits
 // and LCS-aligns them, and the detector brute-force scans every
 // VDC × DNA × pass in the database. It exists so the interned fast path
 // (extract.go, compare.go, index.go) can be held to a golden-equivalence
@@ -21,6 +21,20 @@ import (
 	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/passes"
 )
+
+// Ref renders the delta in the reference (string) representation.
+func (d Delta) Ref() RefDelta {
+	return RefDelta{Removed: ChainStrings(d.Removed), Added: ChainStrings(d.Added)}
+}
+
+// Ref renders the DNA in the reference (string) representation.
+func (dna *DNA) Ref() *RefDNA {
+	rd := &RefDNA{FuncName: dna.FuncName, Passes: make(map[string]RefDelta, len(dna.Passes))}
+	for name, d := range dna.Passes {
+		rd.Passes[name] = d.Ref()
+	}
+	return rd
+}
 
 // RefDelta is Δ_i^f in the reference representation: removed and added
 // sub-chains as sorted "→"-joined string sets.

@@ -65,33 +65,44 @@ type WarmStartResult struct {
 // OK reports whether the cell held every invariant.
 func (r WarmStartResult) OK() bool { return len(r.Divergences) == 0 }
 
-// storeDetector builds a detector over the shared difftest database with
-// a per-run audit log attached.
-func storeDetector(audit *obs.AuditLog) *core.Detector {
+// storeDetector builds a detector over the shared difftest database.
+func storeDetector() *core.Detector {
 	db, err := jitbullDB()
 	if err != nil {
 		panic(fmt.Sprintf("difftest: building JITBULL DB: %v", err))
 	}
-	d := core.NewDetector(db)
-	d.Audit = audit
-	return d
+	return core.NewDetector(db)
 }
 
 // storeProcess is one simulated process of a store cell: a fresh engine
 // and a fresh in-memory cache over the given persistent tier — with
 // jitbull, a fresh detector too — observed like any other cell. The audit
-// events are the detector's verdicts, in order.
+// events are the engine's go/no-go verdicts, in order.
 func storeProcess(src string, base engine.Config, tier *store.Store, jitbull bool) WarmStartRun {
 	c := Config{Name: "store", Engine: base}
 	c.Engine.Cache = jitqueue.NewCache(nil)
 	c.Engine.Cache.AttachTier(tier, engine.NewCacheCodec())
 	audit := obs.NewAuditLog(nil)
+	c.Engine.Tracer = obs.NewTracer(audit)
 	if jitbull {
-		c.Policy = func() engine.Policy { return storeDetector(audit) }
+		c.Policy = func() engine.Policy { return storeDetector() }
 	}
 	run := WarmStartRun{Obs: Observe(src, c)}
-	run.Audit = audit.Events()
+	run.Audit = decisions(audit.Events())
 	return run
+}
+
+// decisions keeps the go/no-go verdicts of an audit trail, dropping the
+// supervisor transitions and anomalies logged between them.
+func decisions(evs []obs.AuditEvent) []obs.AuditEvent {
+	var out []obs.AuditEvent
+	for _, ev := range evs {
+		switch ev.Verdict {
+		case obs.VerdictGo, obs.VerdictDisablePass, obs.VerdictNoJIT:
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // auditIdentity projects one audit event to the fields that must replay

@@ -24,9 +24,11 @@ var updateVerdictParity = flag.Bool("update-verdict-parity", false, "rewrite tes
 // testdata/verdict_parity.json was written by this test at the last commit
 // whose engine fetched the verdict from the detector after finish() as an
 // opaque payload and whose store codec needed the detector to translate
-// it. Only the codec's construction and the rendering of a
-// Detector.Matches entry's chain (a method there, a field here) differ
-// from the test that wrote it.
+// it. Only the codec's construction, the rendering of a Detector.Matches
+// entry's chain (a method there, a field here) and the audit log's wiring
+// differ from the test that wrote it: the detector appended to the log
+// itself there, the log is the tracer's sink here and keeps the decide
+// facts' decisions among the supervisor's transitions.
 
 // verdictParityRun is what one run's go/no-go decisions reduce to once
 // sequence numbers, wall time and the process-local chain IDs are
@@ -59,10 +61,9 @@ func verdictParityProcess(t *testing.T, src string, bugs passes.BugSet, db *core
 	t.Helper()
 	audit := obs.NewAuditLog(nil)
 	det := core.NewDetector(db)
-	det.Audit = audit
 	o := Observe(src, Config{
 		Name:   "verdict-parity",
-		Engine: engine.Config{Bugs: bugs, Cache: cache, MaxSteps: 200_000_000},
+		Engine: engine.Config{Bugs: bugs, Cache: cache, MaxSteps: 200_000_000, Tracer: obs.NewTracer(audit)},
 		Policy: func() engine.Policy { return det },
 	})
 	if o.SetupErr != "" {
@@ -74,7 +75,7 @@ func verdictParityProcess(t *testing.T, src string, bugs passes.BugSet, db *core
 		NrNoJIT:   o.Stats.NrNoJIT,
 		CacheHits: o.Stats.CacheHits,
 	}
-	for _, ev := range audit.Events() {
+	for _, ev := range decisions(audit.Events()) {
 		id := auditIdentity(ev)
 		var ms []string
 		for _, m := range id.Matches {

@@ -48,17 +48,17 @@ var result = 0; for (var r = 0; r < 24; r++) { result = (result + hot(600)) % 10
 // with a deopt storm, a corrupt store record, and a saturated compile
 // queue must produce per-episode flight-recorder dumps that hold their
 // cause, watchdog audit events with 1:1 accounting, a /healthz
-// ready→degraded→ready transition, and a tier-journey timeline for the
-// storming function — every one of them a view of the one tracer.
+// ready→degraded→ready transition, and a lifecycle for the storming
+// function — every one of them a view of the one tracer.
 func TestSeededAnomalyEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	audit := obs.NewAuditLog(nil)
 	flight := obs.NewFlightRecorder(t.TempDir(), obs.FlightOptions{RingCapacity: 512})
 	wdog := obs.NewWatchdog(obs.WatchdogOptions{Metrics: reg, RecoverAfter: 8})
-	journal := obs.NewJournal(0)
-	tracer := obs.NewTracer(obs.MultiSink{journal, audit, flight, wdog})
+	ring := obs.NewRing(0)
+	tracer := obs.NewTracer(obs.MultiSink{ring, audit, flight, wdog})
 	wdog.SetTracer(tracer)
-	mux := obs.NewOpsMux(obs.OpsState{Reg: reg, Audit: audit, Watchdog: wdog, Journal: journal, Flight: flight})
+	mux := obs.NewOpsMux(obs.OpsState{Reg: reg, Audit: audit, Watchdog: wdog, Flight: flight})
 	healthz := func() (int, string) {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
@@ -201,11 +201,14 @@ func TestSeededAnomalyEndToEnd(t *testing.T) {
 		t.Fatalf("post-recovery /healthz: code=%d body=%q", code, body)
 	}
 
-	// The storming function has a complete journey timeline.
-	tl := journal.RenderTimeline("hot")
-	for _, want := range []string{"interp", "installed", "osr-entry", "deopt", "requalified"} {
-		if !strings.Contains(tl, want) {
-			t.Errorf("hot's journey timeline missing %q:\n%s", want, tl)
+	// The storming function has a complete lifecycle on the ring.
+	seen := map[string]bool{}
+	for _, ev := range obs.Lifecycles(ring.Events())["hot"] {
+		seen[ev.Name] = true
+	}
+	for _, want := range []string{obs.FactInterp, obs.FactInstall, obs.FactOSREnter, obs.FactDeopt, obs.FactRequalified} {
+		if !seen[want] {
+			t.Errorf("hot's lifecycle has no %s fact", want)
 		}
 	}
 }

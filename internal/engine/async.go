@@ -52,10 +52,11 @@ type CachingPolicy interface {
 	// vetoes caching.
 	PolicyCacheKey() (key string, ok bool)
 	// ReplayDecision books, for fnName, a decision a finish function
-	// returned earlier under an equal cache key — audit events and match
-	// accounting exactly as that finish booked them. The decision may have
-	// crossed a process boundary as JSON on the way.
-	ReplayDecision(fnName string, d CompileDecision)
+	// returned earlier under an equal cache key — match accounting exactly
+	// as that finish booked it — and returns the decision as this process
+	// states it. The decision may have crossed a process boundary as JSON on
+	// the way.
+	ReplayDecision(fnName string, d CompileDecision) CompileDecision
 }
 
 // errEscapedPanic marks an outcome fabricated because a panic unwound a
@@ -131,7 +132,8 @@ func disabledAfter(requested map[string]bool, d CompileDecision) (final map[stri
 
 // decide states FactDecide — the one place that does — around judge, which
 // produces the decision: the policy's finish function on a live compile,
-// the replay of the cached decision on a hit (source "cache").
+// the replay of the cached decision on a hit (source "cache"). The fact
+// carries the whole decision, which is how it reaches the audit log.
 func (e *Engine) decide(fnName, source string, judge func() CompileDecision) CompileDecision {
 	sp := e.tracer.Begin(obs.CatPolicy, obs.FactDecide, fnName)
 	d := judge()
@@ -139,7 +141,7 @@ func (e *Engine) decide(fnName, source string, judge func() CompileDecision) Com
 	if source != "" {
 		src = obs.S("source", source)
 	}
-	sp.End(obs.S("verdict", string(d.Verdict())), obs.I("disabled", int64(len(d.DisabledPasses))), src)
+	sp.EndDecision(d, obs.S("verdict", string(d.Verdict())), obs.I("disabled", int64(len(d.DisabledPasses))), src)
 	return d
 }
 
@@ -426,13 +428,12 @@ func (e *Engine) outcomeFromCache(req *compileRequest, cc *cachedCompile) *compi
 	if cp, ok := e.policy.(CachingPolicy); ok && cp.Active() {
 		e.decide(req.fnName, "cache", func() CompileDecision {
 			// Replay mutates the policy's match accounting (Detector.seen /
-			// Matches / audit), and a queued compile of another function may
+			// Matches), and a queued compile of another function may
 			// concurrently be inside BeginCompile/Decide on a worker — so the
 			// replay takes compileMu like every other policy touch.
 			e.compileMu.Lock()
-			cp.ReplayDecision(req.fnName, cc.Decision)
-			e.compileMu.Unlock()
-			return cc.Decision
+			defer e.compileMu.Unlock()
+			return cp.ReplayDecision(req.fnName, cc.Decision)
 		})
 	}
 	if cc.Decision.NoJIT {

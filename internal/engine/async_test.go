@@ -37,8 +37,10 @@ func (p *stubCachingPolicy) BeginCompile(fn string) (passes.Observer, func() Com
 
 func (p *stubCachingPolicy) PolicyCacheKey() (string, bool) { return "stub", true }
 
-func (p *stubCachingPolicy) ReplayDecision(fn string, d CompileDecision) {
+func (p *stubCachingPolicy) ReplayDecision(fn string, d CompileDecision) CompileDecision {
 	p.replayed = append(p.replayed, d)
+	d.Reason = "replayed"
+	return d
 }
 
 func TestAsyncCompileMatchesSyncVerdicts(t *testing.T) {
@@ -174,7 +176,8 @@ func TestCacheReplaysPolicyVerdict(t *testing.T) {
 		}
 
 		warmer := &stubCachingPolicy{verdict: verdict}
-		warm, err := New(hotSrc, Config{IonThreshold: 5, Cache: cache})
+		ring := obs.NewRing(0)
+		warm, err := New(hotSrc, Config{IonThreshold: 5, Cache: cache, Tracer: obs.NewTracer(ring)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,6 +200,20 @@ func TestCacheReplaysPolicyVerdict(t *testing.T) {
 		}
 		if st := warm.fn(t, "hot"); !st.disabledPasses["GVN"] {
 			t.Error("disabled-pass set not restored from the cache")
+		}
+		// The decide fact states the decision as the replay returned it.
+		decides := 0
+		for _, ev := range ring.Events() {
+			if ev.Name != obs.FactDecide {
+				continue
+			}
+			decides++
+			if d := ev.Decision; d == nil || d.Reason != "replayed" || !reflect.DeepEqual(d.Matches, verdict.Matches) {
+				t.Errorf("decide fact on a hit carries %+v, want the replayed decision", d)
+			}
+		}
+		if decides != 1 {
+			t.Errorf("%d decide facts on the warm run, want 1", decides)
 		}
 	})
 
@@ -303,7 +320,10 @@ func (p *accountingPolicy) BeginCompile(fn string) (passes.Observer, func() Comp
 
 func (p *accountingPolicy) PolicyCacheKey() (string, bool) { return "accounting", true }
 
-func (p *accountingPolicy) ReplayDecision(fn string, d CompileDecision) { p.seen[fn]++ }
+func (p *accountingPolicy) ReplayDecision(fn string, d CompileDecision) CompileDecision {
+	p.seen[fn]++
+	return d
+}
 
 // TestCacheHitReplaySerializedWithQueuedCompile is the -race regression
 // for the queue+cache mode: while a background worker is inside a queued

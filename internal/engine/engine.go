@@ -62,31 +62,11 @@ func (e *HijackError) Error() string {
 }
 
 // CompileDecision is the JITBULL go/no-go verdict for one compilation,
-// with the evidence behind it. It is plain data, made once by the policy's
-// finish function and never changed after: the shared cache keeps it next
-// to the artifact, the store writes it as JSON, and a cache hit hands the
-// same value back to the policy (CachingPolicy.ReplayDecision).
-type CompileDecision struct {
-	// DisabledPasses lists dangerous passes to disable for this function.
-	DisabledPasses []string `json:"disabled_passes,omitempty"`
-	// NoJIT forces interpreter-only execution (scenario 3 of §V: a matched
-	// pass is mandatory).
-	NoJIT bool `json:"nojit,omitempty"`
-	// Matches are the DNA similarities the verdict rests on, in the order
-	// the policy books them; empty for a go verdict.
-	Matches []obs.Match `json:"matches,omitempty"`
-}
-
-// Verdict names the decision the way the audit log and FactDecide do.
-func (d CompileDecision) Verdict() obs.Verdict {
-	switch {
-	case d.NoJIT:
-		return obs.VerdictNoJIT
-	case len(d.DisabledPasses) > 0:
-		return obs.VerdictDisablePass
-	}
-	return obs.VerdictGo
-}
+// with the evidence behind it: made once by the policy's finish function,
+// kept by the shared cache next to the artifact, written by the store as
+// JSON, handed back to the policy on a cache hit
+// (CachingPolicy.ReplayDecision), and stated on the decide fact.
+type CompileDecision = obs.Decision
 
 // Policy is the JITBULL hook (implemented by internal/core). When Active
 // returns false (empty VDC database) the engine takes no snapshots at all.
@@ -176,9 +156,9 @@ type Config struct {
 	// stated on it once, beside the compile-pipeline spans (mirbuild, every
 	// optimization pass with input/output instruction counts, DNA
 	// extraction, lowering, register allocation) and injected faults. What
-	// becomes of them is the sink's business: obs.Ring, Journal, AuditLog,
-	// Watchdog and FlightRecorder are each a view of this stream, composed
-	// with obs.MultiSink. Facts land on tier transitions, never per call.
+	// becomes of them is the sink's business: obs.Ring, AuditLog, Watchdog
+	// and FlightRecorder are each a view of this stream, composed with
+	// obs.MultiSink. Facts land on tier transitions, never per call.
 	// Nil disables the stream at the cost of one nil check per site
 	// (benchmarked by internal/obs BenchmarkSpan/disabled).
 	Tracer *obs.Tracer
@@ -754,7 +734,7 @@ func (e *Engine) bailed(st *fnState, res native.Result) (blacklisted bool) {
 }
 
 // tierArg is the "tier" argument of a lifecycle fact: the tier st is in as
-// the fact is stated, which the journal shows beside the waypoint.
+// the fact is stated, which `jitbull run -explain` shows beside the fact.
 func (st *fnState) tierArg() obs.Arg { return obs.S("tier", st.tier.String()) }
 
 // interpret runs one call of st in the interpreter.

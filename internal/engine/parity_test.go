@@ -22,15 +22,19 @@ var updateParity = flag.Bool("update-parity", false, "rewrite testdata/obs_parit
 // testdata/obs_parity.json was written by this test at the last commit
 // whose engine fed the journal, the audit log and the watchdog through
 // their own calls (Config.Journal, .Audit, .Watchdog) beside the tracer.
-// Only wireParity, cleanCompile and the trace comparison differ from the
-// test that wrote it.
+// Since then every view became a sink of the stream, the journal went, and
+// the detector stopped appending its verdicts to the audit log itself: the
+// decide fact carries them. So wireParity, cleanCompile, the trace
+// comparison and the journey — read from the ring as `jitbull run -explain`
+// reads it, its fact names spelled as the journal spelled them — differ
+// from the test that wrote it.
 
 // parityRecord is what one scenario's observability outputs reduce to once
 // timestamps, sequence numbers and durations are stripped: the part of
 // every view that a change to how the engine reports its lifecycle must
 // reproduce.
 type parityRecord struct {
-	Journey   map[string][]string `json:"journey"`   // func → "stage/tier" in order
+	Journey   map[string][]string `json:"journey"`   // func → "stage/tier" in order (journeyStage)
 	Audit     []string            `json:"audit"`     // "verdict func stage" in order
 	Anomalies []string            `json:"anomalies"` // "detector func" in order
 	Health    []string            `json:"health"`    // before the run, after it, after 8 clean compiles
@@ -38,27 +42,61 @@ type parityRecord struct {
 	Trace     []string            `json:"trace"`     // first compile's event names in trace-file order
 }
 
-// parityViews are the five views of one run.
+// parityViews are the four views of one run.
 type parityViews struct {
-	ring    *obs.Ring
-	journal *obs.Journal
-	audit   *obs.AuditLog
-	wdog    *obs.Watchdog
-	flight  *obs.FlightRecorder
+	ring   *obs.Ring
+	audit  *obs.AuditLog
+	wdog   *obs.Watchdog
+	flight *obs.FlightRecorder
 }
 
 // wireParity attaches every view to cfg.
 func wireParity(t *testing.T, cfg *engine.Config) parityViews {
 	v := parityViews{
-		ring:    obs.NewRing(0),
-		journal: obs.NewJournal(0),
-		audit:   obs.NewAuditLog(nil),
-		flight:  obs.NewFlightRecorder(t.TempDir(), obs.FlightOptions{MinSamples: 1 << 30}),
-		wdog:    obs.NewWatchdog(obs.WatchdogOptions{RecoverAfter: 8}),
+		ring:   obs.NewRing(0),
+		audit:  obs.NewAuditLog(nil),
+		flight: obs.NewFlightRecorder(t.TempDir(), obs.FlightOptions{MinSamples: 1 << 30}),
+		wdog:   obs.NewWatchdog(obs.WatchdogOptions{RecoverAfter: 8}),
 	}
-	cfg.Tracer = obs.NewTracer(obs.MultiSink{v.ring, v.journal, v.audit, v.flight, v.wdog})
+	cfg.Tracer = obs.NewTracer(obs.MultiSink{v.ring, v.audit, v.flight, v.wdog})
 	v.wdog.SetTracer(cfg.Tracer)
 	return v
+}
+
+// journeyStage is the journal's spelling of each fact it kept as a
+// waypoint; the facts it had no spelling for were not waypoints.
+var journeyStage = map[string]string{
+	obs.FactInterp:      "interp",
+	obs.FactWarm:        "warm",
+	obs.FactCacheHit:    "cache-hit",
+	obs.FactStoreHit:    "store-hit",
+	obs.FactEnqueue:     "enqueued",
+	obs.FactCompile:     "compiled",
+	obs.FactTier:        "tier",
+	obs.FactInstall:     "installed",
+	obs.FactRequalified: "requalified",
+	obs.FactQuarantined: "quarantined",
+	obs.FactPermanent:   "permanent",
+	obs.FactOSREnter:    "osr-entry",
+	obs.FactDeopt:       "deopt",
+	obs.FactBailout:     "bailout",
+}
+
+// journeys reads each function's journey from the facts explain selects:
+// the waypoints in order, without the OSR entries the frame map declined
+// (the journal dropped those too).
+func journeys(evs []obs.Event) map[string][]string {
+	out := map[string][]string{}
+	for fn, facts := range obs.Lifecycles(evs) {
+		for _, ev := range facts {
+			stage, ok := journeyStage[ev.Name]
+			if !ok || (ev.Name == obs.FactOSREnter && ev.Str("result") == "declined") {
+				continue
+			}
+			out[fn] = append(out[fn], stage+"/"+ev.Str("tier"))
+		}
+	}
+	return out
 }
 
 // cleanCompile feeds the watchdog one anomaly-free observation.
@@ -113,7 +151,7 @@ func TestObservabilityParity(t *testing.T) {
 	for _, sc := range scenarios {
 		cfg := sc.cfg
 		v := wireParity(t, &cfg)
-		rec := parityRecord{Journey: map[string][]string{}}
+		var rec parityRecord
 		health := func() {
 			state, _ := v.wdog.Health()
 			rec.Health = append(rec.Health, state)
@@ -124,9 +162,7 @@ func TestObservabilityParity(t *testing.T) {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
 		if sc.policy {
-			det := core.NewDetector(db)
-			det.Audit = v.audit
-			e.SetPolicy(det)
+			e.SetPolicy(core.NewDetector(db))
 		}
 		if _, err := e.Run(); err != nil && !engine.IsCrash(err) && !engine.IsHijack(err) {
 			t.Fatalf("%s: run: %v", sc.name, err)
@@ -137,11 +173,7 @@ func TestObservabilityParity(t *testing.T) {
 		}
 		health()
 
-		for _, fn := range v.journal.Funcs() {
-			for _, ev := range v.journal.Events(fn) {
-				rec.Journey[fn] = append(rec.Journey[fn], ev.Stage+"/"+ev.Tier)
-			}
-		}
+		rec.Journey = journeys(v.ring.Events())
 		for _, ev := range v.audit.Events() {
 			rec.Audit = append(rec.Audit, string(ev.Verdict)+" "+ev.Func+" "+ev.Stage)
 		}

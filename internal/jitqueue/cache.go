@@ -146,8 +146,8 @@ func (c *Cache) Get(k Key) (any, bool) {
 
 // GetTiered is Get with hit attribution: fromTier reports whether the
 // value was served by promoting a persistent second-tier record rather
-// than from memory — the distinction the tier-journey journal renders
-// as "store-hit" vs "cache-hit".
+// than from memory — the distinction the engine states as a store-hit or
+// a cache-hit fact.
 func (c *Cache) GetTiered(k Key) (v any, ok, fromTier bool) {
 	if c == nil {
 		return nil, false, false

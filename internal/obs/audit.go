@@ -14,10 +14,10 @@ import (
 // Verdict classifies one audit event.
 type Verdict string
 
-// The JITBULL go/no-go decisions, one per policy-observed compilation,
-// appended by core.Detector with their match attribution. Every other
-// verdict in a log is a lifecycle fact's Fact.Verdict (facts.go):
-// compile-error, quarantine, requalify, permanent, anomaly.
+// The JITBULL go/no-go decisions, one per policy-observed compilation: the
+// verdict of the Decision a decide fact carries. Every other verdict in a
+// log is a lifecycle fact's Fact.Verdict (facts.go): compile-error,
+// quarantine, requalify, permanent, anomaly.
 const (
 	VerdictGo          Verdict = "go"           // compile proceeds unmodified
 	VerdictDisablePass Verdict = "disable-pass" // matched passes disabled, recompile
@@ -56,6 +56,37 @@ type MatchKey struct {
 // Key projects the match to its identity.
 func (m Match) Key() MatchKey { return MatchKey{CVE: m.CVE, VDCFunc: m.VDCFunc, Pass: m.Pass} }
 
+// Decision is the JITBULL go/no-go verdict for one compilation, with the
+// evidence behind it (engine.CompileDecision). It is plain data, made once
+// by the policy and never changed after: the shared cache keeps it next to
+// the artifact, the store writes it as JSON, and the decide fact carries it
+// (Event.Decision) to every view of the stream.
+type Decision struct {
+	// DisabledPasses lists dangerous passes to disable for this function.
+	DisabledPasses []string `json:"disabled_passes,omitempty"`
+	// NoJIT forces interpreter-only execution (scenario 3 of §V: a matched
+	// pass is mandatory).
+	NoJIT bool `json:"nojit,omitempty"`
+	// Matches are the DNA similarities the verdict rests on, in the order
+	// the policy books them; empty for a go verdict.
+	Matches []Match `json:"matches,omitempty"`
+	// Reason says why a decision was not judged from this compilation's DNA
+	// (a fail-safe veto, a replay). It belongs to the one statement of the
+	// decision, not to the record the cache and the store keep.
+	Reason string `json:"-"`
+}
+
+// Verdict names the decision the way the audit log and the decide fact do.
+func (d Decision) Verdict() Verdict {
+	switch {
+	case d.NoJIT:
+		return VerdictNoJIT
+	case len(d.DisabledPasses) > 0:
+		return VerdictDisablePass
+	}
+	return VerdictGo
+}
+
 // AuditEvent is one structured audit record.
 type AuditEvent struct {
 	Seq            uint64   `json:"seq"`
@@ -87,13 +118,13 @@ func (ev AuditEvent) String() string {
 	return sb.String()
 }
 
-// AuditLog is the view that keeps decisions: the policy verdicts
-// core.Detector appends, and of the stream the facts that are supervisor
-// transitions or anomalies (Fact.Verdict). It retains the newest
-// DefaultRingCapacity events in memory and, when constructed over a
+// AuditLog is the view that keeps decisions: of the stream, the decide
+// facts (the go/no-go verdict with its matches) and the facts that are
+// supervisor transitions or anomalies (Fact.Verdict). It retains the
+// newest DefaultRingCapacity events in memory and, when constructed over a
 // writer, streams every event as one JSON line (JSONL) — the file is
 // complete whatever the ring has dropped. A nil *AuditLog is the disabled
-// log: both entry points cost one nil check.
+// log: Record costs one nil check.
 type AuditLog struct {
 	mu     sync.Mutex
 	w      io.Writer
@@ -106,28 +137,26 @@ func NewAuditLog(w io.Writer) *AuditLog {
 	return &AuditLog{w: w, events: ring[AuditEvent]{max: DefaultRingCapacity}}
 }
 
-// Record implements Sink: a fact with a verdict becomes one audit event,
-// its stage and reason taken from the arguments of those names.
+// Record implements Sink: a decide fact becomes the audit event of its
+// decision, and a fact with a verdict one whose stage and reason are taken
+// from the arguments of those names.
 func (l *AuditLog) Record(ev Event) {
 	if l == nil {
 		return
 	}
-	if v := factByName[ev.Name].Verdict; v != "" {
-		l.Append(AuditEvent{Func: ev.Func, Verdict: v, Stage: ev.Str("stage"), Reason: ev.Str("reason")})
+	if d := ev.Decision; d != nil {
+		l.add(AuditEvent{Func: ev.Func, Verdict: d.Verdict(), DisabledPasses: d.DisabledPasses, Matches: d.Matches, Reason: d.Reason})
+	} else if v := factByName[ev.Name].Verdict; v != "" {
+		l.add(AuditEvent{Func: ev.Func, Verdict: v, Stage: ev.Str("stage"), Reason: ev.Str("reason")})
 	}
 }
 
-// Append stamps (sequence, wall time) and stores/streams the event.
-func (l *AuditLog) Append(ev AuditEvent) {
-	if l == nil {
-		return
-	}
+// add stamps (sequence, wall time) and stores/streams the event.
+func (l *AuditLog) add(ev AuditEvent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ev.Seq = uint64(l.events.total) + 1
-	if ev.TimeUnixNs == 0 {
-		ev.TimeUnixNs = time.Now().UnixNano()
-	}
+	ev.TimeUnixNs = time.Now().UnixNano()
 	l.events.push(ev)
 	if l.w != nil && l.werr == nil {
 		data, err := json.Marshal(ev)

@@ -43,7 +43,7 @@ func BenchmarkInstantDisabled(b *testing.B) {
 }
 
 // BenchmarkViewRecord measures what one fact costs in each selective view:
-// a finished compile, which the journal keeps, the watchdog counts (and no
+// a finished compile, which the ring keeps, the watchdog counts (and no
 // detector minds) and the audit log lets pass.
 func BenchmarkViewRecord(b *testing.B) {
 	compiled := fact(FactCompile, "hot", S("result", "ok"), S("source", "inline"), S("tier", "baseline"))
@@ -56,7 +56,7 @@ func BenchmarkViewRecord(b *testing.B) {
 			}
 		}
 	}
-	b.Run("journal", record(NewJournal(0)))
+	b.Run("ring", record(NewRing(0)))
 	b.Run("watchdog-clean", record(NewWatchdog(WatchdogOptions{})))
 	b.Run("audit-pass", record(NewAuditLog(nil)))
 }
@@ -91,11 +91,12 @@ func BenchmarkHistogram(b *testing.B) {
 
 func BenchmarkAuditRecord(b *testing.B) {
 	log := NewAuditLog(nil)
-	ev := AuditEvent{Func: "victim", Verdict: VerdictGo}
+	ev := fact(FactDecide, "victim")
+	ev.Decision = &Decision{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		log.Append(ev)
+		log.Record(ev)
 	}
 }
 

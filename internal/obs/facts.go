@@ -36,35 +36,36 @@ const (
 // Fact is one row of the vocabulary: what each selective view calls the
 // fact. Ring and FlightRecorder retain every event whatever its name.
 type Fact struct {
-	Name    string
-	Stage   string  // the Journal's waypoint name ("" = not a waypoint)
-	Verdict Verdict // the AuditLog's verdict ("" = not audited)
-	Watch   bool    // the Watchdog counts it as a signal
+	Name string
+	// Verdict is the AuditLog's verdict ("" = not audited). A decide fact
+	// is audited under the verdict of the Decision it carries.
+	Verdict Verdict
+	Watch   bool // the Watchdog counts it as a signal
 }
 
-// Facts is the vocabulary. The stage and verdict spellings are wire
-// formats (journey dumps, audit JSONL) and predate the shared names.
+// Facts is the vocabulary. The verdict spellings are a wire format (audit
+// JSONL) and predate the shared names.
 var Facts = []Fact{
-	{Name: FactInterp, Stage: "interp"},
-	{Name: FactWarm, Stage: "warm"},
+	{Name: FactInterp},
+	{Name: FactWarm},
 	{Name: FactHotInterp, Watch: true},
 	{Name: FactTrigger},
-	{Name: FactCacheHit, Stage: "cache-hit", Watch: true},
-	{Name: FactStoreHit, Stage: "store-hit", Watch: true},
+	{Name: FactCacheHit, Watch: true},
+	{Name: FactStoreHit, Watch: true},
 	{Name: FactCacheMiss, Watch: true},
-	{Name: FactEnqueue, Stage: "enqueued"},
+	{Name: FactEnqueue},
 	{Name: FactQueueWait, Watch: true},
-	{Name: FactCompile, Stage: "compiled", Watch: true},
+	{Name: FactCompile, Watch: true},
 	{Name: FactDecide, Watch: true},
-	{Name: FactTier, Stage: "tier"},
-	{Name: FactInstall, Stage: "installed"},
-	{Name: FactRequalified, Stage: "requalified", Verdict: "requalify"},
-	{Name: FactQuarantined, Stage: "quarantined", Verdict: "quarantine", Watch: true},
-	{Name: FactPermanent, Stage: "permanent", Verdict: "permanent"},
+	{Name: FactTier},
+	{Name: FactInstall},
+	{Name: FactRequalified, Verdict: "requalify"},
+	{Name: FactQuarantined, Verdict: "quarantine", Watch: true},
+	{Name: FactPermanent, Verdict: "permanent"},
 	{Name: FactCompileError, Verdict: "compile-error"},
-	{Name: FactOSREnter, Stage: "osr-entry"},
-	{Name: FactDeopt, Stage: "deopt", Watch: true},
-	{Name: FactBailout, Stage: "bailout"},
+	{Name: FactOSREnter},
+	{Name: FactDeopt, Watch: true},
+	{Name: FactBailout},
 	{Name: FactStoreGet},
 	{Name: FactStorePut},
 	{Name: FactStoreCorrupt, Verdict: "quarantine", Watch: true},
@@ -78,3 +79,17 @@ var factByName = func() map[string]Fact {
 	}
 	return m
 }()
+
+// Lifecycles groups the facts evs (a Ring's events) states about functions
+// by function, each group in recording order: a function's life under the
+// engine, every decide with its Decision. Pipeline spans and fault instants
+// are not facts, and the store's facts are about records, not functions.
+func Lifecycles(evs []Event) map[string][]Event {
+	out := map[string][]Event{}
+	for _, ev := range evs {
+		if _, ok := factByName[ev.Name]; ok && ev.Func != "" && ev.Cat != CatStore {
+			out[ev.Func] = append(out[ev.Func], ev)
+		}
+	}
+	return out
+}

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -26,16 +25,16 @@ func TestNoDeadVocabulary(t *testing.T) {
 
 	// Each view renders exactly the facts its column marks. The arguments
 	// are the ones a view asks for before it will render: a queue wait
-	// counts only when rejected.
+	// counts only when rejected, a decide is audited with its decision.
 	for _, f := range append(Facts, Fact{Name: "mirbuild"}) {
 		ev := fact(f.Name, "f", S("result", "rejected"), S("tier", "ion"), S("stage", "s"), S("reason", "r"))
-		ring, j, a, w := NewRing(4), NewJournal(0), NewAuditLog(nil), NewWatchdog(WatchdogOptions{Detectors: []Detector{}})
-		MultiSink{ring, j, a, w}.Record(ev)
+		ring, a, w := NewRing(4), NewAuditLog(nil), NewWatchdog(WatchdogOptions{Detectors: []Detector{}})
+		MultiSink{ring, a, w}.Record(ev)
 		if ring.Len() != 1 {
 			t.Errorf("%s: the ring did not keep it", f.Name)
 		}
-		if evs := j.Events("f"); (len(evs) == 1) != (f.Stage != "") || (len(evs) == 1 && evs[0].Stage != f.Stage) {
-			t.Errorf("%s: journal rendered %+v, the table says stage %q", f.Name, evs, f.Stage)
+		if got := Lifecycles(ring.Events())["f"]; (len(got) == 1) != (f.Name != "mirbuild") {
+			t.Errorf("%s: the lifecycle reading selected %d event(s)", f.Name, len(got))
 		}
 		if evs := a.Events(); (len(evs) == 1) != (f.Verdict != "") || (len(evs) == 1 && evs[0].Verdict != f.Verdict) {
 			t.Errorf("%s: audit log rendered %+v, the table says verdict %q", f.Name, evs, f.Verdict)
@@ -43,6 +42,14 @@ func TestNoDeadVocabulary(t *testing.T) {
 		if (w.signals == 1) != f.Watch {
 			t.Errorf("%s: watchdog counted %d signal(s), the table says watch=%v", f.Name, w.signals, f.Watch)
 		}
+	}
+
+	decide := fact(FactDecide, "f")
+	decide.Decision = &Decision{DisabledPasses: []string{"GVN"}, Matches: []Match{{CVE: "CVE-A", VDCFunc: "poc", Pass: "GVN"}}}
+	a := NewAuditLog(nil)
+	a.Record(decide)
+	if evs := a.Events(); len(evs) != 1 || evs[0].Verdict != VerdictDisablePass || len(evs[0].Matches) != 1 {
+		t.Errorf("a decide with its decision audited as %+v", evs)
 	}
 
 	// The constants of facts.go, by value.
@@ -116,7 +123,7 @@ func TestAuditLogRetentionIsBounded(t *testing.T) {
 	}
 	l.events.max = 4
 	for i := 0; i < 10; i++ {
-		l.Append(AuditEvent{Func: "f" + strconv.Itoa(i), Verdict: VerdictGo})
+		l.Record(Event{Name: FactDecide, Func: "f" + strconv.Itoa(i), Decision: &Decision{}})
 	}
 	evs := l.Events()
 	if len(evs) != 4 || l.Len() != 4 || l.Dropped() != 6 {
@@ -133,41 +140,11 @@ func TestAuditLogRetentionIsBounded(t *testing.T) {
 	}
 }
 
-// TestParentWrittenFixturesDecode: the journey dump and the audit JSONL in
-// testdata were written by `jitbull run` on the deopt-storm script at the
-// last commit before the views became sinks of one stream; the wire
-// formats did not move, so today's readers render them.
+// TestParentWrittenFixturesDecode: the audit JSONL in testdata was written
+// by `jitbull run` on the deopt-storm script at the last commit before the
+// views became sinks of one stream; the wire format did not move, so
+// today's reader decodes it.
 func TestParentWrittenFixturesDecode(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "parent_journey.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	j, err := DecodeJourney(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fns := j.Funcs(); len(fns) != 2 || fns[0] != "flip" || fns[1] != "hot" || j.Total() != 22 {
-		t.Fatalf("decoded funcs %v, total %d; want [flip hot], 22", fns, j.Total())
-	}
-	var stages []string
-	for _, ev := range j.Events("hot") {
-		stages = append(stages, ev.Stage)
-	}
-	// Every stage the old writer used is one the table still renders.
-	for _, s := range stages {
-		known := false
-		for _, f := range Facts {
-			known = known || f.Stage == s
-		}
-		if !known {
-			t.Errorf("stage %q of the parent's dump is in no row of the table", s)
-		}
-	}
-	if tl := j.RenderTimeline("hot"); !strings.Contains(tl, "requalified") || !strings.Contains(tl, "osr-entry") {
-		t.Errorf("timeline of the parent's dump lost waypoints:\n%s", tl)
-	}
-
 	evs, err := ReadAuditFile(filepath.Join("testdata", "parent_audit.jsonl"))
 	if err != nil {
 		t.Fatal(err)

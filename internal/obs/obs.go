@@ -9,15 +9,16 @@
 // The two sub-layers:
 //
 //   - The event stream (this file, facts.go): the Tracer stamps every
-//     lifecycle fact the engine and the store state (facts.go lists them)
-//     and every compile-pipeline span (mirbuild → each optimization pass →
-//     DNA extraction → lir → regalloc) and routes it into a Sink. Every
+//     lifecycle fact the engine and the store state (facts.go lists them;
+//     the decide fact carries the go/no-go Decision with its matches) and
+//     every compile-pipeline span (mirbuild → each optimization pass → DNA
+//     extraction → lir → regalloc) and routes it into a Sink. Every
 //     consumer is a Sink that keeps the facts it renders: Ring (the whole
-//     stream, exportable as Chrome trace_event JSON), Journal (per-function
-//     tier journeys), AuditLog (supervisor transitions, beside the policy
-//     verdicts core.Detector appends), Watchdog (anomaly detectors, whose
-//     findings re-enter the stream as anomaly facts) and FlightRecorder
-//     (episode dumps). MultiSink composes them.
+//     stream, exportable as Chrome trace_event JSON and read per function
+//     by Lifecycles), AuditLog (policy verdicts, supervisor transitions and
+//     anomalies), Watchdog (anomaly detectors, whose findings re-enter the
+//     stream as anomaly facts) and FlightRecorder (episode dumps).
+//     MultiSink composes them.
 //   - Registry (metrics.go): named atomic counters, gauges, and
 //     fixed-bucket histograms with JSON and expvar-style text encoders,
 //     servable over HTTP next to net/http/pprof (server.go).
@@ -90,6 +91,9 @@ type Event struct {
 	Dur   int64  // span duration in ns (0 for instants)
 	NArgs int
 	Args  [MaxArgs]Arg
+	// Decision is the go/no-go decision a decide fact states, evidence
+	// included (nil on every other event).
+	Decision *Decision
 }
 
 // Str returns the string argument named key ("" when absent).
@@ -177,9 +181,26 @@ func (s Span) End(args ...Arg) {
 	if s.t == nil {
 		return
 	}
+	s.t.record(s.event(args))
+}
+
+// EndDecision closes a decide span stating d, the decision it measured.
+// The copy of d the event points at is made only when the span records.
+func (s Span) EndDecision(d Decision, args ...Arg) {
+	if s.t == nil {
+		return
+	}
+	ev := s.event(args)
+	stated := d
+	ev.Decision = &stated
+	s.t.record(ev)
+}
+
+// event builds the span's event as it ends.
+func (s Span) event(args []Arg) Event {
 	ev := Event{Kind: KindSpan, Cat: s.cat, Name: s.name, Func: s.fn, ID: s.id, TS: s.start, Dur: s.t.now() - s.start}
 	ev.setArgs(args)
-	s.t.record(ev)
+	return ev
 }
 
 // setArgs stores up to MaxArgs annotations (extras are dropped). The zero

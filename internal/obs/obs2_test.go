@@ -235,93 +235,6 @@ func TestWritePromFormat(t *testing.T) {
 	}
 }
 
-// --- Tier-journey journal ---------------------------------------------------
-
-func TestJournalRecordWrapRenderRoundTrip(t *testing.T) {
-	j := NewJournal(4)
-	tr := NewTracer(j)
-	tr.Instant(CatEngine, FactInterp, "hot", S("tier", "interp"))
-	tr.Instant(CatEngine, FactWarm, "hot", I("calls", 4), S("tier", "baseline"))
-	tr.Begin(CatCompile, FactCompile, "hot").End(S("result", "ok"), S("source", "inline"), S("tier", "baseline"))
-	tr.Instant(CatEngine, FactTrigger, "hot", I("calls", 10))    // not a waypoint
-	tr.Begin(CatCompile, "mirbuild", "hot").End(I("instrs", 42)) // not a fact
-	tr.Begin(CatEngine, FactOSREnter, "hot").End(S("result", "declined"))
-	tr.Instant(CatCompile, FactInstall, "hot", S("source", "inline"), I("ops", 9), S("tier", "ion"))
-	tr.Instant(CatEngine, FactDeopt, "hot", I("exit", 0), I("deopts", 1), S("tier", "ion")) // evicts the oldest
-	tr.Instant(CatEngine, FactInterp, "cold", S("tier", "interp"))
-
-	if got := j.Total(); got != 6 {
-		t.Fatalf("Total = %d, want 6", got)
-	}
-	if got := j.Funcs(); len(got) != 2 || got[0] != "cold" || got[1] != "hot" {
-		t.Fatalf("Funcs = %v", got)
-	}
-	evs := j.Events("hot")
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4 (cap)", len(evs))
-	}
-	if evs[0].Stage != "warm" || evs[1].Stage != "compiled" || evs[2].Stage != "installed" || evs[3].Stage != "deopt" {
-		t.Fatalf("wrong retained window: %+v", evs)
-	}
-	if evs[1].Tier != "baseline" || evs[1].Cause != "result=ok source=inline" {
-		t.Fatalf("compiled waypoint = %+v, want the span's tier and its other arguments as the cause", evs[1])
-	}
-	if j.Dropped("hot") != 1 {
-		t.Fatalf("Dropped = %d, want 1", j.Dropped("hot"))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq || evs[i].TS < evs[i-1].TS {
-			t.Fatalf("events out of order at %d: %+v then %+v", i, evs[i-1], evs[i])
-		}
-	}
-
-	tl := j.RenderTimeline("hot")
-	for _, want := range []string{"hot — 4 event(s) (+1 dropped)", "deopt", "tier=ion", "exit=0 deopts=1"} {
-		if !strings.Contains(tl, want) {
-			t.Fatalf("timeline missing %q:\n%s", want, tl)
-		}
-	}
-	if j.RenderTimeline("unknown") != "" {
-		t.Fatalf("unknown function rendered a timeline")
-	}
-
-	var buf bytes.Buffer
-	if err := j.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	back, err := DecodeJourney(&buf)
-	if err != nil {
-		t.Fatalf("DecodeJourney: %v", err)
-	}
-	if back.Total() != 6 {
-		t.Fatalf("decoded Total = %d, want 6", back.Total())
-	}
-	bevs := back.Events("hot")
-	if len(bevs) != len(evs) {
-		t.Fatalf("decoded %d events, want %d", len(bevs), len(evs))
-	}
-	for i := range evs {
-		if bevs[i] != evs[i] {
-			t.Fatalf("event %d changed across the round trip:\n got %+v\nwant %+v", i, bevs[i], evs[i])
-		}
-	}
-}
-
-func TestJournalNilAndDisabled(t *testing.T) {
-	var j *Journal
-	j.Record(fact(FactInterp, "f")) // must not panic
-	if j.Total() != 0 || j.Funcs() != nil || j.Events("f") != nil || j.Dropped("f") != 0 {
-		t.Fatalf("nil journal is not inert")
-	}
-	var buf bytes.Buffer
-	if err := j.WriteJSON(&buf); err != nil || buf.String() != "{}\n" {
-		t.Fatalf("nil WriteJSON = %q, %v", buf.String(), err)
-	}
-	if j.RenderTimeline("f") != "" || j.RenderAll() != "" {
-		t.Fatalf("nil journal rendered output")
-	}
-}
-
 // --- Flight recorder ---------------------------------------------------------
 
 func flightFor(t *testing.T, opts FlightOptions) *FlightRecorder {
@@ -567,13 +480,12 @@ func TestOpsServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("store.hits").Add(5)
 	audit := NewAuditLog(nil)
-	j := NewJournal(0)
 	f := NewFlightRecorder(t.TempDir(), FlightOptions{RingCapacity: 8})
 	w := NewWatchdog(WatchdogOptions{Metrics: reg})
-	tr := NewTracer(MultiSink{j, audit, f, w})
+	tr := NewTracer(MultiSink{audit, f, w})
 	w.SetTracer(tr)
 	tr.Instant(CatEngine, FactInterp, "hot", S("tier", "interp"))
-	mux := NewOpsMux(OpsState{Reg: reg, Audit: audit, Watchdog: w, Journal: j, Flight: f})
+	mux := NewOpsMux(OpsState{Reg: reg, Audit: audit, Watchdog: w, Flight: f})
 
 	get := func(path string) (int, string, string) {
 		rec := httptest.NewRecorder()
@@ -596,8 +508,8 @@ func TestOpsServerEndpoints(t *testing.T) {
 		t.Fatalf("/healthz degraded: code=%d body=%q", code, body)
 	}
 
-	if code, body, _ := get("/journey.json"); code != 200 || !strings.Contains(body, `"hot"`) {
-		t.Fatalf("/journey.json: code=%d body=%q", code, body)
+	if code, body, _ := get("/audit.json"); code != 200 || !strings.Contains(body, `"store-corruption"`) {
+		t.Fatalf("/audit.json: code=%d body=%q", code, body)
 	}
 	code, body, _ := get("/flight.json")
 	if code != 200 {
@@ -619,7 +531,7 @@ func TestOpsServerEndpoints(t *testing.T) {
 
 func TestOpsServerNilState(t *testing.T) {
 	mux := NewOpsMux(OpsState{})
-	for _, path := range []string{"/metrics", "/metrics.json", "/metrics.prom", "/healthz", "/audit.json", "/journey.json", "/flight.json"} {
+	for _, path := range []string{"/metrics", "/metrics.json", "/metrics.prom", "/healthz", "/audit.json", "/flight.json"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Code != 200 {

@@ -20,7 +20,15 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 	sp.End(I("x", 1))
 	sp.EndErr(nil)
+	sp.EndDecision(Decision{NoJIT: true})
 	tr.Instant(CatEngine, FactBailout, "f", I("steps", 9))
+
+	// A nil view is off too, wherever it sits in a MultiSink.
+	var r *Ring
+	MultiSink{r}.Record(Event{Name: FactDeopt, Func: "f"})
+	if r.Events() != nil || r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 {
+		t.Fatal("nil ring is not inert")
+	}
 }
 
 // TestDisabledProbesDoNotAllocate: a probe that is off costs the engine
@@ -33,7 +41,7 @@ func TestNilTracerIsInert(t *testing.T) {
 func TestDisabledProbesDoNotAllocate(t *testing.T) {
 	var (
 		tr     *Tracer
-		j      *Journal
+		r      *Ring
 		a      *AuditLog
 		w      *Watchdog
 		fr     *FlightRecorder
@@ -42,6 +50,9 @@ func TestDisabledProbesDoNotAllocate(t *testing.T) {
 		span   = Event{Kind: KindSpan, Cat: CatPass, Name: "GVN", Func: "hot", Dur: 1000}
 		deopt  = Event{Kind: KindInstant, Cat: CatEngine, Name: FactDeopt, Func: "hot"}
 		tier   = S("tier", "ion")
+		dec    = Decision{DisabledPasses: []string{"GVN"}, Matches: []Match{
+			{CVE: "CVE-2019-9813", VDCFunc: "poc", Pass: "GVN", ChainID: 7, Side: "removed", Chain: "a→b"},
+		}}
 	)
 	for _, probe := range []struct {
 		name string
@@ -51,7 +62,10 @@ func TestDisabledProbesDoNotAllocate(t *testing.T) {
 		{"Span.End/fact", func() { tr.Begin(CatCompile, FactCompile, "hot").End(S("result", "ok"), S("source", "inline"), tier) }},
 		{"Span.EndErr", func() { tr.Begin(CatCompile, "mirbuild", "hot").EndErr(failed) }},
 		{"Tracer.Instant", func() { tr.Instant(CatEngine, FactDeopt, "hot", I("exit", 3), I("deopts", 1), tier) }},
-		{"Journal.Record/nil", func() { j.Record(deopt) }},
+		{"Span.EndDecision", func() {
+			tr.Begin(CatPolicy, FactDecide, "hot").EndDecision(dec, S("verdict", string(dec.Verdict())), I("disabled", 1), Arg{})
+		}},
+		{"Ring.Record/nil", func() { r.Record(deopt) }},
 		{"AuditLog.Record/nil", func() { a.Record(deopt) }},
 		{"Watchdog.Record/nil", func() { w.Record(deopt) }},
 		{"FlightRecorder.Record/nil", func() { fr.Record(span) }},
@@ -272,7 +286,8 @@ func TestRegistryConcurrentAggregation(t *testing.T) {
 func TestAuditLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAuditLog(&buf)
-	l.Append(AuditEvent{Func: "f", Verdict: VerdictNoJIT, Matches: []Match{
+	tr := NewTracer(l)
+	tr.Begin(CatPolicy, FactDecide, "f").EndDecision(Decision{NoJIT: true, Matches: []Match{
 		{CVE: "CVE-2019-9813", VDCFunc: "poc", Pass: "RangeAnalysis", ChainID: 12, Side: "removed", Chain: "a→b"},
 	}})
 	l.Record(fact(FactQuarantined, "g", S("stage", "passes"), S("reason", "injected fault")))
@@ -291,7 +306,7 @@ func TestAuditLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || back[0].Matches[0].CVE != "CVE-2019-9813" || back[0].Matches[0].ChainID != 12 {
+	if len(back) != 2 || back[0].Verdict != VerdictNoJIT || back[0].Matches[0].CVE != "CVE-2019-9813" || back[0].Matches[0].ChainID != 12 {
 		t.Fatalf("JSONL round trip lost data: %+v", back)
 	}
 	if back[1].Verdict != "quarantine" || back[1].Stage != "passes" || back[1].Reason != "injected fault" {
@@ -304,7 +319,6 @@ func TestAuditLogRoundTrip(t *testing.T) {
 
 func TestNilAuditLog(t *testing.T) {
 	var l *AuditLog
-	l.Append(AuditEvent{Func: "f"})
 	l.Record(fact(FactQuarantined, "f"))
 	if l.Len() != 0 || l.Events() != nil || l.WriteErr() != nil || l.Dropped() != 0 {
 		t.Fatal("nil audit log not inert")
@@ -315,7 +329,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("engine.compiles").Add(9)
 	audit := NewAuditLog(nil)
-	audit.Append(AuditEvent{Func: "f", Verdict: VerdictGo})
+	NewTracer(audit).Begin(CatPolicy, FactDecide, "f").EndDecision(Decision{})
 	srv, addr, err := StartOpsServer("127.0.0.1:0", OpsState{Reg: reg, Audit: audit})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,7 @@ const DefaultRingCapacity = 1 << 16
 // ring is the package's one bounded buffer: the newest max values win, the
 // oldest are overwritten and counted. It grows by appending until it holds
 // max values and allocates nothing after that. It has no lock; each view
-// that retains through it (Ring, Journal, AuditLog, FlightRecorder) holds
-// its own.
+// that retains through it (Ring, AuditLog, FlightRecorder) holds its own.
 type ring[T any] struct {
 	buf   []T
 	max   int
@@ -43,7 +42,8 @@ func (r *ring[T]) dropped() int64 { return r.total - int64(len(r.buf)) }
 
 // Ring is the view that keeps the whole stream: a fixed-capacity in-memory
 // Sink a long-running engine can keep attached forever, exporting the tail
-// on demand (see WriteChromeTrace).
+// on demand (see WriteChromeTrace and Lifecycles). A nil *Ring keeps
+// nothing.
 type Ring struct {
 	mu sync.Mutex
 	r  ring[Event]
@@ -60,6 +60,9 @@ func NewRing(capacity int) *Ring {
 
 // Record implements Sink.
 func (r *Ring) Record(ev Event) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	r.r.push(ev)
 	r.mu.Unlock()
@@ -67,6 +70,9 @@ func (r *Ring) Record(ev Event) {
 
 // Events returns the retained events in recording order.
 func (r *Ring) Events() []Event {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.r.items()
@@ -74,6 +80,9 @@ func (r *Ring) Events() []Event {
 
 // Len returns how many events are currently retained.
 func (r *Ring) Len() int {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.r.buf)
@@ -82,6 +91,9 @@ func (r *Ring) Len() int {
 // Total returns how many events were ever recorded (including ones the
 // ring has since overwritten).
 func (r *Ring) Total() int64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.r.total
@@ -89,6 +101,9 @@ func (r *Ring) Total() int64 {
 
 // Dropped returns how many events were overwritten.
 func (r *Ring) Dropped() int64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.r.dropped()

@@ -14,7 +14,6 @@ type OpsState struct {
 	Reg      *Registry
 	Audit    *AuditLog
 	Watchdog *Watchdog
-	Journal  *Journal
 	Flight   *FlightRecorder
 }
 
@@ -25,7 +24,6 @@ type OpsState struct {
 //	/metrics.prom   Prometheus/OpenMetrics text exposition with exemplars
 //	/healthz        200 "ready" / 503 "degraded" from the anomaly watchdog
 //	/audit.json     recorded audit events as a JSON array
-//	/journey.json   per-function tier-journey timelines
 //	/flight.json    declared flight-recorder episodes and dump paths
 //	/debug/pprof/   CPU/heap/goroutine/... profiles
 func NewOpsMux(s OpsState) *http.ServeMux {
@@ -59,10 +57,6 @@ func NewOpsMux(s OpsState) *http.ServeMux {
 	mux.HandleFunc("/audit.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(s.Audit.Events())
-	})
-	mux.HandleFunc("/journey.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		s.Journal.WriteJSON(w)
 	})
 	mux.HandleFunc("/flight.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -82,9 +82,9 @@ type (
 // fields. Config.Metrics is the counter and histogram registry.
 // Config.Tracer is the one event stream the engine states its lifecycle
 // facts and compile-pipeline spans on; what to keep of it is chosen by the
-// tracer's sink: Ring, Journal, AuditLog, Watchdog and FlightRecorder are
-// each a view of the stream, composed with MultiSink (the Watchdog last,
-// and told the tracer with SetTracer so its anomalies join the stream).
+// tracer's sink: Ring, AuditLog, Watchdog and FlightRecorder are each a
+// view of the stream, composed with MultiSink (the Watchdog last, and told
+// the tracer with SetTracer so its anomalies join the stream).
 type (
 	// Tracer stamps lifecycle facts, spans and instants and routes them
 	// into a Sink. A nil *Tracer is the disabled tracer (one nil check per
@@ -97,9 +97,9 @@ type (
 	Ring = obs.Ring
 	// Registry is a named-metrics registry (counters, gauges, histograms).
 	Registry = obs.Registry
-	// AuditLog is the view that keeps decisions: the go/no-go verdicts a
-	// Detector appends to it (set Detector.Audit), and of the stream the
-	// supervisor transitions and watchdog anomalies.
+	// AuditLog is the view that keeps decisions: of the stream, the
+	// go/no-go verdicts (each decide fact's decision, matches included),
+	// the supervisor transitions and the watchdog anomalies.
 	AuditLog = obs.AuditLog
 	// AuditEvent is one structured audit record (JSONL on disk).
 	AuditEvent = obs.AuditEvent
@@ -107,15 +107,9 @@ type (
 	Verdict = obs.Verdict
 )
 
-// The other views of the stream (see internal/obs): the tier-journey
-// journal, the tail-sampling flight recorder, and the anomaly watchdog.
+// The other views of the stream (see internal/obs): the tail-sampling
+// flight recorder and the anomaly watchdog.
 type (
-	// Journal is the view that keeps each function's tier journey (interp
-	// → warm → compiled → installed → OSR/deopt/quarantine ...), bounded
-	// per function; a nil *Journal records nothing.
-	Journal = obs.Journal
-	// JourneyEvent is one step of a function's tier journey.
-	JourneyEvent = obs.JourneyEvent
 	// FlightRecorder is the tail-sampling view: it retains every event in
 	// a ring but dumps a Chrome-trace episode file only around anomalies
 	// (p99 compile outliers, injected faults, quarantines, watchdog
@@ -137,7 +131,7 @@ type (
 	// Anomaly is one detector verdict (detector name, function, cause).
 	Anomaly = obs.Anomaly
 	// OpsState bundles what the ops endpoints serve (/metrics.prom,
-	// /healthz, /journey.json, /flight.json, ...).
+	// /healthz, /flight.json, ...).
 	OpsState = obs.OpsState
 	// MultiSink fans the stream out to several views (e.g. a Ring for
 	// -trace, an AuditLog, a FlightRecorder, and a Watchdog last).
@@ -239,10 +233,6 @@ func SaveChromeTrace(path string, events []TraceEvent) error {
 // ReadAuditFile parses a JSONL audit stream written via NewAuditLog.
 func ReadAuditFile(path string) ([]AuditEvent, error) { return obs.ReadAuditFile(path) }
 
-// NewJournal returns a tier-journey journal keeping at most capPerFunc
-// events per function (<= 0 uses the default, 256).
-func NewJournal(capPerFunc int) *Journal { return obs.NewJournal(capPerFunc) }
-
 // NewFlightRecorder returns a tail-sampling flight recorder dumping
 // anomaly episodes as Chrome-trace files under dir. Use it as the
 // tracer's sink (alone or in a MultiSink beside the other views).
@@ -256,8 +246,8 @@ func NewFlightRecorder(dir string, opts FlightOptions) *FlightRecorder {
 func NewWatchdog(opts WatchdogOptions) *Watchdog { return obs.NewWatchdog(opts) }
 
 // StartOpsServer serves the full operating surface — /metrics,
-// /metrics.json, /metrics.prom, /healthz, /audit.json, /journey.json,
-// /flight.json and /debug/pprof/* — on addr. Any OpsState field may be
+// /metrics.json, /metrics.prom, /healthz, /audit.json, /flight.json and
+// /debug/pprof/* — on addr. Any OpsState field may be
 // nil; the matching endpoints degrade gracefully.
 func StartOpsServer(addr string, s OpsState) (*http.Server, net.Addr, error) {
 	return obs.StartOpsServer(addr, s)
@@ -277,9 +267,9 @@ func New(src string, cfg Config) (*Engine, error) { return engine.New(src, cfg) 
 // Protect installs a JITBULL detector over db on the engine and returns
 // it. With an empty database the engine runs with zero added overhead.
 // The detector inherits the engine's metrics sink, so DNA histograms land
-// beside the compile-path ones; set its Audit field to the AuditLog in the
-// tracer's sink to have the go/no-go verdicts, with their match
-// attribution, logged between the supervisor transitions.
+// beside the compile-path ones. Its go/no-go verdicts, with their match
+// attribution, are decide facts on the engine's tracer: an AuditLog in the
+// tracer's sink logs them between the supervisor transitions.
 func Protect(e *Engine, db *Database) *Detector {
 	d := core.NewDetector(db)
 	d.Metrics = e.MetricsSink()
