@@ -106,7 +106,7 @@ func cmdRun(args []string) error {
 	noJIT := fs.Bool("nojit", false, "disable the JIT (interpreter only)")
 	noFuse := fs.Bool("nofuse", false, "disable superinstruction fusion: Ion runs on the unfused per-op native tier")
 	noMC := fs.Bool("nomc", false, "disable the machine-code tier: Ion stays on the threaded dispatch tiers (default off on supported amd64 hosts)")
-	threshold := fs.Int("threshold", 0, "Ion compilation threshold (default 1500)")
+	threshold := fs.Int("threshold", 0, "Ion compilation threshold: calls, or loop back edges (default 1500)")
 	bugsFlag := fs.String("bugs", "", "comma-separated CVE ids of injected bugs to activate")
 	dbPath := fs.String("db", "", "VDC DNA database to protect with")
 	stats := fs.Bool("stats", false, "print engine statistics after the run")

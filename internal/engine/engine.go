@@ -1,7 +1,8 @@
 // Package engine implements the tiered nanojs runtime: profiling
 // interpreter → baseline → optimizing JIT, mirroring SpiderMonkey's
-// structure from the paper's Figure 1. The engine owns invocation
-// counters and thresholds (baseline at 100 calls, Ion at 1500 as in §II),
+// structure from the paper's Figure 1. The engine owns warm-up counters
+// and thresholds (baseline at 100 calls, Ion at 1500 calls or loop back
+// edges as in §II),
 // type-feedback profiling, the OptimizeMIR pipeline with its
 // SUCCESS/FAILURE + Recompile protocol (§V), bailouts, and the JITBULL
 // policy hook.
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,13 +81,20 @@ type Policy interface {
 
 // Config parameterizes an Engine.
 type Config struct {
+	// BaselineThreshold is the call count at which an interpreted function
+	// is counted warm (0 = DefaultBaselineThreshold).
 	BaselineThreshold int
-	IonThreshold      int
-	Bugs              passes.BugSet
-	DisableJIT        bool // NoJIT mode: interpreter only
-	HeapCells         int
-	MaxSteps          int64 // combined interp+native step budget (0 = default)
-	Out               io.Writer
+	// IonThreshold is the warm-up count that triggers Ion compilation at a
+	// call boundary: calls, or loop back edges the interpreter ran in the
+	// function once every callee it has called is compiled or never will
+	// be (0 = DefaultIonThreshold). With OSR on, back edges also trigger
+	// mid-loop.
+	IonThreshold int
+	Bugs         passes.BugSet
+	DisableJIT   bool // NoJIT mode: interpreter only
+	HeapCells    int
+	MaxSteps     int64 // combined interp+native step budget (0 = default)
+	Out          io.Writer
 
 	// DisabledPasses names optimization passes skipped for every function
 	// (per-pass ablation). Disabling a mandatory pass makes compilation
@@ -342,13 +351,15 @@ type fnState struct {
 	// stated for these when they keep getting hot.
 	noJITPinned bool
 
-	// OSR/deopt state (see osr.go). backEdges counts interpreter back
-	// edges across all activations; osrCooldown parks OSR attempts per
+	// callees are the functions st's bytecode calls directly, itself
+	// excluded, each once: the ones hot reads before a loop may warm st.
+	callees []int
+
+	// OSR/deopt state (see osr.go). osrCooldown parks OSR attempts per
 	// entry ordinal after a refused materialization or a bailout there — a
 	// loop whose types block one header must not poison the function's
 	// other loops; deopts counts guard failures of the current artifact
 	// (both reset on install).
-	backEdges   int
 	osrCooldown map[int]bool
 	deopts      int
 }
@@ -464,6 +475,10 @@ func NewFromProgram(prog *bytecode.Program, astProg *ast.Program, cfg Config) (*
 		cfg.Faults.Trace = cfg.Tracer
 	}
 	vm.Dispatch = e
+	if !cfg.DisableJIT {
+		// Interpreted loops warm their function up (see hot).
+		vm.BackEdges = make([]int, len(prog.Funcs))
+	}
 	if cfg.OSR && !cfg.DisableJIT {
 		// The hook is only installed when OSR is on: a nil hook keeps the
 		// interpreter's back-edge path byte-identical to a build without it.
@@ -479,6 +494,9 @@ func NewFromProgram(prog *bytecode.Program, astProg *ast.Program, cfg Config) (*
 		st := &fnState{idx: i, fn: fn, fd: byName[fn.Name]}
 		st.paramTypes = make([]value.Type, fn.NumParams)
 		st.paramBad = make([]bool, fn.NumParams)
+		if st.fd != nil {
+			st.callees = directCallees(fn)
+		}
 		e.fns[i] = st
 	}
 	if e.mcActive() {
@@ -653,10 +671,13 @@ func (e *Engine) dispatch(idx int, args []value.Value) (value.Value, error) {
 	if st.code == nil {
 		e.profile(st, args)
 	}
-	if st.code == nil && !st.inflight && st.calls >= e.cfg.IonThreshold && e.mayCompile(st) {
+	if st.code == nil && !st.inflight && e.hot(st) && e.mayCompile(st) {
 		e.compile(idx, st)
 	}
-	if st.tier == tierInterp && st.calls >= e.cfg.BaselineThreshold {
+	// A function already on its way to Ion (a loop can send it there before
+	// its baseline threshold) is past the baseline tier: it leaves the
+	// interpreter when the outcome is applied, whenever the worker is done.
+	if st.tier == tierInterp && !st.inflight && st.calls >= e.cfg.BaselineThreshold {
 		st.tier = tierBaseline
 		e.tracer.Instant(obs.CatEngine, obs.FactWarm, st.fn.Name, obs.I("calls", int64(st.calls)), st.tierArg())
 	}
@@ -681,6 +702,44 @@ func (e *Engine) dispatch(idx int, args []value.Value) (value.Value, error) {
 		res, status, err = e.execNative(st, args, budget)
 	}
 	return e.returned(st, args, res, status, err)
+}
+
+// hot is the Ion trigger at a call boundary, SpiderMonkey's warm-up
+// counter: IonThreshold calls, or IonThreshold interpreted loop back edges
+// once the callees are ready. The callee rule keeps the order call
+// counting gives — a hot callee compiles before its caller — so a loop
+// cannot put a caller into machine code ahead of the functions it feeds.
+func (e *Engine) hot(st *fnState) bool {
+	t := e.cfg.IonThreshold
+	return st.calls >= t || e.VM.BackEdges[st.idx] >= t && e.calleesReady(st)
+}
+
+// calleesReady reports whether every function st calls, and has already
+// called once, is compiled — or compiling on the background queue, which
+// keeps the trigger independent of worker timing — or can never be: no
+// AST, or held back by the supervisor (quarantined, permanently
+// interpreter-only for ineligible source or a NoJIT verdict). A recursive
+// pair waits on itself, so it falls back to call counting.
+func (e *Engine) calleesReady(st *fnState) bool {
+	for _, c := range st.callees {
+		cs := e.fns[c]
+		if cs.calls > 0 && cs.code == nil && !cs.inflight && cs.fd != nil && cs.quar == qNone {
+			return false
+		}
+	}
+	return true
+}
+
+// directCallees lists the functions fn's bytecode calls, fn excluded, each
+// once.
+func directCallees(fn *bytecode.Function) []int {
+	var out []int
+	for _, in := range fn.Code {
+		if c := int(in.A); in.Op == bytecode.OpCall && c != fn.Index && !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // returned is the post-call half of dispatch: what the engine does with a
@@ -821,7 +880,8 @@ func (e *Engine) observeReturn(st *fnState, v value.Value) {
 // of §V with identical verdict accounting; every failure is typed,
 // attributed, and degraded per failCompile.
 func (e *Engine) compile(idx int, st *fnState) {
-	e.tracer.Instant(obs.CatEngine, obs.FactTrigger, st.fn.Name, obs.I("calls", int64(st.calls)))
+	e.tracer.Instant(obs.CatEngine, obs.FactTrigger, st.fn.Name,
+		obs.I("calls", int64(st.calls)), obs.I("back_edges", int64(e.VM.BackEdges[idx])))
 	req := e.newCompileRequest(idx, st)
 
 	if req.cacheable {

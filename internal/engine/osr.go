@@ -3,12 +3,13 @@
 // OnBackEdge is the engine half of the OSR contract with the interpreter
 // (interp.OSRHook): the VM calls it at every backward unconditional jump
 // with an empty operand stack, handing over the live locals. The engine
-// counts back edges (so a single long-running call can warm up without
-// ever returning to a call boundary), installs pending async artifacts
-// mid-loop (the OSR-capable safe point), and — when Ion code with an
-// eligible frame map for this loop header exists — transfers execution
-// into native code at the equivalent pc by materializing registers from
-// the frame map.
+// triggers compilation off the interpreter's back-edge count (so a single
+// long-running call can warm up without ever returning to a call boundary;
+// hot's callee rule is skipped, there being no boundary to wait at),
+// installs pending async artifacts mid-loop (the OSR-capable safe point),
+// and — when Ion code with an eligible frame map for this loop header
+// exists — transfers execution into native code at the equivalent pc by
+// materializing registers from the frame map.
 //
 // The reverse transition is handleDeopt: a KCallSpec speculation guard
 // that observes a non-number result returns StatusDeopt with a fully
@@ -57,8 +58,7 @@ func (e *Engine) OnBackEdge(fn *bytecode.Function, targetPC int, locals []value.
 		}
 	}
 
-	st.backEdges++
-	if st.code == nil && !st.inflight && st.backEdges >= e.cfg.IonThreshold && e.mayCompile(st) {
+	if st.code == nil && !st.inflight && e.VM.BackEdges[idx] >= e.cfg.IonThreshold && e.mayCompile(st) {
 		e.compile(idx, st)
 	}
 	if st.code == nil {

@@ -22,8 +22,9 @@ func (tracePolicy) BeginCompile(string) (passes.Observer, func() CompileDecision
 }
 
 // TestTraceGoldenCompileSequence pins the event order of one successful
-// traced compilation, lifecycle facts included: the function's first call
-// and its crossing of the baseline threshold, the trigger instant, mirbuild
+// traced compilation, lifecycle facts included: the function's first call,
+// the trigger instant (at its second call: the first ran its loop 64 times,
+// so it compiles before it could cross the baseline threshold), mirbuild
 // span, one (pass span, dna.extract span) pair per pipeline pass, the
 // policy decide span, lir, regalloc, native.fuse, then the compile span
 // (spans are recorded at End, and the span is the pipeline attempt on
@@ -46,7 +47,7 @@ func TestTraceGoldenCompileSequence(t *testing.T) {
 		t.Fatal("traced run recorded no events")
 	}
 
-	want := []string{"interp", "warm", "compile.trigger", "mirbuild"}
+	want := []string{"interp", "compile.trigger", "mirbuild"}
 	for _, pn := range passes.PassNames() {
 		want = append(want, pn, "dna.extract")
 	}
@@ -83,7 +84,7 @@ func TestTraceGoldenCompileSequence(t *testing.T) {
 	for i := range want {
 		ev := events[i]
 		switch ev.Name {
-		case "interp", "warm", "compile.trigger", "tier", "native.install":
+		case "interp", "compile.trigger", "tier", "native.install":
 			if ev.Kind != obs.KindInstant {
 				t.Errorf("%s: kind = %v, want instant", ev.Name, ev.Kind)
 			}
@@ -113,6 +114,13 @@ func TestTraceGoldenCompileSequence(t *testing.T) {
 				t.Errorf("%s: pass span lacks instrs_out", ev.Name)
 			}
 		}
+	}
+	trigger := events[1]
+	if calls, _ := argInt(trigger, "calls"); calls != 2 {
+		t.Errorf("compile.trigger: calls = %d, want 2", calls)
+	}
+	if n, _ := argInt(trigger, "back_edges"); n != 64 {
+		t.Errorf("compile.trigger: back_edges = %d, want 64", n)
 	}
 	compile := events[len(want)-3]
 	if res, ok := argStr(compile, "result"); !ok || res != "ok" {

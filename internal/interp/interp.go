@@ -69,6 +69,11 @@ type VM struct {
 	// keeps the interpreter's per-op behavior byte-identical to a build
 	// without OSR support.
 	OSR OSRHook
+	// BackEdges, when non-nil, counts each function's interpreted loop back
+	// edges (backward OpJumps), indexed by Function.Index: the loop half of
+	// the engine's warm-up counter. Counted before OSR is consulted, so the
+	// hook sees the edge it is called for. Nil (the default) counts nothing.
+	BackEdges []int
 
 	steps       int64
 	nativeSteps int64 // the share of steps charged through AddSteps
@@ -449,15 +454,20 @@ func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int, allowOSR 
 
 		case bytecode.OpJump:
 			target := int(in.A)
-			if target <= pc && allowOSR && vm.OSR != nil && sp == nl {
-				// Loop back edge at a statement boundary: offer the engine an
-				// on-stack replacement into native code.
-				res, done, err := vm.OSR(fn, target, stack[:nl:nl])
-				if err != nil {
-					return value.Undef(), err
+			if target <= pc {
+				if vm.BackEdges != nil {
+					vm.BackEdges[fn.Index]++
 				}
-				if done {
-					return res, nil
+				if allowOSR && vm.OSR != nil && sp == nl {
+					// Loop back edge at a statement boundary: offer the engine an
+					// on-stack replacement into native code.
+					res, done, err := vm.OSR(fn, target, stack[:nl:nl])
+					if err != nil {
+						return value.Undef(), err
+					}
+					if done {
+						return res, nil
+					}
 				}
 			}
 			pc = target - 1

@@ -209,7 +209,7 @@ func TestCacheEvictionBound(t *testing.T) {
 	// An unbounded cache (maxBytes <= 0) never evicts.
 	u := NewCacheLimited(nil, 0)
 	for i := 0; i < 100; i++ {
-		u.Put(Key{byte(i)}, i, 1 << 20)
+		u.Put(Key{byte(i)}, i, 1<<20)
 	}
 	if u.Len() != 100 {
 		t.Errorf("unbounded cache evicted: Len = %d, want 100", u.Len())

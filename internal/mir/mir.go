@@ -206,12 +206,12 @@ var opInfo = [numOps]opInfoEntry{
 	// MIR, and therefore the DNA chains the policy sees, stay identical
 	// with the feature on or off. HasEffects lists them explicitly so DCE
 	// keeps them (and keeps the locals they reference alive).
-	OpOSREntry: {name: "osrentry"},
-	OpSnapshot: {name: "snapshot"},
-	OpAddrOf:            {name: "addrof", movable: true, loads: AliasObjectFields},
-	OpCodeBase:          {name: "codebase", movable: true},
-	OpMagic:             {name: "magic", movable: true},
-	OpKeepAlive:         {name: "keepalive"},
+	OpOSREntry:  {name: "osrentry"},
+	OpSnapshot:  {name: "snapshot"},
+	OpAddrOf:    {name: "addrof", movable: true, loads: AliasObjectFields},
+	OpCodeBase:  {name: "codebase", movable: true},
+	OpMagic:     {name: "magic", movable: true},
+	OpKeepAlive: {name: "keepalive"},
 }
 
 // String returns the MIR dump name of the opcode.
