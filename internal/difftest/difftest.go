@@ -13,9 +13,11 @@
 //
 // Two cells that differ only in which executor runs the compiled code
 // (machine code, the fused switch, the unfused switch) owe each other
-// more: the same number of VM steps and the same policy verdicts. Such a
-// cell names the other as its twin (Config.Twin) and Diff compares those
-// two fields against the twin, on top of the semantic fields against the
+// more: the same number of VM steps and the same policy verdicts — and,
+// when both executors check the budget once per block (machine code and
+// the fused switch), the same number of those checks. Such a cell names
+// the other as its twin (Config.Twin) and Diff compares those fields
+// against the twin, on top of the semantic fields against the
 // interpreter.
 package difftest
 
@@ -50,6 +52,11 @@ type Observation struct {
 	// verdict triple of Stats, against the cell's twin only: tiers charge
 	// steps differently by design, executors of one tier may not.
 	Steps int64
+	// Checks is the engine's native.block_budget_checks: the budget checks
+	// the block-checking executors (machine code, fused) made. Compared
+	// against a twin with the same NoFuse setting only; the unfused switch
+	// checks per op and counts none.
+	Checks int64
 	// Stats is diagnostics, except NrJIT/NrDisJIT/NrNoJIT (see Steps).
 	Stats    engine.Stats
 	IRFaults []string // CheckIR verifier rejections (offending pass named)
@@ -381,6 +388,7 @@ func Observe(src string, c Config) Observation {
 	obs.Hijacked = e.Hijacked() != nil
 	obs.Crashed = e.Arena().Crashed() != nil
 	obs.Steps = e.VM.Steps()
+	obs.Checks = e.MetricsSink().Counter("native.block_budget_checks").Value()
 	obs.Stats = e.Stats()
 	if runErr != nil {
 		obs.ErrMsg = runErr.Error()
@@ -400,7 +408,7 @@ func Observe(src string, c Config) Observation {
 
 // Divergence is one observed disagreement between a configuration and the
 // configuration it is held to: the reference for the semantic fields, the
-// twin for steps and verdicts.
+// twin for steps, verdicts and block checks.
 type Divergence struct {
 	Config string // diverging configuration
 	Ref    string // configuration it was compared against
@@ -442,14 +450,19 @@ func compare(c Config, obs, ref Observation, refName string) []Divergence {
 }
 
 // compareTwin returns the steps/verdicts divergences of obs against its
-// twin's observation. Runs that end in an error are held to the same
-// standard: the executors charge steps identically up to a runtime error
-// and exhaust the step budget at the same count.
-func compareTwin(c Config, obs, twin Observation) []Divergence {
+// twin's observation, and the block-check divergence when both cells run
+// block-checking executors (the same NoFuse). Runs that end in an error are
+// held to the same standard: the executors charge steps identically up to
+// a runtime error and exhaust the step budget at the same count.
+func compareTwin(c Config, obs Observation, tc Config, twin Observation) []Divergence {
 	var divs []Divergence
 	if obs.Steps != twin.Steps {
 		divs = append(divs, Divergence{Config: c.Name, Ref: c.Twin, Field: "steps",
 			Got: fmt.Sprint(obs.Steps), Want: fmt.Sprint(twin.Steps)})
+	}
+	if c.Engine.NoFuse == tc.Engine.NoFuse && obs.Checks != twin.Checks {
+		divs = append(divs, Divergence{Config: c.Name, Ref: c.Twin, Field: "checks",
+			Got: fmt.Sprint(obs.Checks), Want: fmt.Sprint(twin.Checks)})
 	}
 	if got, want := obs.verdicts(), twin.verdicts(); got != want {
 		divs = append(divs, Divergence{Config: c.Name, Ref: c.Twin, Field: "verdicts", Got: got, Want: want})
@@ -469,7 +482,7 @@ func Diff(src string, configs []Config) ([]Observation, []Divergence) {
 
 // divergences judges one observation per configuration: every cell
 // against configs[0] on the semantic fields, and every cell whose twin is
-// in configs against that twin on steps and verdicts.
+// in configs against that twin on steps, verdicts and block checks.
 func divergences(configs []Config, obs []Observation) []Divergence {
 	byName := make(map[string]int, len(configs))
 	for i, c := range configs {
@@ -479,7 +492,7 @@ func divergences(configs []Config, obs []Observation) []Divergence {
 	for i := 1; i < len(configs); i++ {
 		divs = append(divs, compare(configs[i], obs[i], obs[0], configs[0].Name)...)
 		if t, ok := byName[configs[i].Twin]; ok {
-			divs = append(divs, compareTwin(configs[i], obs[i], obs[t])...)
+			divs = append(divs, compareTwin(configs[i], obs[i], configs[t], obs[t])...)
 		}
 	}
 	return divs

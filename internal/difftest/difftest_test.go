@@ -105,16 +105,19 @@ func TestSeededDivergenceDetected(t *testing.T) {
 // TestSeededTwinDivergenceDetected proves the twin comparison fires, and
 // only where a twin is named: identical observations except for Steps give
 // exactly one steps divergence of the cell against its twin, except for
-// the verdict triple exactly one verdicts divergence, and a cell without
-// a twin (install timing legitimately moves both) gives none.
+// the verdict triple exactly one verdicts divergence, except for the block
+// checks exactly one checks divergence, and a cell without a twin (install
+// timing legitimately moves both) gives none.
 func TestSeededTwinDivergenceDetected(t *testing.T) {
 	configs := []Config{{Name: "interp"}, {Name: "jit"}, {Name: "jit+nomc", Twin: "jit"}, {Name: "jit+async"}}
-	same := Observation{Result: "7", Steps: 1000}
+	same := Observation{Result: "7", Steps: 1000, Checks: 40}
 	same.Stats.NrJIT, same.Stats.NrDisJIT, same.Stats.NrNoJIT = 5, 1, 0
 	moreSteps := same
 	moreSteps.Steps++
 	otherVerdict := same
 	otherVerdict.Stats.NrDisJIT, otherVerdict.Stats.NrNoJIT = 0, 1
+	fewerChecks := same
+	fewerChecks.Checks--
 
 	for _, tc := range []struct {
 		field string
@@ -124,6 +127,7 @@ func TestSeededTwinDivergenceDetected(t *testing.T) {
 		{"steps", moreSteps, Divergence{Config: "jit+nomc", Ref: "jit", Field: "steps", Got: "1001", Want: "1000"}},
 		{"verdicts", otherVerdict, Divergence{Config: "jit+nomc", Ref: "jit", Field: "verdicts",
 			Got: "jit=5 disjit=0 nojit=1", Want: "jit=5 disjit=1 nojit=0"}},
+		{"checks", fewerChecks, Divergence{Config: "jit+nomc", Ref: "jit", Field: "checks", Got: "39", Want: "40"}},
 	} {
 		divs := divergences(configs, []Observation{same, same, tc.obs, same})
 		if len(divs) != 1 || divs[0] != tc.want {
@@ -132,6 +136,15 @@ func TestSeededTwinDivergenceDetected(t *testing.T) {
 		if divs := divergences(configs, []Observation{same, same, same, tc.obs}); len(divs) != 0 {
 			t.Errorf("%s differs in a cell without a twin: got %v, want none", tc.field, divs)
 		}
+	}
+	// The unfused switch checks the budget per op and counts no block
+	// checks: its twin comparison leaves them out.
+	nofuse := Config{Name: "jit+nomc+nofuse", Twin: "jit"}
+	nofuse.Engine.NoFuse = true
+	unfused := same
+	unfused.Checks = 0
+	if divs := divergences([]Config{configs[0], configs[1], nofuse}, []Observation{same, same, unfused}); len(divs) != 0 {
+		t.Errorf("block checks against an unfused twin: got %v, want none", divs)
 	}
 	// A twin that is not part of the matrix (a hand-picked subset) is not
 	// an error and not a comparison.

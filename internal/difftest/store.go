@@ -153,12 +153,12 @@ func StoreWarmStart(src, dir string, o WarmStartOptions) (WarmStartResult, error
 	res.Warm = storeProcess(src, base, warmStore, o.JITBULL)
 
 	// Bit-identity: semantics, then — the warm process is the cold one's
-	// twin, it differs only in where its artifacts came from — step count
-	// and verdict counters, then the audit verdict sequence.
+	// twin, it differs only in where its artifacts came from — step count,
+	// verdict counters and block checks, then the audit verdict sequence.
 	cellName := "store+warm"
-	warm := Config{Name: cellName, Twin: "store+cold"}
+	warm, cold := Config{Name: cellName, Twin: "store+cold"}, Config{Name: "store+cold"}
 	for _, d := range append(compare(warm, res.Warm.Obs, res.Cold.Obs, warm.Twin),
-		compareTwin(warm, res.Warm.Obs, res.Cold.Obs)...) {
+		compareTwin(warm, res.Warm.Obs, cold, res.Cold.Obs)...) {
 		res.Divergences = append(res.Divergences, d.String())
 	}
 	if len(res.Warm.Audit) != len(res.Cold.Audit) {

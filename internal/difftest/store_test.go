@@ -228,7 +228,7 @@ func skewedStoreIsAMiss(t *testing.T, src string, base engine.Config, dir string
 
 	run := storeProcess(src, base, skewed, true)
 	cell := Config{Name: "store+skew", Twin: "store+cold"}
-	for _, d := range append(compare(cell, run.Obs, cold.Obs, cell.Twin), compareTwin(cell, run.Obs, cold.Obs)...) {
+	for _, d := range append(compare(cell, run.Obs, cold.Obs, cell.Twin), compareTwin(cell, run.Obs, Config{Name: cell.Twin}, cold.Obs)...) {
 		t.Error(d)
 	}
 	if rs, cs := run.Obs.Stats, cold.Obs.Stats; rs.CacheHits != 0 || rs.CacheMisses != cs.CacheMisses || rs.Compiles != cs.Compiles {

@@ -17,10 +17,11 @@ type Reg uint8
 
 // General-purpose registers. The lowering's convention: RBX holds the
 // float register file base, R12 the arena cells base, R13 the tag file
-// base, R15 the step counter, RDI the activation record, RSI the
-// per-engine environment; RAX/RCX/RDX and R8-R11 are scratch. R14 (the Go
-// runtime's g register) and RBP are never touched by generated code, RSP
-// only by the CALL/RET pairs of direct calls.
+// base, R15 the step counter, R11 the block-check counter, RDI the
+// activation record, RSI the per-engine environment; RAX/RCX/RDX and
+// R8-R10 are scratch. R14 (the Go runtime's g register) and RBP are never
+// touched by generated code, RSP only by the CALL/RET pairs of direct
+// calls.
 const (
 	RAX Reg = iota
 	RCX
@@ -43,7 +44,9 @@ const (
 // Xmm is an SSE register.
 type Xmm uint8
 
-// SSE registers; X0-X5 are the lowering's scratch set.
+// SSE registers. X0-X1 are the lowering's scratch pair and X2-X14 its
+// register cache (lower.go); X15 is the Go runtime's zero register and is
+// never named.
 const (
 	X0 Xmm = iota
 	X1
@@ -51,6 +54,15 @@ const (
 	X3
 	X4
 	X5
+	X6
+	X7
+	X8
+	X9
+	X10
+	X11
+	X12
+	X13
+	X14
 )
 
 // Condition codes (the low nibble of the 0F 8x / 0F 9x opcodes).
@@ -346,6 +358,13 @@ func (a *Asm) DivsdXmmMem(dst Xmm, base Reg, disp int32) {
 	a.sseMem(0xf2, 0x5e, uint8(dst), base, disp)
 }
 
+// AddsdXmmXmm / SubsdXmmXmm / MulsdXmmXmm / DivsdXmmXmm are the same with
+// a register source: dst = dst op src.
+func (a *Asm) AddsdXmmXmm(dst, src Xmm) { a.sseReg(0xf2, 0x58, uint8(dst), uint8(src)) }
+func (a *Asm) SubsdXmmXmm(dst, src Xmm) { a.sseReg(0xf2, 0x5c, uint8(dst), uint8(src)) }
+func (a *Asm) MulsdXmmXmm(dst, src Xmm) { a.sseReg(0xf2, 0x59, uint8(dst), uint8(src)) }
+func (a *Asm) DivsdXmmXmm(dst, src Xmm) { a.sseReg(0xf2, 0x5e, uint8(dst), uint8(src)) }
+
 // UcomisdXmmMem encodes ucomisd a, [base+disp] (66 0F 2E /r).
 func (a *Asm) UcomisdXmmMem(x Xmm, base Reg, disp int32) {
 	a.sseMem(0x66, 0x2e, uint8(x), base, disp)
@@ -354,12 +373,35 @@ func (a *Asm) UcomisdXmmMem(x Xmm, base Reg, disp int32) {
 // UcomisdXmmXmm encodes ucomisd a, b.
 func (a *Asm) UcomisdXmmXmm(x, y Xmm) { a.sseReg(0x66, 0x2e, uint8(x), uint8(y)) }
 
+// ps emits a packed-single register form 0F op /r (no prefix).
+func (a *Asm) ps(op byte, x, y Xmm) {
+	a.rexIf(uint8(x), 0, uint8(y))
+	a.bytes(0x0f, op)
+	a.modrmReg(uint8(x), uint8(y))
+}
+
 // XorpsXmmXmm encodes xorps x, y (0F 57 /r) — the canonical xmm zeroing
 // idiom.
-func (a *Asm) XorpsXmmXmm(x, y Xmm) {
-	a.rexIf(uint8(x), 0, uint8(y))
-	a.bytes(0x0f, 0x57)
-	a.modrmReg(uint8(x), uint8(y))
+func (a *Asm) XorpsXmmXmm(x, y Xmm) { a.ps(0x57, x, y) }
+
+// MovapsXmmXmm encodes movaps dst, src (0F 28 /r) — the register copy.
+func (a *Asm) MovapsXmmXmm(dst, src Xmm) { a.ps(0x28, dst, src) }
+
+// MovqXmmReg encodes movq dst, src (66 REX.W 0F 6E /r): the 64 bits of a
+// general register into an xmm, unconverted.
+func (a *Asm) MovqXmmReg(dst Xmm, src Reg) {
+	a.byte(0x66)
+	a.rex(true, uint8(dst), 0, uint8(src))
+	a.bytes(0x0f, 0x6e)
+	a.modrmReg(uint8(dst), uint8(src))
+}
+
+// MovqRegXmm encodes movq dst, src (66 REX.W 0F 7E /r), the reverse move.
+func (a *Asm) MovqRegXmm(dst Reg, src Xmm) {
+	a.byte(0x66)
+	a.rex(true, uint8(src), 0, uint8(dst))
+	a.bytes(0x0f, 0x7e)
+	a.modrmReg(uint8(src), uint8(dst))
 }
 
 // Cvttsd2siRegMem encodes cvttsd2si dst, [base+disp] (F2 REX.W 0F 2C /r),
@@ -433,7 +475,7 @@ func (a *Asm) SubRegImm(dst Reg, imm int32) { a.aluRegImm(5, dst, imm) }
 func (a *Asm) CmpRegImm(dst Reg, imm int32) { a.aluRegImm(7, dst, imm) }
 
 // AddMemImm encodes add qword [base+disp], imm (REX.W 83/81 /0) — the
-// in-frame check counter bump.
+// environment's counters (frames in use, direct calls, unwinds).
 func (a *Asm) AddMemImm(base Reg, disp int32, imm int32) {
 	a.rex(true, 0, 0, uint8(base))
 	if imm >= -128 && imm <= 127 {
@@ -448,7 +490,7 @@ func (a *Asm) AddMemImm(base Reg, disp int32, imm int32) {
 }
 
 // AddMemReg encodes add qword [base+disp], src (REX.W 01 /r) — a direct
-// call folding its callee's steps and checks into the caller's counters.
+// call folding its callee's steps into the VM's counters.
 func (a *Asm) AddMemReg(base Reg, disp int32, src Reg) {
 	a.rex(true, uint8(src), 0, uint8(base))
 	a.byte(0x01)
@@ -469,6 +511,14 @@ func (a *Asm) CmpMemImm(base Reg, disp int32, imm int32) {
 		a.modrmMem(7, base, disp)
 		a.imm32(imm)
 	}
+}
+
+// AddRegMem encodes add dst, [base+disp] (REX.W 03 /r) — a direct call
+// adding the caller's saved check count to the callee's (R11).
+func (a *Asm) AddRegMem(dst, base Reg, disp int32) {
+	a.rex(true, uint8(dst), 0, uint8(base))
+	a.byte(0x03)
+	a.modrmMem(uint8(dst), base, disp)
 }
 
 // AddRegReg encodes add dst, src (REX.W 01 /r).

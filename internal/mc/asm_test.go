@@ -50,6 +50,43 @@ func TestGoldenEncodings(t *testing.T) {
 		{"cvtsi2sd xmm0,rax", func(a *Asm) { a.Cvtsi2sdXmmReg(X0, RAX, true) }, "f2480f2ac0"},
 		{"cvtsi2sd xmm0,eax", func(a *Asm) { a.Cvtsi2sdXmmReg(X0, RAX, false) }, "f20f2ac0"},
 		{"cvtsi2sd xmm0,qword [rdi+0x28]", func(a *Asm) { a.Cvtsi2sdXmmMem(X0, RDI, 40) }, "f2480f2a4728"},
+		// The register cache's forms, the XMM8-XMM14 (REX) encodings among
+		// them, and the block-check counter in R11.
+		{"addsd xmm9,[rbx+0x10]", func(a *Asm) { a.AddsdXmmMem(X9, RBX, 16) }, "f2440f584b10"},
+		{"subsd xmm2,[rbx+0x10]", func(a *Asm) { a.SubsdXmmMem(X2, RBX, 16) }, "f20f5c5310"},
+		{"mulsd xmm14,[rbx+0x80]", func(a *Asm) { a.MulsdXmmMem(X14, RBX, 128) }, "f2440f59b380000000"},
+		{"divsd xmm8,[rbx+0x10]", func(a *Asm) { a.DivsdXmmMem(X8, RBX, 16) }, "f2440f5e4310"},
+		{"ucomisd xmm11,[rbx+0x8]", func(a *Asm) { a.UcomisdXmmMem(X11, RBX, 8) }, "66440f2e5b08"},
+		{"movaps xmm2,xmm0", func(a *Asm) { a.MovapsXmmXmm(X2, X0) }, "0f28d0"},
+		{"movaps xmm14,xmm3", func(a *Asm) { a.MovapsXmmXmm(X14, X3) }, "440f28f3"},
+		{"movaps xmm0,xmm9", func(a *Asm) { a.MovapsXmmXmm(X0, X9) }, "410f28c1"},
+		{"addsd xmm2,xmm3", func(a *Asm) { a.AddsdXmmXmm(X2, X3) }, "f20f58d3"},
+		{"subsd xmm8,xmm2", func(a *Asm) { a.SubsdXmmXmm(X8, X2) }, "f2440f5cc2"},
+		{"mulsd xmm3,xmm14", func(a *Asm) { a.MulsdXmmXmm(X3, X14) }, "f2410f59de"},
+		{"divsd xmm9,xmm10", func(a *Asm) { a.DivsdXmmXmm(X9, X10) }, "f2450f5eca"},
+		{"ucomisd xmm0,xmm9", func(a *Asm) { a.UcomisdXmmXmm(X0, X9) }, "66410f2ec1"},
+		{"ucomisd xmm10,xmm2", func(a *Asm) { a.UcomisdXmmXmm(X10, X2) }, "66440f2ed2"},
+		{"xorps xmm8,xmm8", func(a *Asm) { a.XorpsXmmXmm(X8, X8) }, "450f57c0"},
+		{"cvttsd2si rax,xmm12", func(a *Asm) { a.Cvttsd2siRegXmm(RAX, X12, true) }, "f2490f2cc4"},
+		{"cvttsd2si ecx,xmm8", func(a *Asm) { a.Cvttsd2siRegXmm(RCX, X8, false) }, "f2410f2cc8"},
+		{"cvttsd2si ecx,xmm3", func(a *Asm) { a.Cvttsd2siRegXmm(RCX, X3, false) }, "f20f2ccb"},
+		{"cvtsi2sd xmm13,rax", func(a *Asm) { a.Cvtsi2sdXmmReg(X13, RAX, true) }, "f24c0f2ae8"},
+		{"cvtsi2sd xmm9,edx", func(a *Asm) { a.Cvtsi2sdXmmReg(X9, RDX, false) }, "f2440f2aca"},
+		{"cvtsi2sd xmm10,qword [rsi+0x8]", func(a *Asm) { a.Cvtsi2sdXmmMem(X10, RSI, 8) }, "f24c0f2a5608"},
+		{"movsd xmm14,[rbx+0x10]", func(a *Asm) { a.MovsdXmmMem(X14, RBX, 16) }, "f2440f107310"},
+		{"movsd [rbx+0x18],xmm8", func(a *Asm) { a.MovsdMemXmm(RBX, 24, X8) }, "f2440f114318"},
+		{"movsd xmm11,[r12+rax*8]", func(a *Asm) { a.MovsdXmmMemIdx(X11, R12, RAX, 8, 0) }, "f2450f101cc4"},
+		{"movsd [r12+rax*8],xmm12", func(a *Asm) { a.MovsdMemIdxXmm(R12, RAX, 8, 0, X12) }, "f2450f1124c4"},
+		{"movq xmm2,rax", func(a *Asm) { a.MovqXmmReg(X2, RAX) }, "66480f6ed0"},
+		{"movq xmm9,rax", func(a *Asm) { a.MovqXmmReg(X9, RAX) }, "664c0f6ec8"},
+		{"movq rax,xmm11", func(a *Asm) { a.MovqRegXmm(RAX, X11) }, "664c0f7ed8"},
+		{"movq rax,xmm3", func(a *Asm) { a.MovqRegXmm(RAX, X3) }, "66480f7ed8"},
+		{"mov r11,[rdi+0x10]", func(a *Asm) { a.MovRegMem(R11, RDI, 16) }, "4c8b5f10"},
+		{"mov [rdi+0x10],r11", func(a *Asm) { a.MovMemReg(RDI, 16, R11) }, "4c895f10"},
+		{"add r11,0x1", func(a *Asm) { a.AddRegImm(R11, 1) }, "4983c301"},
+		{"mov r11d,0x1", func(a *Asm) { a.MovRegImm32(R11, 1) }, "41bb01000000"},
+		{"add r11,[rdi+0x10]", func(a *Asm) { a.AddRegMem(R11, RDI, 16) }, "4c035f10"},
+		{"mov [r9],rax", func(a *Asm) { a.MovMemReg(R9, 0, RAX) }, "498901"},
 		{"add rax,0x2", func(a *Asm) { a.AddRegImm(RAX, 2) }, "4883c002"},
 		{"add r15,0x3e8", func(a *Asm) { a.AddRegImm(R15, 1000) }, "4981c7e8030000"},
 		{"sub rax,0x2", func(a *Asm) { a.SubRegImm(RAX, 2) }, "4883e802"},

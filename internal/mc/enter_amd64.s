@@ -11,8 +11,12 @@
 //	RDI = &mcact (activation record; a direct call moves it to the callee's
 //	      record and back)
 //	RSI = &mcenv (environment; preserved by generated code)
-//	RBX = &regs[0]   R13 = &tags[0]   R12 = &cells[0]   R15 = steps
-//	scratch: RAX RCX RDX R8-R11, XMM0-XMM1
+//	RBX = &regs[0]   R13 = &tags[0]   R12 = &cells[0]
+//	R15 = steps      R11 = block checks (both loaded from the record here
+//	                 and stored back on the way out)
+//	XMM2-XMM14 = the register cache (lower.go): copies of float registers,
+//	             never live across an exit, so nothing here saves them
+//	scratch: RAX RCX RDX R8-R10, XMM0-XMM1
 //
 // Generated code never touches R14 (Go's g register), X15 (Go's zero
 // register) or RBP, and uses RSP only through the CALL/RET pairs of direct
@@ -30,10 +34,12 @@ TEXT ·enter(SB), 0, $520-44
 	MOVQ tags+32(FP), R13
 	MOVQ 32(SI), R12 // env.cells
 	MOVQ 8(DI), R15  // record.steps
+	MOVQ 16(DI), R11 // record.checks
 	MOVQ entry+0(FP), AX
 	ADJSP $-520
 	CALL AX
 	ADJSP $520
-	MOVQ R15, 8(DI)  // flush steps back (an unwind left DI and R15 the entered activation's)
+	MOVQ R15, 8(DI)  // flush the counters back (an unwind left DI, R15 and
+	MOVQ R11, 16(DI) // R11 the entered activation's)
 	MOVL AX, ret+40(FP)
 	RET
