@@ -150,40 +150,34 @@ func BenchmarkSecurityMatrix(b *testing.B) {
 }
 
 // BenchmarkObsCompileOctane measures one compile-heavy corpus program per
-// iteration on a fresh engine: observability off, with a ring tracer, with
-// the full stack (tracer + shared registry + audit log), and with the
-// flight recorder armed (flight ring + watchdog) but idle.
+// iteration on a fresh engine: observability off, with a ring tracer, and
+// with the full stack (ring tracer + shared registry + audit log).
 func BenchmarkObsCompileOctane(b *testing.B) {
 	bench, err := octane.ByName("Richards")
 	if err != nil {
 		b.Fatal(err)
 	}
 	src := bench.Source(1)
-	run := func(mk func(b *testing.B) engine.Config) func(b *testing.B) {
+	run := func(mk func() engine.Config) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchRun(b, src, mk(b), nil)
+				benchRun(b, src, mk(), nil)
 			}
 		}
 	}
-	b.Run("off", run(func(*testing.B) engine.Config {
+	b.Run("off", run(func() engine.Config {
 		return engine.Config{IonThreshold: benchIonThreshold}
 	}))
-	b.Run("traced", run(func(*testing.B) engine.Config {
+	b.Run("traced", run(func() engine.Config {
 		return engine.Config{IonThreshold: benchIonThreshold, Tracer: obs.NewTracer(obs.NewRing(0))}
 	}))
-	full := func(views ...obs.Sink) engine.Config {
+	b.Run("full", run(func() engine.Config {
 		return engine.Config{
 			IonThreshold: benchIonThreshold,
-			Tracer:       obs.NewTracer(append(obs.MultiSink{obs.NewAuditLog(nil)}, views...)),
+			Tracer:       obs.NewTracer(obs.MultiSink{obs.NewAuditLog(nil), obs.NewRing(0)}),
 			Metrics:      obs.NewRegistry(),
 		}
-	}
-	b.Run("full", run(func(*testing.B) engine.Config { return full(obs.NewRing(0)) }))
-	b.Run("flight-idle", run(func(b *testing.B) engine.Config {
-		return full(obs.NewFlightRecorder(b.TempDir(), obs.FlightOptions{MinSamples: 1 << 30}),
-			obs.NewWatchdog(obs.WatchdogOptions{}))
 	}))
 }
 

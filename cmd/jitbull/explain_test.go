@@ -100,8 +100,9 @@ func TestRunExplain(t *testing.T) {
 }
 
 // stormScript is the deopt-storm program of the CI obs job: hot's
-// speculation on flip's result fails eight times, the watchdog's storm
-// threshold, and hot is requalified without TypeSpeculation.
+// speculation on flip's result fails eight times, the engine's deopt-storm
+// requalification threshold, and hot is requalified without
+// TypeSpeculation.
 const stormScript = `
 function flip(p, q) { if (p < 300) { return (q + p * 2) % 1000003; } return; }
 function hot(n) { var s = 0; var i = 0; while (i < n) { var c = flip(i, s); if (c) { s = (s + c) % 1000003; } i = i + 1; } return s; }

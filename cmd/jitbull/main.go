@@ -63,7 +63,7 @@ func usage() {
   jitbull run [-nojit] [-nofuse] [-nomc] [-osr] [-speculate] [-threshold N] [-bugs CVE,...]
               [-db file] [-stats] [-async [-jit-workers N]] [-cache] [-store dir]
               [-trace file] [-audit file] [-metrics] [-metrics-addr addr]
-              [-explain fn] [-flight dir] [-watchdog]
+              [-explain fn]
               (-octane name [-scale N] | script.js)
   jitbull fingerprint -cve CVE-... [-bugs CVE,...] [-threshold N] -db file script.js
   jitbull diff [-bugs CVE,...] [-shrink] [-jitbull] [-variants=false] [-checkir=false]
@@ -113,7 +113,7 @@ func cmdRun(args []string) error {
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of the compile path to this file")
 	auditPath := fs.String("audit", "", "stream the policy-decision audit log (JSONL) to this file ('-' for stderr)")
 	metrics := fs.Bool("metrics", false, "print the metrics registry (JSON) to stderr after the run")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /metrics.json, /metrics.prom, /healthz, /audit.json, /flight.json and /debug/pprof/ on this address during the run")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /metrics.json, /metrics.prom, /audit.json and /debug/pprof/ on this address during the run")
 	octaneName := fs.String("octane", "", "run a built-in benchmark instead of a script file")
 	scale := fs.Int("scale", 1, "outer-loop scale for -octane")
 	osr := fs.Bool("osr", false, "enable loop-header on-stack replacement: hot loops tier up mid-flight instead of at the next call boundary")
@@ -123,8 +123,6 @@ func cmdRun(args []string) error {
 	cacheFlag := fs.Bool("cache", false, "enable the shared compilation cache (artifact + JITBULL verdict, keyed by canonical bytecode hash)")
 	storeDir := fs.String("store", "", "persist the compilation cache in this directory (implies -cache): artifacts and verdicts survive restarts")
 	explainFn := fs.String("explain", "", "after the run, print this function's lifecycle facts to stderr: tier timeline, compile/decide/OSR durations, and every go/no-go decision with its matches")
-	flightDir := fs.String("flight", "", "arm the tail-sampling flight recorder: anomalous episodes (p99 compile outliers, faults, watchdog anomalies) are dumped as Chrome traces into this directory")
-	watchdogFlag := fs.Bool("watchdog", false, "arm the anomaly watchdog (deopt storms, quarantine spikes, cache-miss regressions, verdict-rate shifts, perf divergence)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -162,7 +160,7 @@ func cmdRun(args []string) error {
 	// The queue/cache metrics live in a shared registry so -stats can
 	// report them after the run.
 	var jitReg *jitbull.Registry
-	if *async || *cacheFlag || *storeDir != "" || *watchdogFlag {
+	if *async || *cacheFlag || *storeDir != "" {
 		jitReg = jitbull.NewRegistry()
 		cfg.Metrics = jitReg
 	}
@@ -176,14 +174,11 @@ func cmdRun(args []string) error {
 		codeCache = jitbull.NewCodeCache(jitReg)
 		cfg.Cache = codeCache
 	}
-	// One event stream, and a view of it per flag. The watchdog goes last:
-	// the anomaly it states then follows its cause in every other view.
+	// One event stream, and a view of it per flag.
 	var (
-		sinks  jitbull.MultiSink
-		ring   *jitbull.Ring
-		audit  *jitbull.AuditLog
-		flight *jitbull.FlightRecorder
-		wdog   *jitbull.Watchdog
+		sinks jitbull.MultiSink
+		ring  *jitbull.Ring
+		audit *jitbull.AuditLog
 	)
 	if *tracePath != "" || *explainFn != "" {
 		ring = jitbull.NewRing(0)
@@ -200,24 +195,12 @@ func cmdRun(args []string) error {
 		}
 		auditFile = f
 		audit = jitbull.NewAuditLog(f)
-	case *watchdogFlag:
-		// Anomalies should be served at /audit.json even without -audit.
-		audit = jitbull.NewAuditLog(nil)
 	}
 	if audit != nil {
 		sinks = append(sinks, audit)
 	}
-	if *flightDir != "" {
-		flight = jitbull.NewFlightRecorder(*flightDir, jitbull.FlightOptions{})
-		sinks = append(sinks, flight)
-	}
-	if *watchdogFlag {
-		wdog = jitbull.NewWatchdog(jitbull.WatchdogOptions{Metrics: jitReg})
-		sinks = append(sinks, wdog)
-	}
 	if len(sinks) > 0 {
 		cfg.Tracer = jitbull.NewTracer(sinks)
-		wdog.SetTracer(cfg.Tracer)
 	}
 	eng, err := jitbull.New(src, cfg)
 	if err != nil {
@@ -225,15 +208,13 @@ func cmdRun(args []string) error {
 	}
 	if *metricsAddr != "" {
 		srv, addr, err := jitbull.StartOpsServer(*metricsAddr, jitbull.OpsState{
-			Reg:      eng.MetricsSink(),
-			Audit:    audit,
-			Watchdog: wdog,
-			Flight:   flight,
+			Reg:   eng.MetricsSink(),
+			Audit: audit,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "jitbull: ops server on http://%s/ (/metrics, /metrics.json, /metrics.prom, /healthz, /audit.json, /flight.json, /debug/pprof/)\n", addr)
+		fmt.Fprintf(os.Stderr, "jitbull: ops server on http://%s/ (/metrics, /metrics.json, /metrics.prom, /audit.json, /debug/pprof/)\n", addr)
 		defer srv.Close()
 	}
 	var det *jitbull.Detector
@@ -291,9 +272,6 @@ func cmdRun(args []string) error {
 				sink.Counter("store.faults_injected").Value(), sink.Counter("cache.tier_hits").Value(),
 				sink.Counter("cache.tier_encode_drops").Value())
 		}
-		if wdog != nil {
-			fmt.Fprintln(os.Stderr, wdog.Summary())
-		}
 		if det != nil && len(det.Matches) > 0 {
 			fmt.Fprintf(os.Stderr, "jitbull matches:\n")
 			for _, m := range det.Matches {
@@ -311,13 +289,6 @@ func cmdRun(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "jitbull: wrote %d trace event(s) to %s (open in chrome://tracing)\n",
 			ring.Len(), *tracePath)
-	}
-	if flight != nil {
-		if err := flight.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "jitbull: flight recorder dump error: %v\n", err)
-		}
-		fmt.Fprintf(os.Stderr, "jitbull: flight recorder dumped %d episode(s) to %s\n",
-			len(flight.Episodes()), *flightDir)
 	}
 	if *metrics {
 		if err := eng.MetricsSink().WriteJSON(os.Stderr); err != nil {

@@ -93,7 +93,7 @@ func storeProcess(src string, base engine.Config, tier *store.Store, jitbull boo
 }
 
 // decisions keeps the go/no-go verdicts of an audit trail, dropping the
-// supervisor transitions and anomalies logged between them.
+// supervisor transitions logged between them.
 func decisions(evs []obs.AuditEvent) []obs.AuditEvent {
 	var out []obs.AuditEvent
 	for _, ev := range evs {

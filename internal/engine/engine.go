@@ -165,11 +165,11 @@ type Config struct {
 	// stated on it once, beside the compile-pipeline spans (mirbuild, every
 	// optimization pass with input/output instruction counts, DNA
 	// extraction, lowering, register allocation) and injected faults. What
-	// becomes of them is the sink's business: obs.Ring, AuditLog, Watchdog
-	// and FlightRecorder are each a view of this stream, composed with
-	// obs.MultiSink. Facts land on tier transitions, never per call.
-	// Nil disables the stream at the cost of one nil check per site
-	// (benchmarked by internal/obs BenchmarkSpan/disabled).
+	// becomes of them is the sink's business: obs.Ring and AuditLog are
+	// each a view of this stream, composed with obs.MultiSink. Facts land
+	// on tier transitions, never per call. Nil disables the stream at the
+	// cost of one nil check per site (benchmarked by internal/obs
+	// BenchmarkSpan/disabled).
 	Tracer *obs.Tracer
 	// Metrics, when set, is a shared registry the engine's counters and
 	// histograms are mirrored into. Several engines may share one registry

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"github.com/jitbull/jitbull/internal/jitqueue"
 	"github.com/jitbull/jitbull/internal/obs"
 )
 
@@ -129,7 +130,10 @@ print(hot(700));
 // failing across activations, the engine must not blacklist it — it
 // discards the artifact, disables TypeSpeculation for the function, records
 // a requalify audit verdict, and the recompiled unspeculated code keeps
-// running natively with interpreter semantics.
+// running natively with interpreter semantics. The same holds when every
+// compile falls back inline from a closed queue, and either way the ring
+// holds the function's whole lifecycle: first call, install, OSR entry, the
+// deopts, the requalification.
 func TestDeoptStormRequalifies(t *testing.T) {
 	src := `
 function flip(p, q) {
@@ -150,24 +154,43 @@ var result = 0;
 for (var r = 0; r < 24; r++) { result = (result + hot(600)) % 1000003; }
 print(result);
 `
-	audit := obs.NewAuditLog(nil)
-	e := osrAgainstInterp(t, src, Config{
-		IonThreshold: 10, BaselineThreshold: 4, OSR: true, Speculate: true, Tracer: obs.NewTracer(audit),
-	})
-	st := e.Stats()
-	if st.DeoptExits < maxDeoptsBeforeRequalify {
-		t.Fatalf("storm never accumulated: %d deopts, want >= %d", st.DeoptExits, maxDeoptsBeforeRequalify)
-	}
-	if st.LoopsRequalified == 0 {
-		t.Fatalf("deopt storm did not requalify the function: %+v", st)
-	}
-	requalified := false
-	for _, ev := range audit.Events() {
-		if ev.Verdict == "requalify" && ev.Stage == StageDeopt {
-			requalified = true
-		}
-	}
-	if !requalified {
-		t.Fatal("no requalify verdict with the deopt stage in the audit log")
+	closed := jitqueue.New(1, 1, nil)
+	closed.Close()
+	for _, tc := range []struct {
+		name  string
+		queue *jitqueue.Queue
+	}{{"inline", nil}, {"closed-queue", closed}} {
+		t.Run(tc.name, func(t *testing.T) {
+			audit, ring := obs.NewAuditLog(nil), obs.NewRing(0)
+			e := osrAgainstInterp(t, src, Config{
+				IonThreshold: 10, BaselineThreshold: 4, OSR: true, Speculate: true, Queue: tc.queue,
+				Tracer: obs.NewTracer(obs.MultiSink{audit, ring}),
+			})
+			st := e.Stats()
+			if st.DeoptExits < maxDeoptsBeforeRequalify {
+				t.Fatalf("storm never accumulated: %d deopts, want >= %d", st.DeoptExits, maxDeoptsBeforeRequalify)
+			}
+			if st.LoopsRequalified == 0 {
+				t.Fatalf("deopt storm did not requalify the function: %+v", st)
+			}
+			requalified := false
+			for _, ev := range audit.Events() {
+				if ev.Verdict == "requalify" && ev.Stage == StageDeopt {
+					requalified = true
+				}
+			}
+			if !requalified {
+				t.Fatal("no requalify verdict with the deopt stage in the audit log")
+			}
+			seen := map[string]bool{}
+			for _, ev := range obs.Lifecycles(ring.Events())["hot"] {
+				seen[ev.Name] = true
+			}
+			for _, want := range []string{obs.FactInterp, obs.FactInstall, obs.FactOSREnter, obs.FactDeopt, obs.FactRequalified} {
+				if !seen[want] {
+					t.Errorf("hot's lifecycle has no %s fact", want)
+				}
+			}
+		})
 	}
 }

@@ -20,47 +20,25 @@ import (
 var updateParity = flag.Bool("update-parity", false, "rewrite testdata/obs_parity.json from this tree's outputs")
 
 // testdata/obs_parity.json was written by this test at the last commit
-// whose engine fed the journal, the audit log and the watchdog through
-// their own calls (Config.Journal, .Audit, .Watchdog) beside the tracer.
-// Since then every view became a sink of the stream, the journal went, and
-// the detector stopped appending its verdicts to the audit log itself: the
-// decide fact carries them. So wireParity, cleanCompile, the trace
-// comparison and the journey — read from the ring as `jitbull run -explain`
-// reads it, its fact names spelled as the journal spelled them — differ
-// from the test that wrote it.
+// whose engine fed the journal, the audit log and the anomaly watchdog
+// through Config fields of their own beside the tracer. Since then every
+// view became a sink of the stream, the journal went, and the detector
+// stopped appending its verdicts to the audit log itself: the decide fact
+// carries them. So the views' wiring, the trace comparison and the journey
+// — read from the ring as `jitbull run -explain` reads it, its fact names
+// spelled as the journal spelled them — differ from the test that wrote it.
+// The watchdog and the flight recorder went too: the golden lost their
+// anomalies, health and episodes, and the audit lines the watchdog's
+// anomalies had added, by deletion only.
 
 // parityRecord is what one scenario's observability outputs reduce to once
 // timestamps, sequence numbers and durations are stripped: the part of
 // every view that a change to how the engine reports its lifecycle must
 // reproduce.
 type parityRecord struct {
-	Journey   map[string][]string `json:"journey"`   // func → "stage/tier" in order (journeyStage)
-	Audit     []string            `json:"audit"`     // "verdict func stage" in order
-	Anomalies []string            `json:"anomalies"` // "detector func" in order
-	Health    []string            `json:"health"`    // before the run, after it, after 8 clean compiles
-	Episodes  []string            `json:"episodes"`  // flight-recorder episode reasons in order
-	Trace     []string            `json:"trace"`     // first compile's event names in trace-file order
-}
-
-// parityViews are the four views of one run.
-type parityViews struct {
-	ring   *obs.Ring
-	audit  *obs.AuditLog
-	wdog   *obs.Watchdog
-	flight *obs.FlightRecorder
-}
-
-// wireParity attaches every view to cfg.
-func wireParity(t *testing.T, cfg *engine.Config) parityViews {
-	v := parityViews{
-		ring:   obs.NewRing(0),
-		audit:  obs.NewAuditLog(nil),
-		flight: obs.NewFlightRecorder(t.TempDir(), obs.FlightOptions{MinSamples: 1 << 30}),
-		wdog:   obs.NewWatchdog(obs.WatchdogOptions{RecoverAfter: 8}),
-	}
-	cfg.Tracer = obs.NewTracer(obs.MultiSink{v.ring, v.audit, v.flight, v.wdog})
-	v.wdog.SetTracer(cfg.Tracer)
-	return v
+	Journey map[string][]string `json:"journey"` // func → "stage/tier" in order (journeyStage)
+	Audit   []string            `json:"audit"`   // "verdict func stage" in order
+	Trace   []string            `json:"trace"`   // first compile's event names in trace-file order
 }
 
 // journeyStage is the journal's spelling of each fact it kept as a
@@ -97,11 +75,6 @@ func journeys(evs []obs.Event) map[string][]string {
 		}
 	}
 	return out
-}
-
-// cleanCompile feeds the watchdog one anomaly-free observation.
-func (v parityViews) cleanCompile() {
-	v.wdog.Record(obs.Event{Kind: obs.KindSpan, Name: obs.FactCompile, Dur: 1000})
 }
 
 const parityStormProgram = `
@@ -150,13 +123,9 @@ func TestObservabilityParity(t *testing.T) {
 	got := map[string]parityRecord{}
 	for _, sc := range scenarios {
 		cfg := sc.cfg
-		v := wireParity(t, &cfg)
+		ring, audit := obs.NewRing(0), obs.NewAuditLog(nil)
+		cfg.Tracer = obs.NewTracer(obs.MultiSink{ring, audit})
 		var rec parityRecord
-		health := func() {
-			state, _ := v.wdog.Health()
-			rec.Health = append(rec.Health, state)
-		}
-		health()
 		e, err := engine.New(sc.src, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
@@ -167,24 +136,12 @@ func TestObservabilityParity(t *testing.T) {
 		if _, err := e.Run(); err != nil && !engine.IsCrash(err) && !engine.IsHijack(err) {
 			t.Fatalf("%s: run: %v", sc.name, err)
 		}
-		health()
-		for i := 0; i < 8; i++ {
-			v.cleanCompile()
-		}
-		health()
-
-		rec.Journey = journeys(v.ring.Events())
-		for _, ev := range v.audit.Events() {
+		rec.Journey = journeys(ring.Events())
+		for _, ev := range audit.Events() {
 			rec.Audit = append(rec.Audit, string(ev.Verdict)+" "+ev.Func+" "+ev.Stage)
 		}
-		for _, a := range v.wdog.Anomalies() {
-			rec.Anomalies = append(rec.Anomalies, a.Detector+" "+a.Func)
-		}
-		for _, ep := range v.flight.Episodes() {
-			rec.Episodes = append(rec.Episodes, ep.Reason)
-		}
 		if sc.trace {
-			rec.Trace = firstCompile(v.ring.Events())
+			rec.Trace = firstCompile(ring.Events())
 		}
 		got[sc.name] = rec
 	}
@@ -218,15 +175,6 @@ func TestObservabilityParity(t *testing.T) {
 		}
 		if !reflect.DeepEqual(g.Audit, w.Audit) {
 			t.Errorf("%s: audit\n got %v\nwant %v", sc.name, g.Audit, w.Audit)
-		}
-		if !reflect.DeepEqual(g.Anomalies, w.Anomalies) {
-			t.Errorf("%s: anomalies\n got %v\nwant %v", sc.name, g.Anomalies, w.Anomalies)
-		}
-		if !reflect.DeepEqual(g.Health, w.Health) {
-			t.Errorf("%s: health\n got %v\nwant %v", sc.name, g.Health, w.Health)
-		}
-		if !reflect.DeepEqual(g.Episodes, w.Episodes) {
-			t.Errorf("%s: episodes\n got %v\nwant %v", sc.name, g.Episodes, w.Episodes)
 		}
 		// The lifecycle facts that used to go to the journal, the audit log
 		// and the watchdog alone now share the stream. What the trace already

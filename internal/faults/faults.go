@@ -76,17 +76,6 @@ const (
 	// the disk kinds (DiskKinds) in addition to the generic ones.
 	PointStorePut Point = "store.put"
 	PointStoreGet Point = "store.get"
-
-	// PointWatchdog seeds the anomaly watchdog (internal/obs): the
-	// watchdog's seed probe consults it once per observed signal (detail:
-	// "kind:function"), and every fired fault must synthesize exactly one
-	// "seeded" anomaly — audit event, metrics bump, flight-recorder
-	// episode — with panic kinds contained inside the probe. It is not
-	// part of CompilePoints(): it sits on the monitoring path, not the
-	// compile path. The chaos campaign uses it to prove 1:1 accounting
-	// between injected causes and watchdog findings, and zero false
-	// positives when no rules are armed.
-	PointWatchdog Point = "watchdog"
 )
 
 // StorePoints lists the persistent store's injection points — the disk
@@ -108,7 +97,7 @@ func CompilePoints() []Point {
 // tier-transition edges. This is the validation set for ParseRule and the
 // chaos CLI's -points flag.
 func KnownPoints() []Point {
-	pts := append(CompilePoints(), PointDBSave, PointDBLoad, PointQueue, PointOSR, PointDeopt, PointWatchdog)
+	pts := append(CompilePoints(), PointDBSave, PointDBLoad, PointQueue, PointOSR, PointDeopt)
 	return append(pts, StorePoints()...)
 }
 
@@ -389,15 +378,6 @@ func (in *Injector) Check(p Point, detail string) error {
 		panic(&InjectedPanic{Fault: f})
 	}
 	return &InjectedError{Fault: f, Stalled: f.Kind == KindStall}
-}
-
-// WatchdogProbe adapts an injector into the anomaly watchdog's seed
-// probe (obs.Watchdog.SetSeedProbe): each observed signal rolls one hit
-// on PointWatchdog. Panic kinds propagate out of Check and are contained
-// by the watchdog itself — that containment is part of the point's
-// contract and is what the chaos campaign verifies.
-func WatchdogProbe(in *Injector) func(detail string) error {
-	return func(detail string) error { return in.Check(PointWatchdog, detail) }
 }
 
 // Fired returns a copy of every fault fired so far, in order.

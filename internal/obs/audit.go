@@ -17,7 +17,7 @@ type Verdict string
 // The JITBULL go/no-go decisions, one per policy-observed compilation: the
 // verdict of the Decision a decide fact carries. Every other verdict in a
 // log is a lifecycle fact's Fact.Verdict (facts.go): compile-error,
-// quarantine, requalify, permanent, anomaly.
+// quarantine, requalify, permanent.
 const (
 	VerdictGo          Verdict = "go"           // compile proceeds unmodified
 	VerdictDisablePass Verdict = "disable-pass" // matched passes disabled, recompile
@@ -120,8 +120,8 @@ func (ev AuditEvent) String() string {
 
 // AuditLog is the view that keeps decisions: of the stream, the decide
 // facts (the go/no-go verdict with its matches) and the facts that are
-// supervisor transitions or anomalies (Fact.Verdict). It retains the
-// newest DefaultRingCapacity events in memory and, when constructed over a
+// supervisor transitions (Fact.Verdict). It retains the newest
+// DefaultRingCapacity events in memory and, when constructed over a
 // writer, streams every event as one JSON line (JSONL) — the file is
 // complete whatever the ring has dropped. A nil *AuditLog is the disabled
 // log: Record costs one nil check.

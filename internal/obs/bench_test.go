@@ -12,9 +12,7 @@ import (
 )
 
 // BenchmarkSpan measures a trace span begin/end pair: on a nil tracer (the
-// price every compile pays when tracing is off), into a ring, and into an
-// armed flight recorder that never triggers (the steady price of keeping
-// the black box on).
+// price every compile pays when tracing is off) and into a ring.
 func BenchmarkSpan(b *testing.B) {
 	span := func(tr *Tracer) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -28,9 +26,6 @@ func BenchmarkSpan(b *testing.B) {
 	}
 	b.Run("disabled", span(nil))
 	b.Run("ring", span(NewTracer(NewRing(0))))
-	b.Run("flight-idle", func(b *testing.B) {
-		span(NewTracer(NewFlightRecorder(b.TempDir(), FlightOptions{MinSamples: 1 << 30})))(b)
-	})
 }
 
 func BenchmarkInstantDisabled(b *testing.B) {
@@ -42,9 +37,8 @@ func BenchmarkInstantDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkViewRecord measures what one fact costs in each selective view:
-// a finished compile, which the ring keeps, the watchdog counts (and no
-// detector minds) and the audit log lets pass.
+// BenchmarkViewRecord measures what one fact costs in each view: a
+// finished compile, which the ring keeps and the audit log lets pass.
 func BenchmarkViewRecord(b *testing.B) {
 	compiled := fact(FactCompile, "hot", S("result", "ok"), S("source", "inline"), S("tier", "baseline"))
 	record := func(s Sink) func(b *testing.B) {
@@ -57,7 +51,6 @@ func BenchmarkViewRecord(b *testing.B) {
 		}
 	}
 	b.Run("ring", record(NewRing(0)))
-	b.Run("watchdog-clean", record(NewWatchdog(WatchdogOptions{})))
 	b.Run("audit-pass", record(NewAuditLog(nil)))
 }
 

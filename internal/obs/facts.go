@@ -30,17 +30,15 @@ const (
 	FactStoreGet     = "store.get"          // span: one store read
 	FactStorePut     = "store.put"          // span: one store write
 	FactStoreCorrupt = "store-corrupt"      // an untrustworthy record quarantined
-	FactAnomaly      = "anomaly"            // a watchdog detector fired
 )
 
-// Fact is one row of the vocabulary: what each selective view calls the
-// fact. Ring and FlightRecorder retain every event whatever its name.
+// Fact is one row of the vocabulary: what the selective view calls the
+// fact. Ring retains every event whatever its name.
 type Fact struct {
 	Name string
 	// Verdict is the AuditLog's verdict ("" = not audited). A decide fact
 	// is audited under the verdict of the Decision it carries.
 	Verdict Verdict
-	Watch   bool // the Watchdog counts it as a signal
 }
 
 // Facts is the vocabulary. The verdict spellings are a wire format (audit
@@ -48,28 +46,27 @@ type Fact struct {
 var Facts = []Fact{
 	{Name: FactInterp},
 	{Name: FactWarm},
-	{Name: FactHotInterp, Watch: true},
+	{Name: FactHotInterp},
 	{Name: FactTrigger},
-	{Name: FactCacheHit, Watch: true},
-	{Name: FactStoreHit, Watch: true},
-	{Name: FactCacheMiss, Watch: true},
+	{Name: FactCacheHit},
+	{Name: FactStoreHit},
+	{Name: FactCacheMiss},
 	{Name: FactEnqueue},
-	{Name: FactQueueWait, Watch: true},
-	{Name: FactCompile, Watch: true},
-	{Name: FactDecide, Watch: true},
+	{Name: FactQueueWait},
+	{Name: FactCompile},
+	{Name: FactDecide},
 	{Name: FactTier},
 	{Name: FactInstall},
 	{Name: FactRequalified, Verdict: "requalify"},
-	{Name: FactQuarantined, Verdict: "quarantine", Watch: true},
+	{Name: FactQuarantined, Verdict: "quarantine"},
 	{Name: FactPermanent, Verdict: "permanent"},
 	{Name: FactCompileError, Verdict: "compile-error"},
 	{Name: FactOSREnter},
-	{Name: FactDeopt, Watch: true},
+	{Name: FactDeopt},
 	{Name: FactBailout},
 	{Name: FactStoreGet},
 	{Name: FactStorePut},
-	{Name: FactStoreCorrupt, Verdict: "quarantine", Watch: true},
-	{Name: FactAnomaly, Verdict: "anomaly"},
+	{Name: FactStoreCorrupt, Verdict: "quarantine"},
 }
 
 var factByName = func() map[string]Fact {

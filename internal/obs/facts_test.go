@@ -12,8 +12,8 @@ import (
 
 // TestNoDeadVocabulary holds the fact table to what the code does: every
 // name is unique, every column says what the view it names really does
-// with the fact, and every fact is stated by a non-test call site — the
-// engine and the store for all but the watchdog's own anomaly.
+// with the fact, and every fact is stated by a non-test call site in the
+// engine or the store.
 func TestNoDeadVocabulary(t *testing.T) {
 	seen := map[string]bool{}
 	for _, f := range Facts {
@@ -23,13 +23,12 @@ func TestNoDeadVocabulary(t *testing.T) {
 		seen[f.Name] = true
 	}
 
-	// Each view renders exactly the facts its column marks. The arguments
-	// are the ones a view asks for before it will render: a queue wait
-	// counts only when rejected, a decide is audited with its decision.
+	// Each view renders exactly the facts its column marks (a decide is
+	// audited with the decision it carries, below).
 	for _, f := range append(Facts, Fact{Name: "mirbuild"}) {
-		ev := fact(f.Name, "f", S("result", "rejected"), S("tier", "ion"), S("stage", "s"), S("reason", "r"))
-		ring, a, w := NewRing(4), NewAuditLog(nil), NewWatchdog(WatchdogOptions{Detectors: []Detector{}})
-		MultiSink{ring, a, w}.Record(ev)
+		ev := fact(f.Name, "f", S("stage", "s"), S("reason", "r"))
+		ring, a := NewRing(4), NewAuditLog(nil)
+		MultiSink{ring, a}.Record(ev)
 		if ring.Len() != 1 {
 			t.Errorf("%s: the ring did not keep it", f.Name)
 		}
@@ -38,9 +37,6 @@ func TestNoDeadVocabulary(t *testing.T) {
 		}
 		if evs := a.Events(); (len(evs) == 1) != (f.Verdict != "") || (len(evs) == 1 && evs[0].Verdict != f.Verdict) {
 			t.Errorf("%s: audit log rendered %+v, the table says verdict %q", f.Name, evs, f.Verdict)
-		}
-		if (w.signals == 1) != f.Watch {
-			t.Errorf("%s: watchdog counted %d signal(s), the table says watch=%v", f.Name, w.signals, f.Watch)
 		}
 	}
 
@@ -143,7 +139,9 @@ func TestAuditLogRetentionIsBounded(t *testing.T) {
 // TestParentWrittenFixturesDecode: the audit JSONL in testdata was written
 // by `jitbull run` on the deopt-storm script at the last commit before the
 // views became sinks of one stream; the wire format did not move, so
-// today's reader decodes it.
+// today's reader decodes it. That run had the anomaly watchdog on, which
+// is gone: its "anomaly" verdict is in no row of the table any more, and
+// the reader decodes it like any other verdict string.
 func TestParentWrittenFixturesDecode(t *testing.T) {
 	evs, err := ReadAuditFile(filepath.Join("testdata", "parent_audit.jsonl"))
 	if err != nil {
@@ -154,7 +152,7 @@ func TestParentWrittenFixturesDecode(t *testing.T) {
 		t.Fatalf("decoded audit = %+v", evs)
 	}
 	for _, ev := range evs {
-		known := false
+		known := ev.Verdict == "anomaly"
 		for _, f := range Facts {
 			known = known || f.Verdict == ev.Verdict
 		}

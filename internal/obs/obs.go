@@ -15,10 +15,8 @@
 //     extraction → lir → regalloc) and routes it into a Sink. Every
 //     consumer is a Sink that keeps the facts it renders: Ring (the whole
 //     stream, exportable as Chrome trace_event JSON and read per function
-//     by Lifecycles), AuditLog (policy verdicts, supervisor transitions and
-//     anomalies), Watchdog (anomaly detectors, whose findings re-enter the
-//     stream as anomaly facts) and FlightRecorder (episode dumps).
-//     MultiSink composes them.
+//     by Lifecycles) and AuditLog (policy verdicts and supervisor
+//     transitions). MultiSink composes them.
 //   - Registry (metrics.go): named atomic counters, gauges, and
 //     fixed-bucket histograms with JSON and expvar-style text encoders,
 //     servable over HTTP next to net/http/pprof (server.go).
@@ -57,7 +55,6 @@ const (
 	CatEngine  = "engine"  // tiering, dispatch, bailouts
 	CatFault   = "fault"   // fault-injection framework events
 	CatStore   = "store"   // persistent artifact store I/O
-	CatAnomaly = "anomaly" // watchdog findings
 )
 
 // MaxArgs is the fixed per-event argument capacity. Events carry their

@@ -3,12 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -199,7 +195,7 @@ func TestHistogramExemplars(t *testing.T) {
 func TestWritePromFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("store.hits").Add(3)
-	reg.Gauge("watchdog.healthy").Set(1)
+	reg.Gauge("jit.queue_depth_hwm").Set(1)
 	h := reg.Histogram("compile.ns", []int64{100, 1000})
 	h.ObserveEx(60, 42)
 	h.ObserveEx(500, 7)
@@ -213,8 +209,8 @@ func TestWritePromFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE store_hits counter",
 		"store_hits 3",
-		"# TYPE watchdog_healthy gauge",
-		"watchdog_healthy 1",
+		"# TYPE jit_queue_depth_hwm gauge",
+		"jit_queue_depth_hwm 1",
 		"# TYPE compile_ns histogram",
 		`compile_ns_bucket{le="100"} 1 # {span_id="42"} 60`,
 		`compile_ns_bucket{le="1000"} 2 # {span_id="7"} 500`,
@@ -235,257 +231,15 @@ func TestWritePromFormat(t *testing.T) {
 	}
 }
 
-// --- Flight recorder ---------------------------------------------------------
-
-func flightFor(t *testing.T, opts FlightOptions) *FlightRecorder {
-	t.Helper()
-	return NewFlightRecorder(t.TempDir(), opts)
-}
-
-func TestFlightRecorderP99TriggerWithCooldown(t *testing.T) {
-	f := flightFor(t, FlightOptions{MinSamples: 8, RingCapacity: 32})
-	compile := func(dur int64) {
-		f.Record(Event{Kind: KindSpan, Cat: CatCompile, Name: "compile", Dur: dur, ID: 1})
-	}
-	for i := 0; i < 8; i++ {
-		compile(1000)
-	}
-	if n := len(f.Episodes()); n != 0 {
-		t.Fatalf("episodes before the trigger armed: %d", n)
-	}
-	compile(50_000) // far over the rolling p99 → one episode
-	eps := f.Episodes()
-	if len(eps) != 1 || eps[0].Reason != "compile-p99" {
-		t.Fatalf("episodes = %+v, want one compile-p99", eps)
-	}
-	if eps[0].Path == "" {
-		t.Fatalf("episode has no dump path (dump error: %v)", f.Err())
-	}
-	if _, err := os.Stat(eps[0].Path); err != nil {
-		t.Fatalf("dump file missing: %v", err)
-	}
-	// Cooldown: an immediate second outlier must not double-fire.
-	compile(60_000)
-	if n := len(f.Episodes()); n != 1 {
-		t.Fatalf("cooldown violated: %d episodes", n)
-	}
-}
-
-func TestFlightRecorderFaultTrigger(t *testing.T) {
-	f := flightFor(t, FlightOptions{RingCapacity: 16})
-	f.Record(Event{Kind: KindInstant, Cat: CatFault, Name: "fault.injected"})
-	eps := f.Episodes()
-	if len(eps) != 1 || eps[0].Reason != "fault-injected" || eps[0].Detail != "fault.injected" {
-		t.Fatalf("episodes = %+v, want one fault-injected", eps)
-	}
-}
-
-func TestFlightRecorderExternalTriggerAndBounds(t *testing.T) {
-	f := flightFor(t, FlightOptions{MaxDumps: 2, RingCapacity: 8})
-	f.Record(Event{Kind: KindInstant, Cat: CatEngine, Name: "context"})
-	for i := 0; i < 4; i++ {
-		f.Record(fact(FactAnomaly, "hot", S("stage", "deopt-storm"), S("reason", fmt.Sprintf("burst %d", i))))
-	}
-	eps := f.Episodes()
-	if len(eps) != 4 {
-		t.Fatalf("anomalies must never be debounced: got %d episodes", len(eps))
-	}
-	if eps[3].Reason != "deopt-storm" || eps[3].Detail != "burst 3" || eps[3].Events != 5 {
-		t.Fatalf("episode = %+v, want the anomaly's detector and reason over the 5 events so far", eps[3])
-	}
-	onDisk := 0
-	for _, ep := range eps {
-		if ep.Path == "" {
-			continue
-		}
-		if _, err := os.Stat(ep.Path); err != nil {
-			t.Fatalf("episode path %s missing: %v", ep.Path, err)
-		}
-		onDisk++
-	}
-	if onDisk != 2 {
-		t.Fatalf("%d dumps on disk, want MaxDumps=2 (oldest deleted first)", onDisk)
-	}
-	// The survivors are the two newest.
-	if eps[0].Path != "" || eps[1].Path != "" || eps[2].Path == "" || eps[3].Path == "" {
-		t.Fatalf("wrong eviction order: %+v", eps)
-	}
-	if f.Err() != nil {
-		t.Fatalf("dump error: %v", f.Err())
-	}
-}
-
-func TestFlightRecorderNil(t *testing.T) {
-	var f *FlightRecorder
-	f.Record(Event{Kind: KindInstant, Cat: CatFault})
-	if f.Episodes() != nil || f.Err() != nil {
-		t.Fatalf("nil flight recorder is not inert")
-	}
-}
-
-// --- Watchdog ----------------------------------------------------------------
-
-func TestWatchdogIntrinsicAnomaliesAndHealthRecovery(t *testing.T) {
-	reg := NewRegistry()
-	audit := NewAuditLog(nil)
-	w := NewWatchdog(WatchdogOptions{Metrics: reg, RecoverAfter: 3})
-	tr := NewTracer(MultiSink{audit, w})
-	w.SetTracer(tr)
-
-	if st, _ := w.Health(); st != HealthReady {
-		t.Fatalf("initial health = %s", st)
-	}
-	tr.Begin(CatCompile, FactQueueWait, "cold").End() // picked up by a worker: not a signal
-	tr.Begin(CatCompile, FactQueueWait, "hot").End(S("result", "rejected"))
-	tr.Instant(CatStore, FactStoreCorrupt, "abcd", S("stage", "store"), S("reason", "checksum mismatch"))
-
-	an := w.Anomalies()
-	if len(an) != 2 || an[0].Detector != "queue-saturation" || an[1].Detector != "store-corruption" {
-		t.Fatalf("anomalies = %+v", an)
-	}
-	if st, why := w.Health(); st != HealthDegraded || why == "" {
-		t.Fatalf("health after anomalies = %s (%q)", st, why)
-	}
-	if got := reg.Gauge("watchdog.healthy").Value(); got != 0 {
-		t.Fatalf("watchdog.healthy gauge = %d, want 0", got)
-	}
-	// Each intrinsic anomaly came back round the stream as exactly one
-	// audit event, after its cause.
-	var verdicts []string
-	for _, ev := range audit.Events() {
-		verdicts = append(verdicts, string(ev.Verdict)+" "+ev.Func+" "+ev.Stage)
-	}
-	want := []string{"anomaly hot queue-saturation", "quarantine abcd store", "anomaly abcd store-corruption"}
-	if !reflect.DeepEqual(verdicts, want) {
-		t.Fatalf("audit = %v, want %v (1:1 accounting)", verdicts, want)
-	}
-
-	// Recovery after RecoverAfter consecutive clean signals.
-	for i := 0; i < 2; i++ {
-		w.Record(fact(FactCompile, "f"))
-		if st, _ := w.Health(); st != HealthDegraded {
-			t.Fatalf("recovered after only %d clean signals", i+1)
-		}
-	}
-	w.Record(fact(FactCompile, "f"))
-	if st, _ := w.Health(); st != HealthReady {
-		t.Fatalf("did not recover after RecoverAfter clean signals")
-	}
-	if got := reg.Gauge("watchdog.healthy").Value(); got != 1 {
-		t.Fatalf("watchdog.healthy gauge = %d after recovery, want 1", got)
-	}
-}
-
-func TestWatchdogDeoptStormDetector(t *testing.T) {
-	w := NewWatchdog(WatchdogOptions{Detectors: []Detector{NewDeoptStormDetector(4)}})
-	for i := 0; i < 3; i++ {
-		w.Record(fact(FactDeopt, "hot"))
-	}
-	if n := len(w.Anomalies()); n != 0 {
-		t.Fatalf("fired after %d deopts (threshold 4): %d anomalies", 3, n)
-	}
-	w.Record(fact(FactDeopt, "hot"))
-	an := w.Anomalies()
-	if len(an) != 1 || an[0].Detector != "deopt-storm" || an[0].Func != "hot" {
-		t.Fatalf("anomalies = %+v", an)
-	}
-	// Per-function counting: another function's deopts start from zero,
-	// and the fired function's counter reset.
-	w.Record(fact(FactDeopt, "other"))
-	for i := 0; i < 3; i++ {
-		w.Record(fact(FactDeopt, "hot"))
-	}
-	if n := len(w.Anomalies()); n != 1 {
-		t.Fatalf("storm counter did not reset: %d anomalies", n)
-	}
-}
-
-func TestWatchdogQuarantineSpikeTriggersFlightEpisode(t *testing.T) {
-	f := flightFor(t, FlightOptions{RingCapacity: 8})
-	w := NewWatchdog(WatchdogOptions{Detectors: []Detector{NewQuarantineSpikeDetector(2, 100)}})
-	tr := NewTracer(MultiSink{f, w})
-	w.SetTracer(tr)
-	tr.Instant(CatEngine, FactQuarantined, "a", S("reason", "storm"))
-	// First quarantine: below the spike → episode context, no anomaly.
-	if n := len(w.Anomalies()); n != 0 {
-		t.Fatalf("spike fired on a single quarantine")
-	}
-	if n := len(f.Episodes()); n != 1 {
-		t.Fatalf("quarantine did not trigger a context episode: %d", n)
-	}
-	tr.Instant(CatEngine, FactQuarantined, "b", S("reason", "storm"))
-	an := w.Anomalies()
-	if len(an) != 1 || an[0].Detector != "quarantine-spike" {
-		t.Fatalf("anomalies = %+v", an)
-	}
-	// The anomaly itself also dumps an episode (context + anomaly = 3).
-	if n := len(f.Episodes()); n != 3 {
-		t.Fatalf("episodes = %d, want 3 (two quarantine contexts + one anomaly)", n)
-	}
-}
-
-func TestWatchdogSeedProbe(t *testing.T) {
-	w := NewWatchdog(WatchdogOptions{Detectors: []Detector{}})
-	var probed []string
-	w.SetSeedProbe(func(detail string) error {
-		probed = append(probed, detail)
-		if strings.HasPrefix(detail, "deopt:") {
-			return errors.New("seeded fault")
-		}
-		if strings.HasPrefix(detail, "quarantined:") {
-			panic("seeded panic")
-		}
-		return nil
-	})
-	w.Record(fact(FactCompile, "f"))     // clean
-	w.Record(fact(FactWarm, "f"))        // not watched: no signal, no probe
-	w.Record(fact(FactDeopt, "f"))       // seeded error
-	w.Record(fact(FactQuarantined, "g")) // seeded panic, contained
-	if len(probed) != 3 {
-		t.Fatalf("probe ran %d times, want once per signal", len(probed))
-	}
-	if probed[1] != "deopt:f" || probed[2] != "quarantined:g" {
-		t.Fatalf("probe details = %v", probed)
-	}
-	an := w.Anomalies()
-	if len(an) != 2 {
-		t.Fatalf("anomalies = %+v, want 2 seeded", an)
-	}
-	for _, a := range an {
-		if a.Detector != "seeded" {
-			t.Fatalf("anomaly not attributed to the seed probe: %+v", a)
-		}
-	}
-	if !strings.Contains(an[1].Reason, "seeded panic") {
-		t.Fatalf("panic not contained into an anomaly: %+v", an[1])
-	}
-}
-
-func TestWatchdogNil(t *testing.T) {
-	var w *Watchdog
-	w.Record(fact(FactDeopt, "f"))
-	w.SetTracer(NewTracer(nil))
-	w.SetSeedProbe(func(string) error { return nil })
-	if st, why := w.Health(); st != HealthReady || why != "" {
-		t.Fatalf("nil watchdog health = %s %q", st, why)
-	}
-	if w.Anomalies() != nil || w.Summary() != "" {
-		t.Fatalf("nil watchdog is not inert")
-	}
-}
-
 // --- Ops server --------------------------------------------------------------
 
 func TestOpsServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("store.hits").Add(5)
 	audit := NewAuditLog(nil)
-	f := NewFlightRecorder(t.TempDir(), FlightOptions{RingCapacity: 8})
-	w := NewWatchdog(WatchdogOptions{Metrics: reg})
-	tr := NewTracer(MultiSink{audit, f, w})
-	w.SetTracer(tr)
+	tr := NewTracer(audit)
 	tr.Instant(CatEngine, FactInterp, "hot", S("tier", "interp"))
-	mux := NewOpsMux(OpsState{Reg: reg, Audit: audit, Watchdog: w, Flight: f})
+	mux := NewOpsMux(OpsState{Reg: reg, Audit: audit})
 
 	get := func(path string) (int, string, string) {
 		rec := httptest.NewRecorder()
@@ -498,40 +252,24 @@ func TestOpsServerEndpoints(t *testing.T) {
 		!strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("/metrics.prom: code=%d ct=%q body=%q", code, ct, body)
 	}
-	if code, body, _ := get("/healthz"); code != 200 || body != "ready\n" {
-		t.Fatalf("/healthz ready: code=%d body=%q", code, body)
-	}
 
 	tr.Instant(CatStore, FactStoreCorrupt, "k", S("stage", "store"), S("reason", "bad checksum"))
-	if code, body, _ := get("/healthz"); code != 503 || !strings.Contains(body, "degraded") ||
-		!strings.Contains(body, "store-corruption") {
-		t.Fatalf("/healthz degraded: code=%d body=%q", code, body)
-	}
-
-	if code, body, _ := get("/audit.json"); code != 200 || !strings.Contains(body, `"store-corruption"`) {
-		t.Fatalf("/audit.json: code=%d body=%q", code, body)
-	}
-	code, body, _ := get("/flight.json")
+	code, body, _ := get("/audit.json")
 	if code != 200 {
-		t.Fatalf("/flight.json code=%d", code)
+		t.Fatalf("/audit.json code=%d", code)
 	}
-	var eps []Episode
-	if err := json.Unmarshal([]byte(body), &eps); err != nil {
-		t.Fatalf("/flight.json not an episode list: %v\n%s", err, body)
+	var evs []AuditEvent
+	if err := json.Unmarshal([]byte(body), &evs); err != nil {
+		t.Fatalf("/audit.json not an audit event list: %v\n%s", err, body)
 	}
-	if len(eps) != 1 || eps[0].Reason != "store-corruption" {
-		t.Fatalf("/flight.json episodes = %+v", eps)
-	}
-	if eps[0].Path != "" {
-		if _, err := os.Stat(filepath.Clean(eps[0].Path)); err != nil {
-			t.Fatalf("episode dump missing: %v", err)
-		}
+	if len(evs) != 1 || evs[0].Verdict != "quarantine" || evs[0].Func != "k" || evs[0].Stage != "store" {
+		t.Fatalf("/audit.json events = %+v, want the one store quarantine", evs)
 	}
 }
 
 func TestOpsServerNilState(t *testing.T) {
 	mux := NewOpsMux(OpsState{})
-	for _, path := range []string{"/metrics", "/metrics.json", "/metrics.prom", "/healthz", "/audit.json", "/flight.json"} {
+	for _, path := range []string{"/metrics", "/metrics.json", "/metrics.prom", "/audit.json"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Code != 200 {

@@ -43,11 +43,7 @@ func TestDisabledProbesDoNotAllocate(t *testing.T) {
 		tr     *Tracer
 		r      *Ring
 		a      *AuditLog
-		w      *Watchdog
-		fr     *FlightRecorder
 		failed = errors.New("verify failed")
-		idle   = NewFlightRecorder(t.TempDir(), FlightOptions{MinSamples: 1 << 30})
-		span   = Event{Kind: KindSpan, Cat: CatPass, Name: "GVN", Func: "hot", Dur: 1000}
 		deopt  = Event{Kind: KindInstant, Cat: CatEngine, Name: FactDeopt, Func: "hot"}
 		tier   = S("tier", "ion")
 		dec    = Decision{DisabledPasses: []string{"GVN"}, Matches: []Match{
@@ -67,9 +63,6 @@ func TestDisabledProbesDoNotAllocate(t *testing.T) {
 		}},
 		{"Ring.Record/nil", func() { r.Record(deopt) }},
 		{"AuditLog.Record/nil", func() { a.Record(deopt) }},
-		{"Watchdog.Record/nil", func() { w.Record(deopt) }},
-		{"FlightRecorder.Record/nil", func() { fr.Record(span) }},
-		{"FlightRecorder.Record/idle", func() { idle.Record(span) }},
 	} {
 		if n := testing.AllocsPerRun(100, probe.call); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", probe.name, n)

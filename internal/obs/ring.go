@@ -9,7 +9,7 @@ const DefaultRingCapacity = 1 << 16
 // ring is the package's one bounded buffer: the newest max values win, the
 // oldest are overwritten and counted. It grows by appending until it holds
 // max values and allocates nothing after that. It has no lock; each view
-// that retains through it (Ring, AuditLog, FlightRecorder) holds its own.
+// that retains through it (Ring, AuditLog) holds its own.
 type ring[T any] struct {
 	buf   []T
 	max   int
@@ -109,10 +109,7 @@ func (r *Ring) Dropped() int64 {
 	return r.r.dropped()
 }
 
-// MultiSink fans the stream out to several views. Order matters in one
-// respect: a Watchdog goes last, so that the anomaly it emits follows its
-// cause in every other view (the audit line after the quarantine it
-// flags, the episode dump with the deopt that tripped it already in).
+// MultiSink fans the stream out to several views, in order.
 type MultiSink []Sink
 
 // Record implements Sink.

@@ -8,13 +8,11 @@ import (
 )
 
 // OpsState bundles everything the operational HTTP surface can serve.
-// Any field may be nil; the corresponding endpoint then serves an empty
-// document (or, for /healthz without a watchdog, unconditional ready).
+// Either field may be nil; the corresponding endpoint then serves an empty
+// document.
 type OpsState struct {
-	Reg      *Registry
-	Audit    *AuditLog
-	Watchdog *Watchdog
-	Flight   *FlightRecorder
+	Reg   *Registry
+	Audit *AuditLog
 }
 
 // NewOpsMux builds the full operational HTTP handler:
@@ -22,9 +20,7 @@ type OpsState struct {
 //	/metrics        expvar-style "name value" text
 //	/metrics.json   one JSON object of every metric
 //	/metrics.prom   Prometheus/OpenMetrics text exposition with exemplars
-//	/healthz        200 "ready" / 503 "degraded" from the anomaly watchdog
 //	/audit.json     recorded audit events as a JSON array
-//	/flight.json    declared flight-recorder episodes and dump paths
 //	/debug/pprof/   CPU/heap/goroutine/... profiles
 func NewOpsMux(s OpsState) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -44,23 +40,9 @@ func NewOpsMux(s OpsState) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.Reg.WriteProm(w)
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		state, why := s.Watchdog.Health()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if state != HealthReady {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte(state + "\n" + why + "\n"))
-			return
-		}
-		w.Write([]byte(state + "\n"))
-	})
 	mux.HandleFunc("/audit.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(s.Audit.Events())
-	})
-	mux.HandleFunc("/flight.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.Flight.Episodes())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

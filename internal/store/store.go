@@ -68,9 +68,9 @@ type Options struct {
 	// one span per Get/Put, whose IDs seed the store.{get,put}_ns histogram
 	// exemplars so an outlier bucket can be followed back to the retained
 	// trace event; one FactStoreCorrupt per quarantined record — the audit
-	// log's and the anomaly watchdog's view of disk rot; one
-	// FactCompileError per dropped put, failed read or injected fault. Give
-	// it the engine's tracer and the same views render both.
+	// log's view of disk rot; one FactCompileError per dropped put, failed
+	// read or injected fault. Give it the engine's tracer and the same
+	// views render both.
 	Tracer *obs.Tracer
 }
 

@@ -249,7 +249,7 @@ func TestStoreGetFaultKinds(t *testing.T) {
 	} {
 		t.Run(string(tc.kind), func(t *testing.T) {
 			inj := faults.NewInjector(11, faults.Rule{Point: faults.PointStoreGet, Kind: tc.kind})
-			s, reg, _ := open(t, t.TempDir(), inj)
+			s, reg, audit := open(t, t.TempDir(), inj)
 			k := testKey(7)
 			s.Put(k, payload("v"))
 
@@ -268,6 +268,20 @@ func TestStoreGetFaultKinds(t *testing.T) {
 			}
 			if got := reg.Counter("store.quarantined").Value(); got != wantQ {
 				t.Errorf("store.quarantined = %d, want %d", got, wantQ)
+			}
+			// Each quarantined record is one store-corrupt fact, audited as
+			// a quarantine at the store stage.
+			var quarantines int64
+			for _, ev := range audit.Events() {
+				if ev.Verdict == "quarantine" {
+					quarantines++
+					if ev.Stage != "store" || ev.Func != keyHex(k) {
+						t.Errorf("quarantine audited as %+v, want stage store for %s", ev, keyHex(k))
+					}
+				}
+			}
+			if quarantines != wantQ {
+				t.Errorf("%d quarantine audit event(s), want %d", quarantines, wantQ)
 			}
 		})
 	}

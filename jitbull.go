@@ -82,9 +82,8 @@ type (
 // fields. Config.Metrics is the counter and histogram registry.
 // Config.Tracer is the one event stream the engine states its lifecycle
 // facts and compile-pipeline spans on; what to keep of it is chosen by the
-// tracer's sink: Ring, AuditLog, Watchdog and FlightRecorder are each a
-// view of the stream, composed with MultiSink (the Watchdog last, and told
-// the tracer with SetTracer so its anomalies join the stream).
+// tracer's sink: Ring and AuditLog are each a view of the stream,
+// composed with MultiSink.
 type (
 	// Tracer stamps lifecycle facts, spans and instants and routes them
 	// into a Sink. A nil *Tracer is the disabled tracer (one nil check per
@@ -98,48 +97,24 @@ type (
 	// Registry is a named-metrics registry (counters, gauges, histograms).
 	Registry = obs.Registry
 	// AuditLog is the view that keeps decisions: of the stream, the
-	// go/no-go verdicts (each decide fact's decision, matches included),
-	// the supervisor transitions and the watchdog anomalies.
+	// go/no-go verdicts (each decide fact's decision, matches included)
+	// and the supervisor transitions.
 	AuditLog = obs.AuditLog
 	// AuditEvent is one structured audit record (JSONL on disk).
 	AuditEvent = obs.AuditEvent
 	// Verdict classifies an audit event ("go", "disable-pass", "nojit", ...).
 	Verdict = obs.Verdict
+	// MultiSink fans the stream out to several views (e.g. a Ring for
+	// -trace and an AuditLog).
+	MultiSink = obs.MultiSink
+	// OpsState bundles what the ops endpoints serve (/metrics.prom,
+	// /audit.json, ...).
+	OpsState = obs.OpsState
 )
 
-// The other views of the stream (see internal/obs): the tail-sampling
-// flight recorder and the anomaly watchdog.
-type (
-	// FlightRecorder is the tail-sampling view: it retains every event in
-	// a ring but dumps a Chrome-trace episode file only around anomalies
-	// (p99 compile outliers, injected faults, quarantines, watchdog
-	// anomalies), under a bounded disk budget.
-	FlightRecorder = obs.FlightRecorder
-	// FlightOptions bounds a FlightRecorder (ring size, dump count/bytes).
-	FlightOptions = obs.FlightOptions
-	// FlightEpisode describes one dumped anomaly episode.
-	FlightEpisode = obs.Episode
-	// Watchdog is the view that turns the engine's and the store's facts
-	// into anomalies through pluggable detectors, driving /healthz; each
-	// anomaly is itself a fact on the stream, which is how the audit log
-	// and the flight recorder come by it. A nil *Watchdog ignores every
-	// event.
-	Watchdog = obs.Watchdog
-	// WatchdogOptions configures the watchdog (detectors, registry,
-	// recovery threshold).
-	WatchdogOptions = obs.WatchdogOptions
-	// Anomaly is one detector verdict (detector name, function, cause).
-	Anomaly = obs.Anomaly
-	// OpsState bundles what the ops endpoints serve (/metrics.prom,
-	// /healthz, /flight.json, ...).
-	OpsState = obs.OpsState
-	// MultiSink fans the stream out to several views (e.g. a Ring for
-	// -trace, an AuditLog, a FlightRecorder, and a Watchdog last).
-	MultiSink = obs.MultiSink
-	// FaultInjector is the deterministic chaos injector (see
-	// internal/faults), wired through Config.Faults.
-	FaultInjector = faults.Injector
-)
+// FaultInjector is the deterministic chaos injector (see internal/faults),
+// wired through Config.Faults.
+type FaultInjector = faults.Injector
 
 // Off-thread compilation & shared-cache types (see internal/jitqueue):
 // wired through Config.Queue and Config.Cache. Both are optional and
@@ -192,7 +167,7 @@ type (
 // at dir. Give opts.Tracer the engine's tracer: the store states its facts
 // (a quarantined record, a dropped put, its get/put spans feeding the
 // store.{get,put}_ns histogram exemplars) on the same stream, so the same
-// audit log, watchdog and flight recorder render them.
+// ring and audit log render them.
 func OpenStore(dir string, opts StoreOptions) (*ArtifactStore, error) {
 	return store.Open(dir, opts)
 }
@@ -233,32 +208,12 @@ func SaveChromeTrace(path string, events []TraceEvent) error {
 // ReadAuditFile parses a JSONL audit stream written via NewAuditLog.
 func ReadAuditFile(path string) ([]AuditEvent, error) { return obs.ReadAuditFile(path) }
 
-// NewFlightRecorder returns a tail-sampling flight recorder dumping
-// anomaly episodes as Chrome-trace files under dir. Use it as the
-// tracer's sink (alone or in a MultiSink beside the other views).
-func NewFlightRecorder(dir string, opts FlightOptions) *FlightRecorder {
-	return obs.NewFlightRecorder(dir, opts)
-}
-
-// NewWatchdog returns an anomaly watchdog running the default detector
-// set unless opts.Detectors overrides it. Put it last in the tracer's
-// MultiSink and call SetTracer with that tracer.
-func NewWatchdog(opts WatchdogOptions) *Watchdog { return obs.NewWatchdog(opts) }
-
 // StartOpsServer serves the full operating surface — /metrics,
-// /metrics.json, /metrics.prom, /healthz, /audit.json, /flight.json and
-// /debug/pprof/* — on addr. Any OpsState field may be
-// nil; the matching endpoints degrade gracefully.
+// /metrics.json, /metrics.prom, /audit.json and /debug/pprof/* — on addr.
+// Either OpsState field may be nil; the matching endpoints degrade
+// gracefully.
 func StartOpsServer(addr string, s OpsState) (*http.Server, net.Addr, error) {
 	return obs.StartOpsServer(addr, s)
-}
-
-// WatchdogProbe adapts a fault injector into a Watchdog seed probe
-// (see Watchdog.SetSeedProbe): each fact the watchdog counts evaluates one hit of
-// the "watchdog" fault point, letting the chaos campaign seed anomalies
-// with the injector's own 1:1 accounting.
-func WatchdogProbe(in *FaultInjector) func(detail string) error {
-	return faults.WatchdogProbe(in)
 }
 
 // New parses, compiles and prepares a nanojs script for execution.
