@@ -14,14 +14,18 @@
 // The reverse transition is handleDeopt: a KCallSpec speculation guard
 // that observes a non-number result returns StatusDeopt with a fully
 // reconstructed interpreter frame, and the engine resumes interpretation
-// immediately after the guarded store. Both transitions are semantically
-// invisible: Result, Steps, bailout points and policy verdicts are
-// bit-identical with OSR/deopt on or off (the difftest matrix pins it).
+// immediately after the guarded store. The resumed frame is an ordinary
+// interpreted one, so its loop's next back edge may OSR back in: into the
+// same artifact when the flip was transient, or — once the storm rule has
+// discarded it — into the unspeculated recompile. Both transitions are
+// semantically invisible: Result, Steps, bailout points and policy verdicts
+// are bit-identical with OSR/deopt on or off (the difftest matrix pins it).
 //
 // Failure policy: a deopt storm (maxDeoptsBeforeRequalify guard failures
 // of one artifact) does not blacklist the function — it discards the
 // artifact, disables the TypeSpeculation pass for this function, and lets
-// the supervisor's requalification machinery recompile it unspeculated.
+// the next warm-up trigger (a back edge of the resumed loop, or a call)
+// recompile it unspeculated.
 package engine
 
 import (
@@ -125,7 +129,7 @@ func (e *Engine) OnBackEdge(fn *bytecode.Function, targetPC int, locals []value.
 		// frame map's static kind). Cool this entry down: the types that
 		// block it now will block it on every later iteration.
 		e.coolDown(st, site.Ordinal)
-		sp.End(obs.S("result", "declined"))
+		sp.End(obs.S("result", "declined"), obs.I("ordinal", int64(site.Ordinal)))
 		return value.Undef(), false, nil
 	}
 	// The transfer happened: registers were materialized and native code
@@ -193,8 +197,11 @@ func (e *Engine) coolDown(st *fnState, ordinal int) {
 // handleDeopt finishes a speculation-guard failure surfaced by the native
 // tier (from an OSR entry or a regular call dispatch): account it, apply
 // the storm policy, and resume interpretation just past the guarded store
-// with the reconstructed frame. The resumed frame runs with OSR disabled
-// so a deopted loop cannot immediately re-enter the code it fell out of.
+// with the reconstructed frame. The resumed frame may OSR back in at its
+// loop's next back edge, which nests one ExecFrom per re-entry that deopts
+// again. The nesting is bounded: every level is a deopt of one artifact,
+// and the maxDeoptsBeforeRequalify-th discards it for code without
+// speculation guards, which has no deopt exits.
 func (e *Engine) handleDeopt(st *fnState, d *native.DeoptState) (value.Value, bool, error) {
 	e.m.deoptExits.Inc()
 	st.deopts++
@@ -236,10 +243,10 @@ func (e *Engine) handleDeopt(st *fnState, d *native.DeoptState) (value.Value, bo
 		return value.Undef(), false, nil
 	}
 
-	// Slots past the frame map are dead here (regalloc proved it for entry;
-	// the exit's map covers every slot its resume point can read): ExecFrom
-	// leaves them undefined, like a fresh frame.
-	v, err := e.VM.ExecFrom(st.fn, d.Locals, site.ResumePC, false)
+	// Slots past the frame map are dead here (the exit's map covers every
+	// slot its resume point can read): ExecFrom leaves them undefined, like
+	// a fresh frame.
+	v, err := e.VM.ExecFrom(st.fn, d.Locals, site.ResumePC)
 	return v, true, err
 }
 

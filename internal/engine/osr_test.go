@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/jitbull/jitbull/internal/bytecode"
 	"github.com/jitbull/jitbull/internal/jitqueue"
 	"github.com/jitbull/jitbull/internal/obs"
+	"github.com/jitbull/jitbull/internal/value"
 )
 
 // osrAgainstInterp runs src under the OSR/deopt engine and the clean
@@ -64,16 +67,18 @@ print(hot(900));
 
 // TestOSRPerSiteCooldown: the array-stream shape — a short warm-up loop
 // that fills the array, then the hot nested loop. The fill loop's back
-// edges cross the OSR threshold while s/it/j are still undefined, so the
-// transfer at its header is refused; that refusal must park only that
-// ordinal, not the function, and the hot loop must still enter mid-loop.
-// (With the old function-wide cooldown this recorded zero OSR entries.)
+// edges cross the OSR threshold while s, which the fill loop reads, is
+// still undefined, so the transfer at its header (ordinal 0) is refused;
+// that refusal must park only that ordinal, not the function, and the hot
+// loop must still enter mid-loop. (With the old function-wide cooldown this
+// recorded zero OSR entries.)
 func TestOSRPerSiteCooldown(t *testing.T) {
 	src := `
 function hot(n, m) {
   var a = new Array(m);
-  for (var i = 0; i < m; i++) { a[i] = i; }
-  var s = 0;
+  var s;
+  for (var i = 0; i < m; i++) { if (s) { a[i] = s; } else { a[i] = i; } }
+  s = 0;
   var it = 0;
   while (it < n) {
     var j = 0;
@@ -87,7 +92,20 @@ function hot(n, m) {
 }
 print(hot(200, 64));
 `
-	e := osrAgainstInterp(t, src, Config{IonThreshold: 30, BaselineThreshold: 10, OSR: true})
+	ring := obs.NewRing(0)
+	e := osrAgainstInterp(t, src, Config{IonThreshold: 30, BaselineThreshold: 10, OSR: true, Tracer: obs.NewTracer(ring)})
+	declined := false
+	for _, ev := range ring.Events() {
+		if ev.Name == obs.FactOSREnter && ev.Str("result") == "declined" {
+			if ev.Int("ordinal") != 0 {
+				t.Fatalf("declined entry at ordinal %d, want only the warm-up header's 0", ev.Int("ordinal"))
+			}
+			declined = true
+		}
+	}
+	if !declined {
+		t.Fatal("the warm-up header with undefined s was never declined: the test no longer tests a refusal")
+	}
 	st := e.Stats()
 	if st.OSREntries == 0 {
 		t.Fatalf("refused warm-up header parked the hot loop: %+v", st)
@@ -192,5 +210,139 @@ print(result);
 				}
 			}
 		})
+	}
+}
+
+// hot0Program is progen's hot0 shape, one activation of an iters-long loop
+// whose speculated call's result type flips three fifths of the way in: to
+// undefined for good when permanent, for that one iteration otherwise. The
+// call result c is assigned at the top of the loop body before any read.
+func hot0Program(iters int, permanent bool) string {
+	flip := iters * 3 / 5
+	helper := fmt.Sprintf(`function hu(p, q) { if (p == %d) { return; } return (q * 3 + p) %% 1000003; }`, flip)
+	if permanent {
+		helper = fmt.Sprintf(`function hu(p, q) { if (p < %d) { return (q * 3 + p) %% 1000003; } return; }`, flip)
+	}
+	return helper + fmt.Sprintf(`
+function hot0(z) {
+  var a = new Array(16);
+  var ii = 0;
+  while (ii < 16) { a[ii] = ii * 3 + 1; ii = ii + 1; }
+  var s = 0;
+  var c = 0;
+  var i0 = 0;
+  while (i0 < %d) {
+    c = hu(i0, z);
+    if (c) { s = (s + c + i0) %% 1000003; }
+    a[(i0 & 255) %% a.length] = (s + i0) %% 65536;
+    s = (s + a[(s & 255) %% a.length] + a.length) %% 1000003;
+    i0 = i0 + 1;
+  }
+  return s;
+}
+var result = hot0(5);
+`, iters)
+}
+
+// runDeoptResume runs src like osrAgainstInterp, with hot0's lifecycle on a
+// ring, and returns hot0's facts and the deepest nesting of OSR hook calls:
+// a deopted frame that OSRs back in does so from inside the hook call whose
+// entry deopted.
+func runDeoptResume(t *testing.T, src string) (facts []obs.Event, maxDepth int) {
+	t.Helper()
+	_, want, err := RunScript(src, Config{DisableJIT: true})
+	if err != nil {
+		t.Fatalf("interp: %v", err)
+	}
+	ring := obs.NewRing(0)
+	e, err := New(src, Config{IonThreshold: 30, BaselineThreshold: 10, OSR: true, Speculate: true, Tracer: obs.NewTracer(ring)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook, depth := e.VM.OSR, 0
+	e.VM.OSR = func(fn *bytecode.Function, targetPC int, locals []value.Value) (value.Value, bool, error) {
+		depth++
+		maxDepth = max(maxDepth, depth)
+		defer func() { depth-- }()
+		return hook(fn, targetPC, locals)
+	}
+	got, err := e.Run()
+	if err != nil {
+		t.Fatalf("jit: %v", err)
+	}
+	if want.ToString() != got.ToString() {
+		t.Fatalf("value divergence: interp=%s jit=%s", want.ToString(), got.ToString())
+	}
+	return obs.Lifecycles(ring.Events())["hot0"], maxDepth
+}
+
+// TestDeoptResumeReentersAfterStorm: a permanent flip makes the resumed
+// frame re-enter the same artifact and deopt again until the storm rule
+// requalifies the function; the loop's next back edge then compiles it
+// unspeculated and the frame OSRs in for the rest of the loop. (A resumed
+// frame that could not OSR showed one deopt and no later entry.)
+func TestDeoptResumeReentersAfterStorm(t *testing.T) {
+	facts, depth := runDeoptResume(t, hot0Program(2000, true))
+	deopts, requalified, reentered := 0, false, false
+	for _, ev := range facts {
+		switch {
+		case ev.Name == obs.FactDeopt:
+			if requalified {
+				t.Fatal("deopt after the unspeculated recompile")
+			}
+			deopts++
+		case ev.Name == obs.FactRequalified:
+			if deopts != maxDeoptsBeforeRequalify {
+				t.Fatalf("requalified after %d deopts, want %d", deopts, maxDeoptsBeforeRequalify)
+			}
+			requalified = true
+		case ev.Name == obs.FactOSREnter && requalified && ev.Str("result") == "ok":
+			reentered = true
+		}
+	}
+	if deopts != maxDeoptsBeforeRequalify || !requalified || !reentered {
+		t.Fatalf("deopts %d, requalified %v, entered the recompile %v; want %d, true, true",
+			deopts, requalified, reentered, maxDeoptsBeforeRequalify)
+	}
+	if depth > maxDeoptsBeforeRequalify+1 {
+		t.Fatalf("OSR hook calls nested %d deep, want at most %d", depth, maxDeoptsBeforeRequalify+1)
+	}
+}
+
+// TestDeoptResumeReentersAfterTransientFlip: a flip for one value deopts
+// once; the resumed frame re-enters the same artifact at the next back edge
+// and finishes the loop in it, without requalifying anything.
+func TestDeoptResumeReentersAfterTransientFlip(t *testing.T) {
+	facts, depth := runDeoptResume(t, hot0Program(2000, false))
+	deopts, reentered := 0, false
+	for _, ev := range facts {
+		switch {
+		case ev.Name == obs.FactDeopt:
+			deopts++
+		case ev.Name == obs.FactRequalified:
+			t.Fatal("a transient flip requalified the function")
+		case ev.Name == obs.FactOSREnter && deopts > 0 && ev.Str("result") == "ok":
+			reentered = true
+		}
+	}
+	if deopts != 1 || !reentered {
+		t.Fatalf("deopts %d, re-entered %v; want 1, true", deopts, reentered)
+	}
+	if depth != 2 {
+		t.Fatalf("OSR hook calls nested %d deep, want 2 (the entry, the re-entry)", depth)
+	}
+}
+
+// BenchmarkDeoptResume reports ns per run of a hot0-shaped loop of 20,000
+// iterations whose call result flips to undefined for good at iteration
+// 12,000: tier-up mid-loop, the deopt storm, the unspeculated recompile
+// and the rest of the loop in it.
+func BenchmarkDeoptResume(b *testing.B) {
+	src := hot0Program(20000, true)
+	cfg := Config{IonThreshold: 30, BaselineThreshold: 10, OSR: true, Speculate: true}
+	for i := 0; i < b.N; i++ {
+		if _, _, err := RunScript(src, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

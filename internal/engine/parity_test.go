@@ -29,7 +29,10 @@ var updateParity = flag.Bool("update-parity", false, "rewrite testdata/obs_parit
 // spelled as the journal spelled them — differ from the test that wrote it.
 // The watchdog and the flight recorder went too: the golden lost their
 // anomalies, health and episodes, and the audit lines the watchdog's
-// anomalies had added, by deletion only.
+// anomalies had added, by deletion only. One journey moved by hand since:
+// deopt-storm's hot, once a deopted loop could OSR back in (an osr-entry
+// before every deopt, the storm inside the first call, so requalified and
+// the recompile at tier interp, and a last osr-entry into that code).
 
 // parityRecord is what one scenario's observability outputs reduce to once
 // timestamps, sequence numbers and durations are stripped: the part of

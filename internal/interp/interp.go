@@ -234,22 +234,24 @@ func (vm *VM) Exec(fn *bytecode.Function, args []value.Value) (value.Value, erro
 	if len(args) > fn.NumParams {
 		args = args[:fn.NumParams]
 	}
-	return vm.ExecFrom(fn, args, 0, true)
+	return vm.ExecFrom(fn, args, 0)
 }
 
 // ExecFrom interprets an activation of fn from pc0 with the given leading
 // locals; the rest are undefined, as in a fresh frame. Besides Exec, the
 // engine uses it to continue an activation after a deoptimization rebuilt
-// its locals; allowOSR=false then prevents the deopted loop from
-// immediately OSR-ing back into the code it just left. locals may alias
-// the caller's window (the interpreter passes the top of its operand stack
-// as arguments): they are copied into the new window before anything runs.
-func (vm *VM) ExecFrom(fn *bytecode.Function, locals []value.Value, pc0 int, allowOSR bool) (value.Value, error) {
+// its locals. The resumed frame is an ordinary one: its loops offer the OSR
+// hook their back edges like any other, so a deopted loop may go back into
+// native code (recompiled, or the same code if the flip was transient).
+// locals may alias the caller's window (the interpreter passes the top of
+// its operand stack as arguments): they are copied into the new window
+// before anything runs.
+func (vm *VM) ExecFrom(fn *bytecode.Function, locals []value.Value, pc0 int) (value.Value, error) {
 	saved := vm.cur
 	win := vm.window(fn)
 	n := copy(win[:fn.NumLocals], locals)
 	clear(win[n:fn.NumLocals])
-	v, err := vm.run(fn, win, pc0, allowOSR)
+	v, err := vm.run(fn, win, pc0)
 	vm.cur = saved
 	return v, err
 }
@@ -263,7 +265,7 @@ func (vm *VM) ExecFrom(fn *bytecode.Function, locals []value.Value, pc0 int, all
 // first and then write the result over the left operand in place — the
 // common case never builds or copies a 32-byte Value; everything else
 // takes the coercing path.
-func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int, allowOSR bool) (value.Value, error) {
+func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int) (value.Value, error) {
 	code := fn.Code
 	nl := fn.NumLocals
 	sp := nl
@@ -458,7 +460,7 @@ func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int, allowOSR 
 				if vm.BackEdges != nil {
 					vm.BackEdges[fn.Index]++
 				}
-				if allowOSR && vm.OSR != nil && sp == nl {
+				if vm.OSR != nil && sp == nl {
 					// Loop back edge at a statement boundary: offer the engine an
 					// on-stack replacement into native code.
 					res, done, err := vm.OSR(fn, target, stack[:nl:nl])

@@ -555,7 +555,7 @@ function dirty(x) { var p = 7; var q = 8; return p + q + x; }`)
 	if _, err := vm.CallFunction(prog.FuncByName["dirty"], []value.Value{value.Num(1)}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := vm.ExecFrom(prog.Funcs[prog.FuncByName["f"]], []value.Value{value.Num(5)}, 0, false)
+	v, err := vm.ExecFrom(prog.Funcs[prog.FuncByName["f"]], []value.Value{value.Num(5)}, 0)
 	if err != nil || v.AsNumber() != 115 {
 		t.Fatalf("ExecFrom with one of three locals = %v, %v, want 115", v, err)
 	}

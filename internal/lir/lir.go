@@ -212,7 +212,7 @@ type RematOp struct {
 type OSREntry struct {
 	Ordinal  int32       // loop ordinal (matches bytecode.OSRSite.Ordinal)
 	PC       int32       // op index of the KOSRPoint marker
-	Slots    []FrameSlot // frame map: interpreter locals → registers
+	Slots    []FrameSlot // frame map: interpreter locals → registers; regalloc drops the locals dead at the header
 	Consts   []ConstSlot // hoisted constants to rematerialize at entry
 	Remats   []RematOp   // hoisted derived values (elems handles, lengths) to recompute
 	Eligible bool        // set by regalloc: everything live here is covered by Slots+Consts+Remats

@@ -5,6 +5,7 @@
 package regalloc
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/jitbull/jitbull/internal/faults"
@@ -216,13 +217,20 @@ func Allocate(c *lir.Code) {
 // frame at that loop header is sound: every register live at the header (in
 // the post-allocation code) must be covered by the entry's frame map, since
 // OSR materialization zeroes the frame and writes only frame-map registers.
-// The one class of uncovered live registers the entry can absorb is
-// rematerializable constants (see the reaching-defs pass below); anything
-// else — hoisted handles, sunk temporaries — makes the entry ineligible.
+// The classes of uncovered live registers the entry can absorb are
+// rematerializable constants and preheader-cached array accessors (see the
+// reaching-defs pass below); anything else — sunk temporaries, derived
+// values of other shapes — makes the entry ineligible.
 //
-// Deopt-exit registers need no extra treatment here: an exit slot's register
-// is either the same definition the header frame map materializes or one
-// written by ops on the path from the header to the speculated call.
+// It then prunes the frame map to what the code can read: a slot stays when
+// its register is live at the header or is the array handle a RematElems
+// re-derives from. A pruned local is not materialized, so its runtime type
+// no longer refuses the entry (a call result the loop body overwrites
+// before reading may hold anything at the header, undefined after a deopt
+// included). A deopt exit reads its slots' registers when its guard fails,
+// so the liveness counts those reads as uses at the KCallSpec, before the
+// call's def: a local the loop leaves alone but a deopt must hand back to
+// the interpreter stays in the map.
 func markEligible(c *lir.Code) {
 	if len(c.OSREntries) == 0 {
 		return
@@ -234,13 +242,20 @@ func markEligible(c *lir.Code) {
 		words = 1
 	}
 
-	// Per-op register references, uses before defs (forEachReg's order).
+	// Per-op register references, uses before defs (forEachReg's order). A
+	// guarded call's deopt exit reads its slots after the call returns and
+	// before the result is written.
 	type ref struct {
 		reg   int32
 		isDef bool
 	}
 	refs := make([][]ref, nOps)
 	forEachReg(c, func(r *int32, pc int, isDef bool) {
+		if op := &c.Ops[pc]; isDef && op.Kind == lir.KCallSpec && op.Target >= 0 && int(op.Target) < len(c.DeoptExits) {
+			for _, s := range c.DeoptExits[op.Target].Slots {
+				refs[pc] = append(refs[pc], ref{s.Reg, false})
+			}
+		}
 		refs[pc] = append(refs[pc], ref{*r, isDef})
 	})
 
@@ -471,12 +486,23 @@ func markEligible(c *lir.Code) {
 			unresolved = next
 		}
 		e.Eligible = len(unresolved) == 0
+
+		// Prune only now: the remats above root at object slots that may
+		// themselves be dead at the header.
+		keep := bitset()
+		copy(keep, liveIn[bi])
+		for _, ro := range e.Remats {
+			if ro.Kind == lir.RematElems {
+				set(keep, ro.Src)
+			}
+		}
+		e.Slots = slices.DeleteFunc(e.Slots, func(s lir.FrameSlot) bool { return !has(keep, s.Reg) })
 	}
 }
 
 // forEachReg visits every register reference in the code (including call
-// argument lists). isDef is a best-effort hint, unused by the current
-// allocator but kept for future precise liveness.
+// argument lists), an op's uses before its def. isDef tells them apart: the
+// allocator's intervals ignore it, markEligible's liveness needs it.
 func forEachReg(c *lir.Code, fn func(r *int32, pc int, isDef bool)) {
 	for pc := range c.Ops {
 		op := &c.Ops[pc]

@@ -217,3 +217,110 @@ func TestAllocateCallArgs(t *testing.T) {
 		t.Fatalf("call args merged: %v", c.ArgLists[0])
 	}
 }
+
+// deoptLoopOSR builds a loop whose body starts with a guarded call: n and i
+// drive the loop, k is left alone by the body but read by the call's deopt
+// exit, and c takes the call's result before anything reads it.
+func deoptLoopOSR() *lir.Code {
+	c := mk(1,
+		lir.Op{Kind: lir.KUnbox, Dst: 0, A: 0},                       // 0: n
+		lir.Op{Kind: lir.KConst, Dst: 1, Imm: 0},                     // 1: i = 0
+		lir.Op{Kind: lir.KConst, Dst: 2, Imm: 5},                     // 2: k = 5
+		lir.Op{Kind: lir.KConst, Dst: 5, Imm: 0},                     // 3: c = 0
+		lir.Op{Kind: lir.KOSRPoint, Aux: 0},                          // 4: loop header
+		lir.Op{Kind: lir.KCmp, Dst: 3, A: 1, B: 0, Aux: 1},           // 5: i < n
+		lir.Op{Kind: lir.KBranchFalse, A: 3, Target: 11},             // 6
+		lir.Op{Kind: lir.KCallSpec, Dst: 4, A: 0, Aux: 1, Target: 0}, // 7: guarded call(i)
+		lir.Op{Kind: lir.KMove, Dst: 5, A: 4},                        // 8: c = result
+		lir.Op{Kind: lir.KAdd, Dst: 1, A: 1, B: 5},                   // 9: i = i + c
+		lir.Op{Kind: lir.KJump, Target: 4},                           // 10: back edge
+		lir.Op{Kind: lir.KRetNum, A: 1},                              // 11
+	)
+	c.ArgLists = [][]int32{{1}}
+	c.DeoptExits = []lir.DeoptExit{{
+		Ordinal: 0, ResultSlot: 3,
+		Slots: []lir.FrameSlot{
+			{Slot: 0, Reg: 0, Kind: lir.SlotNum},
+			{Slot: 1, Reg: 1, Kind: lir.SlotNum},
+			{Slot: 2, Reg: 2, Kind: lir.SlotNum},
+		},
+	}}
+	c.OSREntries = []lir.OSREntry{{
+		Ordinal: 0, PC: 4,
+		Slots: []lir.FrameSlot{
+			{Slot: 0, Reg: 0, Kind: lir.SlotNum},
+			{Slot: 1, Reg: 1, Kind: lir.SlotNum},
+			{Slot: 2, Reg: 2, Kind: lir.SlotNum},
+			{Slot: 3, Reg: 5, Kind: lir.SlotNum},
+		},
+	}}
+	return c
+}
+
+// frameLocals lists the interpreter locals an OSR entry's frame map holds.
+func frameLocals(e *lir.OSREntry) map[int32]bool {
+	out := map[int32]bool{}
+	for _, s := range e.Slots {
+		out[s.Slot] = true
+	}
+	return out
+}
+
+// TestMarkEligiblePrunesDeadLocals: c is assigned at the top of the loop
+// body before any read, so its value at the header is dead. It must leave
+// the frame map — after a deopt it holds whatever the guard saw, and
+// materializing it would refuse every later entry — while the locals the
+// loop reads stay.
+func TestMarkEligiblePrunesDeadLocals(t *testing.T) {
+	c := deoptLoopOSR()
+	Allocate(c)
+	e := &c.OSREntries[0]
+	if !e.Eligible {
+		t.Fatalf("entry must stay eligible: %+v", e)
+	}
+	got := frameLocals(e)
+	if got[3] {
+		t.Errorf("c is dead at the header but still in the frame map: %+v", e.Slots)
+	}
+	if !got[0] || !got[1] {
+		t.Errorf("the loop's live locals n, i left the frame map: %+v", e.Slots)
+	}
+}
+
+// TestMarkEligibleKeepsDeoptExitLocals: k is read by nothing in the loop
+// but the guarded call's deopt exit, which hands it back to the
+// interpreter. Pruning it would leave its register zeroed on entry and a
+// deopt would rebuild k as 0.
+func TestMarkEligibleKeepsDeoptExitLocals(t *testing.T) {
+	c := deoptLoopOSR()
+	Allocate(c)
+	e := &c.OSREntries[0]
+	var k *lir.FrameSlot
+	for i := range e.Slots {
+		if e.Slots[i].Slot == 2 {
+			k = &e.Slots[i]
+		}
+	}
+	if k == nil {
+		t.Fatalf("k, read only by the deopt exit, left the frame map: %+v", e.Slots)
+	}
+	if exitReg := c.DeoptExits[0].Slots[2].Reg; k.Reg != exitReg {
+		t.Fatalf("k materializes into r%d, the deopt exit reads r%d", k.Reg, exitReg)
+	}
+}
+
+// TestMarkEligibleKeepsRematSource: the array handle is read inside the
+// loop only through the preheader-cached elements address, so it is dead
+// at the header — but the entry's RematElems re-derives that address from
+// it, so its slot must stay.
+func TestMarkEligibleKeepsRematSource(t *testing.T) {
+	c := arrayLoopOSR()
+	Allocate(c)
+	e := &c.OSREntries[0]
+	if got := frameLocals(e); !got[0] || !got[1] || !got[2] {
+		t.Fatalf("frame map lost a local it needs: %+v", e.Slots)
+	}
+	if len(e.Remats) == 0 || e.Remats[0].Src != e.Slots[0].Reg {
+		t.Fatalf("elems remat does not read the array slot: remats %+v, slots %+v", e.Remats, e.Slots)
+	}
+}
