@@ -12,30 +12,44 @@ import (
 	"github.com/jitbull/jitbull/internal/obs"
 )
 
-// smallestShared returns the smallest interned ID common to both sorted
-// sets — the witness the index is specified to record.
+// smallestShared returns the chain common to both sorted ID sets whose
+// string form is smallest — the witness the index is specified to record
+// (by content, so it does not depend on the order chains were interned).
 func smallestShared(a, b []uint32) (uint32, bool) {
+	var best uint32
+	found := false
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] == b[j]:
-			return a[i], true
+			if !found || ChainString(a[i]) < ChainString(best) {
+				best, found = a[i], true
+			}
+			i++
+			j++
 		case a[i] < b[j]:
 			i++
 		default:
 			j++
 		}
 	}
-	return 0, false
+	return best, found
 }
 
 func TestMatchAttributionWitnessChain(t *testing.T) {
 	vdcRem := []string{"a→b→c", "b→c", "c→d→e"}
 	vdcAdd := []string{"e→f", "phi→add", "unbox→a"}
+	// Interned in reverse string order, so the smallest ID is the largest
+	// chain: the witness must still be the smallest by content.
+	vdcSink := []string{"witness-z→y", "witness-m→y", "witness-a→y"}
+	for _, c := range vdcSink {
+		InternChain(c)
+	}
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-W", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
 		"GVN":  MakeDelta(vdcRem, nil),
 		"LICM": MakeDelta(nil, vdcAdd),
+		"Sink": MakeDelta(vdcSink, nil),
 	}}}})
 
 	cases := []struct {
@@ -46,6 +60,7 @@ func TestMatchAttributionWitnessChain(t *testing.T) {
 	}{
 		{"removed side", "GVN", MakeDelta([]string{"a→b→c", "b→c", "x→y→z"}, nil), "removed"},
 		{"added side", "LICM", MakeDelta(nil, []string{"e→f", "phi→add", "x→y→z"}), "added"},
+		{"content order", "Sink", MakeDelta(vdcSink, nil), "removed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,6 +88,9 @@ func TestMatchAttributionWitnessChain(t *testing.T) {
 			}
 			if m.Chain != ChainString(want) {
 				t.Fatalf("Chain = %q, want %q", m.Chain, ChainString(want))
+			}
+			if tc.pass == "Sink" && m.Chain != "witness-a→y" {
+				t.Fatalf("Chain = %q, want the smallest by content %q", m.Chain, "witness-a→y")
 			}
 		})
 	}

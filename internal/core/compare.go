@@ -206,7 +206,7 @@ func decisionOf(found []obs.Match) engine.CompileDecision {
 		if a.Side != b.Side {
 			return a.Side < b.Side
 		}
-		return a.ChainID < b.ChainID
+		return a.Chain < b.Chain
 	})
 	dec := engine.CompileDecision{Matches: append([]obs.Match(nil), found...)}
 	for _, m := range found {

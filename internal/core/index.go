@@ -112,12 +112,12 @@ func (s matchSide) String() string {
 // matchScratch is the reusable query state of one Detector: a per-entry
 // hit counter with a touched list for O(hits) reset, a matched set so an
 // entry similar on both sides is reported once, and per-entry witness
-// attribution (the first — smallest, since candidates are sorted — chain
-// shared with the entry, and the side it was shared on).
+// attribution (the smallest chain by content shared with the entry, and
+// the side it was shared on).
 type matchScratch struct {
 	counts     []uint32
 	matched    []bool
-	witness    []uint32 // chain that first touched the entry this side
+	witness    []uint32 // smallest shared chain (string order) so far this side
 	touched    []uint32
 	matchedIDs []uint32
 	sides      []matchSide // parallel to matchedIDs
@@ -142,9 +142,10 @@ func (sc *matchScratch) ensure(n int) {
 // inner loop. Early exits: a pass absent from the database costs one map
 // lookup; a candidate side smaller than Thr is skipped outright; and only
 // deltas sharing at least one chain with the candidate are ever visited or
-// scored. emit receives the witness attribution: the smallest chain shared
-// with the matched delta and the side it was shared on (NoChain/sideNone
-// under degenerate thresholds, which need no shared chain).
+// scored. emit receives the witness attribution: the smallest chain by
+// content (string order) shared with the matched delta and the side it was
+// shared on (NoChain/sideNone under degenerate thresholds, which need no
+// shared chain).
 func (ix *MatchIndex) query(pass string, d Delta, ratio float64, thr int, sc *matchScratch, emit func(cve, vdcFunc string, chain uint32, side matchSide)) {
 	// Reset before the early return: callers read sc.probes after every
 	// query, and a pass with no bucket must report 0, not the previous
@@ -181,9 +182,12 @@ func (ix *MatchIndex) query(pass string, d Delta, ratio float64, thr int, sc *ma
 }
 
 // querySide accumulates shared-chain counts for one delta side and records
-// the entries reaching both thresholds into sc.matchedIDs. Candidates are
-// sorted ascending, so the chain that first touches an entry is the
-// smallest shared one — the recorded witness.
+// the entries reaching both thresholds into sc.matchedIDs. The recorded
+// witness is the smallest shared chain by content, not by ID: IDs follow
+// the process's interning history (a database built in this process and
+// the same database loaded from disk number their chains differently), and
+// a verdict replayed from the store must name the witness a fresh decision
+// would.
 func (ix *MatchIndex) querySide(post map[uint32][]uint32, cand []uint32, side matchSide, ratio float64, thr int, sc *matchScratch) {
 	minShared := thr
 	if minShared < 1 {
@@ -193,10 +197,13 @@ func (ix *MatchIndex) querySide(post map[uint32][]uint32, cand []uint32, side ma
 		return
 	}
 	sc.touched = sc.touched[:0]
+	cs := interner.chainsView()
 	for _, c := range cand {
 		for _, id := range post[c] {
 			if sc.counts[id] == 0 {
 				sc.touched = append(sc.touched, id)
+				sc.witness[id] = c
+			} else if cs[c].str < cs[sc.witness[id]].str {
 				sc.witness[id] = c
 			}
 			sc.counts[id]++

@@ -34,10 +34,11 @@ type Match struct {
 	VDCFunc string `json:"vdc_func"`
 	Pass    string `json:"pass"`
 	// ChainID is the witness chain's ID in the policy's interner: the
-	// smallest chain shared between the candidate DNA and the matched delta
-	// on Side, or core.NoChain when the match needed no shared chain
-	// (degenerate thresholds). It means nothing to another process; Chain
-	// is what travels, and a reader in another process interns it again.
+	// smallest chain by content (string order of Chain) shared between the
+	// candidate DNA and the matched delta on Side, or core.NoChain when the
+	// match needed no shared chain (degenerate thresholds). It means nothing
+	// to another process; Chain is what travels, and a reader in another
+	// process interns it again.
 	ChainID uint32 `json:"chain_id"`
 	Side    string `json:"side,omitempty"`  // "removed" or "added"; "" with no witness
 	Chain   string `json:"chain,omitempty"` // "→"-joined chain rendering
