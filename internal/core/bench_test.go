@@ -10,11 +10,18 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/jitbull/jitbull/internal/ast"
+	"github.com/jitbull/jitbull/internal/bytecode"
+	"github.com/jitbull/jitbull/internal/compiler"
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/mir"
+	"github.com/jitbull/jitbull/internal/mirbuild"
+	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/octane"
+	"github.com/jitbull/jitbull/internal/parser"
 	"github.com/jitbull/jitbull/internal/passes"
+	"github.com/jitbull/jitbull/internal/value"
 	"github.com/jitbull/jitbull/internal/vulndb"
 )
 
@@ -204,4 +211,108 @@ func BenchmarkDetectorFinish(b *testing.B) {
 	}
 	ref := core.NewReferenceDetector(dbs[4])
 	b.Run("ref4VDC", replayAll(ref, ref.Reset)) // the reference appends duplicate matches
+}
+
+// stormFunc is one storm-shaped function with the inputs mirbuild needs.
+type stormFunc struct {
+	prog *bytecode.Program
+	fd   *ast.FuncDecl
+	opts mirbuild.Options
+}
+
+// stormFuncs returns the functions of the compile_storm programs that
+// compile under type feedback as the engine would see it: globals typed
+// by their values after an interpreted run, progen's array parameters (a,
+// b) as arrays and every other parameter and return value as a number.
+func stormFuncs() ([]stormFunc, error) {
+	var out []stormFunc
+	for _, src := range stormSources() {
+		prog, err := compiler.Compile(src)
+		if err != nil {
+			return nil, err
+		}
+		e, err := engine.New(src, engine.Config{DisableJIT: true})
+		if err != nil {
+			return nil, err
+		}
+		if _, err := e.Run(); err != nil {
+			return nil, err
+		}
+		globals := e.Globals()
+		for _, fd := range parser.MustParse(src).Funcs() {
+			types := make([]value.Type, len(fd.Params))
+			for i, p := range fd.Params {
+				types[i] = value.Number
+				if p == "a" || p == "b" {
+					types[i] = value.Array
+				}
+			}
+			f := stormFunc{prog: prog, fd: fd, opts: mirbuild.Options{
+				ParamTypes: types,
+				GlobalType: func(slot int) value.Type { return globals[slot].Type() },
+				ReturnType: func(int) value.Type { return value.Number },
+			}}
+			// Keep what compiles under this feedback, as the engine keeps
+			// only what it can compile.
+			if g, err := mirbuild.Build(f.prog, f.fd, f.opts); err == nil && passes.Run(g, nil, nil, nil) == nil {
+				out = append(out, f)
+			}
+		}
+	}
+	return out, nil
+}
+
+// BenchmarkDetectorCompile measures what JITBULL adds to a compile as the
+// database grows (the cost-vs-database shape of the paper's Figs. 5/6):
+// one op is one judged compile of every storm-shaped function — mirbuild,
+// the pass pipeline observed as the engine observes it for a bare
+// detector (watched passes only; nothing at all under the empty DB #0),
+// and the finish step. Beside ns/op and allocs/op it reports the Δ chains
+// the detector compared per op and the chains it interned per op; the
+// interner is process-wide, so the latter is the cold count only at
+// -benchtime 1x (later ops find their chains interned).
+func BenchmarkDetectorCompile(b *testing.B) {
+	funcs, err := stormFuncs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 4, 8} {
+		db, bugs := &core.Database{}, passes.BugSet{}
+		if n > 0 {
+			if db, bugs, err = vulndb.BuildDB(n, benchIonThreshold); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("DB%d", n), func(b *testing.B) {
+			det := core.NewDetector(db)
+			det.Metrics = obs.NewRegistry()
+			deltaChains := det.Metrics.Histogram("dna.delta_chains", obs.SizeBuckets)
+			d0, c0 := deltaChains.Sum(), core.NumChains()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, f := range funcs {
+					g, err := mirbuild.Build(f.prog, f.fd, f.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					opts := passes.RunOptions{Bugs: bugs}
+					var finish func() engine.CompileDecision
+					if det.Active() {
+						opts.Observer, finish = det.BeginCompile(f.fd.Name)
+						opts.Watch = det.Watches
+					}
+					if err := passes.RunWith(g, opts); err != nil {
+						b.Fatal(err)
+					}
+					if finish != nil {
+						finish()
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(deltaChains.Sum()-d0)/float64(b.N), "delta_chains/op")
+			b.ReportMetric(float64(core.NumChains()-c0)/float64(b.N), "interned/op")
+		})
+	}
 }

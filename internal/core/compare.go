@@ -52,7 +52,9 @@ func SimilarDeltas(a, b Delta, ratio float64, thr int) bool {
 // Detector is the Δ comparator plus go/no-go policy. It implements
 // engine.Policy: install it with Engine.SetPolicy. With an empty database
 // Active reports false and the engine skips all snapshotting (zero
-// overhead, as §V requires). Comparison goes through the database's
+// overhead, as §V requires); otherwise, as an engine.WatchingPolicy, it
+// has the engine snapshot only the passes the database fingerprints, so
+// the cost follows the database. Comparison goes through the database's
 // compiled MatchIndex, so a compilation's finish step visits only deltas
 // sharing at least one chain with the candidate DNA.
 type Detector struct {
@@ -112,6 +114,17 @@ func (d *Detector) Active() bool {
 	return d.DB != nil && (d.DB.FailSafe() || d.DB.Size() > 0)
 }
 
+// Watches implements engine.WatchingPolicy: a pass is worth snapshotting
+// exactly when the database's match index has a bucket for it. Algorithm 2
+// compares a candidate's Δ for a pass only with VDC Δs recorded for that
+// pass, so the Δ of any other pass can never take part in a verdict. The
+// answer follows Add/Remove (the index is rebuilt on mutation).
+func (d *Detector) Watches(pass string) bool {
+	return d.DB != nil && d.DB.Index(d.Thr).watches(pass)
+}
+
+var _ engine.WatchingPolicy = (*Detector)(nil)
+
 // Reset clears the accumulated matches so the detector can be reused
 // across evaluation runs.
 func (d *Detector) Reset() {
@@ -134,8 +147,11 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 	dna := DNA{FuncName: fnName, Passes: map[string]Delta{}}
 	de := newDeltaExtractor()
 	observe := func(_ int, passName string, before, after *mir.Snapshot) {
-		if before == nil || after == nil {
-			return // pass skipped (already disabled)
+		// A disabled pass comes as (nil, nil). An unwatched one reaches
+		// here only through a wrapper that hides Watches: skip its
+		// extraction all the same.
+		if before == nil || after == nil || !d.Watches(passName) {
+			return
 		}
 		delta := de.delta(before, after)
 		if !delta.Empty() {
@@ -237,8 +253,8 @@ func (d *Detector) book(dec engine.CompileDecision) {
 }
 
 // Recorder implements engine.Policy in record-only mode: it extracts the
-// DNA of every function the engine compiles without ever vetoing a
-// compilation. It is how VDC fingerprints are produced (step 1 of the
+// DNA of every function the engine compiles, at every pass (it is no
+// engine.WatchingPolicy), without ever vetoing a compilation. It is how VDC fingerprints are produced (step 1 of the
 // paper's workflow): run the demonstrator code on the vulnerable engine
 // with a Recorder installed, then store the collected DNAs in the
 // database.

@@ -3,6 +3,7 @@ package core
 import (
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,12 +58,54 @@ func TestBuildGraphRootsAndChains(t *testing.T) {
 	}
 }
 
-// chainStringsOf runs the interned chain enumeration and renders the
-// result as sorted strings.
+// chainStringsOf runs the chain enumeration and renders the result as
+// sorted strings.
 func chainStringsOf(s *mir.Snapshot) []string {
 	de := newDeltaExtractor()
 	defer de.release()
-	return ChainStrings(de.chainsOf(s))
+	var cs chainSet
+	de.chainsOf(s, &cs)
+	return cs.strings()
+}
+
+// strings renders a chain set as sorted chain strings, duplicates kept
+// (nil when empty, as ChainStrings).
+func (cs *chainSet) strings() []string {
+	if len(cs.keys) == 0 {
+		return nil
+	}
+	toks := interner.tokensView()
+	out := make([]string, 0, len(cs.keys))
+	for _, k := range cs.keys {
+		parts := make([]string, 0, len(cs.chain(k)))
+		for _, t := range cs.chain(k) {
+			parts = append(parts, toks[t])
+		}
+		out = append(out, strings.Join(parts, chainSep))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// chainSetOf builds a sorted chain set from chain strings, hashed as
+// chainsOf hashes them.
+func chainSetOf(chains []string) *chainSet {
+	cs := &chainSet{}
+	for _, c := range chains {
+		toks := tokensOf(c)
+		cs.add(toks, chainHash(toks))
+	}
+	cs.sort()
+	return cs
+}
+
+// tokensOf interns a chain string's tokens (not the chain).
+func tokensOf(c string) []uint32 {
+	var toks []uint32
+	for _, p := range strings.Split(c, chainSep) {
+		toks = append(toks, interner.Token(p))
+	}
+	return toks
 }
 
 func TestChainsCutCycles(t *testing.T) {
@@ -280,7 +323,7 @@ func TestDiffChainSetsWholeChains(t *testing.T) {
 	}
 	de := newDeltaExtractor()
 	defer de.release()
-	rem, add := de.diffChainSets(InternChains(pre), InternChains(post))
+	rem, add := de.diffChainSets(chainSetOf(pre), chainSetOf(post))
 	if got := ChainStrings(rem); !reflect.DeepEqual(got, removed) {
 		t.Fatalf("interned removed = %v, want %v", got, removed)
 	}

@@ -5,10 +5,11 @@
 // driving a go/no-go policy that disables matched optimization passes (or,
 // when a matched pass is mandatory, JIT compilation of that function).
 //
-// The pipeline runs entirely on interned chain IDs (see Interner) and
-// compares candidates through an inverted index compiled from the database
-// (see MatchIndex); reference.go retains the original string-based
-// implementation, which the equivalence tests hold the fast path to.
+// Δs are sets of interned chain IDs (see Interner), compared through an
+// inverted index compiled from the database (see MatchIndex), and only
+// the passes the database fingerprints are extracted (Detector.Watches);
+// reference_test.go retains the original string-based implementation,
+// which the equivalence tests hold the fast path to.
 package core
 
 import (

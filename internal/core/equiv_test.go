@@ -53,8 +53,10 @@ func checkDeltaEquivalence(t *testing.T, before, after *mir.Snapshot) {
 	t.Helper()
 
 	de := newDeltaExtractor()
-	gotPre := ChainStrings(de.chainsOf(before))
-	gotPost := ChainStrings(de.chainsOf(after))
+	var pre, post chainSet
+	de.chainsOf(before, &pre)
+	de.chainsOf(after, &post)
+	gotPre, gotPost := pre.strings(), post.strings()
 	de.release()
 	wantPre := refChainsOf(before)
 	wantPost := refChainsOf(after)

@@ -13,6 +13,7 @@ import (
 
 	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
+	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/octane"
 	"github.com/jitbull/jitbull/internal/passes"
 	"github.com/jitbull/jitbull/internal/progen"
@@ -53,24 +54,60 @@ func runLogged(t *testing.T, src string, cfg engine.Config, p engine.Policy) ([]
 	return log.decisions, e.Stats(), runErr
 }
 
-// checkRunEquivalence runs one program under both detectors and asserts
-// identical decision sequences, stats, and run outcome. Decisions drive
-// engine behavior (pass disabling, recompilation, tier choice), so
-// matching stats confirm the whole runs stayed in lockstep.
+// runBare executes src with the detector installed directly, so the engine
+// sees an engine.WatchingPolicy and snapshots only the passes the database
+// fingerprints (decisionLog hides Watches, as any wrapper does). The
+// decision sequence is read off the decide facts a Ring keeps.
+func runBare(t *testing.T, src string, cfg engine.Config, db *core.Database) ([]engine.CompileDecision, engine.Stats, error) {
+	t.Helper()
+	ring := obs.NewRing(0)
+	cfg.Tracer = obs.NewTracer(ring)
+	e, err := engine.New(src, cfg)
+	if err != nil {
+		t.Fatalf("engine.New: %v", err)
+	}
+	e.SetPolicy(core.NewDetector(db))
+	_, runErr := e.Run()
+	if n := ring.Dropped(); n > 0 {
+		t.Fatalf("the ring dropped %d events: decide facts may be lost", n)
+	}
+	var decs []engine.CompileDecision
+	for _, ev := range ring.Events() {
+		if ev.Name == obs.FactDecide && ev.Decision != nil {
+			decs = append(decs, engine.CompileDecision{DisabledPasses: ev.Decision.DisabledPasses, NoJIT: ev.Decision.NoJIT})
+		}
+	}
+	return decs, e.Stats(), runErr
+}
+
+// checkRunEquivalence runs one program under the reference detector and
+// under the detector, wrapped (observed at every pass) and bare (observed
+// at watched passes only), and asserts identical decision sequences,
+// stats, and run outcome. Decisions drive engine behavior (pass disabling,
+// recompilation, tier choice), so matching stats confirm the whole runs
+// stayed in lockstep.
 func checkRunEquivalence(t *testing.T, name, src string, cfg engine.Config, db *core.Database) {
 	t.Helper()
-	fastDec, fastStats, fastErr := runLogged(t, src, cfg, core.NewDetector(db))
 	refDec, refStats, refErr := runLogged(t, src, cfg, core.NewReferenceDetector(db))
-	if !reflect.DeepEqual(fastDec, refDec) {
-		t.Errorf("%s: decision sequences diverged\nfast %+v\nref  %+v", name, fastDec, refDec)
+	fastDec, fastStats, fastErr := runLogged(t, src, cfg, core.NewDetector(db))
+	bareDec, bareStats, bareErr := runBare(t, src, cfg, db)
+	for _, run := range []struct {
+		kind  string
+		dec   []engine.CompileDecision
+		stats engine.Stats
+		err   error
+	}{{"fast", fastDec, fastStats, fastErr}, {"bare", bareDec, bareStats, bareErr}} {
+		if !reflect.DeepEqual(run.dec, refDec) {
+			t.Errorf("%s: %s decision sequence diverged\n%s %+v\nref  %+v", name, run.kind, run.kind, run.dec, refDec)
+		}
+		if run.stats != refStats {
+			t.Errorf("%s: %s stats diverged\n%s %+v\nref  %+v", name, run.kind, run.kind, run.stats, refStats)
+		}
+		if (run.err == nil) != (refErr == nil) || (run.err != nil && run.err.Error() != refErr.Error()) {
+			t.Errorf("%s: %s run error diverged: %v vs %v", name, run.kind, run.err, refErr)
+		}
 	}
-	if fastStats != refStats {
-		t.Errorf("%s: stats diverged\nfast %+v\nref  %+v", name, fastStats, refStats)
-	}
-	if (fastErr == nil) != (refErr == nil) || (fastErr != nil && fastErr.Error() != refErr.Error()) {
-		t.Errorf("%s: run errors diverged: %v vs %v", name, fastErr, refErr)
-	}
-	if len(fastDec) == 0 {
+	if len(refDec) == 0 {
 		t.Errorf("%s: no Ion compilations observed; equivalence check is vacuous", name)
 	}
 }

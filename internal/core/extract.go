@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"strings"
@@ -29,12 +30,14 @@ const chainSep = "→"
 // graphs of IR_{i-1} and IR_i, enumerate their root→leaf dependency
 // chains, and compute the removed (δ⁻) and added (δ⁺) sub-chains, as
 // interned chain-ID sets. The result is defined to be identical (chain for
-// chain) to RefExtractDelta, the retained string-based reference.
+// chain) to RefExtractDelta, the retained string-based reference. Only
+// the chains the Δ keeps are interned.
 func ExtractDelta(before, after *mir.Snapshot) Delta {
 	de := newDeltaExtractor()
 	defer de.release()
-	pre := de.chainsOf(before)
-	post := de.chainsOf(after)
+	pre, post := &de.sets[0], &de.sets[1]
+	de.chainsOf(before, pre)
+	de.chainsOf(after, post)
 	removed, added := de.diffChainSets(pre, post)
 	return Delta{Removed: removed, Added: added}
 }
@@ -45,26 +48,29 @@ var extractorPool = sync.Pool{New: func() any { return &deltaExtractor{} }}
 
 // newDeltaExtractor returns a pooled extractor with a cleared memo.
 func newDeltaExtractor() *deltaExtractor {
-	de := extractorPool.Get().(*deltaExtractor)
-	de.lastSnap = nil
-	de.lastChains = nil
-	return de
+	return extractorPool.Get().(*deltaExtractor)
 }
 
-// release returns the extractor (and its scratch) to the pool.
-func (de *deltaExtractor) release() { extractorPool.Put(de) }
+// release clears the memo and returns the extractor (and its scratch) to
+// the pool.
+func (de *deltaExtractor) release() {
+	de.lastSnap = nil
+	extractorPool.Put(de)
+}
 
 // deltaExtractor carries the per-compilation memo plus reusable scratch
 // for graph building, chain enumeration, and chain-set diffing, so a
 // steady-state Δ extraction allocates only the returned chain sets.
 //
-// The memo holds the chain multiset of the most recent snapshot:
-// consecutive passes share IR snapshots (pass i's "after" is pass i+1's
-// "before"), so each snapshot's chains are computed exactly once per
-// compilation.
+// The memo is the chain multiset of the most recent "after" snapshot,
+// sets[memo]: consecutive observed passes share IR snapshots (pass i's
+// "after" is pass i+1's "before"), and a fresh "before" taken after
+// unobserved passes that changed nothing is equal to it, so each distinct
+// snapshot's chains are computed once per compilation.
 type deltaExtractor struct {
-	lastSnap   *mir.Snapshot
-	lastChains []uint32
+	lastSnap *mir.Snapshot // nil: no memo
+	sets     [2]chainSet
+	memo     int
 
 	// buildGraph scratch.
 	g       depGraph
@@ -77,10 +83,12 @@ type deltaExtractor struct {
 	stack  []walkFrame
 	onPath []bool
 	path   []uint32
+	hpath  []uint64 // hpath[k]: running hash of path[:k]
 
 	// diff scratch.
-	p, q             []uint32
+	p, q             [][]uint32 // one-sided chains (spans of the sets' toks)
 	usedQ            []bool
+	qDistinct        []int32  // indexes of q's first copies
 	tokMask          []uint64 // lcsMasks scratch, indexed by token ID; all zero between uses
 	dp               []int16
 	maskA, maskB     []bool
@@ -101,14 +109,15 @@ func (de *deltaExtractor) delta(before, after *mir.Snapshot) Delta {
 		}
 		return Delta{}
 	}
-	var pre []uint32
-	if before == de.lastSnap && before != nil {
-		pre = de.lastChains
+	m := 0
+	if de.lastSnap != nil && (before == de.lastSnap || snapshotsEqual(before, de.lastSnap)) {
+		m = de.memo
 	} else {
-		pre = de.chainsOf(before)
+		de.chainsOf(before, &de.sets[m])
 	}
-	post := de.chainsOf(after)
-	de.lastSnap, de.lastChains = after, post
+	pre, post := &de.sets[m], &de.sets[1-m]
+	de.chainsOf(after, post)
+	de.lastSnap, de.memo = after, 1-m
 	removed, added := de.diffChainSets(pre, post)
 	return Delta{Removed: removed, Added: added}
 }
@@ -243,15 +252,16 @@ type walkFrame struct {
 	depIdx int32
 }
 
-// chainsOf returns the dependency chains of the snapshot as interned chain
-// IDs — MakeChains over every root. The result is a fresh, sorted
-// multiset: two different instruction paths with the same opcode sequence
-// yield two entries, so duplicate-elimination by later passes stays
-// observable. The walk is an explicit-stack DFS with []bool on-path marks
+// chainsOf fills cs with the dependency chains of the snapshot —
+// MakeChains over every root — as a sorted multiset: two different
+// instruction paths with the same opcode sequence yield two entries, so
+// duplicate-elimination by later passes stays observable. Nothing is
+// interned: each chain is a token span with a content hash, hashed as the
+// path grows. The walk is an explicit-stack DFS with []bool on-path marks
 // and mirrors the recursive reference step for step (including the
 // maxChains and maxChainLen truncation points), so the chain multiset is
 // identical to refChainsOf's.
-func (de *deltaExtractor) chainsOf(s *mir.Snapshot) []uint32 {
+func (de *deltaExtractor) chainsOf(s *mir.Snapshot, cs *chainSet) {
 	de.buildGraph(s)
 	g := &de.g
 	n := len(g.toks)
@@ -260,17 +270,26 @@ func (de *deltaExtractor) chainsOf(s *mir.Snapshot) []uint32 {
 		de.onPath[i] = false
 	}
 	de.path = de.path[:0]
+	de.hpath = append(de.hpath[:0], chainHashSeed)
 	de.stack = de.stack[:0]
-	out := make([]uint32, 0, len(g.roots)*2)
+	cs.reset()
 
-	emit := func() { out = append(out, interner.Chain(de.path)) }
+	emit := func() { cs.add(de.path, chainHashFinal(de.hpath[len(de.path)])) }
+	push := func(tok uint32) {
+		de.hpath = append(de.hpath, chainHashStep(de.hpath[len(de.path)], tok))
+		de.path = append(de.path, tok)
+	}
+	pop := func() {
+		de.path = de.path[:len(de.path)-1]
+		de.hpath = de.hpath[:len(de.hpath)-1]
+	}
 
 	for _, r := range g.roots {
 		de.stack = append(de.stack, walkFrame{node: r, depIdx: -1})
 		for len(de.stack) > 0 {
 			f := &de.stack[len(de.stack)-1]
 			if f.depIdx < 0 {
-				if len(out) >= maxChains {
+				if len(cs.keys) >= maxChains {
 					de.stack = de.stack[:len(de.stack)-1]
 					continue
 				}
@@ -281,12 +300,12 @@ func (de *deltaExtractor) chainsOf(s *mir.Snapshot) []uint32 {
 					de.stack = de.stack[:len(de.stack)-1]
 					continue
 				}
-				de.path = append(de.path, g.toks[f.node])
+				push(g.toks[f.node])
 				de.onPath[f.node] = true
 				if g.depStart[f.node] == g.depStart[f.node+1] {
 					emit()
 					de.onPath[f.node] = false
-					de.path = de.path[:len(de.path)-1]
+					pop()
 					de.stack = de.stack[:len(de.stack)-1]
 					continue
 				}
@@ -298,24 +317,178 @@ func (de *deltaExtractor) chainsOf(s *mir.Snapshot) []uint32 {
 				continue
 			}
 			de.onPath[f.node] = false
-			de.path = de.path[:len(de.path)-1]
+			pop()
 			de.stack = de.stack[:len(de.stack)-1]
 		}
 	}
-	slices.Sort(out)
-	return out
+	cs.sort()
+}
+
+// chainSet is the chain multiset of one snapshot, held without interning:
+// chain i is the token span toks[spans[i].off:][:spans[i].n] with a 64-bit
+// content hash. keys packs hash<<chainIdxBits | i into one word, so the
+// multiset sorts as plain integers; runs of equal hash are then ordered by
+// content, so equal chains are adjacent and two sets merge-walk in one
+// total order (hash, content). Ties are settled by content, never by hash
+// alone: the result is exact whatever collides.
+type chainSet struct {
+	toks  []uint32
+	spans []chainSpan
+	keys  []uint64
+}
+
+// chainSpan locates one chain in chainSet.toks.
+type chainSpan struct{ off, n uint32 }
+
+// A key's low chainIdxBits bits index spans; the high bits are the low
+// 64−chainIdxBits bits of the chain's hash.
+const (
+	chainIdxBits = 12
+	chainIdxMask = 1<<chainIdxBits - 1
+)
+
+// A snapshot yields at most maxChains chains: this fails to compile if
+// their indexes outgrow the key's index field.
+const _ = uint(1<<chainIdxBits - maxChains)
+
+// The chain hash is FNV-1a over token IDs, finished with the splitmix64
+// mixer so the bits a key keeps are well spread.
+const (
+	chainHashSeed  = 0xcbf29ce484222325
+	chainHashPrime = 0x100000001b3
+)
+
+func chainHashStep(h uint64, tok uint32) uint64 { return (h ^ uint64(tok)) * chainHashPrime }
+
+func chainHashFinal(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// chainHash is the content hash chainsOf computes incrementally.
+func chainHash(toks []uint32) uint64 {
+	h := uint64(chainHashSeed)
+	for _, t := range toks {
+		h = chainHashStep(h, t)
+	}
+	return chainHashFinal(h)
+}
+
+func (cs *chainSet) reset() {
+	cs.toks, cs.spans, cs.keys = cs.toks[:0], cs.spans[:0], cs.keys[:0]
+}
+
+// add appends a chain (copied) with its content hash h.
+func (cs *chainSet) add(toks []uint32, h uint64) {
+	cs.keys = append(cs.keys, h<<chainIdxBits|uint64(len(cs.spans)))
+	cs.spans = append(cs.spans, chainSpan{off: uint32(len(cs.toks)), n: uint32(len(toks))})
+	cs.toks = append(cs.toks, toks...)
+}
+
+// chain returns the token span a key names.
+func (cs *chainSet) chain(key uint64) []uint32 {
+	sp := cs.spans[key&chainIdxMask]
+	return cs.toks[sp.off : sp.off+sp.n : sp.off+sp.n]
+}
+
+// sort orders keys by (hash, content).
+func (cs *chainSet) sort() {
+	slices.Sort(cs.keys)
+	for i := 0; i < len(cs.keys); {
+		j, mixed := i+1, false
+		for ; j < len(cs.keys) && cs.keys[j]>>chainIdxBits == cs.keys[i]>>chainIdxBits; j++ {
+			mixed = mixed || !slices.Equal(cs.chain(cs.keys[j]), cs.chain(cs.keys[i]))
+		}
+		if mixed { // a hash collision: distinct chains share the run
+			slices.SortFunc(cs.keys[i:j], func(a, b uint64) int {
+				if c := slices.Compare(cs.chain(a), cs.chain(b)); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+		}
+		i = j
+	}
+}
+
+// run returns the end of the run of chains equal to keys[i].
+func (cs *chainSet) run(i int) int {
+	h, c := cs.keys[i]>>chainIdxBits, cs.chain(cs.keys[i])
+	j := i + 1
+	for j < len(cs.keys) && cs.keys[j]>>chainIdxBits == h && slices.Equal(cs.chain(cs.keys[j]), c) {
+		j++
+	}
+	return j
+}
+
+// orderChains compares key ka of a with key kb of b in the (hash,
+// content) order both sets are sorted in.
+func orderChains(a *chainSet, ka uint64, b *chainSet, kb uint64) int {
+	if c := cmp.Compare(ka>>chainIdxBits, kb>>chainIdxBits); c != 0 {
+		return c
+	}
+	return slices.Compare(a.chain(ka), b.chain(kb))
+}
+
+// compareJoined orders two token sequences as strings.Compare orders their
+// "→"-joined renderings, without building them: a shared token prefix
+// renders to shared bytes, the first differing tokens decide unless one is
+// a prefix of the other, and the rest is then compared segment by segment.
+func compareJoined(a, b []uint32, toks []string) int {
+	k := 0
+	for k < len(a) && k < len(b) && a[k] == b[k] {
+		k++
+	}
+	if k == len(a) || k == len(b) {
+		return cmp.Compare(len(a), len(b)) // one rendering is a prefix of the other
+	}
+	x, y := toks[a[k]], toks[b[k]]
+	if n := min(len(x), len(y)); x[:n] != y[:n] {
+		return strings.Compare(x[:n], y[:n])
+	}
+	// seg(c, i) is the i-th segment of c's rendering from token k on:
+	// token, separator, token, ... (x and y hold segment 0).
+	seg := func(c []uint32, i int) string {
+		if i%2 == 1 {
+			return chainSep
+		}
+		return toks[c[k+i/2]]
+	}
+	na, nb := 2*(len(a)-k)-1, 2*(len(b)-k)-1
+	for i, j := 1, 1; ; {
+		for x == "" && i < na {
+			x, i = seg(a, i), i+1
+		}
+		for y == "" && j < nb {
+			y, j = seg(b, j), j+1
+		}
+		if x == "" || y == "" {
+			return cmp.Compare(len(x), len(y))
+		}
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		x, y = x[n:], y[n:]
+	}
 }
 
 // diffChainSets computes δ⁻ and δ⁺ between the pre- and post-pass chain
-// multisets (sorted chain IDs). Chains whose multiplicity did not change
-// cancel; a chain whose count dropped (classic CSE of a duplicate) is
-// emitted whole into δ⁻ (and symmetrically for δ⁺); each remaining
-// brand-new/brand-gone chain is aligned with its best-matching counterpart
-// and the differing runs (anchored on an adjacent common element, as in
-// the paper's worked example) are emitted. Candidate ordering — which
-// fixes the maxPairCands truncation and LCS tie-breaks — follows the
-// chains' string forms, exactly as the string-sorted reference does.
-func (de *deltaExtractor) diffChainSets(pre, post []uint32) (removed, added []uint32) {
+// multisets. Chains whose multiplicity did not change cancel; a chain
+// whose count dropped (classic CSE of a duplicate) is emitted whole into
+// δ⁻ (and symmetrically for δ⁺); each remaining brand-new/brand-gone chain
+// is aligned with its best-matching counterpart and the differing runs
+// (anchored on an adjacent common element, as in the paper's worked
+// example) are emitted. Candidate ordering — which fixes the maxPairCands
+// truncation and LCS tie-breaks — follows the chains' string forms,
+// exactly as the string-sorted reference does. Only the emitted chains
+// are interned: a chain on both sides with an unchanged count, or one that
+// is paired and emits its runs instead, never enters the interner.
+func (de *deltaExtractor) diffChainSets(pre, post *chainSet) (removed, added []uint32) {
 	rem := de.removedB[:0]
 	add := de.addedB[:0]
 	p := de.p[:0]
@@ -325,41 +498,38 @@ func (de *deltaExtractor) diffChainSets(pre, post []uint32) (removed, added []ui
 	// (with multiplicity); both-sided chains with a count change are
 	// emitted whole.
 	i, j := 0, 0
-	for i < len(pre) || j < len(post) {
+	for i < len(pre.keys) || j < len(post.keys) {
+		var c int
 		switch {
-		case j >= len(post) || (i < len(pre) && pre[i] < post[j]):
-			c := pre[i]
-			for i < len(pre) && pre[i] == c {
-				p = append(p, c)
-				i++
+		case j >= len(post.keys):
+			c = -1
+		case i >= len(pre.keys):
+			c = 1
+		default:
+			c = orderChains(pre, pre.keys[i], post, post.keys[j])
+		}
+		switch {
+		case c < 0:
+			for end := pre.run(i); i < end; i++ {
+				p = append(p, pre.chain(pre.keys[i]))
 			}
-		case i >= len(pre) || post[j] < pre[i]:
-			c := post[j]
-			for j < len(post) && post[j] == c {
-				q = append(q, c)
-				j++
+		case c > 0:
+			for end := post.run(j); j < end; j++ {
+				q = append(q, post.chain(post.keys[j]))
 			}
 		default:
-			c := pre[i]
-			n, m := 0, 0
-			for i < len(pre) && pre[i] == c {
-				n++
-				i++
-			}
-			for j < len(post) && post[j] == c {
-				m++
-				j++
-			}
-			if n > m {
-				rem = append(rem, c)
+			ie, je := pre.run(i), post.run(j)
+			if n, m := ie-i, je-j; n > m {
+				rem = append(rem, interner.Chain(pre.chain(pre.keys[i])))
 			} else if m > n {
-				add = append(add, c)
+				add = append(add, interner.Chain(post.chain(post.keys[j])))
 			}
+			i, j = ie, je
 		}
 	}
 
-	cs := interner.chainsView()
-	byStr := func(a, b uint32) int { return strings.Compare(cs[a].str, cs[b].str) }
+	toks := interner.tokensView()
+	byStr := func(a, b []uint32) int { return compareJoined(a, b, toks) }
 	slices.SortFunc(p, byStr)
 	slices.SortFunc(q, byStr)
 	if len(p) > maxPairCands {
@@ -374,51 +544,51 @@ func (de *deltaExtractor) diffChainSets(pre, post []uint32) (removed, added []ui
 	// Pair each gone chain with the new chain it shares the longest common
 	// subsequence with (first best in string order), exactly as the
 	// reference does, but scoring each distinct chain once: p and q carry
-	// multiplicities, equal IDs score and align identically, and under the
-	// strict > only the first of a run of duplicates can win. Duplicate q
-	// entries are still left unused (and so emitted whole) as the reference
-	// leaves them.
+	// multiplicities, equal chains score and align identically, and under
+	// the strict > only the first of a run of duplicates can win. Duplicate
+	// q entries are still left unused (and so emitted whole) as the
+	// reference leaves them.
 	de.usedQ = grow(de.usedQ, len(q))
-	for qi := range de.usedQ {
+	qd := de.qDistinct[:0]
+	for qi := range q {
 		de.usedQ[qi] = false
+		if qi == 0 || !slices.Equal(q[qi], q[qi-1]) {
+			qd = append(qd, int32(qi))
+		}
 	}
-	for pi, pc := range p {
-		if pi > 0 && pc == p[pi-1] {
+	for pi, pt := range p {
+		if pi > 0 && slices.Equal(pt, p[pi-1]) {
 			continue
 		}
-		pt := cs[pc].toks
 		masks := de.lcsMasks(pt)
 		bestScore, bestIdx := 0, -1
-		for qi, qc := range q {
+		for _, qi := range qd {
 			if bestScore == len(pt) {
 				break // a full-length match cannot be beaten
 			}
-			if qi > 0 && qc == q[qi-1] {
-				continue
-			}
-			qt := cs[qc].toks
+			qt := q[qi]
 			if len(qt) <= bestScore {
 				continue // LCS ≤ len(qt): cannot be strictly better
 			}
 			if score := lcsScore(masks, qt); score > bestScore {
-				bestScore, bestIdx = score, qi
+				bestScore, bestIdx = score, int(qi)
 			}
 		}
 		de.clearLCSMasks(pt)
 		if bestIdx < 0 {
-			rem = append(rem, pc)
+			rem = append(rem, interner.Chain(pt))
 			continue
 		}
 		de.usedQ[bestIdx] = true
-		rem, add = de.alignDiff(pt, cs[q[bestIdx]].toks, rem, add)
+		rem, add = de.alignDiff(pt, q[bestIdx], rem, add)
 	}
-	for qi, qc := range q {
+	for qi, qt := range q {
 		if !de.usedQ[qi] {
-			add = append(add, qc)
+			add = append(add, interner.Chain(qt))
 		}
 	}
 
-	de.p, de.q = p, q
+	de.p, de.q, de.qDistinct = p, q, qd
 	de.removedB, de.addedB = rem, add
 	return copyIDSet(rem), copyIDSet(add)
 }

@@ -8,10 +8,12 @@ import (
 )
 
 // Interner maps opcode tokens and whole dependency chains to dense uint32
-// IDs. All of the hot-path machinery (Δ extraction, chain-set diffing,
-// COMPARECHAINS) operates on interned IDs; the "→"-joined string form of a
-// chain exists only at the JSON serialization boundary, so the on-disk
-// database format is unchanged.
+// IDs. Δs, the match index and COMPARECHAINS operate on interned IDs; Δ
+// extraction enumerates and diffs chains as hashed token spans and interns
+// only the chains a Δ keeps, so the table grows with the distinct Δ
+// chains, not with every chain of every snapshot. The "→"-joined string
+// form of a chain exists only at the JSON serialization boundary, so the
+// on-disk database format is unchanged.
 //
 // Chain identity is the opcode-token sequence: two chains get the same ID
 // iff their token sequences are equal, which (since no opcode contains the
@@ -135,6 +137,13 @@ func (it *Interner) chainsView() []chainEntry {
 	it.mu.RLock()
 	defer it.mu.RUnlock()
 	return it.chains
+}
+
+// tokensView is chainsView for the token table.
+func (it *Interner) tokensView() []string {
+	it.mu.RLock()
+	defer it.mu.RUnlock()
+	return it.toks
 }
 
 // NumChains returns how many distinct chains have been interned.

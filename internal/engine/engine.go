@@ -79,6 +79,16 @@ type Policy interface {
 	BeginCompile(fnName string) (passes.Observer, func() CompileDecision)
 }
 
+// WatchingPolicy is the optional Policy extension that makes a judged
+// compile's snapshot cost follow the policy's interest: the pass pipeline
+// snapshots and observes only the passes Watches reports true for
+// (passes.RunOptions.Watch). A policy that does not implement it — or a
+// wrapper that hides it — is observed around every pass.
+type WatchingPolicy interface {
+	Policy
+	Watches(pass string) bool
+}
+
 // Config parameterizes an Engine.
 type Config struct {
 	// BaselineThreshold is the call count at which an interpreted function

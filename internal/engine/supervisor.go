@@ -299,13 +299,18 @@ func (e *Engine) compileAttempt(req *compileRequest) (o *compileOutcome) {
 		o.jitEligible = true
 		stage = StagePasses
 		var pobs passes.Observer
+		var watch func(string) bool
 		if judged && e.policy != nil && e.policy.Active() {
 			pobs, finish = e.policy.BeginCompile(req.fnName)
+			if wp, ok := e.policy.(WatchingPolicy); ok {
+				watch = wp.Watches
+			}
 		}
 		if err := passes.RunWith(g, passes.RunOptions{
 			Bugs:     e.cfg.Bugs,
 			Disabled: disabled,
 			Observer: pobs,
+			Watch:    watch,
 			CheckIR:  e.cfg.CheckIR,
 			Pipeline: e.cfg.Passes,
 			Faults:   fctx,

@@ -154,6 +154,12 @@ type RunOptions struct {
 	Disabled map[string]bool
 	// Observer, when non-nil, receives a snapshot pair per executed pass.
 	Observer Observer
+	// Watch, when non-nil, narrows the Observer to the passes it reports
+	// true for: no other pass is observed or snapshotted. A watched pass
+	// is snapshotted after it runs, and before it when the graph changed
+	// since the last snapshot (its predecessor ran unwatched). A disabled
+	// watched pass is still reported, as (nil, nil).
+	Watch func(pass string) bool
 	// CheckIR runs the full SSA verifier after every executed pass (and
 	// once on the input graph), returning an *IRError naming the offending
 	// pass on the first violation. Intended for tests and fuzzing; the
@@ -181,7 +187,8 @@ type RunOptions struct {
 // to). The observer, when non-nil, receives a snapshot pair per executed
 // pass; when nil, no snapshots are taken at all, making the instrumented
 // path zero-cost exactly as the paper's implementation promises for an
-// empty VDC database.
+// empty VDC database (RunOptions.Watch makes the cost follow the database
+// in between).
 func Run(g *mir.Graph, bugs BugSet, disabled map[string]bool, obs Observer) error {
 	return RunWith(g, RunOptions{Bugs: bugs, Disabled: disabled, Observer: obs})
 }
@@ -205,17 +212,20 @@ func RunWith(g *mir.Graph, o RunOptions) error {
 	if o.Metrics != nil {
 		passHist = o.Metrics.Histogram("compile.pass_ns", obs.LatencyBucketsNs)
 	}
-	// The IR is untouched between passes, so each pass's "before" snapshot
-	// is the previous pass's "after": one snapshot per executed pass.
+	// The IR is untouched between passes, so a watched pass's "before"
+	// snapshot is the previous watched pass's "after" unless an unwatched
+	// pass ran in between (prev is then nil): one snapshot per watched
+	// pass, plus one per run of watched passes.
 	var prev *mir.Snapshot
 	for i, p := range pipeline {
+		watched := o.Observer != nil && (o.Watch == nil || o.Watch(p.Name()))
 		if o.Disabled[p.Name()] {
 			if !p.Disableable() {
 				return fmt.Errorf("pass %s is mandatory and cannot be disabled", p.Name())
 			}
 			o.Faults.Tracer().Instant(obs.CatPass, "pass.skipped", g.Name,
 				obs.S("pass", p.Name()), obs.I("index", int64(i)))
-			if o.Observer != nil {
+			if watched {
 				o.Observer(i, p.Name(), nil, nil)
 			}
 			continue
@@ -226,7 +236,7 @@ func RunWith(g *mir.Graph, o RunOptions) error {
 				return fmt.Errorf("pass %s: %w", p.Name(), err)
 			}
 		}
-		if o.Observer != nil && prev == nil {
+		if watched && prev == nil {
 			prev = g.Snap()
 		}
 		sp := o.Faults.Span(obs.CatPass, p.Name())
@@ -243,12 +253,14 @@ func RunWith(g *mir.Graph, o RunOptions) error {
 		}
 		sp.End(obs.I("index", int64(i)),
 			obs.I("instrs_in", int64(instrsIn)), obs.I("instrs_out", int64(g.InstrCount())))
-		if o.Observer != nil {
+		if watched {
 			dsp := o.Faults.Span(obs.CatDNA, "dna.extract")
 			after := g.Snap()
 			o.Observer(i, p.Name(), prev, after)
 			prev = after
 			dsp.End(obs.S("pass", p.Name()))
+		} else {
+			prev = nil
 		}
 		if o.CheckIR {
 			if issues := g.VerifyOpts(vopts); len(issues) > 0 {

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -404,6 +405,61 @@ func TestObserverSeesEveryPass(t *testing.T) {
 	}
 	if nonNil != 22 {
 		t.Fatalf("non-nil snapshot pairs = %d, want 22", nonNil)
+	}
+}
+
+// TestObserverSeesOnlyWatchedPasses: with a watch set, only watched
+// passes are observed and snapshotted. A watched pass is snapshotted
+// before it only when an unwatched pass ran since the last snapshot, a
+// disabled watched pass still gets (nil, nil), and every pair is the one
+// the unwatched run hands over.
+func TestObserverSeesOnlyWatchedPasses(t *testing.T) {
+	src := "function f(a, n) { var s = 0; for (var i = 0; i < n; i++) { s += a[i] + a[i]; } return s; }"
+	disabled := map[string]bool{"Sink": true}
+	type pair struct{ before, after *mir.Snapshot }
+	all := map[string]pair{}
+	if err := Run(build(t, src, "f", "a"), nil, disabled, func(_ int, name string, before, after *mir.Snapshot) {
+		all[name] = pair{before, after}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	watch := map[string]bool{"FoldTests": true, "GVN": true, "LICM": true, "Sink": true,
+		"ScalarReplacement": true, "EliminateDeadCode": true}
+	var names []string
+	snaps := map[*mir.Snapshot]bool{}
+	var prevAfter *mir.Snapshot
+	err := RunWith(build(t, src, "f", "a"), RunOptions{
+		Disabled: disabled,
+		Watch:    func(pass string) bool { return watch[pass] },
+		Observer: func(_ int, name string, before, after *mir.Snapshot) {
+			names = append(names, name)
+			if name == "Sink" {
+				if before != nil || after != nil {
+					t.Errorf("disabled watched pass Sink got snapshots")
+				}
+				return
+			}
+			if name == "LICM" && before != prevAfter {
+				t.Errorf("LICM follows watched GVN: its before must be GVN's after, not a fresh snapshot")
+			}
+			snaps[before], snaps[after], prevAfter = true, true, after
+			if want := all[name]; !reflect.DeepEqual(before, want.before) || !reflect.DeepEqual(after, want.after) {
+				t.Errorf("%s: snapshot pair differs from the unwatched run's", name)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"FoldTests", "GVN", "LICM", "Sink", "ScalarReplacement", "EliminateDeadCode"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("observed %v, want %v", names, want)
+	}
+	// FoldTests, GVN and ScalarReplacement follow an unwatched pass (2 each);
+	// LICM and EliminateDeadCode reuse the previous after (1 each).
+	if len(snaps) != 8 {
+		t.Fatalf("%d snapshots taken, want 8", len(snaps))
 	}
 }
 
