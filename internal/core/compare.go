@@ -254,10 +254,10 @@ func (d *Detector) book(dec engine.CompileDecision) {
 
 // Recorder implements engine.Policy in record-only mode: it extracts the
 // DNA of every function the engine compiles, at every pass (it is no
-// engine.WatchingPolicy), without ever vetoing a compilation. It is how VDC fingerprints are produced (step 1 of the
-// paper's workflow): run the demonstrator code on the vulnerable engine
-// with a Recorder installed, then store the collected DNAs in the
-// database.
+// engine.WatchingPolicy), without ever vetoing a compilation. It is how
+// VDC fingerprints are produced (step 1 of the paper's workflow): run the
+// demonstrator code on the vulnerable engine with a Recorder installed,
+// then store the collected DNAs in the database.
 type Recorder struct {
 	DNAs []DNA
 }

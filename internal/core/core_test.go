@@ -99,6 +99,15 @@ func chainSetOf(chains []string) *chainSet {
 	return cs
 }
 
+// chainHash is the content hash chainsOf computes as the path grows.
+func chainHash(toks []uint32) uint64 {
+	h := uint64(chainHashSeed)
+	for _, t := range toks {
+		h = chainHashStep(h, t)
+	}
+	return chainHashFinal(h)
+}
+
 // tokensOf interns a chain string's tokens (not the chain).
 func tokensOf(c string) []uint32 {
 	var toks []uint32

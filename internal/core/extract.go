@@ -369,15 +369,6 @@ func chainHashFinal(h uint64) uint64 {
 	return h
 }
 
-// chainHash is the content hash chainsOf computes incrementally.
-func chainHash(toks []uint32) uint64 {
-	h := uint64(chainHashSeed)
-	for _, t := range toks {
-		h = chainHashStep(h, t)
-	}
-	return chainHashFinal(h)
-}
-
 func (cs *chainSet) reset() {
 	cs.toks, cs.spans, cs.keys = cs.toks[:0], cs.spans[:0], cs.keys[:0]
 }
