@@ -48,16 +48,6 @@ func TestChainSetHashTiesGroupByContent(t *testing.T) {
 	}
 }
 
-// chainStr renders a token span.
-func chainStr(toks []uint32) string {
-	view := interner.tokensView()
-	parts := make([]string, len(toks))
-	for i, tok := range toks {
-		parts[i] = view[tok]
-	}
-	return strings.Join(parts, chainSep)
-}
-
 // TestCompareJoinedMatchesStrings: compareJoined orders token sequences as
 // strings.Compare orders their renderings, including tokens that are
 // prefixes of one another ("add" < "addx" but "add→x" > "addx").

@@ -74,17 +74,22 @@ func (cs *chainSet) strings() []string {
 	if len(cs.keys) == 0 {
 		return nil
 	}
-	toks := interner.tokensView()
 	out := make([]string, 0, len(cs.keys))
 	for _, k := range cs.keys {
-		parts := make([]string, 0, len(cs.chain(k)))
-		for _, t := range cs.chain(k) {
-			parts = append(parts, toks[t])
-		}
-		out = append(out, strings.Join(parts, chainSep))
+		out = append(out, chainStr(cs.chain(k)))
 	}
 	sort.Strings(out)
 	return out
+}
+
+// chainStr renders a token span.
+func chainStr(toks []uint32) string {
+	view := interner.tokensView()
+	parts := make([]string, len(toks))
+	for i, tok := range toks {
+		parts[i] = view[tok]
+	}
+	return strings.Join(parts, chainSep)
 }
 
 // chainSetOf builds a sorted chain set from chain strings, hashed as
