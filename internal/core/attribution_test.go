@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/obs"
@@ -214,5 +215,49 @@ func TestIndexProbesNotCarriedAcrossPasses(t *testing.T) {
 	ix.query("LICM", MakeDelta([]string{"a→b→c"}, nil), 0.5, 1, &sc, none)
 	if sc.probes != 0 {
 		t.Fatalf("query on a pass with no bucket reported %d probes, want 0", sc.probes)
+	}
+}
+
+// TestIndexReadsShareOneBuild: the engines and compile workers sharing a
+// database read its compiled index without a lock. Concurrent readers of
+// several thresholds each get the one index built for theirs, and a
+// mutation is followed by a fresh index that watches what the database
+// now fingerprints. Run under -race.
+func TestIndexReadsShareOneBuild(t *testing.T) {
+	db := &Database{}
+	db.Add(VDC{CVE: "CVE-0", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
+		"GVN": MakeDelta([]string{"a→b→c"}, nil),
+	}}}})
+	const readers, thrs = 8, 3
+	got := make([][thrs]*MatchIndex, readers)
+	var wg sync.WaitGroup
+	for r := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				for thr := range thrs {
+					ix := db.Index(thr)
+					if got[r][thr] != nil && got[r][thr] != ix {
+						t.Errorf("reader %d: Index(%d) returned a second index", r, thr)
+					}
+					got[r][thr] = ix
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for r := range got {
+		if got[r] != got[0] {
+			t.Fatalf("readers disagree on the indexes: %v vs %v", got[r], got[0])
+		}
+	}
+	before := db.Index(1)
+	db.Add(VDC{CVE: "CVE-1", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
+		"LICM": MakeDelta([]string{"a→b→c"}, nil),
+	}}}})
+	after := db.Index(1)
+	if after == before || !after.watches("LICM") || !after.watches("GVN") || before.watches("LICM") {
+		t.Fatal("an Add did not replace the index with one that watches the new pass")
 	}
 }

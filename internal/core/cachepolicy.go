@@ -39,11 +39,18 @@ var _ engine.CachingPolicy = (*Detector)(nil)
 // imply equal verdicts regardless of which process computed them. A
 // fail-safe database vetoes caching — its NoJIT-everything verdicts are
 // a degraded emergency mode, not knowledge worth publishing fleet-wide.
+//
+// The key also names the witness rule (w=content: a match's witness is
+// the smallest shared chain by content). Stores written while the witness
+// was the smallest chain ID — which depended on the writing process's
+// interning history — hold the same verdicts under other witnesses; the
+// rule in the key makes them misses that compile afresh, so no replay
+// names a witness a fresh decision would not.
 func (d *Detector) PolicyCacheKey() (string, bool) {
 	if d.DB == nil || d.DB.FailSafe() {
 		return "", false
 	}
-	return fmt.Sprintf("core.Detector/db=%016x/thr=%d/ratio=%g", d.DB.Fingerprint(), d.Thr, d.Ratio), true
+	return fmt.Sprintf("core.Detector/w=content/db=%016x/thr=%d/ratio=%g", d.DB.Fingerprint(), d.Thr, d.Ratio), true
 }
 
 // ReplayDecision implements engine.CachingPolicy: it books a decision

@@ -146,11 +146,17 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 	d.resolveHists()
 	dna := DNA{FuncName: fnName, Passes: map[string]Delta{}}
 	de := newDeltaExtractor()
+	// The passes worth extracting are fixed for the compile: those the
+	// database fingerprints as it stands now.
+	var ix *MatchIndex
+	if d.DB != nil {
+		ix = d.DB.Index(d.Thr)
+	}
 	observe := func(_ int, passName string, before, after *mir.Snapshot) {
 		// A disabled pass comes as (nil, nil). An unwatched one reaches
 		// here only through a wrapper that hides Watches: skip its
 		// extraction all the same.
-		if before == nil || after == nil || !d.Watches(passName) {
+		if before == nil || after == nil || !ix.watches(passName) {
 			return
 		}
 		delta := de.delta(before, after)

@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -97,10 +98,12 @@ type Database struct {
 	// NoJIT for every function. See NewFailSafeDatabase.
 	failSafe bool
 
-	// mu guards the compiled-index cache; indexes is keyed by the Thr the
-	// index was pruned for and invalidated wholesale on any mutation.
+	// indexes is the compiled-index cache, keyed by the Thr the index was
+	// pruned for and invalidated wholesale on any mutation. Readers load it
+	// without a lock; mu serializes the builds, each of which publishes a
+	// new map.
 	mu      sync.Mutex
-	indexes map[int]*MatchIndex
+	indexes atomic.Pointer[map[int]*MatchIndex]
 
 	// gen identifies this database's current contents for cross-engine
 	// verdict caching: process-unique, assigned lazily on first use and
@@ -181,7 +184,7 @@ func (db *Database) FailSafe() bool { return db.failSafe }
 // contents.
 func (db *Database) mutated() {
 	db.mu.Lock()
-	db.indexes = nil
+	db.indexes.Store(nil)
 	db.mu.Unlock()
 	db.gen.Store(dbGen.Add(1))
 	db.fp.Store(0)
@@ -220,18 +223,27 @@ func (db *Database) CVEs() []string {
 }
 
 // Index returns the compiled inverted match index for the given Thr,
-// building and caching it on first use. Safe for concurrent use.
+// building and caching it on first use. Safe for concurrent use; once
+// built, an index is returned without taking a lock, so the engines and
+// compile workers sharing one database do not contend for it.
 func (db *Database) Index(thr int) *MatchIndex {
+	if m := db.indexes.Load(); m != nil {
+		if ix, ok := (*m)[thr]; ok {
+			return ix
+		}
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if ix, ok := db.indexes[thr]; ok {
-		return ix
+	next := map[int]*MatchIndex{}
+	if m := db.indexes.Load(); m != nil {
+		if ix, ok := (*m)[thr]; ok {
+			return ix
+		}
+		maps.Copy(next, *m)
 	}
 	ix := buildMatchIndex(db, thr)
-	if db.indexes == nil {
-		db.indexes = map[int]*MatchIndex{}
-	}
-	db.indexes[thr] = ix
+	next[thr] = ix
+	db.indexes.Store(&next)
 	return ix
 }
 

@@ -84,8 +84,9 @@ func buildMatchIndex(db *Database, thr int) *MatchIndex {
 }
 
 // watches reports whether the index has a bucket for the pass, that is
-// whether any database delta was recorded for it.
-func (ix *MatchIndex) watches(pass string) bool { return ix.byPass[pass] != nil }
+// whether any database delta was recorded for it. A nil index watches
+// nothing.
+func (ix *MatchIndex) watches(pass string) bool { return ix != nil && ix.byPass[pass] != nil }
 
 // NoChain is the witness-chain sentinel for matches that needed no shared
 // chain (degenerate thresholds accept any pair of non-empty sides).

@@ -3,15 +3,19 @@ package difftest
 import (
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/jitbull/jitbull/internal/core"
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/jitqueue"
 	"github.com/jitbull/jitbull/internal/obs"
+	"github.com/jitbull/jitbull/internal/passes"
 	"github.com/jitbull/jitbull/internal/progen"
 	"github.com/jitbull/jitbull/internal/store"
 	"github.com/jitbull/jitbull/internal/vulndb"
@@ -198,6 +202,80 @@ func TestStoreVersionSkewIsAMiss(t *testing.T) {
 		}
 		skewedStoreIsAMiss(t, string(src), base, dir, cold)
 	})
+}
+
+// idWitnessDetector stands for a detector from before the witness rule
+// was part of the policy key: it keys its verdicts as that detector did
+// and, as the smallest-chain-ID witness could, names a witness the
+// current rule does not.
+type idWitnessDetector struct{ *core.Detector }
+
+func (d idWitnessDetector) PolicyCacheKey() (string, bool) {
+	return fmt.Sprintf("core.Detector/db=%016x/thr=%d/ratio=%g", d.DB.Fingerprint(), d.Thr, d.Ratio), true
+}
+
+func (d idWitnessDetector) BeginCompile(fn string) (passes.Observer, func() engine.CompileDecision) {
+	observe, finish := d.Detector.BeginCompile(fn)
+	return observe, func() engine.CompileDecision {
+		dec := finish()
+		dec.Matches = slices.Clone(dec.Matches)
+		for i := range dec.Matches {
+			if dec.Matches[i].Chain != "" {
+				dec.Matches[i].Chain = "stale→witness"
+			}
+		}
+		return dec
+	}
+}
+
+// TestStoreRecordsOfTheIDWitnessRuleMiss: a store written while a
+// match's witness was the smallest chain ID holds verdicts under
+// witnesses a fresh decision may not name. The policy key names the
+// witness rule, so such records are never replayed: the process compiles
+// cold, to the witnesses of a process over an empty store.
+func TestStoreRecordsOfTheIDWitnessRuleMiss(t *testing.T) {
+	v := vulndb.All()[0]
+	base := engine.Config{Bugs: v.Bug(), MaxSteps: 200_000_000}
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := Config{Name: "store+id-witness", Engine: base}
+	old.Engine.Cache = jitqueue.NewCache(nil)
+	old.Engine.Cache.AttachTier(st, engine.NewCacheCodec())
+	old.Policy = func() engine.Policy { return idWitnessDetector{storeDetector()} }
+	Observe(v.Demonstrator, old)
+	if len(storeKeys(t, dir)) == 0 {
+		t.Fatal("the older detector stored no verdicts")
+	}
+
+	empty, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := storeProcess(v.Demonstrator, base, empty, true)
+	run := storeProcess(v.Demonstrator, base, st, true)
+	if rs, cs := run.Obs.Stats, cold.Obs.Stats; rs.CacheHits != cs.CacheHits || rs.Compiles != cs.Compiles {
+		t.Errorf("records of the older witness rule were served: %+v, cold %+v", rs, cs)
+	}
+	witnesses := 0
+	if len(run.Audit) != len(cold.Audit) {
+		t.Fatalf("%d audit events, cold process had %d", len(run.Audit), len(cold.Audit))
+	}
+	for i := range run.Audit {
+		for _, m := range cold.Audit[i].Matches {
+			if m.Chain != "" {
+				witnesses++
+			}
+		}
+		if got, want := run.Audit[i], cold.Audit[i]; got.Reason != want.Reason || !reflect.DeepEqual(auditIdentity(got), auditIdentity(want)) {
+			t.Errorf("audit event %d = %s (%s), want %s (%s)", i, auditIdentity(got), got.Reason, auditIdentity(want), want.Reason)
+		}
+	}
+	if witnesses == 0 {
+		t.Fatal("no verdict named a witness: the test pins nothing")
+	}
 }
 
 // skewedStoreIsAMiss runs src over dir, whose every record is of an

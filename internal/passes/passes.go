@@ -236,8 +236,20 @@ func RunWith(g *mir.Graph, o RunOptions) error {
 				return fmt.Errorf("pass %s: %w", p.Name(), err)
 			}
 		}
+		// A fresh "before" is DNA cost too. It is taken outside both spans
+		// (a span around it would enclose the pass), so a traced run
+		// charges its time to the pass's dna.extract span as snap_before_ns
+		// (0 when the before is the previous watched pass's after).
+		var snapBeforeNs int64
 		if watched && prev == nil {
+			var t0 time.Time
+			if o.Faults.Tracer() != nil {
+				t0 = time.Now()
+			}
 			prev = g.Snap()
+			if !t0.IsZero() {
+				snapBeforeNs = int64(time.Since(t0))
+			}
 		}
 		sp := o.Faults.Span(obs.CatPass, p.Name())
 		var t0 time.Time
@@ -258,7 +270,7 @@ func RunWith(g *mir.Graph, o RunOptions) error {
 			after := g.Snap()
 			o.Observer(i, p.Name(), prev, after)
 			prev = after
-			dsp.End(obs.S("pass", p.Name()))
+			dsp.End(obs.S("pass", p.Name()), obs.I("snap_before_ns", snapBeforeNs))
 		} else {
 			prev = nil
 		}

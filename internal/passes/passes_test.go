@@ -7,8 +7,10 @@ import (
 
 	"github.com/jitbull/jitbull/internal/ast"
 	"github.com/jitbull/jitbull/internal/compiler"
+	"github.com/jitbull/jitbull/internal/faults"
 	"github.com/jitbull/jitbull/internal/mir"
 	"github.com/jitbull/jitbull/internal/mirbuild"
+	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/parser"
 	"github.com/jitbull/jitbull/internal/value"
 )
@@ -460,6 +462,48 @@ func TestObserverSeesOnlyWatchedPasses(t *testing.T) {
 	// LICM and EliminateDeadCode reuse the previous after (1 each).
 	if len(snaps) != 8 {
 		t.Fatalf("%d snapshots taken, want 8", len(snaps))
+	}
+}
+
+// TestFreshSnapshotIsChargedToDNA: a fresh "before" snapshot is taken
+// outside the pass and dna.extract spans, so its time travels on the
+// pass's dna.extract span as snap_before_ns, 0 when the before is the
+// previous watched pass's after.
+func TestFreshSnapshotIsChargedToDNA(t *testing.T) {
+	src := "function f(a, n) { var s = 0; for (var i = 0; i < n; i++) { s += a[i] + a[i]; } return s; }"
+	watch := map[string]bool{"FoldTests": true, "GVN": true, "LICM": true, "ScalarReplacement": true}
+	ring := obs.NewRing(0)
+	err := RunWith(build(t, src, "f", "a"), RunOptions{
+		Watch:    func(pass string) bool { return watch[pass] },
+		Observer: func(int, string, *mir.Snapshot, *mir.Snapshot) {},
+		Faults:   &faults.CompileCtx{Trace: obs.NewTracer(ring)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := map[string]bool{}
+	for _, ev := range ring.Events() {
+		if ev.Name != "dna.extract" {
+			continue
+		}
+		var pass string
+		var ns int64 = -1
+		for _, a := range ev.Args[:ev.NArgs] {
+			switch a.Key {
+			case "pass":
+				pass = a.Str
+			case "snap_before_ns":
+				ns = a.Val
+			}
+		}
+		if ns < 0 {
+			t.Fatalf("%s: dna.extract span lacks snap_before_ns", pass)
+		}
+		fresh[pass] = ns > 0
+	}
+	want := map[string]bool{"FoldTests": true, "GVN": true, "LICM": false, "ScalarReplacement": true}
+	if !reflect.DeepEqual(fresh, want) {
+		t.Fatalf("passes whose dna.extract carries a fresh snapshot: %v, want %v", fresh, want)
 	}
 }
 
