@@ -29,7 +29,7 @@ var _ engine.CachingPolicy = (*Detector)(nil)
 
 // PolicyCacheKey implements engine.CachingPolicy. The verdict depends on
 // the database's contents and the thresholds; database identity is its
-// content Fingerprint — the shared *Database of a RunParallel fleet
+// content Fingerprint — a *Database that many engines share
 // reports one stable value, a mutated or different-content database
 // always reports a fresh one, and (unlike the process-unique Generation)
 // a restarted process over the same database contents reports the SAME

@@ -182,9 +182,10 @@ type Config struct {
 	// BenchmarkSpan/disabled).
 	Tracer *obs.Tracer
 	// Metrics, when set, is a shared registry the engine's counters and
-	// histograms are mirrored into. Several engines may share one registry
-	// (RunParallel does): the handles are atomics, so the shared view
-	// aggregates without races while each engine's Stats() stays private.
+	// histograms are mirrored into. Engines on separate goroutines may
+	// share one registry: the handles are atomics, so each shared counter
+	// is the sum of every engine's own Stats() with no lost update
+	// (TestSharedMetricsRegistry).
 	Metrics *obs.Registry
 
 	// Queue, when set, moves Ion compilation off-thread: the warmup

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/mir"
 	"github.com/jitbull/jitbull/internal/obs"
+	"github.com/jitbull/jitbull/internal/octane"
 	"github.com/jitbull/jitbull/internal/passes"
 )
 
@@ -158,5 +160,49 @@ func TestTraceDisabledIsSilent(t *testing.T) {
 	}
 	if e.Stats().Compiles == 0 {
 		t.Fatal("fixture did not compile anything")
+	}
+}
+
+// TestSharedMetricsRegistry holds the Config.Metrics contract: engines
+// running on separate goroutines may share one registry, and its counters
+// are then the sum of every engine's own Stats with no lost update (the
+// -race CI job runs this test).
+func TestSharedMetricsRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	suite := octane.Suite()
+	stats := make([]Stats, len(suite))
+	var wg sync.WaitGroup
+	for i, b := range suite {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := New(b.Source(1), Config{IonThreshold: 40, Metrics: reg})
+			if err == nil {
+				_, err = e.Run()
+			}
+			if err != nil {
+				t.Errorf("%s: %v", b.Name, err)
+				return
+			}
+			stats[i] = e.Stats()
+		}()
+	}
+	wg.Wait()
+	var compiles, jit int64
+	for _, s := range stats {
+		compiles += int64(s.Compiles)
+		jit += int64(s.NrJIT)
+	}
+	if compiles == 0 {
+		t.Fatal("the suite compiled nothing; the sum is vacuous")
+	}
+	if got := reg.Counter("engine.compiles").Value(); got != compiles {
+		t.Errorf("shared engine.compiles = %d, want the per-engine sum %d", got, compiles)
+	}
+	if got := reg.Counter("engine.nr_jit").Value(); got != jit {
+		t.Errorf("shared engine.nr_jit = %d, want the per-engine sum %d", got, jit)
+	}
+	if h, ok := reg.Snapshot()["compile.pass_ns"].(obs.HistSnapshot); !ok || h.Count == 0 {
+		t.Errorf("compile.pass_ns missing from the shared registry: %+v", reg.Snapshot()["compile.pass_ns"])
 	}
 }
