@@ -268,9 +268,10 @@ func stormFuncs() ([]stormFunc, error) {
 // the pass pipeline observed as the engine observes it for a bare
 // detector (watched passes only; nothing at all under the empty DB #0),
 // and the finish step. Beside ns/op and allocs/op it reports the Δ chains
-// the detector compared per op and the chains it interned per op; the
-// interner is process-wide, so the latter is the cold count only at
-// -benchtime 1x (later ops find their chains interned).
+// the detector compared per op, the changed watched passes the
+// cannot-match test left unextracted per op, and the chains it interned
+// per op; the interner is process-wide, so the last is the cold count only
+// at -benchtime 1x (later ops find their chains interned).
 func BenchmarkDetectorCompile(b *testing.B) {
 	funcs, err := stormFuncs()
 	if err != nil {
@@ -287,7 +288,8 @@ func BenchmarkDetectorCompile(b *testing.B) {
 			det := core.NewDetector(db)
 			det.Metrics = obs.NewRegistry()
 			deltaChains := det.Metrics.Histogram("dna.delta_chains", obs.SizeBuckets)
-			d0, c0 := deltaChains.Sum(), core.NumChains()
+			skipped := det.Metrics.Histogram("dna.passes_skipped", obs.SizeBuckets)
+			d0, s0, c0 := deltaChains.Sum(), skipped.Sum(), core.NumChains()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -312,6 +314,7 @@ func BenchmarkDetectorCompile(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(deltaChains.Sum()-d0)/float64(b.N), "delta_chains/op")
+			b.ReportMetric(float64(skipped.Sum()-s0)/float64(b.N), "skipped/op")
 			b.ReportMetric(float64(core.NumChains()-c0)/float64(b.N), "interned/op")
 		})
 	}

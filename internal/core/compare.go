@@ -72,9 +72,11 @@ type Detector struct {
 
 	// Metrics, when set, receives the "dna.delta_chains" histogram (per-pass
 	// Δ chain-set sizes of candidate DNAs), "dna.index_probes" (entries
-	// scored per match-index query) and "dna.pair_cands" (size of the Δ
+	// scored per match-index query), "dna.pair_cands" (size of the Δ
 	// pairing search, gone chains × new chains after the maxPairCands
-	// truncation, per non-empty Δ — the super-linear term of extraction).
+	// truncation, per non-empty Δ — the super-linear term of extraction)
+	// and "dna.passes_skipped" (per judged compile, the changed watched
+	// passes whose Δ the cannot-match test left unextracted).
 	Metrics *obs.Registry
 
 	seen      map[obs.MatchKey]struct{}
@@ -83,6 +85,7 @@ type Detector struct {
 	deltaHist *obs.Histogram
 	probeHist *obs.Histogram
 	pairHist  *obs.Histogram
+	skipHist  *obs.Histogram
 }
 
 // pairCandBuckets bound "dna.pair_cands": ×16 per bucket up to
@@ -96,6 +99,7 @@ func (d *Detector) resolveHists() {
 		d.deltaHist = d.Metrics.Histogram("dna.delta_chains", obs.SizeBuckets)
 		d.probeHist = d.Metrics.Histogram("dna.index_probes", obs.SizeBuckets)
 		d.pairHist = d.Metrics.Histogram("dna.pair_cands", pairCandBuckets)
+		d.skipHist = d.Metrics.Histogram("dna.passes_skipped", obs.SizeBuckets)
 	}
 }
 
@@ -134,7 +138,10 @@ func (d *Detector) Reset() {
 
 // BeginCompile implements engine.Policy: it returns an observer that
 // extracts the function's DNA pass by pass, and a finish function that
-// produces the go/no-go decision via Decide.
+// produces the go/no-go decision via Decide. A changed watched pass whose
+// graphs fail the cannot-match test (see mayMatch) is left out of the DNA
+// unextracted: no entry of its pass could be similar to its Δ, so the
+// decision is the one the full DNA gives, though the DNA is not.
 func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.CompileDecision) {
 	if d.DB != nil && d.DB.FailSafe() {
 		// The real database could not be trusted: no DNA to compare
@@ -146,20 +153,33 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 	d.resolveHists()
 	dna := DNA{FuncName: fnName, Passes: map[string]Delta{}}
 	de := newDeltaExtractor()
-	// The passes worth extracting are fixed for the compile: those the
-	// database fingerprints as it stands now.
+	// The passes worth extracting, the cannot-match test and the decision
+	// all read the database as it stands now, so no pass is skipped under
+	// one index and judged under another. An Add, Remove or Thr change
+	// takes effect from the next compile.
 	var ix *MatchIndex
 	if d.DB != nil {
 		ix = d.DB.Index(d.Thr)
 	}
+	ratio := d.Ratio
+	skipped := 0
 	observe := func(_ int, passName string, before, after *mir.Snapshot) {
 		// A disabled pass comes as (nil, nil). An unwatched one reaches
 		// here only through a wrapper that hides Watches: skip its
 		// extraction all the same.
-		if before == nil || after == nil || !ix.watches(passName) {
+		pp := ix.postings(passName)
+		if before == nil || after == nil || pp == nil {
 			return
 		}
-		delta := de.delta(before, after)
+		pre, post, changed := de.advance(before, after)
+		if !changed {
+			return
+		}
+		if !de.mayMatch(ix, pp, ratio, pre, post) {
+			skipped++
+			return
+		}
+		delta := de.diff(pre, post)
 		if !delta.Empty() {
 			dna.Passes[passName] = delta
 			d.pairHist.Observe(int64(de.pairCands))
@@ -167,7 +187,8 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 	}
 	finish := func() engine.CompileDecision {
 		de.release()
-		return d.Decide(&dna)
+		d.skipHist.Observe(int64(skipped))
+		return d.decide(ix, ratio, &dna)
 	}
 	return observe, finish
 }
@@ -183,12 +204,19 @@ func (d *Detector) Decide(dna *DNA) engine.CompileDecision {
 		return engine.CompileDecision{NoJIT: true}
 	}
 	d.resolveHists()
-	idx := d.DB.Index(d.Thr)
+	return d.decide(d.DB.Index(d.Thr), d.Ratio, dna)
+}
+
+// decide is Decide against one index, the one a compile's observer read.
+func (d *Detector) decide(ix *MatchIndex, ratio float64, dna *DNA) engine.CompileDecision {
+	if ix == nil {
+		return engine.CompileDecision{}
+	}
 	found := d.found[:0]
 	for passName, fdelta := range dna.Passes {
 		passName := passName
 		d.deltaHist.Observe(int64(len(fdelta.Removed) + len(fdelta.Added)))
-		idx.query(passName, fdelta, d.Ratio, d.Thr, &d.scratch, func(cve, vdcFunc string, chain uint32, side matchSide) {
+		ix.query(passName, fdelta, ratio, ix.thr, &d.scratch, func(cve, vdcFunc string, chain uint32, side matchSide) {
 			m := obs.Match{CVE: cve, VDCFunc: vdcFunc, Pass: passName, ChainID: chain, Side: side.String()}
 			if chain != NoChain {
 				m.Chain = ChainString(chain)

@@ -58,6 +58,13 @@ func TestBuildGraphRootsAndChains(t *testing.T) {
 	}
 }
 
+// chainsOf fills cs with the chain multiset of one snapshot.
+func (de *deltaExtractor) chainsOf(s *mir.Snapshot, cs *chainSet) {
+	var g depGraph
+	de.buildGraph(s, &g)
+	de.walkChains(&g, cs)
+}
+
 // chainStringsOf runs the chain enumeration and renders the result as
 // sorted strings.
 func chainStringsOf(s *mir.Snapshot) []string {
@@ -93,7 +100,7 @@ func chainStr(toks []uint32) string {
 }
 
 // chainSetOf builds a sorted chain set from chain strings, hashed as
-// chainsOf hashes them.
+// walkChains hashes them.
 func chainSetOf(chains []string) *chainSet {
 	cs := &chainSet{}
 	for _, c := range chains {
@@ -104,7 +111,7 @@ func chainSetOf(chains []string) *chainSet {
 	return cs
 }
 
-// chainHash is the content hash chainsOf computes as the path grows.
+// chainHash is the content hash walkChains computes as the path grows.
 func chainHash(toks []uint32) uint64 {
 	h := uint64(chainHashSeed)
 	for _, t := range toks {

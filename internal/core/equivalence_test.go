@@ -154,3 +154,66 @@ func TestDecisionEquivalenceGenerated(t *testing.T) {
 		checkRunEquivalence(t, fmt.Sprintf("progen-%d", seed), src, cfg, db)
 	}
 }
+
+// emptiedAtFinish is an engine.WatchingPolicy that forwards to a bare
+// detector and, between a compile's last pass and its verdict, takes every
+// entry out of the detector's database, putting them back after.
+type emptiedAtFinish struct {
+	det       *core.Detector
+	decisions []engine.CompileDecision
+}
+
+func (p *emptiedAtFinish) Active() bool             { return p.det.Active() }
+func (p *emptiedAtFinish) Watches(pass string) bool { return p.det.Watches(pass) }
+
+func (p *emptiedAtFinish) BeginCompile(fn string) (passes.Observer, func() engine.CompileDecision) {
+	observe, finish := p.det.BeginCompile(fn)
+	return observe, func() engine.CompileDecision {
+		db := p.det.DB
+		vdcs := append([]core.VDC(nil), db.VDCs...)
+		for _, v := range vdcs {
+			db.Remove(v.CVE)
+		}
+		dec := finish()
+		for _, v := range vdcs {
+			db.Add(v)
+		}
+		p.decisions = append(p.decisions, engine.CompileDecision{DisabledPasses: dec.DisabledPasses, NoJIT: dec.NoJIT})
+		return dec
+	}
+}
+
+// TestCompileIsDecidedAgainstTheIndexItBegan holds a compile to one
+// database state: the passes the cannot-match test skipped were judged
+// against the entries of the index the compile began with, so its verdict
+// must come from that index too, whatever the database holds by the time
+// the compile finishes.
+func TestCompileIsDecidedAgainstTheIndexItBegan(t *testing.T) {
+	db, bugs, err := vulndb.BuildDB(4, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{IonThreshold: 300, Bugs: bugs}
+	matched := 0
+	for _, v := range vulndb.All()[:4] {
+		want, _, _ := runBare(t, v.Demonstrator, cfg, db)
+		p := &emptiedAtFinish{det: core.NewDetector(db)}
+		e, err := engine.New(v.Demonstrator, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetPolicy(p)
+		_, _ = e.Run()
+		if !reflect.DeepEqual(p.decisions, want) {
+			t.Errorf("%s: emptying the database mid-compile moved the verdicts\ngot  %+v\nwant %+v", v.CVE, p.decisions, want)
+		}
+		for _, d := range want {
+			if len(d.DisabledPasses) > 0 || d.NoJIT {
+				matched++
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no compile matched: emptying the database could move nothing")
+	}
+}

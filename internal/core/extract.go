@@ -35,15 +35,14 @@ const chainSep = "→"
 func ExtractDelta(before, after *mir.Snapshot) Delta {
 	de := newDeltaExtractor()
 	defer de.release()
-	pre, post := &de.sets[0], &de.sets[1]
-	de.chainsOf(before, pre)
-	de.chainsOf(after, post)
-	removed, added := de.diffChainSets(pre, post)
-	return Delta{Removed: removed, Added: added}
+	pre, post := &de.states[0], &de.states[1]
+	de.load(pre, before)
+	de.load(post, after)
+	return de.diff(pre, post)
 }
 
 // extractorPool recycles deltaExtractors — and with them the dependency
-// graph, DFS, and diff scratch buffers — across compilations.
+// graphs, DFS, and diff scratch buffers — across compilations.
 var extractorPool = sync.Pool{New: func() any { return &deltaExtractor{} }}
 
 // newDeltaExtractor returns a pooled extractor with a cleared memo.
@@ -54,7 +53,9 @@ func newDeltaExtractor() *deltaExtractor {
 // release clears the memo and returns the extractor (and its scratch) to
 // the pool.
 func (de *deltaExtractor) release() {
-	de.lastSnap = nil
+	for i := range de.states {
+		de.states[i].snap, de.states[i].bucketed = nil, nil
+	}
 	extractorPool.Put(de)
 }
 
@@ -62,18 +63,16 @@ func (de *deltaExtractor) release() {
 // for graph building, chain enumeration, and chain-set diffing, so a
 // steady-state Δ extraction allocates only the returned chain sets.
 //
-// The memo is the chain multiset of the most recent "after" snapshot,
-// sets[memo]: consecutive observed passes share IR snapshots (pass i's
-// "after" is pass i+1's "before"), and a fresh "before" taken after
-// unobserved passes that changed nothing is equal to it, so each distinct
-// snapshot's chains are computed once per compilation.
+// The memo is the most recent "after" IR state, states[memo]: consecutive
+// observed passes share IR snapshots (pass i's "after" is pass i+1's
+// "before"), and a fresh "before" taken after unobserved passes that
+// changed nothing is equal to it, so each distinct snapshot's graph — and,
+// when a Δ is extracted, its chains — is built once per compilation.
 type deltaExtractor struct {
-	lastSnap *mir.Snapshot // nil: no memo
-	sets     [2]chainSet
-	memo     int
+	states [2]irState
+	memo   int
 
 	// buildGraph scratch.
-	g       depGraph
 	idSlice []int32     // dense ID -> node index (-1 = absent)
 	idMap   map[int]int // sparse fallback
 	inGraph []bool
@@ -94,31 +93,82 @@ type deltaExtractor struct {
 	maskA, maskB     []bool
 	removedB, addedB []uint32
 
+	// cannot-match scratch (see mayMatch).
+	shared          []uint32 // per index entry: posted chains found as paths
+	sharedTouched   []uint32
+	mark            []uint32 // per node: the frontier stamp that last took it
+	stamp           uint32
+	frontier, fnext []int32
+
 	// pairCands is len(p)·len(q) of the most recent diffChainSets, after
 	// the maxPairCands truncation: the size of the pairing search the
 	// detector reports as "dna.pair_cands".
 	pairCands int
 }
 
-func (de *deltaExtractor) delta(before, after *mir.Snapshot) Delta {
+// irState is one IR snapshot as the extractor reads it: its dependency
+// graph, built once, and — only once a Δ needs them — its chains.
+type irState struct {
+	snap   *mir.Snapshot // nil: the state holds no snapshot
+	g      depGraph
+	set    chainSet
+	hasSet bool // set holds g's chains
+
+	// The graph's nodes bucketed by the letters of index bucketed (nil:
+	// not bucketed): letter l's nodes are byLetter[letterStart[l]:letterStart[l+1]].
+	bucketed    *MatchIndex
+	letterStart []int32
+	byLetter    []int32
+}
+
+// load makes st the state of snapshot s.
+func (de *deltaExtractor) load(st *irState, s *mir.Snapshot) {
+	de.buildGraph(s, &st.g)
+	st.snap, st.hasSet, st.bucketed = s, false, nil
+}
+
+// chains returns the state's chain multiset, walking the graph on first use.
+func (de *deltaExtractor) chains(st *irState) *chainSet {
+	if !st.hasSet {
+		de.walkChains(&st.g, &st.set)
+		st.hasSet = true
+	}
+	return &st.set
+}
+
+// advance moves the memo across one pass and returns the states of its
+// before and after snapshots. changed is false (and the states nil) when
+// the pass changed nothing: its Δ is empty, and the memo, if any, stays
+// valid for the new snapshot pointer.
+func (de *deltaExtractor) advance(before, after *mir.Snapshot) (pre, post *irState, changed bool) {
+	last := &de.states[de.memo]
 	if snapshotsEqual(before, after) {
-		// The pass changed nothing: empty delta, and the memo (if any)
-		// stays valid for the new snapshot pointer.
-		if de.lastSnap == before {
-			de.lastSnap = after
+		if last.snap == before {
+			last.snap = after
 		}
+		return nil, nil, false
+	}
+	if last.snap == nil || (before != last.snap && !snapshotsEqual(before, last.snap)) {
+		de.load(last, before)
+	}
+	post = &de.states[1-de.memo]
+	de.load(post, after)
+	de.memo = 1 - de.memo
+	return last, post, true
+}
+
+// delta is the Δ of one observed pass, through the memo.
+func (de *deltaExtractor) delta(before, after *mir.Snapshot) Delta {
+	pre, post, changed := de.advance(before, after)
+	if !changed {
 		return Delta{}
 	}
-	m := 0
-	if de.lastSnap != nil && (before == de.lastSnap || snapshotsEqual(before, de.lastSnap)) {
-		m = de.memo
-	} else {
-		de.chainsOf(before, &de.sets[m])
-	}
-	pre, post := &de.sets[m], &de.sets[1-m]
-	de.chainsOf(after, post)
-	de.lastSnap, de.memo = after, 1-m
-	removed, added := de.diffChainSets(pre, post)
+	return de.diff(pre, post)
+}
+
+// diff computes the Δ between two loaded states.
+func (de *deltaExtractor) diff(pre, post *irState) Delta {
+	removed, added := de.diffChainSets(de.chains(pre), de.chains(post))
 	return Delta{Removed: removed, Added: added}
 }
 
@@ -162,10 +212,9 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// buildGraph rebuilds de.g from the snapshot, reusing all buffers.
-func (de *deltaExtractor) buildGraph(s *mir.Snapshot) {
+// buildGraph rebuilds g from the snapshot, reusing all buffers.
+func (de *deltaExtractor) buildGraph(s *mir.Snapshot, g *depGraph) {
 	n := len(s.Instrs)
-	g := &de.g
 	g.toks = grow(g.toks, n)
 	g.depStart = grow(g.depStart, n+1)
 	g.depList = g.depList[:0]
@@ -252,7 +301,7 @@ type walkFrame struct {
 	depIdx int32
 }
 
-// chainsOf fills cs with the dependency chains of the snapshot —
+// walkChains fills cs with the dependency chains of the graph —
 // MakeChains over every root — as a sorted multiset: two different
 // instruction paths with the same opcode sequence yield two entries, so
 // duplicate-elimination by later passes stays observable. Nothing is
@@ -260,10 +309,9 @@ type walkFrame struct {
 // path grows. The walk is an explicit-stack DFS with []bool on-path marks
 // and mirrors the recursive reference step for step (including the
 // maxChains and maxChainLen truncation points), so the chain multiset is
-// identical to refChainsOf's.
-func (de *deltaExtractor) chainsOf(s *mir.Snapshot, cs *chainSet) {
-	de.buildGraph(s)
-	g := &de.g
+// identical to refChainsOf's. Every chain is a path along the graph's
+// dependency edges, which is what the cannot-match test relies on.
+func (de *deltaExtractor) walkChains(g *depGraph, cs *chainSet) {
 	n := len(g.toks)
 	de.onPath = grow(de.onPath, n)
 	for i := range de.onPath {
@@ -600,7 +648,7 @@ func copyIDSet(ids []uint32) []uint32 {
 	return out
 }
 
-// lcsMasks prepares chain a (at most 64 tokens — chainsOf caps chains at
+// lcsMasks prepares chain a (at most 64 tokens — walkChains caps chains at
 // maxChainLen) for lcsScore: the returned table maps a token ID to the set
 // of positions it occupies in a, one bit per position. The table is shared
 // scratch; clearLCSMasks(a) must run before the next lcsMasks.

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // MatchIndex is an immutable compiled form of a Database: per optimization
 // pass, an inverted index from chain ID to the (VDC, DNA) deltas whose δ⁻
@@ -17,6 +20,13 @@ type MatchIndex struct {
 	thr     int
 	entries []indexEntry
 	byPass  map[string]*passPostings
+
+	// letters maps a token ID to its letter — a dense number given to
+	// each token that occurs in an indexed chain — or -1 (IDs past the end
+	// are -1 too). A graph buckets its nodes by letter once for all
+	// passes' cannot-match tests (see mayMatch).
+	letters  []int32
+	nLetters int
 }
 
 // indexEntry identifies one (VDC, DNA, pass) delta and its side sizes.
@@ -33,6 +43,18 @@ type passPostings struct {
 	removed map[uint32][]uint32 // chain ID -> entry IDs with the chain in δ⁻
 	added   map[uint32][]uint32 // chain ID -> entry IDs with the chain in δ⁺
 	all     []uint32            // every entry ID of this pass (degenerate thresholds)
+
+	// paths holds the posted chains of δ⁻ (paths[0]) and δ⁺ (paths[1]) in
+	// chain-ID order, as token sequences with their postings: what the
+	// cannot-match test looks for in the before and after graphs.
+	paths [2][]pathCand
+}
+
+// pathCand is one posted chain of a pass side: its tokens and the entries
+// whose side holds it.
+type pathCand struct {
+	toks    []uint32
+	entries []uint32
 }
 
 // buildMatchIndex compiles db for the given Thr. Deterministic: entries
@@ -80,13 +102,54 @@ func buildMatchIndex(db *Database, thr int) *MatchIndex {
 			}
 		}
 	}
+	chains := interner.chainsView()
+	used := map[uint32]bool{}
+	for _, pp := range ix.byPass {
+		for side, post := range [2]map[uint32][]uint32{pp.removed, pp.added} {
+			ids := make([]uint32, 0, len(post))
+			for c := range post {
+				ids = append(ids, c)
+			}
+			slices.Sort(ids)
+			for _, c := range ids {
+				pp.paths[side] = append(pp.paths[side], pathCand{toks: chains[c].toks, entries: post[c]})
+				for _, t := range chains[c].toks {
+					used[t] = true
+				}
+			}
+		}
+	}
+	toks := make([]uint32, 0, len(used))
+	for t := range used {
+		toks = append(toks, t)
+	}
+	slices.Sort(toks)
+	if len(toks) > 0 {
+		ix.letters = make([]int32, toks[len(toks)-1]+1)
+		for i := range ix.letters {
+			ix.letters[i] = -1
+		}
+		for l, t := range toks {
+			ix.letters[t] = int32(l)
+		}
+	}
+	ix.nLetters = len(toks)
 	return ix
 }
 
 // watches reports whether the index has a bucket for the pass, that is
 // whether any database delta was recorded for it. A nil index watches
 // nothing.
-func (ix *MatchIndex) watches(pass string) bool { return ix != nil && ix.byPass[pass] != nil }
+func (ix *MatchIndex) watches(pass string) bool { return ix.postings(pass) != nil }
+
+// postings returns the pass's bucket, nil for a pass the index does not
+// watch (or a nil index).
+func (ix *MatchIndex) postings(pass string) *passPostings {
+	if ix == nil {
+		return nil
+	}
+	return ix.byPass[pass]
+}
 
 // NoChain is the witness-chain sentinel for matches that needed no shared
 // chain (degenerate thresholds accept any pair of non-empty sides).

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Interner maps opcode tokens and whole dependency chains to dense uint32
@@ -20,13 +22,21 @@ import (
 // separator) is exactly when their string renderings are equal. An Interner
 // is safe for concurrent use; IDs are stable for the lifetime of the
 // process but are not meaningful across processes — only the string form
-// is persisted.
+// is persisted. A known token resolves without a lock: every instruction
+// of every extracted snapshot is one Token lookup.
 type Interner struct {
 	mu       sync.RWMutex
 	tokIDs   map[string]uint32
 	toks     []string
 	chainIDs map[string]uint32 // key: little-endian token-ID bytes
 	chains   []chainEntry
+
+	// tokView is a read-only copy of tokIDs that Token reads without the
+	// lock. It is republished, under mu, once the lookups it missed since
+	// the last copy (tokMisses) reach its size, so the copies cost
+	// amortized O(1) per lookup and a token in use soon joins the view.
+	tokView   atomic.Pointer[map[string]uint32]
+	tokMisses int
 }
 
 // chainEntry is the immutable record of one interned chain.
@@ -50,20 +60,27 @@ var interner = NewInterner()
 
 // Token interns an opcode token.
 func (it *Interner) Token(s string) uint32 {
-	it.mu.RLock()
-	id, ok := it.tokIDs[s]
-	it.mu.RUnlock()
-	if ok {
-		return id
+	view := it.tokView.Load()
+	if view != nil {
+		if id, ok := (*view)[s]; ok {
+			return id
+		}
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if id, ok := it.tokIDs[s]; ok {
-		return id
+	id, ok := it.tokIDs[s]
+	if !ok {
+		id = uint32(len(it.toks))
+		it.toks = append(it.toks, s)
+		it.tokIDs[s] = id
 	}
-	id = uint32(len(it.toks))
-	it.toks = append(it.toks, s)
-	it.tokIDs[s] = id
+	if view = it.tokView.Load(); view == nil || it.tokMisses >= len(*view) {
+		next := maps.Clone(it.tokIDs)
+		it.tokView.Store(&next)
+		it.tokMisses = 0
+	} else {
+		it.tokMisses++
+	}
 	return id
 }
 

@@ -1,0 +1,32 @@
+package core
+
+import "github.com/jitbull/jitbull/internal/mir"
+
+// CannotMatch runs the detector's cannot-match test on one observed pass,
+// with a fresh extractor. judged is false for a pass the detector does not
+// judge at all — disabled (nil snapshots), unwatched, or unchanged; skip
+// reports that the test leaves the pass's Δ unextracted. No chain is
+// interned.
+func (d *Detector) CannotMatch(pass string, before, after *mir.Snapshot) (judged, skip bool) {
+	ix := d.DB.Index(d.Thr)
+	pp := ix.postings(pass)
+	if before == nil || after == nil || pp == nil {
+		return false, false
+	}
+	de := newDeltaExtractor()
+	defer de.release()
+	pre, post, changed := de.advance(before, after)
+	if !changed {
+		return false, false
+	}
+	return true, !de.mayMatch(ix, pp, d.Ratio, pre, post)
+}
+
+// DeltaMatches reports whether the detector's index query finds an entry
+// of the pass similar to delta.
+func (d *Detector) DeltaMatches(pass string, delta Delta) bool {
+	var sc matchScratch
+	matched := false
+	d.DB.Index(d.Thr).query(pass, delta, d.Ratio, d.Thr, &sc, func(string, string, uint32, matchSide) { matched = true })
+	return matched
+}

@@ -14,11 +14,14 @@ import (
 	"github.com/jitbull/jitbull/internal/vulndb"
 )
 
+// progenSeedBase is the progen seed of the first storm program.
+const progenSeedBase = 1000
+
 // stormSources are the compile_storm workload's programs: 48 seeded
 // 8-function progen programs, each compiled under DB #8.
 func stormSources() []string {
 	var out []string
-	for seed := int64(1000); seed < 1048; seed++ {
+	for seed := int64(progenSeedBase); seed < progenSeedBase+48; seed++ {
 		out = append(out, progen.Generate(seed, progen.Options{Funcs: 8, MaxStmts: 10, Train: 130}))
 	}
 	return out
@@ -26,12 +29,14 @@ func stormSources() []string {
 
 // alongside is an engine.WatchingPolicy that forwards to a bare detector —
 // the engine still snapshots only the watched passes — and beside it
-// counts the snapshots of each judged compile and records the reference
-// Δ (string chains, nothing interned) of every pass it observes.
+// counts the snapshots of each judged compile and, for every pass the
+// detector extracts (the cannot-match test lets it through), records the
+// reference Δ (string chains, nothing interned).
 type alongside struct {
-	det   *core.Detector
-	snaps []int           // distinct snapshots per judged compile
-	kept  map[string]bool // every chain of every reference Δ
+	det                *core.Detector
+	snaps              []int           // distinct snapshots per judged compile
+	kept               map[string]bool // every chain of every extracted reference Δ
+	extracted, skipped int
 }
 
 func (a *alongside) Active() bool             { return a.det.Active() }
@@ -46,6 +51,15 @@ func (a *alongside) BeginCompile(fn string) (passes.Observer, func() engine.Comp
 				return
 			}
 			seen[before], seen[after] = true, true
+			judged, skip := a.det.CannotMatch(pass, before, after)
+			if !judged {
+				return
+			}
+			if skip {
+				a.skipped++
+				return
+			}
+			a.extracted++
 			d := core.RefExtractDelta(before, after)
 			for _, side := range [][]string{d.Removed, d.Added} {
 				for _, c := range side {
@@ -62,9 +76,12 @@ func (a *alongside) BeginCompile(fn string) (passes.Observer, func() engine.Comp
 // DB #8, which fingerprints 9 of the 23 pipeline passes in 7 runs of
 // consecutive passes. Every judged compile takes 16 snapshots (one after
 // each watched pass, one before each run), where observing every pass took
-// 24. And the detector interns exactly the chains its Δs keep: the
-// interner grows by the distinct reference-Δ chains it did not already
-// hold, and by nothing else — not the chains of every snapshot.
+// 24. And the detector interns exactly the chains of the Δs it extracts:
+// the interner grows by the distinct chains of those reference Δs it did
+// not already hold, and by nothing else — not the chains of every
+// snapshot, nor those of a Δ the cannot-match test left unextracted. No
+// storm pass shares enough chains with DB #8 to pass that test, so the
+// storm extracts, and interns, nothing.
 func TestJudgedCompileCostFollowsTheDatabase(t *testing.T) {
 	db, bugs, err := vulndb.BuildDB(8, 0)
 	if err != nil {
@@ -111,14 +128,20 @@ func TestJudgedCompileCostFollowsTheDatabase(t *testing.T) {
 		}
 	}
 	n1 := core.NumChains()
-	t.Logf("%d judged compiles, %d distinct kept-Δ chains, %d of them new; the interner grew by %d",
-		len(pol.snaps), len(pol.kept), len(want), n1-n0)
+	t.Logf("%d judged compiles, %d changed watched passes: %d extracted (%d distinct kept-Δ chains, %d of them new), %d skipped; the interner grew by %d",
+		len(pol.snaps), pol.extracted+pol.skipped, pol.extracted, len(pol.kept), len(want), pol.skipped, n1-n0)
+	if pol.skipped == 0 {
+		t.Error("the cannot-match test skipped no pass: the storm is DNA-miss work")
+	}
+	if pol.extracted != 0 {
+		t.Errorf("%d storm passes passed the cannot-match test, want 0", pol.extracted)
+	}
 	if n1-n0 != len(want) {
-		t.Errorf("the interner grew by %d chains, the Δs keep %d new ones", n1-n0, len(want))
+		t.Errorf("the interner grew by %d chains, the extracted Δs keep %d new ones", n1-n0, len(want))
 	}
 	for id := n0; id < n1; id++ {
 		if c := core.ChainString(uint32(id)); !want[c] {
-			t.Errorf("interned %q, which no Δ keeps", c)
+			t.Errorf("interned %q, which no extracted Δ keeps", c)
 		}
 	}
 }

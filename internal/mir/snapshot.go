@@ -22,13 +22,14 @@ type SnapInstr struct {
 }
 
 // snapOpcodeCache holds pre-rendered strings for the payload values that
-// dominate real programs: small non-negative integer constants and low
-// parameter/builtin indexes. Snapshots are taken between every pass of
-// every compilation, so these renderings are hot.
+// dominate real programs: small non-negative integer constants, low
+// parameter/builtin indexes and the comparison kinds. Snapshots are taken
+// between every pass of every compilation, so these renderings are hot.
 var snapOpcodeCache = func() (c struct {
 	constant  [64]string
 	parameter [16]string
 	mathfunc  [16]string
+	compare   [CmpNe + 1]string
 }) {
 	for i := range c.constant {
 		c.constant[i] = "constant(" + strconv.Itoa(i) + ")"
@@ -38,6 +39,9 @@ var snapOpcodeCache = func() (c struct {
 	}
 	for i := range c.mathfunc {
 		c.mathfunc[i] = "mathfunc#" + strconv.Itoa(i)
+	}
+	for k := range c.compare {
+		c.compare[k] = "compare" + CompareKind(k).String()
 	}
 	return c
 }()
@@ -61,6 +65,9 @@ func snapOpcode(in *Instr) string {
 		}
 		return "parameter#" + strconv.Itoa(in.Aux)
 	case OpCompare:
+		if k := in.Aux; k >= 0 && k < len(snapOpcodeCache.compare) {
+			return snapOpcodeCache.compare[k]
+		}
 		return "compare" + CompareKind(in.Aux).String()
 	case OpMathFunc:
 		if n := in.Aux; n >= 0 && n < len(snapOpcodeCache.mathfunc) {

@@ -1,8 +1,8 @@
 package passes
 
 import (
-	"fmt"
-	"strings"
+	"math"
+	"strconv"
 
 	"github.com/jitbull/jitbull/internal/bytecode"
 	"github.com/jitbull/jitbull/internal/mir"
@@ -36,14 +36,23 @@ func (gvnPass) Run(g *mir.Graph, ctx *Context) error {
 	g.BuildDominators()
 	lengthKeyIgnoresObject := ctx.Bugs.Has(CVE201717026) || ctx.Bugs.Has(CVE20199810)
 
-	table := map[string][]*mir.Instr{}
+	rpo := g.ReversePostorder()
+	eligible := 0
+	for _, b := range rpo {
+		for _, in := range b.Instrs {
+			if !in.Dead && gvnEligible(in) {
+				eligible++
+			}
+		}
+	}
+	table := make(map[gvnKey][]*mir.Instr, eligible)
 	changed := false
-	for _, b := range g.ReversePostorder() {
+	for _, b := range rpo {
 		for _, in := range b.Instrs {
 			if in.Dead || !gvnEligible(in) {
 				continue
 			}
-			key := gvnKey(in, lengthKeyIgnoresObject)
+			key := keyOf(in, lengthKeyIgnoresObject)
 			var leader *mir.Instr
 			for _, cand := range table[key] {
 				if cand.Dead {
@@ -87,26 +96,61 @@ func gvnEligible(in *mir.Instr) bool {
 	return true
 }
 
-func gvnKey(in *mir.Instr, lengthKeyIgnoresObject bool) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|%d|%d", in.Op, in.Aux, in.Type)
+// gvnKey is the congruence key of an eligible instruction: opcode, aux
+// payload and result type; a load's alias-analysis Dependency; and the
+// operand identities. Up to four operand IDs that fit in int32 are held in
+// ops (unused slots -1); otherwise ops is all -2 and more spells every ID
+// out. A constant has no operands, so ops holds its value's bits instead
+// (every NaN as one): the opcode keeps the two readings apart, and the key
+// stays at 56 bytes.
+type gvnKey struct {
+	op   mir.Op
+	typ  mir.Type
+	aux  int
+	dep  *mir.Instr
+	ops  [4]int32
+	more string
+}
+
+// nanBits is the one key value of every NaN constant: all NaNs are
+// congruent, whatever their payload, while -0 and 0 stay apart.
+const nanBits = 0x7ff8000000000001
+
+func keyOf(in *mir.Instr, lengthKeyIgnoresObject bool) gvnKey {
+	k := gvnKey{op: in.Op, typ: in.Type, aux: in.Aux, ops: [4]int32{-1, -1, -1, -1}}
 	if in.Op == mir.OpConstant {
-		fmt.Fprintf(&sb, "|c%x", in.Num)
-		return sb.String()
+		bits := math.Float64bits(in.Num)
+		if math.IsNaN(in.Num) {
+			bits = nanBits
+		}
+		k.ops[0], k.ops[1] = int32(uint32(bits)), int32(uint32(bits>>32))
+		return k
 	}
 	if in.Op.Loads() != mir.AliasNone {
-		if in.Dependency != nil {
-			fmt.Fprintf(&sb, "|d%p", in.Dependency)
-		} else {
-			sb.WriteString("|d-")
-		}
+		k.dep = in.Dependency
 	}
 	if in.Op == mir.OpInitializedLength && lengthKeyIgnoresObject {
 		// BUG: the elements operand is not part of the key.
-		return sb.String()
+		return k
 	}
+	if len(in.Operands) <= len(k.ops) {
+		fits := true
+		for i, op := range in.Operands {
+			if op.ID < 0 || op.ID > math.MaxInt32 {
+				fits = false
+				break
+			}
+			k.ops[i] = int32(op.ID)
+		}
+		if fits {
+			return k
+		}
+	}
+	k.ops = [4]int32{-2, -2, -2, -2}
+	var b []byte
 	for _, op := range in.Operands {
-		fmt.Fprintf(&sb, "|%d", op.ID)
+		b = strconv.AppendInt(append(b, '|'), int64(op.ID), 10)
 	}
-	return sb.String()
+	k.more = string(b)
+	return k
 }

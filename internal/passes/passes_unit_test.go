@@ -4,6 +4,7 @@ package passes
 // passes_test.go.
 
 import (
+	"math"
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/mir"
@@ -300,5 +301,47 @@ func TestDCEKeepsGuardsAndEffects(t *testing.T) {
 	// But the unused load itself dies.
 	if n := count(g, mir.OpLoadElement); n != 0 {
 		t.Fatalf("unused load kept\n%s", g)
+	}
+}
+
+// TestGVNKeyCongruence: two instructions share a key exactly when GVN may
+// merge them — every NaN constant is one value, -0 is not 0, operands and
+// their order count, past four of them too — and the CVE-2019-17026 /
+// CVE-2019-9810 bug keys initializedlength without its elements operand.
+func TestGVNKeyCongruence(t *testing.T) {
+	g := mir.NewGraph("k", 0, 0)
+	cst := func(v float64) *mir.Instr {
+		in := g.NewInstr(mir.OpConstant, mir.TypeDouble)
+		in.Num = v
+		return in
+	}
+	a, b, c, d, e := cst(1), cst(2), cst(3), cst(4), cst(5)
+	length := func(elems *mir.Instr) *mir.Instr {
+		return g.NewInstr(mir.OpInitializedLength, mir.TypeDouble, elems)
+	}
+	add := func(ops ...*mir.Instr) *mir.Instr { return g.NewInstr(mir.OpAdd, mir.TypeDouble, ops...) }
+	for _, tc := range []struct {
+		name string
+		x, y *mir.Instr
+		bug  bool
+		same bool
+	}{
+		{"NaN payloads", cst(math.NaN()), cst(math.Float64frombits(0x7ff8000000000abc)), false, true},
+		{"negative NaN", cst(math.NaN()), cst(math.Copysign(math.NaN(), -1)), false, true},
+		{"-0 and 0", cst(0), cst(math.Copysign(0, -1)), false, false},
+		{"equal constants", cst(2.5), cst(2.5), false, true},
+		{"constants apart in the high word", cst(1), cst(2), false, false},
+		{"constants apart in the low word", cst(1), cst(math.Float64frombits(0x3ff0000000000001)), false, false},
+		{"operand order", add(a, b), add(b, a), false, false},
+		{"same operands", add(a, b), add(a, b), false, true},
+		{"five operands", add(a, b, c, d, e), add(a, b, c, d, e), false, true},
+		{"fifth operand differs", add(a, b, c, d, e), add(a, b, c, d, a), false, false},
+		{"four vs five operands", add(a, b, c, d), add(a, b, c, d, e), false, false},
+		{"lengths of two arrays", length(a), length(b), false, false},
+		{"lengths of two arrays, bug", length(a), length(b), true, true},
+	} {
+		if got := keyOf(tc.x, tc.bug) == keyOf(tc.y, tc.bug); got != tc.same {
+			t.Errorf("%s: same key = %v, want %v", tc.name, got, tc.same)
+		}
 	}
 }
