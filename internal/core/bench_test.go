@@ -269,9 +269,10 @@ func stormFuncs() ([]stormFunc, error) {
 // detector (watched passes only; nothing at all under the empty DB #0),
 // and the finish step. Beside ns/op and allocs/op it reports the Δ chains
 // the detector compared per op, the changed watched passes the
-// cannot-match test left unextracted per op, and the chains it interned
-// per op; the interner is process-wide, so the last is the cold count only
-// at -benchtime 1x (later ops find their chains interned).
+// cannot-match test left unextracted per op, the distinct snapshots the
+// observer was handed per op, and the chains it interned per op; the
+// interner is process-wide, so the last is the cold count only at
+// -benchtime 1x (later ops find their chains interned).
 func BenchmarkDetectorCompile(b *testing.B) {
 	funcs, err := stormFuncs()
 	if err != nil {
@@ -290,6 +291,15 @@ func BenchmarkDetectorCompile(b *testing.B) {
 			deltaChains := det.Metrics.Histogram("dna.delta_chains", obs.SizeBuckets)
 			skipped := det.Metrics.Histogram("dna.passes_skipped", obs.SizeBuckets)
 			d0, s0, c0 := deltaChains.Sum(), skipped.Sum(), core.NumChains()
+			// A snapshot, once replaced, is never handed over again, so
+			// counting pointer changes counts distinct snapshots.
+			snaps := 0
+			var last *mir.Snapshot
+			count := func(s *mir.Snapshot) {
+				if s != nil && s != last {
+					snaps, last = snaps+1, s
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -301,7 +311,13 @@ func BenchmarkDetectorCompile(b *testing.B) {
 					opts := passes.RunOptions{Bugs: bugs}
 					var finish func() engine.CompileDecision
 					if det.Active() {
-						opts.Observer, finish = det.BeginCompile(f.fd.Name)
+						var observe passes.Observer
+						observe, finish = det.BeginCompile(f.fd.Name)
+						opts.Observer = func(i int, pass string, before, after *mir.Snapshot) {
+							count(before)
+							count(after)
+							observe(i, pass, before, after)
+						}
 						opts.Watch = det.Watches
 					}
 					if err := passes.RunWith(g, opts); err != nil {
@@ -315,6 +331,7 @@ func BenchmarkDetectorCompile(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(deltaChains.Sum()-d0)/float64(b.N), "delta_chains/op")
 			b.ReportMetric(float64(skipped.Sum()-s0)/float64(b.N), "skipped/op")
+			b.ReportMetric(float64(snaps)/float64(b.N), "snaps/op")
 			b.ReportMetric(float64(core.NumChains()-c0)/float64(b.N), "interned/op")
 		})
 	}

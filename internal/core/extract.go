@@ -63,11 +63,11 @@ func (de *deltaExtractor) release() {
 // for graph building, chain enumeration, and chain-set diffing, so a
 // steady-state Δ extraction allocates only the returned chain sets.
 //
-// The memo is the most recent "after" IR state, states[memo]: consecutive
-// observed passes share IR snapshots (pass i's "after" is pass i+1's
-// "before"), and a fresh "before" taken after unobserved passes that
-// changed nothing is equal to it, so each distinct snapshot's graph — and,
-// when a Δ is extracted, its chains — is built once per compilation.
+// The memo is the most recent "after" IR state, states[memo]: the engine
+// hands equal consecutive IR states over as one snapshot pointer (pass
+// i's "after" is pass i+1's "before" unless the graph changed in
+// between), so each distinct snapshot's graph — and, when a Δ is
+// extracted, its chains — is built once per compilation.
 type deltaExtractor struct {
 	states [2]irState
 	memo   int
@@ -138,17 +138,16 @@ func (de *deltaExtractor) chains(st *irState) *chainSet {
 
 // advance moves the memo across one pass and returns the states of its
 // before and after snapshots. changed is false (and the states nil) when
-// the pass changed nothing: its Δ is empty, and the memo, if any, stays
-// valid for the new snapshot pointer.
+// the pass changed nothing. States are told apart by pointer, as
+// passes.RunWith hands them over (equal consecutive states are one
+// pointer): a distinct but equal snapshot is loaded afresh and its Δ comes
+// out empty, at the cost of building its graph.
 func (de *deltaExtractor) advance(before, after *mir.Snapshot) (pre, post *irState, changed bool) {
 	last := &de.states[de.memo]
-	if snapshotsEqual(before, after) {
-		if last.snap == before {
-			last.snap = after
-		}
+	if before == after {
 		return nil, nil, false
 	}
-	if last.snap == nil || (before != last.snap && !snapshotsEqual(before, last.snap)) {
+	if last.snap != before {
 		de.load(last, before)
 	}
 	post = &de.states[1-de.memo]
@@ -170,27 +169,6 @@ func (de *deltaExtractor) delta(before, after *mir.Snapshot) Delta {
 func (de *deltaExtractor) diff(pre, post *irState) Delta {
 	removed, added := de.diffChainSets(de.chains(pre), de.chains(post))
 	return Delta{Removed: removed, Added: added}
-}
-
-// snapshotsEqual reports whether two snapshots are structurally identical
-// up to instruction renumbering-free equality (same order, opcodes and
-// operand references).
-func snapshotsEqual(a, b *mir.Snapshot) bool {
-	if len(a.Instrs) != len(b.Instrs) {
-		return false
-	}
-	for i := range a.Instrs {
-		x, y := &a.Instrs[i], &b.Instrs[i]
-		if x.ID != y.ID || x.Opcode != y.Opcode || len(x.Operands) != len(y.Operands) {
-			return false
-		}
-		for j := range x.Operands {
-			if x.Operands[j] != y.Operands[j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // depGraph is the dependency-graph form of one IR snapshot (BuildGraph in

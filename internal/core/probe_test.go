@@ -4,7 +4,8 @@ import "github.com/jitbull/jitbull/internal/mir"
 
 // CannotMatch runs the detector's cannot-match test on one observed pass,
 // with a fresh extractor. judged is false for a pass the detector does not
-// judge at all — disabled (nil snapshots), unwatched, or unchanged; skip
+// judge at all — disabled (nil snapshots), unwatched, or unchanged (one
+// snapshot pointer before and after); skip
 // reports that the test leaves the pass's Δ unextracted. No chain is
 // interned.
 func (d *Detector) CannotMatch(pass string, before, after *mir.Snapshot) (judged, skip bool) {
@@ -30,3 +31,6 @@ func (d *Detector) DeltaMatches(pass string, delta Delta) bool {
 	d.DB.Index(d.Thr).query(pass, delta, d.Ratio, d.Thr, &sc, func(string, string, uint32, matchSide) { matched = true })
 	return matched
 }
+
+// SnapshotsEqual reports whether two snapshots have equal contents.
+func SnapshotsEqual(a, b *mir.Snapshot) bool { return snapshotsEqual(a, b) }

@@ -61,6 +61,27 @@ func RefExtractDelta(before, after *mir.Snapshot) RefDelta {
 	return RefDelta{Removed: removed, Added: added}
 }
 
+// snapshotsEqual reports whether two snapshots are structurally identical
+// up to instruction renumbering-free equality (same order, opcodes and
+// operand references).
+func snapshotsEqual(a, b *mir.Snapshot) bool {
+	if len(a.Instrs) != len(b.Instrs) {
+		return false
+	}
+	for i := range a.Instrs {
+		x, y := &a.Instrs[i], &b.Instrs[i]
+		if x.ID != y.ID || x.Opcode != y.Opcode || len(x.Operands) != len(y.Operands) {
+			return false
+		}
+		for j := range x.Operands {
+			if x.Operands[j] != y.Operands[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // refDeltaExtractor is the reference per-compilation memo (the original
 // deltaExtractor): consecutive passes share IR snapshots, so each
 // snapshot's chains are computed exactly once per compilation.

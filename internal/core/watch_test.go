@@ -35,6 +35,8 @@ func stormSources() []string {
 type alongside struct {
 	det                *core.Detector
 	snaps              []int           // distinct snapshots per judged compile
+	states             []int           // distinct IR states at its watched boundaries
+	boundary           []*mir.Snapshot // full Snaps at the current compile's watched boundaries
 	kept               map[string]bool // every chain of every extracted reference Δ
 	extracted, skipped int
 }
@@ -42,8 +44,34 @@ type alongside struct {
 func (a *alongside) Active() bool             { return a.det.Active() }
 func (a *alongside) Watches(pass string) bool { return a.det.Watches(pass) }
 
+// pipeline is the standard pipeline with every watched pass wrapped to
+// record a full Snap of the graph on each side of it, independently of the
+// snapshots the engine hands the observer.
+func (a *alongside) pipeline() []passes.Pass {
+	pl := passes.Pipeline()
+	for i, p := range pl {
+		if a.Watches(p.Name()) {
+			pl[i] = boundaryPass{Pass: p, states: &a.boundary}
+		}
+	}
+	return pl
+}
+
+type boundaryPass struct {
+	passes.Pass
+	states *[]*mir.Snapshot
+}
+
+func (p boundaryPass) Run(g *mir.Graph, ctx *passes.Context) error {
+	*p.states = append(*p.states, g.Snap())
+	err := p.Pass.Run(g, ctx)
+	*p.states = append(*p.states, g.Snap())
+	return err
+}
+
 func (a *alongside) BeginCompile(fn string) (passes.Observer, func() engine.CompileDecision) {
 	observe, finish := a.det.BeginCompile(fn)
+	a.boundary = a.boundary[:0]
 	seen := map[*mir.Snapshot]bool{}
 	return func(i int, pass string, before, after *mir.Snapshot) {
 			observe(i, pass, before, after)
@@ -68,20 +96,30 @@ func (a *alongside) BeginCompile(fn string) (passes.Observer, func() engine.Comp
 			}
 		}, func() engine.CompileDecision {
 			a.snaps = append(a.snaps, len(seen))
+			states := 0
+			for i, s := range a.boundary {
+				if i == 0 || !core.SnapshotsEqual(a.boundary[i-1], s) {
+					states++
+				}
+			}
+			a.states = append(a.states, states)
 			return finish()
 		}
 }
 
 // TestJudgedCompileCostFollowsTheDatabase compiles the storm programs under
-// DB #8, which fingerprints 9 of the 23 pipeline passes in 7 runs of
-// consecutive passes. Every judged compile takes 16 snapshots (one after
-// each watched pass, one before each run), where observing every pass took
-// 24. And the detector interns exactly the chains of the Δs it extracts:
-// the interner grows by the distinct chains of those reference Δs it did
-// not already hold, and by nothing else — not the chains of every
-// snapshot, nor those of a Δ the cannot-match test left unextracted. No
-// storm pass shares enough chains with DB #8 to pass that test, so the
-// storm extracts, and interns, nothing.
+// DB #8, which fingerprints 9 of the 23 pipeline passes. Every judged
+// compile takes exactly one snapshot per distinct IR state at its watched
+// boundaries (the graph before and after each watched pass, where equal
+// neighbours are one state), counted from full Snaps taken beside the
+// engine's; snapshotting each boundary afresh took 16 per compile (one
+// after each watched pass, one before each of DB #8's 7 runs of
+// consecutive watched passes). And the detector interns exactly the chains
+// of the Δs it extracts: the interner grows by the distinct chains of those
+// reference Δs it did not already hold, and by nothing else — not the
+// chains of every snapshot, nor those of a Δ the cannot-match test left
+// unextracted. No storm pass shares enough chains with DB #8 to pass that
+// test, so the storm extracts, and interns, nothing.
 func TestJudgedCompileCostFollowsTheDatabase(t *testing.T) {
 	db, bugs, err := vulndb.BuildDB(8, 0)
 	if err != nil {
@@ -104,7 +142,7 @@ func TestJudgedCompileCostFollowsTheDatabase(t *testing.T) {
 		held[core.ChainString(uint32(id))] = true
 	}
 	for _, src := range stormSources() {
-		e, err := engine.New(src, engine.Config{IonThreshold: 100, Bugs: bugs})
+		e, err := engine.New(src, engine.Config{IonThreshold: 100, Bugs: bugs, Passes: pol.pipeline()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +153,15 @@ func TestJudgedCompileCostFollowsTheDatabase(t *testing.T) {
 	if len(pol.snaps) == 0 {
 		t.Fatal("no judged compile: the test pins nothing")
 	}
+	total, least, most := 0, pol.snaps[0], pol.snaps[0]
 	for i, n := range pol.snaps {
-		if n != 16 {
-			t.Fatalf("judged compile %d took %d snapshots, want 16", i, n)
+		if n != pol.states[i] {
+			t.Fatalf("judged compile %d took %d snapshots for %d distinct IR states", i, n, pol.states[i])
 		}
+		total, least, most = total+n, min(least, n), max(most, n)
 	}
+	t.Logf("%d snapshots over %d judged compiles, %d–%d each (%d at 16 per compile)",
+		total, len(pol.snaps), least, most, 16*len(pol.snaps))
 
 	want := map[string]bool{}
 	for c := range pol.kept {

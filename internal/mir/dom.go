@@ -1,53 +1,53 @@
 package mir
 
-// computeIdoms returns the immediate dominator of every block in rpo
-// (Cooper-Harvey-Kennedy iterative algorithm). The entry block maps to nil.
-// It does not touch any graph or block state, so it is safe to call from
-// read-only consumers such as the verifier.
-func computeIdoms(rpo []*Block) map[*Block]*Block {
-	idom := make(map[*Block]*Block, len(rpo))
+// computeIdoms returns the immediate dominator of every block in rpo, as
+// RPO positions: idom[i] is the position of rpo[i]'s immediate dominator,
+// -1 for the entry (Cooper-Harvey-Kennedy iterative algorithm). pos maps
+// block IDs to RPO positions (see rpoPositions). It does not touch any
+// graph or block state, so it is safe to call from read-only consumers
+// such as the verifier.
+func computeIdoms(rpo []*Block, pos []int32) []int32 {
+	idom := make([]int32, len(rpo))
+	for i := range idom {
+		idom[i] = -1
+	}
 	if len(rpo) == 0 {
 		return idom
 	}
-	index := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		index[b] = i
-	}
-	entry := rpo[0]
-	idom[entry] = entry
-	intersect := func(a, b *Block) *Block {
+	idom[0] = 0
+	intersect := func(a, b int32) int32 {
 		for a != b {
-			for index[a] > index[b] {
+			for a > b {
 				a = idom[a]
 			}
-			for index[b] > index[a] {
+			for b > a {
 				b = idom[b]
 			}
 		}
 		return a
 	}
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo[1:] {
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if idom[p] == nil {
-					continue // not yet processed or unreachable
+		for i := 1; i < len(rpo); i++ {
+			newIdom := int32(-1)
+			for _, p := range rpo[i].Preds {
+				pi := pos[p.ID]
+				if pi < 0 || idom[pi] < 0 {
+					continue // unreachable or not yet processed
 				}
-				if newIdom == nil {
-					newIdom = p
+				if newIdom < 0 {
+					newIdom = pi
 				} else {
-					newIdom = intersect(p, newIdom)
+					newIdom = intersect(pi, newIdom)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom >= 0 && idom[i] != newIdom {
+				idom[i] = newIdom
 				changed = true
 			}
 		}
 	}
-	idom[entry] = nil
+	idom[0] = -1
 	return idom
 }
 
@@ -59,28 +59,39 @@ func (g *Graph) BuildDominators() {
 	if len(rpo) == 0 {
 		return
 	}
-	idoms := computeIdoms(rpo)
-	for _, b := range rpo {
-		b.idom = idoms[b]
-	}
-	entry := rpo[0]
+	idom := computeIdoms(rpo, g.rpoPositions(rpo))
 
-	// Number the dominator tree with a DFS interval labeling.
-	children := make(map[*Block][]*Block, len(rpo))
-	for _, b := range rpo[1:] {
-		children[b.idom] = append(children[b.idom], b)
-	}
-	num := 0
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		b.domNum = num
-		num++
-		for _, c := range children[b] {
-			dfs(c)
+	// Number the dominator tree in depth-first preorder, children in RPO
+	// order: a block's interval [domNum, domLast] spans its subtree. A
+	// dominator precedes the blocks it dominates in RPO, so one backward
+	// pass sizes every subtree and one forward pass hands each child the
+	// next free number under its parent. (A block left without an idom,
+	// which only a graph with inconsistent edges has, stays unnumbered
+	// along with its subtree.)
+	size, next := make([]int32, len(rpo)), make([]int32, len(rpo))
+	for i := len(rpo) - 1; i >= 0; i-- {
+		size[i]++
+		if i > 0 && idom[i] >= 0 {
+			size[idom[i]] += size[i]
 		}
-		b.domLast = num - 1
 	}
-	dfs(entry)
+	rpo[0].idom, rpo[0].domNum, rpo[0].domLast = nil, 0, int(size[0])-1
+	next[0] = 1
+	for i := 1; i < len(rpo); i++ {
+		b, p := rpo[i], idom[i]
+		b.idom = nil
+		if p < 0 {
+			continue
+		}
+		b.idom = rpo[p]
+		if next[p] == 0 {
+			continue // p is unnumbered
+		}
+		num := next[p]
+		next[p] += size[i]
+		b.domNum, b.domLast = int(num), int(num+size[i])-1
+		next[i] = num + 1
+	}
 
 	g.computeLoopDepths(rpo)
 }
@@ -104,24 +115,23 @@ func (g *Graph) computeLoopDepths(rpo []*Block) {
 }
 
 // naturalLoop returns the blocks of the natural loop with the given header
-// and back-edge source (header included).
+// and back-edge source (header first).
 func naturalLoop(header, backEdgeSrc *Block) []*Block {
-	body := map[*Block]bool{header: true}
+	inBody := make([]bool, header.Graph.nextBlock)
+	inBody[header.ID] = true
+	body := []*Block{header}
 	stack := []*Block{backEdgeSrc}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if body[b] {
+		if inBody[b.ID] {
 			continue
 		}
-		body[b] = true
+		inBody[b.ID] = true
+		body = append(body, b)
 		stack = append(stack, b.Preds...)
 	}
-	out := make([]*Block, 0, len(body))
-	for b := range body {
-		out = append(out, b)
-	}
-	return out
+	return body
 }
 
 // LoopBodies returns, for each natural loop, its header and member set.

@@ -7,6 +7,7 @@ package mir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -478,52 +479,71 @@ func (g *Graph) Renumber() {
 }
 
 // ReversePostorder returns the blocks in reverse postorder from the entry.
-// Unreachable blocks are excluded.
+// Unreachable blocks are excluded. The depth-first walk visits successors
+// in order with an explicit stack and marks blocks by ID (IDs come from
+// NewBlock and are never reassigned), so it allocates no map.
 func (g *Graph) ReversePostorder() []*Block {
 	if len(g.Blocks) == 0 {
 		return nil
 	}
-	seen := make(map[*Block]bool, len(g.Blocks))
-	var order []*Block
-	var visit func(b *Block)
-	visit = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			visit(s)
-		}
-		order = append(order, b)
+	type frame struct {
+		b    *Block
+		next int // index of the next successor to visit
 	}
-	visit(g.Blocks[0])
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
+	seen := make([]bool, g.nextBlock)
+	order := make([]*Block, 0, len(g.Blocks))
+	var buf [32]frame
+	stack := append(buf[:0], frame{b: g.Blocks[0]})
+	seen[g.Blocks[0].ID] = true
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next < len(top.b.Succs) {
+			s := top.b.Succs[top.next]
+			top.next++
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				stack = append(stack, frame{b: s})
+			}
+			continue
+		}
+		order = append(order, top.b)
+		stack = stack[:len(stack)-1]
 	}
+	slices.Reverse(order)
 	return order
+}
+
+// rpoPositions maps each block ID to its position in rpo, -1 for a block
+// rpo does not hold (unreachable or pruned).
+func (g *Graph) rpoPositions(rpo []*Block) []int32 {
+	pos := make([]int32, g.nextBlock)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, b := range rpo {
+		pos[b.ID] = int32(i)
+	}
+	return pos
 }
 
 // PruneUnreachable removes blocks not reachable from the entry, fixing up
 // predecessor lists and phis of surviving blocks.
 func (g *Graph) PruneUnreachable() {
-	reach := map[*Block]bool{}
-	for _, b := range g.ReversePostorder() {
-		reach[b] = true
-	}
+	pos := g.rpoPositions(g.ReversePostorder())
 	for _, b := range g.Blocks {
-		if !reach[b] {
+		if pos[b.ID] < 0 {
 			continue
 		}
 		// Drop edges from unreachable predecessors, including phi inputs.
 		for i := len(b.Preds) - 1; i >= 0; i-- {
-			if !reach[b.Preds[i]] {
+			if pos[b.Preds[i].ID] < 0 {
 				b.RemovePred(i)
 			}
 		}
 	}
 	out := g.Blocks[:0]
 	for _, b := range g.Blocks {
-		if reach[b] {
+		if pos[b.ID] >= 0 {
 			out = append(out, b)
 		}
 	}

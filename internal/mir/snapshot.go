@@ -1,6 +1,10 @@
 package mir
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+	"sync/atomic"
+)
 
 // Snapshot is a stable copy of a graph's live instructions taken between
 // optimization passes. The JITBULL Δ extractor consumes pairs of snapshots
@@ -46,6 +50,38 @@ var snapOpcodeCache = func() (c struct {
 	return c
 }()
 
+// constOpcodeBits sizes constOpcodes: 1<<constOpcodeBits slots.
+const constOpcodeBits = 10
+
+// constOpcodes caches the renderings of constants outside the pre-rendered
+// range, direct-mapped by the value's bits: a few hundred distinct values
+// (1000003, 255, 65536, ...) recur in every snapshot of every compile, and
+// comparing a graph with its last snapshot reads each of them. Slots are
+// replaced whole, so readers need no lock; a collision only costs a
+// rendering. The cache is process-wide and bounded, not IR state.
+var constOpcodes [1 << constOpcodeBits]atomic.Pointer[constOpcode]
+
+type constOpcode struct {
+	bits uint64
+	s    string
+}
+
+// constSlot is the constOpcodes slot of a value's bits (Fibonacci hashing).
+func constSlot(bits uint64) uint64 { return bits * 0x9E3779B97F4A7C15 >> (64 - constOpcodeBits) }
+
+// constantOpcode renders a constant's opcode through constOpcodes.
+func constantOpcode(v float64) string {
+	bits := math.Float64bits(v)
+	slot := &constOpcodes[constSlot(bits)]
+	if e := slot.Load(); e != nil && e.bits == bits {
+		return e.s
+	}
+	// strconv with 'g'/-1 renders exactly as fmt's %v does for float64.
+	s := "constant(" + strconv.FormatFloat(v, 'g', -1, 64) + ")"
+	slot.Store(&constOpcode{bits: bits, s: s})
+	return s
+}
+
 // snapOpcode renders the opcode with its payload detail. Identity-carrying
 // payloads (constant values, parameter indexes, comparison kinds, math
 // builtins) distinguish otherwise identical chains; position-dependent
@@ -57,8 +93,7 @@ func snapOpcode(in *Instr) string {
 		if n := int(in.Num); float64(n) == in.Num && n >= 0 && n < len(snapOpcodeCache.constant) {
 			return snapOpcodeCache.constant[n]
 		}
-		// strconv with 'g'/-1 renders exactly as fmt's %v does for float64.
-		return "constant(" + strconv.FormatFloat(in.Num, 'g', -1, 64) + ")"
+		return constantOpcode(in.Num)
 	case OpParameter:
 		if n := in.Aux; n >= 0 && n < len(snapOpcodeCache.parameter) {
 			return snapOpcodeCache.parameter[n]
@@ -89,11 +124,56 @@ func snapOpcode(in *Instr) string {
 func snapSkip(op Op) bool { return op == OpOSREntry || op == OpSnapshot }
 
 // Snap captures the current live instructions of the graph in reverse
-// postorder. The snapshot is built with exactly two allocations (the
-// instruction slice and one flat operand array) on top of the Snapshot
-// itself.
-func (g *Graph) Snap() *Snapshot {
+// postorder.
+func (g *Graph) Snap() *Snapshot { return g.snap(g.ReversePostorder()) }
+
+// SnapUnlessEqual is Snap, except that it returns prev itself when Snap's
+// snapshot would have prev's contents: the graph is compared with prev in
+// place — function name, IDs, opcodes with their payloads, operand IDs,
+// under Snap's skip rules — and a new snapshot is built, from the same
+// reverse postorder, only when they differ. A nil prev differs from every
+// graph.
+func (g *Graph) SnapUnlessEqual(prev *Snapshot) *Snapshot {
 	rpo := g.ReversePostorder()
+	if prev != nil && g.snapEquals(rpo, prev) {
+		return prev
+	}
+	return g.snap(rpo)
+}
+
+// snapEquals reports whether the graph's snapshot over rpo would equal s.
+func (g *Graph) snapEquals(rpo []*Block, s *Snapshot) bool {
+	if g.Name != s.FuncName {
+		return false
+	}
+	k := 0
+	for _, b := range rpo {
+		for _, in := range b.Instrs {
+			if in.Dead || snapSkip(in.Op) {
+				continue
+			}
+			if k == len(s.Instrs) {
+				return false
+			}
+			si := &s.Instrs[k]
+			k++
+			if si.ID != in.ID || len(si.Operands) != len(in.Operands) || si.Opcode != snapOpcode(in) {
+				return false
+			}
+			for j, op := range in.Operands {
+				if si.Operands[j] != op.ID {
+					return false
+				}
+			}
+		}
+	}
+	return k == len(s.Instrs)
+}
+
+// snap builds the snapshot of the blocks in rpo with exactly two
+// allocations (the instruction slice and one flat operand array) on top of
+// the Snapshot itself.
+func (g *Graph) snap(rpo []*Block) *Snapshot {
 	nInstrs, nOps := 0, 0
 	for _, b := range rpo {
 		for _, in := range b.Instrs {

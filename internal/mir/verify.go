@@ -49,19 +49,24 @@ func (g *Graph) VerifyOpts(opts VerifyOptions) []string {
 	}
 
 	rpo := g.ReversePostorder()
-	reach := make(map[*Block]bool, len(rpo))
-	for _, b := range rpo {
-		reach[b] = true
-	}
+	rpoPos := g.rpoPositions(rpo) // block ID -> RPO position, -1 = unreachable
+	reach := func(b *Block) bool { return rpoPos[b.ID] >= 0 }
 	for _, b := range g.Blocks {
-		if !reach[b] {
+		if !reach(b) {
 			addErr("block%d is unreachable from entry", b.ID)
 		}
 	}
 
-	// Liveness and intra-block position of every instruction.
-	live := map[*Instr]bool{}
-	pos := map[*Instr]int{}
+	// Liveness and intra-block position of every instruction. These stay
+	// keyed by pointer: after Renumber, an instruction that left the graph
+	// can share its ID with a live one, and telling them apart is the
+	// point of the dead-operand check.
+	n := 0
+	for _, b := range g.Blocks {
+		n += len(b.Instrs)
+	}
+	live := make(map[*Instr]bool, n)
+	pos := make(map[*Instr]int, n)
 	for _, b := range g.Blocks {
 		for i, in := range b.Instrs {
 			if !in.Dead {
@@ -71,16 +76,16 @@ func (g *Graph) VerifyOpts(opts VerifyOptions) []string {
 		}
 	}
 
-	idoms := computeIdoms(rpo)
+	idom := computeIdoms(rpo, rpoPos)
 	// dominates walks the idom chain; graphs are small, so the O(depth)
 	// query is cheaper than building a numbering we would throw away.
 	dominates := func(a, b *Block) bool {
-		for ; b != nil; b = idoms[b] {
-			if b == a {
+		for x := rpoPos[b.ID]; x >= 0; x = idom[x] {
+			if rpo[x] == a {
 				return true
 			}
 		}
-		return false
+		return a == b
 	}
 
 	checkOperand := func(user *Instr, b *Block, op *Instr, idx int) {
@@ -92,7 +97,7 @@ func (g *Graph) VerifyOpts(opts VerifyOptions) []string {
 			addErr("block%d: instr %d uses unplaced operand %d", b.ID, user.ID, op.ID)
 			return
 		}
-		if !reach[op.Block] {
+		if !reach(op.Block) {
 			addErr("block%d: instr %d uses operand %d from unreachable block%d",
 				b.ID, user.ID, op.ID, op.Block.ID)
 			return

@@ -125,7 +125,9 @@ func Disableable(name string) bool {
 
 // Observer is called around each executed pass with IR snapshots; install
 // one to extract JIT DNA. before/after are nil for skipped (disabled)
-// passes.
+// passes. Equal consecutive IR states arrive as the same pointer: after ==
+// before when the pass changed nothing, and a before equal to the previous
+// observed after is that after. Observers must not modify snapshots.
 type Observer func(passIndex int, passName string, before, after *mir.Snapshot)
 
 // IRError reports that the SSA verifier rejected the graph at a pass
@@ -155,9 +157,7 @@ type RunOptions struct {
 	// Observer, when non-nil, receives a snapshot pair per executed pass.
 	Observer Observer
 	// Watch, when non-nil, narrows the Observer to the passes it reports
-	// true for: no other pass is observed or snapshotted. A watched pass
-	// is snapshotted after it runs, and before it when the graph changed
-	// since the last snapshot (its predecessor ran unwatched). A disabled
+	// true for: no other pass is observed or snapshotted. A disabled
 	// watched pass is still reported, as (nil, nil).
 	Watch func(pass string) bool
 	// CheckIR runs the full SSA verifier after every executed pass (and
@@ -212,11 +212,13 @@ func RunWith(g *mir.Graph, o RunOptions) error {
 	if o.Metrics != nil {
 		passHist = o.Metrics.Histogram("compile.pass_ns", obs.LatencyBucketsNs)
 	}
-	// The IR is untouched between passes, so a watched pass's "before"
-	// snapshot is the previous watched pass's "after" unless an unwatched
-	// pass ran in between (prev is then nil): one snapshot per watched
-	// pass, plus one per run of watched passes.
+	// One snapshot per distinct IR state at a watched boundary: prev is the
+	// last snapshot taken, kept across unwatched passes, and ran records
+	// that a pass ran since. A watched pass's before is prev when nothing
+	// ran; otherwise it, and every after, is SnapUnlessEqual(prev), which
+	// hands prev back when the graph still reads the same.
 	var prev *mir.Snapshot
+	ran := false
 	for i, p := range pipeline {
 		watched := o.Observer != nil && (o.Watch == nil || o.Watch(p.Name()))
 		if o.Disabled[p.Name()] {
@@ -236,17 +238,17 @@ func RunWith(g *mir.Graph, o RunOptions) error {
 				return fmt.Errorf("pass %s: %w", p.Name(), err)
 			}
 		}
-		// A fresh "before" is DNA cost too. It is taken outside both spans
-		// (a span around it would enclose the pass), so a traced run
-		// charges its time to the pass's dna.extract span as snap_before_ns
-		// (0 when the before is the previous watched pass's after).
+		// Taking (or comparing) a before is DNA cost too. It happens outside
+		// both spans (a span around it would enclose the pass), so a traced
+		// run charges its time to the pass's dna.extract span as
+		// snap_before_ns (0 when the before is prev unexamined).
 		var snapBeforeNs int64
-		if watched && prev == nil {
+		if watched && (prev == nil || ran) {
 			var t0 time.Time
 			if o.Faults.Tracer() != nil {
 				t0 = time.Now()
 			}
-			prev = g.Snap()
+			prev, ran = g.SnapUnlessEqual(prev), false
 			if !t0.IsZero() {
 				snapBeforeNs = int64(time.Since(t0))
 			}
@@ -265,14 +267,13 @@ func RunWith(g *mir.Graph, o RunOptions) error {
 		}
 		sp.End(obs.I("index", int64(i)),
 			obs.I("instrs_in", int64(instrsIn)), obs.I("instrs_out", int64(g.InstrCount())))
+		ran = true
 		if watched {
 			dsp := o.Faults.Span(obs.CatDNA, "dna.extract")
-			after := g.Snap()
+			after := g.SnapUnlessEqual(prev)
 			o.Observer(i, p.Name(), prev, after)
-			prev = after
+			prev, ran = after, false
 			dsp.End(obs.S("pass", p.Name()), obs.I("snap_before_ns", snapBeforeNs))
-		} else {
-			prev = nil
 		}
 		if o.CheckIR {
 			if issues := g.VerifyOpts(vopts); len(issues) > 0 {

@@ -411,10 +411,10 @@ func TestObserverSeesEveryPass(t *testing.T) {
 }
 
 // TestObserverSeesOnlyWatchedPasses: with a watch set, only watched
-// passes are observed and snapshotted. A watched pass is snapshotted
-// before it only when an unwatched pass ran since the last snapshot, a
-// disabled watched pass still gets (nil, nil), and every pair is the one
-// the unwatched run hands over.
+// passes are observed and snapshotted, a disabled watched pass still gets
+// (nil, nil), and every pair has the contents the unwatched run hands
+// over. Consecutive observed states are one pointer exactly when their
+// contents are equal, so a snapshot is taken per distinct IR state.
 func TestObserverSeesOnlyWatchedPasses(t *testing.T) {
 	src := "function f(a, n) { var s = 0; for (var i = 0; i < n; i++) { s += a[i] + a[i]; } return s; }"
 	disabled := map[string]bool{"Sink": true}
@@ -445,6 +445,11 @@ func TestObserverSeesOnlyWatchedPasses(t *testing.T) {
 			if name == "LICM" && before != prevAfter {
 				t.Errorf("LICM follows watched GVN: its before must be GVN's after, not a fresh snapshot")
 			}
+			for _, p := range [][2]*mir.Snapshot{{prevAfter, before}, {before, after}} {
+				if same, equal := p[0] == p[1], reflect.DeepEqual(p[0], p[1]); p[0] != nil && same != equal {
+					t.Errorf("%s: consecutive states share a pointer: %v, have equal contents: %v", name, same, equal)
+				}
+			}
 			snaps[before], snaps[after], prevAfter = true, true, after
 			if want := all[name]; !reflect.DeepEqual(before, want.before) || !reflect.DeepEqual(after, want.after) {
 				t.Errorf("%s: snapshot pair differs from the unwatched run's", name)
@@ -458,17 +463,19 @@ func TestObserverSeesOnlyWatchedPasses(t *testing.T) {
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("observed %v, want %v", names, want)
 	}
-	// FoldTests, GVN and ScalarReplacement follow an unwatched pass (2 each);
-	// LICM and EliminateDeadCode reuse the previous after (1 each).
-	if len(snaps) != 8 {
-		t.Fatalf("%d snapshots taken, want 8", len(snaps))
+	// Three IR states reach the observer: the graph FoldTests sees (it,
+	// and the unwatched passes up to GVN, change nothing), GVN's output,
+	// and LICM's output (ScalarReplacement and EliminateDeadCode change
+	// nothing). Snapshotting every boundary afresh took 8.
+	if len(snaps) != 3 {
+		t.Fatalf("%d snapshots taken, want 3", len(snaps))
 	}
 }
 
-// TestFreshSnapshotIsChargedToDNA: a fresh "before" snapshot is taken
-// outside the pass and dna.extract spans, so its time travels on the
-// pass's dna.extract span as snap_before_ns, 0 when the before is the
-// previous watched pass's after.
+// TestFreshSnapshotIsChargedToDNA: a "before" taken, or compared with the
+// last snapshot, after an unwatched pass ran happens outside the pass and
+// dna.extract spans, so its time travels on the pass's dna.extract span as
+// snap_before_ns, 0 when the before is the previous watched pass's after.
 func TestFreshSnapshotIsChargedToDNA(t *testing.T) {
 	src := "function f(a, n) { var s = 0; for (var i = 0; i < n; i++) { s += a[i] + a[i]; } return s; }"
 	watch := map[string]bool{"FoldTests": true, "GVN": true, "LICM": true, "ScalarReplacement": true}
