@@ -272,7 +272,8 @@ func stormFuncs() ([]stormFunc, error) {
 // cannot-match test left unextracted per op, the distinct snapshots the
 // observer was handed per op, and the chains it interned per op; the
 // interner is process-wide, so the last is the cold count only at
-// -benchtime 1x (later ops find their chains interned).
+// -benchtime 1x (later ops find their chains interned). funcs is the
+// number of storm functions one op compiles.
 func BenchmarkDetectorCompile(b *testing.B) {
 	funcs, err := stormFuncs()
 	if err != nil {
@@ -333,6 +334,7 @@ func BenchmarkDetectorCompile(b *testing.B) {
 			b.ReportMetric(float64(skipped.Sum()-s0)/float64(b.N), "skipped/op")
 			b.ReportMetric(float64(snaps)/float64(b.N), "snaps/op")
 			b.ReportMetric(float64(core.NumChains()-c0)/float64(b.N), "interned/op")
+			b.ReportMetric(float64(len(funcs)), "funcs")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/compiler"
@@ -54,8 +55,9 @@ func FuzzDiffTiers(f *testing.F) {
 }
 
 // FuzzPassPipeline compiles every function of arbitrary sources to MIR and
-// runs the full optimization pipeline with per-pass verification: no pass
-// may break SSA invariants on any reachable input, and nothing may panic.
+// runs the full optimization pipeline with per-pass verification: mirbuild
+// may decline a function only as not JIT-able, no pass may break SSA
+// invariants on any reachable input, and nothing may panic.
 func FuzzPassPipeline(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -72,7 +74,8 @@ func FuzzPassPipeline(f *testing.F) {
 		}
 		for _, fd := range astProg.Funcs() {
 			// Type parameters by the corpus naming convention (a*/b* are
-			// arrays); shapes mirbuild cannot type are skipped, not failures.
+			// arrays); shapes mirbuild declines as not JIT-able are skipped,
+			// any other build error is a finding.
 			types := make([]value.Type, len(fd.Params))
 			for i, p := range fd.Params {
 				if len(p) > 0 && (p[0] == 'a' || p[0] == 'b') {
@@ -86,7 +89,11 @@ func FuzzPassPipeline(f *testing.F) {
 				GlobalType: func(int) value.Type { return value.Number },
 				ReturnType: func(int) value.Type { return value.Number },
 			})
+			if errors.Is(err, mirbuild.ErrUnsupported) {
+				continue
+			}
 			if err != nil {
+				t.Errorf("mirbuild failed on %s: %v\nprogram:\n%s", fd.Name, err, src)
 				continue
 			}
 			if err := passes.RunWith(g, passes.RunOptions{CheckIR: true}); err != nil {

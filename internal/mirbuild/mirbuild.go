@@ -1,7 +1,11 @@
-// Package mirbuild constructs MIR (internal/mir) from a function's AST,
-// using on-the-fly SSA construction (Braun et al., "Simple and Efficient
-// Construction of Static Single Assignment Form") with sealed blocks and
-// incomplete phis.
+// Package mirbuild constructs MIR (internal/mir) from a function's AST.
+//
+// SSA form follows the AST's structure: nanojs has no labels or goto, so a
+// join is built after all its predecessors and a loop header lacks only its
+// back edge (Braun et al., CC 2013: structured input seals every block when
+// it is created). A read at a join makes a φ only where the predecessors
+// differ, and at a loop header only for a local the loop assigns. No φ is
+// removed until the graph is complete.
 //
 // The builder is type-speculative, like WarpBuilder/IonBuilder: parameter
 // and global types observed by the profiling interpreter tier decide the
@@ -14,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/jitbull/jitbull/internal/ast"
 	"github.com/jitbull/jitbull/internal/bytecode"
@@ -88,10 +92,8 @@ func Build(prog *bytecode.Program, fd *ast.FuncDecl, opts Options) (*mir.Graph, 
 		opts:        opts,
 		g:           mir.NewGraph(fd.Name, fnIdx, len(fd.Params)),
 		globalSlots: globalSlots,
-		currentDef:  map[string]map[*mir.Block]*mir.Instr{},
-		sealed:      map[*mir.Block]bool{},
-		incomplete:  map[*mir.Block]map[string]*mir.Instr{},
-		locals:      map[string]bool{},
+		slot:        map[string]int{},
+		headers:     map[*mir.Block]*loop{},
 	}
 	if err := b.build(); err != nil {
 		sp.EndErr(err)
@@ -111,48 +113,56 @@ type builder struct {
 	cur        *mir.Block
 	terminated bool // current block already ended in return/break/continue
 
-	// Braun SSA state.
-	currentDef map[string]map[*mir.Block]*mir.Instr
-	sealed     map[*mir.Block]bool
-	incomplete map[*mir.Block]map[string]*mir.Instr
-
-	locals map[string]bool // param + hoisted var names (function scope)
-
 	// slotNames lists the locals in bytecode slot order (params first, then
 	// hoisted vars in first-encounter walk order) — the same assignment the
 	// bytecode compiler performs, so OSR/deopt frame maps index interpreter
-	// frames correctly.
+	// frames correctly. slot maps each local's name to its index (a
+	// repeated parameter name maps to one of its indexes).
 	slotNames []string
+	slot      map[string]int
+
+	// defs has one row per block ID, one cell per slot: the value the local
+	// holds at the end of the block, nil until read or written there.
+	defs         []*mir.Instr
+	headers      map[*mir.Block]*loop
+	mayBeTrivial []*mir.Instr // header φs and mergeArms' marked φs
 	// loopOrd/specOrd number loop statements and speculation sites in
 	// lockstep with the bytecode compiler's identical counters.
 	loopOrd int
 	specOrd int
 
-	// Loop context stack for break/continue.
-	loops []*loopBlocks
+	// Open loops, innermost last: break/continue targets.
+	loops []*loop
 }
 
-type loopBlocks struct {
-	continueTarget *mir.Block
-	exit           *mir.Block
+// loop is one loop statement. Only a local it assigns (assigned[slot])
+// gets a header φ; open holds those waiting for their back-edge operand.
+type loop struct {
+	header, latch, exit *mir.Block
+	assigned            []bool
+	open                []openPhi
+	closed              bool
+}
+
+type openPhi struct {
+	phi  *mir.Instr
+	slot int
 }
 
 func (b *builder) build() error {
-	entry := b.g.NewBlock()
-	b.sealed[entry] = true
-	b.cur = entry
+	b.cur = b.g.NewBlock()
 
 	// Hoist locals (params + every var declared anywhere in the body),
 	// recording slot order exactly as the bytecode compiler assigns it.
-	for _, p := range b.fd.Params {
-		b.locals[p] = true
+	for i, p := range b.fd.Params {
+		b.slot[p] = i
 	}
 	b.slotNames = append(b.slotNames, b.fd.Params...)
 	ast.Walk(b.fd.Body, func(n ast.Node) bool {
 		if vd, ok := n.(*ast.VarDecl); ok {
 			for _, name := range vd.Names {
-				if !b.locals[name] {
-					b.locals[name] = true
+				if _, ok := b.slot[name]; !ok {
+					b.slot[name] = len(b.slotNames)
 					b.slotNames = append(b.slotNames, name)
 				}
 			}
@@ -175,7 +185,7 @@ func (b *builder) build() error {
 			return unsupportedf("parameter %q has observed type %s", p, b.opts.ParamTypes[i])
 		}
 		b.cur.Append(unboxed)
-		b.writeVar(p, b.cur, unboxed)
+		*b.def(b.slot[p], b.cur) = unboxed
 	}
 
 	if err := b.stmt(b.fd.Body); err != nil {
@@ -185,6 +195,7 @@ func (b *builder) build() error {
 		b.cur.Append(b.g.NewInstr(mir.OpReturnUndef, mir.TypeNone))
 	}
 	b.g.PruneUnreachable()
+	b.removeTrivialPhis()
 	if err := b.finalizeTypes(); err != nil {
 		return err
 	}
@@ -202,51 +213,36 @@ func (b *builder) finalizeTypes() error {
 	for changed := true; changed; {
 		changed = false
 		for _, blk := range b.g.Blocks {
-			for _, in := range blk.Instrs {
-				if in.Dead || in.Op != mir.OpPhi {
-					continue
-				}
-				t := in.Type
-				for _, op := range in.Operands {
-					if op == in || op.Type == mir.TypeNone {
-						continue
-					}
-					t = unifyTypes(t, op.Type)
-				}
-				if t != in.Type {
-					in.Type = t
-					changed = true
+			for _, phi := range blk.Phis() {
+				if t := unifyTypes(phi.Type, phiType(phi)); t != phi.Type {
+					phi.Type, changed = t, true
 				}
 			}
 		}
 	}
 	for _, blk := range b.g.Blocks {
 		for _, in := range blk.Instrs {
-			if in.Dead {
-				continue
-			}
-			if in.Op == mir.OpPhi {
-				if in.Type == mir.TypeValue {
-					return unsupportedf("phi %d mixes arrays and numbers", in.ID)
+			switch {
+			case in.Op != mir.OpPhi:
+				if err := checkOperandTypes(in); err != nil {
+					return err
 				}
-				if in.Type == mir.TypeNone {
-					in.Type = mir.TypeDouble // degenerate phi (dead loop)
-				}
-				continue
-			}
-			if err := checkOperandTypes(in); err != nil {
-				return err
+			case in.Type == mir.TypeValue:
+				return unsupportedf("phi %d mixes arrays and numbers", in.ID)
+			case in.Type == mir.TypeNone:
+				in.Type = mir.TypeDouble // degenerate phi (dead loop)
 			}
 		}
 	}
 	return nil
 }
 
+// unifyTypes joins two types; TypeNone (not yet known) joins as nothing.
 func unifyTypes(a, t mir.Type) mir.Type {
 	switch {
 	case a == mir.TypeNone:
 		return t
-	case a == t:
+	case a == t, t == mir.TypeNone:
 		return a
 	case isNumeric(a) && isNumeric(t):
 		return mir.TypeDouble
@@ -308,166 +304,177 @@ func checkOperandTypes(in *mir.Instr) error {
 	return nil
 }
 
-// ---- SSA plumbing ----
+// ---- SSA construction ----
 
-func (b *builder) writeVar(name string, blk *mir.Block, v *mir.Instr) {
-	m := b.currentDef[name]
-	if m == nil {
-		m = map[*mir.Block]*mir.Instr{}
-		b.currentDef[name] = m
+// def returns the cell of defs for blk and slot, growing defs to hold
+// blk's row. The pointer is valid until the next call grows defs.
+func (b *builder) def(slot int, blk *mir.Block) **mir.Instr {
+	n := len(b.slotNames)
+	if need := (blk.ID + 1) * n; len(b.defs) < need {
+		b.defs = append(b.defs, make([]*mir.Instr, need-len(b.defs))...)
 	}
-	m[blk] = v
+	return &b.defs[blk.ID*n+slot]
 }
 
-func (b *builder) readVar(name string, blk *mir.Block) *mir.Instr {
-	if v, ok := b.currentDef[name][blk]; ok {
+// readVar returns the value local slot holds at the end of blk.
+func (b *builder) readVar(slot int, blk *mir.Block) *mir.Instr {
+	if v := *b.def(slot, blk); v != nil {
 		return v
 	}
-	return b.readVarRecursive(name, blk)
-}
-
-func (b *builder) readVarRecursive(name string, blk *mir.Block) *mir.Instr {
 	var v *mir.Instr
+	lp := b.headers[blk]
 	switch {
-	case !b.sealed[blk]:
-		phi := b.g.NewInstr(mir.OpPhi, mir.TypeNone)
-		blk.AddPhi(phi)
-		if b.incomplete[blk] == nil {
-			b.incomplete[blk] = map[string]*mir.Instr{}
-		}
-		b.incomplete[blk][name] = phi
-		v = phi
+	case lp != nil && lp.assigned[slot]:
+		v = b.headerPhi(lp, slot)
+	case lp != nil:
+		// The loop never assigns the local: it holds the preheader's value.
+		v = b.readVar(slot, blk.Preds[0])
 	case len(blk.Preds) == 0:
 		// Reading a variable never assigned on this path: JS yields
 		// undefined; in the numeric JIT subset this is a NaN constant.
-		c := b.g.NewInstr(mir.OpConstant, mir.TypeDouble)
-		c.Num = nan()
-		blk.AddPhi(c) // prepend so it precedes any control instruction
-		v = c
-	case len(blk.Preds) == 1:
-		v = b.readVar(name, blk.Preds[0])
+		v = b.g.NewInstr(mir.OpConstant, mir.TypeDouble)
+		v.Num = math.NaN()
+		blk.AddPhi(v) // prepend so it precedes any control instruction
 	default:
-		phi := b.g.NewInstr(mir.OpPhi, mir.TypeNone)
-		blk.AddPhi(phi)
-		b.writeVar(name, blk, phi)
-		v = b.addPhiOperands(name, phi)
+		ops := make([]*mir.Instr, len(blk.Preds))
+		for i, p := range blk.Preds {
+			ops[i] = b.readVar(slot, p)
+		}
+		if v = ops[0]; slices.ContainsFunc(ops, func(w *mir.Instr) bool { return w != v }) {
+			v = b.g.NewInstr(mir.OpPhi, mir.TypeNone, ops...)
+			v.Type = phiType(v)
+			blk.AddPhi(v)
+		}
 	}
-	b.writeVar(name, blk, v)
+	*b.def(slot, blk) = v
 	return v
 }
 
-func (b *builder) addPhiOperands(name string, phi *mir.Instr) *mir.Instr {
-	blk := phi.Block
-	for _, pred := range blk.Preds {
-		phi.Operands = append(phi.Operands, b.readVar(name, pred))
+// headerPhi makes the φ of a local the loop assigns. It is written before
+// its operands are read, so a read around the back edge ends at it; its
+// back-edge operand waits for closeLoop unless the loop is closed already.
+func (b *builder) headerPhi(lp *loop, slot int) *mir.Instr {
+	phi := b.g.NewInstr(mir.OpPhi, mir.TypeNone)
+	lp.header.AddPhi(phi)
+	b.mayBeTrivial = append(b.mayBeTrivial, phi)
+	*b.def(slot, lp.header) = phi
+	phi.Operands = append(phi.Operands, b.readVar(slot, lp.header.Preds[0]))
+	lp.open = append(lp.open, openPhi{phi, slot})
+	if lp.closed {
+		b.closeLoop(lp)
 	}
-	b.unifyPhiType(phi)
-	return b.tryRemoveTrivialPhi(phi)
+	return phi
 }
 
-func (b *builder) unifyPhiType(phi *mir.Instr) {
+// closeLoop fills the back-edge operands of the open header φs, in creation
+// order, once the latch has jumped to the header.
+func (b *builder) closeLoop(lp *loop) {
+	lp.closed = true
+	for len(lp.open) > 0 {
+		o := lp.open[0]
+		lp.open = lp.open[1:]
+		o.phi.Operands = append(o.phi.Operands, b.readVar(o.slot, lp.latch))
+		o.phi.Type = phiType(o.phi)
+	}
+}
+
+// phiType unifies the types of a φ's operands. Self-references and
+// not-yet-typed header φs carry no type information; finalizeTypes
+// resolves them by fixpoint.
+func phiType(phi *mir.Instr) mir.Type {
 	t := mir.TypeNone
 	for _, op := range phi.Operands {
-		if op == phi || op.Type == mir.TypeNone {
-			// Self-references and not-yet-typed loop phis carry no type
-			// information; finalizeTypes resolves them by fixpoint.
-			continue
-		}
-		ot := op.Type
-		switch {
-		case t == mir.TypeNone:
-			t = ot
-		case t == ot:
-		case t == mir.TypeBoolean && ot == mir.TypeDouble,
-			t == mir.TypeDouble && ot == mir.TypeBoolean:
-			t = mir.TypeDouble
-		default:
-			t = mir.TypeValue // mixed; consumers will reject
+		if op != phi {
+			t = unifyTypes(t, op.Type)
 		}
 	}
-	phi.Type = t
+	return t
 }
 
-func (b *builder) tryRemoveTrivialPhi(phi *mir.Instr) *mir.Instr {
+// assignedIn marks the local slots the given nodes assign, including
+// assignments nested inside expressions.
+func (b *builder) assignedIn(nodes ...ast.Node) []bool {
+	set := make([]bool, len(b.slotNames))
+	mark := func(name string) {
+		if s, ok := b.slot[name]; ok {
+			set[s] = true
+		}
+	}
+	for _, n := range nodes {
+		ast.Walk(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignExpr:
+				if id, ok := n.Target.(*ast.Ident); ok {
+					mark(id.Name)
+				}
+			case *ast.UpdateExpr:
+				if id, ok := n.Target.(*ast.Ident); ok {
+					mark(id.Name)
+				}
+			case *ast.VarDecl:
+				for i, name := range n.Names {
+					if n.Inits[i] != nil {
+						mark(name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return set
+}
+
+// removeTrivialPhis removes the marked φs that turned out trivial (x = x,
+// or assigned only in code that never runs) and, through use lists, every φ
+// that becomes trivial once they go. The graph is finished: no pointer the
+// builder holds can go stale.
+func (b *builder) removeTrivialPhis() {
+	work := b.mayBeTrivial
+	if !slices.ContainsFunc(work, func(phi *mir.Instr) bool { return trivialOperand(phi) != nil }) {
+		return // nothing starts a cascade
+	}
+	b.g.ComputeUses()
+	for len(work) > 0 {
+		phi := work[len(work)-1]
+		work = work[:len(work)-1]
+		same := trivialOperand(phi)
+		if phi.Dead || same == nil {
+			continue
+		}
+		phi.Dead = true
+		for _, u := range phi.Uses {
+			if u == phi {
+				continue
+			}
+			for i, op := range u.Operands {
+				if op == phi {
+					u.Operands[i] = same
+				}
+			}
+			same.Uses = append(same.Uses, u)
+			if u.Op == mir.OpPhi {
+				work = append(work, u)
+			}
+		}
+	}
+	b.g.RemoveDead()
+}
+
+// trivialOperand returns the one value a φ merges besides itself, or nil
+// when it merges two or more (or only itself).
+func trivialOperand(phi *mir.Instr) *mir.Instr {
 	var same *mir.Instr
 	for _, op := range phi.Operands {
 		if op == phi || op == same {
 			continue
 		}
 		if same != nil {
-			return phi // not trivial
+			return nil
 		}
 		same = op
 	}
-	if same == nil {
-		return phi // unreachable phi referencing only itself
-	}
-	// Collect phi users before rewriting.
-	var phiUsers []*mir.Instr
-	for _, blk := range b.g.Blocks {
-		for _, in := range blk.Instrs {
-			if in == phi {
-				continue
-			}
-			for _, op := range in.Operands {
-				if op == phi {
-					phiUsers = append(phiUsers, in)
-					break
-				}
-			}
-		}
-	}
-	b.g.ReplaceUses(phi, same)
-	phi.Dead = true
-	removeFromBlock(phi)
-	// Rewire variable definitions that pointed at the phi.
-	for _, m := range b.currentDef {
-		for blk, def := range m {
-			if def == phi {
-				m[blk] = same
-			}
-		}
-	}
-	for _, u := range phiUsers {
-		if u.Op == mir.OpPhi && !u.Dead {
-			b.tryRemoveTrivialPhi(u)
-		}
-	}
 	return same
 }
-
-func removeFromBlock(in *mir.Instr) {
-	blk := in.Block
-	for i, x := range blk.Instrs {
-		if x == in {
-			blk.Instrs = append(blk.Instrs[:i], blk.Instrs[i+1:]...)
-			return
-		}
-	}
-}
-
-func (b *builder) sealBlock(blk *mir.Block) {
-	if b.sealed[blk] {
-		return
-	}
-	b.sealed[blk] = true
-	// Completing a φ can create and remove other φs, so the order decides
-	// instruction numbering and which trivial φs survive: complete in name
-	// order, not map order, or the same source compiles differently from
-	// run to run.
-	pending := b.incomplete[blk]
-	names := make([]string, 0, len(pending))
-	for name := range pending {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		b.addPhiOperands(name, pending[name])
-	}
-	delete(b.incomplete, blk)
-}
-
-func nan() float64 { return math.NaN() }
 
 // ---- control-flow helpers ----
 
@@ -569,7 +576,7 @@ func (b *builder) stmt(s ast.Stmt) error {
 		if len(b.loops) == 0 {
 			return unsupportedf("continue outside loop")
 		}
-		b.gotoBlock(b.loops[len(b.loops)-1].continueTarget)
+		b.gotoBlock(b.loops[len(b.loops)-1].latch)
 		b.terminated = true
 		return nil
 	default:
@@ -585,8 +592,6 @@ func (b *builder) ifStmt(s *ast.IfStmt) error {
 	thenB := b.g.NewBlock()
 	elseB := b.g.NewBlock()
 	b.branch(cond, thenB, elseB)
-	b.sealed[thenB] = true
-	b.sealed[elseB] = true
 
 	join := b.g.NewBlock()
 	b.startBlock(thenB)
@@ -607,7 +612,6 @@ func (b *builder) ifStmt(s *ast.IfStmt) error {
 	if elseReaches {
 		b.gotoBlock(join)
 	}
-	b.sealBlock(join)
 	if !thenReaches && !elseReaches {
 		b.terminated = true
 		b.cur = join // dead block; will be pruned
@@ -635,7 +639,10 @@ func (b *builder) loop(init ast.Stmt, cond ast.Expr, post ast.Expr, body ast.Stm
 	bodyB := b.g.NewBlock()
 
 	b.gotoBlock(header)
-	// header is unsealed until the back edge is added.
+	// The header lacks only its back edge until closeLoop.
+	lp := &loop{header: header, exit: exit, assigned: b.assignedIn(cond, post, body)}
+	b.headers[header] = lp
+	b.loops = append(b.loops, lp)
 	b.startBlock(header)
 	if bodyFirst {
 		// do-while: header is the body start itself; we model it as
@@ -646,12 +653,12 @@ func (b *builder) loop(init ast.Stmt, cond ast.Expr, post ast.Expr, body ast.Stm
 	} else {
 		if b.opts.OSR {
 			// OSR entry point: the frame map reads every local at the top
-			// of the header (unsealed, so reads become loop phis merged
-			// over the back edge), in bytecode slot order.
+			// of the header (a local the loop assigns reads its header φ),
+			// in bytecode slot order.
 			entry := b.g.NewInstr(mir.OpOSREntry, mir.TypeNone)
 			entry.Aux = loopOrd
 			for _, name := range b.slotNames {
-				entry.Operands = append(entry.Operands, b.readVar(name, header))
+				entry.Operands = append(entry.Operands, b.readVar(b.slot[name], header))
 			}
 			b.emit(entry)
 		}
@@ -667,21 +674,17 @@ func (b *builder) loop(init ast.Stmt, cond ast.Expr, post ast.Expr, body ast.Stm
 		}
 		b.branch(c, bodyB, exit)
 	}
-	b.sealed[bodyB] = true
 
-	latch := b.g.NewBlock() // continue target: post expression + back edge
-	b.loops = append(b.loops, &loopBlocks{continueTarget: latch, exit: exit})
+	lp.latch = b.g.NewBlock() // continue target: post expression + back edge
 	b.startBlock(bodyB)
 	if err := b.stmt(body); err != nil {
 		return err
 	}
 	if !b.terminated {
-		b.gotoBlock(latch)
+		b.gotoBlock(lp.latch)
 	}
-	b.loops = b.loops[:len(b.loops)-1]
 
-	b.sealBlock(latch)
-	b.startBlock(latch)
+	b.startBlock(lp.latch)
 	if post != nil {
 		if _, err := b.expr(post); err != nil {
 			return err
@@ -696,8 +699,8 @@ func (b *builder) loop(init ast.Stmt, cond ast.Expr, post ast.Expr, body ast.Stm
 	} else {
 		b.gotoBlock(header)
 	}
-	b.sealBlock(header)
-	b.sealBlock(exit)
+	b.closeLoop(lp)
+	b.loops = b.loops[:len(b.loops)-1]
 	b.startBlock(exit)
 	return nil
 }
@@ -709,7 +712,7 @@ func (b *builder) loop(init ast.Stmt, cond ast.Expr, post ast.Expr, body ast.Stm
 // Keeping the predicates identical keeps the two sides' ordinal numbering in
 // lockstep without sharing any state.
 func (b *builder) specEligible(name string, v ast.Expr) bool {
-	if v == nil || !b.locals[name] {
+	if _, local := b.slot[name]; v == nil || !local {
 		return false
 	}
 	call, ok := v.(*ast.CallExpr)
@@ -741,7 +744,7 @@ func (b *builder) maybeSnapshot(name string, init ast.Expr, v *mir.Instr) {
 	snap.Num = float64(ord + 1) // +1: zero means "no ordinal"
 	snap.Operands = append(snap.Operands, v)
 	for _, n := range b.slotNames {
-		snap.Operands = append(snap.Operands, b.readVar(n, b.cur))
+		snap.Operands = append(snap.Operands, b.readVar(b.slot[n], b.cur))
 	}
 	b.emit(snap)
 }
@@ -789,7 +792,7 @@ func (b *builder) requireDouble(v *mir.Instr, what string) (*mir.Instr, error) {
 		return v, nil
 	case mir.TypeNone:
 		if v.Op == mir.OpPhi {
-			// Incomplete loop phi: its type is resolved by finalizeTypes.
+			// Open loop-header φ: its type is resolved by finalizeTypes.
 			return v, nil
 		}
 	}
@@ -848,8 +851,8 @@ func (b *builder) expr(x ast.Expr) (*mir.Instr, error) {
 }
 
 func (b *builder) readName(x *ast.Ident) (*mir.Instr, error) {
-	if b.locals[x.Name] {
-		v := b.readVar(x.Name, b.cur)
+	if s, ok := b.slot[x.Name]; ok {
+		v := b.readVar(s, b.cur)
 		if v.Type == mir.TypeValue {
 			return nil, unsupportedf("variable %q has mixed types", x.Name)
 		}
@@ -877,8 +880,8 @@ func (b *builder) readName(x *ast.Ident) (*mir.Instr, error) {
 }
 
 func (b *builder) assignName(name string, v *mir.Instr) error {
-	if b.locals[name] {
-		b.writeVar(name, b.cur, v)
+	if s, ok := b.slot[name]; ok {
+		*b.def(s, b.cur) = v
 		return nil
 	}
 	slot, ok := b.globalSlots[name]
@@ -1188,8 +1191,6 @@ func (b *builder) logical(x *ast.LogicalExpr) (*mir.Instr, error) {
 	} else {
 		b.branch(lhs, join, rhsB)
 	}
-	b.sealed[rhsB] = true
-	lhsPred := b.cur
 
 	b.startBlock(rhsB)
 	rhs, err := b.expr(x.Y)
@@ -1200,20 +1201,19 @@ func (b *builder) logical(x *ast.LogicalExpr) (*mir.Instr, error) {
 		return nil, err
 	}
 	b.gotoBlock(join)
-	rhsPred := b.cur
-	b.sealBlock(join)
 	b.startBlock(join)
-	phi := b.g.NewInstr(mir.OpPhi, mir.TypeDouble)
-	// Order phi inputs to match join.Preds.
-	for _, p := range join.Preds {
-		if p == lhsPred {
-			phi.Operands = append(phi.Operands, lhs)
-		} else if p == rhsPred {
-			phi.Operands = append(phi.Operands, rhs)
-		}
+	return b.mergeArms(join, mir.TypeDouble, lhs, rhs), nil
+}
+
+// mergeArms makes the φ of a &&, || or ?: join (predecessors: the first
+// arm's end, then the second's). Arms that are one value read through an
+// open loop's header make a trivial φ, marked for removeTrivialPhis.
+func (b *builder) mergeArms(join *mir.Block, t mir.Type, first, second *mir.Instr) *mir.Instr {
+	phi := b.g.NewInstr(mir.OpPhi, t, first, second)
+	if first == second && b.throughHeader(first) {
+		b.mayBeTrivial = append(b.mayBeTrivial, phi)
 	}
-	join.AddPhi(phi)
-	return phi, nil
+	return join.AddPhi(phi)
 }
 
 func (b *builder) conditional(x *ast.CondExpr) (*mir.Instr, error) {
@@ -1228,8 +1228,6 @@ func (b *builder) conditional(x *ast.CondExpr) (*mir.Instr, error) {
 	elseB := b.g.NewBlock()
 	join := b.g.NewBlock()
 	b.branch(cond, thenB, elseB)
-	b.sealed[thenB] = true
-	b.sealed[elseB] = true
 
 	b.startBlock(thenB)
 	tv, err := b.expr(x.Then)
@@ -1237,7 +1235,6 @@ func (b *builder) conditional(x *ast.CondExpr) (*mir.Instr, error) {
 		return nil, err
 	}
 	b.gotoBlock(join)
-	thenPred := b.cur
 
 	b.startBlock(elseB)
 	ev, err := b.expr(x.Else)
@@ -1245,28 +1242,29 @@ func (b *builder) conditional(x *ast.CondExpr) (*mir.Instr, error) {
 		return nil, err
 	}
 	b.gotoBlock(join)
-	elsePred := b.cur
 
-	b.sealBlock(join)
 	b.startBlock(join)
-	if tv.Type != ev.Type &&
-		!(isNumeric(tv.Type) && isNumeric(ev.Type)) {
-		return nil, unsupportedf("?: branches have types %s and %s", tv.Type, ev.Type)
+	// A value read through an open loop's header is untyped, as the loop's
+	// own header φs are, until the loop closes (finalizeTypes types the φ).
+	tt, et := tv.Type, ev.Type
+	if b.throughHeader(tv) {
+		tt = mir.TypeNone
 	}
-	t := tv.Type
-	if isNumeric(tv.Type) && isNumeric(ev.Type) && tv.Type != ev.Type {
-		t = mir.TypeDouble
+	if b.throughHeader(ev) {
+		et = mir.TypeNone
 	}
-	phi := b.g.NewInstr(mir.OpPhi, t)
-	for _, p := range join.Preds {
-		if p == thenPred {
-			phi.Operands = append(phi.Operands, tv)
-		} else if p == elsePred {
-			phi.Operands = append(phi.Operands, ev)
-		}
+	if tt != et && !(isNumeric(tt) && isNumeric(et)) {
+		return nil, unsupportedf("?: branches have types %s and %s", tt, et)
 	}
-	join.AddPhi(phi)
-	return phi, nil
+	return b.mergeArms(join, unifyTypes(tt, et), tv, ev), nil
+}
+
+// throughHeader reports whether v, used inside the innermost open loop, was
+// defined before the loop's header, so every read of it there went through
+// the header.
+func (b *builder) throughHeader(v *mir.Instr) bool {
+	n := len(b.loops)
+	return n > 0 && v.Block.ID < b.loops[n-1].header.ID
 }
 
 func isNumeric(t mir.Type) bool { return t == mir.TypeDouble || t == mir.TypeBoolean }

@@ -116,6 +116,47 @@ function f(n) {
 	}
 }
 
+// TestReadAfterLogicalLoopCondition is the shape of progen 1005's f0, f6
+// and f7 (DESIGN §6.7), shrunk: with a && in the loop condition, the read
+// of x after the loop once returned a φ removed as trivial while the read
+// was still resolving, and the closing verifier rejected the graph ("uses
+// dead operand"). Neither local is assigned in the loop, so no φ survives:
+// the && merges s with itself.
+func TestReadAfterLogicalLoopCondition(t *testing.T) {
+	g := mustBuild(t, `
+function f(x, s) {
+  while (s && s) {
+  }
+  return x;
+}`, "f", value.Number, value.Number)
+	for _, b := range g.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == mir.OpReturn && in.Operands[0].Op != mir.OpUnbox {
+				t.Fatalf("return reads %s, want the unboxed parameter:\n%s", in.Operands[0], g)
+			}
+		}
+	}
+	if n := countOps(g, mir.OpPhi); n != 0 {
+		t.Fatalf("want no phi, got %d:\n%s", n, g)
+	}
+}
+
+// TestHeaderPhiOnlyForAssignedLocals: a loop header gets a φ for a local
+// the loop assigns, even in a nested expression, and none for one it only
+// reads; a local assigned to itself leaves no φ either.
+func TestHeaderPhiOnlyForAssignedLocals(t *testing.T) {
+	g := mustBuild(t, `
+function f(n, k) {
+  var s = 0;
+  var i = 0;
+  while ((i = i + 1) < n) { s = s + k; k = k; }
+  return s;
+}`, "f", value.Number, value.Number)
+	if n := countOps(g, mir.OpPhi); n != 2 {
+		t.Fatalf("want phis for s and i only, got %d:\n%s", n, g)
+	}
+}
+
 func TestNestedLoopDepth(t *testing.T) {
 	g := mustBuild(t, `
 function f(n) {
