@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -150,7 +152,24 @@ func TestObservabilityParity(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "obs_parity.json")
+	want := map[string]parityRecord{}
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &want)
+	}
+	if err != nil && !(*updateParity && errors.Is(err, fs.ErrNotExist)) {
+		t.Fatal(err)
+	}
 	if *updateParity {
+		// A scenario's trace keeps the names it recorded, as today's run
+		// emits them; a scenario with no trace yet records every name. To
+		// track one more name, add it to the golden by hand and re-record.
+		for _, sc := range scenarios {
+			if rec, w := got[sc.name], want[sc.name]; w.Trace != nil {
+				rec.Trace = recordedNames(rec.Trace, w.Trace)
+				got[sc.name] = rec
+			}
+		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -163,14 +182,6 @@ func TestObservabilityParity(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]parityRecord{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
 	for _, sc := range scenarios {
 		g, w := got[sc.name], want[sc.name]
 		if !reflect.DeepEqual(g.Journey, w.Journey) {
@@ -182,20 +193,27 @@ func TestObservabilityParity(t *testing.T) {
 		// The lifecycle facts that used to go to the journal, the audit log
 		// and the watchdog alone now share the stream. What the trace already
 		// had, it still has, in the same order.
-		had := map[string]bool{}
-		for _, name := range w.Trace {
-			had[name] = true
-		}
-		var kept []string
-		for _, name := range g.Trace {
-			if had[name] {
-				kept = append(kept, name)
-			}
-		}
+		kept := recordedNames(g.Trace, w.Trace)
 		if !reflect.DeepEqual(kept, w.Trace) {
 			t.Errorf("%s: first compile's trace, names the golden has\n got %v\nwant %v", sc.name, kept, w.Trace)
 		}
 	}
+}
+
+// recordedNames returns the names of trace that golden records, in
+// trace's order.
+func recordedNames(trace, golden []string) []string {
+	had := map[string]bool{}
+	for _, name := range golden {
+		had[name] = true
+	}
+	var kept []string
+	for _, name := range trace {
+		if had[name] {
+			kept = append(kept, name)
+		}
+	}
+	return kept
 }
 
 // firstCompile returns the event names of the first compilation, from its

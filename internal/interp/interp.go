@@ -88,6 +88,10 @@ type VM struct {
 	// the VM.
 	chunks [][]value.Value
 	cur    StackMark
+
+	// streams holds, by Function.Index, the execution copy of each function
+	// activated so far: its code with superinstructions (fuse.go).
+	streams []stream
 }
 
 // StackMark is a position of the value stack plus the call depth there.
@@ -265,8 +269,12 @@ func (vm *VM) ExecFrom(fn *bytecode.Function, locals []value.Value, pc0 int) (va
 // first and then write the result over the left operand in place — the
 // common case never builds or copies a 32-byte Value; everything else
 // takes the coercing path.
+//
+// The loop runs fn's execution copy, whose superinstructions each stand
+// for a short group of ops (fuse.go). A super-op that cannot take its fast
+// path runs its head op alone.
 func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int) (value.Value, error) {
-	code := fn.Code
+	code := vm.codeOf(fn)
 	nl := fn.NumLocals
 	sp := nl
 	for pc := pc0; uint(pc) < uint(len(code)); pc++ {
@@ -316,13 +324,10 @@ func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int) (value.Va
 		case bytecode.OpAdd:
 			x, y := &stack[sp-2], &stack[sp-1]
 			sp--
-			switch {
-			case x.IsNumber() && y.IsNumber():
+			if x.IsNumber() && y.IsNumber() {
 				x.SetNum(x.AsNumber() + y.AsNumber())
-			case x.IsString() || y.IsString():
-				*x = value.Str(x.ToString() + y.ToString())
-			default:
-				*x = value.Num(x.ToNumber() + y.ToNumber())
+			} else {
+				*x = plus(x, y)
 			}
 		case bytecode.OpSub:
 			x, y := &stack[sp-2], &stack[sp-1]
@@ -582,11 +587,186 @@ func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int) (value.Va
 			}
 			*arr = *v
 
+		// Superinstructions. The fast path charges the group's remaining
+		// steps, does its work and moves pc to the group's last op (or to
+		// the jump target); the fallback is the head op alone, as the case
+		// for its opcode above runs it.
+		case opGlobalLocalGetElem:
+			if vm.steps+2 <= vm.MaxSteps {
+				vm.steps += 2
+				v, err := vm.getElem(&vm.Globals[in.A], &stack[in.B])
+				if err != nil {
+					return value.Undef(), err
+				}
+				stack[sp] = v
+				sp++
+				pc += 2
+				continue
+			}
+			stack[sp] = vm.Globals[in.A]
+			sp++
+
+		case opConstAddStore:
+			if x, t := &stack[sp-1], &stack[in.B]; x.IsNumber() && t.CanSetNum() && vm.steps+2 <= vm.MaxSteps {
+				vm.steps += 2
+				t.SetNum(x.AsNumber() + fn.Consts[in.A].AsNumber())
+				sp--
+				pc += 2
+				continue
+			}
+			stack[sp] = fn.Consts[in.A]
+			sp++
+		case opConstModStore:
+			if x, t := &stack[sp-1], &stack[in.B]; x.IsNumber() && t.CanSetNum() && vm.steps+2 <= vm.MaxSteps {
+				vm.steps += 2
+				t.SetNum(value.Mod(x.AsNumber(), fn.Consts[in.A].AsNumber()))
+				sp--
+				pc += 2
+				continue
+			}
+			stack[sp] = fn.Consts[in.A]
+			sp++
+
+		case opConstLtJump:
+			if x := &stack[sp-1]; x.IsNumber() && vm.steps+2 <= vm.MaxSteps {
+				vm.steps += 2
+				sp--
+				if x.AsNumber() < fn.Consts[in.A].AsNumber() {
+					pc += 2
+				} else {
+					pc = int(in.B) - 1
+				}
+				continue
+			}
+			stack[sp] = fn.Consts[in.A]
+			sp++
+		case opConstEqJump:
+			if x := &stack[sp-1]; x.IsNumber() && vm.steps+2 <= vm.MaxSteps {
+				vm.steps += 2
+				sp--
+				if x.AsNumber() == fn.Consts[in.A].AsNumber() {
+					pc += 2
+				} else {
+					pc = int(in.B) - 1
+				}
+				continue
+			}
+			stack[sp] = fn.Consts[in.A]
+			sp++
+
+		case opConstAdd:
+			if x := &stack[sp-1]; x.IsNumber() && vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				x.SetNum(x.AsNumber() + fn.Consts[in.A].AsNumber())
+				pc++
+				continue
+			}
+			stack[sp] = fn.Consts[in.A]
+			sp++
+		case opConstMul:
+			if x := &stack[sp-1]; x.IsNumber() && vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				x.SetNum(x.AsNumber() * fn.Consts[in.A].AsNumber())
+				pc++
+				continue
+			}
+			stack[sp] = fn.Consts[in.A]
+			sp++
+		case opConstMod:
+			if x := &stack[sp-1]; x.IsNumber() && vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				x.SetNum(value.Mod(x.AsNumber(), fn.Consts[in.A].AsNumber()))
+				pc++
+				continue
+			}
+			stack[sp] = fn.Consts[in.A]
+			sp++
+
+		case opLocalAdd:
+			if x, y := &stack[sp-1], &stack[in.A]; x.IsNumber() && y.IsNumber() && vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				x.SetNum(x.AsNumber() + y.AsNumber())
+				pc++
+				continue
+			}
+			stack[sp] = stack[in.A]
+			sp++
+		case opLocalMul:
+			if x, y := &stack[sp-1], &stack[in.A]; x.IsNumber() && y.IsNumber() && vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				x.SetNum(x.AsNumber() * y.AsNumber())
+				pc++
+				continue
+			}
+			stack[sp] = stack[in.A]
+			sp++
+
+		case opLocalLocal:
+			if vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				stack[sp], stack[sp+1] = stack[in.A], stack[in.B]
+				sp += 2
+				pc++
+				continue
+			}
+			stack[sp] = stack[in.A]
+			sp++
+
+		case opLtJump:
+			x, y := &stack[sp-2], &stack[sp-1]
+			if x.IsNumber() && y.IsNumber() && vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				sp -= 2
+				if x.AsNumber() < y.AsNumber() {
+					pc++
+				} else {
+					pc = int(in.B) - 1
+				}
+				continue
+			}
+			sp--
+			*x = value.Bool(compare(bytecode.OpLt, x, y))
+		case opEqJump:
+			x, y := &stack[sp-2], &stack[sp-1]
+			if x.IsNumber() && y.IsNumber() && vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				sp -= 2
+				if x.AsNumber() == y.AsNumber() {
+					pc++
+				} else {
+					pc = int(in.B) - 1
+				}
+				continue
+			}
+			sp--
+			*x = value.Bool(equals(bytecode.OpEq, x, y))
+
+		case opAddStore:
+			x, y, t := &stack[sp-2], &stack[sp-1], &stack[in.B]
+			if x.IsNumber() && y.IsNumber() && t.CanSetNum() && vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				t.SetNum(x.AsNumber() + y.AsNumber())
+				sp -= 2
+				pc++
+				continue
+			}
+			sp--
+			*x = plus(x, y)
+
 		default:
-			return value.Undef(), &RuntimeError{Msg: fmt.Sprintf("unknown opcode %s", in.Op)}
+			return value.Undef(), &RuntimeError{Msg: fmt.Sprintf("unknown opcode %s", fn.Code[pc].Op)}
 		}
 	}
 	return value.Undef(), nil
+}
+
+// plus is the coercing path of +: concatenation when either operand is a
+// String, numeric addition otherwise.
+func plus(x, y *value.Value) value.Value {
+	if x.IsString() || y.IsString() {
+		return value.Str(x.ToString() + y.ToString())
+	}
+	return value.Num(x.ToNumber() + y.ToNumber())
 }
 
 func (vm *VM) getElem(arr, idxV *value.Value) (value.Value, error) {

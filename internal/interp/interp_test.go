@@ -480,18 +480,26 @@ func TestNegativeZeroSemantics(t *testing.T) {
 }
 
 // TestOperandStackIsExactlyMaxStack shows that the window really is the
-// checking build TestOperandDepthBoundHolds (internal/difftest) relies on:
+// checking build TestOperandDepthBoundHolds (internal/difftest) and
+// TestOperandDepthBoundHoldsUnfused rely on:
 // with the bound one slot short, the deepest push panics instead of
-// spilling into whatever lies above the window.
+// spilling into whatever lies above the window. The deepest push must be
+// one the interpreter really makes: `const 4` is followed by a div, and
+// no superinstruction starts with const·div (in `3 + 4` the const and the
+// add run as one op that pushes nothing).
 func TestOperandStackIsExactlyMaxStack(t *testing.T) {
-	prog, err := compiler.Compile("var result = 1 + (2 + (3 + 4));")
+	prog, err := compiler.Compile("var result = 1 / (2 / (3 / 4));")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prog.Main().MaxStack; got != 4 {
+	fn := prog.Main()
+	if got := fn.MaxStack; got != 4 {
 		t.Fatalf("MaxStack = %d, want 4", got)
 	}
-	prog.Main().MaxStack--
+	if _, fused := groupAt(fn, 3); fn.Code[3].Op != bytecode.OpConst || fused {
+		t.Fatalf("pc 3 must be an unfused const (the deepest push):\n%s", fn.Disassemble())
+	}
+	fn.MaxStack--
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a push past MaxStack must panic")

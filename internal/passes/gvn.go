@@ -45,7 +45,10 @@ func (gvnPass) Run(g *mir.Graph, ctx *Context) error {
 			}
 		}
 	}
-	table := make(map[gvnKey][]*mir.Instr, eligible)
+	// Most keys hold one instruction: first maps a key to its first, and
+	// more holds the rare later ones, tried after it in insertion order.
+	first := make(map[gvnKey]*mir.Instr, eligible)
+	more := map[gvnKey][]*mir.Instr{}
 	changed := false
 	for _, b := range rpo {
 		for _, in := range b.Instrs {
@@ -53,14 +56,14 @@ func (gvnPass) Run(g *mir.Graph, ctx *Context) error {
 				continue
 			}
 			key := keyOf(in, lengthKeyIgnoresObject)
-			var leader *mir.Instr
-			for _, cand := range table[key] {
-				if cand.Dead {
-					continue
-				}
-				if cand.Block.Dominates(b) {
-					leader = cand
-					break
+			leader, seen := first[key]
+			if seen && (leader.Dead || !leader.Block.Dominates(b)) {
+				leader = nil
+				for _, cand := range more[key] {
+					if !cand.Dead && cand.Block.Dominates(b) {
+						leader = cand
+						break
+					}
 				}
 			}
 			if leader != nil && leader != in {
@@ -69,7 +72,11 @@ func (gvnPass) Run(g *mir.Graph, ctx *Context) error {
 				changed = true
 				continue
 			}
-			table[key] = append(table[key], in)
+			if seen {
+				more[key] = append(more[key], in)
+			} else {
+				first[key] = in
+			}
 		}
 	}
 	if changed {

@@ -99,9 +99,15 @@ func ArrayRef(h int32) Value { return Value{typ: Array, ref: h} }
 // SetNum turns a Number or Boolean into the number f in place. It writes
 // the type byte and the payload only — no pointer-carrying field, so no
 // write barrier — which is what lets the interpreter update a stack slot
-// without rewriting all 32 bytes. The receiver must not be a String: its
-// payload would stay reachable behind the new type.
+// without rewriting all 32 bytes. The receiver must be one CanSetNum
+// accepts: a String's payload would stay reachable behind the new type, an
+// Array's handle behind it would make the result differ from Num(f).
 func (v *Value) SetNum(f float64) { v.typ, v.num = Number, f }
+
+// CanSetNum reports whether v holds nothing but its number payload
+// (undefined, null, a Boolean or a Number), so that SetNum leaves exactly
+// Num(f) behind.
+func (v *Value) CanSetNum() bool { return v.typ <= Number }
 
 // SetBool is SetNum for a boolean result (the four relational and four
 // equality operators over two numbers).
