@@ -222,10 +222,12 @@ func panicToCompileError(fn, stage string, r any) *CompileError {
 
 // failCompile applies the supervisor's degradation policy to a failed
 // attempt. Unsupported source is the expected "outside the JIT subset"
-// case: permanent and silent, counted as InterpOnly exactly once. Policy
-// NoJIT and deterministic mirbuild rejections fail safe to permanent
-// interpreter-only execution; everything else (injected faults, panics,
-// budget exhaustion, verifier rejections) is contained into quarantine.
+// case: permanent and silent, counted as InterpOnly exactly once. mirbuild
+// checks every graph against the verifier's type rules before it returns,
+// so any other mirbuild error is a builder bug; it is recorded as a compile
+// error and, like policy NoJIT, fails safe to permanent interpreter-only
+// execution. Everything else (injected faults, panics, budget exhaustion,
+// verifier rejections) is contained into quarantine.
 func (e *Engine) failCompile(st *fnState, cerr *CompileError) {
 	if errors.Is(cerr.Err, mirbuild.ErrUnsupported) && !cerr.Injected {
 		st.quar = qPermanent

@@ -406,26 +406,30 @@ func TestQueueFaultPointStallAndPanic(t *testing.T) {
 func TestUnsupportedFunctionStaysPermanentAndUncounted(t *testing.T) {
 	// A function outside the JIT subset is the expected InterpOnly case:
 	// no CompileError noise, no quarantine churn, exactly one InterpOnly.
-	src := `
-function s(x) { return "a" + "b"; }
+	// A Boolean operand to arithmetic is such a case too: MIR's arithmetic
+	// consumes doubles only.
+	for _, body := range []string{`return "a" + "b";`, `return (x < 1) + 1;`} {
+		src := `
+function s(x) { ` + body + ` }
 var result = 0;
 for (var i = 0; i < 100; i++) { s(i); result = result + 1; }
 `
-	var got []error
-	e, err := New(src, Config{IonThreshold: 5, OnCompileError: func(fn string, err error) { got = append(got, err) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats().InterpOnly != 1 || e.Stats().NrJIT != 0 {
-		t.Fatalf("stats: %+v", e.Stats())
-	}
-	if len(got) != 0 {
-		t.Errorf("unsupported source surfaced as compile errors: %v", got)
-	}
-	if st := e.fn(t, "s"); st.quar != qPermanent {
-		t.Errorf("unsupported function should be permanently interpreter-only (quar=%d)", st.quar)
+		var got []error
+		e, err := New(src, Config{IonThreshold: 5, OnCompileError: func(fn string, err error) { got = append(got, err) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if e.Stats().InterpOnly != 1 || e.Stats().NrJIT != 0 {
+			t.Fatalf("%s: stats: %+v", body, e.Stats())
+		}
+		if len(got) != 0 {
+			t.Errorf("%s: unsupported source surfaced as compile errors: %v", body, got)
+		}
+		if st := e.fn(t, "s"); st.quar != qPermanent {
+			t.Errorf("%s: unsupported function should be permanently interpreter-only (quar=%d)", body, st.quar)
+		}
 	}
 }

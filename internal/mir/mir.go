@@ -47,6 +47,9 @@ func (t Type) String() string {
 	}
 }
 
+// IsNumeric reports whether t is a number: a double, or a Boolean (0 or 1).
+func (t Type) IsNumeric() bool { return setNumber.has(t) }
+
 // Op is a MIR opcode.
 type Op uint8
 

@@ -1,6 +1,9 @@
 package mir
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Verify checks the SSA invariants of the graph and returns the list of
 // violations (empty when the graph is well-formed). It is the backstop every
@@ -18,10 +21,12 @@ import "fmt"
 //   - definitions dominate their uses: a non-phi use must be dominated by
 //     its operand's definition (same-block uses must come after it), and a
 //     phi's i-th input must dominate the i-th predecessor's exit;
-//   - types are consistent: every operand carries a result type (TypeNone
-//     results are pure effects and cannot be used as values), control and
-//     store instructions produce no value, and unbox/guard instructions
-//     consume boxed values while typed arithmetic never does.
+//   - (the Types family) every instruction obeys MIR's type table
+//     (typeRules, checked by Instr.CheckType): its result has a type its
+//     opcode may produce, and each operand a type its opcode accepts.
+//     TypeNone results are pure effects and cannot be used as values, and
+//     arithmetic consumes doubles only: a Boolean is a number to a compare
+//     or a test, but not an arithmetic operand.
 //
 // Verify never mutates the graph: dominance is computed on the side rather
 // than through BuildDominators, so it can run between arbitrary passes
@@ -102,10 +107,6 @@ func (g *Graph) VerifyOpts(opts VerifyOptions) []string {
 				b.ID, user.ID, op.ID, op.Block.ID)
 			return
 		}
-		if opts.Types && op.Type == TypeNone {
-			addErr("block%d: instr %d uses no-result instruction %d (%s) as a value",
-				b.ID, user.ID, op.ID, op.Op)
-		}
 		if user.Op == OpPhi {
 			// The i-th input must be available at the end of the i-th
 			// predecessor (SSA's dominance condition for phis).
@@ -157,7 +158,7 @@ func (g *Graph) VerifyOpts(opts VerifyOptions) []string {
 				addErr("block%d: control %s not last", b.ID, in)
 			}
 			if opts.Types {
-				if errMsg := checkInstrType(in); errMsg != "" {
+				if errMsg := in.CheckType(); errMsg != "" {
 					addErr("block%d: instr %d: %s", b.ID, in.ID, errMsg)
 				}
 			}
@@ -191,58 +192,112 @@ func (g *Graph) VerifyOpts(opts VerifyOptions) []string {
 	return errs
 }
 
-// checkInstrType validates the result/operand type discipline of one
-// instruction. It returns "" when consistent. The rules are deliberately
-// the ones every pass preserves (validated over the full octane + examples
-// + progen corpora), not an exhaustive typing judgment.
-func checkInstrType(in *Instr) string {
-	switch in.Op {
-	case OpGoto, OpTest, OpReturn, OpReturnUndef,
-		OpStoreElement, OpStoreGlobal, OpSetLength, OpKeepAlive, OpNop,
-		OpOSREntry, OpSnapshot:
-		if in.Type != TypeNone {
-			return fmt.Sprintf("%s must not produce a value (has type %s)", in.Op, in.Type)
+// typeSet is a set of Types, one bit per Type.
+type typeSet uint8
+
+const (
+	setNone    typeSet = 1 << TypeNone
+	setBoxed   typeSet = 1 << TypeValue
+	setDouble  typeSet = 1 << TypeDouble
+	setBool    typeSet = 1 << TypeBoolean
+	setObject  typeSet = 1 << TypeObject
+	setElems   typeSet = 1 << TypeElements
+	setNumber          = setDouble | setBool
+	setUnboxed         = setNumber | setObject | setElems
+	setValue           = setBoxed | setUnboxed // anything but TypeNone
+	setJSValue         = setNumber | setObject // a value the interpreter can hold
+)
+
+func (s typeSet) has(t Type) bool { return s&(1<<t) != 0 }
+
+func (s typeSet) String() string {
+	var names []string
+	for t := TypeNone; t <= TypeElements; t++ {
+		if s.has(t) {
+			names = append(names, t.String())
 		}
-	case OpBoundsCheck:
-		// BoundsCheck forwards its index (TypeDouble) so BCE can replace
-		// uses of the check with the index itself.
-		if in.Type != TypeDouble && in.Type != TypeNone {
-			return fmt.Sprintf("boundscheck has type %s", in.Type)
+	}
+	return strings.Join(names, "|")
+}
+
+// typeRule is an opcode's row of the type table: the result types allowed
+// (0: any), and the types each operand may have. operands[i] is for
+// operand i, the last entry for every later operand; an opcode without
+// operand entries takes any value.
+type typeRule struct {
+	result   typeSet
+	operands []typeSet
+}
+
+var (
+	noValue    = typeRule{result: setNone}
+	arithmetic = typeRule{setDouble, []typeSet{setDouble}}
+	unbox      = typeRule{setUnboxed, []typeSet{setBoxed}}
+)
+
+// typeRules is MIR's type table, the one definition of well-typed MIR:
+// mirbuild checks each graph it builds against it (a violation declines
+// the function), and CheckIR and the pipeline's final check hold every
+// pass to it. The rules are the ones every pass preserves (validated over
+// the full octane + examples + progen corpora), not an exhaustive typing
+// judgment.
+var typeRules = [numOps]typeRule{
+	OpNop:         noValue,
+	OpGoto:        noValue,
+	OpTest:        {setNone, []typeSet{setNumber}},
+	OpReturn:      {setNone, []typeSet{setJSValue}},
+	OpReturnUndef: noValue,
+	OpUnbox:       unbox,
+	OpGuardType:   unbox,
+	OpAdd:         arithmetic,
+	OpSub:         arithmetic,
+	OpMul:         arithmetic,
+	OpDiv:         arithmetic,
+	OpMod:         arithmetic,
+	OpPow:         arithmetic,
+	OpBitAnd:      arithmetic,
+	OpBitOr:       arithmetic,
+	OpBitXor:      arithmetic,
+	OpShl:         arithmetic,
+	OpShr:         arithmetic,
+	OpUshr:        arithmetic,
+	OpNeg:         arithmetic,
+	OpMathFunc:    arithmetic,
+	OpNot:         {operands: []typeSet{setNumber}},
+	OpCompare:     {setBool, []typeSet{setNumber}},
+	OpElements:    {setElems, []typeSet{setObject}},
+	// BoundsCheck forwards its index (TypeDouble) so BCE can replace uses
+	// of the check with the index itself.
+	OpBoundsCheck:  {setDouble | setNone, []typeSet{setNumber}},
+	OpLoadElement:  {operands: []typeSet{setElems, setNumber}},
+	OpStoreElement: {setNone, []typeSet{setValue, setNumber}},
+	OpSetLength:    {setNone, []typeSet{setObject, setNumber}},
+	OpArrayPush:    {operands: []typeSet{setObject, setNumber}},
+	OpArrayPop:     {operands: []typeSet{setObject}},
+	OpNewArray:     {operands: []typeSet{setNumber}},
+	OpStoreGlobal:  {setNone, []typeSet{setJSValue}},
+	OpCall:         {operands: []typeSet{setJSValue}},
+	OpOSREntry:     noValue,
+	OpSnapshot:     noValue,
+	OpAddrOf:       {operands: []typeSet{setObject}},
+	OpKeepAlive:    noValue,
+}
+
+// CheckType checks one instruction against MIR's type table and returns
+// the first violation, or "" when the instruction is well typed. It is the
+// Types family of VerifyOpts, and the builder's one type check.
+func (in *Instr) CheckType() string {
+	r := typeRules[in.Op]
+	if r.result != 0 && !r.result.has(in.Type) {
+		return fmt.Sprintf("%s has type %s, want %s", in.Op, in.Type, r.result)
+	}
+	for i, op := range in.Operands {
+		want := setValue
+		if n := len(r.operands); n > 0 {
+			want = r.operands[min(i, n-1)]
 		}
-	case OpUnbox, OpGuardType:
-		if in.Type == TypeNone || in.Type == TypeValue {
-			return fmt.Sprintf("%s must produce an unboxed type (has %s)", in.Op, in.Type)
-		}
-		if len(in.Operands) > 0 && in.Operands[0].Type != TypeValue {
-			return fmt.Sprintf("%s of already-unboxed value %d (%s)",
-				in.Op, in.Operands[0].ID, in.Operands[0].Type)
-		}
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpPow,
-		OpBitAnd, OpBitOr, OpBitXor, OpShl, OpShr, OpUshr, OpNeg, OpMathFunc:
-		if in.Type != TypeDouble {
-			return fmt.Sprintf("arithmetic %s has type %s", in.Op, in.Type)
-		}
-		for _, op := range in.Operands {
-			if op.Type != TypeDouble {
-				return fmt.Sprintf("arithmetic %s consumes non-double operand %d (%s)",
-					in.Op, op.ID, op.Type)
-			}
-		}
-	case OpCompare:
-		if in.Type != TypeBoolean {
-			return fmt.Sprintf("compare has type %s", in.Type)
-		}
-	case OpElements:
-		if in.Type != TypeElements {
-			return fmt.Sprintf("elements has type %s", in.Type)
-		}
-		if len(in.Operands) > 0 && in.Operands[0].Type != TypeObject {
-			return fmt.Sprintf("elements of non-object %d (%s)", in.Operands[0].ID, in.Operands[0].Type)
-		}
-	case OpLoadElement:
-		if len(in.Operands) > 0 && in.Operands[0].Type != TypeElements {
-			return fmt.Sprintf("loadelement base %d is %s, want elements",
-				in.Operands[0].ID, in.Operands[0].Type)
+		if !want.has(op.Type) {
+			return fmt.Sprintf("%s operand %d is %d (%s), want %s", in.Op, i, op.ID, op.Type, want)
 		}
 	}
 	return ""

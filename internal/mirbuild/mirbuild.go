@@ -9,9 +9,13 @@
 //
 // The builder is type-speculative, like WarpBuilder/IonBuilder: parameter
 // and global types observed by the profiling interpreter tier decide the
-// unbox/guard instructions emitted. Functions using features outside the
-// JIT-able subset (strings, typeof, print, mixed types...) fail to build
-// with ErrUnsupported and simply stay on the interpreter tier.
+// unbox/guard instructions emitted. Expressions are built without checking
+// their operands' types; the finished graph is checked once against MIR's
+// type table (mir.Instr.CheckType), the rules the verifier holds every pass
+// to. Functions using features outside the JIT-able subset (strings,
+// typeof, print, mixed types, operands an instruction does not take...)
+// fail to build with ErrUnsupported and simply stay on the interpreter
+// tier; any other error is a builder bug.
 package mirbuild
 
 import (
@@ -206,9 +210,11 @@ func (b *builder) build() error {
 	return nil
 }
 
-// finalizeTypes resolves the types of loop phis by fixpoint and then
-// type-checks every instruction's operands. Functions that mix arrays and
-// numbers in one SSA value are rejected as not JIT-able.
+// finalizeTypes resolves the types of loop phis by fixpoint and then checks
+// the graph against MIR's type table (mir.Instr.CheckType), the rules the
+// verifier holds every pass to. A function that mixes arrays and numbers in
+// one SSA value, or gives an instruction an operand it does not take (an
+// array to arithmetic, a Boolean to arithmetic...), is not JIT-able.
 func (b *builder) finalizeTypes() error {
 	for changed := true; changed; {
 		changed = false
@@ -221,16 +227,19 @@ func (b *builder) finalizeTypes() error {
 		}
 	}
 	for _, blk := range b.g.Blocks {
+		for _, phi := range blk.Phis() {
+			switch phi.Type {
+			case mir.TypeValue:
+				return unsupportedf("phi %d mixes arrays and numbers", phi.ID)
+			case mir.TypeNone:
+				phi.Type = mir.TypeDouble // degenerate phi (dead loop)
+			}
+		}
+	}
+	for _, blk := range b.g.Blocks {
 		for _, in := range blk.Instrs {
-			switch {
-			case in.Op != mir.OpPhi:
-				if err := checkOperandTypes(in); err != nil {
-					return err
-				}
-			case in.Type == mir.TypeValue:
-				return unsupportedf("phi %d mixes arrays and numbers", in.ID)
-			case in.Type == mir.TypeNone:
-				in.Type = mir.TypeDouble // degenerate phi (dead loop)
+			if msg := in.CheckType(); msg != "" {
+				return unsupportedf("instr %d: %s", in.ID, msg)
 			}
 		}
 	}
@@ -244,64 +253,11 @@ func unifyTypes(a, t mir.Type) mir.Type {
 		return t
 	case a == t, t == mir.TypeNone:
 		return a
-	case isNumeric(a) && isNumeric(t):
+	case a.IsNumeric() && t.IsNumeric():
 		return mir.TypeDouble
 	default:
 		return mir.TypeValue
 	}
-}
-
-// checkOperandTypes validates operand types for ops whose operands could
-// have been untyped phis during construction.
-func checkOperandTypes(in *mir.Instr) error {
-	numeric := func(o *mir.Instr, what string) error {
-		if !isNumeric(o.Type) {
-			return unsupportedf("instr %d (%s): %s operand has type %s, need number", in.ID, in.Op, what, o.Type)
-		}
-		return nil
-	}
-	object := func(o *mir.Instr, what string) error {
-		if o.Type != mir.TypeObject {
-			return unsupportedf("instr %d (%s): %s operand has type %s, need array", in.ID, in.Op, what, o.Type)
-		}
-		return nil
-	}
-	switch in.Op {
-	case mir.OpAdd, mir.OpSub, mir.OpMul, mir.OpDiv, mir.OpMod, mir.OpPow,
-		mir.OpBitAnd, mir.OpBitOr, mir.OpBitXor, mir.OpShl, mir.OpShr, mir.OpUshr,
-		mir.OpCompare, mir.OpMathFunc, mir.OpNeg, mir.OpNot, mir.OpTest, mir.OpNewArray:
-		for _, op := range in.Operands {
-			if err := numeric(op, "numeric"); err != nil {
-				return err
-			}
-		}
-	case mir.OpElements, mir.OpAddrOf, mir.OpArrayPop:
-		return object(in.Operands[0], "array")
-	case mir.OpBoundsCheck:
-		if err := numeric(in.Operands[0], "index"); err != nil {
-			return err
-		}
-		return numeric(in.Operands[1], "length")
-	case mir.OpLoadElement:
-		return numeric(in.Operands[1], "index")
-	case mir.OpStoreElement:
-		if err := numeric(in.Operands[1], "index"); err != nil {
-			return err
-		}
-		return numeric(in.Operands[2], "value")
-	case mir.OpSetLength, mir.OpArrayPush:
-		if err := object(in.Operands[0], "array"); err != nil {
-			return err
-		}
-		return numeric(in.Operands[1], "value")
-	case mir.OpReturn, mir.OpStoreGlobal, mir.OpCall:
-		for _, op := range in.Operands {
-			if op.Type != mir.TypeObject && !isNumeric(op.Type) {
-				return unsupportedf("instr %d (%s): operand type %s", in.ID, in.Op, op.Type)
-			}
-		}
-	}
-	return nil
 }
 
 // ---- SSA construction ----
@@ -786,26 +742,6 @@ func (b *builder) constant(v float64) *mir.Instr {
 	return b.emit(c)
 }
 
-func (b *builder) requireDouble(v *mir.Instr, what string) (*mir.Instr, error) {
-	switch v.Type {
-	case mir.TypeDouble, mir.TypeBoolean:
-		return v, nil
-	case mir.TypeNone:
-		if v.Op == mir.OpPhi {
-			// Open loop-header φ: its type is resolved by finalizeTypes.
-			return v, nil
-		}
-	}
-	return nil, unsupportedf("%s has type %s, need number", what, v.Type)
-}
-
-func (b *builder) requireObject(v *mir.Instr, what string) (*mir.Instr, error) {
-	if v.Type == mir.TypeObject || (v.Type == mir.TypeNone && v.Op == mir.OpPhi) {
-		return v, nil
-	}
-	return nil, unsupportedf("%s has type %s, need array", what, v.Type)
-}
-
 func (b *builder) expr(x ast.Expr) (*mir.Instr, error) {
 	switch x := x.(type) {
 	case *ast.NumberLit:
@@ -821,9 +757,6 @@ func (b *builder) expr(x ast.Expr) (*mir.Instr, error) {
 	case *ast.NewArray:
 		n, err := b.expr(x.Len)
 		if err != nil {
-			return nil, err
-		}
-		if n, err = b.requireDouble(n, "array length"); err != nil {
 			return nil, err
 		}
 		return b.emit(b.g.NewInstr(mir.OpNewArray, mir.TypeObject, n)), nil
@@ -852,11 +785,7 @@ func (b *builder) expr(x ast.Expr) (*mir.Instr, error) {
 
 func (b *builder) readName(x *ast.Ident) (*mir.Instr, error) {
 	if s, ok := b.slot[x.Name]; ok {
-		v := b.readVar(s, b.cur)
-		if v.Type == mir.TypeValue {
-			return nil, unsupportedf("variable %q has mixed types", x.Name)
-		}
-		return v, nil
+		return b.readVar(s, b.cur), nil
 	}
 	slot, ok := b.globalSlots[x.Name]
 	if !ok {
@@ -907,14 +836,8 @@ func (b *builder) indexLoad(x *ast.IndexExpr) (*mir.Instr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if obj, err = b.requireObject(obj, "indexed value"); err != nil {
-		return nil, err
-	}
 	idx, err := b.expr(x.Index)
 	if err != nil {
-		return nil, err
-	}
-	if idx, err = b.requireDouble(idx, "array index"); err != nil {
 		return nil, err
 	}
 	elems, length := b.elementsOf(obj)
@@ -927,17 +850,8 @@ func (b *builder) indexStore(x *ast.IndexExpr, v *mir.Instr) error {
 	if err != nil {
 		return err
 	}
-	if obj, err = b.requireObject(obj, "indexed value"); err != nil {
-		return err
-	}
 	idx, err := b.expr(x.Index)
 	if err != nil {
-		return err
-	}
-	if idx, err = b.requireDouble(idx, "array index"); err != nil {
-		return err
-	}
-	if _, err = b.requireDouble(v, "stored value"); err != nil {
 		return err
 	}
 	elems, length := b.elementsOf(obj)
@@ -963,9 +877,6 @@ func (b *builder) member(x *ast.MemberExpr) (*mir.Instr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if obj, err = b.requireObject(obj, ".length receiver"); err != nil {
-		return nil, err
-	}
 	_, length := b.elementsOf(obj)
 	return length, nil
 }
@@ -980,9 +891,6 @@ func (b *builder) call(x *ast.CallExpr) (*mir.Instr, error) {
 			}
 			obj, err := b.expr(x.Args[0])
 			if err != nil {
-				return nil, err
-			}
-			if obj, err = b.requireObject(obj, "__addrof argument"); err != nil {
 				return nil, err
 			}
 			return b.emit(b.g.NewInstr(mir.OpAddrOf, mir.TypeDouble, obj)), nil
@@ -1000,9 +908,6 @@ func (b *builder) call(x *ast.CallExpr) (*mir.Instr, error) {
 			v, err := b.expr(a)
 			if err != nil {
 				return nil, err
-			}
-			if v.Type == mir.TypeValue || v.Type == mir.TypeElements {
-				return nil, unsupportedf("call argument type %s", v.Type)
 			}
 			args = append(args, v)
 		}
@@ -1059,9 +964,6 @@ func (b *builder) methodCall(callee *ast.MemberExpr, argExprs []ast.Expr) (*mir.
 			if err != nil {
 				return nil, err
 			}
-			if v, err = b.requireDouble(v, "Math argument"); err != nil {
-				return nil, err
-			}
 			args = append(args, v)
 		}
 		in := b.g.NewInstr(mir.OpMathFunc, mir.TypeDouble, args...)
@@ -1077,23 +979,14 @@ func (b *builder) methodCall(callee *ast.MemberExpr, argExprs []ast.Expr) (*mir.
 		if err != nil {
 			return nil, err
 		}
-		if obj, err = b.requireObject(obj, "push receiver"); err != nil {
-			return nil, err
-		}
 		v, err := b.expr(argExprs[0])
 		if err != nil {
-			return nil, err
-		}
-		if v, err = b.requireDouble(v, "pushed value"); err != nil {
 			return nil, err
 		}
 		return b.emit(b.g.NewInstr(mir.OpArrayPush, mir.TypeDouble, obj, v)), nil
 	case "pop":
 		obj, err := b.expr(callee.X)
 		if err != nil {
-			return nil, err
-		}
-		if obj, err = b.requireObject(obj, "pop receiver"); err != nil {
 			return nil, err
 		}
 		return b.emit(b.g.NewInstr(mir.OpArrayPop, mir.TypeDouble, obj)), nil
@@ -1109,19 +1002,10 @@ func (b *builder) unary(x *ast.UnaryExpr) (*mir.Instr, error) {
 	}
 	switch x.Op {
 	case token.Minus:
-		if v, err = b.requireDouble(v, "negation operand"); err != nil {
-			return nil, err
-		}
 		return b.emit(b.g.NewInstr(mir.OpNeg, mir.TypeDouble, v)), nil
 	case token.Bang:
-		if v, err = b.requireDouble(v, "! operand"); err != nil {
-			return nil, err
-		}
 		return b.emit(b.g.NewInstr(mir.OpNot, mir.TypeBoolean, v)), nil
 	case token.Tilde:
-		if v, err = b.requireDouble(v, "~ operand"); err != nil {
-			return nil, err
-		}
 		m1 := b.constant(-1)
 		return b.emit(b.g.NewInstr(mir.OpBitXor, mir.TypeDouble, v, m1)), nil
 	default:
@@ -1152,21 +1036,9 @@ func (b *builder) binary(x *ast.BinaryExpr) (*mir.Instr, error) {
 		return nil, err
 	}
 	if op, ok := binOps[x.Op]; ok {
-		if lhs, err = b.requireDouble(lhs, "left operand"); err != nil {
-			return nil, err
-		}
-		if rhs, err = b.requireDouble(rhs, "right operand"); err != nil {
-			return nil, err
-		}
 		return b.emit(b.g.NewInstr(op, mir.TypeDouble, lhs, rhs)), nil
 	}
 	if kind, ok := cmpOps[x.Op]; ok {
-		if lhs, err = b.requireDouble(lhs, "left operand"); err != nil {
-			return nil, err
-		}
-		if rhs, err = b.requireDouble(rhs, "right operand"); err != nil {
-			return nil, err
-		}
 		cmp := b.g.NewInstr(mir.OpCompare, mir.TypeBoolean, lhs, rhs)
 		cmp.Aux = int(kind)
 		return b.emit(cmp), nil
@@ -1181,9 +1053,6 @@ func (b *builder) logical(x *ast.LogicalExpr) (*mir.Instr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if lhs, err = b.requireDouble(lhs, "logical operand"); err != nil {
-		return nil, err
-	}
 	rhsB := b.g.NewBlock()
 	join := b.g.NewBlock()
 	if x.Op == token.AmpAmp {
@@ -1195,9 +1064,6 @@ func (b *builder) logical(x *ast.LogicalExpr) (*mir.Instr, error) {
 	b.startBlock(rhsB)
 	rhs, err := b.expr(x.Y)
 	if err != nil {
-		return nil, err
-	}
-	if rhs, err = b.requireDouble(rhs, "logical operand"); err != nil {
 		return nil, err
 	}
 	b.gotoBlock(join)
@@ -1219,9 +1085,6 @@ func (b *builder) mergeArms(join *mir.Block, t mir.Type, first, second *mir.Inst
 func (b *builder) conditional(x *ast.CondExpr) (*mir.Instr, error) {
 	cond, err := b.expr(x.Cond)
 	if err != nil {
-		return nil, err
-	}
-	if cond, err = b.requireDouble(cond, "?: condition"); err != nil {
 		return nil, err
 	}
 	thenB := b.g.NewBlock()
@@ -1253,7 +1116,7 @@ func (b *builder) conditional(x *ast.CondExpr) (*mir.Instr, error) {
 	if b.throughHeader(ev) {
 		et = mir.TypeNone
 	}
-	if tt != et && !(isNumeric(tt) && isNumeric(et)) {
+	if tt != et && !(tt.IsNumeric() && et.IsNumeric()) {
 		return nil, unsupportedf("?: branches have types %s and %s", tt, et)
 	}
 	return b.mergeArms(join, unifyTypes(tt, et), tv, ev), nil
@@ -1266,8 +1129,6 @@ func (b *builder) throughHeader(v *mir.Instr) bool {
 	n := len(b.loops)
 	return n > 0 && v.Block.ID < b.loops[n-1].header.ID
 }
-
-func isNumeric(t mir.Type) bool { return t == mir.TypeDouble || t == mir.TypeBoolean }
 
 func (b *builder) assign(x *ast.AssignExpr) (*mir.Instr, error) {
 	// Compute the value (for compound ops, read target first).
@@ -1282,12 +1143,6 @@ func (b *builder) assign(x *ast.AssignExpr) (*mir.Instr, error) {
 		compute = func(cur *mir.Instr) (*mir.Instr, error) {
 			rhs, err := b.expr(x.Value)
 			if err != nil {
-				return nil, err
-			}
-			if rhs, err = b.requireDouble(rhs, "right operand"); err != nil {
-				return nil, err
-			}
-			if cur, err = b.requireDouble(cur, "assignment target"); err != nil {
 				return nil, err
 			}
 			return b.emit(b.g.NewInstr(binOp, mir.TypeDouble, cur, rhs)), nil
@@ -1318,9 +1173,6 @@ func (b *builder) assign(x *ast.AssignExpr) (*mir.Instr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if v, err = b.requireDouble(v, "stored value"); err != nil {
-				return nil, err
-			}
 			if err := b.indexStore(target, v); err != nil {
 				return nil, err
 			}
@@ -1346,18 +1198,12 @@ func (b *builder) assign(x *ast.AssignExpr) (*mir.Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if obj, err = b.requireObject(obj, ".length receiver"); err != nil {
-			return nil, err
-		}
 		var cur *mir.Instr
 		if x.Op != token.Assign {
 			_, cur = b.elementsOf(obj)
 		}
 		v, err := compute(cur)
 		if err != nil {
-			return nil, err
-		}
-		if v, err = b.requireDouble(v, "length value"); err != nil {
 			return nil, err
 		}
 		b.emit(b.g.NewInstr(mir.OpSetLength, mir.TypeNone, obj, v))
@@ -1376,9 +1222,6 @@ func (b *builder) update(x *ast.UpdateExpr) (*mir.Instr, error) {
 	case *ast.Ident:
 		cur, err := b.readName(target)
 		if err != nil {
-			return nil, err
-		}
-		if cur, err = b.requireDouble(cur, "update target"); err != nil {
 			return nil, err
 		}
 		one := b.constant(1)

@@ -283,16 +283,41 @@ function f(n) {
 }
 
 func TestUnsupportedConstructs(t *testing.T) {
+	num := []value.Type{value.Number}
+	xa := []value.Type{value.Number, value.Array} // f(x, a): x a number, a an array
 	tests := []struct {
 		src   string
 		types []value.Type
 	}{
-		{`function f(x) { return "s" + x; }`, []value.Type{value.Number}},
-		{`function f(x) { print(x); }`, []value.Type{value.Number}},
-		{`function f(x) { return typeof x; }`, []value.Type{value.Number}},
+		{`function f(x) { return "s" + x; }`, num},
+		{`function f(x) { print(x); }`, num},
+		{`function f(x) { return typeof x; }`, num},
 		{`function f(x) { return x; }`, []value.Type{value.String}},
 		{`function f(x) { return x; }`, []value.Type{value.Undefined}},
-		{`function f(x) { var y; if (x) { y = 1; } else { y = [1]; } return y; }`, []value.Type{value.Number}},
+		{`function f(x) { var y; if (x) { y = 1; } else { y = [1]; } return y; }`, num},
+		// A Boolean is a number to compares and branches, but MIR's
+		// arithmetic consumes doubles only.
+		{`function f(x) { return (x < 1) + 1; }`, num},
+		{`function f(x) { var t = true; return t * 2; }`, num},
+		{`function f(x) { return -(x < 1); }`, num},
+		{`function f(x) { var t = x < 1; t++; return t; }`, num},
+		// One row per operand rule of mir's type table.
+		{`function f(x, a) { return a + 1; }`, xa},
+		{`function f(x, a) { return a < 1; }`, xa},
+		{`function f(x, a) { if (a) { return 1; } return 0; }`, xa},
+		{`function f(x, a) { return !a; }`, xa},
+		{`function f(x, a) { var b = new Array(a); return 0; }`, xa},
+		{`function f(x, a) { return x[0]; }`, xa},
+		{`function f(x, a) { return a[a]; }`, xa},
+		{`function f(x, a) { a[0] = a; return 0; }`, xa},
+		{`function f(x, a) { return x.length; }`, xa},
+		{`function f(x, a) { x.length = 1; return 0; }`, xa},
+		{`function f(x, a) { a.length = a; return 0; }`, xa},
+		{`function f(x, a) { x.push(1); return 0; }`, xa},
+		{`function f(x, a) { a.push(a); return 0; }`, xa},
+		{`function f(x, a) { return x.pop(); }`, xa},
+		{`function f(x, a) { return __addrof(x); }`, xa},
+		{`function f(x, a) { return Math.abs(a); }`, xa},
 	}
 	for _, tt := range tests {
 		_, err := buildFn(t, tt.src, "f", tt.types...)
