@@ -179,29 +179,96 @@ func TestStoreVersionSkewIsAMiss(t *testing.T) {
 		if cs := cold.Obs.Stats; cs.NrNoJIT != 1 || cs.NrJIT != 2 {
 			t.Fatalf("the golden program no longer reaches one go and one NoJIT verdict: %+v", cs)
 		}
-		dir := t.TempDir()
-		if err := os.Mkdir(filepath.Join(dir, "objects"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range storeKeys(t, filepath.Join(golden, "store")) {
-			name := filepath.Join("objects", hex.EncodeToString(k[:])+".json")
-			data, err := os.ReadFile(filepath.Join(golden, "store", name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The golden records must be the ones this program asks for, or
-		// the test proves nothing: a change to what a compilation is keyed
-		// on has to re-key the two files (name and "key" line; the CRC
-		// covers the payload only).
-		if got, want := storeKeys(t, dir), storeKeys(t, ref.Dir()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("golden records are keyed %x, the program compiles under %x", got, want)
-		}
+		dir := goldenStore(t, golden, ref.Dir())
 		skewedStoreIsAMiss(t, string(src), base, dir, cold)
 	})
+}
+
+// goldenStore copies the records of golden/store into a fresh directory
+// and returns it. The golden records must be the ones the program asks
+// for — the keys it compiled under in the store at want — or the test
+// proves nothing: a change to what a compilation is keyed on has to
+// re-key the files (name and "key" line; the CRC covers the payload only).
+func goldenStore(t *testing.T, golden, want string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "objects"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range storeKeys(t, filepath.Join(golden, "store")) {
+		name := filepath.Join("objects", hex.EncodeToString(k[:])+".json")
+		data, err := os.ReadFile(filepath.Join(golden, "store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := storeKeys(t, dir), storeKeys(t, want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("golden records are keyed %x, the program compiles under %x", got, want)
+	}
+	return dir
+}
+
+// TestStoreLayout3GoldenIsServed: internal/store/testdata/golden_v3 holds
+// layout-3 records of golden_v2's program, written while a match still
+// carried its witness's interner ID ("chain_id") beside the witness text.
+// They need no new layout: every record is served as a hit, nothing
+// compiles, and the verdicts, audit decisions and witness texts equal a
+// cold run's. goldenStore's key check holds the database fingerprint, and
+// so every record key, where the writer left it.
+func TestStoreLayout3GoldenIsServed(t *testing.T) {
+	src, err := os.ReadFile("../store/testdata/golden_v2/program.js")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := engine.Config{Bugs: vulndb.All()[3].Bug(), MaxSteps: 200_000_000}
+	ref, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := storeProcess(string(src), base, ref, true)
+	dir := goldenStore(t, "../store/testdata/golden_v3", ref.Dir())
+	reg := obs.NewRegistry()
+	st, err := store.Open(dir, store.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := storeProcess(string(src), base, st, true)
+
+	for _, d := range compare(Config{Name: "store+golden-v3"}, run.Obs, cold.Obs, "store+cold") {
+		t.Error(d)
+	}
+	rs, cs := run.Obs.Stats, cold.Obs.Stats
+	if rs.Compiles != 0 || rs.CacheMisses != 0 || rs.CacheHits != cs.CacheMisses {
+		t.Errorf("the layout-3 records were not all hits: %+v, cold %+v", rs, cs)
+	}
+	if n, keys := reg.Counter("store.hits").Value(), storeKeys(t, dir); n != int64(len(keys)) {
+		t.Errorf("the store served %d of the %d golden records", n, len(keys))
+	}
+	if rs.NrJIT != cs.NrJIT || rs.NrDisJIT != cs.NrDisJIT || rs.NrNoJIT != cs.NrNoJIT {
+		t.Errorf("verdicts jit/disjit/nojit = %d/%d/%d, cold %d/%d/%d",
+			rs.NrJIT, rs.NrDisJIT, rs.NrNoJIT, cs.NrJIT, cs.NrDisJIT, cs.NrNoJIT)
+	}
+	if len(run.Audit) != len(cold.Audit) {
+		t.Fatalf("%d audit events, cold process had %d", len(run.Audit), len(cold.Audit))
+	}
+	witnesses := 0
+	for i := range run.Audit {
+		got, want := auditIdentity(run.Audit[i]), auditIdentity(cold.Audit[i])
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("audit event %d = %s, want %s", i, got, want)
+		}
+		for _, m := range got.Matches {
+			if m.Chain != "" {
+				witnesses++
+			}
+		}
+	}
+	if witnesses == 0 {
+		t.Fatal("no replayed verdict named a witness: the test pins nothing")
+	}
 }
 
 // idWitnessDetector stands for a detector from before the witness rule
