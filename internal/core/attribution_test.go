@@ -83,10 +83,6 @@ func TestMatchAttributionWitnessChain(t *testing.T) {
 			if !ok {
 				t.Fatal("fixture broken: no shared chain")
 			}
-			if m.ChainID != want {
-				t.Fatalf("ChainID = %d (%q), want %d (%q)",
-					m.ChainID, ChainString(m.ChainID), want, ChainString(want))
-			}
 			if m.Chain != ChainString(want) {
 				t.Fatalf("Chain = %q, want %q", m.Chain, ChainString(want))
 			}
@@ -113,8 +109,8 @@ func TestMatchAttributionDegenerateThreshold(t *testing.T) {
 		t.Fatalf("expected one degenerate match, got %+v", det.Matches)
 	}
 	m := det.Matches[0]
-	if m.ChainID != NoChain || m.Side != "" || m.Chain != "" {
-		t.Fatalf("degenerate match must carry the NoChain sentinel, got %+v", m)
+	if m.Side != "" || m.Chain != "" {
+		t.Fatalf("degenerate match must carry no witness, got %+v", m)
 	}
 }
 

@@ -49,9 +49,6 @@ func TestVerdictReachesAuditThroughTheStream(t *testing.T) {
 			if m.CVE != v.CVE || m.Pass == "" || m.VDCFunc == "" {
 				t.Errorf("match %+v does not name %s, a VDC function and a pass", m, v.CVE)
 			}
-			if m.ChainID != core.NoChain && (m.Chain == "" || core.ChainString(m.ChainID) != m.Chain) {
-				t.Errorf("match %+v: witness chain id %d renders %q", m, m.ChainID, core.ChainString(m.ChainID))
-			}
 			if m.Chain != "" {
 				chains++
 			}

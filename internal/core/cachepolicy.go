@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/jitbull/jitbull/internal/engine"
 )
@@ -31,14 +30,15 @@ var _ engine.CachingPolicy = (*Detector)(nil)
 // the database's contents and the thresholds; database identity is its
 // content Fingerprint — a *Database that many engines share
 // reports one stable value, a mutated or different-content database
-// always reports a fresh one, and (unlike the process-unique Generation)
-// a restarted process over the same database contents reports the SAME
-// one, which is what lets the persistent store replay verdicts across
-// process death. Replay is sound precisely because the verdict is a
-// deterministic function of (DNA, contents, thresholds): equal contents
-// imply equal verdicts regardless of which process computed them. A
-// fail-safe database vetoes caching — its NoJIT-everything verdicts are
-// a degraded emergency mode, not knowledge worth publishing fleet-wide.
+// always reports a fresh one, and a restarted process over the same
+// database contents reports the SAME one, which is what lets the
+// persistent store replay verdicts across process death. Replay is sound
+// precisely because the verdict is a deterministic function of (DNA,
+// contents, thresholds): equal contents imply equal verdicts regardless of
+// which process computed them. Two databases veto caching: a fail-safe
+// one — its NoJIT-everything verdicts are a degraded emergency mode, not
+// knowledge worth publishing fleet-wide — and one without a content
+// identity (Fingerprint 0), for which no other identity stands in.
 //
 // The key also names the witness rule (w=content: a match's witness is
 // the smallest shared chain by content). Stores written while the witness
@@ -50,26 +50,23 @@ func (d *Detector) PolicyCacheKey() (string, bool) {
 	if d.DB == nil || d.DB.FailSafe() {
 		return "", false
 	}
-	return fmt.Sprintf("core.Detector/w=content/db=%016x/thr=%d/ratio=%g", d.DB.Fingerprint(), d.Thr, d.Ratio), true
+	fp := d.DB.Fingerprint()
+	if fp == 0 {
+		return "", false
+	}
+	return fmt.Sprintf("core.Detector/w=content/db=%016x/thr=%d/ratio=%g", fp, d.Thr, d.Ratio), true
 }
 
 // ReplayDecision implements engine.CachingPolicy: it books a decision
 // made for an equal cache key — by this detector, by another engine's, or
 // in a process that has since died — exactly as the live Decide booked
-// it, and returns it as this process states it. The witness chains travel
-// as text (Match.Chain) and are interned again here, as
-// Delta.UnmarshalJSON does for a database: the IDs of the process that
-// made the decision mean nothing in this one, and NoChain stays NoChain.
-// A replayed go verdict carries no reason.
+// it, and returns it as this process states it. A match names its witness
+// by text only, so the decision is booked as handed in: nothing of it
+// depends on the process that made it. A replayed go verdict carries no
+// reason.
 func (d *Detector) ReplayDecision(_ string, dec engine.CompileDecision) engine.CompileDecision {
 	if len(dec.Matches) > 0 {
 		dec.Reason = "replayed from shared compilation cache"
-		dec.Matches = slices.Clone(dec.Matches) // the cached value is shared
-		for i := range dec.Matches {
-			if m := &dec.Matches[i]; m.ChainID != NoChain {
-				m.ChainID = InternChain(m.Chain)
-			}
-		}
 	}
 	d.book(dec)
 	return dec

@@ -8,39 +8,12 @@ package core
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/obs"
 )
-
-func TestDatabaseGenerationIdentity(t *testing.T) {
-	a, b := &Database{}, &Database{}
-	ga, gb := a.Generation(), b.Generation()
-	if ga == 0 || gb == 0 {
-		t.Fatal("generation 0 is reserved for unassigned")
-	}
-	if ga == gb {
-		t.Fatalf("distinct databases share generation %d", ga)
-	}
-	if a.Generation() != ga {
-		t.Error("generation not stable across calls")
-	}
-	a.Add(VDC{CVE: "CVE-TEST-1"})
-	ga2 := a.Generation()
-	if ga2 == ga {
-		t.Error("Add did not move the database to a fresh generation")
-	}
-	if ga2 == gb || ga2 == b.Generation() {
-		t.Error("mutated database collided with another database's generation")
-	}
-	a.Remove("CVE-TEST-1")
-	if a.Generation() == ga2 || a.Generation() == ga {
-		// Same contents as at ga, but verdicts cached in between must not
-		// resurrect: any mutation is a fresh generation.
-		t.Error("Remove did not move the database to a fresh generation")
-	}
-}
 
 func TestPolicyCacheKeyTracksDatabaseContents(t *testing.T) {
 	db := &Database{}
@@ -74,6 +47,24 @@ func TestPolicyCacheKeyTracksDatabaseContents(t *testing.T) {
 	}
 	if _, ok := NewDetector(NewFailSafeDatabase()).PolicyCacheKey(); ok {
 		t.Error("fail-safe database did not veto caching")
+	}
+}
+
+// TestPolicyCacheKeyVetoesDatabaseWithoutIdentity: a database holding a
+// dangling chain ID cannot serialize, so it has no content fingerprint.
+// Nothing else stands in for one — a process-local number would be the
+// same for the first such database of every process — so the detector
+// vetoes caching instead of keying verdicts that another database could
+// be served.
+func TestPolicyCacheKeyVetoesDatabaseWithoutIdentity(t *testing.T) {
+	db := &Database{VDCs: []VDC{{CVE: "CVE-X", DNAs: []DNA{{FuncName: "f", Passes: map[string]Delta{
+		"GVN": {Removed: []uint32{1 << 30}},
+	}}}}}}
+	if fp := db.Fingerprint(); fp != 0 {
+		t.Errorf("unserializable database fingerprinted %016x", fp)
+	}
+	if key, ok := NewDetector(db).PolicyCacheKey(); ok {
+		t.Errorf("unserializable database keyed %q", key)
 	}
 }
 
@@ -148,38 +139,31 @@ func TestReplayDecisionBooksLikeDecide(t *testing.T) {
 	}
 }
 
-// TestReplayDecisionReinternsChains: a decision read from the store was
-// made in another process, whose chain IDs mean nothing here. Replay
-// interns each witness chain's text again — the chain survives, the ID is
-// this process's — and a match that had no witness (NoChain) still has
-// none. The decision handed in is shared with the cache and is not
-// written to.
-func TestReplayDecisionReinternsChains(t *testing.T) {
-	const stale = uint32(1 << 30) // no such chain in this process
+// TestReplayDecisionBooksAsHandedIn: a decision read from the store was
+// made in another process. Its witnesses are text, so replay books it as
+// it is: the process interner does not grow, each witness chain keeps its
+// text, a match that had no witness still has none, and the decision
+// handed in — shared with the cache — is not written to.
+func TestReplayDecisionBooksAsHandedIn(t *testing.T) {
 	text := "boundscheck→add→replay-test-token"
-	dec := engine.CompileDecision{
-		DisabledPasses: []string{"GVN"},
-		Matches: []obs.Match{
-			{CVE: "CVE-A", VDCFunc: "f", Pass: "GVN", ChainID: stale, Side: "removed", Chain: text},
-			{CVE: "CVE-B", VDCFunc: "g", Pass: "GVN", ChainID: NoChain},
-		},
+	matches := []obs.Match{
+		{CVE: "CVE-A", VDCFunc: "f", Pass: "GVN", Side: "removed", Chain: text},
+		{CVE: "CVE-B", VDCFunc: "g", Pass: "GVN"},
 	}
+	dec := engine.CompileDecision{DisabledPasses: []string{"GVN"}, Matches: slices.Clone(matches)}
 	d := NewDetector(&Database{})
+	chains := NumChains()
 	stated := d.ReplayDecision("victim", dec)
 
-	want := InternChain(text)
+	if n := NumChains(); n != chains {
+		t.Errorf("replay interned %d chain(s)", n-chains)
+	}
 	for _, ms := range [][]obs.Match{d.Matches, stated.Matches} {
-		if len(ms) != 2 {
-			t.Fatalf("booked %d matches, want 2", len(ms))
-		}
-		if ms[0].ChainID != want || ChainString(ms[0].ChainID) != text || ms[0].Chain != text {
-			t.Errorf("witness chain: id %d chain %q, want id %d rendering %q", ms[0].ChainID, ms[0].Chain, want, text)
-		}
-		if ms[1].ChainID != NoChain || ms[1].Chain != "" || ms[1].Side != "" {
-			t.Errorf("NoChain match came back as %+v", ms[1])
+		if !reflect.DeepEqual(ms, matches) {
+			t.Errorf("booked %+v, want %+v", ms, matches)
 		}
 	}
-	if dec.Matches[0].ChainID != stale {
-		t.Error("replay wrote to the decision it was handed")
+	if !reflect.DeepEqual(dec.Matches, matches) || dec.Reason != "" {
+		t.Errorf("replay wrote to the decision it was handed: %+v", dec)
 	}
 }

@@ -217,8 +217,8 @@ func (d *Detector) decide(ix *MatchIndex, ratio float64, dna *DNA) engine.Compil
 		passName := passName
 		d.deltaHist.Observe(int64(len(fdelta.Removed) + len(fdelta.Added)))
 		ix.query(passName, fdelta, ratio, ix.thr, &d.scratch, func(cve, vdcFunc string, chain uint32, side matchSide) {
-			m := obs.Match{CVE: cve, VDCFunc: vdcFunc, Pass: passName, ChainID: chain, Side: side.String()}
-			if chain != NoChain {
+			m := obs.Match{CVE: cve, VDCFunc: vdcFunc, Pass: passName, Side: side.String()}
+			if chain != noChain {
 				m.Chain = ChainString(chain)
 			}
 			found = append(found, m)

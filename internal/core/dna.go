@@ -105,68 +105,35 @@ type Database struct {
 	mu      sync.Mutex
 	indexes atomic.Pointer[map[int]*MatchIndex]
 
-	// gen identifies this database's current contents for cross-engine
-	// verdict caching: process-unique, assigned lazily on first use and
-	// re-assigned on every mutation. See Generation.
-	gen atomic.Uint64
-
 	// fp caches the content fingerprint (see Fingerprint); 0 = not yet
 	// computed, cleared on every mutation.
 	fp atomic.Uint64
 }
 
-// dbGen is the process-wide generation allocator; 0 is reserved for
-// "not yet assigned".
-var dbGen atomic.Uint64
-
-// Generation returns a process-unique identifier of this database
-// instance and its current contents. Unlike the raw pointer, a generation
-// is never reused: a different database — or this database after an
-// Add/Remove — always reports a different value, so a verdict cached
-// against an earlier database can never be replayed against a later one.
-// Safe for concurrent use by fully built (no longer mutating) databases.
-func (db *Database) Generation() uint64 {
-	for {
-		if g := db.gen.Load(); g != 0 {
-			return g
-		}
-		db.gen.CompareAndSwap(0, dbGen.Add(1))
-	}
-}
-
 // Fingerprint returns a content-addressed identity of the database: a
 // digest of its serialized VDC fingerprints, stable across processes and
-// across structurally identical copies. This is what the persistent
-// verdict store keys on — a verdict is a deterministic function of (DNA,
-// database contents, thresholds), so two databases with equal contents
-// may soundly share cached verdicts even across a restart, which the
-// process-unique Generation cannot express. Any Add/Remove moves the
-// database to a fresh fingerprint. Safe for concurrent use by fully
-// built (no longer mutating) databases.
-func (db *Database) Fingerprint() (fp uint64) {
-	// A dangling chain ID panics inside Delta.MarshalJSON; such a database
-	// has no trustworthy identity (Validate rejects it on every persistence
-	// path), so degrade to the process-unique generation.
-	defer func() {
-		if recover() != nil {
-			fp = db.Generation()
-		}
-	}()
-	for {
-		if f := db.fp.Load(); f != 0 {
-			return f
-		}
-		payload, err := json.Marshal(db.VDCs)
-		if err != nil {
-			// A database that cannot serialize (dangling chain IDs) has no
-			// trustworthy identity; Validate rejects it on every persistence
-			// path. Degrade to the process-unique generation.
-			return db.Generation()
-		}
-		sum := sha256.Sum256(payload)
-		f := binary.LittleEndian.Uint64(sum[:8]) | 1 // 0 is reserved
-		db.fp.CompareAndSwap(0, f)
+// across structurally identical copies. It is the database's only
+// identity: the verdict cache and the persistent store key on it — a
+// verdict is a deterministic function of (DNA, database contents,
+// thresholds), so two databases with equal contents may soundly share
+// cached verdicts even across a restart. Any Add/Remove moves the
+// database to a fresh fingerprint. A database that cannot serialize (a
+// dangling chain ID, which Validate rejects on every persistence path)
+// has no content identity, and Fingerprint reports 0. Safe for concurrent
+// use by fully built (no longer mutating) databases.
+func (db *Database) Fingerprint() uint64 {
+	if f := db.fp.Load(); f != 0 {
+		return f
 	}
+	defer func() { recover() }() // a dangling chain ID panics inside Delta.MarshalJSON; the result stays 0
+	payload, err := json.Marshal(db.VDCs)
+	if err != nil {
+		return 0
+	}
+	sum := sha256.Sum256(payload)
+	f := binary.LittleEndian.Uint64(sum[:8]) | 1 // 0 is reserved
+	db.fp.Store(f)
+	return f
 }
 
 // NewFailSafeDatabase returns the database substituted when the real one
@@ -179,14 +146,12 @@ func NewFailSafeDatabase() *Database { return &Database{failSafe: true} }
 // FailSafe reports whether this is a fail-safe stand-in database.
 func (db *Database) FailSafe() bool { return db.failSafe }
 
-// mutated invalidates the compiled-index cache and moves the database to
-// a fresh generation, invalidating any cached verdicts keyed to the old
-// contents.
+// mutated invalidates the compiled-index cache and the fingerprint, so no
+// verdict cached against the old contents is replayed against the new.
 func (db *Database) mutated() {
 	db.mu.Lock()
 	db.indexes.Store(nil)
 	db.mu.Unlock()
-	db.gen.Store(dbGen.Add(1))
 	db.fp.Store(0)
 }
 

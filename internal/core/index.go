@@ -151,9 +151,10 @@ func (ix *MatchIndex) postings(pass string) *passPostings {
 	return ix.byPass[pass]
 }
 
-// NoChain is the witness-chain sentinel for matches that needed no shared
-// chain (degenerate thresholds accept any pair of non-empty sides).
-const NoChain = ^uint32(0)
+// noChain is the witness-chain sentinel for matches that needed no shared
+// chain (degenerate thresholds accept any pair of non-empty sides). It
+// never leaves core: such a match carries no witness text.
+const noChain = ^uint32(0)
 
 // matchSide says which delta side witnessed a match.
 type matchSide uint8
@@ -212,7 +213,7 @@ func (sc *matchScratch) ensure(n int) {
 // deltas sharing at least one chain with the candidate are ever visited or
 // scored. emit receives the witness attribution: the smallest chain by
 // content (string order) shared with the matched delta and the side it was
-// shared on (NoChain/sideNone under degenerate thresholds, which need no
+// shared on (noChain/sideNone under degenerate thresholds, which need no
 // shared chain).
 func (ix *MatchIndex) query(pass string, d Delta, ratio float64, thr int, sc *matchScratch, emit func(cve, vdcFunc string, chain uint32, side matchSide)) {
 	// Reset before the early return: callers read sc.probes after every
@@ -235,7 +236,7 @@ func (ix *MatchIndex) query(pass string, d Delta, ratio float64, thr int, sc *ma
 			e := &ix.entries[id]
 			sc.probes++
 			if (len(d.Removed) > 0 && e.removedLen > 0) || (len(d.Added) > 0 && e.addedLen > 0) {
-				emit(e.cve, e.vdcFunc, NoChain, sideNone)
+				emit(e.cve, e.vdcFunc, noChain, sideNone)
 			}
 		}
 		return

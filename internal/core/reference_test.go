@@ -496,7 +496,7 @@ func (r *ReferenceDetector) Decide(dna *RefDNA) engine.CompileDecision {
 						disSet[passName] = true
 					}
 					// The reference scan does not attribute witness chains.
-					r.Matches = append(r.Matches, obs.Match{CVE: vdc.cve, VDCFunc: vdna.FuncName, Pass: passName, ChainID: NoChain})
+					r.Matches = append(r.Matches, obs.Match{CVE: vdc.cve, VDCFunc: vdna.FuncName, Pass: passName})
 				}
 			}
 		}

@@ -35,12 +35,6 @@ type ChaosOptions struct {
 	Runs int
 	// MaxRules caps the rules per fault schedule (default 3).
 	MaxRules int
-	// IonThreshold for the chaos cell (default 30, as in the matrix).
-	IonThreshold int
-	// BaselineThreshold (default 10).
-	BaselineThreshold int
-	// MaxSteps per run (default 200M).
-	MaxSteps int64
 	// TraceDir, when set, re-executes every failing run deterministically
 	// (same seed, same plan) with a compile tracer attached and writes a
 	// Chrome trace_event JSON file per failure into the directory; the
@@ -66,15 +60,6 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 	}
 	if o.MaxRules <= 0 {
 		o.MaxRules = 3
-	}
-	if o.IonThreshold <= 0 {
-		o.IonThreshold = 30
-	}
-	if o.BaselineThreshold <= 0 {
-		o.BaselineThreshold = 10
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 200_000_000
 	}
 	if len(o.Points) == 0 {
 		o.Points = faults.CompilePoints()
@@ -159,18 +144,9 @@ func Chaos(o ChaosOptions) ChaosResult {
 // when the trace could not be saved (the reproducer itself still stands).
 func traceChaosRun(seed int64, src string, plan faults.Plan, o ChaosOptions) string {
 	ring := obs.NewRing(0)
-	cfg := Config{Name: "jit+chaos+trace", Engine: engine.Config{
-		BaselineThreshold:   o.BaselineThreshold,
-		IonThreshold:        o.IonThreshold,
-		MaxSteps:            o.MaxSteps,
-		OSR:                 o.OSR,
-		Speculate:           o.Speculate,
-		Faults:              plan.Injector(),
-		Tracer:              obs.NewTracer(ring),
-		QuarantineBackoff:   8,
-		QuarantineCleanRuns: 2,
-		MaxCompileAttempts:  3,
-	}}
+	cfg := Config{Name: "jit+chaos+trace", Engine: chaosEngine(o)}
+	cfg.Engine.Faults = plan.Injector()
+	cfg.Engine.Tracer = obs.NewTracer(ring)
 	func() {
 		defer func() { recover() }() // the replayed panic is already reported
 		Observe(src, cfg)
@@ -193,16 +169,28 @@ func Replay(f ChaosFailure, o ChaosOptions) (fired int, fail *ChaosFailure) {
 	return chaosOne(f.RunSeed, f.Program, f.Plan, o)
 }
 
+// chaosEngine is the engine config of a chaos run, of its traced replay
+// and of a store chaos run: the harness thresholds and step budget, the
+// campaign's tier-transition machinery, and quarantine knobs aggressive
+// enough that retries (and therefore re-injections) actually happen
+// inside test-sized runs. The caller arms the faults.
+func chaosEngine(o ChaosOptions) engine.Config {
+	return engine.Config{
+		BaselineThreshold:   baselineThreshold,
+		IonThreshold:        ionThreshold,
+		MaxSteps:            maxSteps,
+		OSR:                 o.OSR,
+		Speculate:           o.Speculate,
+		QuarantineBackoff:   8,
+		QuarantineCleanRuns: 2,
+		MaxCompileAttempts:  3,
+	}
+}
+
 // chaosOne executes a single (program, plan) pair against the interpreter
 // reference and checks the three invariants.
 func chaosOne(seed int64, src string, plan faults.Plan, o ChaosOptions) (fired int, fail *ChaosFailure) {
-	base := engine.Config{
-		BaselineThreshold: o.BaselineThreshold,
-		IonThreshold:      o.IonThreshold,
-		MaxSteps:          o.MaxSteps,
-		OSR:               o.OSR,
-		Speculate:         o.Speculate,
-	}
+	base := chaosEngine(o)
 	refCfg := Config{Name: "interp", Engine: base}
 	refCfg.Engine.DisableJIT = true
 	ref := Observe(src, refCfg)
@@ -210,11 +198,6 @@ func chaosOne(seed int64, src string, plan faults.Plan, o ChaosOptions) (fired i
 	inj := plan.Injector()
 	chaosCfg := Config{Name: "jit+chaos", Engine: base}
 	chaosCfg.Engine.Faults = inj
-	// Aggressive quarantine knobs: retries (and therefore re-injections)
-	// must actually happen inside test-sized runs.
-	chaosCfg.Engine.QuarantineBackoff = 8
-	chaosCfg.Engine.QuarantineCleanRuns = 2
-	chaosCfg.Engine.MaxCompileAttempts = 3
 
 	var obs Observation
 	panicked := ""

@@ -97,14 +97,18 @@ type Config struct {
 	Twin string
 }
 
+// The tier-up thresholds and step budget of every harness engine: an Ion
+// threshold far below the production 1500, so short test programs still
+// tier up, and a step budget ample for every corpus program.
+const (
+	ionThreshold      = 30
+	baselineThreshold = 10
+	maxSteps          = 200_000_000
+)
+
 // Options bounds a Matrix.
 type Options struct {
-	// IonThreshold for the JIT configurations (default 30, far below the
-	// production 1500 so short test programs still tier up).
-	IonThreshold int
-	// BaselineThreshold (default 10).
-	BaselineThreshold int
-	// MaxSteps per run (default 200M, ample for every corpus program).
+	// MaxSteps per run (default maxSteps).
 	MaxSteps int64
 	// Bugs makes every JIT configuration compile with the injected
 	// vulnerabilities active (used to seed deliberate divergences).
@@ -162,14 +166,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.IonThreshold <= 0 {
-		o.IonThreshold = 30
-	}
-	if o.BaselineThreshold <= 0 {
-		o.BaselineThreshold = 10
-	}
 	if o.MaxSteps <= 0 {
-		o.MaxSteps = 200_000_000
+		o.MaxSteps = maxSteps
 	}
 	if o.Ablate == nil {
 		o.Ablate = DangerousPasses()
@@ -216,8 +214,8 @@ var sharedQueue = sync.OnceValue(func() *jitqueue.Queue {
 func Matrix(o Options) []Config {
 	o = o.withDefaults()
 	base := engine.Config{
-		BaselineThreshold: o.BaselineThreshold,
-		IonThreshold:      o.IonThreshold,
+		BaselineThreshold: baselineThreshold,
+		IonThreshold:      ionThreshold,
 		MaxSteps:          o.MaxSteps,
 		Bugs:              o.Bugs,
 	}

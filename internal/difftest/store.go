@@ -24,9 +24,8 @@ import (
 
 // WarmStartOptions bounds a StoreWarmStart cell.
 type WarmStartOptions struct {
-	IonThreshold      int
-	BaselineThreshold int
-	MaxSteps          int64
+	// IonThreshold (default ionThreshold).
+	IonThreshold int
 	// JITBULL runs both processes under the 4-VDC detector, so verdict
 	// replay (not just artifact reuse) is what the cell proves.
 	JITBULL bool
@@ -38,13 +37,7 @@ type WarmStartOptions struct {
 
 func (o WarmStartOptions) withDefaults() WarmStartOptions {
 	if o.IonThreshold <= 0 {
-		o.IonThreshold = 30
-	}
-	if o.BaselineThreshold <= 0 {
-		o.BaselineThreshold = 10
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 200_000_000
+		o.IonThreshold = ionThreshold
 	}
 	return o
 }
@@ -129,9 +122,9 @@ func StoreWarmStart(src, dir string, o WarmStartOptions) (WarmStartResult, error
 	var res WarmStartResult
 
 	base := engine.Config{
-		BaselineThreshold: o.BaselineThreshold,
+		BaselineThreshold: baselineThreshold,
 		IonThreshold:      o.IonThreshold,
-		MaxSteps:          o.MaxSteps,
+		MaxSteps:          maxSteps,
 		OSR:               o.OSR,
 		Speculate:         o.Speculate,
 	}

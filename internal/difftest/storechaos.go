@@ -40,11 +40,6 @@ type StoreChaosOptions struct {
 	// Dir is the scratch root for the per-run store directories. Each run
 	// uses Dir/run-<i>; the caller owns creation and cleanup of Dir.
 	Dir string
-	// IonThreshold (default 30), BaselineThreshold (default 10), MaxSteps
-	// (default 200M) — as in the main matrix.
-	IonThreshold      int
-	BaselineThreshold int
-	MaxSteps          int64
 	// JITBULL (default true via withDefaults' doc; set NoJITBULL to drop
 	// the policy) arms verdict replay so "zero wrong verdicts" means
 	// JITBULL verdicts, not just artifacts.
@@ -54,15 +49,6 @@ type StoreChaosOptions struct {
 func (o StoreChaosOptions) withDefaults() StoreChaosOptions {
 	if o.Runs <= 0 {
 		o.Runs = 208
-	}
-	if o.IonThreshold <= 0 {
-		o.IonThreshold = 30
-	}
-	if o.BaselineThreshold <= 0 {
-		o.BaselineThreshold = 10
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 200_000_000
 	}
 	return o
 }
@@ -126,11 +112,7 @@ func StoreChaosReplay(f ChaosFailure, dir string, o StoreChaosOptions) (int, *Ch
 // pass over its own store directory, holding all five invariants.
 func storeChaosOne(seed int64, src string, plan faults.Plan, dir string, o StoreChaosOptions) (fired int, fail *ChaosFailure) {
 	jitbull := !o.NoJITBULL
-	base := engine.Config{
-		BaselineThreshold: o.BaselineThreshold,
-		IonThreshold:      o.IonThreshold,
-		MaxSteps:          o.MaxSteps,
-	}
+	base := chaosEngine(ChaosOptions{})
 	refCfg := Config{Name: "interp", Engine: base}
 	refCfg.Engine.DisableJIT = true
 	ref := Observe(src, refCfg)

@@ -31,9 +31,8 @@ var updateVerdictParity = flag.Bool("update-verdict-parity", false, "rewrite tes
 // facts' decisions among the supervisor's transitions.
 
 // verdictParityRun is what one run's go/no-go decisions reduce to once
-// sequence numbers, wall time and the process-local chain IDs are
-// stripped: the audit trail, the detector's match accounting and the
-// engine's verdict counters.
+// sequence numbers and wall time are stripped: the audit trail, the
+// detector's match accounting and the engine's verdict counters.
 type verdictParityRun struct {
 	Audit     []string `json:"audit"`   // auditIdentity + Reason, one line per event
 	Matches   []string `json:"matches"` // Detector.Matches in order
@@ -43,16 +42,13 @@ type verdictParityRun struct {
 	CacheHits int      `json:"cache_hits"`
 }
 
-// parityMatch renders one match with its witness chain by text; id is
-// checked against the text instead of recorded (it is process-local).
-func parityMatch(t *testing.T, cve, vdcFunc, pass, side, chain string, id uint32) string {
-	t.Helper()
-	if id == core.NoChain {
+// parityMatch renders one match with its witness chain by text.
+func parityMatch(m obs.Match) string {
+	chain := m.Chain
+	if chain == "" {
 		chain = "<none>"
-	} else if got := core.ChainString(id); got != chain {
-		t.Errorf("match %s %s/%s: chain id %d renders %q, the match carries %q", cve, vdcFunc, pass, id, got, chain)
 	}
-	return fmt.Sprintf("%s %s/%s %s %s", cve, vdcFunc, pass, side, chain)
+	return fmt.Sprintf("%s %s/%s %s %s", m.CVE, m.VDCFunc, m.Pass, m.Side, chain)
 }
 
 // verdictParityProcess is one simulated process of the scenario: a fresh
@@ -79,13 +75,13 @@ func verdictParityProcess(t *testing.T, src string, bugs passes.BugSet, db *core
 		id := auditIdentity(ev)
 		var ms []string
 		for _, m := range id.Matches {
-			ms = append(ms, parityMatch(t, m.CVE, m.VDCFunc, m.Pass, m.Side, m.Chain, m.ChainID))
+			ms = append(ms, parityMatch(m))
 		}
 		run.Audit = append(run.Audit, fmt.Sprintf("%s %s disabled=%v matches=%q reason=%q",
 			id.Verdict, id.Func, id.DisabledPasses, ms, ev.Reason))
 	}
 	for _, m := range det.Matches {
-		run.Matches = append(run.Matches, parityMatch(t, m.CVE, m.VDCFunc, m.Pass, m.Side, m.Chain, m.ChainID))
+		run.Matches = append(run.Matches, parityMatch(m))
 	}
 	return run
 }

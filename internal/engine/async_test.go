@@ -157,7 +157,7 @@ func TestCacheReplaysPolicyVerdict(t *testing.T) {
 		cache := jitqueue.NewCache(nil)
 		verdict := CompileDecision{
 			DisabledPasses: []string{"GVN"},
-			Matches:        []obs.Match{{CVE: "CVE-X", VDCFunc: "f", Pass: "GVN", ChainID: 3, Side: "removed", Chain: "a→b"}},
+			Matches:        []obs.Match{{CVE: "CVE-X", VDCFunc: "f", Pass: "GVN", Side: "removed", Chain: "a→b"}},
 		}
 		colder := &stubCachingPolicy{verdict: verdict}
 		cold, err := New(hotSrc, Config{IonThreshold: 5, Cache: cache})

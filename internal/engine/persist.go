@@ -4,9 +4,9 @@
 // itself (internal/lir/wire.go — float immediates as bits, the derived
 // block metadata and fused stream rebuilt on decode by the functions a
 // cold compile calls), and the policy's decision is plain data that
-// travels as the JSON of CompileDecision — a match carries its witness
-// chain as text, and the policy interns it again when the decision is
-// replayed in the reading process. The store wraps these bytes in its
+// travels as the JSON of CompileDecision — a match names its witness
+// chain by text only, so the reading process replays the decision as
+// read. The store wraps these bytes in its
 // checksummed envelope, so this layer can trust what it is handed: a
 // record that fails to decode here is version skew, not corruption, and
 // degrades to a cache miss and a cold compile.
@@ -23,6 +23,9 @@ import (
 // envelope (the envelope's own version covers the container). Bump on any
 // incompatible change to the JSON of cachedCompile, CompileDecision or
 // lir.Code. 3: lir.Code marshals itself and ConstSlot.Imm travels as bits.
+// A match's "chain_id", which layout-3 records written before the witness
+// travelled as text alone still carry, is ignored on decode: it needs no
+// bump.
 const persistVersion = 3
 
 // storedCompile is a cache value under its layout version.

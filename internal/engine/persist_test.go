@@ -88,12 +88,6 @@ func TestCacheCodecRoundTripsRealArtifact(t *testing.T) {
 	t.Run("osr+nonfinite", nonFiniteOSRConstants)
 }
 
-// TestCacheCodecVerdictPayloads: a decision crosses the byte boundary as
-// itself. Each witness chain survives as text (the ID beside it is the
-// writing process's and is interned again by the policy on replay —
-// core's TestReplayDecisionReinternsChains), and a match with no witness
-// chain (NoChain, ^uint32(0) in core) comes back as one: an absent chain
-// is not the chain whose text is "".
 // nonFiniteSrc is a loop whose hoisted constant is +Inf: with OSR on,
 // regalloc records it as a ConstSlot of the loop's entry. Before the
 // artifact marshalled itself, the engine's hand copy of lir.Code sent that
@@ -172,16 +166,18 @@ func nonFiniteOSRConstants(t *testing.T) {
 	}
 }
 
+// TestCacheCodecVerdictPayloads: a decision crosses the byte boundary as
+// itself. Each witness chain survives as text, and a match with no witness
+// chain comes back as one.
 func TestCacheCodecVerdictPayloads(t *testing.T) {
 	codec := NewCacheCodec()
-	const noChain = ^uint32(0)
 	cc := &cachedCompile{JitEligible: true, Decision: CompileDecision{
 		NoJIT:          true,
 		DisabledPasses: []string{"GVN", "RenumberInstructions"},
 		Matches: []obs.Match{
-			{CVE: "CVE-A", VDCFunc: "f", Pass: "GVN", ChainID: 7, Side: "removed", Chain: "boundscheck→add→constant(3)"},
-			{CVE: "CVE-A", VDCFunc: "f", Pass: "GVN", ChainID: 9, Side: "added", Chain: ""},
-			{CVE: "CVE-B", VDCFunc: "g", Pass: "RenumberInstructions", ChainID: noChain},
+			{CVE: "CVE-A", VDCFunc: "f", Pass: "GVN", Side: "removed", Chain: "boundscheck→add→constant(3)"},
+			{CVE: "CVE-A", VDCFunc: "f", Pass: "GVN", Side: "added", Chain: ""},
+			{CVE: "CVE-B", VDCFunc: "g", Pass: "RenumberInstructions"},
 		},
 	}}
 	data, err := codec.Encode(cc)

@@ -33,15 +33,12 @@ type Match struct {
 	CVE     string `json:"cve"`
 	VDCFunc string `json:"vdc_func"`
 	Pass    string `json:"pass"`
-	// ChainID is the witness chain's ID in the policy's interner: the
-	// smallest chain by content (string order of Chain) shared between the
-	// candidate DNA and the matched delta on Side, or core.NoChain when the
-	// match needed no shared chain (degenerate thresholds). It means nothing
-	// to another process; Chain is what travels, and a reader in another
-	// process interns it again.
-	ChainID uint32 `json:"chain_id"`
-	Side    string `json:"side,omitempty"`  // "removed" or "added"; "" with no witness
-	Chain   string `json:"chain,omitempty"` // "→"-joined chain rendering
+	Side    string `json:"side,omitempty"` // "removed" or "added"; "" with no witness
+	// Chain is the witness, "→"-joined: the smallest chain by content
+	// shared between the candidate DNA and the matched delta on Side. A
+	// chain is never empty, so "" means the match needed no shared chain
+	// (degenerate thresholds).
+	Chain string `json:"chain,omitempty"`
 }
 
 // MatchKey is the identity projection of a Match: the (CVE, VDCFunc,
@@ -108,7 +105,11 @@ func (ev AuditEvent) String() string {
 		fmt.Fprintf(&sb, " disabled=[%s]", strings.Join(ev.DisabledPasses, ","))
 	}
 	for _, m := range ev.Matches {
-		fmt.Fprintf(&sb, " match{%s %s/%s chain#%d}", m.CVE, m.VDCFunc, m.Pass, m.ChainID)
+		fmt.Fprintf(&sb, " match{%s %s/%s", m.CVE, m.VDCFunc, m.Pass)
+		if m.Chain != "" {
+			fmt.Fprintf(&sb, " %s", m.Chain)
+		}
+		sb.WriteByte('}')
 	}
 	if ev.Stage != "" {
 		fmt.Fprintf(&sb, " stage=%s", ev.Stage)

@@ -47,7 +47,7 @@ func TestDisabledProbesDoNotAllocate(t *testing.T) {
 		deopt  = Event{Kind: KindInstant, Cat: CatEngine, Name: FactDeopt, Func: "hot"}
 		tier   = S("tier", "ion")
 		dec    = Decision{DisabledPasses: []string{"GVN"}, Matches: []Match{
-			{CVE: "CVE-2019-9813", VDCFunc: "poc", Pass: "GVN", ChainID: 7, Side: "removed", Chain: "a→b"},
+			{CVE: "CVE-2019-9813", VDCFunc: "poc", Pass: "GVN", Side: "removed", Chain: "a→b"},
 		}}
 	)
 	for _, probe := range []struct {
@@ -281,7 +281,7 @@ func TestAuditLogRoundTrip(t *testing.T) {
 	l := NewAuditLog(&buf)
 	tr := NewTracer(l)
 	tr.Begin(CatPolicy, FactDecide, "f").EndDecision(Decision{NoJIT: true, Matches: []Match{
-		{CVE: "CVE-2019-9813", VDCFunc: "poc", Pass: "RangeAnalysis", ChainID: 12, Side: "removed", Chain: "a→b"},
+		{CVE: "CVE-2019-9813", VDCFunc: "poc", Pass: "RangeAnalysis", Side: "removed", Chain: "a→b"},
 	}})
 	l.Record(fact(FactQuarantined, "g", S("stage", "passes"), S("reason", "injected fault")))
 	l.Record(fact(FactWarm, "g")) // not a decision: no audit line
@@ -299,7 +299,7 @@ func TestAuditLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || back[0].Verdict != VerdictNoJIT || back[0].Matches[0].CVE != "CVE-2019-9813" || back[0].Matches[0].ChainID != 12 {
+	if len(back) != 2 || back[0].Verdict != VerdictNoJIT || back[0].Matches[0].CVE != "CVE-2019-9813" || back[0].Matches[0].Chain != "a→b" {
 		t.Fatalf("JSONL round trip lost data: %+v", back)
 	}
 	if back[1].Verdict != "quarantine" || back[1].Stage != "passes" || back[1].Reason != "injected fault" {
@@ -307,6 +307,32 @@ func TestAuditLogRoundTrip(t *testing.T) {
 	}
 	if err := l.WriteErr(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditEventNamesWitnessChain: the evidence a report line and a JSONL
+// line give for a match is its witness chain's text, the only form of a
+// chain that means something outside the process that matched it. A
+// match without a witness names no chain.
+func TestAuditEventNamesWitnessChain(t *testing.T) {
+	ev := AuditEvent{Seq: 1, Func: "oob", Verdict: VerdictDisablePass, DisabledPasses: []string{"GVN"}, Matches: []Match{
+		{CVE: "CVE-2019-17026", VDCFunc: "oob", Pass: "GVN", Side: "removed", Chain: "boundscheck→add→constant(1)"},
+		{CVE: "CVE-2019-17026", VDCFunc: "oob", Pass: "LICM"},
+	}}
+	got := ev.String()
+	for _, want := range []string{" match{CVE-2019-17026 oob/GVN boundscheck→add→constant(1)}", " match{CVE-2019-17026 oob/LICM}"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report line %q lacks %q", got, want)
+		}
+	}
+	if strings.Contains(got, "chain#") {
+		t.Errorf("report line %q names a chain by number", got)
+	}
+	var buf bytes.Buffer
+	l := NewAuditLog(&buf)
+	NewTracer(l).Begin(CatPolicy, FactDecide, "oob").EndDecision(Decision{DisabledPasses: ev.DisabledPasses, Matches: ev.Matches})
+	if line := buf.String(); !strings.Contains(line, `"chain":"boundscheck→add→constant(1)"`) || strings.Contains(line, "chain_id") {
+		t.Errorf("JSONL line %s: want the witness text and no chain_id", line)
 	}
 }
 
