@@ -1,8 +1,7 @@
 package main
 
 // `jitbull dna`: extract and inspect JIT DNA (extract, diff, passes) and
-// check a DNA database's integrity (verify, in store.go beside the other
-// offline integrity tools).
+// check a DNA database's integrity (verify).
 
 import (
 	"encoding/json"
@@ -109,4 +108,30 @@ func loadDNADump(path string) ([]core.DNA, error) {
 		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
 	return dnas, nil
+}
+
+// cmdDNAVerify loads a DNA database through the full envelope discipline
+// (format, version, crc32c) plus structural validation, and reports what
+// it found. Any failure — unreadable, corrupt, version-skewed, or
+// structurally invalid — is an error, i.e. a non-zero exit.
+func cmdDNAVerify(args []string) error {
+	fs := flag.NewFlagSet("dna verify", flag.ContinueOnError)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return fmt.Errorf("dna verify: exactly one database file expected")
+	}
+	path := fs.Arg(0)
+	db, err := core.LoadDatabase(path) // validates what it loads
+	if err != nil {
+		return fmt.Errorf("dna verify: %s: %w", path, err)
+	}
+	nDNAs := 0
+	for _, v := range db.VDCs {
+		nDNAs += len(v.DNAs)
+	}
+	fmt.Printf("dna verify: %s OK (%d VDCs, %d function DNAs, fingerprint %016x)\n",
+		path, db.Size(), nDNAs, db.Fingerprint())
+	return nil
 }

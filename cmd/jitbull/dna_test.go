@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/jitbull/jitbull"
+	"github.com/jitbull/jitbull/internal/core"
 )
 
 // runToFile runs one jitbull command line with stdout redirected to path.
@@ -67,5 +68,59 @@ func TestDNAExtractAndDiff(t *testing.T) {
 	runToFile(t, in("window.diff"), "dna", "diff", in("c.json"), in("c.json"))
 	if out := read("window.diff"); !strings.HasPrefix(out, "MATCH ") {
 		t.Errorf("bug active: dna diff printed %q, want a MATCH line", out)
+	}
+}
+
+// TestDNAVerifyAndFailSafe drives the checksummed DNA database file through
+// the CLI: `dna verify` accepts a freshly fingerprinted database, and once
+// one payload byte is flipped it refuses the file as corrupt, while `run
+// -db` on the damaged file fails safe — the demonstrator's hot function is
+// judged NoJIT instead of running unprotected.
+func TestDNAVerifyAndFailSafe(t *testing.T) {
+	const cve = "CVE-2019-17026"
+	demo, err := jitbull.VulnerabilityByID(cve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	in := func(name string) string { return filepath.Join(dir, name) }
+	if err := os.WriteFile(in("demo.js"), []byte(demo.Demonstrator), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runStderr(t, "fingerprint", "-cve", cve, "-db", in("db.json"), in("demo.js")); err != nil {
+		t.Fatalf("fingerprint: %v", err)
+	}
+	out, _, err := runCaptured(t, "dna", "verify", in("db.json"))
+	if err != nil || !strings.Contains(out, "dna verify: "+in("db.json")+" OK (1 VDCs") {
+		t.Fatalf("dna verify of a fresh database: err %v, printed %q", err, out)
+	}
+
+	// Flip one byte of the payload: a digit of the CVE name, so the file
+	// still parses and only the checksum can tell.
+	data, err := os.ReadFile(in("db.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := strings.Index(string(data), `"payload"`)
+	at := strings.Index(string(data[payload:]), cve)
+	if payload < 0 || at < 0 {
+		t.Fatalf("no %s in the payload of\n%s", cve, data)
+	}
+	data[payload+at+len("CVE-")] ^= 1
+	if err := os.WriteFile(in("db.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runCaptured(t, "dna", "verify", in("db.json")); !core.IsCorrupt(err) || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("dna verify of a flipped byte: %v, want a checksum CorruptError", err)
+	}
+
+	stderr, err := runStderr(t, "run", "-bugs", cve, "-db", in("db.json"), "-stats", in("demo.js"))
+	if err != nil {
+		t.Fatalf("run -db on a damaged database: %v\n%s", err, stderr)
+	}
+	for _, want := range []string{"failing safe", "NrJIT:1 NrDisJIT:0 NrNoJIT:1 "} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("run -db on a damaged database lacks %q:\n%s", want, stderr)
+		}
 	}
 }

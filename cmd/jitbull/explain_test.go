@@ -9,12 +9,12 @@ import (
 	"github.com/jitbull/jitbull"
 )
 
-// runStderr runs one jitbull command line with stdout discarded and
-// returns what it wrote to stderr, and its error.
-func runStderr(t *testing.T, args ...string) (string, error) {
+// runCaptured runs one jitbull command line and returns what it wrote to
+// stdout and to stderr, and its error.
+func runCaptured(t *testing.T, args ...string) (stdout, stderr string, err error) {
 	t.Helper()
 	dir := t.TempDir()
-	out, err := os.Create(filepath.Join(dir, "stdout"))
+	outf, err := os.Create(filepath.Join(dir, "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,17 +22,27 @@ func runStderr(t *testing.T, args ...string) (string, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdout, stderr := os.Stdout, os.Stderr
-	os.Stdout, os.Stderr = out, errf
+	saveOut, saveErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outf, errf
 	runErr := run(args)
-	os.Stdout, os.Stderr = stdout, stderr
-	out.Close()
+	os.Stdout, os.Stderr = saveOut, saveErr
+	outf.Close()
 	errf.Close()
-	data, err := os.ReadFile(errf.Name())
-	if err != nil {
-		t.Fatal(err)
+	read := func(f *os.File) string {
+		data, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
 	}
-	return string(data), runErr
+	return read(outf), read(errf), runErr
+}
+
+// runStderr is runCaptured with stdout discarded.
+func runStderr(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	_, stderr, err := runCaptured(t, args...)
+	return stderr, err
 }
 
 // TestRunExplain drives `jitbull run -explain`: under a database holding

@@ -45,8 +45,6 @@ func run(args []string) error {
 		return cmdAudit(args[1:])
 	case "dna":
 		return cmdDNA(args[1:])
-	case "store":
-		return cmdStore(args[1:])
 	case "vulns":
 		return cmdVulns()
 	case "help", "-h", "--help":
@@ -61,7 +59,7 @@ func run(args []string) error {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   jitbull run [-nojit] [-nofuse] [-nomc] [-osr] [-speculate] [-threshold N] [-bugs CVE,...]
-              [-db file] [-stats] [-async [-jit-workers N]] [-cache] [-store dir]
+              [-db file] [-stats] [-async [-jit-workers N]] [-cache]
               [-trace file] [-audit file] [-metrics] [-metrics-addr addr]
               [-explain fn]
               (-octane name [-scale N] | script.js)
@@ -75,8 +73,6 @@ func usage() {
   jitbull dna diff a.json b.json
   jitbull dna passes
   jitbull dna verify db.json
-  jitbull store verify [-quarantine] dir
-  jitbull store chaos [-runs N] [-seed N] [-out reproducers.json] [-dir scratch]
   jitbull vulns
   jitbull help`)
 }
@@ -121,7 +117,6 @@ func cmdRun(args []string) error {
 	async := fs.Bool("async", false, "compile off-thread: keep executing in the baseline tier while Ion runs on a background worker")
 	jitWorkers := fs.Int("jit-workers", 0, "background compile workers for -async (0 = GOMAXPROCS)")
 	cacheFlag := fs.Bool("cache", false, "enable the shared compilation cache (artifact + JITBULL verdict, keyed by canonical bytecode hash)")
-	storeDir := fs.String("store", "", "persist the compilation cache in this directory (implies -cache): artifacts and verdicts survive restarts")
 	explainFn := fs.String("explain", "", "after the run, print this function's lifecycle facts to stderr: tier timeline, compile/decide/OSR durations, and every go/no-go decision with its matches")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -160,7 +155,7 @@ func cmdRun(args []string) error {
 	// The queue/cache metrics live in a shared registry so -stats can
 	// report them after the run.
 	var jitReg *jitbull.Registry
-	if *async || *cacheFlag || *storeDir != "" {
+	if *async || *cacheFlag {
 		jitReg = jitbull.NewRegistry()
 		cfg.Metrics = jitReg
 	}
@@ -169,10 +164,8 @@ func cmdRun(args []string) error {
 		defer queue.Close()
 		cfg.Queue = queue
 	}
-	var codeCache *jitbull.CodeCache
-	if *cacheFlag || *storeDir != "" {
-		codeCache = jitbull.NewCodeCache(jitReg)
-		cfg.Cache = codeCache
+	if *cacheFlag {
+		cfg.Cache = jitbull.NewCodeCache(jitReg)
 	}
 	// One event stream, and a view of it per flag.
 	var (
@@ -225,16 +218,6 @@ func cmdRun(args []string) error {
 		}
 		det = jitbull.Protect(eng, db)
 	}
-	if *storeDir != "" {
-		st, err := jitbull.OpenStore(*storeDir, jitbull.StoreOptions{
-			Metrics: eng.MetricsSink(),
-			Tracer:  cfg.Tracer,
-		})
-		if err != nil {
-			return err
-		}
-		jitbull.AttachStore(codeCache, st)
-	}
 	_, runErr := eng.Run()
 	switch {
 	case jitbull.IsHijack(runErr):
@@ -263,14 +246,6 @@ func cmdRun(args []string) error {
 			fmt.Fprintf(os.Stderr, "jit queue/cache: cache.hits=%d cache.misses=%d jit.queue_depth_hwm=%d jit.queue_enqueued=%d\n",
 				jitReg.Counter("cache.hits").Value(), jitReg.Counter("cache.misses").Value(),
 				jitReg.Gauge("jit.queue_depth_hwm").Value(), jitReg.Counter("jit.queue_enqueued").Value())
-		}
-		if *storeDir != "" {
-			fmt.Fprintf(os.Stderr, "store: hits=%d misses=%d puts=%d put_drops=%d quarantined=%d retries=%d faults_injected=%d tier_hits=%d tier_encode_drops=%d\n",
-				sink.Counter("store.hits").Value(), sink.Counter("store.misses").Value(),
-				sink.Counter("store.puts").Value(), sink.Counter("store.put_drops").Value(),
-				sink.Counter("store.quarantined").Value(), sink.Counter("store.retries").Value(),
-				sink.Counter("store.faults_injected").Value(), sink.Counter("cache.tier_hits").Value(),
-				sink.Counter("cache.tier_encode_drops").Value())
 		}
 		if det != nil && len(det.Matches) > 0 {
 			fmt.Fprintf(os.Stderr, "jitbull matches:\n")

@@ -28,24 +28,15 @@ var _ engine.CachingPolicy = (*Detector)(nil)
 
 // PolicyCacheKey implements engine.CachingPolicy. The verdict depends on
 // the database's contents and the thresholds; database identity is its
-// content Fingerprint — a *Database that many engines share
-// reports one stable value, a mutated or different-content database
-// always reports a fresh one, and a restarted process over the same
-// database contents reports the SAME one, which is what lets the
-// persistent store replay verdicts across process death. Replay is sound
-// precisely because the verdict is a deterministic function of (DNA,
-// contents, thresholds): equal contents imply equal verdicts regardless of
-// which process computed them. Two databases veto caching: a fail-safe
-// one — its NoJIT-everything verdicts are a degraded emergency mode, not
-// knowledge worth publishing fleet-wide — and one without a content
-// identity (Fingerprint 0), for which no other identity stands in.
-//
-// The key also names the witness rule (w=content: a match's witness is
-// the smallest shared chain by content). Stores written while the witness
-// was the smallest chain ID — which depended on the writing process's
-// interning history — hold the same verdicts under other witnesses; the
-// rule in the key makes them misses that compile afresh, so no replay
-// names a witness a fresh decision would not.
+// content Fingerprint — a *Database that many engines share reports one
+// stable value, and a mutated or different-content database always
+// reports a fresh one. Replay is sound precisely because the verdict is a
+// deterministic function of (DNA, contents, thresholds): equal contents
+// imply equal verdicts whichever detector computed them. Two databases
+// veto caching: a fail-safe one — its NoJIT-everything verdicts are a
+// degraded emergency mode, not knowledge worth sharing — and one without
+// a content identity (Fingerprint 0), for which no other identity stands
+// in.
 func (d *Detector) PolicyCacheKey() (string, bool) {
 	if d.DB == nil || d.DB.FailSafe() {
 		return "", false
@@ -54,16 +45,14 @@ func (d *Detector) PolicyCacheKey() (string, bool) {
 	if fp == 0 {
 		return "", false
 	}
-	return fmt.Sprintf("core.Detector/w=content/db=%016x/thr=%d/ratio=%g", fp, d.Thr, d.Ratio), true
+	return fmt.Sprintf("core.Detector/db=%016x/thr=%d/ratio=%g", fp, d.Thr, d.Ratio), true
 }
 
 // ReplayDecision implements engine.CachingPolicy: it books a decision
-// made for an equal cache key — by this detector, by another engine's, or
-// in a process that has since died — exactly as the live Decide booked
-// it, and returns it as this process states it. A match names its witness
-// by text only, so the decision is booked as handed in: nothing of it
-// depends on the process that made it. A replayed go verdict carries no
-// reason.
+// made for an equal cache key — by this detector or by another engine's —
+// exactly as the live Decide booked it, and returns it as this engine
+// states it. A match names its witness by text only, so the decision is
+// booked as handed in. A replayed go verdict carries no reason.
 func (d *Detector) ReplayDecision(_ string, dec engine.CompileDecision) engine.CompileDecision {
 	if len(dec.Matches) > 0 {
 		dec.Reason = "replayed from shared compilation cache"

@@ -26,8 +26,7 @@ func TestPolicyCacheKeyTracksDatabaseContents(t *testing.T) {
 		t.Errorf("key not stable: %q vs %q", k1, k2)
 	}
 	// Content-addressed identity: a structurally identical database — the
-	// same contents loaded by another process, say — shares the key, which
-	// is what lets the persistent store replay verdicts across a restart.
+	// same contents built or loaded a second time, say — shares the key.
 	if other, _ := NewDetector(&Database{}).PolicyCacheKey(); other != k1 {
 		t.Errorf("detectors over identical contents report different keys: %q vs %q", other, k1)
 	}
@@ -69,9 +68,8 @@ func TestPolicyCacheKeyVetoesDatabaseWithoutIdentity(t *testing.T) {
 }
 
 // TestFingerprintStableAcrossLoads: saving a database and loading it
-// twice (two "processes") yields one fingerprint — the property that
-// keeps persistent verdict keys valid across a restart — while different
-// contents yield different fingerprints.
+// twice yields one fingerprint, so detectors over the two loads share
+// verdict keys.
 func TestFingerprintStableAcrossLoads(t *testing.T) {
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-FP-1", DNAs: []DNA{{FuncName: "f"}}})
@@ -139,9 +137,9 @@ func TestReplayDecisionBooksLikeDecide(t *testing.T) {
 	}
 }
 
-// TestReplayDecisionBooksAsHandedIn: a decision read from the store was
-// made in another process. Its witnesses are text, so replay books it as
-// it is: the process interner does not grow, each witness chain keeps its
+// TestReplayDecisionBooksAsHandedIn: a decision in the cache was made by
+// another detector. Its witnesses are text, so replay books it as it is:
+// the process interner does not grow, each witness chain keeps its
 // text, a match that had no witness still has none, and the decision
 // handed in — shared with the cache — is not written to.
 func TestReplayDecisionBooksAsHandedIn(t *testing.T) {

@@ -1,10 +1,8 @@
-package store
+package core
 
-// The one place bytes from disk become trusted. Both files this system
-// checks across a process boundary — a store record and the VDC DNA
-// database (internal/core/persist.go) — are the same envelope: a format
-// name, a layout version, optionally the key the bytes were written
-// under, and a CRC-32C over the payload exactly as stored. Seal renders
+// The one place bytes from disk become trusted: the checksummed envelope
+// around the VDC DNA database (persist.go). A format name, a layout
+// version and a CRC-32C over the payload exactly as stored. Seal renders
 // it, Unseal is the only verification ladder, WriteAtomic the only writer.
 
 import (
@@ -20,33 +18,25 @@ import (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Format identifies one checked file layout. What names the file in
-// error text ("store record", "DNA database").
+// error text ("DNA database").
 type Format struct {
 	Name    string
 	Version int
 	What    string
 }
 
-// recordFormat is the store's own layout; the database's lives in core.
-var recordFormat = Format{Name: "jitbull-store", Version: 1, What: "store record"}
-
-// envelope is the on-disk layout. CRC32C covers Payload exactly as
-// stored; Key binds a record to the cache key it was written under and
-// is absent from a file that has none (the database).
+// envelope is the on-disk layout. CRC32C covers Payload exactly as stored.
 type envelope struct {
 	Format  string          `json:"format"`
 	Version int             `json:"version"`
-	Key     string          `json:"key"`
 	CRC32C  string          `json:"crc32c"`
 	Payload json.RawMessage `json:"payload"`
 }
 
 // CorruptError reports that a file exists but cannot be trusted: torn
-// JSON, an unknown layout, an unsupported version, a key it was not
-// written under, or a failed checksum. The store's own callers never see
-// it (corruption degrades to a miss; it surfaces through Verify); a
-// database caller must treat it as "the database is unavailable" and fail
-// safe toward NoJIT, never as "no protection configured".
+// JSON, an unknown layout, an unsupported version, or a failed checksum.
+// A database caller must treat it as "the database is unavailable" and
+// fail safe toward NoJIT, never as "no protection configured".
 type CorruptError struct {
 	What   string
 	Path   string
@@ -72,24 +62,19 @@ func IsCorrupt(err error) bool {
 }
 
 // Seal renders the envelope for payload, which must be valid JSON or the
-// envelope itself would not parse. An empty key leaves the key line out.
-func (f Format) Seal(key string, payload []byte) ([]byte, error) {
+// envelope itself would not parse.
+func (f Format) Seal(payload []byte) ([]byte, error) {
 	if !json.Valid(payload) {
 		return nil, fmt.Errorf("%s payload is not valid JSON", f.What)
 	}
-	keyLine := ""
-	if key != "" {
-		keyLine = fmt.Sprintf("  \"key\": %q,\n", key)
-	}
-	return fmt.Appendf(nil, "{\n  \"format\": %q,\n  \"version\": %d,\n%s  \"crc32c\": \"%08x\",\n  \"payload\": %s\n}\n",
-		f.Name, f.Version, keyLine, crc32.Checksum(payload, crcTable), payload), nil
+	return fmt.Appendf(nil, "{\n  \"format\": %q,\n  \"version\": %d,\n  \"crc32c\": \"%08x\",\n  \"payload\": %s\n}\n",
+		f.Name, f.Version, crc32.Checksum(payload, crcTable), payload), nil
 }
 
-// Unseal verifies data read from path against the format and, when
-// wantKey is not empty, the key it was fetched under; it returns the
+// Unseal verifies data read from path against the format and returns the
 // payload or a *CorruptError. Nothing in the payload may be looked at
 // before this has passed.
-func (f Format) Unseal(path, wantKey string, data []byte) (json.RawMessage, error) {
+func (f Format) Unseal(path string, data []byte) (json.RawMessage, error) {
 	bad := func(err error, format string, args ...any) (json.RawMessage, error) {
 		return nil, &CorruptError{What: f.What, Path: path, Reason: fmt.Sprintf(format, args...), Err: err}
 	}
@@ -105,9 +90,6 @@ func (f Format) Unseal(path, wantKey string, data []byte) (json.RawMessage, erro
 	}
 	if env.Version != f.Version {
 		return bad(nil, "unsupported version %d (want %d)", env.Version, f.Version)
-	}
-	if wantKey != "" && env.Key != wantKey {
-		return bad(nil, "key mismatch: record written under %q (renamed or cross-linked file?)", env.Key)
 	}
 	if len(env.Payload) == 0 {
 		return bad(nil, "missing payload")

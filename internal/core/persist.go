@@ -6,15 +6,14 @@ import (
 	"os"
 
 	"github.com/jitbull/jitbull/internal/faults"
-	"github.com/jitbull/jitbull/internal/store"
 )
 
-// dbFormat is the on-disk format of the VDC DNA database: the store's
-// checksummed envelope (internal/store/envelope.go) with no key, around
-// the {"vdcs": ...} JSON. Truncation and bit rot are detected instead of
-// silently loading a wrong — and therefore wrongly-permissive — match
-// index; an untrustworthy file is a *store.CorruptError.
-var dbFormat = store.Format{Name: "jitbull-dna", Version: 2, What: "DNA database"}
+// dbFormat is the on-disk format of the VDC DNA database: the checksummed
+// envelope (envelope.go) around the {"vdcs": ...} JSON. Truncation and bit
+// rot are detected instead of silently loading a wrong — and therefore
+// wrongly-permissive — match index; an untrustworthy file is a
+// *CorruptError.
+var dbFormat = Format{Name: "jitbull-dna", Version: 2, What: "DNA database"}
 
 // Save writes the database in the checksummed v2 format. The write is
 // atomic: the data goes to a temporary file in the destination directory
@@ -47,9 +46,9 @@ func (db *Database) SaveWith(path string, inj *faults.Injector) (err error) {
 	if err != nil {
 		return fmt.Errorf("marshal DNA database: %w", err)
 	}
-	data, err := dbFormat.Seal("", payload)
+	data, err := dbFormat.Seal(payload)
 	if err == nil {
-		err = store.WriteAtomic(path, data)
+		err = WriteAtomic(path, data)
 	}
 	if err != nil {
 		return fmt.Errorf("save DNA database: %w", err)
@@ -62,7 +61,7 @@ func (db *Database) SaveWith(path string, inj *faults.Injector) (err error) {
 // in it is trusted before the checksum holds. A bare {"vdcs": ...} object
 // — an envelope with its wrapper stripped, or a hand-edited policy — is
 // rejected like any other foreign JSON. Untrustworthy files return a
-// *store.CorruptError; structurally-invalid databases (duplicate VDC names,
+// *CorruptError; structurally-invalid databases (duplicate VDC names,
 // dangling chain IDs) are rejected by Validate.
 func LoadDatabase(path string) (*Database, error) { return LoadDatabaseWith(path, nil) }
 
@@ -86,13 +85,13 @@ func LoadDatabaseWith(path string, inj *faults.Injector) (db *Database, err erro
 		return nil, err
 	}
 
-	payload, err := dbFormat.Unseal(path, "", data)
+	payload, err := dbFormat.Unseal(path, data)
 	if err != nil {
 		return nil, err
 	}
 	db = &Database{}
 	if err := json.Unmarshal(payload, db); err != nil {
-		return nil, &store.CorruptError{What: dbFormat.What, Path: path, Reason: "payload does not parse despite a valid checksum", Err: err}
+		return nil, &CorruptError{What: dbFormat.What, Path: path, Reason: "payload does not parse despite a valid checksum", Err: err}
 	}
 	if err := db.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid DNA database %s: %w", path, err)

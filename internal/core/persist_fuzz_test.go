@@ -12,7 +12,7 @@ import (
 // objects (the pre-envelope layout, which must not load), and garbage
 // JSON — at the envelope parser and holds it to the persistence contract:
 // it never panics, and it either returns a database that passes Validate
-// or an error (corruption surfaces as *store.CorruptError, structural
+// or an error (corruption surfaces as *CorruptError, structural
 // invalidity as a Validate error). Only a checksummed envelope loads, and
 // an input that loads must also survive a save/load round trip.
 func FuzzLoadDatabase(f *testing.F) {

@@ -169,8 +169,8 @@ func Replay(f ChaosFailure, o ChaosOptions) (fired int, fail *ChaosFailure) {
 	return chaosOne(f.RunSeed, f.Program, f.Plan, o)
 }
 
-// chaosEngine is the engine config of a chaos run, of its traced replay
-// and of a store chaos run: the harness thresholds and step budget, the
+// chaosEngine is the engine config of a chaos run and of its traced
+// replay: the harness thresholds and step budget, the
 // campaign's tier-transition machinery, and quarantine knobs aggressive
 // enough that retries (and therefore re-injections) actually happen
 // inside test-sized runs. The caller arms the faults.

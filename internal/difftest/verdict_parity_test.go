@@ -15,7 +15,6 @@ import (
 	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/octane"
 	"github.com/jitbull/jitbull/internal/passes"
-	"github.com/jitbull/jitbull/internal/store"
 	"github.com/jitbull/jitbull/internal/vulndb"
 )
 
@@ -23,12 +22,13 @@ var updateVerdictParity = flag.Bool("update-verdict-parity", false, "rewrite tes
 
 // testdata/verdict_parity.json was written by this test at the last commit
 // whose engine fetched the verdict from the detector after finish() as an
-// opaque payload and whose store codec needed the detector to translate
-// it. Only the codec's construction, the rendering of a Detector.Matches
-// entry's chain (a method there, a field here) and the audit log's wiring
-// differ from the test that wrote it: the detector appended to the log
-// itself there, the log is the tracer's sink here and keeps the decide
-// facts' decisions among the supervisor's transitions.
+// opaque payload. Only the rendering of a Detector.Matches entry's chain
+// (a method there, a field here) and the audit log's wiring differ from
+// the test that wrote it: the detector appended to the log itself there,
+// the log is the tracer's sink here and keeps the decide facts' decisions
+// among the supervisor's transitions. Each scenario's third run, a replay
+// from a persistent store that no longer exists, was deleted from the
+// golden by hand.
 
 // verdictParityRun is what one run's go/no-go decisions reduce to once
 // sequence numbers and wall time are stripped: the audit trail, the
@@ -86,9 +86,8 @@ func verdictParityProcess(t *testing.T, src string, bugs passes.BugSet, db *core
 	return run
 }
 
-// TestVerdictParity pins the three ways a verdict reaches an engine — a
-// live decision, a replay from the memory cache, a replay from the store
-// in a process that never saw the decision made — for every demonstrator
+// TestVerdictParity pins the two ways a verdict reaches an engine — a live
+// decision and a replay from the memory cache — for every demonstrator
 // under DB #8 and for two benign programs.
 func TestVerdictParity(t *testing.T) {
 	db, bugs, err := vulndb.BuildDB(8, 0)
@@ -115,21 +114,10 @@ func TestVerdictParity(t *testing.T) {
 
 	got := map[string]map[string]verdictParityRun{}
 	for _, sc := range scenarios {
-		dir := t.TempDir()
-		open := func() *jitqueue.Cache {
-			st, err := store.Open(dir, store.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cache := jitqueue.NewCache(nil)
-			cache.AttachTier(st, engine.NewCacheCodec())
-			return cache
-		}
-		cache := open()
+		cache := jitqueue.NewCache(nil)
 		runs := map[string]verdictParityRun{
 			"cold":        verdictParityProcess(t, sc.src, sc.bugs, db, cache),
 			"warm-memory": verdictParityProcess(t, sc.src, sc.bugs, db, cache),
-			"warm-store":  verdictParityProcess(t, sc.src, sc.bugs, db, open()),
 		}
 		cold := runs["cold"]
 		if cold.NrJIT == 0 {
@@ -141,10 +129,8 @@ func TestVerdictParity(t *testing.T) {
 		if !sc.goOnly && len(cold.Matches) == 0 {
 			t.Errorf("%s: the demonstrator matched nothing", sc.name)
 		}
-		for _, warm := range []string{"warm-memory", "warm-store"} {
-			if runs[warm].CacheHits == 0 {
-				t.Errorf("%s: %s run had no cache hits", sc.name, warm)
-			}
+		if runs["warm-memory"].CacheHits == 0 {
+			t.Errorf("%s: warm-memory run had no cache hits", sc.name)
 		}
 		got[sc.name] = runs
 	}

@@ -42,8 +42,8 @@ func demonstratorWitnesses(db *core.Database) map[string][]string {
 // which this process happened to intern chains. DB #8 built here and the
 // same database loaded from disk into a fresh process (a re-executed test
 // binary, whose interner has seen nothing else) must name the same
-// witnesses for every demonstrator; otherwise a decision replayed from the
-// store could differ from a fresh one.
+// witnesses for every demonstrator; otherwise the same verdict would name
+// different witnesses depending on how its database was built.
 func TestWitnessIndependentOfInterningHistory(t *testing.T) {
 	if path := os.Getenv(witnessDBEnv); path != "" {
 		db, err := core.LoadDatabase(path)

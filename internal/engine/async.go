@@ -98,13 +98,10 @@ type compileOutcome struct {
 // compiled under. The artifact is installed by pointer — native execution
 // never mutates lir.Code, so one compilation serves any number of engines
 // and threads.
-//
-// It is also the store's record (persist.go): the fields are exported, and
-// tagged, for encoding/json and nobody else.
 type cachedCompile struct {
-	Decision    CompileDecision `json:"decision"`
-	JitEligible bool            `json:"jit_eligible,omitempty"`
-	Code        *lir.Code       `json:"code,omitempty"` // nil for a NoJIT verdict
+	decision    CompileDecision
+	jitEligible bool
+	code        *lir.Code // nil for a NoJIT verdict
 }
 
 // disabledAfter is what a decision does to the disabled-pass set its
@@ -148,8 +145,8 @@ func (e *Engine) decide(fnName, source string, judge func() CompileDecision) Com
 // sizeEstimate approximates the artifact's footprint for cache.bytes.
 func (c *cachedCompile) sizeEstimate() int64 {
 	s := int64(64)
-	if c.Code != nil {
-		s += int64(len(c.Code.Ops)) * 32
+	if c.code != nil {
+		s += int64(len(c.code.Ops)) * 32
 	}
 	return s
 }
@@ -401,10 +398,10 @@ func (e *Engine) maybeCachePut(o *compileOutcome) {
 	if !o.req.cacheable || o.fromCache {
 		return
 	}
-	cc := &cachedCompile{Decision: o.decision, JitEligible: o.jitEligible}
+	cc := &cachedCompile{decision: o.decision, jitEligible: o.jitEligible}
 	switch {
 	case o.cerr == nil:
-		cc.Code = o.code
+		cc.code = o.code
 	case o.decision.NoJIT:
 		// Deterministic: published without an artifact.
 	default:
@@ -422,8 +419,8 @@ func (e *Engine) outcomeFromCache(req *compileRequest, cc *cachedCompile) *compi
 	o := &compileOutcome{
 		req:         req,
 		fromCache:   true,
-		jitEligible: cc.JitEligible,
-		decision:    cc.Decision,
+		jitEligible: cc.jitEligible,
+		decision:    cc.decision,
 	}
 	if cp, ok := e.policy.(CachingPolicy); ok && cp.Active() {
 		e.decide(req.fnName, "cache", func() CompileDecision {
@@ -433,13 +430,13 @@ func (e *Engine) outcomeFromCache(req *compileRequest, cc *cachedCompile) *compi
 			// replay takes compileMu like every other policy touch.
 			e.compileMu.Lock()
 			defer e.compileMu.Unlock()
-			return cp.ReplayDecision(req.fnName, cc.Decision)
+			return cp.ReplayDecision(req.fnName, cc.decision)
 		})
 	}
-	if cc.Decision.NoJIT {
+	if cc.decision.NoJIT {
 		o.cerr = newCompileError(req.fnName, StagePolicy, ErrPolicyNoJIT)
 	} else {
-		o.code = cc.Code
+		o.code = cc.code
 	}
 	return o
 }
@@ -493,7 +490,7 @@ func (e *Engine) applyOutcome(st *fnState, o *compileOutcome) {
 	st.deopts = 0
 	// A fresh artifact gets a fresh machine-code attach: the unit belonged
 	// to the discarded code. This is the single attach site for every
-	// install path — sync, async, cache, store — so top-tier selection
+	// install path — sync, async, cache — so top-tier selection
 	// cannot depend on how the artifact arrived.
 	st.mcu = nil
 	e.attachMC(st)

@@ -43,6 +43,20 @@ func (p *stubCachingPolicy) ReplayDecision(fn string, d CompileDecision) Compile
 	return d
 }
 
+// cacheValue pulls the single cached compilation out of c.
+func cacheValue(t *testing.T, c *jitqueue.Cache) *cachedCompile {
+	t.Helper()
+	keys := c.Keys()
+	if len(keys) != 1 {
+		t.Fatalf("cache holds %d entries, want 1", len(keys))
+	}
+	v, ok := c.Get(keys[0])
+	if !ok {
+		t.Fatalf("cache entry vanished")
+	}
+	return v.(*cachedCompile)
+}
+
 func TestAsyncCompileMatchesSyncVerdicts(t *testing.T) {
 	syncEng := runHot(t, Config{IonThreshold: 5})
 
@@ -171,8 +185,8 @@ func TestCacheReplaysPolicyVerdict(t *testing.T) {
 		if s := cold.Stats(); s.NrDisJIT != 1 || s.Recompiles != 1 {
 			t.Fatalf("cold stats: %+v", s)
 		}
-		if _, cc := cacheValue(t, cache); !reflect.DeepEqual(cc.Decision, verdict) {
-			t.Fatalf("cached decision = %+v, want the one finish returned", cc.Decision)
+		if cc := cacheValue(t, cache); !reflect.DeepEqual(cc.decision, verdict) {
+			t.Fatalf("cached decision = %+v, want the one finish returned", cc.decision)
 		}
 
 		warmer := &stubCachingPolicy{verdict: verdict}

@@ -65,9 +65,9 @@ func (e *HijackError) Error() string {
 
 // CompileDecision is the JITBULL go/no-go verdict for one compilation,
 // with the evidence behind it: made once by the policy's finish function,
-// kept by the shared cache next to the artifact, written by the store as
-// JSON, handed back to the policy on a cache hit
-// (CachingPolicy.ReplayDecision), and stated on the decide fact.
+// kept by the shared cache next to the artifact, handed back to the policy
+// on a cache hit (CachingPolicy.ReplayDecision), and stated on the decide
+// fact.
 type CompileDecision = obs.Decision
 
 // Policy is the JITBULL hook (implemented by internal/core). When Active
@@ -896,13 +896,9 @@ func (e *Engine) compile(idx int, st *fnState) {
 	req := e.newCompileRequest(idx, st)
 
 	if req.cacheable {
-		if v, ok, fromTier := e.cfg.Cache.GetTiered(req.key); ok {
+		if v, ok := e.cfg.Cache.Get(req.key); ok {
 			e.m.cacheHits.Inc()
-			hit := obs.FactCacheHit
-			if fromTier {
-				hit = obs.FactStoreHit
-			}
-			e.tracer.Instant(obs.CatEngine, hit, st.fn.Name, st.tierArg())
+			e.tracer.Instant(obs.CatEngine, obs.FactCacheHit, st.fn.Name, st.tierArg())
 			e.applyOutcome(st, e.outcomeFromCache(req, v.(*cachedCompile)))
 			return
 		}

@@ -52,7 +52,6 @@ var journeyStage = map[string]string{
 	obs.FactInterp:      "interp",
 	obs.FactWarm:        "warm",
 	obs.FactCacheHit:    "cache-hit",
-	obs.FactStoreHit:    "store-hit",
 	obs.FactEnqueue:     "enqueued",
 	obs.FactCompile:     "compiled",
 	obs.FactTier:        "tier",

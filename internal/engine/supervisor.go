@@ -396,7 +396,7 @@ func topTierName(st *fnState) string {
 // installs it into W^X pages, making mc the function's top tier. It runs
 // once per installed artifact (applyOutcome is its caller), on the owner
 // goroutine, for every install path — sync compile, async mailbox, shared
-// cache, persistent store.
+// cache.
 //
 // Failure containment mirrors execNative, with one deliberate difference:
 // the Ion artifact is already installed and correct, so a fault here —

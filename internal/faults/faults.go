@@ -66,23 +66,7 @@ const (
 	// corrupt frame state.
 	PointOSR   Point = "osr"   // loop-header OSR entry (detail: function)
 	PointDeopt Point = "deopt" // guard-failure deopt exit (detail: function)
-
-	// Store points gate the persistent artifact/verdict store's disk
-	// boundary (internal/store): PointStorePut is hit once per record
-	// write, PointStoreGet once per record read (detail: record key). They
-	// are not part of CompilePoints() — the store contains its own faults
-	// (quarantine + cold-start degradation) and a compile-path schedule
-	// would veto cacheability entirely. Target them explicitly; they accept
-	// the disk kinds (DiskKinds) in addition to the generic ones.
-	PointStorePut Point = "store.put"
-	PointStoreGet Point = "store.get"
 )
-
-// StorePoints lists the persistent store's injection points — the disk
-// boundary a store chaos campaign sweeps.
-func StorePoints() []Point {
-	return []Point{PointStorePut, PointStoreGet}
-}
 
 // CompilePoints lists the points on the per-function compile/dispatch
 // path — the ones a randomized chaos schedule draws from. Database
@@ -97,8 +81,7 @@ func CompilePoints() []Point {
 // tier-transition edges. This is the validation set for ParseRule and the
 // chaos CLI's -points flag.
 func KnownPoints() []Point {
-	pts := append(CompilePoints(), PointDBSave, PointDBLoad, PointQueue, PointOSR, PointDeopt)
-	return append(pts, StorePoints()...)
+	return append(CompilePoints(), PointDBSave, PointDBLoad, PointQueue, PointOSR, PointDeopt)
 }
 
 // Kind is what happens when a scheduled fault fires.
@@ -112,30 +95,11 @@ const (
 	KindError Kind = "error" // the point returns an injected error
 	KindPanic Kind = "panic" // the point panics (supervisor must contain it)
 	KindStall Kind = "stall" // pathological compile time: trips the step budget
-
-	// Disk-fault kinds, meaningful at the store points (and accepted, as
-	// generic errors, everywhere else). The first three model silent
-	// corruption — the store must WRITE the damaged bytes and report
-	// success, so detection happens at read time via the record checksum;
-	// the last two model I/O errors, one hard (the put is dropped) and one
-	// transient (consumed by the store's bounded retry loop).
-	KindTornWrite Kind = "torn-write"    // only a prefix of the record reaches disk
-	KindBitFlip   Kind = "bit-flip"      // one bit of the record is flipped on disk
-	KindTruncate  Kind = "truncate"      // the record file is truncated to zero length
-	KindENOSPC    Kind = "enospc"        // hard out-of-space error: the write fails
-	KindEIO       Kind = "eio-transient" // transient I/O error: retriable
 )
 
-// Kinds lists the generic fault kinds every point accepts — the set
-// randomized compile-path schedules draw from. Disk kinds are excluded on
-// purpose: outside the store they would just be oddly-named errors.
+// Kinds lists the fault kinds every point accepts — the set randomized
+// compile-path schedules draw from.
 func Kinds() []Kind { return []Kind{KindError, KindPanic, KindStall} }
-
-// DiskKinds lists the disk-fault kinds of the persistent store's chaos
-// campaign.
-func DiskKinds() []Kind {
-	return []Kind{KindTornWrite, KindBitFlip, KindTruncate, KindENOSPC, KindEIO}
-}
 
 // Rule schedules faults at one point.
 type Rule struct {
@@ -166,8 +130,7 @@ func ParseRule(s string) (Rule, error) {
 	}
 	r := Rule{Point: Point(parts[0]), Kind: Kind(parts[1])}
 	switch r.Kind {
-	case KindError, KindPanic, KindStall,
-		KindTornWrite, KindBitFlip, KindTruncate, KindENOSPC, KindEIO:
+	case KindError, KindPanic, KindStall:
 	default:
 		return Rule{}, fmt.Errorf("fault rule %q: unknown kind %q", s, parts[1])
 	}

@@ -156,7 +156,7 @@ func TestParseRuleRoundTrip(t *testing.T) {
 	if r, err := ParseRule("lir:panic"); err != nil || r.Point != PointLower || r.Kind != KindPanic {
 		t.Fatalf("short form: %+v, %v", r, err)
 	}
-	for _, bad := range []string{"", "pass", "pass:explode", "nowhere:error", "pass:error:x", "store.manifest:error"} {
+	for _, bad := range []string{"", "pass", "pass:explode", "nowhere:error", "pass:error:x", "store.manifest:error", "store.get:error", "pass:bit-flip"} {
 		if _, err := ParseRule(bad); err == nil {
 			t.Errorf("ParseRule(%q) accepted", bad)
 		}

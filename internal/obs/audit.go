@@ -27,8 +27,8 @@ const (
 // Match is one DNA similarity behind a verdict, with full attribution: the
 // CVE, the VDC function whose DNA matched, the optimization pass, and the
 // chain that witnessed the match. It is the one form a match has — in the
-// policy's decision, in the detector's accounting, in the shared cache, on
-// disk in the store and in an audit line.
+// policy's decision, in the detector's accounting, in the shared cache and
+// in an audit line.
 type Match struct {
 	CVE     string `json:"cve"`
 	VDCFunc string `json:"vdc_func"`
@@ -57,7 +57,7 @@ func (m Match) Key() MatchKey { return MatchKey{CVE: m.CVE, VDCFunc: m.VDCFunc, 
 // Decision is the JITBULL go/no-go verdict for one compilation, with the
 // evidence behind it (engine.CompileDecision). It is plain data, made once
 // by the policy and never changed after: the shared cache keeps it next to
-// the artifact, the store writes it as JSON, and the decide fact carries it
+// the artifact, and the decide fact carries it
 // (Event.Decision) to every view of the stream.
 type Decision struct {
 	// DisabledPasses lists dangerous passes to disable for this function.
@@ -70,7 +70,7 @@ type Decision struct {
 	Matches []Match `json:"matches,omitempty"`
 	// Reason says why a decision was not judged from this compilation's DNA
 	// (a fail-safe veto, a replay). It belongs to the one statement of the
-	// decision, not to the record the cache and the store keep.
+	// decision, not to the record the cache keeps.
 	Reason string `json:"-"`
 }
 

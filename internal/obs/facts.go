@@ -1,7 +1,7 @@
 package obs
 
-// Fact names: the closed vocabulary of lifecycle facts. The engine and the
-// store state each one with a single Tracer call — an Instant, or the End
+// Fact names: the closed vocabulary of lifecycle facts. The engine states
+// each one with a single Tracer call — an Instant, or the End
 // of the span that measures it — and every view renders it from there.
 // Compile-pipeline spans (mirbuild, each pass, dna.extract, lir, regalloc,
 // native.fuse) and fault.injected instants share the stream under their own
@@ -12,7 +12,6 @@ const (
 	FactHotInterp    = "hot-interp"         // a policy-pinned (NoJIT) function keeps getting hot
 	FactTrigger      = "compile.trigger"    // warmup trigger: a compilation is wanted
 	FactCacheHit     = "cache-hit"          // artifact and verdict served by the shared cache
-	FactStoreHit     = "store-hit"          // the same, promoted from the persistent store
 	FactCacheMiss    = "cache-miss"         // a cacheable trigger has to compile
 	FactEnqueue      = "compile.enqueue"    // request offered to the background queue
 	FactQueueWait    = "compile.queue_wait" // span: enqueue → worker pickup, or result=rejected
@@ -23,13 +22,10 @@ const (
 	FactRequalified  = "requalified"        // quarantine or deopt storm lifted
 	FactQuarantined  = "quarantined"        // function, or its machine-code tier, parked
 	FactPermanent    = "permanent"          // function pinned to the interpreter
-	FactCompileError = "compile-error"      // one contained JIT-tier or store failure
+	FactCompileError = "compile-error"      // one contained JIT-tier failure
 	FactOSREnter     = "osr.enter"          // span: mid-loop transfer, result=declined when refused
 	FactDeopt        = "deopt"              // speculation guard failed, frame reconstructed
 	FactBailout      = "bailout"            // guard bailout, the call re-runs in the interpreter
-	FactStoreGet     = "store.get"          // span: one store read
-	FactStorePut     = "store.put"          // span: one store write
-	FactStoreCorrupt = "store-corrupt"      // an untrustworthy record quarantined
 )
 
 // Fact is one row of the vocabulary: what the selective view calls the
@@ -49,7 +45,6 @@ var Facts = []Fact{
 	{Name: FactHotInterp},
 	{Name: FactTrigger},
 	{Name: FactCacheHit},
-	{Name: FactStoreHit},
 	{Name: FactCacheMiss},
 	{Name: FactEnqueue},
 	{Name: FactQueueWait},
@@ -64,9 +59,6 @@ var Facts = []Fact{
 	{Name: FactOSREnter},
 	{Name: FactDeopt},
 	{Name: FactBailout},
-	{Name: FactStoreGet},
-	{Name: FactStorePut},
-	{Name: FactStoreCorrupt, Verdict: "quarantine"},
 }
 
 var factByName = func() map[string]Fact {
@@ -80,11 +72,11 @@ var factByName = func() map[string]Fact {
 // Lifecycles groups the facts evs (a Ring's events) states about functions
 // by function, each group in recording order: a function's life under the
 // engine, every decide with its Decision. Pipeline spans and fault instants
-// are not facts, and the store's facts are about records, not functions.
+// are not facts.
 func Lifecycles(evs []Event) map[string][]Event {
 	out := map[string][]Event{}
 	for _, ev := range evs {
-		if _, ok := factByName[ev.Name]; ok && ev.Func != "" && ev.Cat != CatStore {
+		if _, ok := factByName[ev.Name]; ok && ev.Func != "" {
 			out[ev.Func] = append(out[ev.Func], ev)
 		}
 	}

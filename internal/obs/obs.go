@@ -9,7 +9,7 @@
 // The two sub-layers:
 //
 //   - The event stream (this file, facts.go): the Tracer stamps every
-//     lifecycle fact the engine and the store state (facts.go lists them;
+//     lifecycle fact the engine states (facts.go lists them;
 //     the decide fact carries the go/no-go Decision with its matches) and
 //     every compile-pipeline span (mirbuild → each optimization pass → DNA
 //     extraction → lir → regalloc) and routes it into a Sink. Every
@@ -54,7 +54,6 @@ const (
 	CatPolicy  = "jitbull" // go/no-go decision
 	CatEngine  = "engine"  // tiering, dispatch, bailouts
 	CatFault   = "fault"   // fault-injection framework events
-	CatStore   = "store"   // persistent artifact store I/O
 )
 
 // MaxArgs is the fixed per-event argument capacity. Events carry their
@@ -82,7 +81,7 @@ type Event struct {
 	Kind  Kind
 	Cat   string
 	Name  string // a fact name (facts.go) or a pipeline stage or pass name
-	Func  string // the function, or store key, the event is about ("" = none)
+	Func  string // the function the event is about ("" = none)
 	ID    uint64 // span ID (0 for instants and pre-ID traces)
 	TS    int64  // start time, ns since tracer epoch
 	Dur   int64  // span duration in ns (0 for instants)

@@ -194,7 +194,7 @@ func TestHistogramExemplars(t *testing.T) {
 
 func TestWritePromFormat(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("store.hits").Add(3)
+	reg.Counter("cache.hits").Add(3)
 	reg.Gauge("jit.queue_depth_hwm").Set(1)
 	h := reg.Histogram("compile.ns", []int64{100, 1000})
 	h.ObserveEx(60, 42)
@@ -207,8 +207,8 @@ func TestWritePromFormat(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE store_hits counter",
-		"store_hits 3",
+		"# TYPE cache_hits counter",
+		"cache_hits 3",
 		"# TYPE jit_queue_depth_hwm gauge",
 		"jit_queue_depth_hwm 1",
 		"# TYPE compile_ns histogram",
@@ -235,7 +235,7 @@ func TestWritePromFormat(t *testing.T) {
 
 func TestOpsServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("store.hits").Add(5)
+	reg.Counter("cache.hits").Add(5)
 	audit := NewAuditLog(nil)
 	tr := NewTracer(audit)
 	tr.Instant(CatEngine, FactInterp, "hot", S("tier", "interp"))
@@ -248,12 +248,12 @@ func TestOpsServerEndpoints(t *testing.T) {
 	}
 
 	if code, body, ct := get("/metrics.prom"); code != 200 ||
-		!strings.Contains(body, "store_hits 5") ||
+		!strings.Contains(body, "cache_hits 5") ||
 		!strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("/metrics.prom: code=%d ct=%q body=%q", code, ct, body)
 	}
 
-	tr.Instant(CatStore, FactStoreCorrupt, "k", S("stage", "store"), S("reason", "bad checksum"))
+	tr.Instant(CatEngine, FactQuarantined, "k", S("stage", "mc"), S("reason", "emit failed"))
 	code, body, _ := get("/audit.json")
 	if code != 200 {
 		t.Fatalf("/audit.json code=%d", code)
@@ -262,8 +262,8 @@ func TestOpsServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &evs); err != nil {
 		t.Fatalf("/audit.json not an audit event list: %v\n%s", err, body)
 	}
-	if len(evs) != 1 || evs[0].Verdict != "quarantine" || evs[0].Func != "k" || evs[0].Stage != "store" {
-		t.Fatalf("/audit.json events = %+v, want the one store quarantine", evs)
+	if len(evs) != 1 || evs[0].Verdict != "quarantine" || evs[0].Func != "k" || evs[0].Stage != "mc" {
+		t.Fatalf("/audit.json events = %+v, want the one mc quarantine", evs)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // promName sanitizes a registry metric name into the Prometheus metric
 // name grammar [a-zA-Z_:][a-zA-Z0-9_:]*. Registry names use dots as
-// namespace separators ("store.hits"), which become underscores
-// ("store_hits"); any other illegal rune is mapped to '_' too.
+// namespace separators ("cache.hits"), which become underscores
+// ("cache_hits"); any other illegal rune is mapped to '_' too.
 func promName(name string) string {
 	var b strings.Builder
 	b.Grow(len(name))

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/core"
-	"github.com/jitbull/jitbull/internal/store"
 )
 
 // TestCorruptDatabaseFailsSafe is the fail-safe acceptance check: when the
@@ -54,7 +53,7 @@ func TestCorruptDatabaseFailsSafe(t *testing.T) {
 			if loadErr == nil {
 				t.Fatal("corrupted database loaded without an error")
 			}
-			if !store.IsCorrupt(loadErr) {
+			if !core.IsCorrupt(loadErr) {
 				t.Fatalf("corruption not classified: %v", loadErr)
 			}
 			if !loaded.FailSafe() {

@@ -35,7 +35,6 @@ import (
 	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/octane"
 	"github.com/jitbull/jitbull/internal/passes"
-	"github.com/jitbull/jitbull/internal/store"
 	"github.com/jitbull/jitbull/internal/variants"
 	"github.com/jitbull/jitbull/internal/vulndb"
 )
@@ -145,43 +144,6 @@ func NewQueue(workers, capacity int, reg *Registry) *Queue {
 // entries are evicted to stay under the bound). reg may be nil; when set
 // it receives the cache.{hits,misses,evictions,bytes,entries} metrics.
 func NewCodeCache(reg *Registry) *CodeCache { return jitqueue.NewCache(reg) }
-
-// Persistent artifact/verdict store types (see internal/store): an
-// on-disk second tier under the CodeCache. Every record is a checksummed,
-// key-bound, atomically-written envelope; anything that fails
-// verification on read is quarantined and served as a miss (the engine
-// just compiles cold), never executed.
-type (
-	// ArtifactStore is the on-disk store. Attach it under a CodeCache with
-	// AttachStore so cached compilations (and their JITBULL verdicts)
-	// survive process restarts.
-	ArtifactStore = store.Store
-	// StoreVerifyReport is the result of an offline integrity scan.
-	StoreVerifyReport = store.VerifyReport
-	// StoreOptions configures an ArtifactStore (metrics, tracer, chaos
-	// injector, retry budget).
-	StoreOptions = store.Options
-)
-
-// OpenStore opens (creating if needed) a persistent artifact store rooted
-// at dir. Give opts.Tracer the engine's tracer: the store states its facts
-// (a quarantined record, a dropped put, its get/put spans feeding the
-// store.{get,put}_ns histogram exemplars) on the same stream, so the same
-// ring and audit log render them.
-func OpenStore(dir string, opts StoreOptions) (*ArtifactStore, error) {
-	return store.Open(dir, opts)
-}
-
-// AttachStore wires a persistent store under a CodeCache as its second
-// tier: every publish is written through, and a memory miss consults the
-// store before compiling. Artifacts travel as their plain op stream
-// (derived forms are recomputed bit-identically on load) and each JITBULL
-// decision as itself, matches included, so a fleet with a detector and one
-// without attach a store the same way. Call before the engines sharing the
-// cache run.
-func AttachStore(c *CodeCache, st *ArtifactStore) {
-	c.AttachTier(st, engine.NewCacheCodec())
-}
 
 // NewRing returns a trace ring buffer; capacity <= 0 uses the default (64k).
 func NewRing(capacity int) *Ring { return obs.NewRing(capacity) }
