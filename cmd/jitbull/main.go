@@ -114,7 +114,7 @@ func cmdRun(args []string) error {
 	scale := fs.Int("scale", 1, "outer-loop scale for -octane")
 	osr := fs.Bool("osr", false, "enable loop-header on-stack replacement: hot loops tier up mid-flight instead of at the next call boundary")
 	speculate := fs.Bool("speculate", false, "enable type speculation: guarded fast paths that deoptimize back to the interpreter when an assumption breaks")
-	async := fs.Bool("async", false, "compile off-thread: keep executing in the baseline tier while Ion runs on a background worker")
+	async := fs.Bool("async", false, "compile off-thread: keep interpreting the function while Ion compiles it on a background worker")
 	jitWorkers := fs.Int("jit-workers", 0, "background compile workers for -async (0 = GOMAXPROCS)")
 	cacheFlag := fs.Bool("cache", false, "enable the shared compilation cache (artifact + JITBULL verdict, keyed by canonical bytecode hash)")
 	explainFn := fs.String("explain", "", "after the run, print this function's lifecycle facts to stderr: tier timeline, compile/decide/OSR durations, and every go/no-go decision with its matches")

@@ -176,7 +176,6 @@ func Replay(f ChaosFailure, o ChaosOptions) (fired int, fail *ChaosFailure) {
 // inside test-sized runs. The caller arms the faults.
 func chaosEngine(o ChaosOptions) engine.Config {
 	return engine.Config{
-		BaselineThreshold:   baselineThreshold,
 		IonThreshold:        ionThreshold,
 		MaxSteps:            maxSteps,
 		OSR:                 o.OSR,

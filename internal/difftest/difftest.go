@@ -1,7 +1,7 @@
 // Package difftest is the correctness backstop of the jitbull reproduction:
 // a differential-execution oracle that runs one nanojs program under a
-// matrix of engine configurations — interpreter-only, baseline-only, full
-// JIT, full JIT with per-pass IR verification, full JIT under the JITBULL
+// matrix of engine configurations — interpreter-only, JIT on with nothing
+// hot enough to compile, full JIT, full JIT with per-pass IR verification, full JIT under the JITBULL
 // policy, per-pass ablations, and source-transformed variants — and asserts
 // that every configuration observes the same behavior.
 //
@@ -97,13 +97,12 @@ type Config struct {
 	Twin string
 }
 
-// The tier-up thresholds and step budget of every harness engine: an Ion
+// The tier-up threshold and step budget of every harness engine: an Ion
 // threshold far below the production 1500, so short test programs still
 // tier up, and a step budget ample for every corpus program.
 const (
-	ionThreshold      = 30
-	baselineThreshold = 10
-	maxSteps          = 200_000_000
+	ionThreshold = 30
+	maxSteps     = 200_000_000
 )
 
 // Options bounds a Matrix.
@@ -214,19 +213,20 @@ var sharedQueue = sync.OnceValue(func() *jitqueue.Queue {
 func Matrix(o Options) []Config {
 	o = o.withDefaults()
 	base := engine.Config{
-		BaselineThreshold: baselineThreshold,
-		IonThreshold:      ionThreshold,
-		MaxSteps:          o.MaxSteps,
-		Bugs:              o.Bugs,
+		IonThreshold: ionThreshold,
+		MaxSteps:     o.MaxSteps,
+		Bugs:         o.Bugs,
 	}
 	interp := base
 	interp.DisableJIT = true
-	baseline := base
-	baseline.IonThreshold = 1 << 30 // hot functions stop at the baseline tier
+	// JIT on, no function ever compiles: the engine's interpreted path
+	// (profiling, warm-up counting) with the JIT enabled.
+	cold := base
+	cold.IonThreshold = 1 << 30
 
 	cfgs := []Config{
 		{Name: "interp", Engine: interp},
-		{Name: "baseline", Engine: baseline},
+		{Name: "jit-cold", Engine: cold},
 		{Name: "jit", Engine: base},
 	}
 	if o.CheckIR {

@@ -13,7 +13,7 @@ import (
 )
 
 // fuzzConfigs is a reduced matrix for fuzzing: interpreter reference,
-// baseline, full JIT, JIT with per-pass verification, and the executor
+// jit-cold, full JIT, JIT with per-pass verification, and the executor
 // twins of the JIT cell (held to its step count), under a small step
 // budget so looping inputs terminate quickly.
 func fuzzConfigs() []Config {

@@ -72,12 +72,11 @@ func warmStartProcess(src string, base engine.Config, cache *jitqueue.Cache, jit
 // cell does not need.
 func warmStartConfig(osr bool, bugs passes.BugSet) engine.Config {
 	return engine.Config{
-		BaselineThreshold: baselineThreshold,
-		IonThreshold:      ionThreshold,
-		MaxSteps:          maxSteps,
-		OSR:               osr,
-		Speculate:         osr,
-		Bugs:              bugs,
+		IonThreshold: ionThreshold,
+		MaxSteps:     maxSteps,
+		OSR:          osr,
+		Speculate:    osr,
+		Bugs:         bugs,
 	}
 }
 

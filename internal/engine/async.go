@@ -4,10 +4,10 @@
 // stalling execution for the whole pipeline. With Config.Queue set, the
 // trigger instead snapshots every compilation input (type feedback,
 // global types, disabled passes), enqueues a supervised job on the
-// background pool, and keeps executing in baseline; the finished outcome
-// is parked in an atomic mailbox and installed at the next call boundary
-// — the engine's safe point — by the owner goroutine, so all fnState and
-// quarantine bookkeeping stays single-threaded.
+// background pool, and keeps interpreting the function; the finished
+// outcome is parked in an atomic mailbox and installed at the next call
+// boundary — the engine's safe point — by the owner goroutine, so all
+// fnState and quarantine bookkeeping stays single-threaded.
 //
 // With Config.Cache set, outcomes are additionally published under a
 // canonical key (rename/minify-invariant bytecode hash + every other
@@ -368,7 +368,7 @@ func (e *Engine) enqueueCompile(st *fnState, req *compileRequest) bool {
 				e.testQueueJobHook()
 			}
 			// Stated through the immutable request only: a worker must not
-			// read owner-mutated fnState (st.tier), per the concurrency
+			// read owner-mutated fnState (st.code), per the concurrency
 			// contract.
 			o = e.compileTraced(req, "queue", obs.Arg{})
 		},
@@ -385,7 +385,7 @@ func (e *Engine) enqueueCompile(st *fnState, req *compileRequest) bool {
 	// Give a worker a scheduling slot right away. On GOMAXPROCS=1 the
 	// owner would otherwise spin in the interpreter until the runtime's
 	// ~10ms async preemption kicks in, turning every compile window into
-	// a fixed 10ms of baseline-tier execution; on multi-core hosts an
+	// a fixed 10ms of interpreted execution; on multi-core hosts an
 	// idle P picks the job up anyway and the yield is a no-op.
 	runtime.Gosched()
 	return true
@@ -482,7 +482,6 @@ func (e *Engine) applyOutcome(st *fnState, o *compileOutcome) {
 		e.m.nrJIT.Inc()
 	}
 	st.code = o.code
-	st.tier = tierIon
 	st.bailouts = 0
 	// A fresh artifact gets a fresh OSR/deopt history: the cooldown and the
 	// deopt count judged the discarded code, not this one.
@@ -519,7 +518,7 @@ func (e *Engine) applyOutcome(st *fnState, o *compileOutcome) {
 		source = "queue"
 		e.m.asyncInstalls.Inc()
 		// Install lag: warmup trigger → safe-point install, the window
-		// the function kept executing in baseline. Exemplar-linked to
+		// the function kept executing in the interpreter. Exemplar-linked to
 		// the queue-wait span, whose trace covers the same window.
 		e.hInstallLag.ObserveEx(int64(time.Since(o.req.enqueuedAt)), o.req.waitSpan.ID())
 	}

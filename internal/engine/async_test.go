@@ -43,16 +43,22 @@ func (p *stubCachingPolicy) ReplayDecision(fn string, d CompileDecision) Compile
 	return d
 }
 
-// cacheValue pulls the single cached compilation out of c.
-func cacheValue(t *testing.T, c *jitqueue.Cache) *cachedCompile {
+// cacheValue pulls the single cached compilation out of e's cache: the
+// entry under the key e computes for function name at its trigger, before
+// a verdict disabled passes in it (e's config disables none).
+func cacheValue(t *testing.T, e *Engine, name string) *cachedCompile {
 	t.Helper()
-	keys := c.Keys()
-	if len(keys) != 1 {
-		t.Fatalf("cache holds %d entries, want 1", len(keys))
+	if n := e.cfg.Cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d entries, want 1", n)
 	}
-	v, ok := c.Get(keys[0])
+	st := e.fn(t, name)
+	verdict := st.disabledPasses
+	st.disabledPasses = nil
+	key := e.newCompileRequest(st.idx, st).key
+	st.disabledPasses = verdict
+	v, ok := e.cfg.Cache.Get(key)
 	if !ok {
-		t.Fatalf("cache entry vanished")
+		t.Fatalf("no cache entry under %s's key", name)
 	}
 	return v.(*cachedCompile)
 }
@@ -75,8 +81,8 @@ func TestAsyncCompileMatchesSyncVerdicts(t *testing.T) {
 		t.Error("no artifact was installed from the background queue")
 	}
 	st := async.fn(t, "hot")
-	if st.code == nil || st.tier != tierIon {
-		t.Errorf("async compile never installed: code=%v tier=%d", st.code != nil, st.tier)
+	if st.code == nil {
+		t.Error("async compile never installed")
 	}
 }
 
@@ -131,7 +137,7 @@ func TestSharedCacheHitSkipsPipeline(t *testing.T) {
 		t.Errorf("cached install not counted like a compile: cold %+v warm %+v", cs, ws)
 	}
 	st := warm.fn(t, "hot")
-	if st.code == nil || st.tier != tierIon {
+	if st.code == nil {
 		t.Error("cache hit did not install the artifact")
 	}
 	if reg.Counter("cache.hits").Value() != 1 {
@@ -185,7 +191,7 @@ func TestCacheReplaysPolicyVerdict(t *testing.T) {
 		if s := cold.Stats(); s.NrDisJIT != 1 || s.Recompiles != 1 {
 			t.Fatalf("cold stats: %+v", s)
 		}
-		if cc := cacheValue(t, cache); !reflect.DeepEqual(cc.decision, verdict) {
+		if cc := cacheValue(t, cold, "hot"); !reflect.DeepEqual(cc.decision, verdict) {
 			t.Fatalf("cached decision = %+v, want the one finish returned", cc.decision)
 		}
 
@@ -381,7 +387,7 @@ func TestCacheHitReplaySerializedWithQueuedCompile(t *testing.T) {
 	if pol.seen["fb"] == 0 {
 		t.Error("cache hit never replayed into the policy accounting")
 	}
-	if st := e.fn(t, "fb"); st.code == nil || st.tier != tierIon {
+	if st := e.fn(t, "fb"); st.code == nil {
 		t.Error("cache hit did not install fb")
 	}
 }
@@ -411,7 +417,7 @@ func callN(t *testing.T, e *Engine, name string, n int) {
 // background job past compileAttempt's recovery must still park a typed
 // failure outcome — quarantining with the normal backoff schedule and
 // leaving the function retryable — instead of wedging it inflight
-// forever in baseline tier.
+// forever in the interpreter.
 func TestEscapedJobPanicStillProducesOutcome(t *testing.T) {
 	q := jitqueue.New(1, 8, nil)
 	defer q.Close()
@@ -466,8 +472,8 @@ func TestEscapedJobPanicStillProducesOutcome(t *testing.T) {
 	if st.inflight {
 		t.Error("function wedged inflight after the escaped panic")
 	}
-	if st.quar != qNone || st.code == nil || st.tier != tierIon {
-		t.Errorf("state after requalification: quar=%d code=%v tier=%d", st.quar, st.code != nil, st.tier)
+	if st.quar != qNone || st.code == nil {
+		t.Errorf("state after requalification: quar=%d code=%v", st.quar, st.code != nil)
 	}
 }
 

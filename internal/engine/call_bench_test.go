@@ -32,7 +32,7 @@ for (var r = 0; r < 30; r++) { result = (result + sweep(2)) % 1000003; }
 // function that runs sweep(rows) in the warmed engine.
 func warmSweep(tb testing.TB, src string, rows int) (*Engine, func()) {
 	tb.Helper()
-	e, err := New(src+callLoopWarm, Config{IonThreshold: 10, BaselineThreshold: 4})
+	e, err := New(src+callLoopWarm, Config{IonThreshold: 10})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func topLevelLoop(call bool, rows int) string {
 // after ionThreshold calls, and returns a function that runs it again.
 func warmTopLevel(tb testing.TB, call bool, rows, ionThreshold int) (*Engine, func()) {
 	tb.Helper()
-	e, err := New(topLevelLoop(call, rows), Config{IonThreshold: ionThreshold, BaselineThreshold: 4})
+	e, err := New(topLevelLoop(call, rows), Config{IonThreshold: ionThreshold})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -416,7 +416,7 @@ func TestCallBoundary(t *testing.T) {
 				name += "/speculate"
 			}
 			t.Run(name, func(t *testing.T) {
-				cfg := Config{IonThreshold: 10, BaselineThreshold: 4, Bugs: tc.bugs, Speculate: spec}
+				cfg := Config{IonThreshold: 10, Bugs: tc.bugs, Speculate: spec}
 				ringWith, ringWithout := obs.NewRing(0), obs.NewRing(0)
 				cfg.Tracer = obs.NewTracer(ringWith)
 				with := runBoundary(t, tc.src, cfg, nil)
@@ -485,7 +485,7 @@ function mid(a, n) { var s = a; for (var i = 0; i < n; i++) { s = leaf(s, i); } 
 function hot(n) { var s = 0; for (var i = 0; i < n; i++) { s = (s + mid(i, 3)) % 1000003; } return s; }
 var result = 0;
 for (var r = 0; r < 12; r++) { result = (result + hot(6)) % 1000003; }`
-	cfg := Config{IonThreshold: 3, BaselineThreshold: 2, HeapCells: 1 << 10}
+	cfg := Config{IonThreshold: 3, HeapCells: 1 << 10}
 	full := runBoundary(t, src, cfg, nil)
 	if full.err != "" {
 		t.Fatal(full.err)
@@ -519,7 +519,7 @@ func TestCallBoundaryShortEntryBudget(t *testing.T) {
 function long(a) { var b = a + 1; var c = b * 2; var d = c + b; var e = d * 3; var f = e - c; var g = f + d; var h = g * 2; return (h + f + g) % 1000003; }
 var result = 0;
 for (var r = 0; r < 30; r++) { result = (result + long(r)) % 1000003; }`
-	cfg := Config{IonThreshold: 10, BaselineThreshold: 4, HeapCells: 1 << 10}
+	cfg := Config{IonThreshold: 10, HeapCells: 1 << 10}
 	full := runBoundary(t, src, cfg, nil)
 	if full.err != "" {
 		t.Fatal(full.err)
@@ -580,7 +580,7 @@ var result = 0;
 for (var r = 0; r < 40; r++) { result = result + hot(10, -1); }
 result = result + hot(10, 5);`
 	run := func(noMC bool) boundaryRun {
-		e, err := New(src, Config{IonThreshold: 10, BaselineThreshold: 4, NoMC: noMC})
+		e, err := New(src, Config{IonThreshold: 10, NoMC: noMC})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -716,7 +716,7 @@ for (var r = 0; r < 60; r++) { result = (result + outer(400)) % 1000003; }`
 	q := jitqueue.New(2, 16, nil)
 	defer q.Close()
 	for _, inj := range []*faults.Injector{nil, faults.NewInjector(1)} {
-		e, err := New(src, Config{IonThreshold: 10, BaselineThreshold: 4, OSR: true, Speculate: true, Queue: q, Faults: inj})
+		e, err := New(src, Config{IonThreshold: 10, OSR: true, Speculate: true, Queue: q, Faults: inj})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,10 @@
 // Package engine implements the tiered nanojs runtime: profiling
-// interpreter → baseline → optimizing JIT, mirroring SpiderMonkey's
-// structure from the paper's Figure 1. The engine owns warm-up counters
-// and thresholds (baseline at 100 calls, Ion at 1500 calls or loop back
-// edges as in §II),
-// type-feedback profiling, the OptimizeMIR pipeline with its
-// SUCCESS/FAILURE + Recompile protocol (§V), bailouts, and the JITBULL
-// policy hook.
+// interpreter → optimizing JIT, the two tiers of SpiderMonkey's structure
+// (the paper's Figure 1) that JITBULL's verdict chooses between. The
+// engine owns warm-up counters and the Ion threshold (1500 calls or loop
+// back edges as in §II), type-feedback profiling, the OptimizeMIR pipeline
+// with its SUCCESS/FAILURE + Recompile protocol (§V), bailouts, and the
+// JITBULL policy hook.
 package engine
 
 import (
@@ -33,11 +32,10 @@ import (
 	"github.com/jitbull/jitbull/internal/value"
 )
 
-// Default tier thresholds, as described in the paper's §II for
-// SpiderMonkey.
 const (
-	DefaultBaselineThreshold = 100
-	DefaultIonThreshold      = 1500
+	// DefaultIonThreshold is SpiderMonkey's Ion warm-up threshold, as
+	// described in the paper's §II.
+	DefaultIonThreshold = 1500
 
 	// maxBailoutsBeforeBlacklist is how many guard failures a compiled
 	// function tolerates before the engine gives up optimizing it.
@@ -91,9 +89,6 @@ type WatchingPolicy interface {
 
 // Config parameterizes an Engine.
 type Config struct {
-	// BaselineThreshold is the call count at which an interpreted function
-	// is counted warm (0 = DefaultBaselineThreshold).
-	BaselineThreshold int
 	// IonThreshold is the warm-up count that triggers Ion compilation at a
 	// call boundary: calls, or loop back edges the interpreter ran in the
 	// function once every callee it has called is compiled or never will
@@ -191,9 +186,9 @@ type Config struct {
 	// Queue, when set, moves Ion compilation off-thread: the warmup
 	// trigger snapshots the compilation inputs, enqueues a supervised job
 	// on the shared background pool, and the function keeps executing in
-	// baseline until the artifact is installed at the next call boundary
-	// (see async.go for the concurrency contract). When the queue is
-	// saturated the engine falls back to a synchronous compile.
+	// the interpreter until the artifact is installed at the next call
+	// boundary (see async.go for the concurrency contract). When the queue
+	// is saturated the engine falls back to a synchronous compile.
 	Queue *jitqueue.Queue
 	// Cache, when set, is the shared cross-engine compilation cache: a hit
 	// installs the compiled artifact and replays the recorded JITBULL
@@ -300,30 +295,10 @@ func newEngineMetrics(local, shared *obs.Registry) engineMetrics {
 	}
 }
 
-type tier int
-
-const (
-	tierInterp tier = iota
-	tierBaseline
-	tierIon
-)
-
-// String names the tier for the "tier" argument of lifecycle facts.
-func (t tier) String() string {
-	switch t {
-	case tierBaseline:
-		return "baseline"
-	case tierIon:
-		return "ion"
-	}
-	return "interp"
-}
-
 type fnState struct {
-	idx  int // position in Engine.fns: the call-table slot
-	fd   *ast.FuncDecl
-	fn   *bytecode.Function
-	tier tier
+	idx int // position in Engine.fns: the call-table slot
+	fd  *ast.FuncDecl
+	fn  *bytecode.Function
 
 	calls int
 
@@ -458,9 +433,6 @@ func New(src string, cfg Config) (*Engine, error) {
 
 // NewFromProgram builds an engine over already-compiled code.
 func NewFromProgram(prog *bytecode.Program, astProg *ast.Program, cfg Config) (*Engine, error) {
-	if cfg.BaselineThreshold <= 0 {
-		cfg.BaselineThreshold = DefaultBaselineThreshold
-	}
 	if cfg.IonThreshold <= 0 {
 		cfg.IonThreshold = DefaultIonThreshold
 	}
@@ -685,14 +657,6 @@ func (e *Engine) dispatch(idx int, args []value.Value) (value.Value, error) {
 	if st.code == nil && !st.inflight && e.hot(st) && e.mayCompile(st) {
 		e.compile(idx, st)
 	}
-	// A function already on its way to Ion (a loop can send it there before
-	// its baseline threshold) is past the baseline tier: it leaves the
-	// interpreter when the outcome is applied, whenever the worker is done.
-	if st.tier == tierInterp && !st.inflight && st.calls >= e.cfg.BaselineThreshold {
-		st.tier = tierBaseline
-		e.tracer.Instant(obs.CatEngine, obs.FactWarm, st.fn.Name, obs.I("calls", int64(st.calls)), st.tierArg())
-	}
-
 	if st.code == nil {
 		return e.interpret(st, args)
 	}
@@ -798,14 +762,19 @@ func (e *Engine) bailed(st *fnState, res native.Result) (blacklisted bool) {
 		return false
 	}
 	e.discardArtifact(st)
-	e.demote(st)
 	e.quarantine(st, "bailout storm: blacklisted after repeated guard failures")
 	return true
 }
 
 // tierArg is the "tier" argument of a lifecycle fact: the tier st is in as
-// the fact is stated, which `jitbull run -explain` shows beside the fact.
-func (st *fnState) tierArg() obs.Arg { return obs.S("tier", st.tier.String()) }
+// the fact is stated, which `jitbull run -explain` shows beside the fact —
+// "ion" while an artifact is installed, "interp" otherwise.
+func (st *fnState) tierArg() obs.Arg {
+	if st.code != nil {
+		return obs.S("tier", "ion")
+	}
+	return obs.S("tier", "interp")
+}
 
 // interpret runs one call of st in the interpreter.
 func (e *Engine) interpret(st *fnState, args []value.Value) (value.Value, error) {

@@ -12,7 +12,7 @@ import (
 // jitCfg returns a config with tiny thresholds so tests exercise the Ion
 // tier quickly.
 func jitCfg() Config {
-	return Config{BaselineThreshold: 3, IonThreshold: 8}
+	return Config{IonThreshold: 8}
 }
 
 // runBoth executes src under NoJIT and under JIT and asserts the `result`
@@ -263,7 +263,7 @@ function f(x) { return x * 2; }
 var result = 0;
 for (var i = 0; i < 7; i++) { result += f(i); }
 `
-	cfg := Config{BaselineThreshold: 3, IonThreshold: 100}
+	cfg := Config{IonThreshold: 100}
 	e, _, err := RunScript(src, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -171,7 +171,7 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.BaselineThreshold != DefaultBaselineThreshold || e.cfg.IonThreshold != DefaultIonThreshold {
+	if e.cfg.IonThreshold != DefaultIonThreshold {
 		t.Fatalf("defaults not applied: %+v", e.cfg)
 	}
 }

@@ -96,7 +96,7 @@ for (var r = 0; r < 24; r++) { result = (result + hot(600)) % 1000003; }
 
 	reg := obs.NewRegistry()
 	live := reg.Gauge("mc.pages_live")
-	cfg := Config{IonThreshold: 10, BaselineThreshold: 4, OSR: true, Speculate: true, Metrics: reg}
+	cfg := Config{IonThreshold: 10, OSR: true, Speculate: true, Metrics: reg}
 	const rounds = 40
 	var last *Engine
 	var peak int64

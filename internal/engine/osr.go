@@ -225,7 +225,6 @@ func (e *Engine) handleDeopt(st *fnState, d *native.DeoptState) (value.Value, bo
 		// function without speculation — discard the artifact and let the
 		// next warmup trigger recompile it with TypeSpeculation disabled.
 		e.discardArtifact(st)
-		e.demote(st)
 		if st.disabledPasses == nil {
 			st.disabledPasses = map[string]bool{}
 		}

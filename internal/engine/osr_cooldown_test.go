@@ -92,7 +92,6 @@ func TestOSRCooldownClearedOnBailoutBlacklist(t *testing.T) {
 	e.coolDown(st, 5)
 	st.bailouts = maxBailoutsBeforeBlacklist
 	e.discardArtifact(st)
-	e.demote(st)
 	e.quarantine(st, "test: bailout storm")
 	if st.code != nil || len(st.osrCooldown) != 0 || st.deopts != 0 {
 		t.Errorf("blacklist discard left OSR history behind: code=%v cooldown=%v deopts=%d",

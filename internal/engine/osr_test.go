@@ -55,7 +55,7 @@ function hot(n) {
 }
 print(hot(900));
 `
-	e := osrAgainstInterp(t, src, Config{IonThreshold: 30, BaselineThreshold: 10, OSR: true})
+	e := osrAgainstInterp(t, src, Config{IonThreshold: 30, OSR: true})
 	st := e.Stats()
 	if st.OSREntries == 0 {
 		t.Fatalf("single long call never entered mid-loop: %+v", st)
@@ -93,7 +93,7 @@ function hot(n, m) {
 print(hot(200, 64));
 `
 	ring := obs.NewRing(0)
-	e := osrAgainstInterp(t, src, Config{IonThreshold: 30, BaselineThreshold: 10, OSR: true, Tracer: obs.NewTracer(ring)})
+	e := osrAgainstInterp(t, src, Config{IonThreshold: 30, OSR: true, Tracer: obs.NewTracer(ring)})
 	declined := false
 	for _, ev := range ring.Events() {
 		if ev.Name == obs.FactOSREnter && ev.Str("result") == "declined" {
@@ -137,7 +137,7 @@ function hot(n) {
 }
 print(hot(700));
 `
-	e := osrAgainstInterp(t, src, Config{IonThreshold: 30, BaselineThreshold: 10, OSR: true, Speculate: true})
+	e := osrAgainstInterp(t, src, Config{IonThreshold: 30, OSR: true, Speculate: true})
 	st := e.Stats()
 	if st.OSREntries == 0 || st.DeoptExits == 0 {
 		t.Fatalf("expected OSR entries and deopt exits, got %+v", st)
@@ -181,7 +181,7 @@ print(result);
 		t.Run(tc.name, func(t *testing.T) {
 			audit, ring := obs.NewAuditLog(nil), obs.NewRing(0)
 			e := osrAgainstInterp(t, src, Config{
-				IonThreshold: 10, BaselineThreshold: 4, OSR: true, Speculate: true, Queue: tc.queue,
+				IonThreshold: 10, OSR: true, Speculate: true, Queue: tc.queue,
 				Tracer: obs.NewTracer(obs.MultiSink{audit, ring}),
 			})
 			st := e.Stats()
@@ -255,7 +255,7 @@ func runDeoptResume(t *testing.T, src string) (facts []obs.Event, maxDepth int) 
 		t.Fatalf("interp: %v", err)
 	}
 	ring := obs.NewRing(0)
-	e, err := New(src, Config{IonThreshold: 30, BaselineThreshold: 10, OSR: true, Speculate: true, Tracer: obs.NewTracer(ring)})
+	e, err := New(src, Config{IonThreshold: 30, OSR: true, Speculate: true, Tracer: obs.NewTracer(ring)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestDeoptResumeReentersAfterTransientFlip(t *testing.T) {
 // and the rest of the loop in it.
 func BenchmarkDeoptResume(b *testing.B) {
 	src := hot0Program(20000, true)
-	cfg := Config{IonThreshold: 30, BaselineThreshold: 10, OSR: true, Speculate: true}
+	cfg := Config{IonThreshold: 30, OSR: true, Speculate: true}
 	for i := 0; i < b.N; i++ {
 		if _, _, err := RunScript(src, cfg); err != nil {
 			b.Fatal(err)

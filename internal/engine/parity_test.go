@@ -50,7 +50,6 @@ type parityRecord struct {
 // waypoint; the facts it had no spelling for were not waypoints.
 var journeyStage = map[string]string{
 	obs.FactInterp:      "interp",
-	obs.FactWarm:        "warm",
 	obs.FactCacheHit:    "cache-hit",
 	obs.FactEnqueue:     "enqueued",
 	obs.FactCompile:     "compiled",
@@ -111,7 +110,7 @@ func TestObservabilityParity(t *testing.T) {
 		trace  bool // single-threaded compile: the trace order is deterministic
 	}{
 		{name: "deopt-storm", src: parityStormProgram, trace: true,
-			cfg: engine.Config{BaselineThreshold: 4, IonThreshold: 10, OSR: true, Speculate: true}},
+			cfg: engine.Config{IonThreshold: 10, OSR: true, Speculate: true}},
 		{name: "vuln-window", src: vulndb.All()[0].Demonstrator, policy: true, trace: true,
 			cfg: engine.Config{Bugs: bugs}},
 		{name: "vuln-window-nojit", src: vulndb.All()[4].Demonstrator, policy: true, trace: true,
@@ -119,9 +118,9 @@ func TestObservabilityParity(t *testing.T) {
 		{name: "vuln-window-quarantine", src: vulndb.All()[6].Demonstrator, policy: true, trace: true,
 			cfg: engine.Config{Bugs: bugs}},
 		{name: "queue-saturated", src: progen.Generate(7, progen.Options{}), trace: true,
-			cfg: engine.Config{BaselineThreshold: 10, IonThreshold: 30, Queue: closed}},
+			cfg: engine.Config{IonThreshold: 30, Queue: closed}},
 		{name: "async", src: parityAsyncProgram,
-			cfg: engine.Config{BaselineThreshold: 4, IonThreshold: 10, Queue: live}},
+			cfg: engine.Config{IonThreshold: 10, Queue: live}},
 	}
 
 	got := map[string]parityRecord{}

@@ -159,17 +159,6 @@ func (e *Engine) quarantine(st *fnState, reason string) {
 	e.tracer.Instant(obs.CatEngine, obs.FactQuarantined, st.fn.Name, obs.S("reason", reason), st.tierArg())
 }
 
-// demote drops the function's tier to match its remaining execution modes
-// after its Ion code is discarded (the stale-tier fix: a blacklisted
-// function must not keep reporting tierIon).
-func (e *Engine) demote(st *fnState) {
-	if st.calls >= e.cfg.BaselineThreshold {
-		st.tier = tierBaseline
-	} else {
-		st.tier = tierInterp
-	}
-}
-
 // recordCompileError updates the failure counters, states the error, and
 // surfaces it through Config.OnCompileError.
 func (e *Engine) recordCompileError(cerr *CompileError) {

@@ -12,6 +12,7 @@ import (
 	"github.com/jitbull/jitbull/internal/interp"
 	"github.com/jitbull/jitbull/internal/jitqueue"
 	"github.com/jitbull/jitbull/internal/mir"
+	"github.com/jitbull/jitbull/internal/obs"
 	"github.com/jitbull/jitbull/internal/passes"
 	"github.com/jitbull/jitbull/internal/value"
 )
@@ -196,8 +197,8 @@ func TestQuarantineRetriesAndRequalifies(t *testing.T) {
 		t.Errorf("requalified function not promoted: %+v", e.Stats())
 	}
 	st := e.fn(t, "hot")
-	if st.quar != qNone || st.code == nil || st.tier != tierIon {
-		t.Errorf("state after requalification: quar=%d code=%v tier=%d", st.quar, st.code != nil, st.tier)
+	if st.quar != qNone || st.code == nil {
+		t.Errorf("state after requalification: quar=%d code=%v", st.quar, st.code != nil)
 	}
 }
 
@@ -239,7 +240,8 @@ var result = 0;
 for (var r = 0; r < 200; r++) { result += probe(a, 0); }
 for (var r = 0; r < 200; r++) { result += probe(a, 99); }
 `
-	e, err := New(src, Config{IonThreshold: 10})
+	ring := obs.NewRing(0)
+	e, err := New(src, Config{IonThreshold: 10, Tracer: obs.NewTracer(ring)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +255,28 @@ for (var r = 0; r < 200; r++) { result += probe(a, 99); }
 	if st.code != nil {
 		t.Error("blacklisted function kept its Ion code")
 	}
-	if st.tier == tierIon {
-		t.Error("stale tier: blacklisted function still reports tierIon")
-	}
-	if st.tier != tierBaseline {
-		t.Errorf("tier = %d, want tierBaseline (function is past the baseline threshold)", st.tier)
-	}
 	if st.quar != qQuarantined {
 		t.Errorf("quar = %d, want qQuarantined", st.quar)
+	}
+	// The facts name the tier that ran: every bailout left Ion code, and
+	// the quarantine that follows them leaves the function interpreted.
+	var bailouts, quarantined int
+	for _, ev := range obs.Lifecycles(ring.Events())["probe"] {
+		switch ev.Name {
+		case obs.FactBailout:
+			bailouts++
+			if quarantined > 0 || ev.Str("tier") != "ion" {
+				t.Errorf("bailout %d: tier=%s after %d quarantined facts, want tier=ion before any", bailouts, ev.Str("tier"), quarantined)
+			}
+		case obs.FactQuarantined:
+			quarantined++
+			if ev.Str("tier") != "interp" {
+				t.Errorf("quarantined: tier=%s, want interp", ev.Str("tier"))
+			}
+		}
+	}
+	if bailouts != maxBailoutsBeforeBlacklist || quarantined != 1 {
+		t.Errorf("facts: %d bailouts and %d quarantined, want %d and 1", bailouts, quarantined, maxBailoutsBeforeBlacklist)
 	}
 }
 

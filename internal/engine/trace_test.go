@@ -26,7 +26,7 @@ func (tracePolicy) BeginCompile(string) (passes.Observer, func() CompileDecision
 // TestTraceGoldenCompileSequence pins the event order of one successful
 // traced compilation, lifecycle facts included: the function's first call,
 // the trigger instant (at its second call: the first ran its loop 64 times,
-// so it compiles before it could cross the baseline threshold), mirbuild
+// so its back edges trigger the compile), mirbuild
 // span, one (pass span, dna.extract span) pair per pipeline pass, the
 // policy decide span, lir, regalloc, native.fuse, then the compile span
 // (spans are recorded at End, and the span is the pipeline attempt on

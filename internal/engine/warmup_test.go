@@ -20,13 +20,12 @@ import (
 //     trigger test here and TestTraceGoldenCompileSequence;
 //   - counting under DisableJIT: TestDisableJITCountsNothing.
 
-// triggers runs src under cfg (IonThreshold 8, BaselineThreshold 3 unless
-// set) and returns, per function, the call count each compile.trigger
-// fact reports.
+// triggers runs src under cfg (IonThreshold 8 unless set) and returns,
+// per function, the call count each compile.trigger fact reports.
 func triggers(t *testing.T, src string, cfg Config, policy Policy) (*Engine, map[string][]int64) {
 	t.Helper()
 	if cfg.IonThreshold == 0 {
-		cfg.IonThreshold, cfg.BaselineThreshold = 8, 3
+		cfg.IonThreshold = 8
 	}
 	ring := obs.NewRing(0)
 	cfg.Tracer = obs.NewTracer(ring)
@@ -119,7 +118,7 @@ func TestUncompilableCalleeDoesNotBlock(t *testing.T) {
 	}{
 		// A string local is outside the JIT subset: permanently interpreted.
 		{name: "ineligible", gPrefix: `var s = "k";`, held: func(s Stats) int { return s.InterpOnly }},
-		{name: "quarantined", cfg: Config{IonThreshold: 8, BaselineThreshold: 3,
+		{name: "quarantined", cfg: Config{IonThreshold: 8,
 			Faults: faults.NewInjector(1, faults.Rule{Point: faults.PointMIRBuild, Kind: faults.KindError, Times: 1})},
 			held: func(s Stats) int { return s.Quarantined }},
 		{name: "nojit-pinned", policy: noJITFor("g"), held: func(s Stats) int { return s.NrNoJIT }},

@@ -210,17 +210,3 @@ func (c *Cache) Bytes() int64 {
 	defer c.mu.RUnlock()
 	return c.bytes
 }
-
-// Keys returns the cached keys, newest insertion first (diagnostics).
-func (c *Cache) Keys() []Key {
-	if c == nil {
-		return nil
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Key, 0, len(c.m))
-	for e := c.head; e != nil; e = e.next {
-		out = append(out, e.key)
-	}
-	return out
-}

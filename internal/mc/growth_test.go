@@ -31,7 +31,7 @@ type growthRun struct {
 // is called each time the script prints, with the ordinal of the print.
 func runGrowth(t *testing.T, src string, noMC bool, hook func(e *engine.Engine, nth int)) growthRun {
 	t.Helper()
-	e, err := engine.New(src, engine.Config{IonThreshold: 10, BaselineThreshold: 4, NoMC: noMC})
+	e, err := engine.New(src, engine.Config{IonThreshold: 10, NoMC: noMC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ type loopRun struct {
 
 func runLoops(t *testing.T, src string, noMC bool) loopRun {
 	t.Helper()
-	e, err := engine.New(src, engine.Config{IonThreshold: 10, BaselineThreshold: 4, NoMC: noMC, Out: io.Discard})
+	e, err := engine.New(src, engine.Config{IonThreshold: 10, NoMC: noMC, Out: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func forEachCorpusGraph(t *testing.T, visit func(g *mir.Graph)) int {
 		_, _ = e.Run() // demonstrators crash by design; only the graphs matter
 	}
 	for _, b := range octane.All() {
-		run(b.Name, b.Source(1), engine.Config{IonThreshold: 40, BaselineThreshold: 10})
+		run(b.Name, b.Source(1), engine.Config{IonThreshold: 40})
 	}
 	for _, v := range vulndb.All() {
 		run(v.CVE, v.Demonstrator, engine.Config{Bugs: v.Bug()})

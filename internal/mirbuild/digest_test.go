@@ -48,7 +48,7 @@ func digestCorpus(t *testing.T) []corpusProgram {
 	for _, b := range octane.All() {
 		for _, scale := range []int{1, 4} {
 			out = append(out, corpusProgram{fmt.Sprintf("octane/%s/%d", b.Name, scale), b.Source(scale),
-				engine.Config{IonThreshold: 40, BaselineThreshold: 10}})
+				engine.Config{IonThreshold: 40}})
 		}
 	}
 	for _, v := range vulndb.All() {

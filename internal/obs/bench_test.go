@@ -40,7 +40,7 @@ func BenchmarkInstantDisabled(b *testing.B) {
 // BenchmarkViewRecord measures what one fact costs in each view: a
 // finished compile, which the ring keeps and the audit log lets pass.
 func BenchmarkViewRecord(b *testing.B) {
-	compiled := fact(FactCompile, "hot", S("result", "ok"), S("source", "inline"), S("tier", "baseline"))
+	compiled := fact(FactCompile, "hot", S("result", "ok"), S("source", "inline"), S("tier", "interp"))
 	record := func(s Sink) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()

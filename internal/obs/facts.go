@@ -8,7 +8,6 @@ package obs
 // names; no view but the whole-stream ones reads those.
 const (
 	FactInterp       = "interp"             // first call of a function
-	FactWarm         = "warm"               // crossed the baseline threshold
 	FactHotInterp    = "hot-interp"         // a policy-pinned (NoJIT) function keeps getting hot
 	FactTrigger      = "compile.trigger"    // warmup trigger: a compilation is wanted
 	FactCacheHit     = "cache-hit"          // artifact and verdict served by the shared cache
@@ -41,7 +40,6 @@ type Fact struct {
 // JSONL) and predate the shared names.
 var Facts = []Fact{
 	{Name: FactInterp},
-	{Name: FactWarm},
 	{Name: FactHotInterp},
 	{Name: FactTrigger},
 	{Name: FactCacheHit},

@@ -284,7 +284,7 @@ func TestAuditLogRoundTrip(t *testing.T) {
 		{CVE: "CVE-2019-9813", VDCFunc: "poc", Pass: "RangeAnalysis", Side: "removed", Chain: "a→b"},
 	}})
 	l.Record(fact(FactQuarantined, "g", S("stage", "passes"), S("reason", "injected fault")))
-	l.Record(fact(FactWarm, "g")) // not a decision: no audit line
+	l.Record(fact(FactInterp, "g")) // not a decision: no audit line
 	if l.Len() != 2 {
 		t.Fatalf("len = %d", l.Len())
 	}

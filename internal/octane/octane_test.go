@@ -26,7 +26,7 @@ func TestBenchmarksRunAndAgreeAcrossTiers(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			_, interpRes := runWith(t, b, engine.Config{DisableJIT: true})
-			eJIT, jitRes := runWith(t, b, engine.Config{IonThreshold: 40, BaselineThreshold: 10})
+			eJIT, jitRes := runWith(t, b, engine.Config{IonThreshold: 40})
 			if !sameNum(interpRes, jitRes) {
 				t.Fatalf("checksum mismatch: interp=%v jit=%v", interpRes, jitRes)
 			}
@@ -52,7 +52,7 @@ func TestBenchmarksSafeOnFullyVulnerableEngine(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			_, interpRes := runWith(t, b, engine.Config{DisableJIT: true})
-			eVuln, vulnRes := runWith(t, b, engine.Config{IonThreshold: 40, BaselineThreshold: 10, Bugs: bugs})
+			eVuln, vulnRes := runWith(t, b, engine.Config{IonThreshold: 40, Bugs: bugs})
 			if eVuln.Arena().Crashed() != nil || eVuln.Hijacked() != nil {
 				t.Fatalf("benign benchmark crashed the vulnerable engine")
 			}

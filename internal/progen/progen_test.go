@@ -133,7 +133,7 @@ func TestDifferentialInterpVsJIT(t *testing.T) {
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		src := Generate(seed, Options{Train: 50})
 		want := runCfg(t, src, engine.Config{DisableJIT: true})
-		got := runCfg(t, src, engine.Config{IonThreshold: 15, BaselineThreshold: 5})
+		got := runCfg(t, src, engine.Config{IonThreshold: 15})
 		if !same(want, got) {
 			t.Fatalf("seed %d: interp=%v jit=%v\n%s", seed, want, got, src)
 		}
@@ -155,7 +155,7 @@ func TestDifferentialHotLoops(t *testing.T) {
 		src := Generate(seed, Options{HotLoops: true})
 		want := runCfg(t, src, engine.Config{DisableJIT: true})
 		e, err := engine.New(src, engine.Config{
-			IonThreshold: 15, BaselineThreshold: 5, OSR: true, Speculate: true,
+			IonThreshold: 15, OSR: true, Speculate: true,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -41,9 +41,10 @@ import (
 
 // Core engine types.
 type (
-	// Engine is a tiered nanojs runtime (interpreter → baseline → Ion).
+	// Engine is a two-tier nanojs runtime: the profiling interpreter, and
+	// Ion for the functions that get hot, unless the policy says NoJIT.
 	Engine = engine.Engine
-	// Config parameterizes an Engine: tier thresholds, injected bugs
+	// Config parameterizes an Engine: the Ion threshold, injected bugs
 	// (the simulated vulnerability window), NoJIT mode, heap size.
 	Config = engine.Config
 	// Stats carries the per-run counters of the paper's Figure 4
@@ -140,9 +141,10 @@ func NewQueue(workers, capacity int, reg *Registry) *Queue {
 }
 
 // NewCodeCache returns an empty shared compilation cache bounded at
-// jitqueue.DefaultCacheMaxBytes of accounted artifact footprint (arbitrary
-// entries are evicted to stay under the bound). reg may be nil; when set
-// it receives the cache.{hits,misses,evictions,bytes,entries} metrics.
+// jitqueue.DefaultCacheMaxBytes of accounted artifact footprint; SIEVE
+// eviction keeps it under the bound, deterministically in the order of
+// lookups and inserts. reg may be nil; when set it receives the
+// cache.{hits,misses,evictions,bytes,entries} metrics.
 func NewCodeCache(reg *Registry) *CodeCache { return jitqueue.NewCache(reg) }
 
 // NewRing returns a trace ring buffer; capacity <= 0 uses the default (64k).
