@@ -13,11 +13,12 @@ import (
 // pcs keep their meaning: a jump target, an OSR header or a deopt resume pc
 // that falls inside a group runs the original instructions from there on.
 //
-// A super-op takes its fast path only when every operand is a Number, a
-// store target may be overwritten in place (Value.CanSetNum) and the step
-// budget covers the whole group; it then charges one step per constituent,
-// exactly as the unfused ops would. Otherwise it runs its head op alone,
-// exactly as that op's own case does, and execution continues at pc+1
+// A super-op takes its fast path only when every operand is a Number (and
+// the local whose length it reads an Array), a store target may be
+// overwritten in place (Value.CanSetNum) and the step budget covers the
+// whole group; it then charges one step per constituent, exactly as the
+// unfused ops would. Otherwise it runs its head op alone, exactly as that
+// op's own case does, and execution continues at pc+1
 // (TestFusedMatchesUnfused holds both paths to the unfused stream). Only a
 // group's last op may fail (getelem), after the steps of the ops before it
 // were charged. No group holds a jump, a call or a return, so back edges,
@@ -27,6 +28,7 @@ import (
 // the loop's switch one dense jump table.
 const (
 	opGlobalLocalGetElem = bytecode.OpSetLength + 1 + iota // loadglobal A; loadlocal B; getelem
+	opLocalLengthMod                                       // loadlocal A; getlength; mod
 
 	opConstAddStore // const A; add; storelocal B
 	opConstModStore // const A; mod; storelocal B
@@ -34,9 +36,10 @@ const (
 	opConstLtJump // const A; lt; jumpiffalse B
 	opConstEqJump // const A; eq; jumpiffalse B
 
-	opConstAdd // const A; add
-	opConstMul // const A; mul
-	opConstMod // const A; mod
+	opConstAdd    // const A; add
+	opConstMul    // const A; mul
+	opConstMod    // const A; mod
+	opConstBitAnd // const A; bitand
 
 	opLocalAdd // loadlocal A; add
 	opLocalMul // loadlocal A; mul
@@ -71,6 +74,7 @@ type group struct {
 // (DESIGN §15 item 7).
 var groups = []group{
 	{opGlobalLocalGetElem, ops(bytecode.OpLoadGlobal, bytecode.OpLoadLocal, bytecode.OpGetElem), 1},
+	{opLocalLengthMod, ops(bytecode.OpLoadLocal, bytecode.OpGetLength, bytecode.OpMod), 0},
 
 	{opConstAddStore, ops(bytecode.OpConst, bytecode.OpAdd, bytecode.OpStoreLocal), 2},
 	{opConstModStore, ops(bytecode.OpConst, bytecode.OpMod, bytecode.OpStoreLocal), 2},
@@ -81,6 +85,7 @@ var groups = []group{
 	{opConstAdd, ops(bytecode.OpConst, bytecode.OpAdd), 0},
 	{opConstMul, ops(bytecode.OpConst, bytecode.OpMul), 0},
 	{opConstMod, ops(bytecode.OpConst, bytecode.OpMod), 0},
+	{opConstBitAnd, ops(bytecode.OpConst, bytecode.OpBitAnd), 0},
 
 	{opLocalAdd, ops(bytecode.OpLoadLocal, bytecode.OpAdd), 0},
 	{opLocalMul, ops(bytecode.OpLoadLocal, bytecode.OpMul), 0},

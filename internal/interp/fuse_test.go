@@ -40,6 +40,8 @@ func effect(op bytecode.Op) (pops, pushes int) {
 		return 0, 1
 	case bytecode.OpStoreLocal, bytecode.OpJumpIfFalse:
 		return 1, 0
+	case bytecode.OpGetLength:
+		return 1, 1
 	}
 	return 2, 1 // the binary operators and getelem
 }
@@ -173,6 +175,8 @@ func TestFusedMatchesUnfused(t *testing.T) {
 	consts := []value.Value{
 		value.Num(3), value.Num(-1.5), value.Num(math.NaN()), value.Num(math.Copysign(0, -1)),
 		value.Num(math.Inf(1)), value.Num(1<<53 + 2), value.Str("7"),
+		// Where ToInt32 wraps to its sign bit, to just past it, and to 0.
+		value.Num(1 << 31), value.Num(-(1 << 31) - 1), value.Num(1e20),
 	}
 	runs := 0
 	for _, g := range groups {
@@ -326,22 +330,25 @@ var typedValues = []string{
 
 // typedStatements are statements whose bytecode holds the groups, named
 // beside each. They only read the parameters x and y, so every operand
-// keeps the type f was called with; z and g are written.
+// keeps the type f was called with; z and g are written (z with the array
+// whose length the statement after it reads).
 var typedStatements = []string{
-	"z = x + 3;",             // const·add·storelocal
-	"z = y % 7;",             // const·mod·storelocal
-	"if (x < 5) { z = y; }",  // const·lt·jumpiffalse
-	"if (y == 0) { z = x; }", // const·eq·jumpiffalse
-	"g = x + 1;",             // const·add
-	"g = y * 2;",             // const·mul
-	"g = x % 3;",             // const·mod
-	"g = x + 1 + y;",         // const·add, loadlocal·add
-	"g = y * 2 * x;",         // const·mul, loadlocal·mul
-	"g = x + y;",             // loadlocal·loadlocal
-	"if (x < y) { z = x; }",  // loadlocal·loadlocal, lt·jumpiffalse
-	"if (y == x) { z = y; }", // loadlocal·loadlocal, eq·jumpiffalse
-	"z = x + y;",             // loadlocal·loadlocal, add·storelocal
-	"g = a[y];",              // loadglobal·loadlocal·getelem
+	"z = x + 3;",                 // const·add·storelocal
+	"z = y % 7;",                 // const·mod·storelocal
+	"if (x < 5) { z = y; }",      // const·lt·jumpiffalse
+	"if (y == 0) { z = x; }",     // const·eq·jumpiffalse
+	"g = x + 1;",                 // const·add
+	"g = y * 2;",                 // const·mul
+	"g = x % 3;",                 // const·mod
+	"g = x + 1 + y;",             // const·add, loadlocal·add
+	"g = y * 2 * x;",             // const·mul, loadlocal·mul
+	"g = x + y;",                 // loadlocal·loadlocal
+	"if (x < y) { z = x; }",      // loadlocal·loadlocal, lt·jumpiffalse
+	"if (y == x) { z = y; }",     // loadlocal·loadlocal, eq·jumpiffalse
+	"z = x + y;",                 // loadlocal·loadlocal, add·storelocal
+	"g = a[y];",                  // loadglobal·loadlocal·getelem
+	"z = arr; g = g % z.length;", // loadlocal·getlength·mod
+	"g = x & 6;",                 // const·bitand
 }
 
 // typedProgram draws a small program from seed: a function of the

@@ -265,9 +265,9 @@ func (vm *VM) ExecFrom(fn *bytecode.Function, locals []value.Value, pc0 int) (va
 // sp being the first free slot. fn.MaxStack bounds the operand depth (the
 // compiler proved it), so slots are indexed, never appended.
 //
-// The arithmetic, relational and equality opcodes test for two Numbers
-// first and then write the result over the left operand in place — the
-// common case never builds or copies a 32-byte Value; everything else
+// The arithmetic, relational and equality opcodes and &, |, ^ test for two
+// Numbers first and then write the result over the left operand in place —
+// the common case never builds or copies a 32-byte Value; everything else
 // takes the coercing path.
 //
 // The loop runs fn's execution copy, whose superinstructions each stand
@@ -368,15 +368,27 @@ func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int) (value.Va
 		case bytecode.OpBitAnd:
 			x, y := &stack[sp-2], &stack[sp-1]
 			sp--
-			*x = value.Num(float64(value.ToInt32(x.ToNumber()) & value.ToInt32(y.ToNumber())))
+			if x.IsNumber() && y.IsNumber() {
+				x.SetNum(float64(value.ToInt32(x.AsNumber()) & value.ToInt32(y.AsNumber())))
+			} else {
+				*x = value.Num(float64(value.ToInt32(x.ToNumber()) & value.ToInt32(y.ToNumber())))
+			}
 		case bytecode.OpBitOr:
 			x, y := &stack[sp-2], &stack[sp-1]
 			sp--
-			*x = value.Num(float64(value.ToInt32(x.ToNumber()) | value.ToInt32(y.ToNumber())))
+			if x.IsNumber() && y.IsNumber() {
+				x.SetNum(float64(value.ToInt32(x.AsNumber()) | value.ToInt32(y.AsNumber())))
+			} else {
+				*x = value.Num(float64(value.ToInt32(x.ToNumber()) | value.ToInt32(y.ToNumber())))
+			}
 		case bytecode.OpBitXor:
 			x, y := &stack[sp-2], &stack[sp-1]
 			sp--
-			*x = value.Num(float64(value.ToInt32(x.ToNumber()) ^ value.ToInt32(y.ToNumber())))
+			if x.IsNumber() && y.IsNumber() {
+				x.SetNum(float64(value.ToInt32(x.AsNumber()) ^ value.ToInt32(y.AsNumber())))
+			} else {
+				*x = value.Num(float64(value.ToInt32(x.ToNumber()) ^ value.ToInt32(y.ToNumber())))
+			}
 		case bytecode.OpShl:
 			x, y := &stack[sp-2], &stack[sp-1]
 			sp--
@@ -606,6 +618,17 @@ func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int) (value.Va
 			stack[sp] = vm.Globals[in.A]
 			sp++
 
+		case opLocalLengthMod:
+			if x, a := &stack[sp-1], &stack[in.A]; x.IsNumber() && a.IsArray() && vm.steps+2 <= vm.MaxSteps {
+				vm.steps += 2
+				n, _ := vm.Arena.Length(a.Handle())
+				x.SetNum(value.Mod(x.AsNumber(), float64(n)))
+				pc += 2
+				continue
+			}
+			stack[sp] = stack[in.A]
+			sp++
+
 		case opConstAddStore:
 			if x, t := &stack[sp-1], &stack[in.B]; x.IsNumber() && t.CanSetNum() && vm.steps+2 <= vm.MaxSteps {
 				vm.steps += 2
@@ -676,6 +699,16 @@ func (vm *VM) run(fn *bytecode.Function, stack []value.Value, pc0 int) (value.Va
 			if x := &stack[sp-1]; x.IsNumber() && vm.steps+1 <= vm.MaxSteps {
 				vm.steps++
 				x.SetNum(value.Mod(x.AsNumber(), fn.Consts[in.A].AsNumber()))
+				pc++
+				continue
+			}
+			stack[sp] = fn.Consts[in.A]
+			sp++
+
+		case opConstBitAnd:
+			if x := &stack[sp-1]; x.IsNumber() && vm.steps+1 <= vm.MaxSteps {
+				vm.steps++
+				x.SetNum(float64(value.ToInt32(x.AsNumber()) & value.ToInt32(fn.Consts[in.A].AsNumber())))
 				pc++
 				continue
 			}

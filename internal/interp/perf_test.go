@@ -3,11 +3,13 @@ package interp_test
 import (
 	"testing"
 
+	"github.com/jitbull/jitbull/internal/bytecode"
 	"github.com/jitbull/jitbull/internal/compiler"
 	"github.com/jitbull/jitbull/internal/engine"
 	"github.com/jitbull/jitbull/internal/heap"
 	"github.com/jitbull/jitbull/internal/interp"
 	"github.com/jitbull/jitbull/internal/octane"
+	"github.com/jitbull/jitbull/internal/progen"
 	"github.com/jitbull/jitbull/internal/value"
 )
 
@@ -89,32 +91,63 @@ func benchInterp(b *testing.B, name string) (steps, calls int64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := compiler.Compile(bm.Source(1))
-	if err != nil {
-		b.Fatal(err)
+	return benchRuns(b, bm.Source(1))
+}
+
+// benchRuns compiles each source, then runs all of them b.N times on fresh
+// VMs and returns the steps and calls of one pass.
+func benchRuns(b *testing.B, srcs ...string) (steps, calls int64) {
+	progs := make([]*bytecode.Program, len(srcs))
+	for i, src := range srcs {
+		var err error
+		if progs[i], err = compiler.Compile(src); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vm := interp.New(prog, heap.New(0), nil)
-		d := &countingDispatcher{vm: vm}
-		vm.Dispatch = d
-		if _, err := vm.Run(); err != nil {
-			b.Fatal(err)
+		steps, calls = 0, 0
+		for _, prog := range progs {
+			vm := interp.New(prog, heap.New(0), nil)
+			d := &countingDispatcher{vm: vm}
+			vm.Dispatch = d
+			if _, err := vm.Run(); err != nil {
+				b.Fatal(err)
+			}
+			steps, calls = steps+vm.Steps(), calls+d.calls
 		}
-		steps, calls = vm.Steps(), d.calls
 	}
 	return steps, calls
 }
 
+// osrReferences are the programs whose interpreter runs are the osr_loops
+// workload's references: 30 progen programs with hot while loops, 232.1 M
+// steps in all.
+func osrReferences() []string {
+	srcs := make([]string, 30)
+	for i := range srcs {
+		srcs[i] = progen.Generate(int64(1000+i), progen.Options{HotLoops: true, HotIters: 20000, HotCalls: 3, Train: 10})
+	}
+	return srcs
+}
+
 // BenchmarkInterpStep reports the interpreter's cost per bytecode
-// instruction (calls included) on each analogue.
+// instruction (calls included) on each analogue, and on the OSR workload's
+// references (osr_refs), where integer %, & and x % a.length are hot.
 func BenchmarkInterpStep(b *testing.B) {
+	perStep := func(b *testing.B, steps int64) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps*int64(b.N)), "ns/step")
+	}
 	for _, name := range benchPrograms {
 		b.Run(name, func(b *testing.B) {
 			steps, _ := benchInterp(b, name)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps*int64(b.N)), "ns/step")
+			perStep(b, steps)
 		})
 	}
+	b.Run("osr_refs", func(b *testing.B) {
+		steps, _ := benchRuns(b, osrReferences()...)
+		perStep(b, steps)
+	})
 }
 
 // BenchmarkInterpCall reports run time per nanojs call — the call's own

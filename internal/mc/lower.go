@@ -931,7 +931,7 @@ func (lo *lowerer) emitOp(pc int32, op *lir.Op) {
 	case lir.KBitAnd, lir.KBitOr, lir.KBitXor:
 		// ToInt32 ≡ the low 32 bits of cvttsd2si-64 for every input (the
 		// 0x8000000000000000 overflow sentinel's low half is 0, matching
-		// the explicit NaN/Inf→0 branch).
+		// value.ToInt32's 0 for NaN, ±Inf and magnitudes of 2^63 or more).
 		lo.cvtt(RAX, op.A, true)
 		lo.cvtt(RCX, op.B, true)
 		switch op.Kind {
@@ -1414,9 +1414,10 @@ func (lo *lowerer) copyHandle(dst, src int32) {
 }
 
 // emitMod inlines value.Mod's int fast path under exactly its condition —
-// both operands integral (cvttsd2si round-trip), divisor nonzero, both
-// magnitudes under 2^53 — and runtime-exits to the full value.Mod
-// otherwise. Both routes produce value.Mod's bits.
+// both operands integral (the same int64 round trip, by cvttsd2si and
+// cvtsi2sd), divisor nonzero, both magnitudes under 2^53 — and
+// runtime-exits to the full value.Mod otherwise. Both routes produce
+// value.Mod's bits.
 func (lo *lowerer) emitMod(pc int32, op *lir.Op) {
 	a := &lo.a
 	lo.flush(0)

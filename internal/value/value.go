@@ -270,20 +270,27 @@ func LooseEquals(a, b Value) bool {
 	return a.ToNumber() == b.ToNumber()
 }
 
-// ToInt32 applies JavaScript's ToInt32 (used by bitwise operators).
+// ToInt32 applies JavaScript's ToInt32 (used by bitwise operators): the
+// low 32 bits of the value truncated toward zero, in one conversion. A
+// magnitude of 2^63 or more, NaN and ±Inf among them, gives 0 on every
+// platform. Go leaves the float→int64 conversion of such a value to the
+// platform: amd64's is 0x8000000000000000, whose low half is 0 (what the
+// machine-code tier's cvttsd2si gives too), arm64's saturates. JavaScript
+// would wrap 1e20 to 1661992960; nanojs reads 0 in every tier.
 func ToInt32(f float64) int32 {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0
+	if math.Abs(f) < 1<<63 {
+		return int32(int64(f))
 	}
-	return int32(uint32(int64(math.Trunc(f))))
+	return 0
 }
 
-// ToUint32 applies JavaScript's ToUint32 (used by >>>).
+// ToUint32 applies JavaScript's ToUint32 (used by >>>), under ToInt32's
+// rule for a magnitude of 2^63 or more.
 func ToUint32(f float64) uint32 {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0
+	if math.Abs(f) < 1<<63 {
+		return uint32(int64(f))
 	}
-	return uint32(int64(math.Trunc(f)))
+	return 0
 }
 
 // ToArrayIndex converts a number to an array index. ok is false when the
@@ -302,11 +309,15 @@ const maxExactInt = 9007199254740992
 // Mod implements JavaScript's % with the integer fast path every real JS
 // engine has: for exactly-representable integral operands it is a machine
 // integer remainder (sign follows the dividend, as in JS), falling back to
-// the IEEE-754 remainder otherwise.
+// the IEEE-754 remainder otherwise. An operand is integral when it survives
+// the round trip through int64 — one conversion each, the test the
+// machine-code tier inlines (mc's emitMod) — and the bounds then hold both
+// magnitudes under 2^53, which also rules out whatever the platform makes
+// of a conversion out of int64's range.
 func Mod(x, y float64) float64 {
-	if x == math.Trunc(x) && y == math.Trunc(y) && y != 0 &&
-		x > -maxExactInt && x < maxExactInt && y > -maxExactInt && y < maxExactInt {
-		return float64(int64(x) % int64(y))
+	if xi, yi := int64(x), int64(y); float64(xi) == x && float64(yi) == y && yi != 0 &&
+		xi > -maxExactInt && xi < maxExactInt && yi > -maxExactInt && yi < maxExactInt {
+		return float64(xi % yi)
 	}
 	return math.Mod(x, y)
 }

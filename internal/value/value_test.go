@@ -119,6 +119,12 @@ func TestToInt32(t *testing.T) {
 		{math.Inf(1), 0},
 		{4294967296 + 5, 5},       // wraps mod 2^32
 		{2147483648, -2147483648}, // 2^31 wraps negative
+		{1<<63 - 1024, -1024},     // the largest float below 2^63 still wraps
+		// A magnitude of 2^63 or more is 0 on every platform.
+		{1e20, 0},
+		{-1e20, 0},
+		{1 << 63, 0},
+		{-(1 << 63), 0},
 	}
 	for _, tt := range tests {
 		if got := ToInt32(tt.in); got != tt.want {
@@ -128,11 +134,57 @@ func TestToInt32(t *testing.T) {
 }
 
 func TestToUint32(t *testing.T) {
-	if got := ToUint32(-1); got != 4294967295 {
-		t.Errorf("ToUint32(-1) = %d", got)
+	tests := []struct {
+		in   float64
+		want uint32
+	}{
+		{-1, 4294967295},
+		{math.NaN(), 0},
+		{math.Inf(-1), 0},
+		{4294967296 + 5, 5},
+		{-(1<<63 - 1024), 1024},
+		{1e20, 0},
+		{-1e20, 0},
+		{1 << 63, 0},
+		{-(1 << 63), 0},
 	}
-	if got := ToUint32(math.NaN()); got != 0 {
-		t.Errorf("ToUint32(NaN) = %d", got)
+	for _, tt := range tests {
+		if got := ToUint32(tt.in); got != tt.want {
+			t.Errorf("ToUint32(%v) = %d, want %d", tt.in, got, tt.want)
+		}
+	}
+}
+
+// truncMod is Mod as it tested integrality before the int64 round trip:
+// by math.Trunc, with the bounds on the floats. It is the reference the
+// round-trip test is held to.
+func truncMod(x, y float64) float64 {
+	if x == math.Trunc(x) && y == math.Trunc(y) && y != 0 &&
+		x > -maxExactInt && x < maxExactInt && y > -maxExactInt && y < maxExactInt {
+		return float64(int64(x) % int64(y))
+	}
+	return math.Mod(x, y)
+}
+
+// TestModMatchesTruncForm holds Mod's one-conversion integrality test to
+// the Trunc form, bit for bit, on every ordered pair of the values where
+// the two tests could part: non-finite and signed-zero operands, both sides
+// of the 2^53 bound and of int64's range, fractions, and the divisors ±1
+// and ±0.
+func TestModMatchesTruncForm(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	values := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, negZero,
+		maxExactInt - 1, -(maxExactInt - 1), maxExactInt, -maxExactInt,
+		1 << 63, -(1 << 63), 1e300, -1e300,
+		0.5, -7.5, 1, -1, 7, -3,
+	}
+	for _, x := range values {
+		for _, y := range values {
+			if got, want := Mod(x, y), truncMod(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Mod(%v, %v) = %v (%#x), Trunc form %v (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
 	}
 }
 
