@@ -7,50 +7,35 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/obs"
 )
 
-// smallestShared returns the chain common to both sorted ID sets whose
-// string form is smallest — the witness the index is specified to record
-// (by content, so it does not depend on the order chains were interned).
-func smallestShared(a, b []uint32) (uint32, bool) {
-	var best uint32
-	found := false
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			if !found || ChainString(a[i]) < ChainString(best) {
-				best, found = a[i], true
-			}
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
+// smallestShared returns the smallest chain common to two sorted chain
+// sets — the witness the index is specified to record.
+func smallestShared(a, b []string) (string, bool) {
+	for _, c := range a {
+		if _, ok := slices.BinarySearch(b, c); ok {
+			return c, true
 		}
 	}
-	return best, found
+	return "", false
 }
 
 func TestMatchAttributionWitnessChain(t *testing.T) {
 	vdcRem := []string{"a→b→c", "b→c", "c→d→e"}
 	vdcAdd := []string{"e→f", "phi→add", "unbox→a"}
-	// Interned in reverse string order, so the smallest ID is the largest
-	// chain: the witness must still be the smallest by content.
+	// Listed in reverse string order: the witness must still be the
+	// smallest by content.
 	vdcSink := []string{"witness-z→y", "witness-m→y", "witness-a→y"}
-	for _, c := range vdcSink {
-		InternChain(c)
-	}
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-W", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
-		"GVN":  MakeDelta(vdcRem, nil),
-		"LICM": MakeDelta(nil, vdcAdd),
-		"Sink": MakeDelta(vdcSink, nil),
+		"GVN":  mkDelta(vdcRem, nil),
+		"LICM": mkDelta(nil, vdcAdd),
+		"Sink": mkDelta(vdcSink, nil),
 	}}}})
 
 	cases := []struct {
@@ -59,9 +44,9 @@ func TestMatchAttributionWitnessChain(t *testing.T) {
 		cand     Delta
 		wantSide string
 	}{
-		{"removed side", "GVN", MakeDelta([]string{"a→b→c", "b→c", "x→y→z"}, nil), "removed"},
-		{"added side", "LICM", MakeDelta(nil, []string{"e→f", "phi→add", "x→y→z"}), "added"},
-		{"content order", "Sink", MakeDelta(vdcSink, nil), "removed"},
+		{"removed side", "GVN", mkDelta([]string{"a→b→c", "b→c", "x→y→z"}, nil), "removed"},
+		{"added side", "LICM", mkDelta(nil, []string{"e→f", "phi→add", "x→y→z"}), "added"},
+		{"content order", "Sink", mkDelta(vdcSink, nil), "removed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,8 +68,8 @@ func TestMatchAttributionWitnessChain(t *testing.T) {
 			if !ok {
 				t.Fatal("fixture broken: no shared chain")
 			}
-			if m.Chain != ChainString(want) {
-				t.Fatalf("Chain = %q, want %q", m.Chain, ChainString(want))
+			if m.Chain != want {
+				t.Fatalf("Chain = %q, want %q", m.Chain, want)
 			}
 			if tc.pass == "Sink" && m.Chain != "witness-a→y" {
 				t.Fatalf("Chain = %q, want the smallest by content %q", m.Chain, "witness-a→y")
@@ -96,14 +81,14 @@ func TestMatchAttributionWitnessChain(t *testing.T) {
 func TestMatchAttributionDegenerateThreshold(t *testing.T) {
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-0", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
-		"GVN": MakeDelta([]string{"a→b→c"}, nil),
+		"GVN": mkDelta([]string{"a→b→c"}, nil),
 	}}}})
 	det := NewDetector(db)
 	det.Thr, det.Ratio = 0, 0
 	// No shared chain at all — the degenerate thresholds still match, and
 	// the attribution must say so explicitly rather than invent a witness.
 	det.Decide(&DNA{FuncName: "victim", Passes: map[string]Delta{
-		"GVN": MakeDelta([]string{"x→y→z"}, nil),
+		"GVN": mkDelta([]string{"x→y→z"}, nil),
 	}})
 	if len(det.Matches) != 1 {
 		t.Fatalf("expected one degenerate match, got %+v", det.Matches)
@@ -199,16 +184,16 @@ func TestFailSafeAudit(t *testing.T) {
 func TestIndexProbesNotCarriedAcrossPasses(t *testing.T) {
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-0", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
-		"GVN": MakeDelta([]string{"a→b→c"}, nil),
+		"GVN": mkDelta([]string{"a→b→c"}, nil),
 	}}}})
 	ix := db.Index(1)
 	var sc matchScratch
 	none := func(string, string, uint32, matchSide) {}
-	ix.query("GVN", MakeDelta([]string{"a→b→c"}, nil), 0.5, 1, &sc, none)
+	ix.query("GVN", ix.ids(mkDelta([]string{"a→b→c"}, nil)), 0.5, 1, &sc, none)
 	if sc.probes == 0 {
 		t.Fatal("fixture broken: the GVN query scored no entry")
 	}
-	ix.query("LICM", MakeDelta([]string{"a→b→c"}, nil), 0.5, 1, &sc, none)
+	ix.query("LICM", ix.ids(mkDelta([]string{"a→b→c"}, nil)), 0.5, 1, &sc, none)
 	if sc.probes != 0 {
 		t.Fatalf("query on a pass with no bucket reported %d probes, want 0", sc.probes)
 	}
@@ -222,7 +207,7 @@ func TestIndexProbesNotCarriedAcrossPasses(t *testing.T) {
 func TestIndexReadsShareOneBuild(t *testing.T) {
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-0", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
-		"GVN": MakeDelta([]string{"a→b→c"}, nil),
+		"GVN": mkDelta([]string{"a→b→c"}, nil),
 	}}}})
 	const readers, thrs = 8, 3
 	got := make([][thrs]*MatchIndex, readers)
@@ -250,7 +235,7 @@ func TestIndexReadsShareOneBuild(t *testing.T) {
 	}
 	before := db.Index(1)
 	db.Add(VDC{CVE: "CVE-1", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
-		"LICM": MakeDelta([]string{"a→b→c"}, nil),
+		"LICM": mkDelta([]string{"a→b→c"}, nil),
 	}}}})
 	after := db.Index(1)
 	if after == before || !after.watches("LICM") || !after.watches("GVN") || before.watches("LICM") {

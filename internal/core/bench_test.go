@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -78,9 +79,9 @@ func BenchmarkExtractDelta(b *testing.B) {
 	})
 }
 
-// benchChainSets builds two interned chain sets of size n with ~50%
+// benchChainSets builds two sorted chain sets of size n with ~50%
 // overlap, the regime CompareChains sees when a candidate is near a VDC.
-func benchChainSets(n int) (a, b []uint32) {
+func benchChainSets(n int) (a, b []string) {
 	mk := func(tag string, lo, hi int) []string {
 		var out []string
 		for i := lo; i < hi; i++ {
@@ -89,8 +90,10 @@ func benchChainSets(n int) (a, b []uint32) {
 		return out
 	}
 	shared := mk("shared", 0, n/2)
-	return core.InternChains(append(mk("a", 0, n-n/2), shared...)),
-		core.InternChains(append(mk("b", 0, n-n/2), shared...))
+	a, b = append(mk("a", 0, n-n/2), shared...), append(mk("b", 0, n-n/2), shared...)
+	slices.Sort(a)
+	slices.Sort(b)
+	return a, b
 }
 
 // BenchmarkCompareChains measures one COMPARECHAINS call over two 64-chain
@@ -104,11 +107,9 @@ func BenchmarkCompareChains(b *testing.B) {
 		}
 	})
 	b.Run("ref", func(b *testing.B) {
-		xs, ys := core.ChainStrings(x), core.ChainStrings(y)
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			core.RefCompareChains(xs, ys, core.DefaultRatio, core.DefaultThr)
+			core.RefCompareChains(x, y, core.DefaultRatio, core.DefaultThr)
 		}
 	})
 }
@@ -270,10 +271,10 @@ func stormFuncs() ([]stormFunc, error) {
 // and the finish step. Beside ns/op and allocs/op it reports the Δ chains
 // the detector compared per op, the changed watched passes the
 // cannot-match test left unextracted per op, the distinct snapshots the
-// observer was handed per op, and the chains it interned per op; the
-// interner is process-wide, so the last is the cold count only at
-// -benchtime 1x (later ops find their chains interned). funcs is the
-// number of storm functions one op compiles.
+// observer was handed per op, and the chains in the database index's
+// vocabulary (the IDs every op works in; what an op numbers beyond them
+// is its own and freed with it). funcs is the number of storm functions
+// one op compiles.
 func BenchmarkDetectorCompile(b *testing.B) {
 	funcs, err := stormFuncs()
 	if err != nil {
@@ -291,7 +292,7 @@ func BenchmarkDetectorCompile(b *testing.B) {
 			det.Metrics = obs.NewRegistry()
 			deltaChains := det.Metrics.Histogram("dna.delta_chains", obs.SizeBuckets)
 			skipped := det.Metrics.Histogram("dna.passes_skipped", obs.SizeBuckets)
-			d0, s0, c0 := deltaChains.Sum(), skipped.Sum(), core.NumChains()
+			d0, s0 := deltaChains.Sum(), skipped.Sum()
 			// A snapshot, once replaced, is never handed over again, so
 			// counting pointer changes counts distinct snapshots.
 			snaps := 0
@@ -333,7 +334,8 @@ func BenchmarkDetectorCompile(b *testing.B) {
 			b.ReportMetric(float64(deltaChains.Sum()-d0)/float64(b.N), "delta_chains/op")
 			b.ReportMetric(float64(skipped.Sum()-s0)/float64(b.N), "skipped/op")
 			b.ReportMetric(float64(snaps)/float64(b.N), "snaps/op")
-			b.ReportMetric(float64(core.NumChains()-c0)/float64(b.N), "interned/op")
+			vocab, _ := db.Index(det.Thr).Vocabulary()
+			b.ReportMetric(float64(len(vocab)), "vocab")
 			b.ReportMetric(float64(len(funcs)), "funcs")
 		})
 	}

@@ -32,20 +32,14 @@ var _ engine.CachingPolicy = (*Detector)(nil)
 // stable value, and a mutated or different-content database always
 // reports a fresh one. Replay is sound precisely because the verdict is a
 // deterministic function of (DNA, contents, thresholds): equal contents
-// imply equal verdicts whichever detector computed them. Two databases
-// veto caching: a fail-safe one — its NoJIT-everything verdicts are a
-// degraded emergency mode, not knowledge worth sharing — and one without
-// a content identity (Fingerprint 0), for which no other identity stands
-// in.
+// imply equal verdicts whichever detector computed them. A fail-safe
+// database vetoes caching: its NoJIT-everything verdicts are a degraded
+// emergency mode, not knowledge worth sharing.
 func (d *Detector) PolicyCacheKey() (string, bool) {
 	if d.DB == nil || d.DB.FailSafe() {
 		return "", false
 	}
-	fp := d.DB.Fingerprint()
-	if fp == 0 {
-		return "", false
-	}
-	return fmt.Sprintf("core.Detector/db=%016x/thr=%d/ratio=%g", fp, d.Thr, d.Ratio), true
+	return fmt.Sprintf("core.Detector/db=%016x/thr=%d/ratio=%g", d.DB.Fingerprint(), d.Thr, d.Ratio), true
 }
 
 // ReplayDecision implements engine.CachingPolicy: it books a decision

@@ -33,7 +33,7 @@ func (de *deltaExtractor) mayMatch(ix *MatchIndex, pp *passPostings, ratio float
 		reached := false
 		de.sharedTouched = de.sharedTouched[:0]
 		for i := range cands {
-			if !de.isPath(st, ix, cands[i].toks) {
+			if !de.isPath(st, cands[i].toks) {
 				continue
 			}
 			for _, id := range cands[i].entries {
@@ -57,46 +57,44 @@ func (de *deltaExtractor) mayMatch(ix *MatchIndex, pp *passPostings, ratio float
 	return false
 }
 
-// bucket sorts st's nodes by the letter of their token under ix, once per
-// state and index.
+// bucket sorts st's nodes by token, for the tokens of ix's vocabulary
+// (the only ones a posted chain holds), once per state and index.
 func (de *deltaExtractor) bucket(ix *MatchIndex, st *irState) {
 	if st.bucketed == ix {
 		return
 	}
 	st.bucketed = ix
-	starts := grow(st.letterStart, ix.nLetters+1)
+	n := len(ix.toks)
+	starts := grow(st.tokStart, n+1)
 	clear(starts)
-	n := 0
 	for _, t := range st.g.toks {
-		if int(t) < len(ix.letters) && ix.letters[t] >= 0 {
-			starts[ix.letters[t]+1]++
-			n++
+		if int(t) < n {
+			starts[t+1]++
 		}
 	}
-	for l := 1; l <= ix.nLetters; l++ {
-		starts[l] += starts[l-1]
+	for t := 1; t <= n; t++ {
+		starts[t] += starts[t-1]
 	}
-	nodes := grow(st.byLetter, n)
+	nodes := grow(st.byTok, int(starts[n]))
 	for v, t := range st.g.toks {
-		if int(t) < len(ix.letters) && ix.letters[t] >= 0 {
-			l := ix.letters[t]
-			nodes[starts[l]] = int32(v)
-			starts[l]++
+		if int(t) < n {
+			nodes[starts[t]] = int32(v)
+			starts[t]++
 		}
 	}
-	// The fill advanced each start to the next letter's: shift back.
-	copy(starts[1:], starts[:ix.nLetters])
+	// The fill advanced each start to the next token's: shift back.
+	copy(starts[1:], starts[:n])
 	starts[0] = 0
-	st.letterStart, st.byLetter = starts, nodes
+	st.tokStart, st.byTok = starts, nodes
 }
 
 // isPath reports whether the token sequence labels a walk along st's
 // dependency edges: a breadth-first frontier of the nodes that can end
 // each prefix, deduplicated by a stamp per node.
-func (de *deltaExtractor) isPath(st *irState, ix *MatchIndex, toks []uint32) bool {
+func (de *deltaExtractor) isPath(st *irState, toks []uint32) bool {
 	g := &st.g
-	l := ix.letters[toks[0]]
-	front := append(de.frontier[:0], st.byLetter[st.letterStart[l]:st.letterStart[l+1]]...)
+	t0 := toks[0]
+	front := append(de.frontier[:0], st.byTok[st.tokStart[t0]:st.tokStart[t0+1]]...)
 	if len(de.mark) < len(g.toks) {
 		de.mark = make([]uint32, len(g.toks)) // zeros: below every stamp
 	}

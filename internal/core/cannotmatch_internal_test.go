@@ -35,15 +35,15 @@ func TestIsPathFollowsDependencyEdges(t *testing.T) {
 	for c := range cases {
 		chains = append(chains, c)
 	}
-	db.Add(VDC{CVE: "CVE-P", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{"GVN": MakeDelta(chains, nil)}}}})
+	db.Add(VDC{CVE: "CVE-P", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{"GVN": mkDelta(chains, nil)}}}})
 	ix := db.Index(1)
-	de := newDeltaExtractor()
+	de := newDeltaExtractor(ix)
 	defer de.release()
 	var st irState
 	de.load(&st, s)
 	de.bucket(ix, &st)
 	for c, want := range cases {
-		if got := de.isPath(&st, ix, tokensOf(c)); got != want {
+		if got := de.isPath(&st, de.tokensOf(c)); got != want {
 			t.Errorf("isPath(%s) = %v, want %v", c, got, want)
 		}
 	}
@@ -74,7 +74,7 @@ func TestMayMatchCountsPathsPerEntry(t *testing.T) {
 		{"unrelated pass, degenerate thresholds", other, otherAfter, 0, 0, true},
 	} {
 		ix := db.Index(tc.thr)
-		de := newDeltaExtractor()
+		de := newDeltaExtractor(ix)
 		pre, post, changed := de.advance(tc.before, tc.after)
 		if !changed {
 			t.Fatalf("%s: fixture unchanged", tc.name)

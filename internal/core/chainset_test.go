@@ -11,7 +11,9 @@ import (
 // apart by content, so equal chains still group and the Δ is exact. Every
 // chain here is given the same hash.
 func TestChainSetHashTiesGroupByContent(t *testing.T) {
-	a, b, c := tokensOf("tie-a→x"), tokensOf("tie-b→x"), tokensOf("tie-c→x")
+	de := newDeltaExtractor(nil)
+	defer de.release()
+	a, b, c := de.tokensOf("tie-a→x"), de.tokensOf("tie-b→x"), de.tokensOf("tie-c→x")
 	collide := func(chains ...[]uint32) *chainSet {
 		cs := &chainSet{}
 		for _, ch := range chains {
@@ -26,7 +28,7 @@ func TestChainSetHashTiesGroupByContent(t *testing.T) {
 		seen := map[string]bool{}
 		for i := 0; i < len(cs.keys); {
 			end := cs.run(i)
-			key := chainStr(cs.chain(cs.keys[i]))
+			key := de.chainStr(cs.chain(cs.keys[i]))
 			if seen[key] {
 				t.Fatalf("chain %q is split into two runs", key)
 			}
@@ -35,15 +37,14 @@ func TestChainSetHashTiesGroupByContent(t *testing.T) {
 		}
 	}
 
-	de := newDeltaExtractor()
-	defer de.release()
 	rem, add := de.diffChainSets(pre, post)
+	got := de.render(idDelta{removed: rem, added: add})
 	// a: 2 → 1 and b: 1 → 2 change multiplicity, emitted whole; c is gone
 	// with nothing to pair it with.
-	if got, want := ChainStrings(rem), []string{"tie-a→x", "tie-c→x"}; !reflect.DeepEqual(got, want) {
+	if got, want := got.Removed, []string{"tie-a→x", "tie-c→x"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("removed = %q, want %q", got, want)
 	}
-	if got, want := ChainStrings(add), []string{"tie-b→x"}; !reflect.DeepEqual(got, want) {
+	if got, want := got.Added, []string{"tie-b→x"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("added = %q, want %q", got, want)
 	}
 }
@@ -53,11 +54,12 @@ func TestChainSetHashTiesGroupByContent(t *testing.T) {
 // prefixes of one another ("add" < "addx" but "add→x" > "addx").
 func TestCompareJoinedMatchesStrings(t *testing.T) {
 	alphabet := []string{"add", "addx", "ad", "a", "b", "constant(1)", "constant(10)", "→", "x→"}
+	de := newDeltaExtractor(nil)
+	defer de.release()
 	toks := make([]uint32, len(alphabet))
 	for i, s := range alphabet {
-		toks[i] = interner.Token(s)
+		toks[i] = de.token(s)
 	}
-	view := interner.tokensView()
 	rng := rand.New(rand.NewSource(7))
 	chain := func() []uint32 {
 		out := make([]uint32, rng.Intn(4))
@@ -68,9 +70,9 @@ func TestCompareJoinedMatchesStrings(t *testing.T) {
 	}
 	for trial := 0; trial < 20000; trial++ {
 		a, b := chain(), chain()
-		want := strings.Compare(chainStr(a), chainStr(b))
-		if got := compareJoined(a, b, view); got != want {
-			t.Fatalf("compareJoined(%q, %q) = %d, strings.Compare = %d", chainStr(a), chainStr(b), got, want)
+		want := strings.Compare(de.chainStr(a), de.chainStr(b))
+		if got := compareJoined(a, b, de.tokNames); got != want {
+			t.Fatalf("compareJoined(%q, %q) = %d, strings.Compare = %d", de.chainStr(a), de.chainStr(b), got, want)
 		}
 	}
 }

@@ -13,11 +13,9 @@ import (
 // CompareChains implements the COMPARECHAINS function of Algorithm 2: two
 // sub-chain sets are similar when the number of chains in common reaches
 // both the absolute threshold Thr and the fraction Ratio of the maximum
-// possible (the smaller set's size). Inputs are sorted interned chain-ID
-// sets (as produced by the extractor or InternChains); because chain IDs
-// are bijective with chain contents, the verdict is identical to the
-// string-based reference.
-func CompareChains(a, b []uint32, ratio float64, thr int) bool {
+// possible (the smaller set's size). Inputs are sorted chain sets, as a
+// Delta holds them. The detector itself compares through its MatchIndex.
+func CompareChains(a, b []string, ratio float64, thr int) bool {
 	maxEq := len(a)
 	if len(b) < maxEq {
 		maxEq = len(b)
@@ -151,16 +149,16 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 		}
 	}
 	d.resolveHists()
-	dna := DNA{FuncName: fnName, Passes: map[string]Delta{}}
-	de := newDeltaExtractor()
-	// The passes worth extracting, the cannot-match test and the decision
-	// all read the database as it stands now, so no pass is skipped under
-	// one index and judged under another. An Add, Remove or Thr change
-	// takes effect from the next compile.
+	dna := map[string]idDelta{}
+	// The passes worth extracting, the cannot-match test, the IDs and the
+	// decision all read the database as it stands now, so no pass is
+	// skipped under one index and judged under another. An Add, Remove or
+	// Thr change takes effect from the next compile.
 	var ix *MatchIndex
 	if d.DB != nil {
 		ix = d.DB.Index(d.Thr)
 	}
+	de := newDeltaExtractor(ix)
 	ratio := d.Ratio
 	skipped := 0
 	observe := func(_ int, passName string, before, after *mir.Snapshot) {
@@ -180,15 +178,15 @@ func (d *Detector) BeginCompile(fnName string) (passes.Observer, func() engine.C
 			return
 		}
 		delta := de.diff(pre, post)
-		if !delta.Empty() {
-			dna.Passes[passName] = delta
+		if len(delta.removed)+len(delta.added) > 0 {
+			dna[passName] = delta
 			d.pairHist.Observe(int64(de.pairCands))
 		}
 	}
 	finish := func() engine.CompileDecision {
 		de.release()
 		d.skipHist.Observe(int64(skipped))
-		return d.decide(ix, ratio, &dna)
+		return d.decide(ix, ratio, dna)
 	}
 	return observe, finish
 }
@@ -204,22 +202,28 @@ func (d *Detector) Decide(dna *DNA) engine.CompileDecision {
 		return engine.CompileDecision{NoJIT: true}
 	}
 	d.resolveHists()
-	return d.decide(d.DB.Index(d.Thr), d.Ratio, dna)
+	ix := d.DB.Index(d.Thr)
+	ids := make(map[string]idDelta, len(dna.Passes))
+	for name, delta := range dna.Passes {
+		ids[name] = ix.ids(delta)
+	}
+	return d.decide(ix, d.Ratio, ids)
 }
 
-// decide is Decide against one index, the one a compile's observer read.
-func (d *Detector) decide(ix *MatchIndex, ratio float64, dna *DNA) engine.CompileDecision {
+// decide is Decide against one index, the one a compile's observer read,
+// over a DNA in that index's IDs.
+func (d *Detector) decide(ix *MatchIndex, ratio float64, dna map[string]idDelta) engine.CompileDecision {
 	if ix == nil {
 		return engine.CompileDecision{}
 	}
 	found := d.found[:0]
-	for passName, fdelta := range dna.Passes {
+	for passName, fdelta := range dna {
 		passName := passName
-		d.deltaHist.Observe(int64(len(fdelta.Removed) + len(fdelta.Added)))
+		d.deltaHist.Observe(int64(len(fdelta.removed) + len(fdelta.added)))
 		ix.query(passName, fdelta, ratio, ix.thr, &d.scratch, func(cve, vdcFunc string, chain uint32, side matchSide) {
 			m := obs.Match{CVE: cve, VDCFunc: vdcFunc, Pass: passName, Side: side.String()}
 			if chain != noChain {
-				m.Chain = ChainString(chain)
+				m.Chain = ix.chains[chain]
 			}
 			found = append(found, m)
 		})
@@ -304,13 +308,12 @@ func (r *Recorder) Active() bool { return true }
 // BeginCompile implements engine.Policy.
 func (r *Recorder) BeginCompile(fnName string) (passes.Observer, func() engine.CompileDecision) {
 	dna := DNA{FuncName: fnName, Passes: map[string]Delta{}}
-	de := newDeltaExtractor()
+	de := newDeltaExtractor(nil)
 	observe := func(_ int, passName string, before, after *mir.Snapshot) {
 		if before == nil || after == nil {
 			return
 		}
-		delta := de.delta(before, after)
-		if !delta.Empty() {
+		if delta := de.render(de.delta(before, after)); !delta.Empty() {
 			dna.Passes[passName] = delta
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -68,47 +69,51 @@ func (de *deltaExtractor) chainsOf(s *mir.Snapshot, cs *chainSet) {
 // chainStringsOf runs the chain enumeration and renders the result as
 // sorted strings.
 func chainStringsOf(s *mir.Snapshot) []string {
-	de := newDeltaExtractor()
+	de := newDeltaExtractor(nil)
 	defer de.release()
 	var cs chainSet
 	de.chainsOf(s, &cs)
-	return cs.strings()
+	return de.strings(&cs)
 }
 
 // strings renders a chain set as sorted chain strings, duplicates kept
-// (nil when empty, as ChainStrings).
-func (cs *chainSet) strings() []string {
+// (nil when empty).
+func (de *deltaExtractor) strings(cs *chainSet) []string {
 	if len(cs.keys) == 0 {
 		return nil
 	}
 	out := make([]string, 0, len(cs.keys))
 	for _, k := range cs.keys {
-		out = append(out, chainStr(cs.chain(k)))
+		out = append(out, de.chainStr(cs.chain(k)))
 	}
 	sort.Strings(out)
 	return out
 }
 
 // chainStr renders a token span.
-func chainStr(toks []uint32) string {
-	view := interner.tokensView()
+func (de *deltaExtractor) chainStr(toks []uint32) string {
 	parts := make([]string, len(toks))
 	for i, tok := range toks {
-		parts[i] = view[tok]
+		parts[i] = de.tokNames[tok]
 	}
 	return strings.Join(parts, chainSep)
 }
 
 // chainSetOf builds a sorted chain set from chain strings, hashed as
 // walkChains hashes them.
-func chainSetOf(chains []string) *chainSet {
+func (de *deltaExtractor) chainSetOf(chains []string) *chainSet {
 	cs := &chainSet{}
 	for _, c := range chains {
-		toks := tokensOf(c)
+		toks := de.tokensOf(c)
 		cs.add(toks, chainHash(toks))
 	}
 	cs.sort()
 	return cs
+}
+
+// mkDelta builds a Delta from chain lists, each side as a sorted set.
+func mkDelta(removed, added []string) Delta {
+	return Delta{Removed: sortedSet(slices.Clone(removed)), Added: sortedSet(slices.Clone(added))}
 }
 
 // chainHash is the content hash walkChains computes as the path grows.
@@ -120,11 +125,11 @@ func chainHash(toks []uint32) uint64 {
 	return chainHashFinal(h)
 }
 
-// tokensOf interns a chain string's tokens (not the chain).
-func tokensOf(c string) []uint32 {
+// tokensOf returns a chain string's token IDs in de's numbering.
+func (de *deltaExtractor) tokensOf(c string) []uint32 {
 	var toks []uint32
 	for _, p := range strings.Split(c, chainSep) {
-		toks = append(toks, interner.Token(p))
+		toks = append(toks, de.token(p))
 	}
 	return toks
 }
@@ -205,7 +210,7 @@ func TestExtractDeltaRemovedInstruction(t *testing.T) {
 		"8 return 7",
 	)
 	d := ExtractDelta(before, after)
-	joined := strings.Join(ChainStrings(d.Removed), " | ")
+	joined := strings.Join(d.Removed, " | ")
 	if !strings.Contains(joined, "boundscheck") {
 		t.Fatalf("removed chains should mention boundscheck: %v", d.Removed)
 	}
@@ -247,13 +252,11 @@ func TestCompareChains(t *testing.T) {
 		{nil, mk(3, "x"), 3, 0.5, false},
 	}
 	for i, tt := range tests {
-		a := InternChains(tt.a)
-		b := InternChains(tt.b)
-		if got := CompareChains(a, b, tt.rat, tt.thr); got != tt.want {
-			t.Errorf("case %d: got %v, want %v", i, got, tt.want)
-		}
 		ra := sortedSet(append([]string(nil), tt.a...))
 		rb := sortedSet(append([]string(nil), tt.b...))
+		if got := CompareChains(ra, rb, tt.rat, tt.thr); got != tt.want {
+			t.Errorf("case %d: got %v, want %v", i, got, tt.want)
+		}
 		if got := RefCompareChains(ra, rb, tt.rat, tt.thr); got != tt.want {
 			t.Errorf("case %d (reference): got %v, want %v", i, got, tt.want)
 		}
@@ -262,12 +265,12 @@ func TestCompareChains(t *testing.T) {
 
 func TestCompareChainsPropertySymmetric(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
-		mk := func(v []uint8) []uint32 {
+		mk := func(v []uint8) []string {
 			var out []string
 			for _, x := range v {
 				out = append(out, strings.Repeat("c", int(x%7)+1))
 			}
-			return InternChains(out)
+			return sortedSet(out)
 		}
 		a, b := mk(xs), mk(ys)
 		return CompareChains(a, b, 0.5, 3) == CompareChains(b, a, 0.5, 3)
@@ -278,13 +281,13 @@ func TestCompareChainsPropertySymmetric(t *testing.T) {
 }
 
 func TestSimilarDeltasEitherSideSuffices(t *testing.T) {
-	a := MakeDelta([]string{"p", "q", "r"}, nil)
-	b := MakeDelta([]string{"p", "q", "r"}, nil)
+	a := mkDelta([]string{"p", "q", "r"}, nil)
+	b := mkDelta([]string{"p", "q", "r"}, nil)
 	if !SimilarDeltas(a, b, 0.5, 3) {
 		t.Error("removed-side similarity not detected")
 	}
-	c := MakeDelta(nil, []string{"p", "q", "r"})
-	d := MakeDelta(nil, []string{"p", "q", "r"})
+	c := mkDelta(nil, []string{"p", "q", "r"})
+	d := mkDelta(nil, []string{"p", "q", "r"})
 	if !SimilarDeltas(c, d, 0.5, 3) {
 		t.Error("added-side similarity not detected")
 	}
@@ -296,7 +299,7 @@ func TestSimilarDeltasEitherSideSuffices(t *testing.T) {
 func TestDatabaseAddRemoveSaveLoad(t *testing.T) {
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-1", DNAs: []DNA{{FuncName: "f", Passes: map[string]Delta{
-		"GVN": MakeDelta([]string{"a→b", "c→d", "e→f"}, nil),
+		"GVN": mkDelta([]string{"a→b", "c→d", "e→f"}, nil),
 	}}}})
 	db.Add(VDC{CVE: "CVE-2", DNAs: []DNA{{FuncName: "g", Passes: map[string]Delta{}}}})
 	if db.Size() != 2 {
@@ -342,13 +345,13 @@ func TestDiffChainSetsWholeChains(t *testing.T) {
 	if len(added) != 0 {
 		t.Fatalf("added = %v", added)
 	}
-	de := newDeltaExtractor()
+	de := newDeltaExtractor(nil)
 	defer de.release()
-	rem, add := de.diffChainSets(chainSetOf(pre), chainSetOf(post))
-	if got := ChainStrings(rem); !reflect.DeepEqual(got, removed) {
-		t.Fatalf("interned removed = %v, want %v", got, removed)
+	rem, add := de.diffChainSets(de.chainSetOf(pre), de.chainSetOf(post))
+	if got := de.render(idDelta{removed: rem}).Removed; !reflect.DeepEqual(got, removed) {
+		t.Fatalf("fast removed = %v, want %v", got, removed)
 	}
 	if len(add) != 0 {
-		t.Fatalf("interned added = %v", ChainStrings(add))
+		t.Fatalf("fast added = %v", de.render(idDelta{added: add}).Added)
 	}
 }

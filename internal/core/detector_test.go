@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/jitbull/jitbull/internal/mir"
@@ -75,7 +76,7 @@ func TestDetectorScenario3MandatoryPass(t *testing.T) {
 func TestDetectorScenario1NoMatch(t *testing.T) {
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-Z", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
-		"GVN": MakeDelta([]string{"x→y", "p→q", "r→s"}, nil),
+		"GVN": mkDelta([]string{"x→y", "p→q", "r→s"}, nil),
 	}}}})
 	det := NewDetector(db)
 	obs, finish := det.BeginCompile("victim")
@@ -92,7 +93,7 @@ func TestDetectorScenario1NoMatch(t *testing.T) {
 func TestDetectorIgnoresSkippedPasses(t *testing.T) {
 	db := &Database{}
 	db.Add(VDC{CVE: "CVE-W", DNAs: []DNA{{FuncName: "poc", Passes: map[string]Delta{
-		"GVN": MakeDelta([]string{"a", "b", "c"}, nil),
+		"GVN": mkDelta([]string{"a", "b", "c"}, nil),
 	}}}})
 	det := NewDetector(db)
 	obs, finish := det.BeginCompile("victim")
@@ -156,21 +157,22 @@ func TestThresholdAndRatioKnobs(t *testing.T) {
 }
 
 func TestDeltaExtractorMemoization(t *testing.T) {
-	var de deltaExtractor
+	de := newDeltaExtractor(nil)
+	defer de.release()
 	s1 := richSnap(3)
 	s2 := richSnap(1)
 	s3 := richSnap(0)
-	d1 := de.delta(s1, s2)
-	d2 := de.delta(s2, s3) // before == memoized after
+	d1 := de.render(de.delta(s1, s2))
+	d2 := de.render(de.delta(s2, s3)) // before == memoized after
 	if d1.Empty() || d2.Empty() {
 		t.Fatal("expected non-empty deltas")
 	}
 	// Equality short-circuit must report an empty delta.
-	if d := de.delta(s3, s3); !d.Empty() {
+	if d := de.render(de.delta(s3, s3)); !d.Empty() {
 		t.Fatalf("identical snapshots gave %+v", d)
 	}
 	// Cross-check against the non-memoized extractor.
-	if want := ExtractDelta(s2, s3); len(want.Removed) != len(d2.Removed) {
-		t.Fatalf("memoized delta differs: %v vs %v", want.Removed, d2.Removed)
+	if want := ExtractDelta(s2, s3); !reflect.DeepEqual(want, d2) {
+		t.Fatalf("memoized delta differs: %v vs %v", want, d2)
 	}
 }

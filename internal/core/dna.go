@@ -5,11 +5,13 @@
 // driving a go/no-go policy that disables matched optimization passes (or,
 // when a matched pass is mandatory, JIT compilation of that function).
 //
-// Δs are sets of interned chain IDs (see Interner), compared through an
-// inverted index compiled from the database (see MatchIndex), and only
-// the passes the database fingerprints are extracted (Detector.Watches);
-// reference_test.go retains the original string-based implementation,
-// which the equivalence tests hold the fast path to.
+// A Δ is two sets of chain strings. The database is compared through an
+// inverted index compiled from it (see MatchIndex), which numbers the
+// chains it posts; a compile's extractor works in those numbers, so no ID
+// outlives the index that gave it. Only the passes the database
+// fingerprints are extracted (Detector.Watches); reference_test.go
+// retains the original string-based implementation, which the
+// equivalence tests hold the fast path to.
 package core
 
 import (
@@ -30,41 +32,12 @@ const (
 
 // Delta is Δ_i^f: the effect of optimization pass i on function f's IR,
 // expressed as the sets of removed (δ⁻) and added (δ⁺) dependency
-// sub-chains. Chains are interned: Removed and Added are sorted sets of
-// dense chain IDs; the "→"-joined string rendering (the IDs are renumbered
-// between passes, so content — not numbering — is what identifies a chain)
-// appears only in the JSON form, which is unchanged from earlier versions.
+// sub-chains. A chain is its "→"-joined opcode sequence (the IR's IDs are
+// renumbered between passes, so content — not numbering — identifies a
+// chain); each side is a sorted set of chains.
 type Delta struct {
-	Removed []uint32
-	Added   []uint32
-}
-
-// deltaJSON is the serialized (and historical) form of a Delta.
-type deltaJSON struct {
 	Removed []string `json:"removed,omitempty"`
 	Added   []string `json:"added,omitempty"`
-}
-
-// MarshalJSON renders the chain sets as lexicographically sorted strings.
-func (d Delta) MarshalJSON() ([]byte, error) {
-	return json.Marshal(deltaJSON{Removed: ChainStrings(d.Removed), Added: ChainStrings(d.Added)})
-}
-
-// UnmarshalJSON interns the string chains of the serialized form.
-func (d *Delta) UnmarshalJSON(data []byte) error {
-	var j deltaJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	d.Removed = InternChains(j.Removed)
-	d.Added = InternChains(j.Added)
-	return nil
-}
-
-// MakeDelta interns string chain sets into a Delta (tools and tests; the
-// extractor produces interned deltas directly).
-func MakeDelta(removed, added []string) Delta {
-	return Delta{Removed: InternChains(removed), Added: InternChains(added)}
 }
 
 // Empty reports whether the pass had no observable effect.
@@ -117,19 +90,13 @@ type Database struct {
 // verdict is a deterministic function of (DNA, database contents,
 // thresholds), so two databases with equal contents may soundly share
 // cached verdicts even across a restart. Any Add/Remove moves the
-// database to a fresh fingerprint. A database that cannot serialize (a
-// dangling chain ID, which Validate rejects on every persistence path)
-// has no content identity, and Fingerprint reports 0. Safe for concurrent
-// use by fully built (no longer mutating) databases.
+// database to a fresh fingerprint. Safe for concurrent use by fully built
+// (no longer mutating) databases.
 func (db *Database) Fingerprint() uint64 {
 	if f := db.fp.Load(); f != 0 {
 		return f
 	}
-	defer func() { recover() }() // a dangling chain ID panics inside Delta.MarshalJSON; the result stays 0
-	payload, err := json.Marshal(db.VDCs)
-	if err != nil {
-		return 0
-	}
+	payload, _ := json.Marshal(db.VDCs) // strings, slices and maps: cannot fail
 	sum := sha256.Sum256(payload)
 	f := binary.LittleEndian.Uint64(sum[:8]) | 1 // 0 is reserved
 	db.fp.Store(f)

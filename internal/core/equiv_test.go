@@ -1,6 +1,6 @@
 package core
 
-// Golden-equivalence tests: the interned fast path (extract.go, index.go,
+// Golden-equivalence tests: the chain-ID fast path (extract.go, index.go,
 // compare.go) must be indistinguishable — chain for chain, decision for
 // decision — from the retained string-based reference (reference.go).
 
@@ -52,11 +52,11 @@ func snapshotFromBytes(data []byte, n int, idStride int) (*mir.Snapshot, []byte)
 func checkDeltaEquivalence(t *testing.T, before, after *mir.Snapshot) {
 	t.Helper()
 
-	de := newDeltaExtractor()
+	de := newDeltaExtractor(nil)
 	var pre, post chainSet
 	de.chainsOf(before, &pre)
 	de.chainsOf(after, &post)
-	gotPre, gotPost := pre.strings(), post.strings()
+	gotPre, gotPost := de.strings(&pre), de.strings(&post)
 	de.release()
 	wantPre := refChainsOf(before)
 	wantPost := refChainsOf(after)
@@ -74,11 +74,9 @@ func checkDeltaEquivalence(t *testing.T, before, after *mir.Snapshot) {
 	}
 
 	// COMPARECHAINS must agree across thresholds, including degenerate ones.
-	fa := InternChains(want.Removed)
-	fb := InternChains(want.Added)
 	for _, thr := range []int{0, 1, 3} {
 		for _, ratio := range []float64{0, 0.5, 1} {
-			if CompareChains(fa, fb, ratio, thr) != RefCompareChains(want.Removed, want.Added, ratio, thr) {
+			if CompareChains(got.Removed, got.Added, ratio, thr) != RefCompareChains(want.Removed, want.Added, ratio, thr) {
 				t.Fatalf("CompareChains diverged at thr=%d ratio=%v for %v vs %v", thr, ratio, want.Removed, want.Added)
 			}
 		}
@@ -180,7 +178,7 @@ func TestDecideEquivalenceRandomDB(t *testing.T) {
 						continue
 					}
 					rem, add := randDelta(rng, vocab)
-					dna.Passes[pn] = MakeDelta(rem, add)
+					dna.Passes[pn] = mkDelta(rem, add)
 				}
 				vdc.DNAs = append(vdc.DNAs, dna)
 			}
@@ -193,7 +191,7 @@ func TestDecideEquivalenceRandomDB(t *testing.T) {
 				continue
 			}
 			rem, add := randDelta(rng, vocab)
-			cand.Passes[pn] = MakeDelta(rem, add)
+			cand.Passes[pn] = mkDelta(rem, add)
 		}
 		refCand := cand.Ref()
 

@@ -1,6 +1,6 @@
 package core_test
 
-// Full-corpus golden-equivalence suite: the interned, index-backed
+// Full-corpus golden-equivalence suite: the chain-ID, index-backed
 // core.Detector must produce exactly the go/no-go decision sequence of
 // core.ReferenceDetector (the retained pre-optimization implementation) on
 // whole engine runs — the benign Octane corpus, every vulnerability

@@ -28,34 +28,46 @@ const chainSep = "→"
 
 // ExtractDelta implements Algorithm 1: build the instruction dependency
 // graphs of IR_{i-1} and IR_i, enumerate their root→leaf dependency
-// chains, and compute the removed (δ⁻) and added (δ⁺) sub-chains, as
-// interned chain-ID sets. The result is defined to be identical (chain for
-// chain) to RefExtractDelta, the retained string-based reference. Only
-// the chains the Δ keeps are interned.
+// chains, and compute the removed (δ⁻) and added (δ⁺) sub-chains. The
+// result is defined to be identical (chain for chain) to RefExtractDelta,
+// the retained string-based reference.
 func ExtractDelta(before, after *mir.Snapshot) Delta {
-	de := newDeltaExtractor()
+	de := newDeltaExtractor(nil)
 	defer de.release()
 	pre, post := &de.states[0], &de.states[1]
 	de.load(pre, before)
 	de.load(post, after)
-	return de.diff(pre, post)
+	return de.render(de.diff(pre, post))
 }
 
 // extractorPool recycles deltaExtractors — and with them the dependency
 // graphs, DFS, and diff scratch buffers — across compilations.
 var extractorPool = sync.Pool{New: func() any { return &deltaExtractor{} }}
 
-// newDeltaExtractor returns a pooled extractor with a cleared memo.
-func newDeltaExtractor() *deltaExtractor {
-	return extractorPool.Get().(*deltaExtractor)
+// newDeltaExtractor returns a pooled extractor with a cleared memo that
+// numbers tokens and chains as ix does (nil: no index, every ID local).
+func newDeltaExtractor(ix *MatchIndex) *deltaExtractor {
+	de := extractorPool.Get().(*deltaExtractor)
+	if ix == nil {
+		ix = &MatchIndex{}
+	}
+	de.ix = ix
+	de.tokNames = append(de.tokNames, ix.toks...)
+	return de
 }
 
-// release clears the memo and returns the extractor (and its scratch) to
-// the pool.
+// release clears the memo and the compile-local IDs and returns the
+// extractor (and its scratch) to the pool.
 func (de *deltaExtractor) release() {
 	for i := range de.states {
 		de.states[i].snap, de.states[i].bucketed = nil, nil
 	}
+	de.ix = nil
+	clear(de.tokNames)
+	de.tokNames = de.tokNames[:0]
+	clear(de.localToks)
+	clear(de.localChains)
+	de.localSpans, de.localToksBuf = de.localSpans[:0], de.localToksBuf[:0]
 	extractorPool.Put(de)
 }
 
@@ -71,6 +83,17 @@ func (de *deltaExtractor) release() {
 type deltaExtractor struct {
 	states [2]irState
 	memo   int
+
+	// The compile's IDs: ix's tokens and chains, then compile-local IDs
+	// above them for the rest, in order of first sight. tokNames renders
+	// every token ID; local chain i is the token span localSpans[i] of
+	// localToksBuf.
+	ix           *MatchIndex
+	tokNames     []string
+	localToks    map[string]uint32
+	localChains  map[string]uint32 // key: appendChainKey
+	localSpans   []chainSpan
+	localToksBuf []uint32
 
 	// buildGraph scratch.
 	idSlice []int32     // dense ID -> node index (-1 = absent)
@@ -114,11 +137,11 @@ type irState struct {
 	set    chainSet
 	hasSet bool // set holds g's chains
 
-	// The graph's nodes bucketed by the letters of index bucketed (nil:
-	// not bucketed): letter l's nodes are byLetter[letterStart[l]:letterStart[l+1]].
-	bucketed    *MatchIndex
-	letterStart []int32
-	byLetter    []int32
+	// The graph's nodes bucketed by the tokens of index bucketed (nil:
+	// not bucketed): token t's nodes are byTok[tokStart[t]:tokStart[t+1]].
+	bucketed *MatchIndex
+	tokStart []int32
+	byTok    []int32
 }
 
 // load makes st the state of snapshot s.
@@ -157,24 +180,95 @@ func (de *deltaExtractor) advance(before, after *mir.Snapshot) (pre, post *irSta
 }
 
 // delta is the Δ of one observed pass, through the memo.
-func (de *deltaExtractor) delta(before, after *mir.Snapshot) Delta {
+func (de *deltaExtractor) delta(before, after *mir.Snapshot) idDelta {
 	pre, post, changed := de.advance(before, after)
 	if !changed {
-		return Delta{}
+		return idDelta{}
 	}
 	return de.diff(pre, post)
 }
 
 // diff computes the Δ between two loaded states.
-func (de *deltaExtractor) diff(pre, post *irState) Delta {
+func (de *deltaExtractor) diff(pre, post *irState) idDelta {
 	removed, added := de.diffChainSets(de.chains(pre), de.chains(post))
-	return Delta{Removed: removed, Added: added}
+	return idDelta{removed: removed, added: added}
+}
+
+// token returns the ID of an opcode: the index's, or a compile-local one.
+func (de *deltaExtractor) token(op string) uint32 {
+	if id, ok := de.ix.tokIDs[op]; ok {
+		return id
+	}
+	if id, ok := de.localToks[op]; ok {
+		return id
+	}
+	if de.localToks == nil {
+		de.localToks = map[string]uint32{}
+	}
+	id := uint32(len(de.tokNames))
+	de.tokNames = append(de.tokNames, op)
+	de.localToks[op] = id
+	return id
+}
+
+// chainID returns the ID of a chain given as tokens: the index's, or a
+// compile-local one. A known chain costs no allocation.
+func (de *deltaExtractor) chainID(toks []uint32) uint32 {
+	var arr [4 * maxChainLen]byte
+	key := appendChainKey(arr[:0], toks)
+	if id, ok := de.ix.chainIDs[string(key)]; ok {
+		return id
+	}
+	if id, ok := de.localChains[string(key)]; ok {
+		return id
+	}
+	if de.localChains == nil {
+		de.localChains = map[string]uint32{}
+	}
+	id := uint32(len(de.ix.chains) + len(de.localSpans))
+	de.localSpans = append(de.localSpans, chainSpan{off: uint32(len(de.localToksBuf)), n: uint32(len(toks))})
+	de.localToksBuf = append(de.localToksBuf, toks...)
+	de.localChains[string(key)] = id
+	return id
+}
+
+// render returns the chains of d as a public Delta: sorted strings, each
+// side's rendered into one backing string.
+func (de *deltaExtractor) render(d idDelta) Delta {
+	side := func(ids []uint32) []string {
+		if len(ids) == 0 {
+			return nil
+		}
+		var sb strings.Builder
+		ends := make([]int, len(ids))
+		for i, id := range ids {
+			if int(id) < len(de.ix.chains) {
+				sb.WriteString(de.ix.chains[id])
+			} else {
+				sp := de.localSpans[int(id)-len(de.ix.chains)]
+				for j, t := range de.localToksBuf[sp.off : sp.off+sp.n] {
+					if j > 0 {
+						sb.WriteString(chainSep)
+					}
+					sb.WriteString(de.tokNames[t])
+				}
+			}
+			ends[i] = sb.Len()
+		}
+		all, out, start := sb.String(), make([]string, len(ids)), 0
+		for i, end := range ends {
+			out[i], start = all[start:end], end
+		}
+		slices.Sort(out)
+		return out
+	}
+	return Delta{Removed: side(d.removed), Added: side(d.added)}
 }
 
 // depGraph is the dependency-graph form of one IR snapshot (BuildGraph in
 // Algorithm 1) in compressed-sparse-row layout: node i's dependencies are
 // depList[depStart[i]:depStart[i+1]]; roots are instructions that are not
-// a dependency of any other instruction. Opcodes are interned tokens.
+// a dependency of any other instruction. Opcodes are token IDs.
 type depGraph struct {
 	toks     []uint32
 	depStart []int32
@@ -245,7 +339,7 @@ func (de *deltaExtractor) buildGraph(s *mir.Snapshot, g *depGraph) {
 
 	for i := range s.Instrs {
 		in := &s.Instrs[i]
-		g.toks[i] = interner.Token(in.Opcode)
+		g.toks[i] = de.token(in.Opcode)
 		g.depStart[i] = int32(len(g.depList))
 		if len(in.Operands) == 0 {
 			continue
@@ -282,9 +376,9 @@ type walkFrame struct {
 // walkChains fills cs with the dependency chains of the graph —
 // MakeChains over every root — as a sorted multiset: two different
 // instruction paths with the same opcode sequence yield two entries, so
-// duplicate-elimination by later passes stays observable. Nothing is
-// interned: each chain is a token span with a content hash, hashed as the
-// path grows. The walk is an explicit-stack DFS with []bool on-path marks
+// duplicate-elimination by later passes stays observable. No chain gets
+// an ID: each is a token span with a content hash, hashed as the path
+// grows. The walk is an explicit-stack DFS with []bool on-path marks
 // and mirrors the recursive reference step for step (including the
 // maxChains and maxChainLen truncation points), so the chain multiset is
 // identical to refChainsOf's. Every chain is a path along the graph's
@@ -350,7 +444,7 @@ func (de *deltaExtractor) walkChains(g *depGraph, cs *chainSet) {
 	cs.sort()
 }
 
-// chainSet is the chain multiset of one snapshot, held without interning:
+// chainSet is the chain multiset of one snapshot, held without chain IDs:
 // chain i is the token span toks[spans[i].off:][:spans[i].n] with a 64-bit
 // content hash. keys packs hash<<chainIdxBits | i into one word, so the
 // multiset sorts as plain integers; runs of equal hash are then ordered by
@@ -503,8 +597,8 @@ func compareJoined(a, b []uint32, toks []string) int {
 // example) are emitted. Candidate ordering — which fixes the maxPairCands
 // truncation and LCS tie-breaks — follows the chains' string forms,
 // exactly as the string-sorted reference does. Only the emitted chains
-// are interned: a chain on both sides with an unchanged count, or one that
-// is paired and emits its runs instead, never enters the interner.
+// get IDs (chainID): a chain on both sides with an unchanged count, or one
+// that is paired and emits its runs instead, never does.
 func (de *deltaExtractor) diffChainSets(pre, post *chainSet) (removed, added []uint32) {
 	rem := de.removedB[:0]
 	add := de.addedB[:0]
@@ -537,16 +631,15 @@ func (de *deltaExtractor) diffChainSets(pre, post *chainSet) (removed, added []u
 		default:
 			ie, je := pre.run(i), post.run(j)
 			if n, m := ie-i, je-j; n > m {
-				rem = append(rem, interner.Chain(pre.chain(pre.keys[i])))
+				rem = append(rem, de.chainID(pre.chain(pre.keys[i])))
 			} else if m > n {
-				add = append(add, interner.Chain(post.chain(post.keys[j])))
+				add = append(add, de.chainID(post.chain(post.keys[j])))
 			}
 			i, j = ie, je
 		}
 	}
 
-	toks := interner.tokensView()
-	byStr := func(a, b []uint32) int { return compareJoined(a, b, toks) }
+	byStr := func(a, b []uint32) int { return compareJoined(a, b, de.tokNames) }
 	slices.SortFunc(p, byStr)
 	slices.SortFunc(q, byStr)
 	if len(p) > maxPairCands {
@@ -593,7 +686,7 @@ func (de *deltaExtractor) diffChainSets(pre, post *chainSet) (removed, added []u
 		}
 		de.clearLCSMasks(pt)
 		if bestIdx < 0 {
-			rem = append(rem, interner.Chain(pt))
+			rem = append(rem, de.chainID(pt))
 			continue
 		}
 		de.usedQ[bestIdx] = true
@@ -601,7 +694,7 @@ func (de *deltaExtractor) diffChainSets(pre, post *chainSet) (removed, added []u
 	}
 	for qi, qt := range q {
 		if !de.usedQ[qi] {
-			add = append(add, interner.Chain(qt))
+			add = append(add, de.chainID(qt))
 		}
 	}
 
@@ -733,8 +826,7 @@ func (de *deltaExtractor) lcsMask(a, b []uint32) {
 }
 
 // runsWithAnchors appends each maximal run of non-kept elements, extended
-// with the adjacent kept element on each side when present, as an interned
-// chain.
+// with the adjacent kept element on each side when present, as a chain ID.
 func (de *deltaExtractor) runsWithAnchors(seq []uint32, kept []bool, out []uint32) []uint32 {
 	i := 0
 	for i < len(seq) {
@@ -753,7 +845,7 @@ func (de *deltaExtractor) runsWithAnchors(seq []uint32, kept []bool, out []uint3
 		if end < len(seq) {
 			end++ // include following kept anchor
 		}
-		out = append(out, interner.Chain(seq[start:end]))
+		out = append(out, de.chainID(seq[start:end]))
 		i = j
 	}
 	return out

@@ -2,7 +2,7 @@ package core
 
 import (
 	"slices"
-	"sort"
+	"strings"
 )
 
 // MatchIndex is an immutable compiled form of a Database: per optimization
@@ -16,17 +16,23 @@ import (
 // satisfy eq ≥ Thr (eq is bounded by the smaller set), so its postings are
 // dropped entirely. The index is therefore specific to the Thr it was
 // built for; Database.Index caches one per Thr.
+//
+// The index owns the IDs it is queried with. Its vocabulary is the posted
+// chains, numbered in string order, and their tokens, numbered in string
+// order too; a compile's extractor looks tokens and kept chains up here
+// and numbers anything else above this range (see deltaExtractor.token).
+// So the smallest shared ID is the smallest shared chain by content, a
+// token ID is its own bucket in the cannot-match test, and an Add or
+// Remove, which rebuilds the index, frees the chains it no longer posts.
 type MatchIndex struct {
 	thr     int
 	entries []indexEntry
 	byPass  map[string]*passPostings
 
-	// letters maps a token ID to its letter — a dense number given to
-	// each token that occurs in an indexed chain — or -1 (IDs past the end
-	// are -1 too). A graph buckets its nodes by letter once for all
-	// passes' cannot-match tests (see mayMatch).
-	letters  []int32
-	nLetters int
+	chains   []string          // chain ID -> "→"-joined chain
+	chainIDs map[string]uint32 // chain token IDs (appendChainKey) -> chain ID
+	toks     []string          // token ID -> opcode
+	tokIDs   map[string]uint32
 }
 
 // indexEntry identifies one (VDC, DNA, pass) delta and its side sizes.
@@ -40,9 +46,10 @@ type indexEntry struct {
 
 // passPostings is the inverted index of one optimization pass.
 type passPostings struct {
-	removed map[uint32][]uint32 // chain ID -> entry IDs with the chain in δ⁻
-	added   map[uint32][]uint32 // chain ID -> entry IDs with the chain in δ⁺
-	all     []uint32            // every entry ID of this pass (degenerate thresholds)
+	// post[s][c] lists the entries whose side s (0: δ⁻, 1: δ⁺) holds chain
+	// c, for every chain ID of the vocabulary.
+	post [2][][]uint32
+	all  []uint32 // every entry ID of this pass (degenerate thresholds)
 
 	// paths holds the posted chains of δ⁻ (paths[0]) and δ⁺ (paths[1]) in
 	// chain-ID order, as token sequences with their postings: what the
@@ -58,83 +65,146 @@ type pathCand struct {
 }
 
 // buildMatchIndex compiles db for the given Thr. Deterministic: entries
-// are numbered in (VDC, DNA, sorted pass name) order.
+// are numbered in (VDC, DNA, sorted pass name) order, chains and tokens
+// by content.
 func buildMatchIndex(db *Database, thr int) *MatchIndex {
 	ix := &MatchIndex{thr: thr, byPass: map[string]*passPostings{}}
-	minShared := thr
-	if minShared < 1 {
-		minShared = 1
+	minShared := max(thr, 1)
+	type side struct {
+		pp     *passPostings
+		s      int
+		entry  uint32
+		chains []string
 	}
-	var passNames []string
+	var posted []side
+	vocab := map[string]bool{}
 	for _, vdc := range db.VDCs {
 		for _, dna := range vdc.DNAs {
-			passNames = passNames[:0]
-			for name := range dna.Passes {
-				passNames = append(passNames, name)
-			}
-			sort.Strings(passNames)
-			for _, name := range passNames {
+			for _, name := range sortedKeys(dna.Passes) {
 				delta := dna.Passes[name]
+				rem, add := sortedChains(delta.Removed), sortedChains(delta.Added)
 				id := uint32(len(ix.entries))
 				ix.entries = append(ix.entries, indexEntry{
 					cve:        vdc.CVE,
 					vdcFunc:    dna.FuncName,
 					pass:       name,
-					removedLen: len(delta.Removed),
-					addedLen:   len(delta.Added),
+					removedLen: len(rem),
+					addedLen:   len(add),
 				})
 				pp := ix.byPass[name]
 				if pp == nil {
-					pp = &passPostings{removed: map[uint32][]uint32{}, added: map[uint32][]uint32{}}
+					pp = &passPostings{}
 					ix.byPass[name] = pp
 				}
 				pp.all = append(pp.all, id)
-				if len(delta.Removed) >= minShared {
-					for _, c := range delta.Removed {
-						pp.removed[c] = append(pp.removed[c], id)
-					}
-				}
-				if len(delta.Added) >= minShared {
-					for _, c := range delta.Added {
-						pp.added[c] = append(pp.added[c], id)
+				for s, cs := range [2][]string{rem, add} {
+					if len(cs) >= minShared {
+						posted = append(posted, side{pp, s, id, cs})
+						for _, c := range cs {
+							vocab[c] = true
+						}
 					}
 				}
 			}
 		}
 	}
-	chains := interner.chainsView()
-	used := map[uint32]bool{}
+
+	ix.chains = sortedKeys(vocab)
+	split := make([][]string, len(ix.chains))
+	toks := map[string]bool{}
+	for c, str := range ix.chains {
+		split[c] = strings.Split(str, chainSep)
+		for _, t := range split[c] {
+			toks[t] = true
+		}
+	}
+	ix.toks = sortedKeys(toks)
+	ix.tokIDs = make(map[string]uint32, len(ix.toks))
+	for t, str := range ix.toks {
+		ix.tokIDs[str] = uint32(t)
+	}
+	chainToks := make([][]uint32, len(ix.chains))
+	ix.chainIDs = make(map[string]uint32, len(ix.chains))
+	for c, parts := range split {
+		for _, t := range parts {
+			chainToks[c] = append(chainToks[c], ix.tokIDs[t])
+		}
+		ix.chainIDs[string(appendChainKey(nil, chainToks[c]))] = uint32(c)
+	}
+
+	for _, p := range posted {
+		post := p.pp.post[p.s]
+		if post == nil {
+			post = make([][]uint32, len(ix.chains))
+			p.pp.post[p.s] = post
+		}
+		for _, str := range p.chains {
+			c, _ := slices.BinarySearch(ix.chains, str)
+			post[c] = append(post[c], p.entry)
+		}
+	}
 	for _, pp := range ix.byPass {
-		for side, post := range [2]map[uint32][]uint32{pp.removed, pp.added} {
-			ids := make([]uint32, 0, len(post))
-			for c := range post {
-				ids = append(ids, c)
-			}
-			slices.Sort(ids)
-			for _, c := range ids {
-				pp.paths[side] = append(pp.paths[side], pathCand{toks: chains[c].toks, entries: post[c]})
-				for _, t := range chains[c].toks {
-					used[t] = true
+		for s, post := range pp.post {
+			for c, entries := range post {
+				if len(entries) > 0 {
+					pp.paths[s] = append(pp.paths[s], pathCand{toks: chainToks[c], entries: entries})
 				}
 			}
 		}
 	}
-	toks := make([]uint32, 0, len(used))
-	for t := range used {
-		toks = append(toks, t)
-	}
-	slices.Sort(toks)
-	if len(toks) > 0 {
-		ix.letters = make([]int32, toks[len(toks)-1]+1)
-		for i := range ix.letters {
-			ix.letters[i] = -1
-		}
-		for l, t := range toks {
-			ix.letters[t] = int32(l)
-		}
-	}
-	ix.nLetters = len(toks)
 	return ix
+}
+
+// sortedKeys returns a map's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// sortedChains returns a chain list as a sorted set, the form the index
+// reads a delta side in.
+func sortedChains(chains []string) []string {
+	out := slices.Clone(chains)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// appendChainKey renders a token sequence as map-key bytes.
+func appendChainKey(dst []byte, toks []uint32) []byte {
+	for _, t := range toks {
+		dst = append(dst, byte(t), byte(t>>8), byte(t>>16), byte(t>>24))
+	}
+	return dst
+}
+
+// ids maps a Delta onto the index's IDs.
+func (ix *MatchIndex) ids(d Delta) idDelta {
+	return idDelta{removed: ix.idSet(d.Removed), added: ix.idSet(d.Added)}
+}
+
+// idSet maps a chain set onto the index's IDs, ascending: a posted chain
+// to its ID, any other to a distinct ID above the vocabulary. Sizes and
+// shared chains are what a query reads, and both survive the mapping.
+func (ix *MatchIndex) idSet(chains []string) []uint32 {
+	cs := sortedChains(chains)
+	if len(cs) == 0 {
+		return nil
+	}
+	out := make([]uint32, len(cs))
+	next := uint32(len(ix.chains))
+	for i, str := range cs {
+		if c, ok := slices.BinarySearch(ix.chains, str); ok {
+			out[i] = uint32(c)
+		} else {
+			out[i], next = next, next+1
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // watches reports whether the index has a bucket for the pass, that is
@@ -186,7 +256,7 @@ func (s matchSide) String() string {
 type matchScratch struct {
 	counts     []uint32
 	matched    []bool
-	witness    []uint32 // smallest shared chain (string order) so far this side
+	witness    []uint32 // first (smallest) shared chain this side
 	touched    []uint32
 	matchedIDs []uint32
 	sides      []matchSide // parallel to matchedIDs
@@ -206,16 +276,20 @@ func (sc *matchScratch) ensure(n int) {
 	}
 }
 
+// idDelta is a Δ as the index reads it: sorted sets of chain IDs in the
+// index's numbering (see idSet and deltaExtractor.chainID).
+type idDelta struct{ removed, added []uint32 }
+
 // query calls emit for every database delta of the given pass that is
 // similar to d under (ratio, thr) — the indexed form of Algorithm 2's
 // inner loop. Early exits: a pass absent from the database costs one map
 // lookup; a candidate side smaller than Thr is skipped outright; and only
 // deltas sharing at least one chain with the candidate are ever visited or
 // scored. emit receives the witness attribution: the smallest chain by
-// content (string order) shared with the matched delta and the side it was
-// shared on (noChain/sideNone under degenerate thresholds, which need no
-// shared chain).
-func (ix *MatchIndex) query(pass string, d Delta, ratio float64, thr int, sc *matchScratch, emit func(cve, vdcFunc string, chain uint32, side matchSide)) {
+// content shared with the matched delta and the side it was shared on
+// (noChain/sideNone under degenerate thresholds, which need no shared
+// chain).
+func (ix *MatchIndex) query(pass string, d idDelta, ratio float64, thr int, sc *matchScratch, emit func(cve, vdcFunc string, chain uint32, side matchSide)) {
 	// Reset before the early return: callers read sc.probes after every
 	// query, and a pass with no bucket must report 0, not the previous
 	// pass's count (callers visit passes in map order, so a stale count
@@ -235,14 +309,14 @@ func (ix *MatchIndex) query(pass string, d Delta, ratio float64, thr int, sc *ma
 		for _, id := range pp.all {
 			e := &ix.entries[id]
 			sc.probes++
-			if (len(d.Removed) > 0 && e.removedLen > 0) || (len(d.Added) > 0 && e.addedLen > 0) {
+			if (len(d.removed) > 0 && e.removedLen > 0) || (len(d.added) > 0 && e.addedLen > 0) {
 				emit(e.cve, e.vdcFunc, noChain, sideNone)
 			}
 		}
 		return
 	}
-	ix.querySide(pp.removed, d.Removed, sideRemoved, ratio, thr, sc)
-	ix.querySide(pp.added, d.Added, sideAdded, ratio, thr, sc)
+	ix.querySide(pp.post[0], d.removed, sideRemoved, ratio, thr, sc)
+	ix.querySide(pp.post[1], d.added, sideAdded, ratio, thr, sc)
 	for i, id := range sc.matchedIDs {
 		e := &ix.entries[id]
 		emit(e.cve, e.vdcFunc, sc.chains[i], sc.sides[i])
@@ -251,28 +325,21 @@ func (ix *MatchIndex) query(pass string, d Delta, ratio float64, thr int, sc *ma
 }
 
 // querySide accumulates shared-chain counts for one delta side and records
-// the entries reaching both thresholds into sc.matchedIDs. The recorded
-// witness is the smallest shared chain by content, not by ID: IDs follow
-// the process's interning history (a database built in this process and
-// the same database loaded from disk number their chains differently), and
-// a verdict replayed from the store must name the witness a fresh decision
-// would.
-func (ix *MatchIndex) querySide(post map[uint32][]uint32, cand []uint32, side matchSide, ratio float64, thr int, sc *matchScratch) {
-	minShared := thr
-	if minShared < 1 {
-		minShared = 1
-	}
-	if len(cand) < minShared {
+// the entries reaching both thresholds into sc.matchedIDs. cand ascends,
+// and IDs follow content, so the first chain an entry shares is its
+// witness: the smallest shared chain by content.
+func (ix *MatchIndex) querySide(post [][]uint32, cand []uint32, side matchSide, ratio float64, thr int, sc *matchScratch) {
+	if len(cand) < max(thr, 1) {
 		return
 	}
 	sc.touched = sc.touched[:0]
-	cs := interner.chainsView()
 	for _, c := range cand {
+		if int(c) >= len(post) {
+			break // above the vocabulary: in no posting
+		}
 		for _, id := range post[c] {
 			if sc.counts[id] == 0 {
 				sc.touched = append(sc.touched, id)
-				sc.witness[id] = c
-			} else if cs[c].str < cs[sc.witness[id]].str {
 				sc.witness[id] = c
 			}
 			sc.counts[id]++

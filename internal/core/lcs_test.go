@@ -34,7 +34,7 @@ func scoreBoth(de *deltaExtractor, a, b []uint32) (fast, ref int) {
 var lcsLengths = []int{0, 1, maxChainLen - 1, maxChainLen}
 
 func TestLCSScoreMatchesReference(t *testing.T) {
-	de := newDeltaExtractor()
+	de := newDeltaExtractor(nil)
 	defer de.release()
 	rng := rand.New(rand.NewSource(13))
 	randToks := func(n, alphabet int) []uint32 {
@@ -94,7 +94,7 @@ func FuzzLCSLen(f *testing.F) {
 			}
 			return out
 		}
-		de := newDeltaExtractor()
+		de := newDeltaExtractor(nil)
 		defer de.release()
 		if fast, ref := scoreBoth(de, toks(a), toks(b)); fast != ref {
 			t.Fatalf("lcsScore = %d, reference lcsLen = %d\na %v\nb %v", fast, ref, a, b)

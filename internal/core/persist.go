@@ -37,8 +37,6 @@ func (db *Database) SaveWith(path string, inj *faults.Injector) (err error) {
 	if err := inj.Check(faults.PointDBSave, path); err != nil {
 		return err
 	}
-	// A dangling chain ID would panic inside Delta.MarshalJSON; reject the
-	// database with a descriptive error instead.
 	if err := db.Validate(); err != nil {
 		return fmt.Errorf("save DNA database: %w", err)
 	}
@@ -61,8 +59,8 @@ func (db *Database) SaveWith(path string, inj *faults.Injector) (err error) {
 // in it is trusted before the checksum holds. A bare {"vdcs": ...} object
 // — an envelope with its wrapper stripped, or a hand-edited policy — is
 // rejected like any other foreign JSON. Untrustworthy files return a
-// *CorruptError; structurally-invalid databases (duplicate VDC names,
-// dangling chain IDs) are rejected by Validate.
+// *CorruptError; structurally-invalid databases (duplicate or empty VDC
+// names) are rejected by Validate.
 func LoadDatabase(path string) (*Database, error) { return LoadDatabaseWith(path, nil) }
 
 // LoadDatabaseWith is LoadDatabase with a fault-injection point (inj may

@@ -5,7 +5,7 @@ package core
 // This file is the original string-based extraction/matching pipeline,
 // kept verbatim as a test oracle: chains are "→"-joined opcode strings, diffing re-splits
 // and LCS-aligns them, and the detector brute-force scans every
-// VDC × DNA × pass in the database. It exists so the interned fast path
+// VDC × DNA × pass in the database. It exists so the chain-ID fast path
 // (extract.go, compare.go, index.go) can be held to a golden-equivalence
 // standard — the fuzz, property, and corpus tests assert that the fast
 // path produces the same Δ sets and the same CompileDecisions — and so
@@ -24,7 +24,7 @@ import (
 
 // Ref renders the delta in the reference (string) representation.
 func (d Delta) Ref() RefDelta {
-	return RefDelta{Removed: ChainStrings(d.Removed), Added: ChainStrings(d.Added)}
+	return RefDelta(d)
 }
 
 // Ref renders the DNA in the reference (string) representation.

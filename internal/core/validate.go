@@ -3,12 +3,8 @@ package core
 import "fmt"
 
 // Validate checks the database's structural integrity: every VDC must have
-// a unique, non-empty CVE name, and every delta must reference only chain
-// IDs known to the process interner. A dangling ID cannot come from a JSON
-// load (strings are interned on the way in) but can from a programmatic
-// construction error — and would otherwise panic deep inside serialization
-// or silently corrupt the match index. Save and LoadDatabase both call
-// this; a failure names the offending entry.
+// a unique, non-empty CVE name. Save and LoadDatabase both call this; a
+// failure names the offending entry.
 func (db *Database) Validate() error {
 	seen := make(map[string]int, len(db.VDCs))
 	for i, v := range db.VDCs {
@@ -19,28 +15,6 @@ func (db *Database) Validate() error {
 			return fmt.Errorf("duplicate VDC name %q (entries %d and %d)", v.CVE, j, i)
 		}
 		seen[v.CVE] = i
-		for _, dna := range v.DNAs {
-			for passName, delta := range dna.Passes {
-				if id, ok := danglingChain(delta.Removed); ok {
-					return fmt.Errorf("VDC %q, function %q, pass %q: removed-set chain ID %d is not interned (dangling reference)",
-						v.CVE, dna.FuncName, passName, id)
-				}
-				if id, ok := danglingChain(delta.Added); ok {
-					return fmt.Errorf("VDC %q, function %q, pass %q: added-set chain ID %d is not interned (dangling reference)",
-						v.CVE, dna.FuncName, passName, id)
-				}
-			}
-		}
 	}
 	return nil
-}
-
-// danglingChain returns the first chain ID not known to the interner.
-func danglingChain(ids []uint32) (uint32, bool) {
-	for _, id := range ids {
-		if !KnownChain(id) {
-			return id, true
-		}
-	}
-	return 0, false
 }

@@ -22,6 +22,8 @@ func TestEdgeCasesAcrossTiers(t *testing.T) {
 		{"div-by-zero", `return (x + 1) / (y - y) - (0 - x - 1) / (y - y);`},
 		{"mod-sign", `return (0 - x) % 3 + x % (0 - 3) + (0 - x) % (0 - 3);`},
 		{"mod-fractional", `return (x + 0.5) % 0.25 + x % 0.75;`},
+		{"mod-zero-sign", `return 1 / ((0 - x) % (y + 1));`},
+		{"mod-negative-zero-dividend", `return 1 / (((0 - x) * 0) % (y + 2));`},
 		{"shift-wraparound", `return (x << 33) + (x >> 32) + (x >>> 35);`},
 		{"int32-overflow", `return ((x * 1000003) | 0) + ((x + 2147483647) | 0);`},
 		{"truthiness-zero", `if (x - x) { return 1; } if (x + 1) { return 2; } return 3;`},

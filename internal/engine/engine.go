@@ -528,11 +528,6 @@ func (e *Engine) Stats() Stats {
 // Tracer returns the engine's tracer (nil when tracing is disabled).
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
-// Metrics returns the engine's private metrics registry (always non-nil):
-// the engine counters plus compile-path histograms when no shared
-// Config.Metrics registry was provided.
-func (e *Engine) Metrics() *obs.Registry { return e.reg }
-
 // MetricsSink returns the registry compile-path instrumentation (pass
 // latencies, DNA histograms) records into: the shared Config.Metrics when
 // one was provided, else the engine's private registry. Policy

@@ -276,14 +276,6 @@ func NewInjector(seed int64, rules ...Rule) *Injector {
 	}
 }
 
-// Seed returns the PRNG seed the injector was built with.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // splitmix64 is the PRNG step (SplitMix64): tiny, seedable, deterministic.
 func splitmix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15

@@ -1416,8 +1416,10 @@ func (lo *lowerer) copyHandle(dst, src int32) {
 // emitMod inlines value.Mod's int fast path under exactly its condition —
 // both operands integral (the same int64 round trip, by cvttsd2si and
 // cvtsi2sd), divisor nonzero, both magnitudes under 2^53 — and
-// runtime-exits to the full value.Mod otherwise. Both routes produce
-// value.Mod's bits.
+// runtime-exits to the full value.Mod otherwise. A zero remainder of a
+// dividend that is not positive (negative, or -0, which truncates to 0)
+// takes the slow path too: its sign is the dividend's, which the integer
+// remainder has lost. Both routes produce value.Mod's bits.
 func (lo *lowerer) emitMod(pc int32, op *lir.Op) {
 	a := &lo.a
 	lo.flush(0)
@@ -1447,7 +1449,13 @@ func (lo *lowerer) emitMod(pc int32, op *lir.Op) {
 	a.CmpRegReg(RCX, RDX)
 	toSlow(CondLE)
 	a.MovRegReg(R8, RCX)
+	a.MovRegReg(R9, RAX)
 	a.Cqo()
 	a.IdivReg(R8)
+	a.TestRegReg(RDX, RDX)
+	nonzero := a.JccFwd(CondNE)
+	a.TestRegReg(R9, R9)
+	toSlow(CondLE)
+	a.Patch32(nonzero, a.Len())
 	lo.cvtDef(op.Dst, RDX, true)
 }

@@ -282,9 +282,6 @@ type Instr struct {
 	Dead bool
 }
 
-// IsConst reports whether the instruction is a constant with value v.
-func (in *Instr) IsConst(v float64) bool { return in.Op == OpConstant && in.Num == v }
-
 // String renders the instruction in the paper's Listing 1 style:
 // "num opcode operand1 operand2".
 func (in *Instr) String() string {

@@ -61,12 +61,6 @@ func MustParse(src string) *ast.Program {
 }
 
 func (p *parser) cur() token.Token { return p.toks[p.pos] }
-func (p *parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
 
 func (p *parser) next() token.Token {
 	t := p.toks[p.pos]

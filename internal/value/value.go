@@ -308,8 +308,9 @@ const maxExactInt = 9007199254740992
 
 // Mod implements JavaScript's % with the integer fast path every real JS
 // engine has: for exactly-representable integral operands it is a machine
-// integer remainder (sign follows the dividend, as in JS), falling back to
-// the IEEE-754 remainder otherwise. An operand is integral when it survives
+// integer remainder, falling back to the IEEE-754 remainder otherwise. The
+// result takes the dividend's sign, as in JS, a zero remainder included:
+// -4 % 2 is -0. An operand is integral when it survives
 // the round trip through int64 — one conversion each, the test the
 // machine-code tier inlines (mc's emitMod) — and the bounds then hold both
 // magnitudes under 2^53, which also rules out whatever the platform makes
@@ -317,7 +318,7 @@ const maxExactInt = 9007199254740992
 func Mod(x, y float64) float64 {
 	if xi, yi := int64(x), int64(y); float64(xi) == x && float64(yi) == y && yi != 0 &&
 		xi > -maxExactInt && xi < maxExactInt && yi > -maxExactInt && yi < maxExactInt {
-		return float64(xi % yi)
+		return math.Copysign(float64(xi%yi), x)
 	}
 	return math.Mod(x, y)
 }

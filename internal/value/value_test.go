@@ -161,9 +161,25 @@ func TestToUint32(t *testing.T) {
 func truncMod(x, y float64) float64 {
 	if x == math.Trunc(x) && y == math.Trunc(y) && y != 0 &&
 		x > -maxExactInt && x < maxExactInt && y > -maxExactInt && y < maxExactInt {
-		return float64(int64(x) % int64(y))
+		return math.Copysign(float64(int64(x)%int64(y)), x)
 	}
 	return math.Mod(x, y)
+}
+
+// TestModIsFmod holds Mod to math.Mod, the IEEE remainder whose sign is
+// the dividend's as JavaScript's % is, bit for bit: a zero remainder of a
+// negative dividend is -0 on the integer path too.
+func TestModIsFmod(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tt := range []struct{ x, y float64 }{
+		{-4, 2}, {-4, -2}, {4, -2}, {4, 2}, {negZero, 5}, {negZero, -5}, {0, -5},
+		{-6, 3}, {-7, 3}, {7, -3}, {-4.5, 1.5}, {4.5, -1.5}, {-(maxExactInt - 2), 2},
+		{-1, 1}, {-1, -1}, {negZero, 1}, {5, negZero}, {math.NaN(), 2}, {math.Inf(-1), 2},
+	} {
+		if got, want := Mod(tt.x, tt.y), math.Mod(tt.x, tt.y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Mod(%v, %v) = %v (%#x), math.Mod %v (%#x)", tt.x, tt.y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
 }
 
 // TestModMatchesTruncForm holds Mod's one-conversion integrality test to
